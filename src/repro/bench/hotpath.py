@@ -127,8 +127,9 @@ def _bench_cut_enumeration(quick: bool) -> Dict[str, object]:
         cutman = CutManager(aig, k=4, max_cuts=12)
         for lv in level_order:
             tasks, rest = [], []
+            cutman.prime_liveness(levels[lv], fanins=True)
             for root in levels[lv]:
-                harvest = cutman.enum_harvest(root)
+                harvest = cutman.enum_harvest(root, resident=True)
                 if harvest is None:
                     rest.append(root)
                 else:
@@ -177,7 +178,6 @@ def _bench_cut_enumeration(quick: bool) -> Dict[str, object]:
         "speedup": round(scalar_seconds / columnar_seconds, 2)
         if columnar_seconds > 0 else None,
         "vectorized_pairs": columnar_man.vec_pairs,
-        "scalar_fallback_pairs": columnar_man.fallback_pairs,
         "cache_hits": scalar_man.cache_hits,
         "cache_misses": scalar_man.cache_misses,
     }

@@ -204,15 +204,14 @@ class DACParaRewriter:
                           cutman.expand_evictions)
             if cutman.vec_pairs:
                 obs.count("enum_vectorized_pairs_total", cutman.vec_pairs)
-            if cutman.fallback_pairs:
-                obs.count("enum_scalar_fallback_total", cutman.fallback_pairs)
 
         self.last_stats = executor.stats
         self.last_validation_stats = ctx.validation_stats
         result.area_after = aig.num_ands
         result.delay_after = aig.max_level()
         result.replacements = ctx.replacements
-        result.attempted = ctx.prep_info.stored + ctx.prep_info.skipped
+        ctx.reset_round()  # bank the last round's attempts
+        result.attempted = ctx.attempted
         result.validation_failures = ctx.validation_failures
         result.revalidated = ctx.validation_stats.reenumerated
         stats = executor.stats

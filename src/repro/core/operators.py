@@ -49,8 +49,11 @@ class StageContext:
     nodes_saved: int = 0
     validate: bool = True  # False = ablation: trust static prepInfo blindly
     observer: Observer = NULL_OBSERVER
+    attempted: int = 0  # roots evaluated, banked as each round closes
 
     def reset_round(self) -> None:
+        """Close the current worklist round and open a fresh one."""
+        self.attempted += self.prep_info.stored + self.prep_info.skipped
         self.prep_info = PrepInfo()
 
 

@@ -1,7 +1,7 @@
 """Cut enumeration substrate."""
 
 from .cut import Cut, cut_is_stamp_alive, cut_leaves_alive, trivial_cut
-from .manager import DEFAULT_MAX_CUTS, CutManager, enum_tasks_columnar
+from .manager import DEFAULT_MAX_CUTS, CutManager
 
 __all__ = [
     "Cut",
@@ -10,5 +10,4 @@ __all__ = [
     "trivial_cut",
     "DEFAULT_MAX_CUTS",
     "CutManager",
-    "enum_tasks_columnar",
 ]

@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Tuple
 
 from ..aig import Aig
-from ..npn.truth import full_mask
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,6 @@ class Cut:
     def dominates(self, other: "Cut") -> bool:
         """True when this cut's leaves are a subset of the other's."""
         return set(self.leaves) <= set(other.leaves)
-
-    def tt_mask(self) -> int:
-        return full_mask(self.size)
 
 
 def trivial_cut(aig: Aig, var: int) -> Cut:

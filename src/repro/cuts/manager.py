@@ -1,4 +1,4 @@
-"""K-feasible cut enumeration with a stamp-validated cache.
+"""K-feasible cut enumeration with a stamp-validated, column-resident cache.
 
 This is the paper's *Cut Manager*.  Cut sets are computed bottom-up by
 merging fanin cut sets (the classic cut enumeration of Mishchenko et
@@ -8,16 +8,18 @@ fanin *cuts* (cuts whose own leaves have died) are filtered out at
 merge time, which keeps the inductive validity invariant of
 :mod:`repro.cuts.cut` intact.
 
-The merge hot path is **columnar-first**, mirroring the batch eval
-engine in :mod:`repro.rewrite.columnar`: fanin cut sets are laid out
-as sentinel-padded leaf/sign column arrays, all |C0|x|C1| unions and
-k-feasibility masks are computed in one numpy kernel
-(:func:`~repro.npn.truth.batch_union_leaves`), and the dominance
-filter runs over precomputed 64-bit signatures.  The scalar merge is
-kept as the byte-identical differential oracle (``columnar=False``,
-config ``columnar_enum``/``rewrite --scalar-enum``), and
-:meth:`CutManager.merge_tasks_columnar` merges a whole worklist of
-harvested roots per kernel invocation.
+Cut sets live as **column blocks** in one growable arena per manager
+(sentinel-padded leaf rows, truth tables, leaf stamps, 64-bit signs;
+a :class:`CutBlock` is a var's ``(stamp, offset, count)``).  The merge
+kernel reads fanin rows from the arena and appends result blocks to
+it, liveness is a vector compare against a life/kind mirror of the
+graph, and the evaluation engine reads the columns directly.
+:class:`~repro.cuts.cut.Cut` objects are materialized lazily, only at
+API edges: :meth:`CutManager.cuts`, the object forms of the harvests
+that ship to pool workers, and the scalar merge kept as the
+byte-identical differential oracle (``columnar=False``, config
+``columnar_enum``/``rewrite --scalar-enum``).  DESIGN.md "cut-merge
+kernel" has the soundness arguments and the ownership rules.
 
 The manager also counts merge work (``work`` attribute): the simulated
 parallel executor charges activities by this measure, which is what
@@ -27,7 +29,7 @@ makes the reproduced speedups data-driven rather than hand-tuned.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,10 +40,10 @@ from ..errors import CutError
 from ..npn.truth import (
     CUT_LEAF_SENTINEL,
     batch_cut_signs,
-    batch_expand,
     batch_union_leaves,
-    expand_map16,
+    expand,
     full_mask,
+    lift_lut,
 )
 from .cut import Cut, cut_is_stamp_alive, trivial_cut
 
@@ -49,27 +51,121 @@ DEFAULT_MAX_CUTS = 12
 
 # Masks indexed by cut width; merge never recomputes full_mask().
 _FULL_MASKS = tuple(full_mask(n) for n in range(5))
-
-# Pair count at which a merge switches from the memoized scalar
-# expansion to the numpy batch kernel (array setup has fixed overhead).
-BATCH_MERGE_THRESHOLD = 24
-
-# Pair count below which a single-node columnar merge is not worth the
-# array setup and takes the scalar body instead (byte-identical either
-# way; this is purely a constant-factor dispatch).
-COLUMNAR_MIN_PAIRS = 16
+_FULL_MASKS_ARR = np.array(_FULL_MASKS, dtype=np.int64)
 
 # Default bound on the truth-table expansion memo (entries); FIFO
 # eviction past this keeps a long-lived manager's footprint flat.
 DEFAULT_EXPAND_CACHE_CAP = 1 << 16
 
-# Sentinel pad suffixes by pad length, so leaf rows build as one tuple
-# concatenation per cut.
-_LEAF_PAD = tuple((CUT_LEAF_SENTINEL,) * n for n in range(5))
+# ``leaf & _ID_MASK`` maps the sentinel pad to var 0 (the constant node,
+# which never dies), so padded rows index the life/kind mirror safely;
+# pad stamp lanes hold the constant's life stamp and always compare equal.
+_ID_MASK = CUT_LEAF_SENTINEL - 1
+_LANE_BITS = np.array([1, 2, 4, 8], dtype=np.int64)
+_MIN_ARENA_ROWS = 1024
 
-# Dominance-filter record sort key: identical ordering to sorting the
-# built cuts by ``(-cut.size, cut.leaves)`` (rec[2] is the leaf tuple).
-_REC_ORDER = lambda rec: (-len(rec[2]), rec[2])
+
+def _ranges(offs: "np.ndarray", cnts: "np.ndarray") -> "np.ndarray":
+    """Concatenated ``arange(off, off + cnt)`` runs."""
+    ends = np.cumsum(cnts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(offs - (ends - cnts), cnts) + np.arange(total)
+
+
+def _block_rows(blocks) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Arena row indices of (staged) ``blocks``, concatenated, and the
+    per-block counts."""
+    cnts = np.array([b.cnt for b in blocks], dtype=np.int64)
+    return _ranges(np.array([b.off for b in blocks], dtype=np.int64), cnts), cnts
+
+
+def _build_cuts(leaves, tt, stamps, sign) -> List[Cut]:
+    """Materialize ``Cut`` objects from column rows."""
+    sizes = (leaves < CUT_LEAF_SENTINEL).sum(axis=1).tolist()
+    cut_new = Cut.__new__
+    out = []
+    for row, t, srow, sgn, n in zip(
+        leaves.tolist(), tt.tolist(), stamps.tolist(), sign.tolist(), sizes
+    ):
+        # Bypass the dataclass __init__ (and pre-seed the cached sign):
+        # the fields are consistent by construction.
+        cut = cut_new(Cut)
+        cut.__dict__.update(
+            leaves=tuple(row[:n]), tt=t, leaf_stamps=tuple(srow[:n]), sign=sgn
+        )
+        out.append(cut)
+    return out
+
+
+class CutBlock:
+    """One var's cut set: ``cnt`` arena rows at ``off`` (``off < 0``:
+    not staged yet) and/or its ``Cut`` list (``None``: not materialized
+    yet), keyed to the var's ``stamp``.  ``alive_epoch`` memoizes "every
+    cut alive" per graph mutation epoch.  Only the owning manager moves
+    ``off`` (compaction)."""
+
+    __slots__ = ("stamp", "off", "cnt", "cuts", "alive_epoch")
+
+    def __init__(self, off: int, cnt: int, cuts: Optional[List[Cut]] = None,
+                 stamp: Optional[int] = None):
+        self.stamp = stamp
+        self.off = off
+        self.cnt = cnt
+        self.cuts = cuts
+        self.alive_epoch = None
+
+
+class CutColumns(NamedTuple):
+    """The eval stage's resident task table: ``counts[i]`` consecutive
+    rows of the column arrays belong to ``roots[i]``."""
+
+    roots: List[int]
+    counts: List[int]
+    leaves: "np.ndarray"  # (N, 4) ascending, CUT_LEAF_SENTINEL-padded
+    tt: "np.ndarray"      # (N,)
+    stamps: "np.ndarray"  # (N, 4)
+
+    def cut(self, i: int) -> Cut:
+        """Materialize row ``i`` (the winning ``Candidate.cut``)."""
+        row = self.leaves[i]
+        n = int((row < CUT_LEAF_SENTINEL).sum())
+        return Cut(tuple(row[:n].tolist()), int(self.tt[i]),
+                   tuple(self.stamps[i, :n].tolist()))
+
+
+class _Arena:
+    """Append-only column store shared by all of a manager's blocks:
+    ``cols`` = (leaves ``(n, 4)``, tt, leaf stamps ``(n, 4)``, sign)."""
+
+    def __init__(self) -> None:
+        self.used = 0
+        self.cols = [np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64),
+                     np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.uint64)]
+
+    def append(self, *block) -> int:
+        """Copy a block of rows (one array per column) in; returns its offset."""
+        off, end = self.used, self.used + len(block[1])
+        if end > len(self.cols[1]):
+            cap = max(2 * len(self.cols[1]), end, _MIN_ARENA_ROWS)
+            grown = [np.empty((cap,) + c.shape[1:], dtype=c.dtype) for c in self.cols]
+            for new, old in zip(grown, self.cols):
+                new[:off] = old[:off]
+            self.cols = grown
+        for col, rows in zip(self.cols, block):
+            col[off:end] = rows
+        self.used = end
+        return off
+
+    def compact(self, blocks: Sequence[CutBlock]) -> None:
+        """Keep only the rows of ``blocks`` (all staged), re-offsetting
+        them in place."""
+        rows, _ = _block_rows(blocks)
+        for col in self.cols:
+            col[: len(rows)] = col[rows]
+        self.used = 0
+        for b in blocks:
+            b.off = self.used
+            self.used += b.cnt
 
 
 class CutManager:
@@ -91,94 +187,58 @@ class CutManager:
         self.columnar = columnar
         self.expand_cache_cap = expand_cache_cap
         self.work = 0  # merge operations performed (cost model input)
-        # Vars whose cut sets the most recent cuts() call had to compute
-        # (used by operators as the lock region of the shared recursion).
+        # Vars the most recent cuts() call had to merge (the operators'
+        # lock region for the shared recursion).
         self.last_computed: List[int] = []
-        self._cache: Dict[int, Tuple[int, List[Cut]]] = {}
-        # Truth-table expansion memo: (tt, src, dst) -> expanded table.
-        # The same fanin cut is lifted to the same union leaf set every
-        # time two cut sets re-merge, so this is the hottest memo in the
-        # enumeration stage.  Hit/miss counters feed the observer.
+        self._cache: Dict[int, CutBlock] = {}
+        self._arena = _Arena()
+        self._compact_at = 8 * _MIN_ARENA_ROWS
+        # Life/kind mirror of the graph: life stamps as one array, dead
+        # nodes reading -1 (no recorded stamp), patched through the
+        # mutation journal.
+        self._epoch: Optional[int] = None
+        self._life = None
+        # Scalar oracle's expansion memo, (tt, src, dst) -> table, with
+        # the hit/miss/eviction counters the observer reports.
         self._expand_cache: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         self.expand_evictions = 0
-        # Pairs merged through the columnar kernels vs the scalar body
-        # (observer counters enum_vectorized_pairs_total /
-        # enum_scalar_fallback_total).
-        self.vec_pairs = 0
-        self.fallback_pairs = 0
-        # var -> (cut list identity, leaf rows, signs): the column
-        # layout of a cached cut set, rebuilt lazily when the cache
-        # entry is replaced (identity check) and dropped on
-        # invalidation — this is what lets post-replacement re-merges
-        # (invalidate_tfo + fresh_cuts) reuse fanin columns instead of
-        # rebuilding per-node Python lists.
-        self._cols: Dict[int, Tuple[List[Cut], "np.ndarray", List[int]]] = {}
+        self.vec_pairs = 0  # pairs merged by the kernel (observer counter)
 
     # ------------------------------------------------------------------
 
     def cuts(self, var: int) -> List[Cut]:
         """Cut set of ``var`` on the current graph (cached)."""
-        aig = self.aig
-        if aig.is_dead(var):
-            raise CutError(f"cut enumeration on dead node {var}")
-        self.last_computed = []
-        entry = self._cache.get(var)
-        if entry is not None and entry[0] == aig.stamp(var):
-            return entry[1]
-        # Iterative post-order resolution (circuits are deep).
-        stack = [var]
-        while stack:
-            v = stack[-1]
-            entry = self._cache.get(v)
-            if entry is not None and entry[0] == aig.stamp(v):
-                stack.pop()
-                continue
-            if not aig.is_and(v):
-                self._cache[v] = (aig.stamp(v), [trivial_cut(aig, v)])
-                stack.pop()
-                continue
-            f0v = lit_var(aig.fanin0(v))
-            f1v = lit_var(aig.fanin1(v))
-            pending = False
-            for fv in (f0v, f1v):
-                fentry = self._cache.get(fv)
-                if fentry is None or fentry[0] != aig.stamp(fv):
-                    stack.append(fv)
-                    pending = True
-            if pending:
-                continue
-            self._cache[v] = (aig.stamp(v), self._merge_node(v))
-            self.last_computed.append(v)
-            stack.pop()
-        return self._cache[var][1]
+        return self._materialize(self._resolve(var))
 
     def fresh_cuts(self, var: int) -> List[Cut]:
         """Cut set with stamp-dead cuts purged: if any cached cut has a
         stale leaf, the node's cuts are re-merged from the (filtered)
         fanin sets."""
-        cuts = self.cuts(var)
-        if all(cut_is_stamp_alive(self.aig, c) for c in cuts):
-            return cuts
-        self.invalidate(var)
-        return self.cuts(var)
+        return self._materialize(self._fresh_block(var))
 
-    def eval_harvest(self, roots) -> List[Tuple[int, Tuple[Cut, ...]]]:
+    def eval_harvest(self, roots, resident: bool = False):
         """The eval stage's task list: each root paired with its
         (stamp-validated) enumerated cut set, in worklist order.
 
-        This is the hand-off format shared by every batch evaluation
-        path — process fan-out chunks and the in-process columnar
-        engine alike — so the cut sets workers score are exactly the
-        ones the enumeration stage installed.
+        The object form (``[(root, cuts-tuple)]``) ships to pool
+        workers; ``resident=True`` gathers the same sets into one
+        :class:`CutColumns` for the in-process engine, no ``Cut`` built.
         """
-        return [(root, tuple(self.fresh_cuts(root))) for root in roots]
+        self.prime_liveness(roots)
+        if not resident:
+            return [(root, tuple(self.fresh_cuts(root))) for root in roots]
+        blocks = [self._fresh_block(root) for root in roots]
+        self._stage(blocks)
+        rows, cnts = _block_rows(blocks)
+        leaves, tt, stamps, _ = self._arena.cols
+        return CutColumns(list(roots), cnts.tolist(), leaves[rows], tt[rows],
+                          stamps[rows])
 
     def invalidate(self, var: int) -> None:
         """Drop the cache entry for one node."""
         self._cache.pop(var, None)
-        self._cols.pop(var, None)
 
     def invalidate_tfo(self, var: int) -> int:
         """Recursively drop cache entries of ``var`` and its transitive
@@ -193,7 +253,6 @@ class CutManager:
             if v in seen:
                 continue
             seen.add(v)
-            self._cols.pop(v, None)
             if self._cache.pop(v, None) is not None:
                 dropped += 1
             if not self.aig.is_dead(v):
@@ -204,465 +263,481 @@ class CutManager:
         """Drop all caches and reset the per-run memo counters, so
         counter deltas across :meth:`clear` boundaries are meaningful."""
         self._cache.clear()
+        self._arena = _Arena()
         self._expand_cache.clear()
-        self._cols.clear()
         self.cache_hits = 0
         self.cache_misses = 0
         self.expand_evictions = 0
 
     # ------------------------------------------------------------------
+    # Resolution and liveness
 
-    def has_fresh_live_cuts(self, var: int) -> bool:
-        """True when ``var``'s cache entry is stamp-fresh and every
-        cached cut is alive — the state in which :meth:`fresh_cuts`
-        answers from cache without any merge work."""
+    def _resolve(self, var: int) -> CutBlock:
+        """The stamp-fresh block of ``var``, merging bottom-up whatever
+        is missing or stale (the body of :meth:`cuts`)."""
         aig = self.aig
-        entry = self._cache.get(var)
-        if entry is None or entry[0] != aig.stamp(var):
-            return False
-        # Inlined cut_is_stamp_alive over the whole entry, reading the
-        # kind/life columns directly (both Aig and AigSnapshot expose
-        # them): this check runs for every worklist root and both its
-        # fanins, so per-leaf accessor calls are worth shaving.
-        kind = aig._kind
-        life = aig._life
-        for c in entry[1]:
-            stamps = c.leaf_stamps
-            for i, leaf in enumerate(c.leaves):
-                if kind[leaf] == KIND_DEAD or life[leaf] != stamps[i]:
-                    return False
+        if aig.is_dead(var):
+            raise CutError(f"cut enumeration on dead node {var}")
+        self.last_computed = []
+        cache = self._cache
+        block = cache.get(var)
+        if block is not None and block.stamp == aig.stamp(var):
+            return block
+        # Iterative post-order resolution (circuits are deep).
+        stack = [var]
+        while stack:
+            v = stack[-1]
+            block = cache.get(v)
+            if block is not None and block.stamp == aig.stamp(v):
+                stack.pop()
+                continue
+            if not aig.is_and(v):
+                self._trivial_block(v)
+                stack.pop()
+                continue
+            pending = False
+            for fv in (lit_var(aig.fanin0(v)), lit_var(aig.fanin1(v))):
+                fblock = cache.get(fv)
+                if fblock is None or fblock.stamp != aig.stamp(fv):
+                    stack.append(fv)
+                    pending = True
+            if pending:
+                continue
+            block = self._merge_node(v)
+            block.stamp = aig.stamp(v)
+            cache[v] = block
+            self.last_computed.append(v)
+            stack.pop()
+        return cache[var]
+
+    def _fresh_block(self, var: int) -> CutBlock:
+        block = self._resolve(var)
+        if not self._all_alive(block):
+            self.invalidate(var)
+            block = self._resolve(var)
+        return block
+
+    def _trivial_block(self, var: int) -> CutBlock:
+        """Cache the trivial-cut set :meth:`cuts` keeps for a non-AND node."""
+        aig = self.aig
+        block = CutBlock(-1, 1, [trivial_cut(aig, var)], aig.stamp(var))
+        self._cache[var] = block
+        return block
+
+    def _materialize(self, block: CutBlock) -> List[Cut]:
+        cuts = block.cuts
+        if cuts is None:
+            rows = slice(block.off, block.off + block.cnt)
+            cuts = block.cuts = _build_cuts(*(c[rows] for c in self._arena.cols))
+        return cuts
+
+    def _stage(self, blocks: Sequence[CutBlock]) -> None:
+        """Write object-only blocks' rows into the arena, one bulk conversion."""
+        todo = list({id(b): b for b in blocks if b.off < 0}.values())
+        if not todo:
+            return
+        cuts = [c for b in todo for c in b.cuts]
+        self._sync()
+        pad = (int(self._life[0]),)
+        sent = (CUT_LEAF_SENTINEL,)
+        leaves = np.array(
+            [c.leaves + sent * (4 - len(c.leaves)) for c in cuts], dtype=np.int64
+        ).reshape(-1, 4)  # (0, 4) when every set is empty
+        stamps = np.array(
+            [c.leaf_stamps + pad * (4 - len(c.leaves)) for c in cuts],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        tt = np.array([c.tt for c in cuts], dtype=np.int64)
+        off = self._arena.append(leaves, tt, stamps, batch_cut_signs(leaves))
+        for b in todo:
+            b.off = off
+            off += b.cnt
+
+    def _sync(self) -> None:
+        """Bring the life mirror up to the graph's mutation epoch."""
+        aig = self.aig
+        epoch = getattr(aig, "mutation_epoch", 0)  # snapshots never mutate
+        if epoch == self._epoch:
+            return
+        life, kind = aig._life, aig._kind
+        dirty = None
+        if self._epoch is not None:
+            dirty = aig.dirty_since(self._epoch)
+        if dirty is None or 4 * len(dirty) > len(life):
+            self._life = np.where(
+                np.asarray(kind) == KIND_DEAD, -1, np.asarray(life, dtype=np.int64))
+        else:
+            grow = len(life) - len(self._life)
+            if grow > 0:
+                self._life = np.concatenate(
+                    [self._life, np.zeros(grow + len(life) // 4, dtype=np.int64)])
+            idx = list(dirty)
+            self._life[idx] = [-1 if kind[v] == KIND_DEAD else life[v] for v in idx]
+        self._epoch = epoch
+
+    def _rows_alive(self, rows) -> "np.ndarray":
+        """Per-row ``cut_is_stamp_alive`` (index array or slice; synced mirror)."""
+        leaves, _, stamps, _ = self._arena.cols
+        return (self._life[leaves[rows] & _ID_MASK] == stamps[rows]).all(axis=1)
+
+    def _all_alive(self, block: CutBlock) -> bool:
+        self._sync()
+        if block.alive_epoch != self._epoch:
+            if block.off < 0:  # object-only: not worth staging for this
+                alive = all(cut_is_stamp_alive(self.aig, c) for c in block.cuts)
+            else:
+                alive = self._rows_alive(slice(block.off, block.off + block.cnt)).all()
+            if not alive:
+                return False
+            block.alive_epoch = self._epoch
         return True
 
-    def enum_harvest(
-        self, root: int
-    ) -> Optional[Tuple[int, int, List[Cut], List[Cut]]]:
-        """Inputs for a worker-side merge of ``root``, or None.
+    def prime_liveness(self, vars, fanins: bool = False) -> None:
+        """Verify the arena-resident sets of ``vars`` (and, with
+        ``fanins``, of their fanin nodes) alive in one vector compare,
+        so the per-root checks that follow on the same graph state
+        answer from the per-block memo."""
+        self._sync()
+        epoch, aig, cache = self._epoch, self.aig, self._cache
+        probe = list(vars)
+        if fanins:
+            probe += [lit_var(fl) for v in probe if aig.is_and(v)
+                      for fl in (aig.fanin0(v), aig.fanin1(v))]
+        blocks = [b for b in {v: cache.get(v) for v in probe}.values()
+                  if b is not None and b.off >= 0 and b.alive_epoch != epoch]
+        if not blocks:
+            return
+        rows, cnts = _block_rows(blocks)
+        owner = np.repeat(np.arange(len(blocks)), cnts)
+        dead = np.bincount(owner[~self._rows_alive(rows)],
+                           minlength=len(blocks))
+        for block, n_dead in zip(blocks, dead.tolist()):
+            if not n_dead:
+                block.alive_epoch = epoch
 
-        A root can fan out to a process worker only when its merge is a
-        *pure function of shippable state*: it is an AND node whose own
-        entry needs (re)computing and whose fanin cut sets are
-        resolvable without recursion **and stable for the whole
-        stage** — a stamp-fresh entry with every cut alive (such
-        entries are never recomputed mid-stage, by either ``cuts()``
-        recursion or a worker-result install), or a non-AND fanin
-        (whose cut set is always the trivial cut).  A merely
-        stamp-fresh fanin entry with dead cuts is *not* eligible: that
-        fanin may itself be a worklist root whose own enumeration
-        re-merges it before this root executes, so its harvest-time cut
-        set could go stale.  Roots with a fresh live entry answer from
-        cache in-parent for one unit, and roots needing recursive
-        enumeration stay in-parent too; both return None.
+    def has_fresh_live_cuts(self, var: int) -> bool:
+        """True when ``var``'s entry is stamp-fresh and every cached cut is
+        alive: :meth:`fresh_cuts` then answers from cache, no merge work."""
+        block = self._cache.get(var)
+        return (block is not None and block.stamp == self.aig.stamp(var)
+                and self._all_alive(block))
+
+    # ------------------------------------------------------------------
+    # Harvest / install (the batch and fan-out hand-off)
+
+    def enum_harvest(self, root: int, resident: bool = False):
+        """Inputs for a batched or worker-side merge of ``root``:
+        ``(f0, f1, set0, set1)``, or None.
+
+        A root is eligible only when its merge is a *pure function of
+        shippable state*: an AND node whose own entry needs
+        (re)computing and whose fanin sets are resolvable without
+        recursion **and stable for the whole stage** — a stamp-fresh
+        entry with every cut alive (never recomputed mid-stage), or a
+        non-AND fanin (always the trivial cut).  A stamp-fresh fanin
+        entry with dead cuts is *not* eligible: that fanin may itself be
+        a worklist root re-merged before this root executes.  Roots with
+        a fresh live entry (a one-unit cache answer) and roots needing
+        recursive enumeration stay in-parent; both return None.
+
+        The sets are ``Cut`` lists (the form that ships to pool workers)
+        or, with ``resident=True``, the cached :class:`CutBlock` s.
         """
         aig = self.aig
-        if not aig.is_and(root):
-            return None
-        if self.has_fresh_live_cuts(root):
+        if not aig.is_and(root) or self.has_fresh_live_cuts(root):
             return None
         f0, f1 = aig.fanin0(root), aig.fanin1(root)
-        sets: List[List[Cut]] = []
+        sets = []
         for fl in (f0, f1):
             fv = lit_var(fl)
-            if aig.is_and(fv):
-                if not self.has_fresh_live_cuts(fv):
-                    return None
-                # has_fresh_live_cuts just verified every cached cut
-                # alive, so the entry list *is* the live set — no
-                # second aliveness scan.
-                sets.append(list(self._cache[fv][1]))
+            if self.has_fresh_live_cuts(fv):
+                block = self._cache[fv]
+            elif aig.is_and(fv):
+                return None
             else:
-                fentry = self._cache.get(fv)
-                if fentry is not None and fentry[0] == aig.stamp(fv):
-                    sets.append(self._live_cuts(fv))
-                else:
-                    sets.append([trivial_cut(aig, fv)])
+                block = self._trivial_block(fv)
+            sets.append(block if resident else list(self._materialize(block)))
         return (f0, f1, sets[0], sets[1])
 
-    def install_cuts(self, root: int, cuts: List[Cut], work: int = 0) -> None:
-        """Install a worker-computed cut set for AND node ``root``.
-
-        Mirrors exactly what :meth:`cuts` would have cached for an
-        :meth:`enum_harvest`-eligible root: trivial entries for any
+    def install_cuts(self, root: int, cuts, work: int = 0) -> None:
+        """Install a batch- or worker-computed cut set (a ``Cut`` list,
+        or a :class:`CutBlock` from :meth:`merge_tasks_columnar`) for
+        AND node ``root``: exactly what :meth:`cuts` would have cached
+        for an :meth:`enum_harvest`-eligible root — trivial entries for
         uncached non-AND fanins, then the root entry keyed to its
-        current stamp.  ``work`` (the worker's merge-pair count) is
-        charged to :attr:`work` so the cost model stays byte-identical
-        with an in-parent merge.
-        """
+        current stamp.  ``work`` (the merge-pair count) is charged to
+        :attr:`work`, byte-identical with an in-parent merge."""
         aig = self.aig
         for fl in (aig.fanin0(root), aig.fanin1(root)):
             fv = lit_var(fl)
             if not aig.is_and(fv):
-                fentry = self._cache.get(fv)
-                if fentry is None or fentry[0] != aig.stamp(fv):
-                    self._cache[fv] = (aig.stamp(fv), [trivial_cut(aig, fv)])
-        self._cache[root] = (aig.stamp(root), list(cuts))
+                fblock = self._cache.get(fv)
+                if fblock is None or fblock.stamp != aig.stamp(fv):
+                    self._trivial_block(fv)
+        block = cuts
+        if not isinstance(block, CutBlock):
+            block = CutBlock(-1, len(cuts), list(cuts))
+        block.stamp = aig.stamp(root)
+        self._cache[root] = block
         self.work += work
-
-    # ------------------------------------------------------------------
-    # Columnar layout helpers
-
-    def _leaf_rows(self, cuts: List[Cut]) -> "np.ndarray":
-        """Sentinel-padded ``(n, 4)`` int64 leaf rows for ``cuts``."""
-        if not cuts:
-            return np.empty((0, 4), dtype=np.int64)
-        return np.array(
-            [c.leaves + _LEAF_PAD[4 - len(c.leaves)] for c in cuts],
-            dtype=np.int64,
-        )
-
-    def _life_column(self):
-        """The life-stamp column of the underlying graph: the live
-        ``Aig`` list, or the snapshot's cached plain-list column —
-        either way ``col[v] == aig.life_stamp(v)`` as a Python int."""
-        columns = getattr(self.aig, "columns", None)
-        if columns is not None:
-            return columns()[6]
-        return self.aig._life
-
-    def _fanin_columns(
-        self, var: int
-    ) -> Tuple[List[Cut], "np.ndarray", List[int]]:
-        """Column layout (cut list, leaf rows, signs) of ``var``'s
-        cached cut set, rebuilt only when the cache entry changed
-        (list identity: cached cut lists are replaced, never mutated)."""
-        entry = self._cache.get(var)
-        if entry is None:
-            raise CutError(
-                f"no cached cut set for node {var}: enumerate it first "
-                f"(cuts()/install_cuts())"
-            )
-        cuts = entry[1]
-        col = self._cols.get(var)
-        if col is None or col[0] is not cuts:
-            arr = self._leaf_rows(cuts)
-            col = (cuts, arr, batch_cut_signs(arr))
-            self._cols[var] = col
-        return col
-
-    def _live_columns(
-        self, var: int
-    ) -> Tuple[List[Cut], "np.ndarray", List[int]]:
-        """Like :meth:`_live_cuts`, but returning the column layout,
-        with dead rows dropped from the cached columns."""
-        cuts, arr, signs = self._fanin_columns(var)
-        aig = self.aig
-        alive = [i for i, c in enumerate(cuts) if cut_is_stamp_alive(aig, c)]
-        if len(alive) == len(cuts):
-            return cuts, arr, signs
-        if not alive:
-            t = trivial_cut(aig, var)
-            tarr = self._leaf_rows([t])
-            return [t], tarr, batch_cut_signs(tarr)
-        return [cuts[i] for i in alive], arr[alive], signs[alive]
 
     # ------------------------------------------------------------------
     # Merging
 
-    def _merge_node(self, v: int) -> List[Cut]:
+    def _live_cuts(self, var: int) -> List[Cut]:
+        block = self._cache.get(var)
+        if block is None:
+            raise CutError(
+                f"no cached cut set for node {var}: enumerate it first "
+                f"(cuts()/install_cuts())"
+            )
+        cuts = self._materialize(block)
+        if self._all_alive(block):
+            return list(cuts)
+        live = [c for c in cuts if cut_is_stamp_alive(self.aig, c)]
+        return live if live else [trivial_cut(self.aig, var)]
+
+    def _live_rows(self, var: int) -> "np.ndarray":
+        """Arena row indices of ``var``'s live cuts (the trivial cut's
+        row when none survive): the kernel-side :meth:`_live_cuts`."""
+        block = self._cache[var]  # fanin entries are resolved first
+        self._stage([block])
+        if not self._all_alive(block):
+            alive = self._rows_alive(slice(block.off, block.off + block.cnt))
+            if alive.any():
+                return block.off + np.flatnonzero(alive)
+            block = CutBlock(-1, 1, [trivial_cut(self.aig, var)])
+            self._stage([block])
+        return np.arange(block.off, block.off + block.cnt)
+
+    def _merge_node(self, v: int) -> CutBlock:
         aig = self.aig
         f0, f1 = aig.fanin0(v), aig.fanin1(v)
+        v0, v1 = lit_var(f0), lit_var(f1)
         if not self.columnar:
-            return self.merge_fanin_sets(
-                v, f0, f1,
-                self._live_cuts(lit_var(f0)),
-                self._live_cuts(lit_var(f1)),
-            )
-        c0_all, a0, s0 = self._live_columns(lit_var(f0))
-        c1_all, a1, s1 = self._live_columns(lit_var(f1))
-        n_pairs = len(c0_all) * len(c1_all)
+            cuts = self.merge_fanin_sets(
+                v, f0, f1, self._live_cuts(v0), self._live_cuts(v1))
+            return CutBlock(-1, len(cuts), cuts)
+        rows0, rows1 = self._live_rows(v0), self._live_rows(v1)
+        n_pairs = len(rows0) * len(rows1)
         self.work += n_pairs
-        if n_pairs < COLUMNAR_MIN_PAIRS:
-            self.fallback_pairs += n_pairs
-            return self._merge_scalar(v, f0, f1, c0_all, c1_all)
         self.vec_pairs += n_pairs
-        meta = [(v, lit_compl(f0), lit_compl(f1),
-                 0, len(c0_all), len(c0_all), len(c1_all))]
-        out, _, _ = self._columnar_core(
-            list(c0_all) + list(c1_all), np.concatenate([a0, a1]),
-            np.concatenate([s0, s1]), meta,
+        out = self._columnar_core(
+            np.array([v]), np.array([lit_compl(f0)]), np.array([lit_compl(f1)]),
+            rows0, np.array([len(rows0)]), rows1, np.array([len(rows1)]),
         )
-        return out[0]
+        return CutBlock(self._arena.append(*out[:4]), int(out[4][0]))
 
-    def merge_fanin_sets(
-        self,
-        v: int,
-        f0: int,
-        f1: int,
-        c0_all: List[Cut],
-        c1_all: List[Cut],
-    ) -> List[Cut]:
-        """Merge explicit fanin cut sets of AND node ``v``.
-
-        Dispatches to the columnar kernel path for large pair sets and
-        to the scalar body for small ones (or always, with
-        ``columnar=False`` — the differential oracle).  All paths
-        produce bit-identical results and charge identical
-        :attr:`work`, so the choice never affects replay
-        (property-tested).
-
-        Taking the fanin sets as arguments (rather than reading the
-        cache) is what lets a process worker run the identical merge
-        against an :class:`~repro.aig.snapshot.AigSnapshot` with cut
-        sets harvested in the parent (:meth:`enum_harvest`).
-        """
-        n_pairs = len(c0_all) * len(c1_all)
-        self.work += n_pairs
-        if self.columnar and n_pairs >= COLUMNAR_MIN_PAIRS:
-            self.vec_pairs += n_pairs
-            all_cuts = list(c0_all) + list(c1_all)
-            leaves = self._leaf_rows(all_cuts)
-            meta = [(v, lit_compl(f0), lit_compl(f1),
-                     0, len(c0_all), len(c0_all), len(c1_all))]
-            out, _, _ = self._columnar_core(
-                all_cuts, leaves, batch_cut_signs(leaves), meta
-            )
-            return out[0]
+    def merge_fanin_sets(self, v: int, f0: int, f1: int,
+                         c0_all: List[Cut], c1_all: List[Cut]) -> List[Cut]:
+        """Merge explicit fanin cut sets of AND node ``v`` through the
+        columnar kernel, or the scalar oracle with ``columnar=False``:
+        bit-identical results and identical :attr:`work` either way
+        (property-tested).  Taking the sets as arguments is what lets a
+        pool worker run the merge against an
+        :class:`~repro.aig.snapshot.AigSnapshot` with cut sets harvested
+        in the parent."""
+        self.work += len(c0_all) * len(c1_all)
         if self.columnar:
-            self.fallback_pairs += n_pairs
+            return self.merge_tasks_columnar([(v, f0, f1, c0_all, c1_all)])[0][1]
         return self._merge_scalar(v, f0, f1, c0_all, c1_all)
 
-    def merge_tasks_columnar(
-        self, tasks, observer=None
-    ) -> List[Tuple[int, List[Cut], int]]:
+    def merge_tasks_columnar(self, tasks, observer=None):
         """Merge a whole worklist of harvested roots in one kernel
         invocation.
 
-        ``tasks`` is a list of ``(root,) + enum_harvest(root)`` tuples,
-        i.e. ``(root, f0, f1, c0_all, c1_all)``.  Returns ``(root,
-        cuts, pairs)`` rows in task order, where ``pairs`` is the merge
-        work the caller must charge via
-        :meth:`install_cuts(..., work=pairs)` — this method itself does
-        **not** touch :attr:`work`, exactly like a pool worker's merge,
-        so replay through the schedulers charges each root's cost once.
-
-        When ``observer`` is metric-enabled, emits the
-        ``enum_batch_size`` histogram and per-phase
-        ``enum_kernel_seconds`` timings.
+        ``tasks`` are ``(root,) + enum_harvest(root)`` tuples, all in
+        the object form or all resident.  Returns ``(root, cuts,
+        pairs)`` rows in task order — ``cuts`` a ``Cut`` list for
+        object tasks, a :class:`CutBlock` already in the arena for
+        resident ones (install it before the next call, which may
+        compact it away).  ``pairs`` is the merge work the caller
+        charges via :meth:`install_cuts`: this method does **not**
+        touch :attr:`work`, exactly like a pool worker's merge.  A
+        metric-enabled ``observer`` gets ``enum_batch_size`` and
+        per-phase ``enum_kernel_seconds``.
         """
         if not tasks:
             return []
-        all_cuts: List[Cut] = []
-        meta = []
-        total_pairs = 0
-        for root, f0, f1, c0_all, c1_all in tasks:
-            off0 = len(all_cuts)
-            all_cuts.extend(c0_all)
-            off1 = len(all_cuts)
-            all_cuts.extend(c1_all)
-            meta.append((root, lit_compl(f0), lit_compl(f1),
-                         off0, len(c0_all), off1, len(c1_all)))
-            total_pairs += len(c0_all) * len(c1_all)
+        resident = isinstance(tasks[0][3], CutBlock)
+        sets = [t[3] for t in tasks] + [t[4] for t in tasks]
+        if not resident:
+            sets = [CutBlock(-1, len(c), c) for c in sets]
+        self._compact(sets)
+        self._stage(sets)
+        rows0, n0s = _block_rows(sets[:len(tasks)])
+        rows1, n1s = _block_rows(sets[len(tasks):])
+        pairs = (n0s * n1s).tolist()
+        total_pairs = sum(pairs)
         self.vec_pairs += total_pairs
-        leaves = self._leaf_rows(all_cuts)
-        out, union_s, filter_s = self._columnar_core(
-            all_cuts, leaves, batch_cut_signs(leaves), meta
+        out = self._columnar_core(
+            np.array([t[0] for t in tasks], dtype=np.int64),
+            np.array([lit_compl(t[1]) for t in tasks], dtype=bool),
+            np.array([lit_compl(t[2]) for t in tasks], dtype=bool),
+            rows0, n0s, rows1, n1s,
         )
         if observer is not None and observer.enabled:
             observer.observe("enum_batch_size", float(total_pairs))
-            observer.observe("enum_kernel_seconds", union_s, phase="union")
-            observer.observe("enum_kernel_seconds", filter_s, phase="filter")
-        return [(m[0], cuts, m[4] * m[6]) for m, cuts in zip(meta, out)]
+            observer.observe("enum_kernel_seconds", out[5], phase="union")
+            observer.observe("enum_kernel_seconds", out[6], phase="filter")
+        spans = list(zip(np.cumsum(out[4]).tolist(), out[4].tolist()))
+        if resident:
+            base = self._arena.append(*out[:4])
+            results = [CutBlock(base + end - cnt, cnt) for end, cnt in spans]
+        else:
+            flat = _build_cuts(*out[:4])
+            results = [flat[end - cnt:end] for end, cnt in spans]
+        return [(t[0], res, p) for t, res, p in zip(tasks, results, pairs)]
 
-    def _columnar_core(
-        self,
-        all_cuts: List[Cut],
-        leaves: "np.ndarray",
-        signs: List[int],
-        meta,
-    ) -> Tuple[List[List[Cut]], float, float]:
-        """The batch merge kernel shared by every columnar entry point.
+    def _compact(self, extra: Sequence[CutBlock]) -> None:
+        """Reclaim arena rows no block references (re-merged, never
+        installed, staging-only) once they outnumber the live ones.
+        Runs only at the start of a batch merge, when the only blocks
+        outside the cache are the task inputs ``extra``."""
+        arena = self._arena
+        if arena.used < self._compact_at:
+            return
+        blocks = list(self._cache.values()) + list(extra)
+        blocks = list({id(b): b for b in blocks if b.off >= 0}.values())
+        if 2 * sum(b.cnt for b in blocks) < arena.used:
+            arena.compact(blocks)
+        self._compact_at = max(8 * _MIN_ARENA_ROWS, 2 * arena.used)
 
-        ``meta`` rows are ``(root, comp0, comp1, off0, n0, off1, n1)``
-        describing each task's fanin-cut slices of ``all_cuts`` /
-        ``leaves`` / ``signs``.  Returns per-task result lists (in meta
-        order) plus the union- and filter-phase kernel seconds.
+    def _columnar_core(self, roots, comp0, comp1, rows0, n0s, rows1, n1s):
+        """The batch merge kernel shared by every columnar entry point
+        (DESIGN.md "cut-merge kernel" has the soundness arguments).
 
-        The pair grid is row-major per task (c0 outer, c1 inner), so
-        feasible pairs arrive at the dominance filter in exactly the
-        scalar loop's insertion order — order matters: the filter is
-        first-wins on duplicates.
-
-        Unlike the scalar body, truth-table expansion here skips the
-        ``(tt, src, dst)`` memo entirely: the leaf-position maps and
-        the 16-minterm gathers are computed for every feasible pair in
-        one numpy pass (bit-identical to :func:`~repro.npn.truth.
-        expand` by construction), which is cheaper than per-pair dict
-        probes.  The memo — and its hit/miss counters — keeps serving
-        the scalar paths.
+        Task ``t`` merges arena rows ``rows0[...]`` (``n0s[t]`` of
+        them, fanin 0) with ``rows1[...]`` for AND node ``roots[t]``
+        with fanin complements ``comp0[t]``/``comp1[t]``.  Returns the
+        result block columns ``(leaves, tt, stamps, sign)`` — each
+        task's rows contiguous, sorted by ``(-size, leaves)``, cut at
+        ``max_cuts``, trivial cut last — the per-task row counts, and
+        the union-/filter-phase seconds.
         """
-        t0 = time.perf_counter()
-        n0s = np.array([m[4] for m in meta], dtype=np.int64)
-        n1s = np.array([m[6] for m in meta], dtype=np.int64)
-        off0 = np.array([m[3] for m in meta], dtype=np.int64)
-        off1 = np.array([m[5] for m in meta], dtype=np.int64)
+        t_start = time.perf_counter()
+        self._sync()
+        src_leaves, src_tt, _, src_sign = self._arena.cols
+        k = self.k
+        n_tasks = len(roots)
+
+        # Row-major pair grid per task (c0 outer, c1 inner): the scalar
+        # loop's insertion order, which decides duplicates below.
         ppt = n0s * n1s
-        total = int(ppt.sum())
-        starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(ppt)[:-1]]
-        )
-        task_of = np.repeat(np.arange(len(meta), dtype=np.int64), ppt)
-        r = np.arange(total, dtype=np.int64) - np.repeat(starts, ppt)
+        pair_ends = np.cumsum(ppt)
+        task_of = np.repeat(np.arange(n_tasks), ppt)
+        r = np.arange(int(pair_ends[-1])) - (pair_ends - ppt)[task_of]
         n1p = n1s[task_of]
-        i0 = off0[task_of] + r // n1p
-        i1 = off1[task_of] + r % n1p
-        union, sizes = batch_union_leaves(leaves[i0], leaves[i1])
-        feas = np.nonzero(sizes <= self.k)[0]
-        i0a, i1a = i0[feas], i1[feas]
-        u8 = union[feas]
-        sz = sizes[feas]
-        task_f = task_of[feas]
+        i0 = rows0[(np.cumsum(n0s) - n0s)[task_of] + r // n1p]
+        i1 = rows1[(np.cumsum(n1s) - n1s)[task_of] + r % n1p]
+        # Sign prefilter: the union's signature has at most one bit per
+        # leaf, so more than k bits means more than k leaves.
+        usign = src_sign[i0] | src_sign[i1]
+        keep = np.flatnonzero(np.bitwise_count(usign) <= k)
+        i0, i1, task_of, usign = i0[keep], i1[keep], task_of[keep], usign[keep]
+        union, sizes = batch_union_leaves(src_leaves[i0], src_leaves[i1])
+        feas = np.flatnonzero(sizes <= k)
+        i0, i1, task_of, usign = i0[feas], i1[feas], task_of[feas], usign[feas]
+        sizes = sizes[feas]
+        union = union[feas, :4]
+        union_seconds = time.perf_counter() - t_start
 
-        # Expansion: position of each source leaf inside its union row
-        # (rows are sorted, so position = count of smaller entries),
-        # then the source minterm index for each of the 16 destination
-        # minterms, then one gather per side.  Sentinel pad lanes are
-        # masked out of the minterm sums.
-        tts_all = np.array([c.tt for c in all_cuts], dtype=np.int64)
-        j_idx = np.arange(16, dtype=np.int64)
-        var_shift = np.arange(4, dtype=np.int64)[None, :, None]
-        masks = np.array(_FULL_MASKS, dtype=np.int64)[sz]
+        # Dominance filter, closed form of the insertion-order one: keep
+        # the ⊆-minimal leaf sets, first occurrence of each.  One stable
+        # sort gives the output order and makes duplicates adjacent.
+        t_start = time.perf_counter()
+        order = np.lexsort((union[:, 3], union[:, 2], union[:, 1],
+                            union[:, 0], -sizes, task_of))
+        s_task, s_leaves = task_of[order], union[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (s_task[1:] != s_task[:-1]) | (
+            s_leaves[1:] != s_leaves[:-1]).any(axis=1)
+        uniq = order[first]
+        u_task, u_leaves = s_task[first], s_leaves[first]
+        u_size, u_sign = sizes[uniq], usign[uniq]
+        per_task = np.bincount(u_task, minlength=n_tasks)
+        seg_ends = np.cumsum(per_task)
+        # A set can only be dominated by a strictly smaller one of its
+        # task; sizes descend within a task, so those are the rows from
+        # the first smaller-size row to the task's end.
+        key = u_task * 8 - u_size
+        lo = np.searchsorted(key, key, side="right")
+        n_small = seg_ends[u_task] - lo
+        big = np.repeat(np.arange(len(uniq)), n_small)
+        small = _ranges(lo, n_small)
+        cand = np.flatnonzero((u_sign[small] & ~u_sign[big]) == 0)
+        big, small = big[cand], small[cand]
+        sm_leaves = u_leaves[small]
+        subset = (
+            (sm_leaves[:, :, None] == u_leaves[big][:, None, :]).any(axis=2)
+            | (sm_leaves == CUT_LEAF_SENTINEL)
+        ).all(axis=1)
+        kept = np.ones(len(uniq), dtype=bool)
+        kept[big[subset]] = False
+        if self.max_cuts is not None:
+            before = np.cumsum(kept) - kept
+            rank = before - before[(seg_ends - per_task)[u_task]]
+            kept &= rank < self.max_cuts
+        sel = uniq[kept]
+        sel_task = u_task[kept]
+        sel_leaves = u_leaves[kept]
 
-        def _expand_side(idx_arr):
-            src = leaves[idx_arr]                      # (P, 4)
-            pos = (u8[:, None, :] < src[:, :, None]).sum(axis=2)
-            contrib = (
-                ((j_idx[None, None, :] >> pos[:, :, None]) & 1) << var_shift
-            )
-            contrib *= (src < CUT_LEAF_SENTINEL)[:, :, None]
-            m = contrib.sum(axis=1)                    # (P, 16)
-            bits = (tts_all[idx_arr][:, None] >> m) & 1
-            return ((bits << j_idx).sum(axis=1)) & masks
+        # Truth tables of the survivors: one LUT gather per side, keyed
+        # by the table and the mask of union positions its leaves fill.
+        valid = sel_leaves < CUT_LEAF_SENTINEL
+        lut = lift_lut().reshape(-1)
+        masks = _FULL_MASKS_ARR[sizes[sel]]
+        tt = masks
+        for idx, comp in ((i0[sel], comp0), (i1[sel], comp1)):
+            member = (
+                sel_leaves[:, :, None] == src_leaves[idx][:, None, :]
+            ).any(axis=2) & valid
+            side = lut[src_tt[idx] * 16 + member @ _LANE_BITS].astype(np.int64)
+            tt = tt & np.where(comp[sel_task], side ^ 0xFFFF, side)
 
-        tt0 = _expand_side(i0a)
-        tt1 = _expand_side(i1a)
-        comp0_f = np.array([m[1] for m in meta], dtype=bool)[task_f]
-        comp1_f = np.array([m[2] for m in meta], dtype=bool)[task_f]
-        tt0 = np.where(comp0_f, tt0 ^ masks, tt0)
-        tt1 = np.where(comp1_f, tt1 ^ masks, tt1)
-        tts = (tt0 & tt1 & masks).tolist()
-        usigns = (signs[i0a] | signs[i1a]).tolist()
-        urows = u8.tolist()
-        usz = sz.tolist()
-        # Leaf stamps gathered in one vectorized pass (sentinel lanes
-        # clamped to index 0; they are sliced away below).
-        life_arr = np.asarray(self._life_column(), dtype=np.int64)
-        srows = life_arr[np.where(u8 < CUT_LEAF_SENTINEL, u8, 0)].tolist()
-        per_task = np.bincount(task_f, minlength=len(meta)).tolist()
-        union_seconds = time.perf_counter() - t0
+        # Result blocks: each task's survivors, then its trivial cut.
+        life = self._life
+        counts = np.bincount(sel_task, minlength=n_tasks) + 1
+        n_out = len(sel) + n_tasks
+        pos = np.arange(len(sel)) + sel_task
+        triv = np.cumsum(counts) - 1
+        out_leaves = np.full((n_out, 4), CUT_LEAF_SENTINEL, dtype=np.int64)
+        out_leaves[pos] = sel_leaves
+        out_leaves[triv, 0] = roots
+        out_tt = np.full(n_out, 0b10, dtype=np.int64)
+        out_tt[pos] = tt
+        out_stamps = np.full((n_out, 4), life[0], dtype=np.int64)
+        out_stamps[pos] = life[sel_leaves & _ID_MASK]
+        out_stamps[triv, 0] = life[roots]
+        out_sign = np.empty(n_out, dtype=np.uint64)
+        out_sign[pos] = usign[sel]
+        out_sign[triv] = np.uint64(1) << (roots.astype(np.uint64) & np.uint64(63))
+        filter_seconds = time.perf_counter() - t_start
+        return (out_leaves, out_tt, out_stamps, out_sign, counts,
+                union_seconds, filter_seconds)
 
-        t0 = time.perf_counter()
-        max_cuts = self.max_cuts
-        aig = self.aig
-        cut_new = Cut.__new__
-        out: List[List[Cut]] = []
-        pos = 0
-        for t, (root, _c0, _c1, _, _, _, _) in enumerate(meta):
-            cnt = per_task[t]
-            # Insertion-order dominance filter over (sign, leafset)
-            # records — the exact _add_filtered algorithm.  Frozensets
-            # are built lazily (cached in rec[1]) because the signature
-            # pre-check rejects almost every candidate pair, and Cut
-            # construction is deferred past sort + truncation so only
-            # shipped cuts pay for it.
-            recs: List[list] = []
-            for idx in range(pos, pos + cnt):
-                dst = tuple(urows[idx][: usz[idx]])
-                sgn = usigns[idx]
-                lset = None
-                dominated = False
-                drops = None
-                for j, rec in enumerate(recs):
-                    rsgn = rec[0]
-                    sub_old = (rsgn & ~sgn) == 0
-                    sub_new = (sgn & ~rsgn) == 0
-                    if not (sub_old or sub_new):
-                        continue
-                    rset = rec[1]
-                    if rset is None:
-                        rset = rec[1] = frozenset(rec[2])
-                    if lset is None:
-                        lset = frozenset(dst)
-                    if sub_old and rset <= lset:
-                        dominated = True  # an existing subset wins
-                        break
-                    if sub_new and lset <= rset:
-                        # new cut dominates; drop existing
-                        if drops is None:
-                            drops = []
-                        drops.append(j)
-                if dominated:
-                    continue
-                if drops is not None:
-                    for j in reversed(drops):
-                        del recs[j]
-                recs.append([sgn, lset, dst, tts[idx], srows[idx]])
-            pos += cnt
-            recs.sort(key=_REC_ORDER)
-            if max_cuts is not None and len(recs) > max_cuts:
-                del recs[max_cuts:]
-            results = []
-            for sgn, _lset, dst, tt, srow in recs:
-                # Bypass the dataclass __init__ (and pre-seed the
-                # cached sign): this is the hottest allocation site and
-                # the fields are consistent by construction.
-                cut = cut_new(Cut)
-                cut.__dict__.update(
-                    leaves=dst, tt=tt,
-                    leaf_stamps=tuple(srow[: len(dst)]), sign=sgn,
-                )
-                results.append(cut)
-            results.append(trivial_cut(aig, root))
-            out.append(results)
-        filter_seconds = time.perf_counter() - t0
-        return out, union_seconds, filter_seconds
-
-    def _merge_scalar(
-        self,
-        v: int,
-        f0: int,
-        f1: int,
-        c0_all: List[Cut],
-        c1_all: List[Cut],
-    ) -> List[Cut]:
-        """The scalar merge body (work already charged by the caller).
-
-        Two-phase: first collect the k-feasible pairs, then expand the
-        pair tables — through the memo for small pair sets, through the
-        vectorized :func:`batch_expand` kernel for large ones.  Both
-        paths produce bit-identical tables, so the choice never affects
-        results (property-tested).
-        """
+    def _merge_scalar(self, v: int, f0: int, f1: int,
+                      c0_all: List[Cut], c1_all: List[Cut]) -> List[Cut]:
+        """The scalar merge body (work already charged by the caller):
+        the differential oracle of :meth:`_columnar_core`."""
         aig = self.aig
         comp0, comp1 = lit_compl(f0), lit_compl(f1)
         k = self.k
-        pairs: List[Tuple[Cut, Cut, Tuple[int, ...]]] = []
+        results: List[Cut] = []
         for c0 in c0_all:
             for c1 in c1_all:
-                union = sorted(set(c0.leaves) | set(c1.leaves))
-                if len(union) > k:
+                dst = tuple(sorted(set(c0.leaves) | set(c1.leaves)))
+                if len(dst) > k:
                     continue
-                pairs.append((c0, c1, tuple(union)))
-
-        if len(pairs) >= BATCH_MERGE_THRESHOLD:
-            tables = self._expand_pairs_batch(pairs)
-        else:
-            tables = [
-                (
-                    self._expand_cached(c0.tt, c0.leaves, dst),
-                    self._expand_cached(c1.tt, c1.leaves, dst),
-                )
-                for c0, c1, dst in pairs
-            ]
-
-        results: List[Cut] = []
-        for (c0, c1, dst), (t0, t1) in zip(pairs, tables):
-            mask = _FULL_MASKS[len(dst)]
-            if comp0:
-                t0 ^= mask
-            if comp1:
-                t1 ^= mask
-            tt = t0 & t1 & mask
-            stamps = tuple(aig.life_stamp(l) for l in dst)
-            self._add_filtered(results, Cut(dst, tt, stamps))
+                mask = _FULL_MASKS[len(dst)]
+                t0 = self._expand_cached(c0.tt, c0.leaves, dst)
+                t1 = self._expand_cached(c1.tt, c1.leaves, dst)
+                if comp0:
+                    t0 ^= mask
+                if comp1:
+                    t1 ^= mask
+                stamps = tuple(aig.life_stamp(l) for l in dst)
+                self._add_filtered(results, Cut(dst, t0 & t1 & mask, stamps))
         results.sort(key=lambda c: (-c.size, c.leaves))
         if self.max_cuts is not None and len(results) > self.max_cuts:
             results = results[: self.max_cuts]
@@ -670,7 +745,7 @@ class CutManager:
         return results
 
     # ------------------------------------------------------------------
-    # Truth-table expansion memo
+    # Truth-table expansion memo (scalar oracle)
 
     def _evict_expand(self) -> None:
         cap = self.expand_cache_cap
@@ -693,70 +768,9 @@ class CutManager:
             self.cache_hits += 1
             return hit
         self.cache_misses += 1
-        mapping = expand_map16(tuple(dst.index(s) for s in src))
-        out = 0
-        for j_bit, j in enumerate(mapping[: _FULL_MASKS[len(dst)].bit_length()]):
-            if (tt >> j) & 1:
-                out |= 1 << j_bit
-        out &= _FULL_MASKS[len(dst)]
-        self._expand_cache[key] = out
+        out = self._expand_cache[key] = expand(tt, src, dst)
         self._evict_expand()
         return out
-
-    def _expand_pairs_batch(
-        self, pairs: List[Tuple[Cut, Cut, Tuple[int, ...]]]
-    ) -> List[Tuple[int, int]]:
-        """Expand all pair tables with one numpy gather per side.
-
-        Uncached entries from both sides share a single
-        :func:`batch_expand` call; results land in the same memo the
-        scalar path uses, so repeated merges stay cheap either way.
-        """
-        cache = self._expand_cache
-        out0: List[int] = [0] * len(pairs)
-        out1: List[int] = [0] * len(pairs)
-        todo_tts: List[int] = []
-        todo_maps: List[Tuple[int, ...]] = []
-        todo_slots: List[Tuple[int, int]] = []  # (pair index, side)
-        todo_keys: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
-        for idx, (c0, c1, dst) in enumerate(pairs):
-            for side, cut in ((0, c0), (1, c1)):
-                slot = out0 if side == 0 else out1
-                if cut.leaves == dst:
-                    slot[idx] = cut.tt
-                    continue
-                key = (cut.tt, cut.leaves, dst)
-                hit = cache.get(key)
-                if hit is not None:
-                    self.cache_hits += 1
-                    slot[idx] = hit
-                    continue
-                self.cache_misses += 1
-                todo_tts.append(cut.tt)
-                todo_maps.append(expand_map16(tuple(dst.index(s) for s in cut.leaves)))
-                todo_slots.append((idx, side))
-                todo_keys.append(key)
-        if todo_tts:
-            expanded = batch_expand(todo_tts, todo_maps)
-            for (idx, side), key, value in zip(todo_slots, todo_keys, expanded):
-                tt = int(value) & _FULL_MASKS[len(key[2])]
-                cache[key] = tt
-                if side == 0:
-                    out0[idx] = tt
-                else:
-                    out1[idx] = tt
-            self._evict_expand()
-        return list(zip(out0, out1))
-
-    def _live_cuts(self, var: int) -> List[Cut]:
-        entry = self._cache.get(var)
-        if entry is None:
-            raise CutError(
-                f"no cached cut set for node {var}: enumerate it first "
-                f"(cuts()/install_cuts())"
-            )
-        live = [c for c in entry[1] if cut_is_stamp_alive(self.aig, c)]
-        return live if live else [trivial_cut(self.aig, var)]
 
     @staticmethod
     def _add_filtered(results: List[Cut], cut: Cut) -> None:
@@ -771,20 +785,3 @@ class CutManager:
             keep.append(existing)
         keep.append(cut)
         results[:] = keep
-
-
-def enum_tasks_columnar(aig_like, tasks, config, observer=None):
-    """Worklist-grained columnar merge against arbitrary graph state.
-
-    The enumeration twin of
-    :func:`~repro.rewrite.columnar.eval_tasks_columnar`: builds a
-    fresh :class:`CutManager` over ``aig_like`` (a live
-    :class:`~repro.aig.Aig` or an
-    :class:`~repro.aig.snapshot.AigSnapshot`) and merges every
-    harvested task in one kernel invocation.  Returns ``(root, cuts,
-    pairs)`` rows in task order.
-    """
-    cutman = CutManager(
-        aig_like, k=config.cut_size, max_cuts=config.max_cuts, columnar=True
-    )
-    return cutman.merge_tasks_columnar(tasks, observer=observer)

@@ -439,8 +439,6 @@ def _enum_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, i
                         cutman.expand_evictions)
     if cutman.vec_pairs:
         collector.count("enum_vectorized_pairs_total", cutman.vec_pairs)
-    if cutman.fallback_pairs:
-        collector.count("enum_scalar_fallback_total", cutman.fallback_pairs)
     return out
 
 

@@ -42,8 +42,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..aig.graph import KIND_AND, KIND_DEAD, Aig
+from ..cuts.manager import CutColumns
 from ..npn.canon import _TRANSFORMS, npn_canon, npn_canon_batch_rows
-from ..npn.truth import batch_lift_tt4
+from ..npn.truth import CUT_LEAF_SENTINEL, batch_lift_tt4
 from .base import Candidate, cut_tt4
 
 # ---------------------------------------------------------------------------
@@ -148,6 +149,37 @@ def _decode_structure(structure) -> tuple:
     return entry
 
 
+def _deref_cone(root, blocked, kind, fanin0, fanin1, nref):
+    """Shadow-refcount deref of ``root``'s cone: ``(local refs, dead
+    set)`` — the nodes that die with the root, never through a
+    ``blocked`` var (the cut leaves)."""
+    ref: Dict[int, int] = {}
+    ref_get = ref.get
+    dead = {root}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        fv = fanin0[v] >> 1
+        r = ref_get(fv)
+        if r is None:
+            r = nref[fv]
+        r -= 1
+        ref[fv] = r
+        if r == 0 and fv not in blocked and kind[fv] == KIND_AND:
+            dead.add(fv)
+            stack.append(fv)
+        fv = fanin1[v] >> 1
+        r = ref_get(fv)
+        if r is None:
+            r = nref[fv]
+        r -= 1
+        ref[fv] = r
+        if r == 0 and fv not in blocked and kind[fv] == KIND_AND:
+            dead.add(fv)
+            stack.append(fv)
+    return ref, dead
+
+
 # ---------------------------------------------------------------------------
 # The batch engine
 # ---------------------------------------------------------------------------
@@ -155,7 +187,7 @@ def _decode_structure(structure) -> tuple:
 
 def eval_tasks_columnar(
     aig_like,
-    tasks: Sequence[Tuple[int, Sequence]],
+    tasks,
     config,
     library,
     observer=None,
@@ -163,11 +195,14 @@ def eval_tasks_columnar(
     """Score every ``(root, cuts)`` task; the batch twin of the scalar
     loop over :func:`~repro.rewrite.base.best_candidate_over_cuts`.
 
-    Returns ``(root, candidate-or-None, work-units)`` triples with the
-    ``-1`` dead-root sentinel, candidate-for-candidate and unit-for-
-    unit identical to the scalar path — including every observer
-    counter and histogram value (counter increments are batched, which
-    the order-insensitive metric aggregation absorbs).  Cuts wider
+    ``tasks`` is the object form (``(root, cuts)`` pairs, as shipped to
+    pool workers) or a resident :class:`~repro.cuts.manager.CutColumns`
+    table, which is read column-wise — only a winning cut is ever
+    materialized.  Returns ``(root, candidate-or-None, work-units)``
+    triples with the ``-1`` dead-root sentinel, candidate-for-candidate
+    and unit-for-unit identical to the scalar path — including every
+    observer counter and histogram value (counter increments are batched,
+    which the order-insensitive metric aggregation absorbs).  Cuts wider
     than 4 inputs cannot ride the 16-bit LUT gather and fall back to
     per-cut scalar canonicalization (``eval_scalar_fallback_total``).
     """
@@ -192,29 +227,35 @@ def eval_tasks_columnar(
     # ---- kernel phase: lift + canonicalize + class-filter every
     # vector-eligible cut across the whole batch in three numpy calls.
     t0 = time.perf_counter()
-    flat_tts: list = []
-    flat_sizes: list = []
-    tts_append = flat_tts.append
-    sizes_append = flat_sizes.append
-    for root, cuts in tasks:
-        if kind[root] == KIND_DEAD:
-            continue
-        for cut in cuts:
-            n = len(cut.leaves)
-            if 2 <= n <= 4:
-                tts_append(cut.tt)
-                sizes_append(n)
-    n_flat = len(flat_tts)
-    if n_flat:
-        canon_arr, row_arr = npn_canon_batch_rows(batch_lift_tt4(
-            np.array(flat_tts, dtype=np.uint32),
-            np.array(flat_sizes, dtype=np.int64),
-        ))
-        canons = canon_arr.tolist()
-        rows = row_arr.tolist()
-        oks = _allowed_mask(allowed)[canon_arr].tolist()
+    if isinstance(tasks, CutColumns):
+        flat_cuts = None
+        roots, counts = tasks.roots, tasks.counts
+        leaf_rows = tasks.leaves.tolist()
+        sizes_arr = (tasks.leaves < CUT_LEAF_SENTINEL).sum(axis=1)
+        tts_arr = tasks.tt
     else:
-        canons = rows = oks = []
+        flat_cuts = [cut for _, cuts in tasks for cut in cuts]
+        roots = [root for root, _ in tasks]
+        counts = [len(cuts) for _, cuts in tasks]
+        leaf_rows = [cut.leaves for cut in flat_cuts]
+        sizes_arr = np.array([len(row) for row in leaf_rows], dtype=np.int64)
+        tts_arr = np.array([cut.tt for cut in flat_cuts], dtype=np.int64)
+    live_root = np.array([kind[root] != KIND_DEAD for root in roots],
+                         dtype=bool)
+    eligible = np.flatnonzero(
+        np.repeat(live_root, counts) & (sizes_arr >= 2) & (sizes_arr <= 4)
+    )
+    n_flat = len(eligible)
+    canon_col = np.zeros(len(sizes_arr), dtype=np.int64)
+    row_col = np.full(len(sizes_arr), -1, dtype=np.int64)
+    if n_flat:
+        canon_col[eligible], row_col[eligible] = npn_canon_batch_rows(
+            batch_lift_tt4(tts_arr[eligible], sizes_arr[eligible])
+        )
+    sizes = sizes_arr.tolist()
+    canons = canon_col.tolist()
+    rows = row_col.tolist()
+    oks = _allowed_mask(allowed)[canon_col].tolist()
     kernel_seconds = time.perf_counter() - t0
 
     # ---- scoring phase: exact evaluate_candidate semantics, per-cut
@@ -226,33 +267,33 @@ def eval_tasks_columnar(
     npn_misses = 0
     vectorized = 0
     fallback = 0
-    fi = 0  # cursor into the kernel-phase outputs, same iteration order
+    ci = 0  # cursor into the flat per-cut columns
 
-    for root, cuts in tasks:
+    for root, num_cuts in zip(roots, counts):
+        first, ci = ci, ci + num_cuts
         if kind[root] == KIND_DEAD:
             results.append((root, None, -1))
             continue
         units = 0
-        num_cuts = 0
         best_key = None
         best = None
         root_level = level[root]
         root_ref = None  # unbounded deref of the root cone, lazily
         root_dead = None
-        for cut in cuts:
-            num_cuts += 1
-            cleaves = cut.leaves
-            csize = len(cleaves)
+        for i in range(first, ci):
+            csize = sizes[i]
             if csize < 2:
                 continue
+            cleaves = leaf_rows[i]
             if csize <= 4:
-                canon = canons[fi]
-                row = rows[fi]
-                ok = oks[fi]
-                fi += 1
+                canon = canons[i]
+                row = rows[i]
+                ok = oks[i]
                 transform = None
+                if flat_cuts is None:
+                    cleaves = cleaves[:csize]
             else:  # odd shape: per-cut scalar canonicalization
-                canon, transform = npn_canon(cut_tt4(cut))
+                canon, transform = npn_canon(cut_tt4(flat_cuts[i]))
                 row = -1
                 ok = canon in allowed
             if not ok:
@@ -277,58 +318,14 @@ def eval_tasks_columnar(
             # died — compute the unbounded walk once per root and fall
             # back to a per-cut bounded walk in that (rare) case.
             if root_dead is None:
-                root_ref = {}
-                root_ref_get = root_ref.get
-                root_dead = {root}
-                stack = [root]
-                while stack:
-                    v = stack.pop()
-                    fv = fanin0[v] >> 1
-                    r = root_ref_get(fv)
-                    if r is None:
-                        r = nref[fv]
-                    r -= 1
-                    root_ref[fv] = r
-                    if r == 0 and kind[fv] == KIND_AND:
-                        root_dead.add(fv)
-                        stack.append(fv)
-                    fv = fanin1[v] >> 1
-                    r = root_ref_get(fv)
-                    if r is None:
-                        r = nref[fv]
-                    r -= 1
-                    root_ref[fv] = r
-                    if r == 0 and kind[fv] == KIND_AND:
-                        root_dead.add(fv)
-                        stack.append(fv)
+                root_ref, root_dead = _deref_cone(
+                    root, (), kind, fanin0, fanin1, nref)
             if root_dead.isdisjoint(cleaves):
                 base_ref = root_ref
                 base_dead = root_dead
             else:
-                base_ref = {}
-                base_ref_get = base_ref.get
-                base_dead = {root}
-                stack = [root]
-                while stack:
-                    v = stack.pop()
-                    fv = fanin0[v] >> 1
-                    r = base_ref_get(fv)
-                    if r is None:
-                        r = nref[fv]
-                    r -= 1
-                    base_ref[fv] = r
-                    if r == 0 and fv not in cleaves and kind[fv] == KIND_AND:
-                        base_dead.add(fv)
-                        stack.append(fv)
-                    fv = fanin1[v] >> 1
-                    r = base_ref_get(fv)
-                    if r is None:
-                        r = nref[fv]
-                    r -= 1
-                    base_ref[fv] = r
-                    if r == 0 and fv not in cleaves and kind[fv] == KIND_AND:
-                        base_dead.add(fv)
-                        stack.append(fv)
+                base_ref, base_dead = _deref_cone(
+                    root, cleaves, kind, fanin0, fanin1, nref)
 
             # Leaf literal per canonical structure input, once per cut.
             if row >= 0:
@@ -437,7 +434,7 @@ def eval_tasks_columnar(
                 key = (gain, -added, -new_level)
                 if best_key is None or key > best_key:
                     best_key = key
-                    best = (cut, canon,
+                    best = (i, canon,
                             _TRANSFORMS[row] if row >= 0 else transform,
                             structure, gain, new_level)
 
@@ -453,7 +450,8 @@ def eval_tasks_columnar(
                     root=root,
                     root_stamp=stamp_col[root],
                     root_life=life_col[root],
-                    cut=best[0],
+                    cut=(flat_cuts[best[0]] if flat_cuts is not None
+                         else tasks.cut(best[0])),
                     canon_tt=best[1],
                     transform=best[2],
                     structure=best[3],
@@ -498,7 +496,7 @@ def run_eval_batched(executor, name: str, items: Sequence[int], ctx):
         from ..core.operators import make_eval_operator
 
         return executor.run(name, items, make_eval_operator(ctx))
-    tasks = ctx.cutman.eval_harvest(items)
+    tasks = ctx.cutman.eval_harvest(items, resident=True)
     merged = eval_tasks_columnar(
         ctx.aig, tasks, ctx.config, ctx.library, observer=executor.obs
     )
@@ -541,11 +539,11 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx):
         return executor.run(name, items, enum_op)
     aig = ctx.aig
     cutman = ctx.cutman
+    live = [root for root in items if not aig.is_dead(root)]
+    cutman.prime_liveness(live, fanins=True)
     tasks = []
-    for root in items:
-        if aig.is_dead(root):
-            continue
-        harvest = cutman.enum_harvest(root)
+    for root in live:
+        harvest = cutman.enum_harvest(root, resident=True)
         if harvest is not None:
             tasks.append((root,) + harvest)
     merged = cutman.merge_tasks_columnar(tasks, observer=executor.obs)

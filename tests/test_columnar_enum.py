@@ -11,16 +11,21 @@ diverged".
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_aig
+from test_differential_fuzz import SMOKE_SEEDS, fuzz_circuit
+from repro.aig import Aig, AigSnapshot
+from repro.aig.literals import lit_var
 from repro.bench import mtm_like
 from repro.config import dacpara_config
 from repro.core.operators import StageContext, make_enum_operator
-from repro.cuts import CutManager, enum_tasks_columnar
+from repro.cuts import CutManager
 from repro.cuts.cut import Cut
 from repro.errors import CutError
 from repro.galois.procpool import _MetricCollector
@@ -29,7 +34,12 @@ from repro.library import get_library
 from repro.npn.truth import (
     CUT_LEAF_SENTINEL,
     batch_cut_signs,
+    batch_expand,
     batch_union_leaves,
+    expand,
+    expand_map16,
+    full_mask,
+    lift_lut,
 )
 from repro.rewrite.columnar import run_enum_batched
 
@@ -70,6 +80,37 @@ class TestKernels:
         rows = np.array([_pad(c.leaves) for c in cuts], dtype=np.int64)
         got = batch_cut_signs(rows).tolist()
         assert got == [c.sign for c in cuts]
+
+    def test_lift_lut_equals_batch_expand_and_expand(self):
+        # Every position mask x every 16-bit table against the gather
+        # kernel it replaces, then the scalar ``expand`` on narrower
+        # destination spaces (the kernel masks with full_mask(nd)).
+        lut = lift_lut()
+        assert lut.shape == (1 << 16, 16) and lut.dtype == np.uint16
+        tts = np.arange(1 << 16)
+        for m in range(16):
+            pos = tuple(p for p in range(4) if (m >> p) & 1)
+            want = batch_expand(tts, np.tile(expand_map16(pos), (1 << 16, 1)))
+            assert (lut[:, m] == want).all(), m
+        rng = random.Random(3)
+        for _ in range(2000):
+            nd = rng.randint(1, 4)
+            dst = tuple(sorted(rng.sample(range(50), nd)))
+            src = tuple(sorted(rng.sample(dst, rng.randint(1, nd))))
+            tt = rng.getrandbits(1 << len(src))
+            m = sum(1 << dst.index(leaf) for leaf in src)
+            assert int(lut[tt, m]) & full_mask(nd) == expand(tt, src, dst)
+
+    def test_sign_prefilter_never_drops_a_feasible_pair(self):
+        # Exhaustive over a leaf universe full of sign collisions (ids
+        # equal mod 64): popcount(sign0 | sign1) never exceeds the
+        # union's leaf count, so "popcount > k" implies "infeasible".
+        universe = (1, 2, 3, 65, 66, 129, 130)
+        sets = [c for n in range(1, 5)
+                for c in itertools.combinations(universe, n)]
+        signs = batch_cut_signs(np.array([_pad(c) for c in sets], dtype=np.int64))
+        for (a, sa), (b, sb) in itertools.product(zip(sets, signs), repeat=2):
+            assert int(np.bitwise_count(sa | sb)) <= len(set(a) | set(b))
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +186,180 @@ class TestMergeIdentity:
         assert cutman.work == before + sum(m[2] for m in merged)
 
     def test_enum_tasks_columnar_entry_point(self):
+        # The worker-side entry: a throwaway manager over a snapshot
+        # merges object-form tasks harvested in the parent.
         aig = mtm_like(num_pis=12, num_nodes=120, seed=6)
-        config = dacpara_config()
         cutman = CutManager(aig, k=4, max_cuts=12)
         tasks = []
         for v in aig.topo_ands():
             harvest = cutman.enum_harvest(v)
             if harvest is not None:
                 tasks.append((v,) + harvest)
-                break
-        got = enum_tasks_columnar(aig, tasks, config)
-        want = cutman.merge_tasks_columnar(tasks)
+            else:
+                cutman.fresh_cuts(v)
+        worker = CutManager(AigSnapshot.capture(aig), k=4, max_cuts=12)
+        got = worker.merge_tasks_columnar(tasks)
+        assert got == cutman.merge_tasks_columnar(tasks)
+        assert worker.work == 0 and worker.vec_pairs == sum(m[2] for m in got)
+
+
+# ---------------------------------------------------------------------------
+# Kernel vs scalar oracle on adversarial fanin sets (property)
+# ---------------------------------------------------------------------------
+
+# Leaf ids that collide in the 64-bit signature (equal mod 64), few
+# enough that duplicate unions and strict dominance chains are the norm.
+_POOL = (1, 2, 3, 65, 66, 67, 129, 130)
+
+
+def _pool_aig():
+    aig = Aig()
+    pis = [aig.add_pi() for _ in range(max(_POOL))]
+    root = aig.and_(pis[0], pis[1])
+    aig.add_po(root)
+    return aig, lit_var(root)
+
+
+@st.composite
+def _fanin_sets(draw):
+    k = draw(st.sampled_from((2, 3, 4)))
+    leaf_sets = st.sets(st.sampled_from(_POOL), min_size=1, max_size=k)
+    cut = st.tuples(leaf_sets, st.integers(0, 0xFFFF))
+    side = st.lists(cut, min_size=1, max_size=7)
+    return (k, draw(st.sampled_from((1, 2, 3, 12, None))),
+            draw(st.integers(0, 3)), draw(side), draw(side))
+
+
+class TestKernelEqualsScalarProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_fanin_sets())
+    def test_merge_matches_scalar_oracle(self, case):
+        k, max_cuts, compl, side0, side1 = case
+        aig, root = _pool_aig()
+
+        def cuts_of(side):
+            out = []
+            for leaf_set, tt in side:
+                leaves = tuple(sorted(leaf_set))
+                out.append(Cut(leaves, tt & full_mask(len(leaves)),
+                               tuple(aig.life_stamp(l) for l in leaves)))
+            return out
+
+        c0, c1 = cuts_of(side0), cuts_of(side1)
+        f0, f1 = 2 * 5 + (compl & 1), 2 * 6 + (compl >> 1)
+        kernel = CutManager(aig, k=k, max_cuts=max_cuts, columnar=True)
+        oracle = CutManager(aig, k=k, max_cuts=max_cuts, columnar=False)
+        got = kernel.merge_fanin_sets(root, f0, f1, c0, c1)
+        want = oracle.merge_fanin_sets(root, f0, f1, c0, c1)
+        # Cut equality covers leaves, tt and leaf_stamps; list equality
+        # covers order and the max_cuts cut; the cached sign is extra.
         assert got == want
+        assert [c.sign for c in got] == [c.sign for c in want]
+        assert kernel.work == oracle.work == len(c0) * len(c1)
 
 
 # ---------------------------------------------------------------------------
-# Dominance ordering (directed)
+# Life mirror and lazy materialization
 # ---------------------------------------------------------------------------
+
+
+def _mirror_matches(cutman):
+    aig = cutman.aig
+    cutman._sync()
+    for v in range(aig.size):
+        want = -1 if aig.is_dead(v) else aig.life_stamp(v)
+        assert cutman._life[v] == want, v
+
+
+def _stamps_match(cutman, cuts):
+    for cut in cuts:
+        assert cut.leaf_stamps == tuple(
+            cutman.aig.life_stamp(leaf) for leaf in cut.leaves)
+
+
+class TestLifeMirror:
+    def test_tracks_replace_deletion_and_id_reuse(self):
+        aig = Aig()
+        a, b, c, d = (aig.add_pi() for _ in range(4))
+        f = aig.and_(a, b)
+        g = aig.and_(f, c)
+        top = aig.and_(g, d)
+        aig.add_po(top)
+        cutman = CutManager(aig)
+        _stamps_match(cutman, cutman.cuts(lit_var(top)))
+        _mirror_matches(cutman)
+        fv = lit_var(f)
+        aig.replace(fv, a)               # f dies, g is restructured
+        assert aig.is_dead(fv)
+        _mirror_matches(cutman)
+        reborn = aig.and_(b, c)          # DESIGN 4b: the id comes back
+        assert lit_var(reborn) == fv and not aig.is_dead(fv)
+        aig.add_po(aig.and_(reborn, d))
+        _mirror_matches(cutman)
+        for v in aig.topo_ands():        # re-merged sets carry new stamps
+            _stamps_match(cutman, cutman.fresh_cuts(v))
+        aig.trim_mutation_log(aig.mutation_epoch)
+        _mirror_matches(cutman)          # nothing to patch
+        aig.replace(lit_var(reborn), b)
+        aig.trim_mutation_log(aig.mutation_epoch)
+        _mirror_matches(cutman)          # journal gone: full rebuild
+        for v in aig.topo_ands():
+            _stamps_match(cutman, cutman.fresh_cuts(v))
+
+    def test_mirror_follows_a_whole_rewrite(self):
+        from repro.core import DACParaRewriter
+
+        aig = mtm_like(num_pis=16, num_nodes=300, seed=2)
+        cutman = CutManager(aig)
+        for v in aig.topo_ands():
+            cutman.fresh_cuts(v)
+        result = DACParaRewriter(config=dacpara_config()).run(aig)
+        assert result.replacements > 0
+        _mirror_matches(cutman)
+        for v in aig.topo_ands():
+            _stamps_match(cutman, cutman.fresh_cuts(v))
+
+    def test_mirror_of_a_snapshot(self):
+        aig = mtm_like(num_pis=12, num_nodes=120, seed=4)
+        top = aig.topo_ands()[-1]
+        aig.replace(top, aig.fanin0(top))  # leave dead slots behind
+        assert any(aig.is_dead(v) for v in range(aig.size))
+        snap = AigSnapshot.capture(aig)
+        cutman = CutManager(snap)
+        _mirror_matches(cutman)
+        for v in aig.topo_ands():
+            _stamps_match(cutman, cutman.cuts(v))
+
+
+class TestLazyMaterialization:
+    @pytest.mark.parametrize("seed", SMOKE_SEEDS)
+    def test_resident_enum_equals_eager_oracle(self, seed):
+        aig = fuzz_circuit(seed)
+        eager = CutManager(aig, columnar=False)   # builds every Cut
+        lazy = CutManager(aig, columnar=True)     # builds none until asked
+        levels = {}
+        for v in aig.topo_ands():
+            levels.setdefault(aig.level(v), []).append(v)
+        for lv in sorted(levels):
+            lazy.prime_liveness(levels[lv], fanins=True)
+            tasks = []
+            for v in levels[lv]:
+                harvest = lazy.enum_harvest(v, resident=True)
+                assert harvest is not None
+                tasks.append((v,) + harvest)
+            for root, block, pairs in lazy.merge_tasks_columnar(tasks):
+                assert block.cuts is None
+                lazy.install_cuts(root, block, work=pairs)
+                eager.fresh_cuts(root)
+            # Same cost trajectory; every pair rode the kernel.
+            assert lazy.work == eager.work == lazy.vec_pairs
+        for v in aig.topo_ands():
+            assert lazy._cache[v].cuts is None
+            assert lazy.cuts(v) == eager.cuts(v), v
+            assert lazy.cuts(v) is lazy.cuts(v)  # materialized once
+        columns = lazy.eval_harvest(aig.topo_ands(), resident=True)
+        flat = [c for v in columns.roots for c in eager.cuts(v)]
+        assert [columns.cut(i) for i in range(len(flat))] == flat
 
 
 class TestDominanceOrder:

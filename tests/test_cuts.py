@@ -239,8 +239,10 @@ class TestExpandMemo:
         }
 
     def test_counters_track_memo_traffic(self):
+        # The memo serves the scalar oracle only; the columnar kernel
+        # lifts through the LUT and never probes it.
         aig = random_aig(num_pis=6, num_nodes=200, num_pos=4, seed=21)
-        mgr = CutManager(aig)
+        mgr = CutManager(aig, columnar=False)
         for v in aig.topo_ands():
             mgr.cuts(v)
         assert mgr.cache_misses > 0
@@ -261,17 +263,15 @@ class TestExpandMemo:
         mgr.clear()
         assert not mgr._expand_cache
 
-    def test_batch_and_scalar_paths_identical(self, monkeypatch):
-        from repro.cuts import manager as manager_mod
-
+    def test_batch_and_scalar_paths_identical(self):
         aig = random_aig(num_pis=6, num_nodes=200, num_pos=4, seed=23)
 
-        monkeypatch.setattr(manager_mod, "BATCH_MERGE_THRESHOLD", 0)
-        always_batch = CutManager(aig)
-        batch_sets = self._cut_sets(always_batch, aig)
+        batch = CutManager(aig, columnar=True)
+        batch_sets = self._cut_sets(batch, aig)
+        assert batch.cache_misses == 0  # LUT lift, no memo traffic
 
-        monkeypatch.setattr(manager_mod, "BATCH_MERGE_THRESHOLD", 10**9)
-        never_batch = CutManager(aig)
-        scalar_sets = self._cut_sets(never_batch, aig)
+        scalar = CutManager(aig, columnar=False)
+        scalar_sets = self._cut_sets(scalar, aig)
+        assert scalar.cache_misses > 0
 
         assert batch_sets == scalar_sets

@@ -171,6 +171,19 @@ class TestCrossExecutorEquivalence:
                     b.useful_units, b.aborted_units, b.start_time,
                     b.end_time)
 
+    def test_attempted_counts_every_worklist(self):
+        # Regression: attempted used to report the last worklist only
+        # (PrepInfo is swapped per round).  Every replacement and every
+        # validation failure started as an evaluated root, and every
+        # live node of the first pass is evaluated once.
+        base = mtm_like(num_pis=24, num_nodes=600, seed=0)
+        r_sim, _, _ = self._run(base, "simulated")
+        r_proc, _, _ = self._run(base, "process")
+        assert r_sim.replacements > 0 and r_sim.delay_before > 1
+        assert r_sim.attempted >= r_sim.replacements + r_sim.validation_failures
+        assert r_sim.attempted >= r_sim.area_after
+        assert r_sim.attempted == r_proc.attempted
+
     def test_serial_same_quality_and_equivalent_graph(self):
         from repro.sat import check_equivalence_auto
 
