@@ -129,7 +129,7 @@ def _bench_cut_enumeration(quick: bool) -> Dict[str, object]:
             tasks, rest = [], []
             cutman.prime_liveness(levels[lv], fanins=True)
             for root in levels[lv]:
-                harvest = cutman.enum_harvest(root, resident=True)
+                harvest = cutman.enum_harvest(root)
                 if harvest is None:
                     rest.append(root)
                 else:
@@ -248,8 +248,9 @@ def _bench_batch_eval(quick: bool) -> Dict[str, object]:
     identical candidate lists before anything is timed.
     """
     from ..aig.snapshot import AigSnapshot
-    from ..galois.procpool import _MetricCollector, _eval_tasks_scalar
+    from ..galois.procpool import _MetricCollector
     from ..npn import ensure_canon_lut
+    from ..rewrite.base import WorkMeter, best_candidate_over_cuts
     from ..rewrite.columnar import eval_tasks_columnar
 
     ensure_canon_lut()
@@ -262,20 +263,25 @@ def _bench_batch_eval(quick: bool) -> Dict[str, object]:
     for root in live:
         cutman.fresh_cuts(root)
     tasks = cutman.eval_harvest(live)
+    cut_lists = [(root, tuple(cutman.cuts(root))) for root in live]
     snap = AigSnapshot.capture(aig)
 
-    # Warm-up doubles as the identity check and yields the vectorized/
-    # fallback split (observed only when a collector is attached).
+    def eval_scalar():
+        out = []
+        for root, cuts in cut_lists:
+            meter = WorkMeter()
+            out.append((root, best_candidate_over_cuts(
+                snap, root, cuts, library, config, meter), meter.units))
+        return out
+
+    # Warm-up doubles as the identity check and yields the count of
+    # kernel-scored candidates (observed only with a collector).
     collector = _MetricCollector()
     batch_results = eval_tasks_columnar(
         snap, tasks, config, library, observer=collector
     )
-    scalar_results = _eval_tasks_scalar(
-        snap, tasks, config, _MetricCollector(), library
-    )
-    identical = scalar_results == batch_results
+    identical = eval_scalar() == batch_results
     vectorized = collector.counts.get(("eval_vectorized_candidates_total", ()), 0)
-    fallback = collector.counts.get(("eval_scalar_fallback_total", ()), 0)
 
     # Interleaved best-of-N: single-core containers are noisy and a
     # min-of-mins pairs each path's best run against the other's.
@@ -283,7 +289,7 @@ def _bench_batch_eval(quick: bool) -> Dict[str, object]:
     scalar_times, batch_times = [], []
     for _ in range(reps):
         t0 = time.perf_counter()
-        _eval_tasks_scalar(snap, tasks, config, _MetricCollector(), library)
+        eval_scalar()
         scalar_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         eval_tasks_columnar(snap, tasks, config, library)
@@ -291,7 +297,6 @@ def _bench_batch_eval(quick: bool) -> Dict[str, object]:
     scalar_seconds = min(scalar_times)
     batch_seconds = min(batch_times)
 
-    total = vectorized + fallback
     return {
         "circuit": aig.name,
         "nodes": len(live),
@@ -306,8 +311,6 @@ def _bench_batch_eval(quick: bool) -> Dict[str, object]:
         "speedup": round(scalar_seconds / batch_seconds, 2)
         if batch_seconds > 0 else None,
         "vectorized_candidates": vectorized,
-        "scalar_fallback_candidates": fallback,
-        "vectorized_fraction": round(vectorized / total, 4) if total else None,
     }
 
 

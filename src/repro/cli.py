@@ -505,7 +505,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"batch-eval: batch {be['batch_nodes_per_second']:.0f} nodes/s vs "
         f"scalar {be['scalar_nodes_per_second']:.0f} nodes/s "
         f"(speedup {be['speedup']:.1f}x, "
-        f"vectorized {be['vectorized_fraction']:.1%}, "
         f"identical={be['identical_results']})"
     )
     deg = report["degraded_eval"]

@@ -15,11 +15,14 @@ kernel reads fanin rows from the arena and appends result blocks to
 it, liveness is a vector compare against a life/kind mirror of the
 graph, and the evaluation engine reads the columns directly.
 :class:`~repro.cuts.cut.Cut` objects are materialized lazily, only at
-API edges: :meth:`CutManager.cuts`, the object forms of the harvests
-that ship to pool workers, and the scalar merge kept as the
-byte-identical differential oracle (``columnar=False``, config
-``columnar_enum``/``rewrite --scalar-enum``).  DESIGN.md "cut-merge
-kernel" has the soundness arguments and the ownership rules.
+API edges: :meth:`CutManager.cuts`, the winning ``Candidate.cut`` and
+the scalar merge kept as the byte-identical differential oracle
+(``columnar=False``, config ``columnar_enum``/``rewrite
+--scalar-enum``).  Rows also are what crosses the process boundary
+(:meth:`CutManager.export_tasks` / :meth:`CutManager.merge_exported` /
+:meth:`CutManager.import_blocks`), by value and never as offsets.
+DESIGN.md "cut-merge kernel" has the soundness arguments and the
+ownership rules.
 
 The manager also counts merge work (``work`` attribute): the simulated
 parallel executor charges activities by this measure, which is what
@@ -79,6 +82,13 @@ def _block_rows(blocks) -> Tuple["np.ndarray", "np.ndarray"]:
     return _ranges(np.array([b.off for b in blocks], dtype=np.int64), cnts), cnts
 
 
+def _task_vectors(tasks):
+    """``(roots, comp0, comp1)`` arrays of ``(root, f0, f1, ...)`` tasks."""
+    return (np.array([t[0] for t in tasks], dtype=np.int64),
+            np.array([lit_compl(t[1]) for t in tasks], dtype=bool),
+            np.array([lit_compl(t[2]) for t in tasks], dtype=bool))
+
+
 def _build_cuts(leaves, tt, stamps, sign) -> List[Cut]:
     """Materialize ``Cut`` objects from column rows."""
     sizes = (leaves < CUT_LEAF_SENTINEL).sum(axis=1).tolist()
@@ -123,7 +133,9 @@ class CutColumns(NamedTuple):
     counts: List[int]
     leaves: "np.ndarray"  # (N, 4) ascending, CUT_LEAF_SENTINEL-padded
     tt: "np.ndarray"      # (N,)
-    stamps: "np.ndarray"  # (N, 4)
+    # (N, 4); None on the worker side of a fan-out, which scores from
+    # ``leaves``/``tt`` alone and names its winners by index.
+    stamps: Optional["np.ndarray"]
 
     def cut(self, i: int) -> Cut:
         """Materialize row ``i`` (the winning ``Candidate.cut``)."""
@@ -218,17 +230,11 @@ class CutManager:
         fanin sets."""
         return self._materialize(self._fresh_block(var))
 
-    def eval_harvest(self, roots, resident: bool = False):
-        """The eval stage's task list: each root paired with its
-        (stamp-validated) enumerated cut set, in worklist order.
-
-        The object form (``[(root, cuts-tuple)]``) ships to pool
-        workers; ``resident=True`` gathers the same sets into one
-        :class:`CutColumns` for the in-process engine, no ``Cut`` built.
-        """
+    def eval_harvest(self, roots) -> CutColumns:
+        """The eval stage's task table: each root's (stamp-validated)
+        enumerated cut set, in worklist order, gathered into one
+        :class:`CutColumns` — no ``Cut`` built."""
         self.prime_liveness(roots)
-        if not resident:
-            return [(root, tuple(self.fresh_cuts(root))) for root in roots]
         blocks = [self._fresh_block(root) for root in roots]
         self._stage(blocks)
         rows, cnts = _block_rows(blocks)
@@ -425,9 +431,10 @@ class CutManager:
     # ------------------------------------------------------------------
     # Harvest / install (the batch and fan-out hand-off)
 
-    def enum_harvest(self, root: int, resident: bool = False):
+    def enum_harvest(self, root: int):
         """Inputs for a batched or worker-side merge of ``root``:
-        ``(f0, f1, set0, set1)``, or None.
+        ``(f0, f1, block0, block1)`` — the fanin literals and their
+        cached :class:`CutBlock` s — or None.
 
         A root is eligible only when its merge is a *pure function of
         shippable state*: an AND node whose own entry needs
@@ -439,9 +446,6 @@ class CutManager:
         a worklist root re-merged before this root executes.  Roots with
         a fresh live entry (a one-unit cache answer) and roots needing
         recursive enumeration stay in-parent; both return None.
-
-        The sets are ``Cut`` lists (the form that ships to pool workers)
-        or, with ``resident=True``, the cached :class:`CutBlock` s.
         """
         aig = self.aig
         if not aig.is_and(root) or self.has_fresh_live_cuts(root):
@@ -456,14 +460,15 @@ class CutManager:
                 return None
             else:
                 block = self._trivial_block(fv)
-            sets.append(block if resident else list(self._materialize(block)))
+            sets.append(block)
         return (f0, f1, sets[0], sets[1])
 
-    def install_cuts(self, root: int, cuts, work: int = 0) -> None:
-        """Install a batch- or worker-computed cut set (a ``Cut`` list,
-        or a :class:`CutBlock` from :meth:`merge_tasks_columnar`) for
-        AND node ``root``: exactly what :meth:`cuts` would have cached
-        for an :meth:`enum_harvest`-eligible root — trivial entries for
+    def install_cuts(self, root: int, block: CutBlock, work: int = 0) -> None:
+        """Install a batch- or worker-computed cut set (a
+        :class:`CutBlock` from :meth:`merge_tasks_columnar` or
+        :meth:`import_blocks`) for AND node ``root``: exactly what
+        :meth:`cuts` would have cached for an
+        :meth:`enum_harvest`-eligible root — trivial entries for
         uncached non-AND fanins, then the root entry keyed to its
         current stamp.  ``work`` (the merge-pair count) is charged to
         :attr:`work`, byte-identical with an in-parent merge."""
@@ -474,9 +479,6 @@ class CutManager:
                 fblock = self._cache.get(fv)
                 if fblock is None or fblock.stamp != aig.stamp(fv):
                     self._trivial_block(fv)
-        block = cuts
-        if not isinstance(block, CutBlock):
-            block = CutBlock(-1, len(cuts), list(cuts))
         block.stamp = aig.stamp(root)
         self._cache[root] = block
         self.work += work
@@ -515,8 +517,9 @@ class CutManager:
         f0, f1 = aig.fanin0(v), aig.fanin1(v)
         v0, v1 = lit_var(f0), lit_var(f1)
         if not self.columnar:
-            cuts = self.merge_fanin_sets(
-                v, f0, f1, self._live_cuts(v0), self._live_cuts(v1))
+            c0_all, c1_all = self._live_cuts(v0), self._live_cuts(v1)
+            self.work += len(c0_all) * len(c1_all)
+            cuts = self._merge_scalar(v, f0, f1, c0_all, c1_all)
             return CutBlock(-1, len(cuts), cuts)
         rows0, rows1 = self._live_rows(v0), self._live_rows(v1)
         n_pairs = len(rows0) * len(rows1)
@@ -528,71 +531,89 @@ class CutManager:
         )
         return CutBlock(self._arena.append(*out[:4]), int(out[4][0]))
 
-    def merge_fanin_sets(self, v: int, f0: int, f1: int,
-                         c0_all: List[Cut], c1_all: List[Cut]) -> List[Cut]:
-        """Merge explicit fanin cut sets of AND node ``v`` through the
-        columnar kernel, or the scalar oracle with ``columnar=False``:
-        bit-identical results and identical :attr:`work` either way
-        (property-tested).  Taking the sets as arguments is what lets a
-        pool worker run the merge against an
-        :class:`~repro.aig.snapshot.AigSnapshot` with cut sets harvested
-        in the parent."""
-        self.work += len(c0_all) * len(c1_all)
-        if self.columnar:
-            return self.merge_tasks_columnar([(v, f0, f1, c0_all, c1_all)])[0][1]
-        return self._merge_scalar(v, f0, f1, c0_all, c1_all)
-
     def merge_tasks_columnar(self, tasks, observer=None):
         """Merge a whole worklist of harvested roots in one kernel
         invocation.
 
-        ``tasks`` are ``(root,) + enum_harvest(root)`` tuples, all in
-        the object form or all resident.  Returns ``(root, cuts,
-        pairs)`` rows in task order — ``cuts`` a ``Cut`` list for
-        object tasks, a :class:`CutBlock` already in the arena for
-        resident ones (install it before the next call, which may
-        compact it away).  ``pairs`` is the merge work the caller
-        charges via :meth:`install_cuts`: this method does **not**
-        touch :attr:`work`, exactly like a pool worker's merge.  A
-        metric-enabled ``observer`` gets ``enum_batch_size`` and
-        per-phase ``enum_kernel_seconds``.
+        ``tasks`` are ``(root,) + enum_harvest(root)`` tuples.  Returns
+        ``(root, block, pairs)`` rows in task order — ``block`` a
+        :class:`CutBlock` already in the arena (install it before the
+        next call, which may compact it away).  ``pairs`` is the merge
+        work the caller charges via :meth:`install_cuts`: this method
+        does **not** touch :attr:`work`, exactly like a pool worker's
+        merge.  A metric-enabled ``observer`` gets ``enum_batch_size``
+        and per-phase ``enum_kernel_seconds``.
         """
         if not tasks:
             return []
-        resident = isinstance(tasks[0][3], CutBlock)
         sets = [t[3] for t in tasks] + [t[4] for t in tasks]
-        if not resident:
-            sets = [CutBlock(-1, len(c), c) for c in sets]
-        self._compact(sets)
+        self.compact(sets)
         self._stage(sets)
         rows0, n0s = _block_rows(sets[:len(tasks)])
         rows1, n1s = _block_rows(sets[len(tasks):])
-        pairs = (n0s * n1s).tolist()
-        total_pairs = sum(pairs)
+        roots, comp0, comp1 = _task_vectors(tasks)
+        out = self._merge_rows(roots, comp0, comp1, rows0, n0s, rows1, n1s,
+                               observer)
+        blocks = self.import_blocks(*out)
+        return [(t[0], b, p) for t, b, p in zip(tasks, blocks, (n0s * n1s).tolist())]
+
+    # ------------------------------------------------------------------
+    # Rows across the process boundary (by value; offsets never ship)
+
+    def export_tasks(self, tasks):
+        """The by-value form of harvested ``tasks`` for a pool worker:
+        the task vectors ``(roots, comp0, comp1, off0, n0s, off1, n1s)``
+        and the de-duplicated arena rows ``(leaves, tt, stamps, sign)``
+        the fanin blocks reference, ``off*`` indexing into those rows."""
+        sets = [t[3] for t in tasks] + [t[4] for t in tasks]
+        uniq = list({id(b): b for b in sets}.values())
+        self._stage(uniq)
+        rows, uniq_cnts = _block_rows(uniq)
+        local = dict(zip(map(id, uniq),
+                         (np.cumsum(uniq_cnts) - uniq_cnts).tolist()))
+        offs = np.array([local[id(b)] for b in sets], dtype=np.int64)
+        cnts = np.array([b.cnt for b in sets], dtype=np.int64)
+        n = len(tasks)
+        return (_task_vectors(tasks) + (offs[:n], cnts[:n], offs[n:], cnts[n:]),
+                tuple(col[rows] for col in self._arena.cols))
+
+    def merge_exported(self, roots, comp0, comp1, off0, n0s, off1, n1s, rows,
+                       observer=None):
+        """Worker side of :meth:`export_tasks`: load ``rows`` into this
+        (throwaway) manager's arena, run the kernel, and return the
+        result by value — ``(roots, counts, leaves, tt, stamps, sign)``,
+        the echo of ``roots`` first so the parent can check alignment."""
+        base = self._arena.append(*rows)
+        out = self._merge_rows(
+            roots, comp0, comp1, _ranges(base + off0, n0s), n0s,
+            _ranges(base + off1, n1s), n1s, observer)
+        return (roots,) + out
+
+    def import_blocks(self, counts, leaves, tt, stamps, sign) -> List[CutBlock]:
+        """Append result rows (this manager's kernel output, or a
+        worker's) to the arena in one copy; one :class:`CutBlock` per
+        entry of ``counts``, ready for :meth:`install_cuts`."""
+        base = self._arena.append(leaves, tt, stamps, sign)
+        ends = np.cumsum(counts)
+        return [CutBlock(base + end - cnt, cnt)
+                for end, cnt in zip(ends.tolist(), counts.tolist())]
+
+    def _merge_rows(self, roots, comp0, comp1, rows0, n0s, rows1, n1s, observer):
+        """One kernel invocation plus its bookkeeping; returns
+        ``(counts, leaves, tt, stamps, sign)``."""
+        total_pairs = int((n0s * n1s).sum())
         self.vec_pairs += total_pairs
-        out = self._columnar_core(
-            np.array([t[0] for t in tasks], dtype=np.int64),
-            np.array([lit_compl(t[1]) for t in tasks], dtype=bool),
-            np.array([lit_compl(t[2]) for t in tasks], dtype=bool),
-            rows0, n0s, rows1, n1s,
-        )
+        out = self._columnar_core(roots, comp0, comp1, rows0, n0s, rows1, n1s)
         if observer is not None and observer.enabled:
             observer.observe("enum_batch_size", float(total_pairs))
             observer.observe("enum_kernel_seconds", out[5], phase="union")
             observer.observe("enum_kernel_seconds", out[6], phase="filter")
-        spans = list(zip(np.cumsum(out[4]).tolist(), out[4].tolist()))
-        if resident:
-            base = self._arena.append(*out[:4])
-            results = [CutBlock(base + end - cnt, cnt) for end, cnt in spans]
-        else:
-            flat = _build_cuts(*out[:4])
-            results = [flat[end - cnt:end] for end, cnt in spans]
-        return [(t[0], res, p) for t, res, p in zip(tasks, results, pairs)]
+        return (out[4],) + out[:4]
 
-    def _compact(self, extra: Sequence[CutBlock]) -> None:
+    def compact(self, extra: Sequence[CutBlock] = ()) -> None:
         """Reclaim arena rows no block references (re-merged, never
         installed, staging-only) once they outnumber the live ones.
-        Runs only at the start of a batch merge, when the only blocks
+        Call only between batch merges / fan-outs, when the only blocks
         outside the cache are the task inputs ``extra``."""
         arena = self._arena
         if arena.used < self._compact_at:

@@ -14,10 +14,12 @@ threaded executor from cashing that in; this executor does it with
    base snapshot the workers cache per run (optionally published once
    through ``multiprocessing.shared_memory`` so even the base costs
    only a handle over the pipe);
-2. node chunks fan out to a persistent worker pool — evaluation tasks
-   carry each root's enumerated cut set, enumeration tasks carry the
-   fanin cut sets harvested from the cut manager;
-3. returned candidates / cut sets are merged on the parent by
+2. node chunks fan out to a persistent worker pool as **column
+   blocks** (:class:`_ColumnChunk`): cut-set rows by value — the
+   de-duplicated fanin rows of an enumeration chunk, a ``leaves``/``tt``
+   slice of the evaluation stage's table — never ``Cut`` objects and
+   never arena offsets (DESIGN.md §4c has the ownership rules);
+3. returned result rows / units and winners are merged on the parent by
    **replaying** them through the inherited simulated scheduler with
    the workers' reported per-node costs.
 
@@ -67,7 +69,7 @@ For testing those paths there is a fault-injection hook: the
 holds entries ``mode@stage:chunk[:fires]`` separated by ``,`` or
 ``;``, where ``mode`` is one of ``kill`` (SIGKILL the worker),
 ``hang`` (sleep past any deadline), ``raise`` (raise
-:class:`InjectedFault`) or ``corrupt`` (return a mangled result list),
+:class:`InjectedFault`) or ``corrupt`` (return a mangled result),
 ``stage``/``chunk`` select the fan-out coordinates (``*`` matches
 any), and ``fires`` bounds how many submissions trigger it (default
 1).  The directive is armed by the parent per submission and executed
@@ -84,7 +86,9 @@ import time
 import warnings
 from collections import OrderedDict, deque
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 try:  # pragma: no cover - present on every supported CPython
     from concurrent.futures.process import BrokenProcessPool as _BrokenPool
@@ -100,7 +104,6 @@ from ..aig.snapshot import (
 )
 from ..obs.observer import Observer
 from ..obs.wall import ChunkTelemetry
-from .activity import Phase
 from .simsched import SimulatedExecutor
 from .stats import StageStats
 
@@ -233,9 +236,46 @@ def _execute_fault(mode: str) -> None:
         raise InjectedFault(f"injected fault in worker {os.getpid()}")
 
 
-def _corrupt_results(results: List[tuple]) -> List[tuple]:
-    """The ``corrupt`` fault: mangle a chunk's result list in ways the
-    parent-side validator must catch (wrong root, missing entry)."""
+class _ColumnChunk:
+    """One chunk of a column fan-out, by value: per-task vectors
+    (``roots`` first) and the row columns those tasks index —
+
+    * enum: ``task_cols = (comp0, comp1, off0, n0s, off1, n1s)`` over
+      ``row_cols = (leaves, tt, stamps, sign)``, the de-duplicated fanin
+      rows (:meth:`~repro.cuts.manager.CutManager.export_tasks`);
+    * eval: ``task_cols = (off, counts)`` over ``row_cols = (leaves,
+      tt)``, a slice of the stage's :class:`~repro.cuts.manager.
+      CutColumns`.
+
+    Offsets are local to ``row_cols`` (never the parent's arena), so
+    slicing — the fault path's split — keeps the rows and halves the
+    task vectors.
+    """
+
+    __slots__ = ("roots", "task_cols", "row_cols")
+
+    def __init__(self, roots, task_cols, row_cols):
+        self.roots = roots
+        self.task_cols = task_cols
+        self.row_cols = row_cols
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __getitem__(self, part: slice) -> "_ColumnChunk":
+        return _ColumnChunk(
+            self.roots[part], tuple(c[part] for c in self.task_cols),
+            self.row_cols,
+        )
+
+
+def _corrupt_results(results):
+    """The ``corrupt`` fault: mangle a chunk's result in ways the
+    parent-side validator must catch — a column result gets a wrong
+    root echo and loses its last row, a result list a wrong root and
+    its last entry."""
+    if isinstance(results, tuple):
+        return (results[0] + 1, results[1]) + tuple(c[:-1] for c in results[2:])
     if not results:
         return [(0, None, 0)]
     mangled = list(results)
@@ -244,13 +284,33 @@ def _corrupt_results(results: List[tuple]) -> List[tuple]:
     return mangled[:-1] if len(mangled) > 1 else mangled
 
 
-def _validate_chunk(tasks: Sequence[tuple], results: object) -> List[tuple]:
+def _validate_chunk(tasks, results: object):
     """Check a worker's answer actually answers ``tasks``.
 
     The merge is keyed by root, so an undetected misalignment would
     silently corrupt the replay; shape mismatches instead surface as
-    :class:`ChunkResultError` and take the retry path.
+    :class:`ChunkResultError` and take the retry path.  A column chunk
+    is answered by a tuple of the root echo, one per-task vector and
+    the stage's payload, whose row columns (enum: ``leaves``, ``tt``,
+    ``stamps``, ``sign``) must hold exactly the rows the per-task
+    counts announce; a task list by as many ``(root, ..., ...)``
+    triples.
     """
+    if isinstance(tasks, _ColumnChunk):
+        ok = (
+            isinstance(results, tuple) and len(results) >= 3
+            and all(isinstance(c, np.ndarray) for c in results[:2])
+            and np.array_equal(results[0], tasks.roots)
+            and len(results[1]) == len(tasks)
+            and all(len(c) == results[1].sum() for c in results[2:]
+                    if isinstance(c, np.ndarray))
+        )
+        if not ok:
+            raise ChunkResultError(
+                f"column result does not answer the {len(tasks)} task "
+                f"roots it was handed"
+            )
+        return results
     if not isinstance(results, list) or len(results) != len(tasks):
         raise ChunkResultError(
             f"chunk returned {len(results) if isinstance(results, list) else type(results).__name__} "
@@ -355,147 +415,52 @@ def _resolve_snapshot(ref, collector: _MetricCollector) -> AigSnapshot:
 # ---------------------------------------------------------------------------
 
 
-def _eval_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, int]]:
-    """Evaluate each (root, cuts) task against a read-only AIG view.
+def _eval_columns(aig_like, chunk: _ColumnChunk, config, collector):
+    """Score one eval chunk against a read-only AIG view.
 
-    Runs identically against a live :class:`Aig` (in-parent fallback)
-    or an :class:`AigSnapshot` (worker side).  Returns
-    ``(root, candidate-or-None, work-units)`` triples; units are the
-    same structure-evaluation counts the simulated eval operator
-    charges, which is what lets the parent replay the timeline.
-
-    By default the chunk is scored through the columnar batch engine
-    (:mod:`repro.rewrite.columnar` — numpy kernels directly over the
-    snapshot arrays, no per-node method dispatch); ``config.
-    columnar_eval = False`` keeps the per-candidate scalar loop, the
-    batch engine's differential oracle.  Both produce byte-identical
-    triples and metrics.
+    Like every stage function, runs identically against an
+    :class:`AigSnapshot` (worker side) or the live :class:`Aig` (the
+    per-chunk in-parent degrade): :func:`~repro.rewrite.columnar.
+    eval_tasks_columnar` over the chunk's ``leaves``/``tt`` rows.
+    Returns ``(roots, units, winners)`` — the root echo, each root's
+    structure-evaluation units (the cost the simulated eval operator
+    charges, ``-1`` for a dead root) and the candidates found, each
+    naming its cut by index within its root's set.
     """
+    from ..cuts.manager import CutColumns, _ranges
     from ..library import get_library
+    from ..rewrite.columnar import eval_tasks_columnar
 
-    if config.columnar_eval:
-        from ..rewrite.columnar import eval_tasks_columnar
-
-        return eval_tasks_columnar(
-            aig_like, tasks, config, get_library(), observer=collector
-        )
-    return _eval_tasks_scalar(aig_like, tasks, config, collector, get_library())
-
-
-def _eval_tasks_scalar(
-    aig_like, tasks, config, collector, library
-) -> List[Tuple[int, object, int]]:
-    """The scalar evaluation loop (the columnar engine's oracle)."""
-    from ..rewrite.base import WorkMeter, best_candidate_over_cuts
-
-    out: List[Tuple[int, object, int]] = []
-    for root, cuts in tasks:
-        if aig_like.is_dead(root):
-            out.append((root, None, -1))  # sentinel: skip entirely
-            continue
-        meter = WorkMeter()
-        candidate = best_candidate_over_cuts(
-            aig_like, root, cuts, library, config, meter, observer=collector
-        )
-        out.append((root, candidate, meter.units))
-    return out
+    off, counts = chunk.task_cols
+    rows = _ranges(off, counts)
+    table = CutColumns(chunk.roots.tolist(), counts.tolist(),
+                       *(col[rows] for col in chunk.row_cols), None)
+    triples = eval_tasks_columnar(
+        aig_like, table, config, get_library(), observer=collector)
+    return (chunk.roots, np.array([t[2] for t in triples], dtype=np.int64),
+            [t[1] for t in triples if t[1] is not None])
 
 
-def _enum_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, int]]:
-    """Merge each harvested ``(root, f0, f1, c0_all, c1_all)`` task.
-
-    Like :func:`_eval_tasks`, runs identically against a live
-    :class:`Aig` (per-chunk in-parent fallback) or an
-    :class:`AigSnapshot` (worker side): the merge is the byte-identical
-    :meth:`~repro.cuts.manager.CutManager.merge_fanin_sets` either way,
-    so the returned ``(root, cuts, pairs)`` triples replay exactly.
-    Truth-table expansion memo hits are reported under worker-specific
-    counter names — the memo is per-chunk here but global in a
-    simulated run, so the raw counts legitimately differ.  The merge
-    engine follows ``config.columnar_enum``: the whole chunk through
-    one :meth:`~repro.cuts.manager.CutManager.merge_tasks_columnar`
-    kernel invocation, or the scalar per-root oracle.
-    """
+def _enum_columns(aig_like, chunk: _ColumnChunk, config, collector):
+    """Merge one enum chunk: a throwaway manager over ``aig_like`` (the
+    snapshot worker-side, the live graph for an in-parent degrade)
+    loads the shipped rows and runs the same kernel as the in-process
+    batch — :meth:`~repro.cuts.manager.CutManager.merge_exported`.
+    Returns ``(roots, counts, leaves, tt, stamps, sign)``; the pairs
+    merged ride the collector as ``enum_vectorized_pairs_total``."""
     from ..cuts.manager import CutManager
 
-    cutman = CutManager(
-        aig_like, k=config.cut_size, max_cuts=config.max_cuts,
-        columnar=config.columnar_enum,
-    )
-    out: List[Tuple[int, object, int]] = []
-    if config.columnar_enum:
-        out.extend(cutman.merge_tasks_columnar(tasks, observer=collector))
-    else:
-        for root, f0, f1, c0_all, c1_all in tasks:
-            before = cutman.work
-            cuts = cutman.merge_fanin_sets(root, f0, f1, c0_all, c1_all)
-            out.append((root, cuts, cutman.work - before))
-    if cutman.cache_hits:
-        collector.count("worker_cut_tt_cache_hits_total", cutman.cache_hits)
-    if cutman.cache_misses:
-        collector.count("worker_cut_tt_cache_misses_total", cutman.cache_misses)
-    if cutman.expand_evictions:
-        collector.count("worker_cut_expand_cache_evictions_total",
-                        cutman.expand_evictions)
-    if cutman.vec_pairs:
-        collector.count("enum_vectorized_pairs_total", cutman.vec_pairs)
+    cutman = CutManager(aig_like, k=config.cut_size, max_cuts=config.max_cuts)
+    out = cutman.merge_exported(
+        chunk.roots, *chunk.task_cols, chunk.row_cols, observer=collector)
+    collector.count("enum_vectorized_pairs_total", cutman.vec_pairs)
     return out
-
-
-def _begin_telemetry(telemetry, tasks) -> Optional[ChunkTelemetry]:
-    """Open this chunk's wall-clock record (worker side), if the
-    parent asked for one.  ``telemetry`` is ``(stage, chunk, attempt)``
-    — the fan-out coordinates only the parent knows — or None when the
-    observer is the no-op (zero records are then ever allocated)."""
-    if telemetry is None:
-        return None
-    stage, chunk, attempt = telemetry
-    tele = ChunkTelemetry.begin(stage, chunk, attempt, tasks=len(tasks))
-    tele.enter("patch")
-    return tele
-
-
-def _eval_chunk(ref, tasks, config, fault: Optional[str] = None,
-                telemetry: Optional[tuple] = None):
-    """Worker entry point: resolve the snapshot, evaluate one chunk."""
-    if fault is not None:
-        _execute_fault(fault)
-    tele = _begin_telemetry(telemetry, tasks)
-    collector = _MetricCollector()
-    snapshot = _resolve_snapshot(ref, collector)
-    if tele is not None:
-        tele.enter("compute")
-    out = _eval_tasks(snapshot, tasks, config, collector)
-    if fault == "corrupt":
-        out = _corrupt_results(out)
-    if tele is not None:
-        tele.done(results=len(out))
-    return out, collector, tele
-
-
-def _enum_chunk(ref, tasks, config, fault: Optional[str] = None,
-                telemetry: Optional[tuple] = None):
-    """Worker entry point for enumeration: merge harvested fanin cut
-    sets against the snapshot."""
-    if fault is not None:
-        _execute_fault(fault)
-    tele = _begin_telemetry(telemetry, tasks)
-    collector = _MetricCollector()
-    snapshot = _resolve_snapshot(ref, collector)
-    if tele is not None:
-        tele.enter("compute")
-    out = _enum_tasks(snapshot, tasks, config, collector)
-    if fault == "corrupt":
-        out = _corrupt_results(out)
-    if tele is not None:
-        tele.done(results=len(out))
-    return out, collector, tele
 
 
 def _shard_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, int]]:
     """Run the full rewrite pipeline on each ``(index, shard)`` task.
 
-    Like the eval/enum twins, runs identically against the live graph
+    Like the column stages, runs identically against the live graph
     (in-parent fallback) or a snapshot (worker side): the per-shard
     rewrite is deterministic, so every recovery path reproduces the
     exact payload a healthy worker would have returned.  Returns
@@ -511,22 +476,29 @@ def _shard_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, 
     return out
 
 
-def _shard_chunk(ref, tasks, config, fault: Optional[str] = None,
-                 telemetry: Optional[tuple] = None):
-    """Worker entry point for shard fan-out: resolve the snapshot and
-    run the whole pipeline on each shard of the chunk."""
+def _run_chunk(stage_fn, ref, tasks, config, fault: Optional[str] = None,
+               telemetry: Optional[tuple] = None):
+    """The worker entry point: resolve the snapshot and run one chunk
+    through ``stage_fn`` (:func:`_eval_columns`, :func:`_enum_columns`
+    or :func:`_shard_tasks`).  ``telemetry`` is ``(stage, chunk,
+    attempt)`` — the fan-out coordinates only the parent knows — or
+    None when the observer is the no-op (no record is then allocated).
+    """
     if fault is not None:
         _execute_fault(fault)
-    tele = _begin_telemetry(telemetry, tasks)
+    tele = None
+    if telemetry is not None:
+        tele = ChunkTelemetry.begin(*telemetry, tasks=len(tasks))
+        tele.enter("patch")
     collector = _MetricCollector()
     snapshot = _resolve_snapshot(ref, collector)
     if tele is not None:
         tele.enter("compute")
-    out = _shard_tasks(snapshot, tasks, config, collector)
+    out = stage_fn(snapshot, tasks, config, collector)
     if fault == "corrupt":
         out = _corrupt_results(out)
     if tele is not None:
-        tele.done(results=len(out))
+        tele.done(results=len(tasks))
     return out, collector, tele
 
 
@@ -692,7 +664,7 @@ class _ChunkJob:
 
     __slots__ = ("index", "tasks", "attempts", "splits", "refills", "ref")
 
-    def __init__(self, index: int, tasks: List[tuple], attempts: int = 0,
+    def __init__(self, index: int, tasks, attempts: int = 0,
                  splits: int = 0, ref: Optional[tuple] = None):
         self.index = index
         self.tasks = tasks
@@ -744,8 +716,9 @@ class ProcessExecutor(SimulatedExecutor):
         self.snapshot_bytes_total = 0
         self.shipped_bytes: Dict[str, int] = {}
         self.cache_refills = 0
-        self.eval_wall_seconds = 0.0
-        self.enum_wall_seconds = 0.0
+        # The simulated-clock span of the fan-out whose replay is
+        # running: (span, snapshot bytes), closed by _native_stage.
+        self._fanout_span: Optional[tuple] = None
         # Cumulative shard chunks fanned out across seam-rotation
         # passes: keeps fault-plan chunk coordinates ("mode@shard:N")
         # global over a multi-pass run instead of restarting at 0.
@@ -862,14 +835,6 @@ class ProcessExecutor(SimulatedExecutor):
 
     # -- shared fan-out plumbing --------------------------------------
 
-    def _stage_ref(self, ctx, stage: str):
-        """Build this stage's snapshot ref and account its bytes."""
-        ref, nbytes, kind, ratio = self._shipper.stage_ref(ctx.aig, ctx.config)
-        obs = self.obs
-        if obs.enabled and kind == "delta":
-            obs.observe("snapshot_delta_ratio", ratio)
-        return ref, nbytes, kind
-
     def _account_bytes(self, stage: str, kind: str, nbytes: int) -> None:
         self.snapshot_bytes_total += nbytes
         self.shipped_bytes[kind] = self.shipped_bytes.get(kind, 0) + nbytes
@@ -924,9 +889,10 @@ class ProcessExecutor(SimulatedExecutor):
         obs.gauge("pool_busy_seconds", round(util["busy_seconds"], 6))
         obs.gauge("pool_workers_seen", util["workers_seen"])
 
-    def _degrade_chunk(self, job, fallback, collector) -> List[tuple]:
-        """Compute one chunk in-parent — the rest of the fan-out still
-        completes on worker cores."""
+    def _degrade_chunk(self, job, fallback, collector):
+        """Compute one chunk in-parent (the same stage function, against
+        the live graph) — the rest of the fan-out still completes on
+        worker cores."""
         self.chunk_fallbacks += 1
         if self.obs.enabled:
             self.obs.count("chunk_fallback_total")
@@ -980,28 +946,35 @@ class ProcessExecutor(SimulatedExecutor):
         if wall is not None:
             wall.dump_flight("chunk_quarantined", stage=stage,
                              chunk=job.index)
-        merged.extend(self._degrade_chunk(job, fallback, collector))
+        merged.append(self._degrade_chunk(job, fallback, collector))
 
     def _collect_chunks(
-        self, pool, entry, ref, parts, config, collector, stage, fallback,
+        self, pool, stage_fn, ref, parts, config, collector, stage, aig,
         index_base=0,
     ):
-        """Submit all chunks and fan results back in, fault-tolerantly.
+        """Submit all chunks and fan results back in, fault-tolerantly:
+        the list of per-chunk results, in completion order.
 
         Failure handling is chunk-grained: a worker that misses its
         cached base snapshot is refilled; a chunk that raises or
         returns a corrupted result retries with capped exponential
         backoff, splits on repeated failure, and is quarantined (and
-        computed in-parent via ``fallback``) as a last resort; a chunk
-        that outlives ``config.chunk_timeout_seconds`` degrades
-        in-parent immediately and the wedged pool is restarted; a
+        computed in-parent, ``stage_fn`` against the live ``aig``) as a
+        last resort; a chunk that outlives
+        ``config.chunk_timeout_seconds`` degrades in-parent
+        immediately and the wedged pool is restarted; a
         ``BrokenProcessPool`` restarts the pool (within
         ``config.pool_restart_budget``) and resubmits the chunks that
         died with it.  Every path reproduces the exact values a healthy
         worker would have returned, keeping process mode byte-identical
         to simulated mode under any fault.
         """
-        merged: List[tuple] = []
+        merged: list = []
+
+        def fallback(tasks, coll):
+            return stage_fn(aig, tasks, config, coll)
+
+        obs = self.obs
         queue = deque(
             _ChunkJob(index, part)
             for index, part in enumerate(parts, start=index_base)
@@ -1014,7 +987,7 @@ class ProcessExecutor(SimulatedExecutor):
         while queue:
             if pool is None:
                 while queue:
-                    merged.extend(
+                    merged.append(
                         self._degrade_chunk(queue.popleft(), fallback, collector)
                     )
                 break
@@ -1030,7 +1003,8 @@ class ProcessExecutor(SimulatedExecutor):
                 )
                 try:
                     future = pool.submit(
-                        entry, job.ref if job.ref is not None else ref,
+                        _run_chunk, stage_fn,
+                        job.ref if job.ref is not None else ref,
                         job.tasks, config, fault, tele_args,
                     )
                 except Exception:
@@ -1040,6 +1014,8 @@ class ProcessExecutor(SimulatedExecutor):
                     queue.appendleft(job)
                     break
                 inflight.append((job, future, time.time()))
+                if obs.enabled:
+                    self._count_payload(stage, "out", job.tasks)
             retry: List[_ChunkJob] = []
             for job, future, submit_time in inflight:
                 try:
@@ -1049,15 +1025,16 @@ class ProcessExecutor(SimulatedExecutor):
                         phases = wall.add_chunk(
                             part_tele, submit_time, time.time()
                         )
-                        obs = self.obs
                         for phase, seconds in phases.items():
                             obs.observe("chunk_wall_seconds", seconds,
                                         stage=stage, phase=phase)
                         if progress is not None:
                             progress.bump("chunks")
                     _validate_chunk(job.tasks, part_results)
-                    merged.extend(part_results)
+                    merged.append(part_results)
                     collector.merge(part_collector)
+                    if obs.enabled:
+                        self._count_payload(stage, "back", part_results)
                 except SnapshotCacheMiss:
                     # Fresh worker without this run's base: resubmit
                     # self-contained.  Not a failure — unless the
@@ -1087,7 +1064,7 @@ class ProcessExecutor(SimulatedExecutor):
                                        chunk=job.index,
                                        deadline_seconds=timeout)
                     wedged = True
-                    merged.extend(self._degrade_chunk(job, fallback, collector))
+                    merged.append(self._degrade_chunk(job, fallback, collector))
                 except _BrokenPool:
                     pool_dead = True
                     self._record_failure(
@@ -1115,109 +1092,145 @@ class ProcessExecutor(SimulatedExecutor):
                 queue.extend(retry)
         return merged
 
-    def _chunk(self, tasks: List[tuple]) -> List[List[tuple]]:
-        step = (len(tasks) + self.jobs - 1) // self.jobs
-        return [tasks[i : i + step] for i in range(0, len(tasks), step)]
+    def _count_payload(self, stage: str, direction: str, payload) -> None:
+        """Count the array bytes of a column chunk or a column result
+        (the shard fan-out's object payloads have none)."""
+        if isinstance(payload, _ColumnChunk):
+            payload = (payload.roots,) + payload.task_cols + payload.row_cols
+        elif not isinstance(payload, tuple):
+            return
+        nbytes = sum(c.nbytes for c in payload if isinstance(c, np.ndarray))
+        self.obs.count("fanout_payload_bytes_total", nbytes,
+                       stage=stage, dir=direction)
+
+    def _bounds(self, n: int) -> List[Tuple[int, int]]:
+        """``[lo, hi)`` task ranges of one chunk per job."""
+        step = (n + self.jobs - 1) // self.jobs
+        return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+    def _fan_out(self, stage, aig, config, parts, stage_fn,
+                 index_base=0, sim_span=True, **span_args):
+        """Ship ``parts`` (one chunk each) with the stage's snapshot ref
+        and fan the per-chunk results back in (completion order).
+        Returns None when there is no pool to fan out to — never
+        started, or lost to a whole-stage failure — and the caller
+        computes in-parent instead.  ``stage`` (``eval``/``enum``/
+        ``shard``) is the fault plan's coordinate and names the
+        fan-out's spans and metrics.
+        """
+        pool = self._ensure_pool()
+        if pool is None:
+            return None
+        start_wall = time.perf_counter()
+        start_time = time.time()
+        obs = self.obs
+        _warm_shared_state(config)
+        ref, ref_bytes, ref_kind, ratio = self._shipper.stage_ref(aig, config)
+        if obs.enabled and ref_kind == "delta":
+            obs.observe("snapshot_delta_ratio", ratio)
+        snapshot_bytes = ref_bytes * len(parts)  # the ref rides every chunk
+        self._account_bytes(stage, ref_kind, snapshot_bytes)
+        collector = _MetricCollector()
+        try:
+            merged = self._collect_chunks(
+                pool, stage_fn, ref, parts, config, collector, stage, aig,
+                index_base=index_base,
+            )
+        except (OSError, MemoryError) as exc:
+            # Last-resort whole-stage degradation (fork limit, OOM
+            # during submission) — per-chunk faults never get here.
+            self._warn_fallback(f"process fan-out failed ({exc})")
+            self._pool_broken = True
+            self.close()
+            return None
+        if obs.enabled:
+            collector.replay_into(obs)
+            obs.observe(f"{stage}_fanout_wall_seconds",
+                        time.perf_counter() - start_wall)
+            wall = self._wall_for(config)
+            if wall is not None:
+                wall.parent_span(
+                    f"{stage}_fanout", start_time, time.time(), stage=stage,
+                    chunks=len(parts), jobs=self.jobs, **span_args,
+                )
+                self._update_pool_gauges(wall)
+            if sim_span:
+                span = obs.begin(
+                    f"{stage}_fanout", "fanout", self.now, jobs=self.jobs,
+                    chunks=len(parts), **span_args,
+                )
+                self._fanout_span = (span, snapshot_bytes)
+        return merged
+
+    def _native_stage(self, batched, name, items, ctx, compute) -> StageStats:
+        """Run ``batched`` (the in-process stage driver) with ``compute``
+        standing in for its kernel call; the stage's wall time and the
+        fan-out span cover harvest, fan-out and replay."""
+        start_wall = time.perf_counter()
+        try:
+            stage = batched(self, name, items, ctx, compute)
+        except BaseException:
+            # An exception escaping the stage must not leak the base
+            # snapshot's shared-memory segment.
+            self._shipper.release()
+            raise
+        finally:
+            fanout, self._fanout_span = self._fanout_span, None
+        stage.wall_seconds = time.perf_counter() - start_wall
+        if fanout is not None:
+            self.obs.end(
+                fanout[0], self.now,
+                wall_ms=round(stage.wall_seconds * 1e3, 3),
+                snapshot_bytes=fanout[1],
+            )
+        return stage
 
     # -- the native eval stage ----------------------------------------
 
     def run_eval(self, name: str, items: Sequence[int], ctx) -> StageStats:
         """Fan the eval stage out to processes, then replay the merge.
 
-        ``ctx`` is the :class:`~repro.core.operators.StageContext`; the
-        replay stores each returned candidate into ``ctx.prep_info``
-        exactly as the simulated eval operator would.
+        The stage is :func:`~repro.rewrite.columnar.run_eval_batched`
+        with the scoring moved to the pool: each chunk ships a slice of
+        the stage's :class:`~repro.cuts.manager.CutColumns` (``leaves``
+        and ``tt`` only), workers return units and winners, and the
+        parent materializes each winning ``Candidate.cut`` from its own
+        columns.  The replay stores candidates into ``ctx.prep_info``
+        exactly as the simulated eval operator would.  Small worklists
+        (and ``columnar_eval`` off — the scalar oracle is a correctness
+        reference, not a wall-clock path) stay in-parent.
         """
-        try:
-            return self._run_eval_fanout(name, items, ctx)
-        except BaseException:
-            # An exception escaping the stage must not leak the base
-            # snapshot's shared-memory segment.
-            self._shipper.release()
-            raise
+        from ..rewrite.columnar import run_eval_batched
 
-    def _run_eval_fanout(self, name: str, items: Sequence[int], ctx) -> StageStats:
-        start_wall = time.perf_counter()
-        start_time = time.time()
-        obs = self.obs
-        # Harvest the enumerated cut sets (cache hits after the enum
-        # stage barrier) — workers must see these, not a re-enumeration.
-        tasks = ctx.cutman.eval_harvest(items)
-        collector = _MetricCollector()
-        snapshot_bytes = 0
-        chunks = 0
+        def score(table):
+            if len(items) < MIN_FANOUT:
+                return None
+            roots = np.array(table.roots, dtype=np.int64)
+            counts = np.array(table.counts, dtype=np.int64)
+            starts = np.cumsum(counts) - counts
+            parts = []
+            for lo, hi in self._bounds(len(counts)):
+                r0, r1 = starts[lo], starts[hi - 1] + counts[hi - 1]
+                parts.append(_ColumnChunk(
+                    roots[lo:hi], (starts[lo:hi] - r0, counts[lo:hi]),
+                    (table.leaves[r0:r1], table.tt[r0:r1]),
+                ))
+            merged = self._fan_out(name, ctx.aig, ctx.config, parts,
+                                   _eval_columns, nodes=len(items))
+            if merged is None:
+                return None
+            first = dict(zip(table.roots, starts.tolist()))
+            triples = []
+            for roots, units, winners in merged:
+                won = {cand.root: cand for cand in winners}
+                for root, n_units in zip(roots.tolist(), units.tolist()):
+                    cand = won.get(root)
+                    if cand is not None:
+                        cand.cut = table.cut(first[root] + cand.cut)
+                    triples.append((root, cand, n_units))
+            return triples
 
-        pool = self._ensure_pool() if len(items) >= MIN_FANOUT else None
-        if pool is not None:
-            _warm_shared_state(ctx.config)
-            ref, ref_bytes, kind = self._stage_ref(ctx, name)
-            parts = self._chunk(tasks)
-            chunks = len(parts)
-            snapshot_bytes = ref_bytes * chunks  # the ref rides every chunk
-            self._account_bytes(name, kind, snapshot_bytes)
-            try:
-                merged = self._collect_chunks(
-                    pool, _eval_chunk, ref, parts, ctx.config, collector,
-                    name,
-                    lambda chunk, coll: _eval_tasks(
-                        ctx.aig, chunk, ctx.config, coll
-                    ),
-                )
-            except (OSError, MemoryError) as exc:
-                # Last-resort whole-stage degradation (fork limit, OOM
-                # during submission) — per-chunk faults never get here.
-                self._warn_fallback(f"process fan-out failed ({exc})")
-                self._pool_broken = True
-                self.close()
-                merged = _eval_tasks(ctx.aig, tasks, ctx.config, collector)
-        else:
-            merged = _eval_tasks(ctx.aig, tasks, ctx.config, collector)
-
-        results = {root: (candidate, units) for root, candidate, units in merged}
-        fanout_wall = time.perf_counter() - start_wall
-        self.eval_wall_seconds += fanout_wall
-
-        if obs.enabled:
-            collector.replay_into(obs)
-            obs.observe("eval_fanout_wall_seconds", fanout_wall)
-            wall = self._wall_for(ctx.config)
-            if wall is not None and chunks:
-                wall.parent_span(
-                    "eval_fanout", start_time, time.time(),
-                    stage=name, nodes=len(items), chunks=chunks,
-                    jobs=self.jobs,
-                )
-                self._update_pool_gauges(wall)
-
-        # Replay through the simulated scheduler: identical costs on
-        # identical logical workers reconstruct the simulated timeline,
-        # spans and stats bit-for-bit.
-        prep_info = ctx.prep_info
-        meter = ctx.meter
-
-        def replay_operator(root: int):
-            candidate, units = results[root]
-            if units < 0:  # dead root: the eval operator does nothing
-                return
-            meter.add(units)
-            yield Phase(locks=(), cost=units + 1)
-            prep_info.store(root, candidate)
-
-        span = None
-        if obs.enabled:
-            span = obs.begin(
-                "eval_fanout", "fanout", self.now, nodes=len(items),
-                jobs=self.jobs, chunks=chunks,
-            )
-        stage = self.run(name, items, replay_operator)
-        stage.wall_seconds = time.perf_counter() - start_wall
-        if obs.enabled:
-            obs.end(
-                span, self.now,
-                wall_ms=round(stage.wall_seconds * 1e3, 3),
-                snapshot_bytes=snapshot_bytes,
-            )
-        return stage
+        return self._native_stage(run_eval_batched, name, items, ctx, score)
 
     # -- the shard fan-out --------------------------------------------
 
@@ -1235,58 +1248,23 @@ class ProcessExecutor(SimulatedExecutor):
         fan-out span for multi-pass telemetry.  Returns the
         ``(index, payload, units)`` triples, unordered.
         """
+        index_base = self.shard_chunks_seen
+        self.shard_chunks_seen += len(tasks)
         try:
-            return self._run_shard_fanout(aig, tasks, config, pass_index)
+            merged = self._fan_out(
+                "shard", aig, config, [[task] for task in tasks],
+                _shard_tasks, index_base=index_base, sim_span=False,
+                shards=len(tasks), shard_pass=pass_index,
+            )
         except BaseException:
             self._shipper.release()
             raise
-
-    def _run_shard_fanout(self, aig, tasks, config, pass_index=0) -> List[tuple]:
-        start_wall = time.perf_counter()
-        start_time = time.time()
-        collector = _MetricCollector()
-        pool = self._ensure_pool()
-        chunks = 0
-        if pool is None:
-            merged = _shard_tasks(aig, tasks, config, collector)
-        else:
-            _warm_shared_state(config)
-            ref, ref_bytes, kind, ratio = self._shipper.stage_ref(aig, config)
-            if self.obs.enabled and kind == "delta":
-                self.obs.observe("snapshot_delta_ratio", ratio)
-            parts = [[task] for task in tasks]
-            chunks = len(parts)
-            index_base = self.shard_chunks_seen
-            self.shard_chunks_seen += chunks
-            self._account_bytes("shard", kind, ref_bytes * chunks)
-            try:
-                merged = self._collect_chunks(
-                    pool, _shard_chunk, ref, parts, config, collector,
-                    "shard",
-                    lambda chunk, coll: _shard_tasks(
-                        aig, chunk, config, coll
-                    ),
-                    index_base=index_base,
-                )
-            except (OSError, MemoryError) as exc:
-                self._warn_fallback(f"shard fan-out failed ({exc})")
-                self._pool_broken = True
-                self.close()
-                merged = _shard_tasks(aig, tasks, config, collector)
-        fanout_wall = time.perf_counter() - start_wall
-        obs = self.obs
-        if obs.enabled:
-            collector.replay_into(obs)
-            obs.observe("shard_fanout_wall_seconds", fanout_wall)
-            wall = self._wall_for(config)
-            if wall is not None and chunks:
-                wall.parent_span(
-                    "shard_fanout", start_time, time.time(),
-                    stage="shard", shards=len(tasks), chunks=chunks,
-                    jobs=self.jobs, shard_pass=pass_index,
-                )
-                self._update_pool_gauges(wall)
-        return merged
+        if merged is None:
+            collector = _MetricCollector()
+            merged = [_shard_tasks(aig, tasks, config, collector)]
+            if self.obs.enabled:
+                collector.replay_into(self.obs)
+        return [triple for part in merged for triple in part]
 
     # -- the native enum stage ----------------------------------------
 
@@ -1296,115 +1274,38 @@ class ProcessExecutor(SimulatedExecutor):
         Within one enumeration stage the graph is read-only, so each
         eligible root's merged cut set — and its merge-pair count, the
         cost the simulated scheduler charges — is a pure function of
-        the stage-start state.  The parent harvests the fanin cut sets
-        (:meth:`~repro.cuts.manager.CutManager.enum_harvest`), workers
-        run the identical merge against the snapshot, and the replay
-        installs each result into the cut cache *before yielding* —
-        mirroring ``fresh_cuts``'s cache-then-lock shape, so an aborted
-        activity retries as a one-unit cache hit exactly like the
-        simulated run.  Ineligible roots (already-fresh entries, deep
-        recursions on cold caches) run the real operator in replay.
-
-        With ``enum_fanout`` off the stage stays in-parent on the
-        batched columnar path (or, with ``columnar_enum`` off too, the
-        scalar operator) — byte-identical either way.
+        the stage-start state.  The stage is :func:`~repro.rewrite.
+        columnar.run_enum_batched` with the kernel moved to the pool:
+        the harvested fanin blocks ship as rows
+        (:meth:`~repro.cuts.manager.CutManager.export_tasks`), workers
+        run the identical kernel against the snapshot, and each chunk's
+        result rows are appended to the parent's arena in one copy and
+        installed as blocks by the replay.  With ``enum_fanout`` or
+        ``columnar_enum`` off, or fewer than ``MIN_FANOUT`` eligible
+        roots, the stage stays in-parent — byte-identical either way.
         """
-        if not ctx.config.enum_fanout:
-            from ..rewrite.columnar import run_enum_batched
+        from ..rewrite.columnar import run_enum_batched
 
-            return run_enum_batched(self, name, items, ctx)
-        try:
-            return self._run_enum_fanout(name, items, ctx)
-        except BaseException:
-            self._shipper.release()
-            raise
-
-    def _run_enum_fanout(self, name: str, items: Sequence[int], ctx) -> StageStats:
-        from ..core.operators import make_enum_operator
-
-        enum_op = make_enum_operator(ctx)
-        aig = ctx.aig
         cutman = ctx.cutman
 
-        tasks: List[tuple] = []
-        for root in items:
-            if aig.is_dead(root):
-                continue
-            harvest = cutman.enum_harvest(root)
-            if harvest is not None:
-                tasks.append((root,) + harvest)
+        def merge(tasks):
+            if not ctx.config.enum_fanout or len(tasks) < MIN_FANOUT:
+                return None
+            cutman.compact()  # only between fan-outs: offsets are live below
+            parts = []
+            for lo, hi in self._bounds(len(tasks)):
+                vectors, rows = cutman.export_tasks(tasks[lo:hi])
+                parts.append(_ColumnChunk(vectors[0], vectors[1:], rows))
+            merged = self._fan_out(name, ctx.aig, ctx.config, parts,
+                                   _enum_columns, nodes=len(items))
+            if merged is None:
+                return None
+            pairs = {t[0]: t[3].cnt * t[4].cnt for t in tasks}
+            return [
+                (root, block, pairs[root])
+                for roots, *columns in merged
+                for root, block in zip(roots.tolist(),
+                                       cutman.import_blocks(*columns))
+            ]
 
-        pool = self._ensure_pool() if len(tasks) >= MIN_FANOUT else None
-        if pool is None:
-            from ..rewrite.columnar import run_enum_batched
-
-            return run_enum_batched(self, name, items, ctx)
-
-        start_wall = time.perf_counter()
-        start_time = time.time()
-        obs = self.obs
-        _warm_shared_state(ctx.config)
-        collector = _MetricCollector()
-        ref, ref_bytes, kind = self._stage_ref(ctx, name)
-        parts = self._chunk(tasks)
-        snapshot_bytes = ref_bytes * len(parts)
-        self._account_bytes(name, kind, snapshot_bytes)
-        try:
-            merged = self._collect_chunks(
-                pool, _enum_chunk, ref, parts, ctx.config, collector, name,
-                lambda chunk, coll: _enum_tasks(
-                    ctx.aig, chunk, ctx.config, coll
-                ),
-            )
-        except (OSError, MemoryError) as exc:
-            self._warn_fallback(f"process fan-out failed ({exc})")
-            self._pool_broken = True
-            self.close()
-            from ..rewrite.columnar import run_enum_batched
-
-            return run_enum_batched(self, name, items, ctx)
-
-        results = {root: (cuts, pairs) for root, cuts, pairs in merged}
-        fanout_wall = time.perf_counter() - start_wall
-        self.enum_wall_seconds += fanout_wall
-        if obs.enabled:
-            collector.replay_into(obs)
-            obs.observe("enum_fanout_wall_seconds", fanout_wall)
-            wall = self._wall_for(ctx.config)
-            if wall is not None:
-                wall.parent_span(
-                    "enum_fanout", start_time, time.time(),
-                    stage=name, nodes=len(items), chunks=len(parts),
-                    jobs=self.jobs,
-                )
-                self._update_pool_gauges(wall)
-
-        def replay_operator(root: int):
-            if aig.is_dead(root):
-                return
-            got = results.get(root)
-            if got is not None and not cutman.has_fresh_live_cuts(root):
-                cuts, pairs = got
-                cutman.install_cuts(root, cuts, work=pairs)
-                yield Phase(locks=(root,), cost=pairs + 1)
-                return
-            # Cache answers (including a retry after an abort, whose
-            # first attempt already installed the cuts) and roots that
-            # stayed in-parent take the real operator's path.
-            yield from enum_op(root)
-
-        span = None
-        if obs.enabled:
-            span = obs.begin(
-                "enum_fanout", "fanout", self.now, nodes=len(items),
-                jobs=self.jobs, chunks=len(parts),
-            )
-        stage = self.run(name, items, replay_operator)
-        stage.wall_seconds = time.perf_counter() - start_wall
-        if obs.enabled:
-            obs.end(
-                span, self.now,
-                wall_ms=round(stage.wall_seconds * 1e3, 3),
-                snapshot_bytes=snapshot_bytes,
-            )
-        return stage
+        return self._native_stage(run_enum_batched, name, items, ctx, merge)

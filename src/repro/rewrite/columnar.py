@@ -6,8 +6,8 @@ recomputes the root cone's local deref once per *structure*.  This
 module inverts the data layout: the per-node arrays of an
 :class:`~repro.aig.snapshot.AigSnapshot` (or the identical internal
 columns of a live :class:`~repro.aig.graph.Aig`) become the primary
-store, and a whole chunk of ``(root, cuts)`` tasks is scored in three
-phases:
+store, and a whole table of per-root cut rows
+(:class:`~repro.cuts.manager.CutColumns`) is scored in three phases:
 
 1. **Kernel phase** (numpy, one call per batch): every cut function is
    lifted into the 4-variable space (:func:`~repro.npn.truth.
@@ -43,9 +43,9 @@ import numpy as np
 
 from ..aig.graph import KIND_AND, KIND_DEAD, Aig
 from ..cuts.manager import CutColumns
-from ..npn.canon import _TRANSFORMS, npn_canon, npn_canon_batch_rows
+from ..npn.canon import _TRANSFORMS, npn_canon_batch_rows
 from ..npn.truth import CUT_LEAF_SENTINEL, batch_lift_tt4
-from .base import Candidate, cut_tt4
+from .base import Candidate
 
 # ---------------------------------------------------------------------------
 # Columnar views
@@ -187,24 +187,23 @@ def _deref_cone(root, blocked, kind, fanin0, fanin1, nref):
 
 def eval_tasks_columnar(
     aig_like,
-    tasks,
+    tasks: CutColumns,
     config,
     library,
     observer=None,
 ) -> List[Tuple[int, Optional[Candidate], int]]:
-    """Score every ``(root, cuts)`` task; the batch twin of the scalar
-    loop over :func:`~repro.rewrite.base.best_candidate_over_cuts`.
+    """Score every root of the ``tasks`` table; the batch twin of the
+    scalar loop over :func:`~repro.rewrite.base.best_candidate_over_cuts`.
 
-    ``tasks`` is the object form (``(root, cuts)`` pairs, as shipped to
-    pool workers) or a resident :class:`~repro.cuts.manager.CutColumns`
-    table, which is read column-wise — only a winning cut is ever
+    The table is read column-wise — only a winning cut is ever
     materialized.  Returns ``(root, candidate-or-None, work-units)``
     triples with the ``-1`` dead-root sentinel, candidate-for-candidate
     and unit-for-unit identical to the scalar path — including every
     observer counter and histogram value (counter increments are batched,
-    which the order-insensitive metric aggregation absorbs).  Cuts wider
-    than 4 inputs cannot ride the 16-bit LUT gather and fall back to
-    per-cut scalar canonicalization (``eval_scalar_fallback_total``).
+    which the order-insensitive metric aggregation absorbs).  A pool
+    worker's slice carries no stamps (``tasks.stamps is None``): its
+    candidates name the winning cut by its index within the root's set,
+    and the parent materializes it from its own columns.
     """
     observing = observer is not None and observer.enabled
     view = columnar_view(aig_like)
@@ -223,28 +222,18 @@ def eval_tasks_columnar(
     max_structs = config.max_structs
     preserve_level = config.preserve_level
     zero_gain = config.zero_gain
+    min_gain = 0 if zero_gain else 1
 
     # ---- kernel phase: lift + canonicalize + class-filter every
     # vector-eligible cut across the whole batch in three numpy calls.
     t0 = time.perf_counter()
-    if isinstance(tasks, CutColumns):
-        flat_cuts = None
-        roots, counts = tasks.roots, tasks.counts
-        leaf_rows = tasks.leaves.tolist()
-        sizes_arr = (tasks.leaves < CUT_LEAF_SENTINEL).sum(axis=1)
-        tts_arr = tasks.tt
-    else:
-        flat_cuts = [cut for _, cuts in tasks for cut in cuts]
-        roots = [root for root, _ in tasks]
-        counts = [len(cuts) for _, cuts in tasks]
-        leaf_rows = [cut.leaves for cut in flat_cuts]
-        sizes_arr = np.array([len(row) for row in leaf_rows], dtype=np.int64)
-        tts_arr = np.array([cut.tt for cut in flat_cuts], dtype=np.int64)
+    roots, counts = tasks.roots, tasks.counts
+    leaf_rows = tasks.leaves.tolist()
+    sizes_arr = (tasks.leaves < CUT_LEAF_SENTINEL).sum(axis=1)
+    tts_arr = tasks.tt
     live_root = np.array([kind[root] != KIND_DEAD for root in roots],
                          dtype=bool)
-    eligible = np.flatnonzero(
-        np.repeat(live_root, counts) & (sizes_arr >= 2) & (sizes_arr <= 4)
-    )
+    eligible = np.flatnonzero(np.repeat(live_root, counts) & (sizes_arr >= 2))
     n_flat = len(eligible)
     canon_col = np.zeros(len(sizes_arr), dtype=np.int64)
     row_col = np.full(len(sizes_arr), -1, dtype=np.int64)
@@ -266,7 +255,6 @@ def eval_tasks_columnar(
     npn_hits: Dict[int, int] = {}
     npn_misses = 0
     vectorized = 0
-    fallback = 0
     ci = 0  # cursor into the flat per-cut columns
 
     for root, num_cuts in zip(roots, counts):
@@ -277,6 +265,11 @@ def eval_tasks_columnar(
         units = 0
         best_key = None
         best = None
+        # Branch and bound: ``len(dead) - added`` only falls during a
+        # walk, so a structure is dropped once it cannot reach the gain
+        # a candidate needs, nor the best gain so far (ties walk on:
+        # they still compete on added nodes and level).
+        floor = min_gain
         root_level = level[root]
         root_ref = None  # unbounded deref of the root cone, lazily
         root_dead = None
@@ -284,21 +277,12 @@ def eval_tasks_columnar(
             csize = sizes[i]
             if csize < 2:
                 continue
-            cleaves = leaf_rows[i]
-            if csize <= 4:
-                canon = canons[i]
-                row = rows[i]
-                ok = oks[i]
-                transform = None
-                if flat_cuts is None:
-                    cleaves = cleaves[:csize]
-            else:  # odd shape: per-cut scalar canonicalization
-                canon, transform = npn_canon(cut_tt4(flat_cuts[i]))
-                row = -1
-                ok = canon in allowed
-            if not ok:
+            if not oks[i]:
                 npn_misses += 1
                 continue
+            cleaves = leaf_rows[i][:csize]
+            canon = canons[i]
+            row = rows[i]
             if observing:
                 npn_hits[canon] = npn_hits.get(canon, 0) + 1
             entry = per_canon.get(canon)
@@ -328,13 +312,7 @@ def eval_tasks_columnar(
                     root, cleaves, kind, fanin0, fanin1, nref)
 
             # Leaf literal per canonical structure input, once per cut.
-            if row >= 0:
-                asg, out_neg = _row_leaves(row)
-            else:
-                asg = tuple(
-                    (pos, int(neg)) for pos, neg in transform.leaf_assignment()
-                )
-                out_neg = int(transform.out_neg)
+            asg, out_neg = _row_leaves(row)
             base_vals = [0]
             for pos, neg in asg:
                 base_vals.append(
@@ -343,10 +321,7 @@ def eval_tasks_columnar(
 
             for structure, snodes, out_idx, out_c, charge in entry:
                 units += charge
-                if row >= 0:
-                    vectorized += 1
-                else:
-                    fallback += 1
+                vectorized += 1
                 values = base_vals.copy()
                 vappend = values.append
                 local_ref = base_ref
@@ -357,6 +332,9 @@ def eval_tasks_columnar(
                 added = 0
                 abort = False
                 for i0, c0, i1, c1 in snodes:
+                    if len(dead) - added < floor:
+                        abort = True
+                        break
                     a = values[i0] ^ c0
                     b = values[i1] ^ c1
                     # Inline Aig._fold_trivial ((a ^ b) < 2 covers both
@@ -434,9 +412,9 @@ def eval_tasks_columnar(
                 key = (gain, -added, -new_level)
                 if best_key is None or key > best_key:
                     best_key = key
-                    best = (i, canon,
-                            _TRANSFORMS[row] if row >= 0 else transform,
-                            structure, gain, new_level)
+                    floor = max(floor, gain)
+                    best = (i, canon, _TRANSFORMS[row], structure, gain,
+                            new_level)
 
         if observing:
             observer.observe("cuts_per_node", num_cuts)
@@ -450,8 +428,8 @@ def eval_tasks_columnar(
                     root=root,
                     root_stamp=stamp_col[root],
                     root_life=life_col[root],
-                    cut=(flat_cuts[best[0]] if flat_cuts is not None
-                         else tasks.cut(best[0])),
+                    cut=(tasks.cut(best[0]) if tasks.stamps is not None
+                         else best[0] - first),
                     canon_tt=best[1],
                     transform=best[2],
                     structure=best[3],
@@ -468,8 +446,6 @@ def eval_tasks_columnar(
             observer.count("npn_class_misses_total", npn_misses)
         if vectorized:
             observer.count("eval_vectorized_candidates_total", vectorized)
-        if fallback:
-            observer.count("eval_scalar_fallback_total", fallback)
         observer.observe("eval_batch_size", float(n_flat))
         observer.observe("eval_kernel_seconds", kernel_seconds, phase="canon")
         observer.observe("eval_kernel_seconds", score_seconds, phase="score")
@@ -481,14 +457,17 @@ def eval_tasks_columnar(
 # ---------------------------------------------------------------------------
 
 
-def run_eval_batched(executor, name: str, items: Sequence[int], ctx):
-    """Native eval stage for the in-process executors: batch-precompute
-    with the columnar kernels, then replay through ``executor.run``.
+def run_eval_batched(executor, name: str, items: Sequence[int], ctx,
+                     score=None):
+    """Native eval stage: batch-precompute with the columnar kernels,
+    then replay through ``executor.run``.
 
     The replay operator charges the identical meter units and phase
     costs the scalar eval operator would, so the stage stats, spans and
     timeline are byte-identical; with ``columnar_eval`` off the stage
     simply runs the scalar operator (the differential oracle).
+    ``score(table)`` lets the process executor compute the triples on
+    its pool instead (None back: score here after all).
     """
     from ..galois.activity import Phase
 
@@ -496,10 +475,12 @@ def run_eval_batched(executor, name: str, items: Sequence[int], ctx):
         from ..core.operators import make_eval_operator
 
         return executor.run(name, items, make_eval_operator(ctx))
-    tasks = ctx.cutman.eval_harvest(items, resident=True)
-    merged = eval_tasks_columnar(
-        ctx.aig, tasks, ctx.config, ctx.library, observer=executor.obs
-    )
+    tasks = ctx.cutman.eval_harvest(items)
+    merged = score(tasks) if score is not None else None
+    if merged is None:
+        merged = eval_tasks_columnar(
+            ctx.aig, tasks, ctx.config, ctx.library, observer=executor.obs
+        )
     results = {root: (candidate, units) for root, candidate, units in merged}
     prep_info = ctx.prep_info
     meter = ctx.meter
@@ -515,21 +496,25 @@ def run_eval_batched(executor, name: str, items: Sequence[int], ctx):
     return executor.run(name, items, replay_operator)
 
 
-def run_enum_batched(executor, name: str, items: Sequence[int], ctx):
-    """Native enum stage for the in-process executors: harvest every
-    fan-out-eligible root, merge them all in one columnar kernel
-    invocation (:meth:`~repro.cuts.CutManager.merge_tasks_columnar`),
-    then replay through ``executor.run``.
+def run_enum_batched(executor, name: str, items: Sequence[int], ctx,
+                     merge=None):
+    """Native enum stage: harvest every fan-out-eligible root, merge
+    them all in one columnar kernel invocation
+    (:meth:`~repro.cuts.CutManager.merge_tasks_columnar`), then replay
+    through ``executor.run``.
 
-    The replay operator is the in-process twin of the process
-    executor's fan-out replay: it installs the precomputed cut set and
-    charges the identical pair count, so phase costs, lock regions and
-    the :attr:`~repro.cuts.CutManager.work` trajectory are
-    byte-identical to running the scalar enum operator.  Ineligible
-    roots (and any root whose entry became fresh after an aborted
-    retry) fall back to the enum operator, exactly as in the fan-out
-    path; with ``columnar_enum`` off the stage simply runs the scalar
-    operator (the differential oracle).
+    The replay operator installs the precomputed cut set *before
+    yielding* — mirroring ``fresh_cuts``'s cache-then-lock shape, so an
+    aborted activity retries as a one-unit cache hit — and charges the
+    identical pair count, so phase costs, lock regions and the
+    :attr:`~repro.cuts.CutManager.work` trajectory are byte-identical
+    to running the scalar enum operator.  Ineligible roots (already
+    fresh entries, deep recursions on cold caches, and any root whose
+    entry became fresh after an aborted retry) take the enum operator;
+    with ``columnar_enum`` off the whole stage does (the differential
+    oracle).  ``merge(tasks)`` lets the process executor run the kernel
+    on its pool instead, returning the same ``(root, block, pairs)``
+    rows (None back: merge here after all).
     """
     from ..core.operators import make_enum_operator
     from ..galois.activity import Phase
@@ -543,19 +528,21 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx):
     cutman.prime_liveness(live, fanins=True)
     tasks = []
     for root in live:
-        harvest = cutman.enum_harvest(root, resident=True)
+        harvest = cutman.enum_harvest(root)
         if harvest is not None:
             tasks.append((root,) + harvest)
-    merged = cutman.merge_tasks_columnar(tasks, observer=executor.obs)
-    results = {root: (cuts, pairs) for root, cuts, pairs in merged}
+    merged = merge(tasks) if merge is not None else None
+    if merged is None:
+        merged = cutman.merge_tasks_columnar(tasks, observer=executor.obs)
+    results = {root: (block, pairs) for root, block, pairs in merged}
 
     def replay_operator(root: int):
         if aig.is_dead(root):
             return
         got = results.get(root)
         if got is not None and not cutman.has_fresh_live_cuts(root):
-            cuts, pairs = got
-            cutman.install_cuts(root, cuts, work=pairs)
+            block, pairs = got
+            cutman.install_cuts(root, block, work=pairs)
             yield Phase(locks=(root,), cost=pairs + 1)
             return
         yield from enum_op(root)

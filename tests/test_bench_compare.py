@@ -156,8 +156,7 @@ class TestBenchCompareCli:
             scalar_cuts_per_second=20_000.0, identical_results=True)
         current["eval_stage"].update(jobs=1, multijob_jobs=2)
         current["batch_eval"].update(
-            scalar_nodes_per_second=6_000.0, vectorized_fraction=1.0,
-            identical_results=True)
+            scalar_nodes_per_second=6_000.0, identical_results=True)
         current["degraded_eval"].update(
             degraded_seconds=0.2, healthy_seconds=0.15, chunk_retries=0,
             pool_restarts=0, chunk_fallbacks=0)

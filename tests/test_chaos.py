@@ -25,6 +25,7 @@ import dataclasses
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.bench import mtm_like
@@ -38,8 +39,10 @@ from repro.galois.procpool import (
     ChunkResultError,
     FaultPlan,
     InjectedFault,
+    _ColumnChunk,
     _MetricCollector,
     _corrupt_results,
+    _enum_columns,
     _validate_chunk,
 )
 from repro.library import get_library
@@ -99,6 +102,8 @@ class TestChaosMatrix:
         ("corrupt", "enum"),
         ("kill", "eval"),
         ("hang", "eval"),
+        ("kill", "enum"),
+        ("hang", "enum"),
     ])
     def test_byte_identity_under_fault(self, mode, stage, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", HANG_SECONDS)
@@ -131,6 +136,28 @@ class TestChaosMatrix:
         _, _, obs = _run(self.BASE(), "process")
         for name in FAULT_TOLERANCE_COUNTERS:
             assert _counter(obs, name) == 0
+
+    @pytest.mark.parametrize("stage", ["enum", "eval"])
+    def test_failed_column_chunk_splits_and_both_halves_replay(self, stage):
+        # Two fires against a one-retry budget: the chunk fails, fails
+        # its retry, is split — and both halves (sharing the chunk's
+        # rows, each with half its task vectors) come back clean from
+        # worker cores.
+        base = self.BASE()
+        r_sim, a_sim, _ = _run(base, "simulated")
+        cfg = dataclasses.replace(
+            dacpara_config(workers=8),
+            fault_plan=f"raise@{stage}:0:2", chunk_max_retries=1,
+        )
+        r_proc, a_proc, obs = _run(base, "process", config=cfg)
+        assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
+        assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
+        splits = [e for e in obs.wall.events if e.name == "chunk_split"]
+        assert [e.args["stage"] for e in splits] == [stage]
+        # One retry, then the two halves.
+        assert _counter(obs, "chunk_retries_total") == 3
+        assert _counter(obs, "chunk_fallback_total") == 0
+        assert _counter(obs, "quarantined_chunks_total") == 0
 
 
 class TestShardChaos:
@@ -403,6 +430,78 @@ class TestChunkValidator:
             _validate_chunk([(3, ())], _corrupt_results([(3, None, 1)]))
         with pytest.raises(ChunkResultError):
             _validate_chunk([], _corrupt_results([]))
+
+
+class TestColumnChunkValidator:
+    """Column chunks (enum/eval) are answered by column tuples: the
+    validator checks the root echo and that the row columns hold the
+    rows the per-task counts announce."""
+
+    @staticmethod
+    def _enum_chunk_and_result():
+        aig = mtm_like(num_pis=12, num_nodes=120, seed=6)
+        cutman = CutManager(aig, k=4, max_cuts=12)
+        tasks = []
+        for v in aig.topo_ands():
+            harvest = cutman.enum_harvest(v)
+            if harvest is not None:
+                tasks.append((v,) + harvest)
+            else:
+                cutman.fresh_cuts(v)
+        vectors, rows = cutman.export_tasks(tasks)
+        chunk = _ColumnChunk(vectors[0], vectors[1:], rows)
+        result = _enum_columns(aig, chunk, dacpara_config(), _MetricCollector())
+        return aig, chunk, result
+
+    def test_accepts_the_workers_answer(self):
+        _, chunk, result = self._enum_chunk_and_result()
+        assert _validate_chunk(chunk, result) is result
+
+    def test_rejects_root_echo_and_row_count_mismatches(self):
+        _, chunk, result = self._enum_chunk_and_result()
+        roots, counts, leaves, tt, stamps, sign = result
+        bad_echo = (roots + 1,) + result[1:]
+        short_rows = (roots, counts, leaves[:-1], tt, stamps, sign)
+        long_counts = (roots, counts + 1) + result[2:]
+        missing_task = (roots[:-1], counts[:-1]) + result[2:]
+        for bad in (bad_echo, short_rows, long_counts, missing_task,
+                    list(result), "garbage", (roots, counts)):
+            with pytest.raises(ChunkResultError):
+                _validate_chunk(chunk, bad)
+
+    def test_corrupt_fault_is_always_detectable(self):
+        _, chunk, result = self._enum_chunk_and_result()
+        mangled = _corrupt_results(result)
+        # Both manglings are present, and each alone is caught.
+        assert not np.array_equal(mangled[0], chunk.roots)
+        assert mangled[1].sum() != len(mangled[2])
+        with pytest.raises(ChunkResultError):
+            _validate_chunk(chunk, mangled)
+        with pytest.raises(ChunkResultError):
+            _validate_chunk(chunk, (mangled[0],) + result[1:])
+        with pytest.raises(ChunkResultError):
+            _validate_chunk(chunk, result[:2] + mangled[2:])
+        # An eval result (echo, units, winners) is mangled the same way.
+        eval_result = (chunk.roots, np.zeros(len(chunk), dtype=np.int64), [])
+        assert _validate_chunk(chunk, eval_result) is eval_result
+        with pytest.raises(ChunkResultError):
+            _validate_chunk(chunk, _corrupt_results(eval_result))
+
+    def test_split_halves_answer_for_their_own_roots(self):
+        aig, chunk, result = self._enum_chunk_and_result()
+        mid = len(chunk) // 2
+        lo, hi = chunk[:mid], chunk[mid:]
+        assert len(lo) + len(hi) == len(chunk)
+        assert lo.row_cols is chunk.row_cols  # rows ride along whole
+        parts = [_enum_columns(aig, half, dacpara_config(), _MetricCollector())
+                 for half in (lo, hi)]
+        for half, part in zip((lo, hi), parts):
+            _validate_chunk(half, part)
+        for k in range(1, 6):  # counts + the four row columns
+            assert np.array_equal(
+                np.concatenate([p[k] for p in parts]), result[k])
+        with pytest.raises(ChunkResultError):
+            _validate_chunk(lo, parts[1])
 
 
 class TestCollectorLabelReplay:

@@ -15,12 +15,15 @@ import random
 import numpy as np
 import pytest
 
+from conftest import eval_tasks_scalar
+from repro.aig import Aig
+from repro.aig.literals import lit_var
 from repro.aig.snapshot import AigSnapshot
 from repro.bench import mtm_like
 from repro.config import dacpara_config
 from repro.core.operators import StageContext, make_eval_operator
 from repro.cuts import CutManager
-from repro.galois.procpool import _MetricCollector, _eval_tasks_scalar
+from repro.galois.procpool import _MetricCollector
 from repro.galois.simsched import SimulatedExecutor
 from repro.library import get_library
 from repro.npn import ensure_canon_lut, npn_canon
@@ -129,12 +132,12 @@ def _setup(num_nodes=220, seed=8, num_pis=16, config=None):
 
 class TestEvalTasksColumnar:
     def test_matches_scalar_on_live_and_snapshot(self):
-        aig, _, _, tasks = _setup()
+        aig, _, live, tasks = _setup()
         config = dacpara_config()
         library = get_library()
         snap = AigSnapshot.capture(aig)
-        want = _eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
-                                  library)
+        want = eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
+                                 library)
         assert eval_tasks_columnar(snap, tasks, config, library) == want
         assert eval_tasks_columnar(aig, tasks, config, library) == want
 
@@ -146,11 +149,11 @@ class TestEvalTasksColumnar:
     ])
     def test_matches_scalar_under_config_variants(self, overrides):
         config = dataclasses.replace(dacpara_config(), **overrides)
-        aig, _, _, tasks = _setup(num_nodes=150, seed=4, config=config)
+        aig, _, live, tasks = _setup(num_nodes=150, seed=4, config=config)
         library = get_library()
         snap = AigSnapshot.capture(aig)
-        want = _eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
-                                  library)
+        want = eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
+                                 library)
         assert eval_tasks_columnar(snap, tasks, config, library) == want
 
     def test_dead_root_sentinel(self):
@@ -162,25 +165,23 @@ class TestEvalTasksColumnar:
         assert aig.is_dead(victim)
         snap = AigSnapshot.capture(aig)
         got = eval_tasks_columnar(snap, tasks, config, library)
-        want = _eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
-                                  library)
+        want = eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
+                                 library)
         assert got == want
         by_root = {root: (cand, units) for root, cand, units in got}
         assert by_root[victim] == (None, -1)  # the dead-root sentinel
 
     def test_observer_parity_with_scalar(self):
-        aig, _, _, tasks = _setup(num_nodes=180, seed=9)
+        aig, _, live, tasks = _setup(num_nodes=180, seed=9)
         config = dacpara_config()
         library = get_library()
         snap = AigSnapshot.capture(aig)
         col_scalar = _MetricCollector()
         col_batch = _MetricCollector()
-        _eval_tasks_scalar(snap, tasks, config, col_scalar, library)
+        eval_tasks_scalar(snap, tasks, config, col_scalar, library)
         eval_tasks_columnar(snap, tasks, config, library, observer=col_batch)
-        batch_only = ("eval_vectorized_candidates_total",
-                      "eval_scalar_fallback_total")
         shared = {k: v for k, v in col_batch.counts.items()
-                  if k[0] not in batch_only}
+                  if k[0] != "eval_vectorized_candidates_total"}
         assert shared == col_scalar.counts
         # Histogram observations arrive in the exact scalar order (the
         # engine walks tasks in worklist order); the batch-only series
@@ -188,10 +189,9 @@ class TestEvalTasksColumnar:
         sim_obs = [o for o in col_batch.observations
                    if o[0] in ("cuts_per_node", "gain")]
         assert sim_obs == col_scalar.observations
-        # Every structure evaluation on 4-input cuts rides the kernels.
+        # Every structure evaluation rides the kernels.
         vec = col_batch.counts.get(("eval_vectorized_candidates_total", ()), 0)
         assert vec > 0
-        assert col_batch.counts.get(("eval_scalar_fallback_total", ()), 0) == 0
         names = [o[0] for o in col_batch.observations]
         assert names.count("eval_batch_size") == 1
         assert names.count("eval_kernel_seconds") == 2
@@ -233,7 +233,57 @@ class TestRunEvalBatched:
         assert stage.committed == len(live)
         # The oracle path emits no batch telemetry at all.
         assert all(
-            key[0] not in ("eval_vectorized_candidates_total",
-                           "eval_scalar_fallback_total")
+            key[0] != "eval_vectorized_candidates_total"
             for key in getattr(ex.obs, "counts", {})
         )
+
+
+class _TwoStructureLibrary:
+    """Serves hand-built structures for one NPN class, nothing else."""
+
+    def __init__(self, canon, structures):
+        self.canon = canon
+        self._structures = tuple(structures)
+
+    def structures(self, canon_tt):
+        return self._structures if canon_tt == self.canon else ()
+
+
+class TestBranchAndBound:
+    def test_later_gain_tie_with_fewer_added_nodes_still_wins(self):
+        # root = ((a & b) & c) & d with a three-node MFFC.  The first
+        # structure adds two nodes (gain 3 - 2 = 1); the second revives
+        # a & b from the MFFC and adds one (gain 2 - 1 = 1), then walks
+        # one more (folding) node *at* the bound: it must win the tie
+        # on added nodes — the pruning test is strict.
+        from repro.library.structures import Structure
+
+        aig = Aig()
+        a, b, c, d = (aig.add_pi() for _ in range(4))
+        m1 = aig.and_(a, b)
+        m2 = aig.and_(m1, c)
+        root_lit = aig.and_(m2, d)
+        aig.add_po(root_lit)
+        root = lit_var(root_lit)
+        config = dataclasses.replace(dacpara_config(), npn_classes="all222")
+        cutman = CutManager(aig, k=4, max_cuts=12)
+        table = cutman.eval_harvest([root])
+        wide = [i for i in range(len(table.tt))
+                if table.leaves[i].tolist() == [lit_var(x) for x in (a, b, c, d)]]
+        assert len(wide) == 1
+        canon, transform = npn_canon(int(table.tt[wide[0]]))
+        # Structure literal reading leaf position ``pos`` uncomplemented.
+        plain = {pos: ((1 + i) << 1) | int(neg)
+                 for i, (pos, neg) in enumerate(transform.leaf_assignment())}
+        two_new = Structure(nodes=((plain[0] ^ 1, plain[1]),
+                                   (5 << 1, plain[2] ^ 1)), out=6 << 1)
+        revive_one_new = Structure(nodes=((plain[0], plain[1]),
+                                          (5 << 1, plain[2] ^ 1),
+                                          (6 << 1, 6 << 1)), out=7 << 1)
+        library = _TwoStructureLibrary(canon, (two_new, revive_one_new))
+        got = eval_tasks_columnar(aig, table, config, library)
+        assert got == eval_tasks_scalar(aig, table, config,
+                                        _MetricCollector(), library)
+        (_, candidate, units), = got
+        assert candidate.structure is revive_one_new and candidate.gain == 1
+        assert units == sum(len(s.nodes) + 2 for s in library._structures)

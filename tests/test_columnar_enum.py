@@ -27,6 +27,7 @@ from repro.config import dacpara_config
 from repro.core.operators import StageContext, make_enum_operator
 from repro.cuts import CutManager
 from repro.cuts.cut import Cut
+from repro.cuts.manager import CutBlock
 from repro.errors import CutError
 from repro.galois.procpool import _MetricCollector
 from repro.galois.simsched import SimulatedExecutor
@@ -164,9 +165,9 @@ class TestMergeIdentity:
         assert tasks  # the worklist path is actually exercised
         merged = fresh.merge_tasks_columnar(tasks)
         assert [m[0] for m in merged] == [t[0] for t in tasks]  # task order
-        for (root, f0, f1, c0, c1), (_, cuts, pairs) in zip(tasks, merged):
-            assert pairs == len(c0) * len(c1)
-            assert cuts == scalar.fresh_cuts(root)
+        for (root, f0, f1, b0, b1), (_, block, pairs) in zip(tasks, merged):
+            assert pairs == b0.cnt * b1.cnt
+            assert fresh._materialize(block) == scalar.fresh_cuts(root)
 
     def test_merge_tasks_columnar_charges_no_work(self):
         aig = mtm_like(num_pis=12, num_nodes=120, seed=5)
@@ -187,7 +188,8 @@ class TestMergeIdentity:
 
     def test_enum_tasks_columnar_entry_point(self):
         # The worker-side entry: a throwaway manager over a snapshot
-        # merges object-form tasks harvested in the parent.
+        # merges the rows the parent exported, and the parent imports
+        # the result rows as blocks — equal to its own batch merge.
         aig = mtm_like(num_pis=12, num_nodes=120, seed=6)
         cutman = CutManager(aig, k=4, max_cuts=12)
         tasks = []
@@ -197,10 +199,19 @@ class TestMergeIdentity:
                 tasks.append((v,) + harvest)
             else:
                 cutman.fresh_cuts(v)
+        vectors, rows = cutman.export_tasks(tasks)
+        # Shared fanin blocks ship once: fewer rows than block references.
+        assert len(rows[1]) < sum(t[3].cnt + t[4].cnt for t in tasks)
         worker = CutManager(AigSnapshot.capture(aig), k=4, max_cuts=12)
-        got = worker.merge_tasks_columnar(tasks)
-        assert got == cutman.merge_tasks_columnar(tasks)
-        assert worker.work == 0 and worker.vec_pairs == sum(m[2] for m in got)
+        roots, counts, *columns = worker.merge_exported(*vectors, rows)
+        assert roots.tolist() == [t[0] for t in tasks]
+        assert counts.sum() == len(columns[0])
+        blocks = cutman.import_blocks(counts, *columns)
+        want = cutman.merge_tasks_columnar(tasks)
+        assert [cutman._materialize(b) for b in blocks] == \
+               [cutman._materialize(m[1]) for m in want]
+        assert worker.work == 0
+        assert worker.vec_pairs == sum(m[2] for m in want)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +260,15 @@ class TestKernelEqualsScalarProperty:
         f0, f1 = 2 * 5 + (compl & 1), 2 * 6 + (compl >> 1)
         kernel = CutManager(aig, k=k, max_cuts=max_cuts, columnar=True)
         oracle = CutManager(aig, k=k, max_cuts=max_cuts, columnar=False)
-        got = kernel.merge_fanin_sets(root, f0, f1, c0, c1)
-        want = oracle.merge_fanin_sets(root, f0, f1, c0, c1)
+        task = (root, f0, f1, CutBlock(-1, len(c0), c0), CutBlock(-1, len(c1), c1))
+        (_, block, pairs), = kernel.merge_tasks_columnar([task])
+        got = kernel._materialize(block)
+        want = oracle._merge_scalar(root, f0, f1, c0, c1)
         # Cut equality covers leaves, tt and leaf_stamps; list equality
         # covers order and the max_cuts cut; the cached sign is extra.
         assert got == want
         assert [c.sign for c in got] == [c.sign for c in want]
-        assert kernel.work == oracle.work == len(c0) * len(c1)
+        assert pairs == kernel.vec_pairs == len(c0) * len(c1)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +357,7 @@ class TestLazyMaterialization:
             lazy.prime_liveness(levels[lv], fanins=True)
             tasks = []
             for v in levels[lv]:
-                harvest = lazy.enum_harvest(v, resident=True)
+                harvest = lazy.enum_harvest(v)
                 assert harvest is not None
                 tasks.append((v,) + harvest)
             for root, block, pairs in lazy.merge_tasks_columnar(tasks):
@@ -357,7 +370,7 @@ class TestLazyMaterialization:
             assert lazy._cache[v].cuts is None
             assert lazy.cuts(v) == eager.cuts(v), v
             assert lazy.cuts(v) is lazy.cuts(v)  # materialized once
-        columns = lazy.eval_harvest(aig.topo_ands(), resident=True)
+        columns = lazy.eval_harvest(aig.topo_ands())
         flat = [c for v in columns.roots for c in eager.cuts(v)]
         assert [columns.cut(i) for i in range(len(flat))] == flat
 

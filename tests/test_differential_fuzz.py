@@ -396,6 +396,54 @@ def test_fuzz_pool_sized(seed):
     assert shipped > 0  # the pool genuinely ran; not an in-parent pass
 
 
+def test_pool_computed_cut_sets_stay_resident(monkeypatch):
+    # Residency regression: pool-computed sets come back as rows and are
+    # installed as arena blocks, so the process run materializes no more
+    # ``Cut`` objects than the simulated one, and liveness of a
+    # pool-installed block is never the per-cut scalar scan (only the
+    # object-only trivial sets of non-AND nodes take that branch).
+    from repro.cuts import manager
+
+    base = mtm_like(num_pis=12, num_nodes=250, seed=101)
+    built = []
+    scanned = []
+    real_build = manager._build_cuts
+    real_alive = manager.cut_is_stamp_alive
+
+    def counting_build(leaves, tt, stamps, sign):
+        built.append(len(tt))
+        return real_build(leaves, tt, stamps, sign)
+
+    def recording_alive(aig, cut):
+        scanned.append(len(cut.leaves) == 1 and not aig.is_and(cut.leaves[0]))
+        return real_alive(aig, cut)
+
+    monkeypatch.setattr(manager, "_build_cuts", counting_build)
+    monkeypatch.setattr(manager, "cut_is_stamp_alive", recording_alive)
+    r_sim, a_sim = _run(base, "simulated")
+    built_sim = sum(built)
+    del built[:], scanned[:]
+
+    aig = copy.deepcopy(base)
+    obs = TracingObserver()
+    engine = DACParaRewriter(
+        config=dacpara_config(workers=5), executor_kind="process",
+        jobs=2, observer=obs,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_proc = engine.run(aig)
+    assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
+    assert aig_fingerprint(aig) == aig_fingerprint(a_sim)
+    counters = obs.metrics.snapshot()["counters"]
+    for stage in ("enum", "eval"):  # rows genuinely crossed, both ways
+        for direction in ("out", "back"):
+            key = f"fanout_payload_bytes_total{{dir={direction},stage={stage}}}"
+            assert counters[key] > 0
+    assert sum(built) <= built_sim
+    assert all(scanned)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", SLOW_SEEDS)
 def test_fuzz_full_sweep(seed):
