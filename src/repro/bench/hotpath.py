@@ -7,11 +7,11 @@ Three timings, written to ``BENCH_hotpath.json`` (``repro bench`` or
   versus the per-call 768-transform exhaustive search.  LUT build time
   is reported separately and excluded from the lookup rate: the build
   is paid once per process, the lookups dominate every rewrite pass.
-* **cut-enumeration** — k-feasible cut enumeration throughput on a
-  generated MtM-like circuit: the scalar per-pair merge loop versus
-  the columnar worklist kernels (``columnar_enum``), with an in-bench
-  assertion that both produce identical cut sets and work charges,
-  plus the truth-table expand-cache hit counters.
+* **cut-enumeration** — k-feasible cut enumeration throughput of the
+  columnar worklist kernels on a generated MtM-like circuit (identity
+  with the per-pair reference merge is a test, ``tests/
+  test_columnar_enum.py``; end-to-end throughput is the ladder's
+  ``cuts.merge_kernel_s``).
 * **eval-stage** — end-to-end evaluation-stage throughput, simulated
   executor versus the process-pool executor (same circuit, same cuts),
   the latter at the default job count and again at a multi-job count
@@ -21,8 +21,8 @@ Three timings, written to ``BENCH_hotpath.json`` (``repro bench`` or
   the scalar per-cut loop versus the columnar batch engine
   (:func:`~repro.rewrite.columnar.eval_tasks_columnar`) on the same
   snapshot and cuts, with an in-bench assertion that both produce
-  identical candidates.  This isolates the kernel-level speedup the
-  ``columnar_eval`` config knob buys.
+  identical candidates.  This isolates the kernel-level speedup of
+  the batch engine over the loop the baseline engines run.
 * **degraded-eval** — the same process fan-out with injected faults
   (one chunk raises, one chunk SIGKILLs its worker): what chunk
   retries and a pool restart cost relative to the healthy run.
@@ -38,9 +38,8 @@ any serialization overheads; on a single-core container the process
 executor is *expected* to trail the simulated one (snapshot pickling
 with no cores to amortize it over).  The CI gate only asserts the
 machine-independent invariants: the LUT must beat the scalar search,
-batch eval and columnar enumeration must clearly beat (and match)
-their scalar loops, and snapshot deltas must undercut full
-recaptures.
+batch eval must clearly beat (and match) its scalar loop, and snapshot
+deltas must undercut full recaptures.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import time
 from typing import Dict, Optional
 
 from ..config import dacpara_config
-from ..core.operators import StageContext, make_eval_operator
+from ..core.operators import StageContext
 from ..cuts import CutManager
 from ..galois import ProcessExecutor, SimulatedExecutor
 from ..library import get_library
@@ -102,13 +101,10 @@ def _bench_npn_canon(quick: bool) -> Dict[str, object]:
 
 
 def _bench_cut_enumeration(quick: bool) -> Dict[str, object]:
-    """Cut enumeration throughput: the scalar per-pair merge loop
-    versus the columnar worklist kernels (``enum_harvest`` →
-    ``merge_tasks_columnar`` → ``install_cuts``, level by level — the
-    same driver shape the executors' batched enum stage uses).  Both
-    paths are asserted to produce identical per-root cut sets and
-    identical work charges before anything is timed; this is the
-    number the ``columnar_enum`` knob moves.
+    """Cut enumeration throughput of the columnar worklist kernels
+    (``enum_harvest`` → ``merge_tasks_columnar`` → ``install_cuts``,
+    level by level — the same driver shape the executors' batched enum
+    stage uses).
     """
     aig = mtm_like(num_pis=24, num_nodes=400 if quick else 2000, seed=3)
     live = aig.topo_ands()
@@ -117,13 +113,7 @@ def _bench_cut_enumeration(quick: bool) -> Dict[str, object]:
         levels.setdefault(aig.level(v), []).append(v)
     level_order = sorted(levels)
 
-    def run_scalar() -> CutManager:
-        cutman = CutManager(aig, k=4, max_cuts=12, columnar=False)
-        for root in live:
-            cutman.fresh_cuts(root)
-        return cutman
-
-    def run_columnar() -> CutManager:
+    def enumerate_all() -> CutManager:
         cutman = CutManager(aig, k=4, max_cuts=12)
         for lv in level_order:
             tasks, rest = [], []
@@ -140,46 +130,27 @@ def _bench_cut_enumeration(quick: bool) -> Dict[str, object]:
                 cutman.fresh_cuts(root)
         return cutman
 
-    # Warm-up doubles as the identity check: per-root cut sets and the
-    # work counter must be byte-identical across engines.
-    scalar_man = run_scalar()
-    columnar_man = run_columnar()
-    identical = all(
-        scalar_man.fresh_cuts(v) == columnar_man.fresh_cuts(v) for v in live
-    ) and scalar_man.work == columnar_man.work
-    total_cuts = sum(len(scalar_man.fresh_cuts(v)) for v in live)
+    warm = enumerate_all()  # warm-up
+    total_cuts = sum(len(warm.fresh_cuts(v)) for v in live)
 
-    # Interleaved best-of-N: single-core containers are noisy and a
-    # min-of-mins pairs each path's best run against the other's.
+    # Best-of-N: single-core containers are noisy.
     reps = 2 if quick else 3
-    scalar_times, columnar_times = [], []
+    times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        run_scalar()
-        scalar_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_columnar()
-        columnar_times.append(time.perf_counter() - t0)
-    scalar_seconds = min(scalar_times)
-    columnar_seconds = min(columnar_times)
+        enumerate_all()
+        times.append(time.perf_counter() - t0)
+    seconds = min(times)
 
     return {
         "circuit": aig.name,
         "nodes": len(live),
         "cuts": total_cuts,
         "reps": reps,
-        "identical_results": identical,
-        "scalar_seconds": round(scalar_seconds, 6),
-        "scalar_cuts_per_second": round(total_cuts / scalar_seconds, 1)
-        if scalar_seconds > 0 else None,
-        "seconds": round(columnar_seconds, 6),
-        "cuts_per_second": round(total_cuts / columnar_seconds, 1)
-        if columnar_seconds > 0 else None,
-        "speedup": round(scalar_seconds / columnar_seconds, 2)
-        if columnar_seconds > 0 else None,
-        "vectorized_pairs": columnar_man.vec_pairs,
-        "cache_hits": scalar_man.cache_hits,
-        "cache_misses": scalar_man.cache_misses,
+        "seconds": round(seconds, 6),
+        "cuts_per_second": round(total_cuts / seconds, 1)
+        if seconds > 0 else None,
+        "vectorized_pairs": warm.vec_pairs,
     }
 
 
@@ -202,7 +173,7 @@ def _bench_eval_stage(quick: bool, jobs: Optional[int]) -> Dict[str, object]:
     ctx = _eval_context(aig)
     sim = SimulatedExecutor(8)
     t0 = time.perf_counter()
-    sim.run("eval", live, make_eval_operator(ctx))
+    sim.run_eval("eval", live, ctx)
     simulated_seconds = time.perf_counter() - t0
 
     def timed_process(n_jobs):
@@ -243,9 +214,8 @@ def _bench_eval_stage(quick: bool, jobs: Optional[int]) -> Dict[str, object]:
 def _bench_batch_eval(quick: bool) -> Dict[str, object]:
     """Candidate scoring alone: scalar per-cut loop versus the
     columnar batch engine, on the same snapshot and pre-enumerated
-    cuts.  No executor or replay in the loop — this is the number the
-    ``columnar_eval`` knob moves.  Both paths are asserted to produce
-    identical candidate lists before anything is timed.
+    cuts.  No executor or replay in the loop.  Both paths are asserted
+    to produce identical candidate lists before anything is timed.
     """
     from ..aig.snapshot import AigSnapshot
     from ..galois.procpool import _MetricCollector
@@ -452,7 +422,7 @@ def _bench_sharded_rewrite(quick: bool, jobs: Optional[int]) -> Dict[str, object
 
     from ..aig.simulate import random_simulation
     from ..core.dacpara import DACParaRewriter
-    from ..core.partition import extract_regions
+    from ..core.partition import plan_regions
 
     num_nodes = 2000 if quick else 52000
     shard_min_nodes = 64 if quick else 256
@@ -462,7 +432,7 @@ def _bench_sharded_rewrite(quick: bool, jobs: Optional[int]) -> Dict[str, object
 
     base = fresh()
     base_sig = random_simulation(base, width=256, seed=1)
-    plan = extract_regions(base, 4, shard_min_nodes)
+    plan = plan_regions(base, 4, shard_min_nodes)[0]
     # Single-core default resolves to one job, which serializes the
     # shard fan-out entirely; force enough jobs to cover the shards.
     used_jobs = jobs if jobs is not None else max(4, os.cpu_count() or 1)

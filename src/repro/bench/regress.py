@@ -35,7 +35,6 @@ TRACKED_METRICS: Tuple[Tuple[str, str], ...] = (
     ("npn_canon.lut_lookups_per_second", "higher"),
     ("npn_canon.speedup", "higher"),
     ("cut_enumeration.cuts_per_second", "higher"),
-    ("cut_enumeration.speedup", "higher"),
     ("eval_stage.simulated_nodes_per_second", "higher"),
     ("eval_stage.process_nodes_per_second", "higher"),
     ("eval_stage.multijob_nodes_per_second", "higher"),

@@ -129,14 +129,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
         config_updates["shard_passes"] = args.shard_passes
     if args.no_boundary_cleanup:
         config_updates["boundary_cleanup"] = False
-    if args.scalar_eval:
-        config_updates["columnar_eval"] = False
-    if args.scalar_enum:
-        config_updates["columnar_enum"] = False
     if args.no_shm:
         config_updates["shared_memory"] = False
-    if args.no_enum_fanout:
-        config_updates["enum_fanout"] = False
     if args.delta_max_fraction is not None:
         config_updates["delta_max_fraction"] = args.delta_max_fraction
     if args.chunk_timeout is not None:
@@ -314,27 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
              "sharded passes (faster, recovers less area)",
     )
     p_rw.add_argument(
-        "--scalar-eval", action="store_true",
-        help="score candidates with the per-cut scalar loop instead of "
-             "the columnar batch kernels (slower; the differential "
-             "oracle the batch engine is pinned against)",
-    )
-    p_rw.add_argument(
-        "--scalar-enum", action="store_true",
-        help="merge fanin cut sets with the per-pair scalar loop "
-             "instead of the columnar union/dominance kernels (slower; "
-             "the differential oracle the batch merge is pinned "
-             "against)",
-    )
-    p_rw.add_argument(
         "--no-shm", action="store_true",
         help="ship base snapshots by pickle instead of "
              "multiprocessing.shared_memory (--executor process)",
-    )
-    p_rw.add_argument(
-        "--no-enum-fanout", action="store_true",
-        help="keep cut enumeration in-parent; only evaluation fans out "
-             "(--executor process)",
     )
     p_rw.add_argument(
         "--delta-max-fraction", type=float, default=None, metavar="F",
@@ -435,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="exit nonzero unless the machine-independent invariants "
              "hold (NPN LUT beats scalar, batch eval >=2x scalar and "
-             "identical, columnar cut enumeration >=2x scalar and "
              "identical, snapshot deltas >=5x smaller, sharded rewrite "
              "and sharded QoR runs functionally equivalent to base)",
     )
@@ -486,11 +461,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     cuts = report["cut_enumeration"]
     print(
-        f"cut-enum: columnar {cuts['cuts_per_second']:.0f} cuts/s vs "
-        f"scalar {cuts['scalar_cuts_per_second']:.0f} cuts/s "
-        f"(speedup {cuts['speedup']:.1f}x, "
-        f"identical={cuts['identical_results']}), "
-        f"tt-cache hits/misses {cuts['cache_hits']}/{cuts['cache_misses']}"
+        f"cut-enum: {cuts['cuts_per_second']:.0f} cuts/s "
+        f"({cuts['vectorized_pairs']} pairs merged)"
     )
     ev = report["eval_stage"]
     print(
@@ -559,19 +531,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(
             f"CHECK FAILED: batch eval not >=2x faster than scalar "
             f"(speedup {be['speedup']}x)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and not cuts["identical_results"]:
-        print(
-            "CHECK FAILED: columnar cut enumeration differs from scalar",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and (cuts["speedup"] is None or cuts["speedup"] < 2.0):
-        print(
-            f"CHECK FAILED: columnar cut enumeration not >=2x faster "
-            f"than scalar (speedup {cuts['speedup']}x)",
             file=sys.stderr,
         )
         return 1

@@ -46,10 +46,6 @@ class RewriteConfig:
     # workers attach by name instead of unpickling it; falls back to
     # pickle transparently where shared memory is unavailable.
     shared_memory: bool = True
-    # Fan the cut-enumeration stage out through the process pool too
-    # (evaluation always fans out); results are replayed through the
-    # simulated scheduler either way, so this only affects wall-clock.
-    enum_fanout: bool = True
     # Deadline for one fanned-out chunk: a chunk that outlives it is
     # computed in-parent and the (presumed wedged) pool is restarted.
     # None disables the deadline (a hung worker then hangs the stage).
@@ -87,31 +83,12 @@ class RewriteConfig:
     # former boundary and dangling nodes, recovering seam-crossing cuts
     # no shard could see.  Only meaningful with shards > 1.
     boundary_cleanup: bool = True
-    # Evaluation-stage engine: True scores whole chunks of candidates
-    # through the columnar batch kernels (numpy NPN/class gathers plus
-    # a deref-hoisted scoring loop over flat columns); False routes
-    # every candidate through the per-call scalar path — slower, kept
-    # as the differential oracle for the batch engine.  Results are
-    # byte-identical either way (pinned by tests/test_differential_
-    # fuzz.py across all four executors).
-    columnar_eval: bool = True
-    # Enumeration-stage engine: True merges fanin cut sets through the
-    # columnar batch kernels (one numpy union/feasibility kernel over
-    # a whole worklist of harvested roots, plus signature-driven
-    # dominance filtering); False keeps every merge on the per-pair
-    # scalar loop — slower, kept as the differential oracle.  Results,
-    # work charges and replay are byte-identical either way (pinned by
-    # tests/test_differential_fuzz.py across all four executors).
-    columnar_enum: bool = True
     # Worker-side wall-clock telemetry for the process executor: each
     # chunk ships its phase spans back for the observer's WallTimeline.
     # Only active when a tracing observer is attached (the no-op
     # observer records nothing either way); False silences it even
     # under tracing.
     wall_telemetry: bool = True
-    # Chunk telemetry records the flight-recorder ring keeps for
-    # post-mortem dumps on quarantine / pool restart.
-    flight_recorder_size: int = 64
 
     def __post_init__(self) -> None:
         if self.cut_size != 4:
@@ -139,8 +116,6 @@ class RewriteConfig:
             raise ConfigError("chunk_max_retries must be >= 0")
         if self.pool_restart_budget < 0:
             raise ConfigError("pool_restart_budget must be >= 0")
-        if self.flight_recorder_size < 1:
-            raise ConfigError("flight_recorder_size must be >= 1")
         if self.shards < 1:
             raise ConfigError("shards must be >= 1")
         if self.shard_min_nodes < 1:

@@ -10,7 +10,7 @@ from ..config import (
     iccad18_config,
 )
 from .dacpara import DACParaRewriter
-from .partition import Shard, ShardPlan, extract_regions, node_dividing
+from .partition import Shard, ShardPlan, node_dividing
 from .prep_info import PrepInfo
 from .validation import (
     ShardMergeStats,
@@ -31,7 +31,6 @@ __all__ = [
     "node_dividing",
     "Shard",
     "ShardPlan",
-    "extract_regions",
     "PrepInfo",
     "ShardMergeStats",
     "ValidationStats",

@@ -22,12 +22,7 @@ from ..library import StructureLibrary, get_library
 from ..obs.observer import NULL_OBSERVER, Observer
 from ..rewrite.result import RewriteResult
 from ..config import RewriteConfig, dacpara_config
-from .operators import (
-    StageContext,
-    make_enum_operator,
-    make_eval_operator,
-    make_replace_operator,
-)
+from .operators import StageContext, make_replace_operator
 from .partition import node_dividing
 
 
@@ -97,22 +92,6 @@ class DACParaRewriter:
         executor = make_executor(
             self.executor_kind, config.workers, observer=obs, jobs=self.jobs
         )
-        # Every executor now evaluates natively through the columnar
-        # batch engine (results replay byte-identically either way).
-        # Fan-out executors recreate the library lookup inside workers
-        # via ``get_library()``, so a custom library keeps those on the
-        # generic operator path; in-process executors score against
-        # ``self.library`` directly and take any library.
-        native_eval = getattr(executor, "supports_native_eval", False) and (
-            not getattr(executor, "native_eval_needs_default_library", True)
-            or self.library is get_library()
-        )
-        # Native enumeration needs no library: every executor batches
-        # the merges through the columnar cut kernels (the process
-        # executor additionally fans them out when ``enum_fanout`` is
-        # on) and replays byte-identically, so this only moves merge
-        # work onto kernels and worker cores.
-        native_enum = getattr(executor, "supports_native_enum", False)
         result = RewriteResult(
             engine=self.name,
             workers=config.workers,
@@ -121,16 +100,11 @@ class DACParaRewriter:
             delay_before=aig.max_level(),
             delay_after=aig.max_level(),
         )
-        cutman = CutManager(
-            aig, k=config.cut_size, max_cuts=config.max_cuts,
-            columnar=config.columnar_enum,
-        )
+        cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
         ctx = StageContext(
             aig=aig, cutman=cutman, library=self.library, config=config,
             validate=self.validate, observer=obs,
         )
-        enum_op = make_enum_operator(ctx)
-        eval_op = make_eval_operator(ctx)
         replace_op = make_replace_operator(ctx)
 
         run_span = None
@@ -170,14 +144,11 @@ class DACParaRewriter:
                             size=len(live),
                         )
                         obs.observe("worklist_occupancy", len(live))
-                    if native_enum:
-                        executor.run_enum("enum", live, ctx)
-                    else:
-                        executor.run("enum", live, enum_op)
-                    if native_eval:
-                        executor.run_eval("eval", live, ctx)
-                    else:
-                        executor.run("eval", live, eval_op)
+                    # The two read stages precompute the whole worklist
+                    # as one columnar batch and replay it through the
+                    # scheduler; replacement mutates root by root.
+                    executor.run_enum("enum", live, ctx)
+                    executor.run_eval("eval", live, ctx)
                     pending = [v for v in live if ctx.prep_info.get(v) is not None]
                     if pending:
                         executor.run("replace", pending, replace_op)
@@ -196,12 +167,6 @@ class DACParaRewriter:
             for cause, n in ctx.validation_stats.as_dict().items():
                 if n:
                     obs.count("validation_causes_total", n, cause=cause)
-            if cutman.cache_hits or cutman.cache_misses:
-                obs.count("cut_tt_cache_hits_total", cutman.cache_hits)
-                obs.count("cut_tt_cache_misses_total", cutman.cache_misses)
-            if cutman.expand_evictions:
-                obs.count("cut_expand_cache_evictions_total",
-                          cutman.expand_evictions)
             if cutman.vec_pairs:
                 obs.count("enum_vectorized_pairs_total", cutman.vec_pairs)
 

@@ -1,4 +1,4 @@
-"""The three DACPara operators (Sections 4.2-4.4).
+"""The DACPara operators (Sections 4.2-4.4).
 
 Each operator is a cautious Galois generator (see
 :mod:`repro.galois.activity`).  The division of labour is the paper's
@@ -6,7 +6,10 @@ central idea:
 
 * **enumeration** — short, locks the node and its cut region;
 * **evaluation** — the >90 %-of-runtime stage, *entirely lock-free*
-  (reads the graph, writes only its own ``prepInfo`` slot);
+  (reads the graph, writes only its own ``prepInfo`` slot): its
+  operator is the replay generator of
+  :func:`repro.rewrite.columnar.run_eval_batched`, which scores the
+  whole worklist as one batch first;
 * **replacement** — validates the stored result against the latest
   graph, then holds locks only for the short splice-in.
 
@@ -27,7 +30,7 @@ from ..cuts import CutManager
 from ..galois import Phase
 from ..library import StructureLibrary
 from ..obs.observer import NULL_OBSERVER, Observer
-from ..rewrite.base import WorkMeter, apply_candidate, find_best_candidate
+from ..rewrite.base import WorkMeter, apply_candidate
 from ..config import RewriteConfig
 from .prep_info import PrepInfo
 from .validation import ValidationStats, validate_candidate
@@ -80,32 +83,6 @@ def make_enum_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, No
         region: Set[int] = {root}
         region.update(ctx.cutman.last_computed)
         yield Phase(locks=region, cost=cost)
-
-    return operator
-
-
-def make_eval_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, None, None]]:
-    """Parallel evaluation (Section 4.3) — no locks at all.
-
-    Uniqueness of evaluation data is guaranteed by construction: MFFC
-    membership is computed against thread-local shadow reference counts
-    (never the shared ones), library structures are immutable, and the
-    strash probing is read-only.  The result lands in the activity's
-    own ``prepInfo`` slot.
-    """
-
-    def operator(root: int) -> Generator[Phase, None, None]:
-        aig = ctx.aig
-        if aig.is_dead(root):
-            return
-        meter = WorkMeter()
-        candidate = find_best_candidate(
-            aig, root, ctx.cutman, ctx.library, ctx.config, meter,
-            observer=ctx.observer,
-        )
-        ctx.meter.add(meter.units)
-        yield Phase(locks=(), cost=meter.units + 1)
-        ctx.prep_info.store(root, candidate)
 
     return operator
 

@@ -11,7 +11,7 @@ Two granularities of divide-and-conquer live here:
   later groups may *drift* into containing related nodes — the
   situation Sections 4.2 and 4.4 of the paper deal with.
 
-* :func:`extract_regions` — whole-graph sharding.  The same Theorem-1
+* :func:`plan_regions` — whole-graph sharding.  The same Theorem-1
   independence argument extends from levels to TFI/TFO-disjoint
   *regions*: PO cones are grouped into contiguous, size-balanced
   blocks, and every node reaching the POs of exactly one block is
@@ -324,17 +324,6 @@ def plan_regions(
         rotation=rotation,
     )
     return plan, None
-
-
-def extract_regions(
-    aig: Aig, num_shards: int, min_nodes: int = 1, rotation: int = 0
-) -> Optional[ShardPlan]:
-    """Back-compatible wrapper around :func:`plan_regions` dropping the
-    fallback reason."""
-    plan, _reason = plan_regions(
-        aig, num_shards, min_nodes=min_nodes, rotation=rotation
-    )
-    return plan
 
 
 def cleanup_region(aig: Aig, targets: Iterable[int]) -> Set[int]:

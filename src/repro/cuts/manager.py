@@ -15,10 +15,10 @@ kernel reads fanin rows from the arena and appends result blocks to
 it, liveness is a vector compare against a life/kind mirror of the
 graph, and the evaluation engine reads the columns directly.
 :class:`~repro.cuts.cut.Cut` objects are materialized lazily, only at
-API edges: :meth:`CutManager.cuts`, the winning ``Candidate.cut`` and
-the scalar merge kept as the byte-identical differential oracle
-(``columnar=False``, config ``columnar_enum``/``rewrite
---scalar-enum``).  Rows also are what crosses the process boundary
+API edges: :meth:`CutManager.cuts` and the winning ``Candidate.cut``
+(the per-pair merge that builds every ``Cut`` is the reference in
+``tests/reference.py``, a subclass overriding :meth:`CutManager.
+_merge_node`).  Rows also are what crosses the process boundary
 (:meth:`CutManager.export_tasks` / :meth:`CutManager.merge_exported` /
 :meth:`CutManager.import_blocks`), by value and never as offsets.
 DESIGN.md "cut-merge kernel" has the soundness arguments and the
@@ -44,7 +44,6 @@ from ..npn.truth import (
     CUT_LEAF_SENTINEL,
     batch_cut_signs,
     batch_union_leaves,
-    expand,
     full_mask,
     lift_lut,
 )
@@ -53,12 +52,7 @@ from .cut import Cut, cut_is_stamp_alive, trivial_cut
 DEFAULT_MAX_CUTS = 12
 
 # Masks indexed by cut width; merge never recomputes full_mask().
-_FULL_MASKS = tuple(full_mask(n) for n in range(5))
-_FULL_MASKS_ARR = np.array(_FULL_MASKS, dtype=np.int64)
-
-# Default bound on the truth-table expansion memo (entries); FIFO
-# eviction past this keeps a long-lived manager's footprint flat.
-DEFAULT_EXPAND_CACHE_CAP = 1 << 16
+_FULL_MASKS_ARR = np.array([full_mask(n) for n in range(5)], dtype=np.int64)
 
 # ``leaf & _ID_MASK`` maps the sentinel pad to var 0 (the constant node,
 # which never dies), so padded rows index the life/kind mirror safely;
@@ -188,16 +182,12 @@ class CutManager:
         aig: Aig,
         k: int = 4,
         max_cuts: Optional[int] = DEFAULT_MAX_CUTS,
-        columnar: bool = True,
-        expand_cache_cap: Optional[int] = DEFAULT_EXPAND_CACHE_CAP,
     ):
         if k < 2 or k > 4:
             raise CutError(f"cut size {k} unsupported (needs 2..4)")
         self.aig = aig
         self.k = k
         self.max_cuts = max_cuts
-        self.columnar = columnar
-        self.expand_cache_cap = expand_cache_cap
         self.work = 0  # merge operations performed (cost model input)
         # Vars the most recent cuts() call had to merge (the operators'
         # lock region for the shared recursion).
@@ -210,12 +200,6 @@ class CutManager:
         # mutation journal.
         self._epoch: Optional[int] = None
         self._life = None
-        # Scalar oracle's expansion memo, (tt, src, dst) -> table, with
-        # the hit/miss/eviction counters the observer reports.
-        self._expand_cache: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.expand_evictions = 0
         self.vec_pairs = 0  # pairs merged by the kernel (observer counter)
 
     # ------------------------------------------------------------------
@@ -266,14 +250,9 @@ class CutManager:
         return dropped
 
     def clear(self) -> None:
-        """Drop all caches and reset the per-run memo counters, so
-        counter deltas across :meth:`clear` boundaries are meaningful."""
+        """Drop every cached cut set and the arena rows behind them."""
         self._cache.clear()
         self._arena = _Arena()
-        self._expand_cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.expand_evictions = 0
 
     # ------------------------------------------------------------------
     # Resolution and liveness
@@ -486,22 +465,9 @@ class CutManager:
     # ------------------------------------------------------------------
     # Merging
 
-    def _live_cuts(self, var: int) -> List[Cut]:
-        block = self._cache.get(var)
-        if block is None:
-            raise CutError(
-                f"no cached cut set for node {var}: enumerate it first "
-                f"(cuts()/install_cuts())"
-            )
-        cuts = self._materialize(block)
-        if self._all_alive(block):
-            return list(cuts)
-        live = [c for c in cuts if cut_is_stamp_alive(self.aig, c)]
-        return live if live else [trivial_cut(self.aig, var)]
-
     def _live_rows(self, var: int) -> "np.ndarray":
         """Arena row indices of ``var``'s live cuts (the trivial cut's
-        row when none survive): the kernel-side :meth:`_live_cuts`."""
+        row when none survive)."""
         block = self._cache[var]  # fanin entries are resolved first
         self._stage([block])
         if not self._all_alive(block):
@@ -515,13 +481,7 @@ class CutManager:
     def _merge_node(self, v: int) -> CutBlock:
         aig = self.aig
         f0, f1 = aig.fanin0(v), aig.fanin1(v)
-        v0, v1 = lit_var(f0), lit_var(f1)
-        if not self.columnar:
-            c0_all, c1_all = self._live_cuts(v0), self._live_cuts(v1)
-            self.work += len(c0_all) * len(c1_all)
-            cuts = self._merge_scalar(v, f0, f1, c0_all, c1_all)
-            return CutBlock(-1, len(cuts), cuts)
-        rows0, rows1 = self._live_rows(v0), self._live_rows(v1)
+        rows0, rows1 = self._live_rows(lit_var(f0)), self._live_rows(lit_var(f1))
         n_pairs = len(rows0) * len(rows1)
         self.work += n_pairs
         self.vec_pairs += n_pairs
@@ -642,7 +602,7 @@ class CutManager:
         k = self.k
         n_tasks = len(roots)
 
-        # Row-major pair grid per task (c0 outer, c1 inner): the scalar
+        # Row-major pair grid per task (c0 outer, c1 inner): the nested
         # loop's insertion order, which decides duplicates below.
         ppt = n0s * n1s
         pair_ends = np.cumsum(ppt)
@@ -736,73 +696,3 @@ class CutManager:
         filter_seconds = time.perf_counter() - t_start
         return (out_leaves, out_tt, out_stamps, out_sign, counts,
                 union_seconds, filter_seconds)
-
-    def _merge_scalar(self, v: int, f0: int, f1: int,
-                      c0_all: List[Cut], c1_all: List[Cut]) -> List[Cut]:
-        """The scalar merge body (work already charged by the caller):
-        the differential oracle of :meth:`_columnar_core`."""
-        aig = self.aig
-        comp0, comp1 = lit_compl(f0), lit_compl(f1)
-        k = self.k
-        results: List[Cut] = []
-        for c0 in c0_all:
-            for c1 in c1_all:
-                dst = tuple(sorted(set(c0.leaves) | set(c1.leaves)))
-                if len(dst) > k:
-                    continue
-                mask = _FULL_MASKS[len(dst)]
-                t0 = self._expand_cached(c0.tt, c0.leaves, dst)
-                t1 = self._expand_cached(c1.tt, c1.leaves, dst)
-                if comp0:
-                    t0 ^= mask
-                if comp1:
-                    t1 ^= mask
-                stamps = tuple(aig.life_stamp(l) for l in dst)
-                self._add_filtered(results, Cut(dst, t0 & t1 & mask, stamps))
-        results.sort(key=lambda c: (-c.size, c.leaves))
-        if self.max_cuts is not None and len(results) > self.max_cuts:
-            results = results[: self.max_cuts]
-        results.append(trivial_cut(aig, v))
-        return results
-
-    # ------------------------------------------------------------------
-    # Truth-table expansion memo (scalar oracle)
-
-    def _evict_expand(self) -> None:
-        cap = self.expand_cache_cap
-        if cap is None:
-            return
-        cache = self._expand_cache
-        while len(cache) > cap:
-            # FIFO via dict insertion order: oldest lifts are the
-            # least likely to recur once enumeration moved past them.
-            del cache[next(iter(cache))]
-            self.expand_evictions += 1
-
-    def _expand_cached(self, tt: int, src: Tuple[int, ...], dst: Tuple[int, ...]) -> int:
-        """Memoized lift of ``tt`` from leaf set ``src`` to ``dst``."""
-        if src == dst:
-            return tt
-        key = (tt, src, dst)
-        hit = self._expand_cache.get(key)
-        if hit is not None:
-            self.cache_hits += 1
-            return hit
-        self.cache_misses += 1
-        out = self._expand_cache[key] = expand(tt, src, dst)
-        self._evict_expand()
-        return out
-
-    @staticmethod
-    def _add_filtered(results: List[Cut], cut: Cut) -> None:
-        """Insert with dominance filtering (no duplicate/superset cuts)."""
-        sign = cut.sign
-        keep: List[Cut] = []
-        for existing in results:
-            if (existing.sign & ~sign) == 0 and existing.dominates(cut):
-                return  # an existing subset cut dominates the new one
-            if (sign & ~existing.sign) == 0 and cut.dominates(existing):
-                continue  # new cut dominates (drop the existing superset)
-            keep.append(existing)
-        keep.append(cut)
-        results[:] = keep

@@ -689,13 +689,6 @@ class ProcessExecutor(SimulatedExecutor):
     speedups follow ``workers``, wall-clock follows ``jobs``.
     """
 
-    supports_native_eval = True
-    supports_native_enum = True
-    # Unlike the in-process batch path, fan-out workers recreate the
-    # structure lookup via ``get_library()``; a custom library must
-    # stay on the generic operator path (the driver checks this).
-    native_eval_needs_default_library = True
-
     def __init__(
         self,
         workers: int,
@@ -799,7 +792,7 @@ class ProcessExecutor(SimulatedExecutor):
         slate via its own executor instance).
         """
         self._discard_pool()
-        budget = getattr(config, "pool_restart_budget", 2)
+        budget = config.pool_restart_budget
         if self.pool_restarts >= budget:
             self._warn_fallback(
                 f"pool restart budget ({budget}) exhausted after {why}"
@@ -844,8 +837,7 @@ class ProcessExecutor(SimulatedExecutor):
             obs.observe("snapshot_bytes", nbytes)
 
     def _get_fault_plan(self, config) -> Optional[FaultPlan]:
-        spec = getattr(config, "fault_plan", None) or \
-            os.environ.get("REPRO_FAULT_PLAN")
+        spec = config.fault_plan or os.environ.get("REPRO_FAULT_PLAN")
         if spec != self._fault_plan_spec:
             self._fault_plan_spec = spec
             self._fault_plan = FaultPlan.parse(spec)
@@ -856,26 +848,13 @@ class ProcessExecutor(SimulatedExecutor):
     def _wall_for(self, config):
         """The observer's wall timeline, or None when telemetry is off
         (no-op observer, or ``config.wall_telemetry`` disabled)."""
-        if not self.obs.enabled:
+        if not self.obs.enabled or not config.wall_telemetry:
             return None
-        if not getattr(config, "wall_telemetry", True):
-            return None
-        wall = getattr(self.obs, "wall", None)
-        if wall is not None:
-            wall.set_flight_size(getattr(config, "flight_recorder_size", 64))
-        return wall
+        return getattr(self.obs, "wall", None)
 
     def _wall_instant(self, wall, name: str, **args) -> None:
         if wall is not None:
             wall.instant(name, **args)
-
-    def record_wall(self, name: str, **args) -> None:
-        """Forward a wall-clock instant to the observer's timeline
-        (the live override of the simulated executor's no-op hook)."""
-        if self.obs.enabled:
-            wall = getattr(self.obs, "wall", None)
-            if wall is not None:
-                wall.instant(name, **args)
 
     def _update_pool_gauges(self, wall) -> None:
         """Occupancy/utilization gauges from worker-span overlap; last
@@ -980,8 +959,8 @@ class ProcessExecutor(SimulatedExecutor):
             for index, part in enumerate(parts, start=index_base)
         )
         plan = self._get_fault_plan(config)
-        timeout = getattr(config, "chunk_timeout_seconds", None)
-        max_retries = getattr(config, "chunk_max_retries", 2)
+        timeout = config.chunk_timeout_seconds
+        max_retries = config.chunk_max_retries
         wall = self._wall_for(config)
         progress = self.obs.progress
         while queue:
@@ -1196,14 +1175,21 @@ class ProcessExecutor(SimulatedExecutor):
         and ``tt`` only), workers return units and winners, and the
         parent materializes each winning ``Candidate.cut`` from its own
         columns.  The replay stores candidates into ``ctx.prep_info``
-        exactly as the simulated eval operator would.  Small worklists
-        (and ``columnar_eval`` off — the scalar oracle is a correctness
-        reference, not a wall-clock path) stay in-parent.
+        exactly as the simulated executor's does.  Small worklists stay
+        in-parent, and so does a run with a custom ``ctx.library``
+        (workers rebuild the lookup via ``get_library()``; the same rule
+        as :func:`repro.core.shards.run_sharded`): the stage then scores
+        in-process against ``ctx.library`` and the run warns once.
         """
+        from ..library import get_library
         from ..rewrite.columnar import run_eval_batched
 
         def score(table):
             if len(items) < MIN_FANOUT:
+                return None
+            if ctx.library is not get_library():
+                self._warn_fallback(
+                    "eval fan-out needs the default structure library")
                 return None
             roots = np.array(table.roots, dtype=np.int64)
             counts = np.array(table.counts, dtype=np.int64)
@@ -1280,16 +1266,16 @@ class ProcessExecutor(SimulatedExecutor):
         (:meth:`~repro.cuts.manager.CutManager.export_tasks`), workers
         run the identical kernel against the snapshot, and each chunk's
         result rows are appended to the parent's arena in one copy and
-        installed as blocks by the replay.  With ``enum_fanout`` or
-        ``columnar_enum`` off, or fewer than ``MIN_FANOUT`` eligible
-        roots, the stage stays in-parent — byte-identical either way.
+        installed as blocks by the replay.  With fewer than
+        ``MIN_FANOUT`` eligible roots the stage stays in-parent —
+        byte-identical either way.
         """
         from ..rewrite.columnar import run_enum_batched
 
         cutman = ctx.cutman
 
         def merge(tasks):
-            if not ctx.config.enum_fanout or len(tasks) < MIN_FANOUT:
+            if len(tasks) < MIN_FANOUT:
                 return None
             cutman.compact()  # only between fan-outs: offsets are live below
             parts = []

@@ -77,17 +77,6 @@ class SimulatedExecutor:
     stay visually separate in a trace.
     """
 
-    #: The driver may hand the eval stage to :meth:`run_eval` (the
-    #: columnar batch engine + replay) instead of the generic operator
-    #: path; results are byte-identical either way.  Unlike the process
-    #: executor, the batch engine here runs in-process against
-    #: ``ctx.library`` directly, so a custom library is fine.
-    supports_native_eval = True
-    native_eval_needs_default_library = False
-    #: Same contract for the enum stage: :meth:`run_enum` batch-merges
-    #: the worklist through the columnar cut kernels and replays.
-    supports_native_enum = True
-
     def __init__(
         self,
         workers: int,
@@ -106,32 +95,17 @@ class SimulatedExecutor:
         """Release executor resources (no-op here; the process-pool
         executor overrides this to shut its worker pool down)."""
 
-    @property
-    def wall(self):
-        """The attached observer's wall-clock timeline (None when
-        tracing is off).  The simulated executor never records into it
-        — its clock is work units by design — but exposing the hook
-        here keeps engine code executor-agnostic; only executors with
-        a physical side (:class:`~repro.galois.procpool.ProcessExecutor`)
-        populate it."""
-        return getattr(self.obs, "wall", None)
-
-    def record_wall(self, name: str, **args) -> None:
-        """Wall-clock instant hook: a no-op on the simulated clock
-        (see :attr:`wall`); the process executor forwards these to the
-        observer's timeline."""
-
     def run_eval(self, name: str, items: Sequence[int], ctx) -> StageStats:
         """The eval stage via the columnar batch kernels plus replay.
 
         Candidates for the whole worklist are precomputed in one batch
-        (:func:`~repro.rewrite.columnar.eval_tasks_columnar`), then
-        replayed through :meth:`run` with the exact meter charges and
-        phase costs the scalar eval operator would have produced — the
-        eval stage is lock-free and activities commit in worklist
-        order, so stats, spans and stored candidates are byte-identical
-        to the operator path (which ``columnar_eval = False`` falls
-        back to).
+        (:func:`~repro.rewrite.columnar.eval_tasks_columnar`, against
+        ``ctx.library``), then replayed through :meth:`run` with the
+        meter charges and phase costs of a per-root Section 4.3
+        operator — the eval stage is lock-free and activities commit in
+        worklist order, so stats, spans and stored candidates are
+        byte-identical to such an operator's (``tests/reference.py``
+        keeps one as the differential reference).
         """
         from ..rewrite.columnar import run_eval_batched
 
@@ -143,8 +117,7 @@ class SimulatedExecutor:
         one batch (:meth:`~repro.cuts.CutManager.merge_tasks_columnar`)
         and installed through a replay operator charging the identical
         pair costs, so stats and the cut cache are byte-identical to
-        the operator path (which ``columnar_enum = False`` falls back
-        to)."""
+        running the Section 4.2 enum operator per root."""
         from ..rewrite.columnar import run_enum_batched
 
         return run_enum_batched(self, name, items, ctx)

@@ -54,18 +54,6 @@ class ThreadedExecutor:
     serial (1-worker) timing.
     """
 
-    #: Same native-eval contract as the simulated executor: the batch
-    #: engine precomputes candidates in-process (against ``ctx.
-    #: library``), then the replay operators run on real threads.  The
-    #: eval stage takes no locks, so the per-root stores are exactly
-    #: what the scalar operator path would produce.
-    supports_native_eval = True
-    native_eval_needs_default_library = False
-    #: Enum fans through the columnar batch merge too; the replay
-    #: operators install under the commit mutex (every generator
-    #: resumption holds it), so the shared cut cache stays safe.
-    supports_native_enum = True
-
     def __init__(self, workers: int, observer: Optional[Observer] = None):
         if workers < 1:
             raise SchedulerError(f"need at least one worker, got {workers}")
@@ -80,21 +68,13 @@ class ThreadedExecutor:
     def close(self) -> None:
         """No pooled resources to release (threads are per-stage)."""
 
-    @property
-    def wall(self):
-        """The attached observer's wall-clock timeline (None when
-        tracing is off).  The threaded executor records nothing into
-        it — GIL-serialized wall time would only mislead — but the
-        hook keeps it interface-compatible with the process executor."""
-        return getattr(self.obs, "wall", None)
-
-    def record_wall(self, name: str, **args) -> None:
-        """Wall-clock instant hook: a no-op here (see :attr:`wall`)."""
-
     def run_eval(self, name: str, items: Sequence, ctx) -> StageStats:
         """The eval stage via the columnar batch kernels plus replay
         (see :meth:`SimulatedExecutor.run_eval <repro.galois.simsched.
-        SimulatedExecutor.run_eval>` — identical contract)."""
+        SimulatedExecutor.run_eval>` — identical contract): the batch
+        is precomputed in-process, the replay operators run on real
+        threads and, taking no locks, store per root what a serial
+        run would."""
         from ..rewrite.columnar import run_eval_batched
 
         return run_eval_batched(self, name, items, ctx)
@@ -102,7 +82,10 @@ class ThreadedExecutor:
     def run_enum(self, name: str, items: Sequence, ctx) -> StageStats:
         """The enum stage via the columnar cut-merge kernels plus
         replay (see :meth:`SimulatedExecutor.run_enum <repro.galois.
-        simsched.SimulatedExecutor.run_enum>` — identical contract)."""
+        simsched.SimulatedExecutor.run_enum>` — identical contract).
+        The replay operators install under the commit mutex (every
+        generator resumption holds it), so the shared cut cache stays
+        safe."""
         from ..rewrite.columnar import run_enum_batched
 
         return run_enum_batched(self, name, items, ctx)

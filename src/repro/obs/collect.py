@@ -38,8 +38,8 @@ from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .wall import ChunkTelemetry
 
-#: Default flight-recorder depth (overridable via
-#: ``RewriteConfig.flight_recorder_size``).
+#: Default flight-recorder depth (``TracingObserver(flight_size=)``
+#: sets another).
 FLIGHT_RECORDER_SIZE = 64
 
 #: Post-mortem dumps kept per run: a pathological run (every chunk
@@ -164,12 +164,6 @@ class WallTimeline:
         return event
 
     # -- flight recorder -----------------------------------------------
-
-    def set_flight_size(self, n: int) -> None:
-        """Resize the ring (keeps the newest records on shrink)."""
-        n = max(1, n)
-        if n != self.flight.maxlen:
-            self.flight = deque(self.flight, maxlen=n)
 
     def dump_flight(self, reason: str, **args: Any) -> Dict[str, Any]:
         """Snapshot the ring into :attr:`dumps` (post-mortem payload)."""

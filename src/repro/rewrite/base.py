@@ -241,10 +241,8 @@ def find_best_candidate(
 ) -> Optional[Candidate]:
     """The DAG-aware rewriting inner loop for a single node.
 
-    The ``fresh_cuts`` call rides the cut manager's configured merge
-    engine — the columnar union/dominance kernels by default, the
-    scalar oracle with ``columnar=False`` — with byte-identical
-    results either way.
+    The ``fresh_cuts`` call merges through the cut manager's columnar
+    union/dominance kernels.
     """
     return best_candidate_over_cuts(
         aig, root, cutman.fresh_cuts(root), library, config, meter, observer

@@ -1,9 +1,10 @@
 """Columnar batch evaluation: the eval-stage hot path over flat arrays.
 
-The scalar path (:func:`repro.rewrite.base.best_candidate_over_cuts`)
-dispatches several Python method calls per graph access and
-recomputes the root cone's local deref once per *structure*.  This
-module inverts the data layout: the per-node arrays of an
+The per-cut loop the baseline engines run
+(:func:`repro.rewrite.base.best_candidate_over_cuts`) dispatches
+several Python method calls per graph access and recomputes the root
+cone's local deref once per *structure*.  This module inverts the data
+layout: the per-node arrays of an
 :class:`~repro.aig.snapshot.AigSnapshot` (or the identical internal
 columns of a live :class:`~repro.aig.graph.Aig`) become the primary
 store, and a whole table of per-root cut rows
@@ -25,13 +26,12 @@ store, and a whole table of per-root cut rows
    decoded into index tuples once per process.
 3. **Replay**: callers feed the returned ``(root, candidate, units)``
    triples through the simulated scheduler, so results, meter charges
-   and stage stats stay byte-identical to the scalar operator path on
+   and stage stats are those of one Section 4.3 operator per root on
    every executor.
 
-The scalar path is retained untouched as the differential oracle
-(``RewriteConfig.columnar_eval = False`` routes everything back
-through it); ``tests/test_differential_fuzz.py`` pins the two
-byte-identical across all four executors.
+``tests/reference.py`` keeps that per-root operator (and the per-pair
+cut merge) as the reference; ``tests/test_differential_fuzz.py`` pins
+every executor byte-identical to it.
 """
 
 from __future__ import annotations
@@ -192,13 +192,13 @@ def eval_tasks_columnar(
     library,
     observer=None,
 ) -> List[Tuple[int, Optional[Candidate], int]]:
-    """Score every root of the ``tasks`` table; the batch twin of the
-    scalar loop over :func:`~repro.rewrite.base.best_candidate_over_cuts`.
+    """Score every root of the ``tasks`` table; the batch twin of a
+    loop over :func:`~repro.rewrite.base.best_candidate_over_cuts`.
 
     The table is read column-wise — only a winning cut is ever
     materialized.  Returns ``(root, candidate-or-None, work-units)``
     triples with the ``-1`` dead-root sentinel, candidate-for-candidate
-    and unit-for-unit identical to the scalar path — including every
+    and unit-for-unit identical to that loop — including every
     observer counter and histogram value (counter increments are batched,
     which the order-insensitive metric aggregation absorbs).  A pool
     worker's slice carries no stamps (``tasks.stamps is None``): its
@@ -462,19 +462,14 @@ def run_eval_batched(executor, name: str, items: Sequence[int], ctx,
     """Native eval stage: batch-precompute with the columnar kernels,
     then replay through ``executor.run``.
 
-    The replay operator charges the identical meter units and phase
-    costs the scalar eval operator would, so the stage stats, spans and
-    timeline are byte-identical; with ``columnar_eval`` off the stage
-    simply runs the scalar operator (the differential oracle).
-    ``score(table)`` lets the process executor compute the triples on
-    its pool instead (None back: score here after all).
+    The replay operator charges the meter units and phase costs of a
+    per-root Section 4.3 operator, so the stage stats, spans and
+    timeline are byte-identical to one.  ``score(table)`` lets the
+    process executor compute the triples on its pool instead (None
+    back: score here after all).
     """
     from ..galois.activity import Phase
 
-    if not ctx.config.columnar_eval:
-        from ..core.operators import make_eval_operator
-
-        return executor.run(name, items, make_eval_operator(ctx))
     tasks = ctx.cutman.eval_harvest(items)
     merged = score(tasks) if score is not None else None
     if merged is None:
@@ -508,11 +503,10 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx,
     aborted activity retries as a one-unit cache hit — and charges the
     identical pair count, so phase costs, lock regions and the
     :attr:`~repro.cuts.CutManager.work` trajectory are byte-identical
-    to running the scalar enum operator.  Ineligible roots (already
+    to running the enum operator per root.  Ineligible roots (already
     fresh entries, deep recursions on cold caches, and any root whose
-    entry became fresh after an aborted retry) take the enum operator;
-    with ``columnar_enum`` off the whole stage does (the differential
-    oracle).  ``merge(tasks)`` lets the process executor run the kernel
+    entry became fresh after an aborted retry) take the enum operator.
+    ``merge(tasks)`` lets the process executor run the kernel
     on its pool instead, returning the same ``(root, block, pairs)``
     rows (None back: merge here after all).
     """
@@ -520,8 +514,6 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx,
     from ..galois.activity import Phase
 
     enum_op = make_enum_operator(ctx)
-    if not ctx.config.columnar_enum:
-        return executor.run(name, items, enum_op)
     aig = ctx.aig
     cutman = ctx.cutman
     live = [root for root in items if not aig.is_dead(root)]

@@ -46,10 +46,7 @@ class SerialRewriter:
             delay_before=aig.max_level(),
             delay_after=aig.max_level(),
         )
-        cutman = CutManager(
-            aig, k=config.cut_size, max_cuts=config.max_cuts,
-            columnar=config.columnar_enum,
-        )
+        cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
         meter = WorkMeter()
         obs = self.obs
 

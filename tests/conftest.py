@@ -30,29 +30,6 @@ def random_aig(
     return aig
 
 
-def eval_tasks_scalar(aig_like, table, config, collector, library):
-    """The scalar evaluation loop over a ``CutColumns`` table (every
-    row materialized as a ``Cut``) — the reference the columnar engine's
-    ``(root, candidate, units)`` triples and observer emissions must
-    equal."""
-    from repro.rewrite.base import WorkMeter, best_candidate_over_cuts
-
-    out = []
-    row = 0
-    for root, count in zip(table.roots, table.counts):
-        cuts = [table.cut(i) for i in range(row, row + count)]
-        row += count
-        if aig_like.is_dead(root):
-            out.append((root, None, -1))  # sentinel: skipped entirely
-            continue
-        meter = WorkMeter()
-        candidate = best_candidate_over_cuts(
-            aig_like, root, cuts, library, config, meter, observer=collector
-        )
-        out.append((root, candidate, meter.units))
-    return out
-
-
 @pytest.fixture
 def small_aig() -> Aig:
     """f = (a & b) | (~a & c), g = a ^ b — a tiny well-known circuit."""

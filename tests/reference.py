@@ -1,0 +1,201 @@
+"""Reference implementations the production kernels are pinned against.
+
+Production has one enumerate/evaluate path: whole worklists merged and
+scored as columnar batches, then replayed through the scheduler.  What
+lives here is the other way to compute the same thing — one cut pair,
+one cut, one root at a time, every ``Cut`` built — kept out of ``src/``
+because nothing there calls it:
+
+* :class:`ScalarCutManager` — the per-pair cut merge, the reference of
+  ``CutManager._columnar_core``;
+* :func:`eval_tasks_scalar` / :func:`make_eval_operator` — the per-cut
+  scoring loop and the Section 4.3 generator operator around it, the
+  references of ``eval_tasks_columnar`` and ``run_eval_batched``;
+* :class:`ReferenceExecutor` — a simulated executor whose read stages
+  run the Section 4.2/4.3 generator operators per root;
+* :func:`reference_rewrite` — the unchanged driver with those
+  substituted.
+
+``tests/test_differential_fuzz.py`` holds every executor byte-identical
+to :func:`reference_rewrite`; the kernel property tests compare against
+the classes directly.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Generator, List, Sequence
+from unittest import mock
+
+from repro.aig.literals import lit_compl, lit_var
+from repro.core.dacpara import DACParaRewriter
+from repro.core.operators import StageContext, make_enum_operator
+from repro.cuts import CutManager
+from repro.cuts.cut import Cut, cut_is_stamp_alive, trivial_cut
+from repro.cuts.manager import CutBlock
+from repro.errors import CutError
+from repro.galois import Phase
+from repro.galois.simsched import SimulatedExecutor
+from repro.galois.stats import StageStats
+from repro.npn.truth import expand, full_mask
+from repro.rewrite.base import (
+    WorkMeter,
+    best_candidate_over_cuts,
+    find_best_candidate,
+)
+
+_FULL_MASKS = tuple(full_mask(n) for n in range(5))
+
+
+class ScalarCutManager(CutManager):
+    """Cut manager whose merge is the classic nested loop over the two
+    fanin cut lists: identical cut sets, order and work charges, with
+    every set an object-only block."""
+
+    def _merge_node(self, v: int) -> CutBlock:
+        aig = self.aig
+        f0, f1 = aig.fanin0(v), aig.fanin1(v)
+        c0_all = self._live_cuts(lit_var(f0))
+        c1_all = self._live_cuts(lit_var(f1))
+        self.work += len(c0_all) * len(c1_all)
+        cuts = self._merge_scalar(v, f0, f1, c0_all, c1_all)
+        return CutBlock(-1, len(cuts), cuts)
+
+    def _live_cuts(self, var: int) -> List[Cut]:
+        block = self._cache.get(var)
+        if block is None:
+            raise CutError(
+                f"no cached cut set for node {var}: enumerate it first "
+                f"(cuts()/install_cuts())"
+            )
+        cuts = self._materialize(block)
+        if self._all_alive(block):
+            return list(cuts)
+        live = [c for c in cuts if cut_is_stamp_alive(self.aig, c)]
+        return live if live else [trivial_cut(self.aig, var)]
+
+    def _merge_scalar(self, v: int, f0: int, f1: int,
+                      c0_all: List[Cut], c1_all: List[Cut]) -> List[Cut]:
+        """The scalar merge body (work already charged by the caller)."""
+        aig = self.aig
+        comp0, comp1 = lit_compl(f0), lit_compl(f1)
+        k = self.k
+        results: List[Cut] = []
+        for c0 in c0_all:
+            for c1 in c1_all:
+                dst = tuple(sorted(set(c0.leaves) | set(c1.leaves)))
+                if len(dst) > k:
+                    continue
+                mask = _FULL_MASKS[len(dst)]
+                t0 = expand(c0.tt, c0.leaves, dst)
+                t1 = expand(c1.tt, c1.leaves, dst)
+                if comp0:
+                    t0 ^= mask
+                if comp1:
+                    t1 ^= mask
+                stamps = tuple(aig.life_stamp(l) for l in dst)
+                self._add_filtered(results, Cut(dst, t0 & t1 & mask, stamps))
+        results.sort(key=lambda c: (-c.size, c.leaves))
+        if self.max_cuts is not None and len(results) > self.max_cuts:
+            results = results[: self.max_cuts]
+        results.append(trivial_cut(aig, v))
+        return results
+
+    @staticmethod
+    def _add_filtered(results: List[Cut], cut: Cut) -> None:
+        """Insert with dominance filtering (no duplicate/superset cuts)."""
+        sign = cut.sign
+        keep: List[Cut] = []
+        for existing in results:
+            if (existing.sign & ~sign) == 0 and existing.dominates(cut):
+                return  # an existing subset cut dominates the new one
+            if (sign & ~existing.sign) == 0 and cut.dominates(existing):
+                continue  # new cut dominates (drop the existing superset)
+            keep.append(existing)
+        keep.append(cut)
+        results[:] = keep
+
+
+def eval_tasks_scalar(aig_like, table, config, collector, library):
+    """The scalar evaluation loop over a ``CutColumns`` table (every
+    row materialized as a ``Cut``) — the reference the columnar engine's
+    ``(root, candidate, units)`` triples and observer emissions must
+    equal."""
+    out = []
+    row = 0
+    for root, count in zip(table.roots, table.counts):
+        cuts = [table.cut(i) for i in range(row, row + count)]
+        row += count
+        if aig_like.is_dead(root):
+            out.append((root, None, -1))  # sentinel: skipped entirely
+            continue
+        meter = WorkMeter()
+        candidate = best_candidate_over_cuts(
+            aig_like, root, cuts, library, config, meter, observer=collector
+        )
+        out.append((root, candidate, meter.units))
+    return out
+
+
+def make_eval_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, None, None]]:
+    """Parallel evaluation (Section 4.3) — no locks at all.
+
+    Uniqueness of evaluation data is guaranteed by construction: MFFC
+    membership is computed against thread-local shadow reference counts
+    (never the shared ones), library structures are immutable, and the
+    strash probing is read-only.  The result lands in the activity's
+    own ``prepInfo`` slot.
+    """
+
+    def operator(root: int) -> Generator[Phase, None, None]:
+        aig = ctx.aig
+        if aig.is_dead(root):
+            return
+        meter = WorkMeter()
+        candidate = find_best_candidate(
+            aig, root, ctx.cutman, ctx.library, ctx.config, meter,
+            observer=ctx.observer,
+        )
+        ctx.meter.add(meter.units)
+        yield Phase(locks=(), cost=meter.units + 1)
+        ctx.prep_info.store(root, candidate)
+
+    return operator
+
+
+class ReferenceExecutor(SimulatedExecutor):
+    """Simulated scheduler whose read stages in ``stages`` run one
+    generator operator per root — no batch precompute, no replay."""
+
+    def __init__(self, workers: int, observer=None,
+                 stages: Sequence[str] = ("enum", "eval")):
+        super().__init__(workers, observer=observer)
+        self.stages = stages
+
+    def run_enum(self, name: str, items: Sequence[int], ctx) -> StageStats:
+        if "enum" not in self.stages:
+            return super().run_enum(name, items, ctx)
+        return self.run(name, items, make_enum_operator(ctx))
+
+    def run_eval(self, name: str, items: Sequence[int], ctx) -> StageStats:
+        if "eval" not in self.stages:
+            return super().run_eval(name, items, ctx)
+        return self.run(name, items, make_eval_operator(ctx))
+
+
+def reference_rewrite(aig, config, workers: int,
+                      stages: Sequence[str] = ("enum", "eval"), library=None):
+    """Rewrite ``aig`` in place through the unchanged DACPara driver at
+    ``workers`` simulated workers, with the reference substituted for
+    each stage in ``stages`` (``"enum"``: :class:`ScalarCutManager` and
+    the per-root enum operator; ``"eval"``: the per-root eval operator).
+    Returns the ``RewriteResult``."""
+
+    def executor(kind, n_workers, observer=None, jobs=None):
+        return ReferenceExecutor(n_workers, observer=observer, stages=stages)
+
+    cutman = ScalarCutManager if "enum" in stages else CutManager
+    with mock.patch("repro.core.dacpara.make_executor", executor), \
+            mock.patch("repro.core.dacpara.CutManager", cutman):
+        engine = DACParaRewriter(
+            config=config.with_workers(workers), library=library)
+        return engine.run(aig)

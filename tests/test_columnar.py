@@ -1,10 +1,10 @@
 """Unit tests for the columnar batch evaluation engine.
 
 ``tests/test_differential_fuzz.py`` pins the engine byte-identical to
-the scalar oracle end-to-end; these tests cover the pieces directly —
-the numpy kernels, the columnar views, the replay glue and the
-observer parity — so a regression points at the component, not just
-"a fuzz seed diverged".
+the scalar reference (``tests/reference.py``) end-to-end; these tests
+cover the pieces directly — the numpy kernels, the columnar views, the
+replay glue and the observer parity — so a regression points at the
+component, not just "a fuzz seed diverged".
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import eval_tasks_scalar
+from reference import ReferenceExecutor, eval_tasks_scalar
 from repro.aig import Aig
 from repro.aig.literals import lit_var
 from repro.aig.snapshot import AigSnapshot
 from repro.bench import mtm_like
 from repro.config import dacpara_config
-from repro.core.operators import StageContext, make_eval_operator
+from repro.core.operators import StageContext
 from repro.cuts import CutManager
 from repro.galois.procpool import _MetricCollector
 from repro.galois.simsched import SimulatedExecutor
@@ -33,7 +33,6 @@ from repro.rewrite.columnar import (
     _allowed_mask,
     columnar_view,
     eval_tasks_columnar,
-    run_eval_batched,
 )
 
 
@@ -198,44 +197,24 @@ class TestEvalTasksColumnar:
 
 
 class TestRunEvalBatched:
-    def _stage(self, columnar: bool):
-        config = dataclasses.replace(dacpara_config(workers=6),
-                                     columnar_eval=columnar)
+    def _stage(self, executor):
+        config = dacpara_config(workers=6)
         aig, cutman, live, _ = _setup(num_nodes=200, seed=3, config=config)
         ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
                            config=config)
-        ex = SimulatedExecutor(6)
-        if columnar:
-            stage = ex.run_eval("eval", live, ctx)
-        else:
-            stage = ex.run("eval", live, make_eval_operator(ctx))
+        stage = executor(6).run_eval("eval", live, ctx)
         prep = {v: ctx.prep_info.get(v) for v in live}
         return stage, prep, ctx.meter.units
 
     def test_replay_byte_identical_to_operator_path(self):
-        s_col, prep_col, units_col = self._stage(columnar=True)
-        s_sca, prep_sca, units_sca = self._stage(columnar=False)
+        s_col, prep_col, units_col = self._stage(SimulatedExecutor)
+        s_sca, prep_sca, units_sca = self._stage(ReferenceExecutor)
         assert prep_col == prep_sca
         assert units_col == units_sca
         assert (s_col.activities, s_col.committed, s_col.conflicts,
                 s_col.useful_units, s_col.start_time, s_col.end_time) == \
                (s_sca.activities, s_sca.committed, s_sca.conflicts,
                 s_sca.useful_units, s_sca.start_time, s_sca.end_time)
-
-    def test_columnar_eval_off_routes_to_operator(self):
-        config = dataclasses.replace(dacpara_config(workers=4),
-                                     columnar_eval=False)
-        aig, cutman, live, _ = _setup(num_nodes=80, seed=5, config=config)
-        ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
-                           config=config)
-        ex = SimulatedExecutor(4)
-        stage = run_eval_batched(ex, "eval", live, ctx)
-        assert stage.committed == len(live)
-        # The oracle path emits no batch telemetry at all.
-        assert all(
-            key[0] != "eval_vectorized_candidates_total"
-            for key in getattr(ex.obs, "counts", {})
-        )
 
 
 class _TwoStructureLibrary:

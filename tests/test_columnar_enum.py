@@ -1,16 +1,14 @@
 """Unit tests for the columnar cut-enumeration engine.
 
 ``tests/test_differential_fuzz.py`` pins the engine byte-identical to
-the scalar merge oracle end-to-end; these tests cover the pieces
-directly — the union/sign kernels, the worklist merge, dominance
-ordering, truncation, the cache-bounding satellites and the replay
-glue — so a regression points at the component, not just "a fuzz seed
-diverged".
+the scalar merge reference (``tests/reference.py``) end-to-end; these
+tests cover the pieces directly — the union/sign kernels, the worklist
+merge, dominance ordering, truncation and the replay glue — so a
+regression points at the component, not just "a fuzz seed diverged".
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -19,12 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_aig
+from reference import ReferenceExecutor, ScalarCutManager
 from test_differential_fuzz import SMOKE_SEEDS, fuzz_circuit
 from repro.aig import Aig, AigSnapshot
 from repro.aig.literals import lit_var
 from repro.bench import mtm_like
 from repro.config import dacpara_config
-from repro.core.operators import StageContext, make_enum_operator
+from repro.core.operators import StageContext
 from repro.cuts import CutManager
 from repro.cuts.cut import Cut
 from repro.cuts.manager import CutBlock
@@ -42,7 +41,6 @@ from repro.npn.truth import (
     full_mask,
     lift_lut,
 )
-from repro.rewrite.columnar import run_enum_batched
 
 
 def _pad(leaves):
@@ -120,8 +118,8 @@ class TestKernels:
 
 
 def _enumerate_both(aig, max_cuts=12):
-    scalar = CutManager(aig, k=4, max_cuts=max_cuts, columnar=False)
-    columnar = CutManager(aig, k=4, max_cuts=max_cuts, columnar=True)
+    scalar = ScalarCutManager(aig, k=4, max_cuts=max_cuts)
+    columnar = CutManager(aig, k=4, max_cuts=max_cuts)
     live = aig.topo_ands()
     for v in live:
         scalar.fresh_cuts(v)
@@ -154,7 +152,7 @@ class TestMergeIdentity:
     def test_merge_tasks_columnar_matches_per_task_scalar(self):
         aig = mtm_like(num_pis=16, num_nodes=300, seed=4)
         scalar, columnar, live = _enumerate_both(aig)
-        fresh = CutManager(aig, k=4, max_cuts=12, columnar=True)
+        fresh = CutManager(aig, k=4, max_cuts=12)
         tasks = []
         for v in aig.topo_ands():
             harvest = fresh.enum_harvest(v)
@@ -258,8 +256,8 @@ class TestKernelEqualsScalarProperty:
 
         c0, c1 = cuts_of(side0), cuts_of(side1)
         f0, f1 = 2 * 5 + (compl & 1), 2 * 6 + (compl >> 1)
-        kernel = CutManager(aig, k=k, max_cuts=max_cuts, columnar=True)
-        oracle = CutManager(aig, k=k, max_cuts=max_cuts, columnar=False)
+        kernel = CutManager(aig, k=k, max_cuts=max_cuts)
+        oracle = ScalarCutManager(aig, k=k, max_cuts=max_cuts)
         task = (root, f0, f1, CutBlock(-1, len(c0), c0), CutBlock(-1, len(c1), c1))
         (_, block, pairs), = kernel.merge_tasks_columnar([task])
         got = kernel._materialize(block)
@@ -348,8 +346,8 @@ class TestLazyMaterialization:
     @pytest.mark.parametrize("seed", SMOKE_SEEDS)
     def test_resident_enum_equals_eager_oracle(self, seed):
         aig = fuzz_circuit(seed)
-        eager = CutManager(aig, columnar=False)   # builds every Cut
-        lazy = CutManager(aig, columnar=True)     # builds none until asked
+        eager = ScalarCutManager(aig)   # builds every Cut
+        lazy = CutManager(aig)          # builds none until asked
         levels = {}
         for v in aig.topo_ands():
             levels.setdefault(aig.level(v), []).append(v)
@@ -400,43 +398,14 @@ class TestDominanceOrder:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: cache bounding, errors, counters
+# Satellites: errors, counters
 # ---------------------------------------------------------------------------
-
-
-class TestExpandCacheBound:
-    def test_eviction_bounds_cache_and_counts(self):
-        aig = mtm_like(num_pis=16, num_nodes=300, seed=3)
-        capped = CutManager(aig, k=4, max_cuts=12, columnar=False,
-                            expand_cache_cap=8)
-        unbounded = CutManager(aig, k=4, max_cuts=12, columnar=False)
-        for v in aig.topo_ands():
-            assert capped.fresh_cuts(v) == unbounded.fresh_cuts(v)
-            assert len(capped._expand_cache) <= 8
-        assert capped.expand_evictions > 0
-        assert unbounded.expand_evictions == 0
-
-    def test_clear_resets_counters(self):
-        aig = mtm_like(num_pis=12, num_nodes=120, seed=1)
-        cutman = CutManager(aig, k=4, max_cuts=12, columnar=False,
-                            expand_cache_cap=8)
-        for v in aig.topo_ands():
-            cutman.fresh_cuts(v)
-        for v in aig.topo_ands():
-            cutman.fresh_cuts(v)  # warm-cache pass generates hits
-        assert cutman.cache_hits > 0
-        assert cutman.expand_evictions > 0
-        cutman.clear()
-        assert cutman.cache_hits == 0
-        assert cutman.cache_misses == 0
-        assert cutman.expand_evictions == 0
-        assert not cutman._expand_cache and not cutman._cache
 
 
 class TestLiveCutsError:
     def test_uncached_var_raises_descriptive_cut_error(self):
         aig = mtm_like(num_pis=8, num_nodes=40, seed=0)
-        cutman = CutManager(aig, k=4, max_cuts=12)
+        cutman = ScalarCutManager(aig, k=4, max_cuts=12)
         var = aig.topo_ands()[0]
         with pytest.raises(CutError, match=f"node {var}"):
             cutman._live_cuts(var)
@@ -470,33 +439,27 @@ class TestObserverEmissions:
 # ---------------------------------------------------------------------------
 
 
-def _enum_stage(columnar_enum: bool):
-    config = dataclasses.replace(dacpara_config(workers=6),
-                                 columnar_enum=columnar_enum)
+def _enum_stage(manager, executor):
+    config = dacpara_config(workers=6)
     aig = mtm_like(num_pis=12, num_nodes=200, seed=3)
-    cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts,
-                        columnar=columnar_enum)
+    cutman = manager(aig, k=config.cut_size, max_cuts=config.max_cuts)
     live = aig.topo_ands()
     ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
                        config=config)
-    ex = SimulatedExecutor(6)
-    stages = []
+    ex = executor(6)
     levels = {}
     for v in live:
         levels.setdefault(aig.level(v), []).append(v)
-    for lv in sorted(levels):
-        if columnar_enum:
-            stages.append(ex.run_enum("enum", levels[lv], ctx))
-        else:
-            stages.append(ex.run("enum", levels[lv], make_enum_operator(ctx)))
+    stages = [ex.run_enum("enum", levels[lv], ctx) for lv in sorted(levels)]
     cuts = {v: cutman.fresh_cuts(v) for v in live}
     return stages, cuts, cutman.work
 
 
 class TestRunEnumBatched:
     def test_replay_byte_identical_to_operator_path(self):
-        s_col, cuts_col, work_col = _enum_stage(columnar_enum=True)
-        s_sca, cuts_sca, work_sca = _enum_stage(columnar_enum=False)
+        s_col, cuts_col, work_col = _enum_stage(CutManager, SimulatedExecutor)
+        s_sca, cuts_sca, work_sca = _enum_stage(ScalarCutManager,
+                                                ReferenceExecutor)
         assert cuts_col == cuts_sca
         assert work_col == work_sca
         for a, b in zip(s_col, s_sca):
@@ -504,22 +467,3 @@ class TestRunEnumBatched:
                     a.useful_units, a.start_time, a.end_time) == \
                    (b.activities, b.committed, b.conflicts,
                     b.useful_units, b.start_time, b.end_time)
-
-    def test_columnar_enum_off_routes_to_operator(self):
-        config = dataclasses.replace(dacpara_config(workers=4),
-                                     columnar_enum=False)
-        aig = mtm_like(num_pis=8, num_nodes=80, seed=5)
-        cutman = CutManager(aig, k=config.cut_size,
-                            max_cuts=config.max_cuts, columnar=False)
-        live = aig.topo_ands()
-        ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
-                           config=config)
-        ex = SimulatedExecutor(4)
-        stage = run_enum_batched(ex, "enum", live, ctx)
-        assert stage.committed == len(live)
-        assert cutman.vec_pairs == 0
-        # The oracle path emits no batch telemetry at all.
-        assert all(
-            obs[0] not in ("enum_batch_size", "enum_kernel_seconds")
-            for obs in getattr(ex.obs, "observations", [])
-        )

@@ -88,3 +88,30 @@ class TestPresets:
     def test_parallel_presets_default_40(self):
         assert iccad18_config().workers == 40
         assert dacpara_config().workers == 40
+
+
+def test_scalar_and_generic_forks_are_gone():
+    """One enumerate/evaluate path: the knobs, flag and capability
+    attributes that used to select another one no longer exist."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro.galois
+    from repro.aig import Aig
+    from repro.cli import main
+    from repro.cuts import CutManager
+
+    for removed in ({"columnar_eval": False}, {"columnar_enum": False},
+                    {"enum_fanout": False}, {"flight_recorder_size": 8}):
+        with pytest.raises(TypeError):
+            RewriteConfig(**removed)
+    with pytest.raises(TypeError):
+        CutManager(Aig(), columnar=False)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["rewrite", "--scalar-eval", "x.aig"])
+    assert exit_info.value.code == 2
+    for info in pkgutil.iter_modules(repro.galois.__path__):
+        module = importlib.import_module(f"repro.galois.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            assert not [a for a in dir(cls) if a.startswith("supports_native")]

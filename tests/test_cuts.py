@@ -11,6 +11,7 @@ from repro.errors import CutError
 from repro.npn import eval_tt
 
 from conftest import random_aig
+from reference import ScalarCutManager
 
 
 def _node_value(aig, var, pi_bits):
@@ -238,40 +239,7 @@ class TestExpandMemo:
             v: [(c.leaves, c.tt) for c in mgr.cuts(v)] for v in aig.topo_ands()
         }
 
-    def test_counters_track_memo_traffic(self):
-        # The memo serves the scalar oracle only; the columnar kernel
-        # lifts through the LUT and never probes it.
-        aig = random_aig(num_pis=6, num_nodes=200, num_pos=4, seed=21)
-        mgr = CutManager(aig, columnar=False)
-        for v in aig.topo_ands():
-            mgr.cuts(v)
-        assert mgr.cache_misses > 0
-        hits_before = mgr.cache_hits
-        misses_before = mgr.cache_misses
-        # Re-merging the same graph re-reads the same expansions.
-        mgr._cache.clear()
-        for v in aig.topo_ands():
-            mgr.cuts(v)
-        assert mgr.cache_hits > hits_before
-        assert mgr.cache_misses == misses_before
-
-    def test_clear_drops_expand_memo(self):
-        aig = random_aig(num_pis=5, num_nodes=60, num_pos=3, seed=22)
-        mgr = CutManager(aig)
-        for v in aig.topo_ands():
-            mgr.cuts(v)
-        mgr.clear()
-        assert not mgr._expand_cache
-
     def test_batch_and_scalar_paths_identical(self):
         aig = random_aig(num_pis=6, num_nodes=200, num_pos=4, seed=23)
-
-        batch = CutManager(aig, columnar=True)
-        batch_sets = self._cut_sets(batch, aig)
-        assert batch.cache_misses == 0  # LUT lift, no memo traffic
-
-        scalar = CutManager(aig, columnar=False)
-        scalar_sets = self._cut_sets(scalar, aig)
-        assert scalar.cache_misses > 0
-
-        assert batch_sets == scalar_sets
+        assert self._cut_sets(CutManager(aig), aig) == \
+            self._cut_sets(ScalarCutManager(aig), aig)

@@ -15,15 +15,17 @@ rewrite through every executor kind.  The oracle is layered:
   (:func:`repro.sat.check_equivalence_auto`; the fuzz circuits keep
   PI counts in exhaustive-simulation range so the check is exact).
 
-A second axis pins the **columnar batch engines** against their scalar
-oracles: full runs with ``columnar_eval`` (and, independently,
-``columnar_enum``) on versus off must be byte-identical on every
-deterministic executor (simulated, serial, process), and on the
-threaded executor — whose full-run interleaving is
-scheduler-dependent — the eval *stage* in isolation must store the
-exact same candidates either way (it is lock-free, so per-root stores
-are interleaving-independent), and the enum *stage* must install the
-exact same cut sets (cut sets are a pure function of the graph).
+A second axis pins the **columnar batch engines** against the scalar
+references in ``tests/reference.py``: full runs on every deterministic
+executor (simulated, serial, process) must be byte-identical to
+``reference_rewrite`` with the per-root eval operator substituted (and,
+independently, with the per-pair cut merge and per-root enum operator
+substituted), and on the threaded executor — whose full-run
+interleaving is scheduler-dependent — the eval *stage* in isolation
+must store the exact same candidates as the reference executor's (it
+is lock-free, so per-root stores are interleaving-independent), and the
+enum *stage* must install the exact same cut sets (cut sets are a pure
+function of the graph).
 
 A third axis pins **shard-parallel mode**: repeated sharded runs at a
 fixed seed/shard count must be byte-identical (and the process shard
@@ -53,7 +55,7 @@ from repro.aig.check import check
 from repro.bench import mtm_like
 from repro.config import dacpara_config
 from repro.core import DACParaRewriter
-from repro.core.operators import StageContext, make_eval_operator
+from repro.core.operators import StageContext
 from repro.cuts import CutManager
 from repro.galois.threaded import ThreadedExecutor
 from repro.library import get_library
@@ -61,6 +63,7 @@ from repro.obs.observer import TracingObserver
 from repro.sat import check_equivalence_auto
 
 from conftest import random_aig
+from reference import ReferenceExecutor, ScalarCutManager, reference_rewrite
 from test_procpool import aig_fingerprint, result_fingerprint
 
 SMOKE_SEEDS = tuple(range(12))
@@ -82,14 +85,10 @@ def fuzz_circuit(seed: int):
     )
 
 
-def _run(base, kind: str, workers: int = 5, columnar: bool = True,
-         columnar_enum: bool = True):
+def _run(base, kind: str, workers: int = 5):
     aig = copy.deepcopy(base)
-    config = dataclasses.replace(
-        dacpara_config(workers=workers),
-        columnar_eval=columnar, columnar_enum=columnar_enum,
-    )
-    engine = DACParaRewriter(config=config, executor_kind=kind, jobs=2)
+    engine = DACParaRewriter(
+        config=dacpara_config(workers=workers), executor_kind=kind, jobs=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a silent pool fallback is a bug
         result = engine.run(aig)
@@ -114,14 +113,13 @@ def check_differential(base) -> None:
         assert check_equivalence_auto(base, out).equivalent
 
 
-def _threaded_eval_stage_prep(base, columnar: bool):
-    """Run the eval stage alone on the threaded executor; returns the
-    per-root prep_info stores (interleaving-independent: the stage is
-    lock-free and each activity writes only its own root's slot)."""
+def _eval_stage_prep(base, executor):
+    """Run the eval stage alone on ``executor(4)``; returns the
+    per-root prep_info stores (interleaving-independent on real
+    threads: the stage is lock-free and each activity writes only its
+    own root's slot)."""
     aig = copy.deepcopy(base)
-    config = dataclasses.replace(
-        dacpara_config(workers=4), columnar_eval=columnar
-    )
+    config = dacpara_config(workers=4)
     cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
     live = aig.topo_ands()
     for root in live:
@@ -129,32 +127,23 @@ def _threaded_eval_stage_prep(base, columnar: bool):
     ctx = StageContext(
         aig=aig, cutman=cutman, library=get_library(), config=config
     )
-    ex = ThreadedExecutor(4)
-    if columnar:
-        ex.run_eval("eval", live, ctx)
-    else:
-        ex.run("eval", live, make_eval_operator(ctx))
+    executor(4).run_eval("eval", live, ctx)
     return {v: ctx.prep_info.get(v) for v in live}
 
 
-def _threaded_enum_stage_cuts(base, columnar_enum: bool):
-    """Run the enum stage alone on the threaded executor, level by
-    level (so the batched path genuinely merges whole worklists);
-    returns every node's installed cut set.  Cut sets are a pure
-    function of the graph, so they are interleaving-independent."""
+def _enum_stage_cuts(base, manager, executor):
+    """Run the enum stage alone on ``executor(4)``, level by level (so
+    the batched path genuinely merges whole worklists); returns every
+    node's installed cut set.  Cut sets are a pure function of the
+    graph, so on real threads they are interleaving-independent."""
     aig = copy.deepcopy(base)
-    config = dataclasses.replace(
-        dacpara_config(workers=4), columnar_enum=columnar_enum
-    )
-    cutman = CutManager(
-        aig, k=config.cut_size, max_cuts=config.max_cuts,
-        columnar=columnar_enum,
-    )
+    config = dacpara_config(workers=4)
+    cutman = manager(aig, k=config.cut_size, max_cuts=config.max_cuts)
     live = aig.topo_ands()
     ctx = StageContext(
         aig=aig, cutman=cutman, library=get_library(), config=config
     )
-    ex = ThreadedExecutor(4)
+    ex = executor(4)
     levels = {}
     for v in live:
         levels.setdefault(aig.level(v), []).append(v)
@@ -163,28 +152,32 @@ def _threaded_enum_stage_cuts(base, columnar_enum: bool):
     return {v: cutman.fresh_cuts(v) for v in live}
 
 
+def _check_against_reference(base, stages) -> None:
+    """Every deterministic executor's full run against the reference
+    run with ``stages`` substituted."""
+    for workers, kinds in ((5, ("simulated", "process")), (1, ("serial",))):
+        a_ref = copy.deepcopy(base)
+        r_ref = reference_rewrite(a_ref, dacpara_config(), workers, stages)
+        for kind in kinds:
+            r_col, a_col = _run(base, kind, workers=workers)
+            assert result_fingerprint(r_col) == result_fingerprint(r_ref), kind
+            assert aig_fingerprint(a_col) == aig_fingerprint(a_ref), kind
+
+
 def check_enum_differential(base) -> None:
     """Columnar cut enumeration pinned byte-identical to the scalar
-    merge oracle on every executor kind."""
-    for kind, workers in (("simulated", 5), ("serial", 1), ("process", 5)):
-        r_col, a_col = _run(base, kind, workers=workers, columnar_enum=True)
-        r_sca, a_sca = _run(base, kind, workers=workers, columnar_enum=False)
-        assert result_fingerprint(r_col) == result_fingerprint(r_sca), kind
-        assert aig_fingerprint(a_col) == aig_fingerprint(a_sca), kind
-    assert _threaded_enum_stage_cuts(base, True) == \
-        _threaded_enum_stage_cuts(base, False)
+    merge reference on every executor kind."""
+    _check_against_reference(base, ("enum",))
+    assert _enum_stage_cuts(base, CutManager, ThreadedExecutor) == \
+        _enum_stage_cuts(base, ScalarCutManager, ReferenceExecutor)
 
 
 def check_columnar_differential(base) -> None:
-    """Batch-kernel eval pinned byte-identical to the scalar oracle on
-    every executor kind."""
-    for kind, workers in (("simulated", 5), ("serial", 1), ("process", 5)):
-        r_col, a_col = _run(base, kind, workers=workers, columnar=True)
-        r_sca, a_sca = _run(base, kind, workers=workers, columnar=False)
-        assert result_fingerprint(r_col) == result_fingerprint(r_sca), kind
-        assert aig_fingerprint(a_col) == aig_fingerprint(a_sca), kind
-    assert _threaded_eval_stage_prep(base, columnar=True) == \
-        _threaded_eval_stage_prep(base, columnar=False)
+    """Batch-kernel eval pinned byte-identical to the scalar reference
+    on every executor kind."""
+    _check_against_reference(base, ("eval",))
+    assert _eval_stage_prep(base, ThreadedExecutor) == \
+        _eval_stage_prep(base, ReferenceExecutor)
 
 
 def _run_sharded(base, kind: str, shards: int = 4, workers: int = 5):

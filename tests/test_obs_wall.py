@@ -141,14 +141,6 @@ class TestWallTimeline:
         assert len(wall.flight) == 3
         assert [r["chunk"] for r in wall.flight] == [7, 8, 9]
 
-    def test_set_flight_size_keeps_newest(self):
-        wall = WallTimeline(flight_size=8)
-        now = time.time()
-        for i in range(6):
-            wall.add_chunk(_finished_tele(chunk=i), now, time.time())
-        wall.set_flight_size(2)
-        assert [r["chunk"] for r in wall.flight] == [4, 5]
-
     def test_dump_flight_snapshots_and_is_bounded(self):
         wall = WallTimeline(flight_size=4)
         wall.add_chunk(_finished_tele(chunk=9), time.time(), time.time())

@@ -1,6 +1,6 @@
 """Property suite for the shard region extractor.
 
-:func:`repro.core.partition.extract_regions` justifies running the
+:func:`repro.core.partition.plan_regions` justifies running the
 whole rewrite pipeline per shard concurrently with the same Theorem-1
 argument the level pipeline uses for same-level nodes — so its output
 must actually *have* the properties the theorem needs:
@@ -31,7 +31,6 @@ from repro.aig.traversal import tfi, tfo
 from repro.bench import mtm_like
 from repro.core.partition import (
     cleanup_region,
-    extract_regions,
     merge_work_estimates,
     plan_regions,
 )
@@ -50,7 +49,7 @@ def _plans():
     for make in CIRCUITS:
         aig = make()
         for num_shards in (2, 3, 4, 8):
-            plan = extract_regions(aig, num_shards, min_nodes=1)
+            plan = plan_regions(aig, num_shards, min_nodes=1)[0]
             if plan is not None:
                 yield aig, plan
 
@@ -171,45 +170,45 @@ def test_owned_is_topologically_sorted():
 def test_deterministic():
     for make in CIRCUITS:
         aig = make()
-        a = extract_regions(aig, 4, min_nodes=1)
-        b = extract_regions(aig, 4, min_nodes=1)
+        a = plan_regions(aig, 4, min_nodes=1)[0]
+        b = plan_regions(aig, 4, min_nodes=1)[0]
         assert a == b
 
 
 class TestDegenerateFallbacks:
     def test_empty_aig(self):
-        assert extract_regions(Aig(), 4) is None
+        assert plan_regions(Aig(), 4)[0] is None
 
     def test_no_ands(self):
         aig = Aig()
         a = aig.add_pi()
         aig.add_po(a)
         aig.add_po(a ^ 1)
-        assert extract_regions(aig, 2) is None
+        assert plan_regions(aig, 2)[0] is None
 
     def test_single_cone(self):
         aig = random_aig(num_pis=5, num_nodes=40, num_pos=1, seed=2)
-        assert extract_regions(aig, 4) is None
+        assert plan_regions(aig, 4)[0] is None
 
     def test_one_shard_requested(self):
         aig = random_aig(num_pis=6, num_nodes=60, num_pos=4, seed=3)
-        assert extract_regions(aig, 1) is None
-        assert extract_regions(aig, 0) is None
+        assert plan_regions(aig, 1)[0] is None
+        assert plan_regions(aig, 0)[0] is None
 
     def test_more_shards_than_cones_clamps(self):
         aig = random_aig(num_pis=6, num_nodes=80, num_pos=3, seed=7)
-        plan = extract_regions(aig, 64, min_nodes=1)
+        plan = plan_regions(aig, 64, min_nodes=1)[0]
         if plan is not None:  # clamped, never over-split
             assert plan.num_shards <= len(aig.pos)
 
     def test_min_nodes_floor_disables_sharding(self):
         aig = random_aig(num_pis=6, num_nodes=60, num_pos=5, seed=3)
-        assert extract_regions(aig, 4, min_nodes=10 ** 6) is None
+        assert plan_regions(aig, 4, min_nodes=10 ** 6)[0] is None
 
     def test_min_nodes_floor_lowers_shard_count(self):
         aig = mtm_like(num_pis=12, num_nodes=400, seed=5)
-        wide = extract_regions(aig, 8, min_nodes=1)
-        floored = extract_regions(aig, 8, min_nodes=aig.num_ands // 3)
+        wide = plan_regions(aig, 8, min_nodes=1)[0]
+        floored = plan_regions(aig, 8, min_nodes=aig.num_ands // 3)[0]
         if wide is not None and floored is not None:
             assert floored.num_shards <= min(3, wide.num_shards)
 
@@ -220,7 +219,7 @@ class TestDegenerateFallbacks:
         f = aig.and_(a, b)
         aig.add_po(f)
         aig.add_po(f ^ 1)
-        assert extract_regions(aig, 2) is None
+        assert plan_regions(aig, 2)[0] is None
 
 
 class TestFallbackReasons:
@@ -271,8 +270,8 @@ class TestSeamRotation:
         for make in CIRCUITS:
             aig = make()
             for rotation in (0, 1, 3):
-                a = extract_regions(aig, 4, min_nodes=1, rotation=rotation)
-                b = extract_regions(aig, 4, min_nodes=1, rotation=rotation)
+                a = plan_regions(aig, 4, min_nodes=1, rotation=rotation)[0]
+                b = plan_regions(aig, 4, min_nodes=1, rotation=rotation)[0]
                 assert a == b
                 if a is not None:
                     assert a.rotation == rotation
@@ -280,8 +279,8 @@ class TestSeamRotation:
     def test_rotation_zero_matches_default(self):
         for make in CIRCUITS:
             aig = make()
-            assert extract_regions(aig, 4, min_nodes=1) == \
-                extract_regions(aig, 4, min_nodes=1, rotation=0)
+            assert plan_regions(aig, 4, min_nodes=1)[0] == \
+                plan_regions(aig, 4, min_nodes=1, rotation=0)[0]
 
     def test_rotation_moves_the_boundary(self):
         """The point of seam rotation: at least one corpus circuit must
@@ -291,8 +290,8 @@ class TestSeamRotation:
         comparable = 0
         for make in CIRCUITS:
             aig = make()
-            base = extract_regions(aig, 4, min_nodes=1, rotation=0)
-            rot = extract_regions(aig, 4, min_nodes=1, rotation=1)
+            base = plan_regions(aig, 4, min_nodes=1, rotation=0)[0]
+            rot = plan_regions(aig, 4, min_nodes=1, rotation=1)[0]
             if base is None or rot is None:
                 continue
             comparable += 1
@@ -308,7 +307,7 @@ class TestSeamRotation:
         for make in CIRCUITS:
             aig = make()
             for rotation in (1, 2):
-                plan = extract_regions(aig, 4, min_nodes=1, rotation=rotation)
+                plan = plan_regions(aig, 4, min_nodes=1, rotation=rotation)[0]
                 if plan is None:
                     continue
                 checked += 1
@@ -377,7 +376,7 @@ class TestCleanupRegion:
 
     def test_plan_reports_dangling(self):
         aig, dangling = self._dangling_fixture()
-        plan = extract_regions(aig, 2, min_nodes=1)
+        plan = plan_regions(aig, 2, min_nodes=1)[0]
         assert plan is not None
         assert plan.dangling == dangling
 
@@ -386,7 +385,7 @@ class TestCleanupRegion:
         boundary and dangling node (they are no longer silently
         skipped) plus their TFI neighborhood."""
         aig, dangling = self._dangling_fixture()
-        plan = extract_regions(aig, 2, min_nodes=1)
+        plan = plan_regions(aig, 2, min_nodes=1)[0]
         targets = set(plan.boundary) | set(plan.dangling)
         region = cleanup_region(aig, targets)
         assert targets <= region
@@ -405,7 +404,7 @@ class TestCleanupRegion:
 
     def test_cleanup_region_skips_dead_targets(self):
         aig, _ = self._dangling_fixture()
-        plan = extract_regions(aig, 2, min_nodes=1)
+        plan = plan_regions(aig, 2, min_nodes=1)[0]
         assert cleanup_region(aig, []) == set()
         # PIs are never part of the region even when targeted.
         region = cleanup_region(aig, list(plan.boundary) + list(aig.pis))

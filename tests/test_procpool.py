@@ -20,7 +20,7 @@ from repro.aig import AigSnapshot
 from repro.bench import mtm_like, sin_like, voter_like
 from repro.config import RewriteConfig, dacpara_config
 from repro.core import DACParaRewriter
-from repro.core.operators import StageContext, make_eval_operator
+from repro.core.operators import StageContext
 from repro.cuts import CutManager
 from repro.errors import ConfigError
 from repro.galois import ProcessExecutor, SimulatedExecutor, make_executor
@@ -37,6 +37,7 @@ from repro.obs.observer import TracingObserver
 from repro.rewrite.base import best_candidate_over_cuts, find_best_candidate
 
 from conftest import random_aig
+from reference import make_eval_operator, reference_rewrite
 
 
 def aig_fingerprint(aig):
@@ -342,19 +343,71 @@ class TestProcessExecutor:
         ex.close()
 
     def test_custom_library_uses_generic_path(self):
+        # Pool workers rebuild the lookup via get_library(), so a custom
+        # library keeps eval scoring in-process against ctx.library —
+        # loudly, once per run — while enum (which needs no library)
+        # still fans out.
+        import dataclasses
+
         from repro.library import StructureLibrary
 
-        aig = mtm_like(num_pis=16, num_nodes=100, seed=9)
-        engine = DACParaRewriter(
-            library=StructureLibrary(), executor_kind="process", jobs=1
-        )
-        baseline = DACParaRewriter(executor_kind="simulated")
-        a1, a2 = copy.deepcopy(aig), copy.deepcopy(aig)
-        r1 = engine.run(a1)
-        r2 = baseline.run(a2)
-        # default-construction library has identical content, so results
-        # agree even though the custom one forces the operator path
-        assert (r1.area_after, r1.replacements) == (r2.area_after, r2.replacements)
+        aig = mtm_like(num_pis=12, num_nodes=250, seed=9)
+        library = StructureLibrary()
+        config = dacpara_config(workers=5)
+
+        def run(kind):
+            a = copy.deepcopy(aig)
+            obs = TracingObserver()
+            engine = DACParaRewriter(
+                config=config, library=library, executor_kind=kind, jobs=2,
+                observer=obs,
+            )
+            result = engine.run(a)
+            return result, a, engine, obs.metrics.snapshot()["counters"]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r_proc, a_proc, e_proc, counters = run("process")
+        msgs = [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)]
+        assert len(msgs) == 1 and "default structure library" in msgs[0]
+        shipped = {
+            stage: sum(v for k, v in counters.items()
+                       if k.startswith("snapshot_bytes_shipped_total")
+                       and f"stage={stage}" in k)
+            for stage in ("enum", "eval")
+        }
+        assert shipped["enum"] > 0 and shipped["eval"] == 0
+
+        r_sim, a_sim, e_sim, _ = run("simulated")
+        assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
+        assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
+        assert [dataclasses.replace(s, wall_seconds=0.0)
+                for s in e_proc.last_stats.stages] == \
+               [dataclasses.replace(s, wall_seconds=0.0)
+                for s in e_sim.last_stats.stages]
+        a_ref = copy.deepcopy(aig)
+        r_ref = reference_rewrite(a_ref, config, 5, library=library)
+        assert result_fingerprint(r_proc) == result_fingerprint(r_ref)
+        assert aig_fingerprint(a_proc) == aig_fingerprint(a_ref)
+
+        def eval_stage_prep(executor):
+            cutman = CutManager(aig, k=4, max_cuts=12)
+            live = aig.topo_ands()
+            for root in live:
+                cutman.fresh_cuts(root)
+            ctx = StageContext(
+                aig=aig, cutman=cutman, library=library, config=config)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    executor.run_eval("eval", live, ctx)
+            finally:
+                executor.close()
+            return {v: ctx.prep_info.get(v) for v in live}
+
+        assert eval_stage_prep(ProcessExecutor(5, jobs=2)) == \
+            eval_stage_prep(SimulatedExecutor(5))
 
 
 class TestEnumFanout:
@@ -383,25 +436,6 @@ class TestEnumFanout:
                 kind = key.split("kind=")[1].split(",")[0].rstrip("}")
                 out[kind] = out.get(kind, 0) + value
         return out
-
-    def test_enum_fanout_off_matches_on(self):
-        import dataclasses
-
-        base = self.BASE()
-        r_sim, a_sim, _ = self._run_engine(base, "simulated")
-        r_on, a_on, m_on = self._run_engine(base, "process")
-        cfg = dataclasses.replace(dacpara_config(workers=8), enum_fanout=False)
-        r_off, a_off, _ = self._run_engine(base, "process", config=cfg)
-        for r, a in ((r_on, a_on), (r_off, a_off)):
-            assert result_fingerprint(r) == result_fingerprint(r_sim)
-            assert aig_fingerprint(a) == aig_fingerprint(a_sim)
-        # With fan-out on, the enum stage itself ships snapshots.
-        enum_bytes = sum(
-            v for k, v in m_on["counters"].items()
-            if k.startswith("snapshot_bytes_shipped_total")
-            and "stage=enum" in k
-        )
-        assert enum_bytes > 0
 
     def test_delta_too_large_always_recaptures(self):
         import dataclasses

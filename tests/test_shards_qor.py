@@ -31,7 +31,7 @@ from repro.aig import Aig, lit_var, make_lit
 from repro.bench import mtm_like
 from repro.config import ConfigError, RewriteConfig, dacpara_config
 from repro.core import DACParaRewriter
-from repro.core.partition import Shard, extract_regions
+from repro.core.partition import Shard, plan_regions
 from repro.core.shards import splice_shard
 from repro.core.validation import ShardMergeStats
 from repro.obs.observer import TracingObserver
@@ -127,7 +127,7 @@ class TestQoRRecovery:
         t1 = base.and_(t0, pis[2])
         t2 = base.and_(pis[1], pis[2])
         base.and_(t2, pis[0])
-        plan = extract_regions(base, 4, min_nodes=1)
+        plan = plan_regions(base, 4, min_nodes=1)[0]
         assert plan is not None and plan.dangling
         r_off, a_off, _ = _engine(
             base, shard_passes=1, boundary_cleanup=False
