@@ -25,21 +25,15 @@ from .simulate import (
 from .io_aiger import read_aiger, write_aag, write_aig
 from .snapshot import (
     AigSnapshot,
-    SharedSnapshotBase,
     SnapshotDelta,
-    attach_shared,
     capture_delta,
-    shared_memory_available,
 )
 
 __all__ = [
     "Aig",
     "AigSnapshot",
-    "SharedSnapshotBase",
     "SnapshotDelta",
-    "attach_shared",
     "capture_delta",
-    "shared_memory_available",
     "KIND_AND",
     "KIND_CONST",
     "KIND_DEAD",

@@ -18,24 +18,18 @@ The strash table is *not* pickled: it is rebuilt lazily from the fanin
 arrays on first :meth:`has_and` probe in the consuming process, which
 keeps the payload to a handful of primitive arrays.
 
-Two mechanisms keep repeated hand-offs cheap:
-
-* **Deltas** — every snapshot records the :attr:`Aig.mutation_epoch`
-  it was captured at.  :func:`capture_delta` (or the bound
-  :meth:`AigSnapshot.delta_since`) packages only the slots touched
-  since that epoch; :meth:`AigSnapshot.apply_delta` patches a base
-  snapshot into the newer one without re-copying the whole graph.
-* **Shared memory** — :class:`SharedSnapshotBase` publishes a base
-  snapshot's arrays into one ``multiprocessing.shared_memory`` segment
-  so workers can :func:`attach_shared` by name instead of unpickling
-  hundreds of kilobytes per stage.
+**Deltas** keep repeated hand-offs cheap: every snapshot records the
+:attr:`Aig.mutation_epoch` it was captured at.  :func:`capture_delta`
+(or the bound :meth:`AigSnapshot.delta_since`) packages only the slots
+touched since that epoch; :meth:`AigSnapshot.apply_delta` patches a
+base snapshot into the newer one without re-shipping the whole graph.
+The base itself crosses the process boundary one way only — as its
+pickle (:mod:`repro.galois.shipper`).
 """
 
 from __future__ import annotations
 
-import atexit
-import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,8 +37,8 @@ from ..errors import AigError
 from .graph import KIND_AND, KIND_CONST, KIND_DEAD, KIND_PI, Aig, _KIND_NAMES
 
 #: (attribute name, numpy dtype) of every per-node array in a snapshot,
-#: in pickling/shipping order.  Deltas and shared-memory segments both
-#: iterate this table so the three representations cannot drift.
+#: in pickling/shipping order.  Deltas and :meth:`AigSnapshot.columns`
+#: both iterate this table so the representations cannot drift.
 _NODE_FIELDS: Tuple[Tuple[str, str], ...] = (
     ("_kind", "int8"),
     ("_fanin0", "int64"),
@@ -62,7 +56,7 @@ class AigSnapshot:
     __slots__ = (
         "_kind", "_fanin0", "_fanin1", "_nref", "_level", "_stamp",
         "_life", "_pis", "_pos", "_num_ands", "generation", "name",
-        "epoch", "_strash", "_shm", "_columns",
+        "epoch", "_strash", "_columns",
     )
 
     def __init__(
@@ -95,7 +89,6 @@ class AigSnapshot:
         self.name = name
         self.epoch = epoch
         self._strash: Optional[Dict[Tuple[int, int], int]] = None
-        self._shm = None
         self._columns: Optional[Tuple[list, ...]] = None
 
     @classmethod
@@ -133,7 +126,6 @@ class AigSnapshot:
             self.generation, self.name, self.epoch,
         ) = state
         self._strash = None
-        self._shm = None
         self._columns = None
 
     # -- deltas --------------------------------------------------------
@@ -151,8 +143,8 @@ class AigSnapshot:
     def apply_delta(self, delta: "SnapshotDelta") -> "AigSnapshot":
         """Return a **new** snapshot with ``delta`` patched in.
 
-        Snapshots are immutable (and may be shared-memory backed), so
-        patching always copies the per-node arrays.
+        Snapshots are immutable, so patching always copies the
+        per-node arrays.
         """
         if delta.base_epoch != self.epoch:
             raise AigError(
@@ -285,16 +277,6 @@ class AigSnapshot:
             self._strash = strash
         return strash
 
-    def release(self) -> None:
-        """Detach from a shared-memory segment, if attached."""
-        shm = self._shm
-        if shm is not None:
-            self._shm = None
-            try:
-                shm.close()
-            except OSError:  # pragma: no cover - platform specific
-                pass
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"AigSnapshot(name={self.name!r}, gen={self.generation}, "
@@ -391,115 +373,3 @@ def capture_delta(aig: Aig, base_epoch: int) -> Optional[SnapshotDelta]:
         generation=aig.generation,
         name=aig.name,
     )
-
-
-# -- shared-memory backing ---------------------------------------------
-
-
-def shared_memory_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` can be used here."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - always present on CPython 3.8+
-        return False
-    return True
-
-
-#: Every live parent-side shared segment, so an abnormal interpreter
-#: exit (unhandled exception past the executor, SIGTERM-triggered
-#: atexit) still unlinks them instead of leaking /dev/shm space until
-#: reboot.  Weak references: a normally close()d base just drops out.
-_LIVE_SHARED_BASES: "weakref.WeakSet[SharedSnapshotBase]" = weakref.WeakSet()
-
-
-@atexit.register
-def _unlink_live_shared_bases() -> None:  # pragma: no cover - exit hook
-    for base in list(_LIVE_SHARED_BASES):
-        base.close()
-
-
-class SharedSnapshotBase:
-    """Parent-side owner of a snapshot published to shared memory.
-
-    All per-node arrays are packed back to back into one named
-    segment; :attr:`handle` is the tiny picklable descriptor a worker
-    feeds to :func:`attach_shared`.  The parent keeps the segment alive
-    until :meth:`close` (which also unlinks it); segments still live at
-    interpreter exit are unlinked by the :mod:`atexit` finalizer.
-    """
-
-    def __init__(self, snapshot: AigSnapshot):
-        from multiprocessing import shared_memory
-
-        arrays = [(field, getattr(snapshot, field)) for field, _ in _NODE_FIELDS]
-        total = sum(arr.nbytes for _, arr in arrays)
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-        layout: List[Tuple[str, int, str, Tuple[int, ...]]] = []
-        offset = 0
-        for field, arr in arrays:
-            view = np.ndarray(arr.shape, dtype=arr.dtype,
-                              buffer=self._shm.buf, offset=offset)
-            view[:] = arr
-            layout.append((field, offset, str(arr.dtype), arr.shape))
-            offset += arr.nbytes
-        self.nbytes = total
-        _LIVE_SHARED_BASES.add(self)
-        self.handle = (
-            self._shm.name,
-            tuple(layout),
-            snapshot.pis,
-            snapshot.pos,
-            snapshot.num_ands,
-            snapshot.generation,
-            snapshot.name,
-            snapshot.epoch,
-        )
-
-    def close(self) -> None:
-        """Release and unlink the segment (idempotent)."""
-        _LIVE_SHARED_BASES.discard(self)
-        shm = self._shm
-        if shm is None:
-            return
-        self._shm = None
-        try:
-            shm.close()
-            shm.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover
-            pass
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        self.close()
-
-
-def attach_shared(handle) -> AigSnapshot:
-    """Worker-side attach to a :class:`SharedSnapshotBase` handle.
-
-    The returned snapshot's arrays are read-only views over the shared
-    segment; it keeps the ``SharedMemory`` object alive on ``_shm`` and
-    must be :meth:`AigSnapshot.release`-d before being dropped.
-    """
-    from multiprocessing import shared_memory
-
-    (shm_name, layout, pis, pos, num_ands, generation, name, epoch) = handle
-    # Pool workers are forked, so they share the parent's resource
-    # tracker: this attach-side register is a set no-op there, and the
-    # parent's close()/unlink() removes the one shared registration.
-    shm = shared_memory.SharedMemory(name=shm_name)
-    arrays = {}
-    for field, offset, dtype, shape in layout:
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf,
-                          offset=offset)
-        view.flags.writeable = False
-        arrays[field.lstrip("_")] = view
-    snapshot = AigSnapshot(
-        pis=pis,
-        pos=pos,
-        num_ands=num_ands,
-        generation=generation,
-        name=name,
-        epoch=epoch,
-        **arrays,
-    )
-    snapshot._shm = shm
-    return snapshot

@@ -344,12 +344,12 @@ def _bench_snapshot_delta(quick: bool) -> Dict[str, object]:
 
     from ..aig.literals import lit_var
     from ..aig.snapshot import AigSnapshot
+    from ..galois.shipper import needs_rebase
 
     num_nodes = 2500 if quick else 10000
     stages = 6
     mutations_per_stage = max(4, num_nodes // 1000)
     aig = mtm_like(num_pis=32, num_nodes=num_nodes, seed=5)
-    config = dacpara_config()
     rng = random.Random(7)
 
     def full_bytes() -> int:
@@ -379,8 +379,7 @@ def _bench_snapshot_delta(quick: bool) -> Dict[str, object]:
         full_per_stage.append(full_bytes())
         # The production shipper policy: delta while it is small enough,
         # full recapture (and rebase) once it is not.
-        dirty = aig.dirty_since(base.epoch)
-        if dirty is None or len(dirty) > config.delta_max_fraction * aig.size:
+        if needs_rebase(aig, base.epoch):
             recaptures += 1
             base = AigSnapshot.capture(aig)
             aig.trim_mutation_log(base.epoch)

@@ -107,20 +107,11 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     original = aig.copy() if args.verify else None
     obs = _make_observer(args)
     engine = make_engine(args.engine, workers=args.workers, observer=obs)
-    if args.executor is not None:
-        if not hasattr(engine, "executor_kind"):
-            print(
-                f"engine {args.engine!r} does not take --executor",
-                file=sys.stderr,
-            )
-            return 1
-        engine.executor_kind = args.executor
-    if args.jobs is not None:
-        if not hasattr(engine, "jobs"):
-            print(f"engine {args.engine!r} does not take --jobs", file=sys.stderr)
-            return 1
-        engine.jobs = args.jobs
     config_updates = {}
+    if args.executor is not None:
+        config_updates["executor"] = args.executor
+    if args.jobs is not None:
+        config_updates["jobs"] = args.jobs
     if args.shards is not None:
         config_updates["shards"] = args.shards
     if args.shard_min_nodes is not None:
@@ -129,22 +120,14 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
         config_updates["shard_passes"] = args.shard_passes
     if args.no_boundary_cleanup:
         config_updates["boundary_cleanup"] = False
-    if args.no_shm:
-        config_updates["shared_memory"] = False
-    if args.delta_max_fraction is not None:
-        config_updates["delta_max_fraction"] = args.delta_max_fraction
     if args.chunk_timeout is not None:
         config_updates["chunk_timeout_seconds"] = (
             args.chunk_timeout if args.chunk_timeout > 0 else None
         )
-    if args.chunk_retries is not None:
-        config_updates["chunk_max_retries"] = args.chunk_retries
-    if args.pool_restart_budget is not None:
-        config_updates["pool_restart_budget"] = args.pool_restart_budget
     if config_updates:
         if not hasattr(engine, "config"):
             print(
-                f"engine {args.engine!r} does not take snapshot options",
+                f"engine {args.engine!r} does not take executor options",
                 file=sys.stderr,
             )
             return 1
@@ -193,10 +176,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     aig = read_aiger(args.input)
     obs = TracingObserver()
     engine = make_engine(args.engine, workers=args.workers, observer=obs)
-    if args.executor is not None and hasattr(engine, "executor_kind"):
-        engine.executor_kind = args.executor
-    if args.jobs is not None and hasattr(engine, "jobs"):
-        engine.jobs = args.jobs
+    config_updates = {
+        field: value
+        for field, value in (("executor", args.executor), ("jobs", args.jobs))
+        if value is not None
+    }
+    if config_updates and hasattr(engine, "config"):
+        engine.config = dataclasses.replace(engine.config, **config_updates)
     result = engine.run(aig)
     print(result.summary())
     stats = getattr(engine, "last_stats", None)
@@ -308,30 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
              "sharded passes (faster, recovers less area)",
     )
     p_rw.add_argument(
-        "--no-shm", action="store_true",
-        help="ship base snapshots by pickle instead of "
-             "multiprocessing.shared_memory (--executor process)",
-    )
-    p_rw.add_argument(
-        "--delta-max-fraction", type=float, default=None, metavar="F",
-        help="recapture the snapshot in full once more than F of the "
-             "node slots changed since the base (default 0.25)",
-    )
-    p_rw.add_argument(
         "--chunk-timeout", type=float, default=None, metavar="SECONDS",
         help="deadline per fanned-out chunk; a chunk past it is "
              "computed in-parent and the wedged pool restarted "
              "(default 300, 0 disables; --executor process)",
-    )
-    p_rw.add_argument(
-        "--chunk-retries", type=int, default=None, metavar="N",
-        help="resubmissions per failed chunk before it is split and "
-             "eventually quarantined (default 2; --executor process)",
-    )
-    p_rw.add_argument(
-        "--pool-restart-budget", type=int, default=None, metavar="N",
-        help="worker-pool restarts allowed per run after crashes or "
-             "hangs (default 2; --executor process)",
     )
     p_rw.add_argument("--verify", action="store_true")
     p_rw.add_argument(

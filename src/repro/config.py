@@ -22,7 +22,6 @@ class RewriteConfig:
       and structures, a single pass.
     """
 
-    cut_size: int = 4
     max_cuts: Optional[int] = 12
     max_structs: Optional[int] = 8
     npn_classes: str = "common134"
@@ -31,33 +30,18 @@ class RewriteConfig:
     preserve_level: bool = False
     workers: int = 1
     seed: int = 0
-    # Execution backend: 'simulated' (deterministic instrument),
-    # 'process' (wall-clock multi-core eval), 'threaded', 'serial'.
+    # Execution backend: 'simulated' (deterministic instrument;
+    # workers=1 is the serial timing reference), 'process' (wall-clock
+    # multi-core enum/eval), 'threaded'.
     executor: str = "simulated"
     # OS worker processes for the process executor; None = core count.
     # Independent of ``workers`` (the logical parallelism model).
     jobs: Optional[int] = None
-    # Process-executor snapshot hand-off: ship per-stage deltas against
-    # a cached base snapshot, recapturing in full once more than this
-    # fraction of node slots changed since the base (0.0 = always
-    # recapture, 1.0 = never).
-    delta_max_fraction: float = 0.25
-    # Publish the base snapshot via multiprocessing.shared_memory so
-    # workers attach by name instead of unpickling it; falls back to
-    # pickle transparently where shared memory is unavailable.
-    shared_memory: bool = True
     # Deadline for one fanned-out chunk: a chunk that outlives it is
     # computed in-parent and the (presumed wedged) pool is restarted.
     # None disables the deadline (a hung worker then hangs the stage).
+    # The rest of the fault policy is fixed (repro.galois.faults).
     chunk_timeout_seconds: Optional[float] = 300.0
-    # Failed chunks (worker raised, corrupted result, died with the
-    # pool) are resubmitted up to this many times with capped
-    # exponential backoff, then split in half; a chunk that survives
-    # splitting too is quarantined and computed in-parent.
-    chunk_max_retries: int = 2
-    # BrokenProcessPool recoveries allowed per run before the
-    # remaining chunks degrade to in-parent computation.
-    pool_restart_budget: int = 2
     # Fault-injection plan for the chaos tests: entries
     # "mode@stage:chunk[:fires]" (mode = kill/hang/raise/corrupt)
     # separated by "," or ";"; None falls back to $REPRO_FAULT_PLAN.
@@ -83,16 +67,8 @@ class RewriteConfig:
     # former boundary and dangling nodes, recovering seam-crossing cuts
     # no shard could see.  Only meaningful with shards > 1.
     boundary_cleanup: bool = True
-    # Worker-side wall-clock telemetry for the process executor: each
-    # chunk ships its phase spans back for the observer's WallTimeline.
-    # Only active when a tracing observer is attached (the no-op
-    # observer records nothing either way); False silences it even
-    # under tracing.
-    wall_telemetry: bool = True
 
     def __post_init__(self) -> None:
-        if self.cut_size != 4:
-            raise ConfigError("only 4-input cuts are supported (as in the paper)")
         if self.passes < 1:
             raise ConfigError("passes must be >= 1")
         if self.workers < 1:
@@ -101,21 +77,17 @@ class RewriteConfig:
             raise ConfigError("max_cuts must be positive or None")
         if self.max_structs is not None and self.max_structs < 1:
             raise ConfigError("max_structs must be positive or None")
-        if self.executor not in ("simulated", "threaded", "serial", "process"):
+        from .galois import EXECUTOR_KINDS
+
+        if self.executor not in EXECUTOR_KINDS:
             raise ConfigError(f"unknown executor {self.executor!r}")
         if self.jobs is not None and self.jobs < 1:
             raise ConfigError("jobs must be >= 1 or None")
-        if not 0.0 <= self.delta_max_fraction <= 1.0:
-            raise ConfigError("delta_max_fraction must be within [0, 1]")
         if self.chunk_timeout_seconds is not None and \
                 self.chunk_timeout_seconds <= 0:
             raise ConfigError(
                 "chunk_timeout_seconds must be positive or None"
             )
-        if self.chunk_max_retries < 0:
-            raise ConfigError("chunk_max_retries must be >= 0")
-        if self.pool_restart_budget < 0:
-            raise ConfigError("pool_restart_budget must be >= 0")
         if self.shards < 1:
             raise ConfigError("shards must be >= 1")
         if self.shard_min_nodes < 1:
@@ -123,7 +95,7 @@ class RewriteConfig:
         if self.shard_passes < 1:
             raise ConfigError("shard_passes must be >= 1")
         if self.fault_plan is not None:
-            from .galois.procpool import FaultPlan
+            from .galois.faults import FaultPlan
 
             try:
                 FaultPlan.parse(self.fault_plan)

@@ -35,20 +35,14 @@ class DACParaRewriter:
         self,
         config: Optional[RewriteConfig] = None,
         library: Optional[StructureLibrary] = None,
-        executor_kind: Optional[str] = None,
         validate: bool = True,
         partition: str = "level",
         observer: Optional[Observer] = None,
-        jobs: Optional[int] = None,
     ):
         if partition not in ("level", "single"):
             raise ValueError(f"unknown partition mode {partition!r}")
         self.config = config or dacpara_config()
         self.library = library or get_library()
-        # Executor kind: explicit argument wins, then the config field.
-        self.executor_kind = executor_kind or self.config.executor
-        # OS process count for the process executor (None = core count).
-        self.jobs = jobs if jobs is not None else self.config.jobs
         self.validate = validate  # False = ablation (static information)
         # 'level' = the paper's nodeDividing; 'single' = ablation: one
         # global worklist, maximizing staleness between eval and replace.
@@ -90,7 +84,7 @@ class DACParaRewriter:
         config = self.config
         obs = self.obs
         executor = make_executor(
-            self.executor_kind, config.workers, observer=obs, jobs=self.jobs
+            config.executor, config.workers, observer=obs, jobs=config.jobs
         )
         result = RewriteResult(
             engine=self.name,
@@ -100,7 +94,7 @@ class DACParaRewriter:
             delay_before=aig.max_level(),
             delay_after=aig.max_level(),
         )
-        cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
+        cutman = CutManager(aig, max_cuts=config.max_cuts)
         ctx = StageContext(
             aig=aig, cutman=cutman, library=self.library, config=config,
             validate=self.validate, observer=obs,

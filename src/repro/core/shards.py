@@ -12,9 +12,9 @@ This module runs divide-and-conquer one level up:
    nodes become pseudo-PIs) and the *entire*
    enumerate/evaluate/replace level pipeline runs on it — on pool
    workers via :meth:`~repro.galois.procpool.ProcessExecutor.run_shards`
-   (the graph ships once as a shared-memory snapshot; each shard task
-   is only its var lists), or sequentially in-parent for the
-   in-process executors;
+   (the graph ships as the stage's snapshot ref; each shard task is
+   only its var lists), or sequentially in-parent for the in-process
+   executors;
 3. results come back as renumbered node lists and are spliced into the
    parent graph through :func:`~repro.core.validation.
    validate_shard_payload` — rebuilding through ``Aig.and_`` *is* the
@@ -71,13 +71,9 @@ def shard_subconfig(config):
     """The per-shard run configuration: sharding disabled (no nested
     pools — the worker pipeline runs on the simulated executor), fault
     injection cleared (faults are injected at the shard fan-out, not
-    inside the already-failed worker), telemetry off."""
+    inside the already-failed worker)."""
     return dataclasses.replace(
-        config,
-        shards=1,
-        executor="simulated",
-        fault_plan=None,
-        wall_telemetry=False,
+        config, shards=1, executor="simulated", fault_plan=None,
     )
 
 
@@ -162,9 +158,7 @@ def rewrite_shard(src, shard: Shard, config) -> dict:
     sub, _ = build_shard_aig(src, shard)
     ands_before = sub.num_ands
     pre = random_simulation(sub, width=SHARD_CHECK_WIDTH, seed=config.seed)
-    engine = DACParaRewriter(
-        config=shard_subconfig(config), executor_kind="simulated"
-    )
+    engine = DACParaRewriter(config=shard_subconfig(config))
     result = engine.run(sub)
     post = random_simulation(sub, width=SHARD_CHECK_WIDTH, seed=config.seed)
     nodes, outs = _serialize_sub(sub, len(shard.support))
@@ -299,12 +293,12 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
     # snapshot shipper sends deltas between passes and fault-plan chunk
     # coordinates stay cumulative.
     use_pool = (
-        rewriter.executor_kind == "process"
+        config.executor == "process"
         and rewriter.library is get_library()
     )
     executor = (
         make_executor(
-            "process", config.workers, observer=obs, jobs=rewriter.jobs
+            "process", config.workers, observer=obs, jobs=config.jobs
         )
         if use_pool
         else None
@@ -427,7 +421,6 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
             engine = DACParaRewriter(
                 config=shard_subconfig(config),
                 library=rewriter.library,
-                executor_kind="simulated",
                 validate=rewriter.validate,
             )
             cleanup = engine.run(aig, restrict=region)

@@ -3,17 +3,16 @@ abort-and-retry, simulated, threaded and process-pool executors."""
 
 from .activity import Operator, Phase
 from .procpool import ProcessExecutor, default_jobs
-from .simsched import SerialExecutor, SimulatedExecutor
+from .simsched import SimulatedExecutor
 from .stats import ExecutionStats, StageStats
 from .threaded import ThreadedExecutor
 
-EXECUTOR_KINDS = ("simulated", "threaded", "serial", "process")
+EXECUTOR_KINDS = ("simulated", "threaded", "process")
 
 __all__ = [
     "Operator",
     "Phase",
     "ProcessExecutor",
-    "SerialExecutor",
     "SimulatedExecutor",
     "ExecutionStats",
     "StageStats",
@@ -24,15 +23,13 @@ __all__ = [
 
 
 def make_executor(kind: str, workers: int, observer=None, jobs=None):
-    """Factory: ``'simulated'``, ``'threaded'``, ``'serial'`` or
-    ``'process'``.  ``jobs`` is the OS worker-process count for the
-    process executor (ignored by the others)."""
+    """Factory: ``'simulated'``, ``'threaded'`` or ``'process'``.
+    ``jobs`` is the OS worker-process count for the process executor
+    (ignored by the others)."""
     if kind == "simulated":
         return SimulatedExecutor(workers, observer=observer)
     if kind == "threaded":
         return ThreadedExecutor(workers, observer=observer)
-    if kind == "serial":
-        return SerialExecutor(observer=observer)
     if kind == "process":
         return ProcessExecutor(workers, observer=observer, jobs=jobs)
     raise ValueError(f"unknown executor kind {kind!r}")

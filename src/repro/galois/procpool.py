@@ -7,13 +7,12 @@ is read-only over the stage-start graph too.  The GIL keeps the
 threaded executor from cashing that in; this executor does it with
 ``concurrent.futures.ProcessPoolExecutor``:
 
-1. the parent ships the worklist's shared read state as a
-   :class:`~repro.aig.snapshot.AigSnapshot` — a full capture only when
-   it must (first stage of a run, or after heavy mutation), otherwise
-   an incremental :class:`~repro.aig.snapshot.SnapshotDelta` against a
-   base snapshot the workers cache per run (optionally published once
-   through ``multiprocessing.shared_memory`` so even the base costs
-   only a handle over the pipe);
+1. the parent ships the worklist's shared read state as a stage ref
+   (:mod:`repro.galois.shipper`) — the pickle of a full
+   :class:`~repro.aig.snapshot.AigSnapshot` capture only when it must
+   (first stage of a run, or after heavy mutation), otherwise an
+   incremental :class:`~repro.aig.snapshot.SnapshotDelta` against the
+   base snapshot the workers cache per run;
 2. node chunks fan out to a persistent worker pool as **column
    blocks** (:class:`_ColumnChunk`): cut-set rows by value — the
    de-duplicated fanin rows of an enumeration chunk, a ``leaves``/``tt``
@@ -23,8 +22,8 @@ threaded executor from cashing that in; this executor does it with
    **replaying** them through the inherited simulated scheduler with
    the workers' reported per-node costs.
 
-Step 3 is what makes ``executor_kind="process"`` produce *byte-
-identical* results, stats and traces to ``"simulated"``: evaluation
+Step 3 is what makes ``executor="process"`` produce *byte-identical*
+results, stats and traces to ``"simulated"``: evaluation
 and enumeration costs are data-driven (structures evaluated per cut,
 merge pairs per node), independent of where the computation physically
 ran, so the replay reconstructs the exact simulated timeline while the
@@ -43,17 +42,19 @@ capped exponential backoff, split in half on repeated failure, and —
 only as a last resort — computed in-parent and recorded on the
 executor's quarantine list, while every other chunk of the fan-out
 still completes on worker cores.  A dead pool (``BrokenProcessPool``)
-is restarted up to ``config.pool_restart_budget`` times instead of
-being abandoned for the rest of the run.  Because every recovery path
+is restarted a bounded number of times instead of being abandoned for
+the rest of the run.  The policy's constants and the fault-injection
+hook that tests it (``REPRO_FAULT_PLAN`` / ``config.fault_plan``) live
+in :mod:`repro.galois.faults`.  Because every recovery path
 reproduces the exact values a healthy worker would have returned (the
 merge is keyed by root and replayed through the simulated scheduler),
-results stay byte-identical to ``executor_kind="simulated"`` under any
+results stay byte-identical to ``executor="simulated"`` under any
 combination of faults.
 
 Observability is dual-clock.  The replayed simulated timeline stays
-byte-identical to ``executor_kind="simulated"``; *physical* time is
-captured separately: when a tracing observer is attached (and
-``config.wall_telemetry`` is on), every chunk carries a
+byte-identical to ``executor="simulated"``; *physical* time is
+captured separately: when the attached observer carries a ``wall``
+timeline, every chunk carries a
 :class:`~repro.obs.wall.ChunkTelemetry` record back from its worker —
 wall-clock spans for snapshot patch and compute, merged parent-side
 with the submit/receive timestamps into per-pid tracks on the
@@ -63,28 +64,15 @@ fault instants and a bounded flight-recorder ring dumped on
 quarantine or pool restart.  With the no-op observer none of this is
 allocated: telemetry is side-channel only and results never depend on
 it.
-
-For testing those paths there is a fault-injection hook: the
-``REPRO_FAULT_PLAN`` environment variable (or ``config.fault_plan``)
-holds entries ``mode@stage:chunk[:fires]`` separated by ``,`` or
-``;``, where ``mode`` is one of ``kill`` (SIGKILL the worker),
-``hang`` (sleep past any deadline), ``raise`` (raise
-:class:`InjectedFault`) or ``corrupt`` (return a mangled result),
-``stage``/``chunk`` select the fan-out coordinates (``*`` matches
-any), and ``fires`` bounds how many submissions trigger it (default
-1).  The directive is armed by the parent per submission and executed
-worker-side, so retries of an already-fired coordinate run clean.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import pickle
-import signal
 import time
 import warnings
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,14 +84,15 @@ except ImportError:  # pragma: no cover
     class _BrokenPool(RuntimeError):
         pass
 
-from ..aig.snapshot import (
-    AigSnapshot,
-    SharedSnapshotBase,
-    shared_memory_available,
-    attach_shared,
-)
 from ..obs.observer import Observer
 from ..obs.wall import ChunkTelemetry
+from . import faults
+from .shipper import (
+    SnapshotCacheMiss,
+    _SnapshotShipper,
+    _ref_nbytes,
+    _resolve_snapshot,
+)
 from .simsched import SimulatedExecutor
 from .stats import StageStats
 
@@ -111,35 +100,7 @@ from .stats import StageStats
 #: pickle plus IPC round-trip costs more than the evaluation itself.
 MIN_FANOUT = 16
 
-#: Base snapshots a worker process keeps cached (one per concurrent
-#: run id); old runs are evicted LRU and their shm segments detached.
-_WORKER_CACHE_LIMIT = 4
-
-#: Capped exponential backoff between retry rounds of failed chunks:
-#: RETRY_BACKOFF_BASE * 2**min(attempts, RETRY_BACKOFF_CAP_EXP)
-#: seconds, never more than RETRY_BACKOFF_MAX.
-RETRY_BACKOFF_BASE = 0.02
-RETRY_BACKOFF_CAP_EXP = 4
-RETRY_BACKOFF_MAX = 0.25
-
-#: A chunk that keeps failing is split in half at most this many times
-#: before its pieces are quarantined; bounds the number of doomed
-#: submissions a poison chunk can cost to O(2**depth * retries).
-MAX_SPLIT_DEPTH = 2
-
-#: How long an injected ``hang`` fault sleeps worker-side.  Must only
-#: exceed any chunk deadline under test; the wedged worker is reaped
-#: when the parent restarts the pool.
-FAULT_HANG_SECONDS = 30.0
-
 _RUN_COUNTER = itertools.count(1)
-
-
-def _fault_hang_seconds() -> float:
-    try:
-        return float(os.environ.get("REPRO_FAULT_HANG_SECONDS", ""))
-    except ValueError:
-        return FAULT_HANG_SECONDS
 
 
 def default_jobs() -> int:
@@ -147,93 +108,10 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-class SnapshotCacheMiss(Exception):
-    """A worker was handed an ``assume-cached`` snapshot ref it does
-    not hold (fresh worker, evicted entry).  The parent catches this
-    per-chunk and resubmits with a full payload."""
-
-
-class InjectedFault(RuntimeError):
-    """Raised worker-side by a ``raise`` entry of the fault plan."""
-
-
 class ChunkResultError(Exception):
     """A worker returned a result list that does not answer the tasks
     it was handed (wrong length, wrong roots, wrong shape) — treated
     exactly like a worker-side exception: retry, split, quarantine."""
-
-
-class FaultPlan:
-    """Parsed ``REPRO_FAULT_PLAN`` / ``config.fault_plan`` directives.
-
-    Entries are ``mode@stage:chunk[:fires]``; :meth:`arm` is called by
-    the parent for every chunk submission and consumes one fire from
-    the first matching entry, so a coordinate's retry runs clean once
-    its budget is spent.
-    """
-
-    MODES = ("kill", "hang", "raise", "corrupt")
-
-    def __init__(self, entries: List[Dict[str, object]]):
-        self.entries = entries
-
-    @classmethod
-    def parse(cls, spec: Optional[str]) -> Optional["FaultPlan"]:
-        if not spec or not spec.strip():
-            return None
-        entries: List[Dict[str, object]] = []
-        for raw in spec.replace(";", ",").split(","):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                mode, coords = raw.split("@", 1)
-                parts = coords.split(":")
-                stage, chunk = parts[0], parts[1]
-                fires = int(parts[2]) if len(parts) > 2 else 1
-            except (ValueError, IndexError):
-                raise ValueError(
-                    f"bad fault-plan entry {raw!r}: expected "
-                    f"mode@stage:chunk[:fires]"
-                )
-            mode = mode.strip()
-            if mode not in cls.MODES:
-                raise ValueError(
-                    f"bad fault-plan mode {mode!r}: expected one of "
-                    f"{'/'.join(cls.MODES)}"
-                )
-            entries.append({
-                "mode": mode,
-                "stage": stage.strip(),
-                "chunk": chunk.strip(),
-                "fires": fires,
-            })
-        return cls(entries) if entries else None
-
-    def arm(self, stage: str, chunk: int) -> Optional[str]:
-        """Mode to inject into this submission, consuming one fire."""
-        for entry in self.entries:
-            if entry["fires"] <= 0:
-                continue
-            if entry["stage"] not in ("*", stage):
-                continue
-            if entry["chunk"] != "*" and entry["chunk"] != str(chunk):
-                continue
-            entry["fires"] -= 1
-            return entry["mode"]
-        return None
-
-
-def _execute_fault(mode: str) -> None:
-    """Worker-side execution of an armed pre-compute fault."""
-    if mode == "kill":
-        if hasattr(signal, "SIGKILL"):  # pragma: no branch - POSIX CI
-            os.kill(os.getpid(), signal.SIGKILL)
-        os._exit(1)  # pragma: no cover - non-POSIX fallback
-    if mode == "hang":
-        time.sleep(_fault_hang_seconds())
-    elif mode == "raise":
-        raise InjectedFault(f"injected fault in worker {os.getpid()}")
 
 
 class _ColumnChunk:
@@ -267,21 +145,6 @@ class _ColumnChunk:
             self.roots[part], tuple(c[part] for c in self.task_cols),
             self.row_cols,
         )
-
-
-def _corrupt_results(results):
-    """The ``corrupt`` fault: mangle a chunk's result in ways the
-    parent-side validator must catch — a column result gets a wrong
-    root echo and loses its last row, a result list a wrong root and
-    its last entry."""
-    if isinstance(results, tuple):
-        return (results[0] + 1, results[1]) + tuple(c[:-1] for c in results[2:])
-    if not results:
-        return [(0, None, 0)]
-    mangled = list(results)
-    root, *rest = mangled[0]
-    mangled[0] = (root + 1, *rest)
-    return mangled[:-1] if len(mangled) > 1 else mangled
 
 
 def _validate_chunk(tasks, results: object):
@@ -361,56 +224,6 @@ class _MetricCollector(Observer):
 
 
 # ---------------------------------------------------------------------------
-# Worker-side snapshot cache
-# ---------------------------------------------------------------------------
-
-#: run id -> cached *base* snapshot (epoch = the ref's base_epoch).
-_WORKER_BASES: "OrderedDict[str, AigSnapshot]" = OrderedDict()
-#: run id -> (stage epoch, patched snapshot) — memoizes the delta
-#: application across the chunks of one stage landing on one worker.
-_WORKER_STAGES: Dict[str, Tuple[int, AigSnapshot]] = {}
-
-
-def _store_worker_base(run_id: str, snapshot: AigSnapshot) -> None:
-    old = _WORKER_BASES.pop(run_id, None)
-    if old is not None:
-        old.release()
-    _WORKER_BASES[run_id] = snapshot
-    _WORKER_STAGES.pop(run_id, None)
-    while len(_WORKER_BASES) > _WORKER_CACHE_LIMIT:
-        evicted_id, evicted = _WORKER_BASES.popitem(last=False)
-        evicted.release()
-        _WORKER_STAGES.pop(evicted_id, None)
-
-
-def _resolve_snapshot(ref, collector: _MetricCollector) -> AigSnapshot:
-    """Materialize the snapshot a stage ref describes, using (and
-    filling) this worker's per-run base cache."""
-    run_id, base_epoch, epoch, base_kind, base_payload, delta_blob = ref
-    base = _WORKER_BASES.get(run_id)
-    if base is not None and base.epoch == base_epoch:
-        _WORKER_BASES.move_to_end(run_id)
-        collector.count("worker_snapshot_cache_hits_total")
-    else:
-        if base_kind == "pickle":
-            base = pickle.loads(base_payload)
-        elif base_kind == "shm":
-            base = attach_shared(base_payload)
-        else:  # "cached": the parent assumed we hold it — we do not
-            raise SnapshotCacheMiss(run_id, base_epoch)
-        collector.count("worker_snapshot_cache_misses_total")
-        _store_worker_base(run_id, base)
-    if delta_blob is None:
-        return base
-    staged = _WORKER_STAGES.get(run_id)
-    if staged is not None and staged[0] == epoch:
-        return staged[1]
-    snapshot = base.apply_delta(pickle.loads(delta_blob))
-    _WORKER_STAGES[run_id] = (epoch, snapshot)
-    return snapshot
-
-
-# ---------------------------------------------------------------------------
 # Worker entry points
 # ---------------------------------------------------------------------------
 
@@ -419,9 +232,10 @@ def _eval_columns(aig_like, chunk: _ColumnChunk, config, collector):
     """Score one eval chunk against a read-only AIG view.
 
     Like every stage function, runs identically against an
-    :class:`AigSnapshot` (worker side) or the live :class:`Aig` (the
-    per-chunk in-parent degrade): :func:`~repro.rewrite.columnar.
-    eval_tasks_columnar` over the chunk's ``leaves``/``tt`` rows.
+    :class:`~repro.aig.snapshot.AigSnapshot` (worker side) or the live
+    :class:`Aig` (the per-chunk in-parent degrade): :func:`~repro.
+    rewrite.columnar.eval_tasks_columnar` over the chunk's
+    ``leaves``/``tt`` rows.
     Returns ``(roots, units, winners)`` — the root echo, each root's
     structure-evaluation units (the cost the simulated eval operator
     charges, ``-1`` for a dead root) and the candidates found, each
@@ -450,7 +264,7 @@ def _enum_columns(aig_like, chunk: _ColumnChunk, config, collector):
     merged ride the collector as ``enum_vectorized_pairs_total``."""
     from ..cuts.manager import CutManager
 
-    cutman = CutManager(aig_like, k=config.cut_size, max_cuts=config.max_cuts)
+    cutman = CutManager(aig_like, max_cuts=config.max_cuts)
     out = cutman.merge_exported(
         chunk.roots, *chunk.task_cols, chunk.row_cols, observer=collector)
     collector.count("enum_vectorized_pairs_total", cutman.vec_pairs)
@@ -485,7 +299,7 @@ def _run_chunk(stage_fn, ref, tasks, config, fault: Optional[str] = None,
     None when the observer is the no-op (no record is then allocated).
     """
     if fault is not None:
-        _execute_fault(fault)
+        faults._execute_fault(fault)
     tele = None
     if telemetry is not None:
         tele = ChunkTelemetry.begin(*telemetry, tasks=len(tasks))
@@ -496,7 +310,7 @@ def _run_chunk(stage_fn, ref, tasks, config, fault: Optional[str] = None,
         tele.enter("compute")
     out = stage_fn(snapshot, tasks, config, collector)
     if fault == "corrupt":
-        out = _corrupt_results(out)
+        out = faults._corrupt_results(out)
     if tele is not None:
         tele.done(results=len(tasks))
     return out, collector, tele
@@ -515,163 +329,29 @@ def _warm_shared_state(config) -> None:
     config.allowed_classes  # forces the class-set (and canon) tables
 
 
-# ---------------------------------------------------------------------------
-# Parent-side snapshot shipping
-# ---------------------------------------------------------------------------
-
-
-class _SnapshotShipper:
-    """Decides, per stage, how the graph state reaches the workers.
-
-    Keeps the current *base* snapshot (plus its optional shared-memory
-    publication and lazily-built full pickle) and emits one of three
-    ref kinds:
-
-    * ``full``   — rebase: fresh capture, shipped whole (pickle blob or
-      shm handle); chosen on the first stage and whenever the delta
-      would exceed ``config.delta_max_fraction`` of the node slots (or
-      the graph's journal no longer reaches the base epoch);
-    * ``delta``  — the common case: a pickled
-      :class:`~repro.aig.snapshot.SnapshotDelta` plus a tiny base ref;
-    * ``cached`` — nothing changed since the base: base ref only.
-
-    A ref is a picklable tuple
-    ``(run_id, base_epoch, stage_epoch, base_kind, base_payload,
-    delta_blob)`` resolved worker-side by :func:`_resolve_snapshot`.
-    """
-
-    def __init__(self, run_id: str):
-        self.run_id = run_id
-        self.base: Optional[AigSnapshot] = None
-        self._shared: Optional[SharedSnapshotBase] = None
-        self._base_blob: Optional[bytes] = None
-        self._stage_epoch: Optional[int] = None
-        self._stage_delta_blob: Optional[bytes] = None
-
-    # -- base management ----------------------------------------------
-
-    def _rebase(self, aig, config) -> None:
-        self.release()
-        self.base = AigSnapshot.capture(aig)
-        # The journal before the new base epoch can never be asked for
-        # again (deltas are always relative to the current base).
-        aig.trim_mutation_log(self.base.epoch)
-        if config.shared_memory and shared_memory_available():
-            try:
-                self._shared = SharedSnapshotBase(self.base)
-            except (OSError, ValueError):  # pragma: no cover - platform
-                self._shared = None
-
-    def _base_ref(self) -> Tuple[str, object]:
-        """Cheapest way a worker can (re)acquire the current base."""
-        if self._shared is not None:
-            return "shm", self._shared.handle
-        return "cached", None
-
-    def _full_blob(self) -> bytes:
-        if self._base_blob is None:
-            self._base_blob = pickle.dumps(
-                self.base, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return self._base_blob
-
-    def release(self) -> None:
-        """Drop the base and unlink its shared segment (idempotent)."""
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
-        self.base = None
-        self._base_blob = None
-        self._stage_epoch = None
-        self._stage_delta_blob = None
-
-    # -- per-stage refs -----------------------------------------------
-
-    def stage_ref(self, aig, config) -> Tuple[tuple, int, str, float]:
-        """Returns ``(ref, ref_bytes, kind, delta_ratio)`` for the
-        current graph state."""
-        epoch = aig.mutation_epoch
-        delta = None
-        if self.base is not None:
-            dirty = aig.dirty_since(self.base.epoch)
-            if dirty is not None and (
-                len(dirty) <= config.delta_max_fraction * max(1, aig.size)
-            ):
-                if epoch == self.base.epoch:
-                    self._stage_epoch, self._stage_delta_blob = epoch, None
-                    kind, payload = self._base_ref()
-                    ref = (self.run_id, self.base.epoch, epoch, kind, payload, None)
-                    return ref, _ref_nbytes(ref), "cached", 0.0
-                delta = self.base.delta_since(aig)
-        if delta is None:
-            self._rebase(aig, config)
-            self._stage_epoch, self._stage_delta_blob = self.base.epoch, None
-            if self._shared is not None:
-                kind, payload = "shm", self._shared.handle
-            else:
-                kind, payload = "pickle", self._full_blob()
-            ref = (self.run_id, self.base.epoch, self.base.epoch, kind, payload, None)
-            return ref, _ref_nbytes(ref), "full", 1.0
-        if epoch == self._stage_epoch and self._stage_delta_blob is not None:
-            # Same graph state as the previous stage (enum → eval with
-            # no mutations in between): reuse the pickled delta, and the
-            # workers' stage memo skips re-applying it too.
-            blob = self._stage_delta_blob
-        else:
-            blob = pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL)
-        self._stage_epoch, self._stage_delta_blob = epoch, blob
-        kind, payload = self._base_ref()
-        ref = (self.run_id, self.base.epoch, epoch, kind, payload, blob)
-        ratio = delta.num_dirty / max(1, delta.size)
-        return ref, _ref_nbytes(ref), "delta", ratio
-
-    def refill_ref(self) -> Tuple[tuple, int]:
-        """Self-contained ref for resubmitting after a worker-side
-        :class:`SnapshotCacheMiss`: full base pickle plus the delta of
-        the stage being retried."""
-        ref = (
-            self.run_id,
-            self.base.epoch,
-            self._stage_epoch,
-            "pickle",
-            self._full_blob(),
-            self._stage_delta_blob,
-        )
-        return ref, _ref_nbytes(ref)
-
-
-def _ref_nbytes(ref) -> int:
-    """Payload size of one stage ref as it crosses the pipe."""
-    run_id, base_epoch, epoch, base_kind, base_payload, delta_blob = ref
-    n = 64  # tuple/scalar envelope
-    if base_kind == "pickle":
-        n += len(base_payload)
-    elif base_kind == "shm":
-        n += len(pickle.dumps(base_payload, protocol=pickle.HIGHEST_PROTOCOL))
-    if delta_blob is not None:
-        n += len(delta_blob)
-    return n
-
-
 class _ChunkJob:
     """One chunk of a stage fan-out, carrying its retry provenance.
 
     ``index`` is the chunk's coordinate in the *initial* chunking (the
     fault plan's and the quarantine list's coordinate system — halves
-    of a split chunk keep their parent's index).  ``ref`` overrides the
-    stage snapshot ref after a cache-miss refill.
+    of a split chunk keep their parent's index).  ``ref`` is the
+    snapshot ref every submission of this chunk ships and ``kind`` the
+    label its bytes are counted under: the stage's, or the
+    self-contained ``refill`` after a worker-side cache miss.
     """
 
-    __slots__ = ("index", "tasks", "attempts", "splits", "refills", "ref")
+    __slots__ = ("index", "tasks", "ref", "kind", "attempts", "splits",
+                 "refills")
 
-    def __init__(self, index: int, tasks, attempts: int = 0,
-                 splits: int = 0, ref: Optional[tuple] = None):
+    def __init__(self, index: int, tasks, ref: tuple, kind: str,
+                 splits: int = 0):
         self.index = index
         self.tasks = tasks
-        self.attempts = attempts
+        self.ref = ref
+        self.kind = kind
+        self.attempts = 0
         self.splits = splits
         self.refills = 0
-        self.ref = ref
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +405,7 @@ class ProcessExecutor(SimulatedExecutor):
         self.chunk_timeouts = 0
         self.chunk_fallbacks = 0
         self.quarantined: List[Tuple[str, int]] = []
-        self._fault_plan: Optional[FaultPlan] = None
+        self._fault_plan: Optional[faults.FaultPlan] = None
         self._fault_plan_spec: Optional[str] = None
 
     # -- pool management ----------------------------------------------
@@ -783,7 +463,7 @@ class ProcessExecutor(SimulatedExecutor):
             except Exception:  # pragma: no cover - already reaped
                 pass
 
-    def _restart_pool(self, config, why: str):
+    def _restart_pool(self, why: str):
         """Replace a dead/wedged pool, within the restart budget.
 
         Returns the fresh pool, or None once the budget is spent — the
@@ -792,7 +472,7 @@ class ProcessExecutor(SimulatedExecutor):
         slate via its own executor instance).
         """
         self._discard_pool()
-        budget = config.pool_restart_budget
+        budget = faults.POOL_RESTART_BUDGET
         if self.pool_restarts >= budget:
             self._warn_fallback(
                 f"pool restart budget ({budget}) exhausted after {why}"
@@ -801,7 +481,7 @@ class ProcessExecutor(SimulatedExecutor):
         self.pool_restarts += 1
         if self.obs.enabled:
             self.obs.count("pool_restarts_total")
-            wall = self._wall_for(config)
+            wall = self._wall()
             if wall is not None:
                 wall.instant("pool_restart", why=why,
                              restarts=self.pool_restarts)
@@ -809,10 +489,10 @@ class ProcessExecutor(SimulatedExecutor):
         return self._ensure_pool()
 
     def close(self, wait: bool = True) -> None:
-        """Shut the worker pool down and release the shared-memory
-        base snapshot (idempotent).  ``wait=False`` (the ``__del__``
-        path) never joins workers, so a wedged worker cannot block
-        garbage collection or interpreter teardown."""
+        """Shut the worker pool down and drop the base snapshot
+        (idempotent).  ``wait=False`` (the ``__del__`` path) never
+        joins workers, so a wedged worker cannot block garbage
+        collection or interpreter teardown."""
         if not wait:
             self._discard_pool()
         elif self._pool is not None:
@@ -834,21 +514,20 @@ class ProcessExecutor(SimulatedExecutor):
         obs = self.obs
         if obs.enabled:
             obs.count("snapshot_bytes_shipped_total", nbytes, stage=stage, kind=kind)
-            obs.observe("snapshot_bytes", nbytes)
 
-    def _get_fault_plan(self, config) -> Optional[FaultPlan]:
+    def _get_fault_plan(self, config) -> Optional[faults.FaultPlan]:
         spec = config.fault_plan or os.environ.get("REPRO_FAULT_PLAN")
         if spec != self._fault_plan_spec:
             self._fault_plan_spec = spec
-            self._fault_plan = FaultPlan.parse(spec)
+            self._fault_plan = faults.FaultPlan.parse(spec)
         return self._fault_plan
 
     # -- wall-clock telemetry -----------------------------------------
 
-    def _wall_for(self, config):
-        """The observer's wall timeline, or None when telemetry is off
-        (no-op observer, or ``config.wall_telemetry`` disabled)."""
-        if not self.obs.enabled or not config.wall_telemetry:
+    def _wall(self):
+        """The observer's wall timeline, or None when it carries none
+        (telemetry is on iff the observer has one)."""
+        if not self.obs.enabled:
             return None
         return getattr(self.obs, "wall", None)
 
@@ -878,14 +557,13 @@ class ProcessExecutor(SimulatedExecutor):
         return fallback(job.tasks, collector)
 
     def _record_failure(
-        self, job, retry, stage, fallback, collector, merged, max_retries,
-        wall=None,
+        self, job, retry, stage, fallback, collector, merged, wall=None,
     ) -> None:
         """Route one failed chunk: retry with backoff while its budget
         lasts, then split it in half, then quarantine and degrade."""
         progress = self.obs.progress
         job.attempts += 1
-        if job.attempts <= max_retries:
+        if job.attempts <= faults.CHUNK_MAX_RETRIES:
             self.chunk_retries += 1
             if self.obs.enabled:
                 self.obs.count("chunk_retries_total", stage=stage)
@@ -895,7 +573,7 @@ class ProcessExecutor(SimulatedExecutor):
                 progress.bump("retries")
             retry.append(job)
             return
-        if len(job.tasks) > 1 and job.splits < MAX_SPLIT_DEPTH:
+        if len(job.tasks) > 1 and job.splits < faults.MAX_SPLIT_DEPTH:
             mid = len(job.tasks) // 2
             self.chunk_retries += 2
             if self.obs.enabled:
@@ -906,8 +584,8 @@ class ProcessExecutor(SimulatedExecutor):
                 progress.bump("retries", 2)
             for piece in (job.tasks[:mid], job.tasks[mid:]):
                 retry.append(
-                    _ChunkJob(job.index, piece, splits=job.splits + 1,
-                              ref=job.ref)
+                    _ChunkJob(job.index, piece, job.ref, job.kind,
+                              splits=job.splits + 1)
                 )
             return
         # Poison chunk: every retry and split exhausted.  Record the
@@ -928,8 +606,8 @@ class ProcessExecutor(SimulatedExecutor):
         merged.append(self._degrade_chunk(job, fallback, collector))
 
     def _collect_chunks(
-        self, pool, stage_fn, ref, parts, config, collector, stage, aig,
-        index_base=0,
+        self, pool, stage_fn, ref, ref_kind, parts, config, collector,
+        stage, aig, index_base=0,
     ):
         """Submit all chunks and fan results back in, fault-tolerantly:
         the list of per-chunk results, in completion order.
@@ -943,10 +621,12 @@ class ProcessExecutor(SimulatedExecutor):
         ``config.chunk_timeout_seconds`` degrades in-parent
         immediately and the wedged pool is restarted; a
         ``BrokenProcessPool`` restarts the pool (within
-        ``config.pool_restart_budget``) and resubmits the chunks that
+        ``faults.POOL_RESTART_BUDGET``) and resubmits the chunks that
         died with it.  Every path reproduces the exact values a healthy
         worker would have returned, keeping process mode byte-identical
-        to simulated mode under any fault.
+        to simulated mode under any fault.  Snapshot bytes are counted
+        per submission — a retried, split or resubmitted chunk ships
+        its ref again.
         """
         merged: list = []
 
@@ -955,13 +635,12 @@ class ProcessExecutor(SimulatedExecutor):
 
         obs = self.obs
         queue = deque(
-            _ChunkJob(index, part)
+            _ChunkJob(index, part, ref, ref_kind)
             for index, part in enumerate(parts, start=index_base)
         )
         plan = self._get_fault_plan(config)
         timeout = config.chunk_timeout_seconds
-        max_retries = config.chunk_max_retries
-        wall = self._wall_for(config)
+        wall = self._wall()
         progress = self.obs.progress
         while queue:
             if pool is None:
@@ -982,9 +661,8 @@ class ProcessExecutor(SimulatedExecutor):
                 )
                 try:
                     future = pool.submit(
-                        _run_chunk, stage_fn,
-                        job.ref if job.ref is not None else ref,
-                        job.tasks, config, fault, tele_args,
+                        _run_chunk, stage_fn, job.ref, job.tasks, config,
+                        fault, tele_args,
                     )
                 except Exception:
                     # The pool died between rounds (broken or shut
@@ -993,6 +671,7 @@ class ProcessExecutor(SimulatedExecutor):
                     queue.appendleft(job)
                     break
                 inflight.append((job, future, time.time()))
+                self._account_bytes(stage, job.kind, _ref_nbytes(job.ref))
                 if obs.enabled:
                     self._count_payload(stage, "out", job.tasks)
             retry: List[_ChunkJob] = []
@@ -1021,15 +700,13 @@ class ProcessExecutor(SimulatedExecutor):
                     if job.refills >= 1:
                         self._record_failure(
                             job, retry, stage, fallback, collector,
-                            merged, max_retries, wall=wall,
+                            merged, wall=wall,
                         )
                         continue
-                    refill_ref, refill_bytes = self._shipper.refill_ref()
-                    self._account_bytes(stage, "refill", refill_bytes)
                     self.cache_refills += 1
                     if self.obs.enabled:
                         self.obs.count("worker_snapshot_cache_refills_total")
-                    job.ref = refill_ref
+                    job.ref, job.kind = self._shipper.refill_ref(), "refill"
                     job.refills += 1
                     queue.append(job)
                 except _FuturesTimeout:
@@ -1048,25 +725,25 @@ class ProcessExecutor(SimulatedExecutor):
                     pool_dead = True
                     self._record_failure(
                         job, retry, stage, fallback, collector, merged,
-                        max_retries, wall=wall,
+                        wall=wall,
                     )
                 except Exception:
                     # Worker-side raise (injected or real) or a
                     # corrupted result list caught by the validator.
                     self._record_failure(
                         job, retry, stage, fallback, collector, merged,
-                        max_retries, wall=wall,
+                        wall=wall,
                     )
             if pool_dead or wedged:
                 why = "a broken pool" if pool_dead else "a timed-out chunk"
-                pool = self._restart_pool(config, why)
+                pool = self._restart_pool(why)
             if retry:
                 attempts = max(job.attempts for job in retry)
                 if attempts > 0:
                     time.sleep(min(
-                        RETRY_BACKOFF_MAX,
-                        RETRY_BACKOFF_BASE
-                        * (2 ** min(attempts, RETRY_BACKOFF_CAP_EXP)),
+                        faults.RETRY_BACKOFF_MAX,
+                        faults.RETRY_BACKOFF_BASE
+                        * (2 ** min(attempts, faults.RETRY_BACKOFF_CAP_EXP)),
                     ))
                 queue.extend(retry)
         return merged
@@ -1104,16 +781,15 @@ class ProcessExecutor(SimulatedExecutor):
         start_time = time.time()
         obs = self.obs
         _warm_shared_state(config)
-        ref, ref_bytes, ref_kind, ratio = self._shipper.stage_ref(aig, config)
+        ref, ref_kind, ratio = self._shipper.stage_ref(aig)
         if obs.enabled and ref_kind == "delta":
             obs.observe("snapshot_delta_ratio", ratio)
-        snapshot_bytes = ref_bytes * len(parts)  # the ref rides every chunk
-        self._account_bytes(stage, ref_kind, snapshot_bytes)
+        shipped_before = self.snapshot_bytes_total
         collector = _MetricCollector()
         try:
             merged = self._collect_chunks(
-                pool, stage_fn, ref, parts, config, collector, stage, aig,
-                index_base=index_base,
+                pool, stage_fn, ref, ref_kind, parts, config, collector,
+                stage, aig, index_base=index_base,
             )
         except (OSError, MemoryError) as exc:
             # Last-resort whole-stage degradation (fork limit, OOM
@@ -1123,10 +799,13 @@ class ProcessExecutor(SimulatedExecutor):
             self.close()
             return None
         if obs.enabled:
+            # The ref rides every submission: chunks, retries, refills.
+            snapshot_bytes = self.snapshot_bytes_total - shipped_before
+            obs.observe("snapshot_bytes", snapshot_bytes)
             collector.replay_into(obs)
             obs.observe(f"{stage}_fanout_wall_seconds",
                         time.perf_counter() - start_wall)
-            wall = self._wall_for(config)
+            wall = self._wall()
             if wall is not None:
                 wall.parent_span(
                     f"{stage}_fanout", start_time, time.time(), stage=stage,
@@ -1148,11 +827,6 @@ class ProcessExecutor(SimulatedExecutor):
         start_wall = time.perf_counter()
         try:
             stage = batched(self, name, items, ctx, compute)
-        except BaseException:
-            # An exception escaping the stage must not leak the base
-            # snapshot's shared-memory segment.
-            self._shipper.release()
-            raise
         finally:
             fanout, self._fanout_span = self._fanout_span, None
         stage.wall_seconds = time.perf_counter() - start_wall
@@ -1223,9 +897,9 @@ class ProcessExecutor(SimulatedExecutor):
     def run_shards(self, aig, tasks, config, pass_index=0) -> List[tuple]:
         """Fan whole-shard rewrites out to pool workers.
 
-        ``tasks`` are ``(index, Shard)`` pairs; the graph ships once as
-        a (shared-memory) snapshot and each chunk carries only a
-        shard's var lists.  One shard per chunk: a shard is the unit of
+        ``tasks`` are ``(index, Shard)`` pairs; the graph ships as the
+        stage's snapshot ref and each chunk carries only a shard's var
+        lists.  One shard per chunk: a shard is the unit of
         retry, quarantine and fault injection (stage name ``"shard"``
         in the fault plan — chunk coordinates are cumulative across
         seam-rotation passes, so ``mode@shard:N`` can target any pass's
@@ -1236,15 +910,11 @@ class ProcessExecutor(SimulatedExecutor):
         """
         index_base = self.shard_chunks_seen
         self.shard_chunks_seen += len(tasks)
-        try:
-            merged = self._fan_out(
-                "shard", aig, config, [[task] for task in tasks],
-                _shard_tasks, index_base=index_base, sim_span=False,
-                shards=len(tasks), shard_pass=pass_index,
-            )
-        except BaseException:
-            self._shipper.release()
-            raise
+        merged = self._fan_out(
+            "shard", aig, config, [[task] for task in tasks],
+            _shard_tasks, index_base=index_base, sim_span=False,
+            shards=len(tasks), shard_pass=pass_index,
+        )
         if merged is None:
             collector = _MetricCollector()
             merged = [_shard_tasks(aig, tasks, config, collector)]

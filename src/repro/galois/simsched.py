@@ -240,10 +240,3 @@ class SimulatedExecutor:
                 if other_acq <= acq_time and locks & want:
                     return end
         return None
-
-
-class SerialExecutor(SimulatedExecutor):
-    """One-worker simulated executor (the ABC-serial timing reference)."""
-
-    def __init__(self, observer: Optional[Observer] = None) -> None:
-        super().__init__(workers=1, observer=observer)

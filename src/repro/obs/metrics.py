@@ -25,7 +25,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: simulated-mode metrics when nothing goes wrong:
 #:
 #: * ``pool_restarts_total``       — BrokenProcessPool / wedged-pool
-#:   replacements (bounded by ``config.pool_restart_budget``)
+#:   replacements (bounded by ``faults.POOL_RESTART_BUDGET``)
 #: * ``chunk_retries_total{stage}`` — failed-chunk resubmissions,
 #:   including the two halves of an automatic chunk split
 #: * ``chunk_timeouts_total``      — chunks that outlived

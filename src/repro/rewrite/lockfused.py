@@ -40,19 +40,19 @@ class LockFusedRewriter:
         self,
         config: Optional[RewriteConfig] = None,
         library: Optional[StructureLibrary] = None,
-        executor_kind: str = "simulated",
         observer: Optional[Observer] = None,
     ):
         self.config = config or iccad18_config()
         self.library = library or get_library()
-        self.executor_kind = executor_kind
         self.obs = observer if observer is not None else NULL_OBSERVER
 
     def run(self, aig: Aig) -> RewriteResult:
         """Rewrite ``aig`` in place with the fused parallel operator."""
         config = self.config
         obs = self.obs
-        executor = make_executor(self.executor_kind, config.workers, observer=obs)
+        executor = make_executor(
+            config.executor, config.workers, observer=obs, jobs=config.jobs
+        )
         result = RewriteResult(
             engine=self.name,
             workers=config.workers,
@@ -61,7 +61,7 @@ class LockFusedRewriter:
             delay_before=aig.max_level(),
             delay_after=aig.max_level(),
         )
-        cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
+        cutman = CutManager(aig, max_cuts=config.max_cuts)
         counters = {"replacements": 0, "saved": 0}
         operator = self._make_operator(aig, cutman, config, counters)
 

@@ -46,7 +46,7 @@ class SerialRewriter:
             delay_before=aig.max_level(),
             delay_after=aig.max_level(),
         )
-        cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
+        cutman = CutManager(aig, max_cuts=config.max_cuts)
         meter = WorkMeter()
         obs = self.obs
 

@@ -86,7 +86,7 @@ class StaticRewriter:
             pass_span = None
             if obs.enabled:
                 pass_span = obs.begin("pass", "pass", gpu.now, index=pass_index)
-            cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
+            cutman = CutManager(aig, max_cuts=config.max_cuts)
             stored: Dict[int, Candidate] = {}
 
             def eval_operator(root: int) -> Generator[Phase, None, None]:

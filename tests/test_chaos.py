@@ -34,14 +34,12 @@ from repro.core import DACParaRewriter
 from repro.core.operators import StageContext
 from repro.cuts import CutManager
 from repro.errors import ConfigError
-from repro.galois import ProcessExecutor
+from repro.galois import ProcessExecutor, faults
+from repro.galois.faults import FaultPlan, InjectedFault, _corrupt_results
 from repro.galois.procpool import (
     ChunkResultError,
-    FaultPlan,
-    InjectedFault,
     _ColumnChunk,
     _MetricCollector,
-    _corrupt_results,
     _enum_columns,
     _validate_chunk,
 )
@@ -63,8 +61,8 @@ def _run(base, kind, config=None):
     aig = copy.deepcopy(base)
     obs = TracingObserver()
     engine = DACParaRewriter(
-        config=config or dacpara_config(workers=8),
-        executor_kind=kind, jobs=JOBS, observer=obs,
+        config=(config or dacpara_config(workers=8)).with_executor(kind, JOBS),
+        observer=obs,
     )
     result = engine.run(aig)
     return result, aig, obs
@@ -78,6 +76,16 @@ def _counter(obs, name):
     """Sum a counter over all of its label sets."""
     return sum(
         v for k, v in _counters(obs).items() if k.split("{")[0] == name
+    )
+
+
+def _shipped(obs):
+    """Stage-ref bytes over the pipe; ``refill`` aside — whether a
+    late-spawned worker needs one is scheduling noise."""
+    return sum(
+        v for k, v in _counters(obs).items()
+        if k.startswith("snapshot_bytes_shipped_total")
+        and "kind=refill" not in k
     )
 
 
@@ -127,7 +135,7 @@ class TestChaosMatrix:
             assert fallbacks == 0
         if mode == "kill":
             restarts = _counter(obs, "pool_restarts_total")
-            assert 1 <= restarts <= cfg.pool_restart_budget
+            assert 1 <= restarts <= faults.POOL_RESTART_BUDGET
         if mode == "hang":
             assert _counter(obs, "chunk_timeouts_total") >= 1
             assert fallbacks == 1
@@ -138,16 +146,17 @@ class TestChaosMatrix:
             assert _counter(obs, name) == 0
 
     @pytest.mark.parametrize("stage", ["enum", "eval"])
-    def test_failed_column_chunk_splits_and_both_halves_replay(self, stage):
+    def test_failed_column_chunk_splits_and_both_halves_replay(
+            self, stage, monkeypatch):
         # Two fires against a one-retry budget: the chunk fails, fails
         # its retry, is split — and both halves (sharing the chunk's
         # rows, each with half its task vectors) come back clean from
         # worker cores.
+        monkeypatch.setattr(faults, "CHUNK_MAX_RETRIES", 1)
         base = self.BASE()
         r_sim, a_sim, _ = _run(base, "simulated")
         cfg = dataclasses.replace(
-            dacpara_config(workers=8),
-            fault_plan=f"raise@{stage}:0:2", chunk_max_retries=1,
+            dacpara_config(workers=8), fault_plan=f"raise@{stage}:0:2",
         )
         r_proc, a_proc, obs = _run(base, "process", config=cfg)
         assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
@@ -158,6 +167,9 @@ class TestChaosMatrix:
         assert _counter(obs, "chunk_retries_total") == 3
         assert _counter(obs, "chunk_fallback_total") == 0
         assert _counter(obs, "quarantined_chunks_total") == 0
+        # Every resubmission ships the stage ref again.
+        _, _, clean = _run(base, "process")
+        assert _shipped(obs) > _shipped(clean)
 
 
 class TestShardChaos:
@@ -203,18 +215,16 @@ class TestShardChaos:
             assert _counter(obs, "chunk_timeouts_total") >= 1
             assert fallbacks == 1
 
-    def test_poisoned_shard_quarantines_without_spreading(self):
+    def test_poisoned_shard_quarantines_without_spreading(self, monkeypatch):
         """A shard that fails on every attempt ends in quarantine and
         in-parent recompute; its siblings still run pool-side and the
         merged result is byte-identical and equivalent to the input."""
         from repro.sat import check_equivalence_auto
 
+        monkeypatch.setattr(faults, "CHUNK_MAX_RETRIES", 1)
         base = self.BASE()
         r_seq, a_seq, _ = _run(base, "simulated", config=self._cfg())
-        cfg = self._cfg(
-            fault_plan="raise@shard:0:100000",
-            chunk_max_retries=1,
-        )
+        cfg = self._cfg(fault_plan="raise@shard:0:100000")
         r_proc, a_proc, obs = _run(base, "process", config=cfg)
         assert result_fingerprint(r_proc) == result_fingerprint(r_seq)
         assert aig_fingerprint(a_proc) == aig_fingerprint(a_seq)
@@ -251,19 +261,19 @@ class TestPoolCrashRecovery:
         base = mtm_like(num_pis=24, num_nodes=600, seed=0)
         r_sim, a_sim, _ = _run(base, "simulated")
         cfg = dataclasses.replace(
-            dacpara_config(workers=8),
-            fault_plan="kill@eval:0",
-            pool_restart_budget=2,
+            dacpara_config(workers=8), fault_plan="kill@eval:0",
         )
         r_proc, a_proc, obs = _run(base, "process", config=cfg)
         assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
         assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
         restarts = _counter(obs, "pool_restarts_total")
-        assert 1 <= restarts <= cfg.pool_restart_budget
+        assert 1 <= restarts <= faults.POOL_RESTART_BUDGET
 
-    def test_restart_budget_exhaustion_degrades_not_fails(self):
+    def test_restart_budget_exhaustion_degrades_not_fails(self, monkeypatch):
         """Kills on every restart burn the budget; the run must still
         finish byte-identically via in-parent degradation."""
+        monkeypatch.setattr(faults, "POOL_RESTART_BUDGET", 1)
+        monkeypatch.setattr(faults, "CHUNK_MAX_RETRIES", 1)
         base = mtm_like(num_pis=16, num_nodes=300, seed=21)
         # Same logical worker count as the faulted run: the simulated
         # timeline (and so the makespan) depends on it.
@@ -272,8 +282,6 @@ class TestPoolCrashRecovery:
             dacpara_config(workers=4),
             # Enough fires to kill the fresh pool after each restart.
             fault_plan="kill@eval:*:8",
-            pool_restart_budget=1,
-            chunk_max_retries=1,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -345,13 +353,13 @@ class TestPoisonQuarantine:
     """A chunk that fails on every attempt is split, quarantined and
     computed in-parent — and the result is still byte-identical."""
 
-    def test_persistent_fault_ends_in_quarantine(self):
+    def test_persistent_fault_ends_in_quarantine(self, monkeypatch):
+        monkeypatch.setattr(faults, "CHUNK_MAX_RETRIES", 1)
         base = mtm_like(num_pis=16, num_nodes=220, seed=9)
         r_sim, a_sim, _ = _run(base, "simulated", config=dacpara_config(workers=4))
         cfg = dataclasses.replace(
             dacpara_config(workers=4),
             fault_plan="raise@eval:0:100000",
-            chunk_max_retries=1,
         )
         r_proc, a_proc, obs = _run(base, "process", config=cfg)
         assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
@@ -394,12 +402,9 @@ class TestFaultPlan:
         with pytest.raises(ConfigError):
             RewriteConfig(chunk_timeout_seconds=0.0)
         with pytest.raises(ConfigError):
-            RewriteConfig(chunk_max_retries=-1)
-        with pytest.raises(ConfigError):
-            RewriteConfig(pool_restart_budget=-1)
+            RewriteConfig(chunk_timeout_seconds=-1.0)
         cfg = RewriteConfig(
-            chunk_timeout_seconds=1.5, chunk_max_retries=0,
-            pool_restart_budget=0, fault_plan="raise@eval:0",
+            chunk_timeout_seconds=1.5, fault_plan="raise@eval:0",
         )
         assert cfg.chunk_timeout_seconds == 1.5
 
@@ -564,34 +569,11 @@ class TestResourceSafety:
             raise RuntimeError("mid-stage explosion")
 
         monkeypatch.setattr(ProcessExecutor, "_collect_chunks", boom)
-        try:
-            with pytest.raises(RuntimeError, match="mid-stage explosion"):
+        with pytest.raises(RuntimeError, match="mid-stage explosion"):
+            try:
                 ex.run_eval("eval", live, ctx)
-            # The base snapshot (and its shared-memory segment) must
-            # not survive the exception.
-            assert ex._shipper.base is None
-            assert ex._shipper._shared is None
-        finally:
-            ex.close()
-
-    def test_atexit_registry_tracks_shared_bases(self):
-        from repro.aig.snapshot import (
-            AigSnapshot,
-            SharedSnapshotBase,
-            _LIVE_SHARED_BASES,
-            _unlink_live_shared_bases,
-            shared_memory_available,
-        )
-
-        if not shared_memory_available():  # pragma: no cover
-            pytest.skip("no multiprocessing.shared_memory here")
-        aig = mtm_like(num_pis=8, num_nodes=50, seed=1)
-        base = SharedSnapshotBase(AigSnapshot.capture(aig))
-        assert base in _LIVE_SHARED_BASES
-        base.close()
-        assert base not in _LIVE_SHARED_BASES
-        # A leaked base is swept by the exit hook (idempotent close).
-        leaked = SharedSnapshotBase(AigSnapshot.capture(aig))
-        _unlink_live_shared_bases()
-        assert leaked._shm is None
-        assert leaked not in _LIVE_SHARED_BASES
+            finally:
+                ex.close()  # what the driver's own ``finally`` does
+        # The base snapshot captured for the failed stage does not
+        # outlive the run.
+        assert ex._shipper.base is None

@@ -172,7 +172,7 @@ class TestCliExecutorFlags:
         ])
         err = capsys.readouterr().err
         if code == 0:
-            # engine happens to expose executor_kind; nothing to assert
+            # engine carries a config; nothing to assert
             assert err == ""
         else:
             assert code == 1

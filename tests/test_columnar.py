@@ -122,7 +122,7 @@ class TestColumnarView:
 def _setup(num_nodes=220, seed=8, num_pis=16, config=None):
     aig = mtm_like(num_pis=num_pis, num_nodes=num_nodes, seed=seed)
     config = config or dacpara_config()
-    cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
+    cutman = CutManager(aig, max_cuts=config.max_cuts)
     live = aig.topo_ands()
     for root in live:
         cutman.fresh_cuts(root)

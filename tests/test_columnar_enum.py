@@ -442,7 +442,7 @@ class TestObserverEmissions:
 def _enum_stage(manager, executor):
     config = dacpara_config(workers=6)
     aig = mtm_like(num_pis=12, num_nodes=200, seed=3)
-    cutman = manager(aig, k=config.cut_size, max_cuts=config.max_cuts)
+    cutman = manager(aig, max_cuts=config.max_cuts)
     live = aig.topo_ands()
     ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
                        config=config)

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 
+import repro.config
+from repro.aig import Aig
+from repro.cli import main
 from repro.config import (
     RewriteConfig,
     abc_rewrite_config,
@@ -13,18 +19,20 @@ from repro.config import (
     gpu_config,
     iccad18_config,
 )
-from repro.errors import ConfigError
+from repro.core import DACParaRewriter
+from repro.cuts import CutManager
+from repro.errors import ConfigError, CutError
 
 
 class TestValidation:
     def test_defaults_valid(self):
         cfg = RewriteConfig()
-        assert cfg.cut_size == 4
         assert len(cfg.allowed_classes) == 134
 
     def test_only_4_input_cuts(self):
-        with pytest.raises(ConfigError):
-            RewriteConfig(cut_size=5)
+        assert CutManager(Aig()).k == 4
+        with pytest.raises(CutError):
+            CutManager(Aig(), k=5)
 
     def test_passes_positive(self):
         with pytest.raises(ConfigError):
@@ -55,6 +63,28 @@ class TestValidation:
     def test_with_workers(self):
         cfg = RewriteConfig().with_workers(16)
         assert cfg.workers == 16
+
+
+def test_runtime_knobs_are_gone(capsys):
+    for knob in ("cut_size", "delta_max_fraction", "shared_memory",
+                 "chunk_max_retries", "pool_restart_budget",
+                 "wall_telemetry"):
+        with pytest.raises(TypeError):
+            RewriteConfig(**{knob: 1})
+    with pytest.raises(TypeError):
+        DACParaRewriter(executor_kind="simulated")
+    assert len(dataclasses.fields(RewriteConfig)) == 16
+    for argv in (["--no-shm"], ["--delta-max-fraction", "0.5"],
+                 ["--chunk-retries", "1"], ["--pool-restart-budget", "1"],
+                 ["--executor", "serial"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["rewrite", *argv, "x.aig"])
+        assert exit_info.value.code == 2
+    capsys.readouterr()  # argparse usage noise
+    # The fault plan is validated by the faults module, not the executor.
+    assert "procpool" not in inspect.getsource(repro.config)
+    with pytest.raises(ConfigError, match="fault-plan"):
+        RewriteConfig(fault_plan="explode@eval:0")
 
 
 class TestPresets:

@@ -62,7 +62,7 @@ class TestDACParaCorrectness:
         aig = random_aig(num_pis=6, num_nodes=60, num_pos=5, seed=seed)
         sigs = exhaustive_signatures(aig)
         DACParaRewriter(
-            dacpara_config(workers=4), executor_kind="threaded"
+            dacpara_config(workers=4).with_executor("threaded")
         ).run(aig)
         assert exhaustive_signatures(aig) == sigs
         check(aig)

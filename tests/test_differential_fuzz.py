@@ -1,4 +1,4 @@
-"""Differential fuzzing across all four executors.
+"""Differential fuzzing across all three executors.
 
 Each seed generates a random strashed AIG and runs the full DACPara
 rewrite through every executor kind.  The oracle is layered:
@@ -6,8 +6,9 @@ rewrite through every executor kind.  The oracle is layered:
 * ``process`` must be **byte-identical** to ``simulated`` (same output
   graph, same result counters) — the fan-out merge replays worker
   results through the simulated scheduler, so any divergence is a bug.
-* ``serial`` must be byte-identical to ``simulated`` with one worker
-  (a single worker admits exactly one interleaving).
+* ``simulated`` with one worker — the serial timing reference — must
+  repeat byte for byte (a single worker admits exactly one
+  interleaving).
 * ``threaded`` runs real OS threads, so its commit interleaving — and
   hence node numbering — is scheduler-dependent; it is held to the
   semantic bar only: SAT-equivalent output, same invariants.
@@ -17,8 +18,8 @@ rewrite through every executor kind.  The oracle is layered:
 
 A second axis pins the **columnar batch engines** against the scalar
 references in ``tests/reference.py``: full runs on every deterministic
-executor (simulated, serial, process) must be byte-identical to
-``reference_rewrite`` with the per-root eval operator substituted (and,
+executor (simulated at 5 workers and at 1, process) must be
+byte-identical to ``reference_rewrite`` with the per-root eval operator substituted (and,
 independently, with the per-pair cut merge and per-root enum operator
 substituted), and on the threaded executor — whose full-run
 interleaving is scheduler-dependent — the eval *stage* in isolation
@@ -88,7 +89,7 @@ def fuzz_circuit(seed: int):
 def _run(base, kind: str, workers: int = 5):
     aig = copy.deepcopy(base)
     engine = DACParaRewriter(
-        config=dacpara_config(workers=workers), executor_kind=kind, jobs=2)
+        config=dacpara_config(workers=workers).with_executor(kind, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a silent pool fallback is a bug
         result = engine.run(aig)
@@ -102,7 +103,7 @@ def check_differential(base) -> None:
     assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
 
     r_sim1, a_sim1 = _run(base, "simulated", workers=1)
-    r_ser, a_ser = _run(base, "serial", workers=1)
+    r_ser, a_ser = _run(base, "simulated", workers=1)
     assert result_fingerprint(r_ser) == result_fingerprint(r_sim1)
     assert aig_fingerprint(a_ser) == aig_fingerprint(a_sim1)
 
@@ -120,7 +121,7 @@ def _eval_stage_prep(base, executor):
     own root's slot)."""
     aig = copy.deepcopy(base)
     config = dacpara_config(workers=4)
-    cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
+    cutman = CutManager(aig, max_cuts=config.max_cuts)
     live = aig.topo_ands()
     for root in live:
         cutman.fresh_cuts(root)
@@ -138,7 +139,7 @@ def _enum_stage_cuts(base, manager, executor):
     graph, so on real threads they are interleaving-independent."""
     aig = copy.deepcopy(base)
     config = dacpara_config(workers=4)
-    cutman = manager(aig, k=config.cut_size, max_cuts=config.max_cuts)
+    cutman = manager(aig, max_cuts=config.max_cuts)
     live = aig.topo_ands()
     ctx = StageContext(
         aig=aig, cutman=cutman, library=get_library(), config=config
@@ -155,7 +156,7 @@ def _enum_stage_cuts(base, manager, executor):
 def _check_against_reference(base, stages) -> None:
     """Every deterministic executor's full run against the reference
     run with ``stages`` substituted."""
-    for workers, kinds in ((5, ("simulated", "process")), (1, ("serial",))):
+    for workers, kinds in ((5, ("simulated", "process")), (1, ("simulated",))):
         a_ref = copy.deepcopy(base)
         r_ref = reference_rewrite(a_ref, dacpara_config(), workers, stages)
         for kind in kinds:
@@ -187,7 +188,7 @@ def _run_sharded(base, kind: str, shards: int = 4, workers: int = 5):
     config = dataclasses.replace(
         dacpara_config(workers=workers), shards=shards, shard_min_nodes=1
     )
-    engine = DACParaRewriter(config=config, executor_kind=kind, jobs=2)
+    engine = DACParaRewriter(config=config.with_executor(kind, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a silent pool fallback is a bug
         result = engine.run(aig)
@@ -236,7 +237,7 @@ def _run_sharded_qor(base, kind: str, shards: int = 4, passes: int = 2,
         dacpara_config(workers=workers), shards=shards, shard_min_nodes=1,
         shard_passes=passes, boundary_cleanup=True,
     )
-    engine = DACParaRewriter(config=config, executor_kind=kind, jobs=2)
+    engine = DACParaRewriter(config=config.with_executor(kind, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a silent pool fallback is a bug
         result = engine.run(aig)
@@ -318,9 +319,9 @@ def test_sharded_pool_sized():
     obs = TracingObserver()
     config = dataclasses.replace(
         dacpara_config(workers=5), shards=4, shard_min_nodes=1,
-        executor="process",
+        executor="process", jobs=2,
     )
-    engine = DACParaRewriter(config=config, jobs=2, observer=obs)
+    engine = DACParaRewriter(config=config, observer=obs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r_proc = engine.run(aig)
@@ -372,8 +373,8 @@ def test_fuzz_pool_sized(seed):
     aig = copy.deepcopy(base)
     obs = TracingObserver()
     engine = DACParaRewriter(
-        config=dacpara_config(workers=5), executor_kind="process",
-        jobs=2, observer=obs,
+        config=dacpara_config(workers=5).with_executor("process", 2),
+        observer=obs,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -420,8 +421,8 @@ def test_pool_computed_cut_sets_stay_resident(monkeypatch):
     aig = copy.deepcopy(base)
     obs = TracingObserver()
     engine = DACParaRewriter(
-        config=dacpara_config(workers=5), executor_kind="process",
-        jobs=2, observer=obs,
+        config=dacpara_config(workers=5).with_executor("process", 2),
+        observer=obs,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")

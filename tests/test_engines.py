@@ -42,7 +42,7 @@ class TestLockFused:
         aig = random_aig(num_pis=6, num_nodes=60, num_pos=5, seed=2)
         sigs = exhaustive_signatures(aig)
         LockFusedRewriter(
-            iccad18_config(workers=4), executor_kind="threaded"
+            iccad18_config(workers=4).with_executor("threaded")
         ).run(aig)
         assert exhaustive_signatures(aig) == sigs
         check(aig)

@@ -9,7 +9,6 @@ import pytest
 from repro.errors import SchedulerError
 from repro.galois import (
     Phase,
-    SerialExecutor,
     SimulatedExecutor,
     ThreadedExecutor,
     make_executor,
@@ -29,7 +28,7 @@ class TestPhase:
 
 class TestSimulatedExecutor:
     def test_serial_makespan_is_total_work(self):
-        ex = SerialExecutor()
+        ex = SimulatedExecutor(workers=1)
 
         def op(item):
             yield Phase(locks={item}, cost=10)
@@ -228,6 +227,6 @@ class TestThreadedExecutor:
     def test_factory(self):
         assert isinstance(make_executor("simulated", 4), SimulatedExecutor)
         assert isinstance(make_executor("threaded", 2), ThreadedExecutor)
-        assert isinstance(make_executor("serial", 1), SerialExecutor)
+        assert make_executor("simulated", 1).workers == 1
         with pytest.raises(ValueError):
-            make_executor("quantum", 1)
+            make_executor("serial", 1)

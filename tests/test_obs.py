@@ -255,7 +255,7 @@ class TestAllEnginesTraceable:
         obs = TracingObserver()
         aig = random_aig(num_pis=6, num_nodes=80, num_pos=4, seed=2)
         DACParaRewriter(
-            dacpara_config(workers=4), executor_kind="threaded", observer=obs
+            dacpara_config(workers=4).with_executor("threaded"), observer=obs
         ).run(aig)
         snap = obs.metrics.snapshot()
         assert any(k.startswith("committed_total") for k in snap["counters"])

@@ -24,6 +24,7 @@ import pytest
 from repro.bench import mtm_like
 from repro.config import dacpara_config
 from repro.core import DACParaRewriter
+from repro.galois import faults
 from repro.obs import (
     CHUNK_PHASES,
     ChunkTelemetry,
@@ -350,7 +351,7 @@ class TestExportRoundTrip:
 def _run(base, kind, config, observer=None):
     aig = copy.deepcopy(base)
     engine = DACParaRewriter(
-        config=config, executor_kind=kind, jobs=JOBS, observer=observer,
+        config=config.with_executor(kind, JOBS), observer=observer,
     )
     result = engine.run(aig)
     return result, aig
@@ -393,19 +394,11 @@ class TestProcessTelemetry:
         assert 0.0 < gauges["pool_utilization"] <= 1.0
         assert gauges["pool_workers_seen"] >= 1.0
 
-    def test_wall_telemetry_config_switch(self, base_aig):
-        cfg = dataclasses.replace(
-            dacpara_config(workers=8), wall_telemetry=False)
-        obs = TracingObserver()
-        _run(base_aig, "process", cfg, observer=obs)
-        assert obs.wall.chunks == 0
-        assert not obs.wall.worker_pids()
-
-    def test_fault_instants_and_flight_dump(self, base_aig):
+    def test_fault_instants_and_flight_dump(self, base_aig, monkeypatch):
+        monkeypatch.setattr(faults, "CHUNK_MAX_RETRIES", 1)
         cfg = dataclasses.replace(
             dacpara_config(workers=8),
             fault_plan="raise@eval:0:99",  # poison chunk: retries out
-            chunk_max_retries=1,
         )
         r_sim, a_sim = _run(base_aig, "simulated", dacpara_config(workers=8))
         obs = TracingObserver()

@@ -1,6 +1,6 @@
 """Process-pool executor, AIG snapshots, and the vectorized kernels.
 
-The headline guarantee under test: ``executor_kind="process"`` is
+The headline guarantee under test: ``executor="process"`` is
 *byte-identical* to ``"simulated"`` — same RewriteResult, same final
 graph, same stats, same metrics — because evaluation costs are
 data-driven and the fan-out merge replays them through the simulated
@@ -12,6 +12,8 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -23,7 +25,12 @@ from repro.core import DACParaRewriter
 from repro.core.operators import StageContext
 from repro.cuts import CutManager
 from repro.errors import ConfigError
-from repro.galois import ProcessExecutor, SimulatedExecutor, make_executor
+from repro.galois import (
+    ProcessExecutor,
+    SimulatedExecutor,
+    make_executor,
+    shipper,
+)
 from repro.galois.procpool import MIN_FANOUT, default_jobs
 from repro.library import get_library
 from repro.npn import (
@@ -147,7 +154,7 @@ class TestCrossExecutorEquivalence:
     def _run(self, base, kind, workers=8):
         aig = copy.deepcopy(base)
         engine = DACParaRewriter(
-            config=dacpara_config(workers=workers), executor_kind=kind, jobs=2
+            config=dacpara_config(workers=workers).with_executor(kind, 2)
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a silent pool fallback is a bug
@@ -190,7 +197,7 @@ class TestCrossExecutorEquivalence:
 
         base = mtm_like(num_pis=24, num_nodes=600, seed=0)
         r_sim, a_sim, _ = self._run(base, "simulated")
-        r_ser, a_ser, _ = self._run(base, "serial")
+        r_ser, a_ser, _ = self._run(base, "simulated", workers=1)
         # Quality is worker-count-invariant; the exact node numbering is
         # not (1 worker commits in a different interleaving), so the
         # graphs are equivalent but not id-identical.
@@ -201,7 +208,7 @@ class TestCrossExecutorEquivalence:
     def test_serial_byte_identical_to_one_worker_simulated(self):
         base = mtm_like(num_pis=24, num_nodes=600, seed=0)
         r_sim, a_sim, _ = self._run(base, "simulated", workers=1)
-        r_ser, a_ser, _ = self._run(base, "serial", workers=1)
+        r_ser, a_ser, _ = self._run(base, "simulated", workers=1)
         assert result_fingerprint(r_sim) == result_fingerprint(r_ser)
         assert aig_fingerprint(a_sim) == aig_fingerprint(a_ser)
 
@@ -212,8 +219,8 @@ class TestCrossExecutorEquivalence:
             aig = copy.deepcopy(base)
             obs = TracingObserver()
             engine = DACParaRewriter(
-                config=dacpara_config(workers=8), executor_kind=kind,
-                jobs=2, observer=obs,
+                config=dacpara_config(workers=8).with_executor(kind, 2),
+                observer=obs,
             )
             engine.run(aig)
             return obs.metrics.snapshot()
@@ -359,7 +366,7 @@ class TestProcessExecutor:
             a = copy.deepcopy(aig)
             obs = TracingObserver()
             engine = DACParaRewriter(
-                config=config, library=library, executor_kind=kind, jobs=2,
+                config=config.with_executor(kind, 2), library=library,
                 observer=obs,
             )
             result = engine.run(a)
@@ -420,8 +427,8 @@ class TestEnumFanout:
         aig = copy.deepcopy(base)
         obs = TracingObserver()
         engine = DACParaRewriter(
-            config=config or dacpara_config(workers=8),
-            executor_kind=kind, jobs=2, observer=obs,
+            config=(config or dacpara_config(workers=8)).with_executor(kind, 2),
+            observer=obs,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -437,15 +444,11 @@ class TestEnumFanout:
                 out[kind] = out.get(kind, 0) + value
         return out
 
-    def test_delta_too_large_always_recaptures(self):
-        import dataclasses
-
+    def test_delta_too_large_always_recaptures(self, monkeypatch):
+        monkeypatch.setattr(shipper, "DELTA_MAX_FRACTION", 0.0)
         base = self.BASE()
         r_sim, a_sim, _ = self._run_engine(base, "simulated")
-        cfg = dataclasses.replace(
-            dacpara_config(workers=8), delta_max_fraction=0.0
-        )
-        r_proc, a_proc, metrics = self._run_engine(base, "process", config=cfg)
+        r_proc, a_proc, metrics = self._run_engine(base, "process")
         assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
         assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
         shipped = self._shipped_by_kind(metrics)
@@ -453,21 +456,6 @@ class TestEnumFanout:
         # full, unmutated stages still reuse the worker-cached base.
         assert shipped.get("delta", 0) == 0
         assert shipped.get("full", 0) > 0
-
-    def test_no_shared_memory_fallback(self):
-        import dataclasses
-
-        base = self.BASE()
-        r_sim, a_sim, _ = self._run_engine(base, "simulated")
-        cfg = dataclasses.replace(dacpara_config(workers=8), shared_memory=False)
-        r_proc, a_proc, m_pickle = self._run_engine(base, "process", config=cfg)
-        assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
-        assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
-        # Pickled bases ride the pipe in full, so the no-shm run ships
-        # strictly more bytes than the shm run for the same work.
-        _, _, m_shm = self._run_engine(base, "process")
-        assert sum(self._shipped_by_kind(m_pickle).values()) > \
-               sum(self._shipped_by_kind(m_shm).values())
 
     def test_default_run_uses_deltas(self):
         _, _, metrics = self._run_engine(self.BASE(), "process")
@@ -479,15 +467,8 @@ class TestEnumFanout:
         )
 
     def test_worker_cache_refill_after_pool_restart(self):
-        import dataclasses
-
         aig = mtm_like(num_pis=16, num_nodes=300, seed=21)
-        # With shared memory on, any worker can re-attach the base from
-        # its handle and no cache miss is possible; the refill protocol
-        # exists for the pickle-base path, so test it there.
-        config = dataclasses.replace(
-            dacpara_config(workers=4), shared_memory=False
-        )
+        config = dacpara_config(workers=4)
 
         def prepped_ctx(a):
             cutman = CutManager(a, k=4, max_cuts=12)
@@ -511,6 +492,8 @@ class TestEnumFanout:
             ex.run_eval("eval", a_proc.topo_ands(), ctx)
             assert ex.cache_refills > 0
             assert ex.shipped_bytes.get("refill", 0) > 0
+            # A refill is neither a retry nor a fallback.
+            assert ex.chunk_retries == 0 and ex.chunk_fallbacks == 0
         finally:
             ex.close()
         # The refilled pass still computes the exact same candidates.
@@ -522,6 +505,29 @@ class TestEnumFanout:
         want = {v: ctx_ref.prep_info.get(v) for v in a_ref.topo_ands()}
         assert {v: c and (c.gain, c.canon_tt) for v, c in got.items()} == \
                {v: c and (c.gain, c.canon_tt) for v, c in want.items()}
+
+
+def test_process_runs_never_load_shared_memory():
+    """One base hand-off: a whole process run — per-level and sharded —
+    finishes without ``multiprocessing.shared_memory`` ever imported."""
+    script = """
+import dataclasses, sys, warnings
+from repro.bench import mtm_like
+from repro.config import dacpara_config
+from repro.core import DACParaRewriter
+warnings.simplefilter("error")  # a silent pool fallback is a bug
+for shards in (1, 2):
+    config = dataclasses.replace(
+        dacpara_config(workers=4), executor="process", jobs=2,
+        shards=shards, shard_min_nodes=1)
+    result = DACParaRewriter(config=config).run(
+        mtm_like(num_pis=12, num_nodes=250, seed=404))
+    assert result.replacements > 0 and result.shards == (shards > 1) * shards
+assert "multiprocessing.shared_memory" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=240)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestFallbackWarning:
@@ -569,10 +575,7 @@ class TestConfigExecutor:
     def test_with_executor_and_engine_pickup(self):
         cfg = dacpara_config().with_executor("process", jobs=2)
         engine = DACParaRewriter(config=cfg)
-        assert engine.executor_kind == "process"
-        assert engine.jobs == 2
-        override = DACParaRewriter(config=cfg, executor_kind="simulated")
-        assert override.executor_kind == "simulated"
+        assert (engine.config.executor, engine.config.jobs) == ("process", 2)
 
 
 class TestNpnLut:

@@ -47,7 +47,7 @@ def _engine(base, executor="simulated", observer=None, **overrides):
         dacpara_config(workers=5), shards=4, shard_min_nodes=1, **overrides
     )
     engine = DACParaRewriter(
-        config=config, executor_kind=executor, jobs=2, observer=observer
+        config=config.with_executor(executor, 2), observer=observer
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a silent pool fallback is a bug

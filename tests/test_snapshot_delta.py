@@ -1,4 +1,4 @@
-"""Snapshot deltas, the mutation journal, and shared-memory backing.
+"""Snapshot deltas and the mutation journal.
 
 The contract under test: for any mutation sequence,
 ``base.apply_delta(base.delta_since(aig))`` is indistinguishable from a
@@ -18,10 +18,7 @@ import pytest
 from repro.aig import (
     Aig,
     AigSnapshot,
-    SharedSnapshotBase,
-    attach_shared,
     capture_delta,
-    shared_memory_available,
 )
 from repro.aig.literals import lit_not, lit_var
 from repro.errors import AigError
@@ -178,63 +175,3 @@ class TestSnapshotDelta:
         aig.add_po(2 * aig.pis[0])
         aig.trim_mutation_log(aig.mutation_epoch)
         assert capture_delta(aig, base.epoch) is None
-
-
-class TestSharedMemoryBacking:
-    def test_available_here(self):
-        assert shared_memory_available()
-
-    def test_publish_attach_round_trip(self):
-        aig = random_aig(num_pis=6, num_nodes=120, num_pos=4, seed=7)
-        snap = AigSnapshot.capture(aig)
-        shared = SharedSnapshotBase(snap)
-        try:
-            attached = attach_shared(shared.handle)
-            try:
-                assert_snapshots_equal(attached, snap)
-                rng = random.Random(8)
-                for _ in range(100):
-                    a = rng.randrange(2 * aig.size)
-                    b = rng.randrange(2 * aig.size)
-                    assert attached.has_and(a, b) == snap.has_and(a, b)
-                # shm views are frozen: mutation is a hard error.
-                with pytest.raises(ValueError):
-                    attached._kind[0] = 1
-            finally:
-                attached.release()
-        finally:
-            shared.close()
-
-    def test_handle_is_tiny(self):
-        aig = random_aig(num_pis=6, num_nodes=400, num_pos=4, seed=9)
-        snap = AigSnapshot.capture(aig)
-        shared = SharedSnapshotBase(snap)
-        try:
-            handle_bytes = len(pickle.dumps(shared.handle,
-                                            protocol=pickle.HIGHEST_PROTOCOL))
-            full_bytes = len(pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL))
-            assert handle_bytes < full_bytes / 10
-        finally:
-            shared.close()
-
-    def test_delta_applies_on_attached_base(self):
-        aig = random_aig(num_pis=6, num_nodes=100, num_pos=3, seed=10)
-        base = AigSnapshot.capture(aig)
-        shared = SharedSnapshotBase(base)
-        try:
-            attached = attach_shared(shared.handle)
-            try:
-                rng = random.Random(11)
-                mutate_randomly(aig, rng, ops=10)
-                patched = attached.apply_delta(base.delta_since(aig))
-                assert_snapshots_equal(patched, AigSnapshot.capture(aig))
-            finally:
-                attached.release()
-        finally:
-            shared.close()
-
-    def test_close_idempotent(self):
-        aig = random_aig(num_pis=4, num_nodes=30, num_pos=2, seed=12)
-        shared = SharedSnapshotBase(AigSnapshot.capture(aig))
-        shared.close()
-        shared.close()
