@@ -19,12 +19,21 @@ for the DACPara reproduction and shape everything here:
 
 ``replace(old_var, new_lit)`` implements the full ABC-style cascade:
 fanouts are redirected, rehashed, and merged with existing nodes when
-the redirect makes them structurally identical, recursively.  Levels
-are maintained eagerly.
+the redirect makes them structurally identical, recursively.
+
+**Levels are maintained lazily** (DESIGN §4d).  A redirect only marks
+the node *pending*; :meth:`Aig.level` settles pending nodes in
+increasing stored-level order up to the level it is asked about, and
+bulk readers call :meth:`Aig.settle_levels` first.  Invariant: every
+non-pending AND node is stored one above the larger of its fanins'
+stored levels — so once no pending node is stored at or below ``B``,
+every node stored at or below ``B`` is exact, and a level-ordered
+rewriter never pays for the fanout above its wavefront.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import AigError
@@ -74,6 +83,14 @@ class Aig:
         self._pos: List[int] = []
         self._po_refs: Dict[int, Set[int]] = {}
 
+        # Lazy levels: vars whose stored level may be out of date, and a
+        # min-heap of (stored level, var) over them.  A pending var's
+        # level is never written, so its key stays its stored level;
+        # entries of settled or deleted vars are skipped when popped.
+        self._level_pending: Set[int] = set()
+        self._level_heap: List[Tuple[int, int]] = []
+        self.level_updates = 0  # level writes performed by settling
+
         self._num_ands = 0
         self._stamp_counter = 0
         self.generation = 0
@@ -81,6 +98,9 @@ class Aig:
 
         # Mutation journal: every change to a node's snapshot-visible
         # state (kind/fanins/nref/level/stamp/life) appends the var id.
+        # A level change is journaled when it is *settled*, not when the
+        # redirect that caused it happens; snapshot capture settles
+        # first, so equal epochs still mean equal snapshot content.
         # ``mutation_epoch`` is the monotonic length of this journal
         # (plus a base offset so epochs survive trims and copies);
         # ``dirty_since(epoch)`` answers "which vars changed" in
@@ -167,7 +187,12 @@ class Aig:
         return self._nref[var]
 
     def level(self, var: int) -> int:
-        """Logic depth of the node (PIs and constant are level 0)."""
+        """Logic depth of the node (PIs and constant are level 0); exact
+        at every call.  Settles up to ``var``'s stored level, re-reading
+        it each round because settling may raise it."""
+        heap = self._level_heap
+        while heap and heap[0][0] <= self._level[var]:
+            self._settle(self._level[var])
         return self._level[var]
 
     def stamp(self, var: int) -> int:
@@ -222,6 +247,7 @@ class Aig:
 
     def max_level(self) -> int:
         """Depth of the circuit: maximum level over the PO cones."""
+        self.settle_levels()
         best = 0
         for lit in self._pos:
             lev = self._level[lit_var(lit)]
@@ -512,21 +538,35 @@ class Aig:
         return (self._fanin0[var], self._fanin1[var])
 
     def _update_level(self, var: int) -> None:
-        """Recompute ``var``'s level and propagate changes to its TFO."""
-        queue = [var]
-        while queue:
-            v = queue.pop()
-            if self._kind[v] != KIND_AND:
+        """Mark ``var``'s stored level as possibly out of date."""
+        if var not in self._level_pending:
+            self._level_pending.add(var)
+            heappush(self._level_heap, (self._level[var], var))
+
+    def _settle(self, bound: int) -> None:
+        """Recompute every pending level stored at or below ``bound``.
+        Keys pop in increasing order and a changed node marks fanouts
+        with strictly larger keys, so none at or below ``bound`` is left."""
+        heap, pending, level = self._level_heap, self._level_pending, self._level
+        while heap and heap[0][0] <= bound:
+            key, v = heappop(heap)
+            if v not in pending or key != level[v]:
+                continue  # settled, deleted or recycled since it was pushed
+            pending.remove(v)
+            f0, f1 = level[self._fanin0[v] >> 1], level[self._fanin1[v] >> 1]
+            new_level = (f0 if f0 >= f1 else f1) + 1
+            if new_level == level[v]:
                 continue
-            new_level = (
-                max(self._level[self._fanin0[v] >> 1], self._level[self._fanin1[v] >> 1])
-                + 1
-            )
-            if new_level == self._level[v]:
-                continue
-            self._level[v] = new_level
+            level[v] = new_level
+            self.level_updates += 1
             self._touch(v)
-            queue.extend(self._fanouts[v])
+            for f in self._fanouts[v]:
+                self._update_level(f)
+
+    def settle_levels(self) -> None:
+        """Bring every stored level up to date (bulk and raw-column
+        readers call this before touching ``_level``)."""
+        self._settle(len(self._kind))  # no level reaches the node count
 
     def _deref_delete(self, var: int) -> None:
         """Delete ``var`` and, transitively, any fanin that drops to zero
@@ -544,6 +584,9 @@ class Aig:
                 self._fanouts[fv].discard(v)
                 if self._nref[fv] == 0 and self._kind[fv] == KIND_AND:
                     stack.append(fv)
+            # A recycled id must neither inherit this incarnation's heap
+            # key nor find itself "already pending" when re-marked.
+            self._level_pending.discard(v)
             self._kind[v] = KIND_DEAD
             self._fanin0[v] = -1
             self._fanin1[v] = -1
@@ -636,6 +679,7 @@ class Aig:
 
     def topo_ands(self) -> List[int]:
         """Live AND nodes in a valid topological order (by level, then id)."""
+        self.settle_levels()
         return sorted(self.ands(), key=lambda v: (self._level[v], v))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -93,7 +93,8 @@ class AigSnapshot:
 
     @classmethod
     def capture(cls, aig: Aig) -> "AigSnapshot":
-        """Copy the read state of ``aig`` into flat arrays."""
+        """Copy the read state of ``aig`` (levels settled) into flat arrays."""
+        aig.settle_levels()
         return cls(
             kind=np.array(aig._kind, dtype=np.int8),
             fanin0=np.array(aig._fanin0, dtype=np.int64),
@@ -351,8 +352,9 @@ def capture_delta(aig: Aig, base_epoch: int) -> Optional[SnapshotDelta]:
     Returns None when the graph's mutation journal no longer reaches
     back to ``base_epoch`` (trimmed, or a fresh ``copy()``); callers
     recapture in full.  An empty delta (no mutations) is still a valid
-    delta — applying it only bumps the epoch.
+    delta — applying it only bumps the epoch.  Levels are settled first.
     """
+    aig.settle_levels()
     dirty = aig.dirty_since(base_epoch)
     if dirty is None:
         return None

@@ -120,12 +120,14 @@ def abc_rewrite_config() -> RewriteConfig:
 
 
 def iccad18_config(workers: int = 40) -> RewriteConfig:
-    """The ICCAD'18 fused-operator parallel configuration."""
+    """The ICCAD'18 fused-operator parallel configuration.  Equal to
+    :func:`dacpara_config`: the engines differ, not the preset."""
     return RewriteConfig(npn_classes="common134", workers=workers)
 
 
 def dacpara_config(workers: int = 40) -> RewriteConfig:
-    """DACPara default (matches P2 quality settings)."""
+    """DACPara default (matches P2 quality settings).  Equal to
+    :func:`iccad18_config`: the engines differ, not the preset."""
     return RewriteConfig(npn_classes="common134", workers=workers)
 
 

@@ -100,6 +100,7 @@ class DACParaRewriter:
             validate=self.validate, observer=obs,
         )
         replace_op = make_replace_operator(ctx)
+        levels_before = aig.level_updates
 
         run_span = None
         if obs.enabled:
@@ -163,6 +164,9 @@ class DACParaRewriter:
                     obs.count("validation_causes_total", n, cause=cause)
             if cutman.vec_pairs:
                 obs.count("enum_vectorized_pairs_total", cutman.vec_pairs)
+            if aig.level_updates > levels_before:
+                obs.count("level_updates_total",
+                          aig.level_updates - levels_before)
 
         self.last_stats = executor.stats
         self.last_validation_stats = ctx.validation_stats

@@ -39,7 +39,9 @@ class SnapshotCacheMiss(Exception):
 def needs_rebase(aig, base_epoch: int) -> bool:
     """The rebase rule: a delta against ``base_epoch`` is impossible
     (the journal no longer reaches it) or touches more than
-    :data:`DELTA_MAX_FRACTION` of the node slots."""
+    :data:`DELTA_MAX_FRACTION` of the node slots.  Pending levels are
+    settled first, so the count is the one ``capture_delta`` will see."""
+    aig.settle_levels()
     dirty = aig.dirty_since(base_epoch)
     return dirty is None or len(dirty) > DELTA_MAX_FRACTION * max(1, aig.size)
 
@@ -146,11 +148,11 @@ class _SnapshotShipper:
     def stage_ref(self, aig) -> Tuple[tuple, str, float]:
         """Returns ``(ref, kind, delta_ratio)`` for the current graph
         state."""
-        epoch = aig.mutation_epoch
         if self.base is None or needs_rebase(aig, self.base.epoch):
             self._rebase(aig)
             self._stage_epoch, self._stage_delta_blob = self.base.epoch, None
             return self._ref(self._full_blob()), "full", 1.0
+        epoch = aig.mutation_epoch  # after needs_rebase settled the levels
         if epoch == self.base.epoch:
             self._stage_epoch, self._stage_delta_blob = epoch, None
             return self._ref(None), "cached", 0.0

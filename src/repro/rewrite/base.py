@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..aig import Aig
 from ..aig.literals import LIT_FALSE, lit_var, make_lit
+from ..aig.traversal import is_in_tfi
 from ..cuts import Cut, CutManager
 from ..library import Structure, StructureLibrary
 from ..library.structures import FIRST_INTERNAL_VAR
@@ -325,8 +326,6 @@ def apply_candidate(aig: Aig, candidate: Candidate) -> int:
     static-information flow can produce — is guarded here, with any
     speculatively created nodes recycled on abort.
     """
-    from ..aig.traversal import is_in_tfi
-
     before = aig.num_ands
     created: List[int] = []
     new_lit = instantiate(

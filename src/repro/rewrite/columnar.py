@@ -36,6 +36,7 @@ every executor byte-identical to it.
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -217,6 +218,15 @@ def eval_tasks_columnar(
     strash_get = view.strash.get
     psize = view.size
     lit_cap = 2 * psize
+    roots, counts = tasks.roots, tasks.counts
+    # Lazy levels (DESIGN §4d): settling the roots makes the raw column
+    # exact for every node stored at or below ``bound`` — each root, its
+    # TFI, every cut leaf.  Only a strash hit can be stored above it; its
+    # level is derived, never read.  A snapshot is captured settled.
+    bound = sys.maxsize
+    if isinstance(aig_like, Aig):
+        bound = max((aig_like.level(root) for root in roots
+                     if kind[root] != KIND_DEAD), default=0)
 
     allowed = config.allowed_classes
     max_structs = config.max_structs
@@ -227,7 +237,6 @@ def eval_tasks_columnar(
     # ---- kernel phase: lift + canonicalize + class-filter every
     # vector-eligible cut across the whole batch in three numpy calls.
     t0 = time.perf_counter()
-    roots, counts = tasks.roots, tasks.counts
     leaf_rows = tasks.leaves.tolist()
     sizes_arr = (tasks.leaves < CUT_LEAF_SENTINEL).sum(axis=1)
     tts_arr = tasks.tt
@@ -379,6 +388,15 @@ def eval_tasks_columnar(
                                         local_ref[fv] = r
                                         if r > 0 and fv in dead:
                                             rstack.append(fv)
+                            if level[hv] > bound:
+                                # Possibly stale, but hv = a & b and both
+                                # operand levels are exact: patch the
+                                # derived level into a private copy.
+                                if level is view.level:
+                                    level = list(level)
+                                la = level[a >> 1]
+                                lb = level[b >> 1]
+                                level[hv] = (la if la >= lb else lb) + 1
                             vappend(hv << 1)
                             continue
                     if overlay is not None:

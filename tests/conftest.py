@@ -7,6 +7,13 @@ import random
 import pytest
 
 from repro.aig import Aig, lit_not
+from repro.aig.build import (
+    constant_word,
+    pi_word,
+    ripple_adder,
+    ripple_subtractor,
+    word_mux,
+)
 
 
 def random_aig(
@@ -27,6 +34,29 @@ def random_aig(
     for _ in range(num_pos):
         aig.add_po(rng.choice(pool) ^ rng.randint(0, 1))
     aig.cleanup_dangling()
+    return aig
+
+
+def deep_chain_circuit(stages: int = 20, width: int = 4, seed: int = 0):
+    """Dependent add/sub/shift/mux rounds: ~5.5 levels and ~75 ANDs per
+    stage at ``width=4``, 8 PIs (exhaustive equivalence stays exact)."""
+    rng = random.Random(seed)
+    aig = Aig()
+    x = pi_word(aig, width)
+    y = pi_word(aig, width)
+    for _ in range(stages):
+        shift = rng.randrange(1, width)
+        xs = constant_word(0, shift) + x[: width - shift]
+        ys = constant_word(0, shift) + y[: width - shift]
+        sign = y[-1]
+        x_add, _ = ripple_adder(aig, x, ys)
+        x_sub, _ = ripple_subtractor(aig, x, ys)
+        y_add, _ = ripple_adder(aig, y, xs)
+        y_sub, _ = ripple_subtractor(aig, y, xs)
+        x = word_mux(aig, sign, x_add, x_sub)
+        y = word_mux(aig, sign, y_sub, y_add)
+    for bit in x + y:
+        aig.add_po(bit)
     return aig
 
 

@@ -170,6 +170,51 @@ class TestEvalTasksColumnar:
         by_root = {root: (cand, units) for root, cand, units in got}
         assert by_root[victim] == (None, -1)  # the dead-root sentinel
 
+    def test_stale_strash_hit_level_is_derived_not_read(self):
+        """Lazy levels (DESIGN §4d): the roots settle up to their own
+        level B; a structure that strash-hits a node stored *above* B
+        must score it at its derived level.  Here the stale value would
+        veto the only profitable candidate under ``preserve_level``."""
+        aig = Aig()
+        a, b, c, d, e = (aig.add_pi() for _ in range(5))
+        n1 = aig.and_(a, b)
+        n2 = aig.and_(a, c)
+        root = aig.and_(n1, n2)  # a & b & c in three nodes, level 2
+        aig.add_po(root)
+        deep = aig.and_(d, e)
+        for i in range(7):
+            deep = aig.and_(deep, (d, e)[i % 2] ^ (i % 3 == 0))
+        hit = aig.and_(n1, deep)
+        aig.add_po(hit)
+        aig.add_po(c)
+        # ``hit`` becomes n1 & c — the root's function, at level 2 — but
+        # stays stored at level 9 until something settles that high.
+        aig.replace(lit_var(deep), c)
+        rv, hv = lit_var(root), lit_var(hit)
+
+        config = dataclasses.replace(
+            dacpara_config(), preserve_level=True, npn_classes="all222")
+        library = get_library()
+        cutman = CutManager(aig, max_cuts=config.max_cuts)
+        for lit in (n1, n2, root):
+            cutman.fresh_cuts(lit_var(lit))
+        tasks = cutman.eval_harvest([rv])
+        assert hv in aig._level_pending and aig._level[hv] == 9
+
+        got = eval_tasks_columnar(aig, tasks, config, library)
+        assert hv in aig._level_pending  # scored without settling it
+        # The reference reads through aig.level(), which settles ``hit``.
+        assert got == eval_tasks_scalar(aig, tasks, config,
+                                        _MetricCollector(), library)
+        (_, candidate, _), = got
+        assert candidate.gain == 2 and candidate.new_root_level == 2
+        # The same table against a column that keeps the stale value
+        # loses the candidate: the staleness is decision-relevant.
+        stale = AigSnapshot.capture(aig)
+        stale._level[hv] = 9
+        (_, vetoed, _), = eval_tasks_columnar(stale, tasks, config, library)
+        assert vetoed is None
+
     def test_observer_parity_with_scalar(self):
         aig, _, live, tasks = _setup(num_nodes=180, seed=9)
         config = dacpara_config()

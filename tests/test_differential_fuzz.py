@@ -36,6 +36,14 @@ frozen boundary changes which rewrites commit — is held to the
 semantic bar: matching simulation signatures and exact SAT
 equivalence against both the input and the unsharded result.
 
+A fourth axis pins **lazy level maintenance** (DESIGN §4d) on the
+shape it exists for: a deep add/sub/mux chain (112 levels, ~15 % of
+the nodes replaced) where every committed replacement leaves pending
+levels above the wavefront.  The reference reads levels only through
+``aig.level()``; the columnar eval reads the raw column under the
+bound-and-derive rule — both ``preserve_level`` settings must agree
+byte for byte on every deterministic executor.
+
 The smoke tier (always on, fixed seeds — CI runs it per-push) covers
 ``SMOKE_SEEDS`` plus two pool-sized circuits that genuinely cross the
 ``MIN_FANOUT`` threshold.  The remaining ~200-seed sweep is marked
@@ -63,7 +71,7 @@ from repro.library import get_library
 from repro.obs.observer import TracingObserver
 from repro.sat import check_equivalence_auto
 
-from conftest import random_aig
+from conftest import deep_chain_circuit, random_aig
 from reference import ReferenceExecutor, ScalarCutManager, reference_rewrite
 from test_procpool import aig_fingerprint, result_fingerprint
 
@@ -86,10 +94,10 @@ def fuzz_circuit(seed: int):
     )
 
 
-def _run(base, kind: str, workers: int = 5):
+def _run(base, kind: str, workers: int = 5, **overrides):
     aig = copy.deepcopy(base)
-    engine = DACParaRewriter(
-        config=dacpara_config(workers=workers).with_executor(kind, 2))
+    config = dataclasses.replace(dacpara_config(workers=workers), **overrides)
+    engine = DACParaRewriter(config=config.with_executor(kind, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a silent pool fallback is a bug
         result = engine.run(aig)
@@ -153,16 +161,18 @@ def _enum_stage_cuts(base, manager, executor):
     return {v: cutman.fresh_cuts(v) for v in live}
 
 
-def _check_against_reference(base, stages) -> None:
+def _check_against_reference(base, stages, **overrides):
     """Every deterministic executor's full run against the reference
-    run with ``stages`` substituted."""
+    run with ``stages`` substituted; returns the last reference run."""
+    config = dataclasses.replace(dacpara_config(), **overrides)
     for workers, kinds in ((5, ("simulated", "process")), (1, ("simulated",))):
         a_ref = copy.deepcopy(base)
-        r_ref = reference_rewrite(a_ref, dacpara_config(), workers, stages)
+        r_ref = reference_rewrite(a_ref, config, workers, stages)
         for kind in kinds:
-            r_col, a_col = _run(base, kind, workers=workers)
+            r_col, a_col = _run(base, kind, workers=workers, **overrides)
             assert result_fingerprint(r_col) == result_fingerprint(r_ref), kind
             assert aig_fingerprint(a_col) == aig_fingerprint(a_ref), kind
+    return r_ref, a_ref
 
 
 def check_enum_differential(base) -> None:
@@ -360,6 +370,21 @@ def test_columnar_enum_vs_scalar_pool_sized(seed):
     # Big enough that the process executor genuinely fans the merge
     # worklists out to pool workers in both modes.
     check_enum_differential(mtm_like(num_pis=12, num_nodes=250, seed=seed))
+
+
+@pytest.mark.parametrize("preserve_level", (False, True))
+def test_deep_chain_vs_reference(preserve_level):
+    base = deep_chain_circuit()
+    assert base.max_level() >= 100
+    r_ref, a_ref = _check_against_reference(
+        base, ("enum", "eval"), preserve_level=preserve_level)
+    assert r_ref.replacements >= 0.05 * base.num_ands
+    if preserve_level:
+        assert r_ref.delay_after <= r_ref.delay_before
+    _, a_thr = _run(base, "threaded", preserve_level=preserve_level)
+    for out in (a_ref, a_thr):
+        check(out)
+        assert check_equivalence_auto(base, out).equivalent
 
 
 @pytest.mark.parametrize("seed", (101, 202))

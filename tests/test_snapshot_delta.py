@@ -175,3 +175,49 @@ class TestSnapshotDelta:
         aig.add_po(2 * aig.pis[0])
         aig.trim_mutation_log(aig.mutation_epoch)
         assert capture_delta(aig, base.epoch) is None
+
+
+class TestPendingLevels:
+    """Levels are settled lazily (DESIGN §4d); every snapshot reader
+    settles first, so a delta and the rebase rule see the same dirty
+    set a fresh capture would."""
+
+    @staticmethod
+    def _chain_with_pending_levels(length: int = 40):
+        aig = Aig()
+        a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
+        bottom = aig.and_(aig.and_(a, b), c)
+        top = bottom
+        for i in range(length):
+            top = aig.and_(top, (a, b, c)[i % 3] ^ 1)
+        aig.add_po(top)
+        base = AigSnapshot.capture(aig)
+        aig.trim_mutation_log(base.epoch)
+        # Every chain node is now one level too high, and none of them
+        # has been journaled yet.
+        aig.replace(lit_var(bottom), aig.and_(a, c))
+        assert aig._level_pending
+        return aig, base
+
+    def test_delta_with_pending_levels_equals_fresh_capture(self):
+        aig, base = self._chain_with_pending_levels()
+        patched = base.apply_delta(base.delta_since(aig))
+        assert not aig._level_pending
+        assert_snapshots_equal(patched, AigSnapshot.capture(aig))
+        for v in aig.ands():
+            f0, f1 = aig.fanins(v)
+            assert patched.level(v) == 1 + max(
+                patched.level(f0 >> 1), patched.level(f1 >> 1))
+
+    def test_needs_rebase_counts_settled_levels(self):
+        from repro.galois.shipper import DELTA_MAX_FRACTION, needs_rebase
+
+        aig, base = self._chain_with_pending_levels()
+        # Unsettled, the journal holds the redirect alone: under the
+        # threshold.  Settled, the whole chain is dirty: over it.
+        assert len(aig.dirty_since(base.epoch)) <= DELTA_MAX_FRACTION * aig.size
+        answer = needs_rebase(aig, base.epoch)
+        assert answer is True
+        aig.settle_levels()
+        assert needs_rebase(aig, base.epoch) is answer
+        assert base.delta_since(aig).num_dirty > DELTA_MAX_FRACTION * aig.size
