@@ -164,6 +164,7 @@ class DACParaRewriter:
                     obs.count("validation_causes_total", n, cause=cause)
             if cutman.vec_pairs:
                 obs.count("enum_vectorized_pairs_total", cutman.vec_pairs)
+                obs.count("enum_kernel_calls_total", cutman.kernel_calls)
             if aig.level_updates > levels_before:
                 obs.count("level_updates_total",
                           aig.level_updates - levels_before)

@@ -74,7 +74,7 @@ def make_enum_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, No
         if aig.is_dead(root):
             return
         before = ctx.cutman.work
-        ctx.cutman.fresh_cuts(root)
+        ctx.cutman.fresh_block(root)  # resolve only: no ``Cut`` is built
         cost = ctx.cutman.work - before + 1
         # Lock the node plus the nodes whose cut sets the recursion had
         # to compute: only TFI/TFO-related worklist neighbours can race

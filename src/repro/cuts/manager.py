@@ -31,8 +31,9 @@ makes the reproduced speedups data-driven rather than hand-tuned.
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,6 +202,7 @@ class CutManager:
         self._epoch: Optional[int] = None
         self._life = None
         self.vec_pairs = 0  # pairs merged by the kernel (observer counter)
+        self.kernel_calls = 0  # kernel invocations (observer counter)
 
     # ------------------------------------------------------------------
 
@@ -212,14 +214,14 @@ class CutManager:
         """Cut set with stamp-dead cuts purged: if any cached cut has a
         stale leaf, the node's cuts are re-merged from the (filtered)
         fanin sets."""
-        return self._materialize(self._fresh_block(var))
+        return self._materialize(self.fresh_block(var))
 
     def eval_harvest(self, roots) -> CutColumns:
         """The eval stage's task table: each root's (stamp-validated)
         enumerated cut set, in worklist order, gathered into one
         :class:`CutColumns` — no ``Cut`` built."""
         self.prime_liveness(roots)
-        blocks = [self._fresh_block(root) for root in roots]
+        blocks = [self.fresh_block(root) for root in roots]
         self._stage(blocks)
         rows, cnts = _block_rows(blocks)
         leaves, tt, stamps, _ = self._arena.cols
@@ -295,7 +297,8 @@ class CutManager:
             stack.pop()
         return cache[var]
 
-    def _fresh_block(self, var: int) -> CutBlock:
+    def fresh_block(self, var: int) -> CutBlock:
+        """:meth:`fresh_cuts` at block level: no ``Cut`` is built."""
         block = self._resolve(var)
         if not self._all_alive(block):
             self.invalidate(var)
@@ -339,7 +342,9 @@ class CutManager:
             off += b.cnt
 
     def _sync(self) -> None:
-        """Bring the life mirror up to the graph's mutation epoch."""
+        """Bring the life mirror up to the graph's mutation epoch, and
+        drop the cache entries of vars that died (never resolved again;
+        a recycled id mismatches on stamp)."""
         aig = self.aig
         epoch = getattr(aig, "mutation_epoch", 0)  # snapshots never mutate
         if epoch == self._epoch:
@@ -351,6 +356,7 @@ class CutManager:
         if dirty is None or 4 * len(dirty) > len(life):
             self._life = np.where(
                 np.asarray(kind) == KIND_DEAD, -1, np.asarray(life, dtype=np.int64))
+            idx = list(self._cache)
         else:
             grow = len(life) - len(self._life)
             if grow > 0:
@@ -358,6 +364,9 @@ class CutManager:
                     [self._life, np.zeros(grow + len(life) // 4, dtype=np.int64)])
             idx = list(dirty)
             self._life[idx] = [-1 if kind[v] == KIND_DEAD else life[v] for v in idx]
+        for v in idx:
+            if kind[v] == KIND_DEAD:
+                self._cache.pop(v, None)
         self._epoch = epoch
 
     def _rows_alive(self, rows) -> "np.ndarray":
@@ -410,55 +419,98 @@ class CutManager:
     # ------------------------------------------------------------------
     # Harvest / install (the batch and fan-out hand-off)
 
+    def _stage_input(self, fv: int):
+        """Fanin ``fv``'s cut set as an enum-stage merge input: its
+        block when **stable for the whole stage** — a stamp-fresh entry
+        with every cut alive (never recomputed mid-stage), or a non-AND
+        (always the trivial cut).  None: it needs a merge first (missing
+        or stamp-stale).  False: order-dependent — stamp-fresh with dead
+        cuts, maybe a worklist root re-merged before its reader runs."""
+        block = self._cache.get(fv)
+        if block is not None and block.stamp == self.aig.stamp(fv):
+            return block if self._all_alive(block) else False
+        return None if self.aig.is_and(fv) else self._trivial_block(fv)
+
     def enum_harvest(self, root: int):
         """Inputs for a batched or worker-side merge of ``root``:
         ``(f0, f1, block0, block1)`` — the fanin literals and their
         cached :class:`CutBlock` s — or None.
 
-        A root is eligible only when its merge is a *pure function of
+        A root is eligible when its merge is a *pure function of
         shippable state*: an AND node whose own entry needs
-        (re)computing and whose fanin sets are resolvable without
-        recursion **and stable for the whole stage** — a stamp-fresh
-        entry with every cut alive (never recomputed mid-stage), or a
-        non-AND fanin (always the trivial cut).  A stamp-fresh fanin
-        entry with dead cuts is *not* eligible: that fanin may itself be
-        a worklist root re-merged before this root executes.  Roots with
-        a fresh live entry (a one-unit cache answer) and roots needing
-        recursive enumeration stay in-parent; both return None.
+        (re)computing and whose fanin sets are both stable
+        (:meth:`_stage_input`).  None for a root with a fresh live
+        entry (a one-unit cache answer) and for one with any other
+        fanin — the closure of length one of :meth:`plan_closures`,
+        which plans the rest.
         """
         aig = self.aig
         if not aig.is_and(root) or self.has_fresh_live_cuts(root):
             return None
         f0, f1 = aig.fanin0(root), aig.fanin1(root)
-        sets = []
-        for fl in (f0, f1):
-            fv = lit_var(fl)
-            if self.has_fresh_live_cuts(fv):
-                block = self._cache[fv]
-            elif aig.is_and(fv):
-                return None
-            else:
-                block = self._trivial_block(fv)
-            sets.append(block)
-        return (f0, f1, sets[0], sets[1])
+        block0 = self._stage_input(lit_var(f0))
+        block1 = block0 and self._stage_input(lit_var(f1))
+        return (f0, f1, block0, block1) if block1 else None
+
+    def has_fresh_entry(self, var: int) -> bool:
+        """True when ``var``'s entry is keyed to its current stamp — all
+        :meth:`_resolve` asks of a fanin before merging over it."""
+        block = self._cache.get(var)
+        return block is not None and block.stamp == self.aig.stamp(var)
+
+    def plan_closures(self, roots):
+        """The merges an enum stage over live ``roots`` needs, each
+        exactly once, as ``(plan, waves)``: the roots without a fresh
+        live entry and, below them, every fanin whose entry is missing
+        or stamp-stale — what :meth:`_resolve` would merge.  ``plan[v]
+        = (wave, f0, f1, block0, block1)``, a block None standing for a
+        planned fanin's result; ``waves[w]`` lists the vars merging over
+        stable blocks and results of waves below ``w``.  ``plan[v] is
+        None``: order-dependent (a fanin is, or a planned fanin's plan
+        is) and left to :meth:`fresh_block`."""
+        aig = self.aig
+        plan: Dict[int, Optional[tuple]] = {}
+        waves: List[List[int]] = [[]]
+        for root in roots:
+            stack = [root]
+            while stack:  # iterative: a cold closure can be TFI-deep
+                v = stack[-1]
+                if v in plan or not aig.is_and(v) or self.has_fresh_live_cuts(v):
+                    stack.pop()  # level drift or a shared fanin; a cache answer
+                    continue
+                f0, f1 = aig.fanin0(v), aig.fanin1(v)
+                wave, sets, first = 0, [], []
+                for fv in (lit_var(f0), lit_var(f1)):
+                    block = self._stage_input(fv)
+                    if block is None and fv not in plan:
+                        first.append(fv)
+                    elif block is None and plan[fv] is None:
+                        block = False
+                    elif block is None:
+                        wave = max(wave, plan[fv][0] + 1)
+                    sets.append(block)
+                if False in sets:
+                    plan[v] = None
+                elif first:
+                    stack.extend(first)
+                    continue
+                else:
+                    plan[v] = (wave, f0, f1, *sets)
+                    if wave == len(waves):
+                        waves.append([])
+                    waves[wave].append(v)
+                stack.pop()
+        return plan, waves
 
     def install_cuts(self, root: int, block: CutBlock, work: int = 0) -> None:
         """Install a batch- or worker-computed cut set (a
         :class:`CutBlock` from :meth:`merge_tasks_columnar` or
-        :meth:`import_blocks`) for AND node ``root``: exactly what
-        :meth:`cuts` would have cached for an
-        :meth:`enum_harvest`-eligible root — trivial entries for
-        uncached non-AND fanins, then the root entry keyed to its
-        current stamp.  ``work`` (the merge-pair count) is charged to
-        :attr:`work`, byte-identical with an in-parent merge."""
-        aig = self.aig
-        for fl in (aig.fanin0(root), aig.fanin1(root)):
-            fv = lit_var(fl)
-            if not aig.is_and(fv):
-                fblock = self._cache.get(fv)
-                if fblock is None or fblock.stamp != aig.stamp(fv):
-                    self._trivial_block(fv)
-        block.stamp = aig.stamp(root)
+        :meth:`import_blocks`) for AND node ``root``, keyed to its
+        current stamp — with the trivial entries its harvest cached for
+        non-AND fanins, exactly what :meth:`cuts` would have cached.
+        ``work`` (the merge-pair count) is charged to :attr:`work`,
+        byte-identical with an in-parent merge."""
+        block.stamp = self.aig.stamp(root)
         self._cache[root] = block
         self.work += work
 
@@ -491,23 +543,25 @@ class CutManager:
         )
         return CutBlock(self._arena.append(*out[:4]), int(out[4][0]))
 
-    def merge_tasks_columnar(self, tasks, observer=None):
-        """Merge a whole worklist of harvested roots in one kernel
-        invocation.
+    def merge_tasks_columnar(self, tasks, observer=None, pending=()):
+        """Merge a whole wave of planned nodes in one kernel invocation.
 
-        ``tasks`` are ``(root,) + enum_harvest(root)`` tuples.  Returns
-        ``(root, block, pairs)`` rows in task order — ``block`` a
-        :class:`CutBlock` already in the arena (install it before the
-        next call, which may compact it away).  ``pairs`` is the merge
-        work the caller charges via :meth:`install_cuts`: this method
-        does **not** touch :attr:`work`, exactly like a pool worker's
-        merge.  A metric-enabled ``observer`` gets ``enum_batch_size``
-        and per-phase ``enum_kernel_seconds``.
+        ``tasks`` are ``(root,) + enum_harvest(root)`` tuples, or a
+        later closure wave's, whose fanin blocks may be earlier results.
+        Returns ``(root, block, pairs)`` rows in task order — ``block``
+        a :class:`CutBlock` already in the arena, *pending* until
+        :meth:`install_cuts` caches it: pass the ``pending`` blocks of
+        earlier calls back, or the compaction here drops their rows.
+        ``pairs`` is the merge work the caller charges via
+        :meth:`install_cuts`: this method does **not** touch
+        :attr:`work`, exactly like a pool worker's merge.  A
+        metric-enabled ``observer`` gets ``enum_batch_size`` and
+        per-phase ``enum_kernel_seconds``.
         """
         if not tasks:
             return []
         sets = [t[3] for t in tasks] + [t[4] for t in tasks]
-        self.compact(sets)
+        self.compact(itertools.chain(sets, pending))
         self._stage(sets)
         rows0, n0s = _block_rows(sets[:len(tasks)])
         rows1, n1s = _block_rows(sets[len(tasks):])
@@ -570,11 +624,12 @@ class CutManager:
             observer.observe("enum_kernel_seconds", out[6], phase="filter")
         return (out[4],) + out[:4]
 
-    def compact(self, extra: Sequence[CutBlock] = ()) -> None:
+    def compact(self, extra: Iterable[CutBlock] = ()) -> None:
         """Reclaim arena rows no block references (re-merged, never
         installed, staging-only) once they outnumber the live ones.
         Call only between batch merges / fan-outs, when the only blocks
-        outside the cache are the task inputs ``extra``."""
+        outside the cache are ``extra``: the task inputs and the pending
+        results of earlier waves (read only when a compaction is due)."""
         arena = self._arena
         if arena.used < self._compact_at:
             return
@@ -597,6 +652,7 @@ class CutManager:
         the union-/filter-phase seconds.
         """
         t_start = time.perf_counter()
+        self.kernel_calls += 1
         self._sync()
         src_leaves, src_tt, _, src_sign = self._arena.cols
         k = self.k

@@ -261,13 +261,15 @@ def _enum_columns(aig_like, chunk: _ColumnChunk, config, collector):
     loads the shipped rows and runs the same kernel as the in-process
     batch — :meth:`~repro.cuts.manager.CutManager.merge_exported`.
     Returns ``(roots, counts, leaves, tt, stamps, sign)``; the pairs
-    merged ride the collector as ``enum_vectorized_pairs_total``."""
+    merged and the kernel call ride the collector as
+    ``enum_vectorized_pairs_total`` / ``enum_kernel_calls_total``."""
     from ..cuts.manager import CutManager
 
     cutman = CutManager(aig_like, max_cuts=config.max_cuts)
     out = cutman.merge_exported(
         chunk.roots, *chunk.task_cols, chunk.row_cols, observer=collector)
     collector.count("enum_vectorized_pairs_total", cutman.vec_pairs)
+    collector.count("enum_kernel_calls_total", cutman.kernel_calls)
     return out
 
 
@@ -927,17 +929,16 @@ class ProcessExecutor(SimulatedExecutor):
     def run_enum(self, name: str, items: Sequence[int], ctx) -> StageStats:
         """Fan cut enumeration out to processes, then replay the merge.
 
-        Within one enumeration stage the graph is read-only, so each
-        eligible root's merged cut set — and its merge-pair count, the
-        cost the simulated scheduler charges — is a pure function of
-        the stage-start state.  The stage is :func:`~repro.rewrite.
-        columnar.run_enum_batched` with the kernel moved to the pool:
-        the harvested fanin blocks ship as rows
+        The stage is :func:`~repro.rewrite.columnar.run_enum_batched`
+        with wave 0's kernel call moved to the pool — within an enum
+        stage the graph is read-only, so every planned merge is a pure
+        function of the stage-start state.  The wave's fanin blocks
+        ship as rows
         (:meth:`~repro.cuts.manager.CutManager.export_tasks`), workers
         run the identical kernel against the snapshot, and each chunk's
         result rows are appended to the parent's arena in one copy and
-        installed as blocks by the replay.  With fewer than
-        ``MIN_FANOUT`` eligible roots the stage stays in-parent —
+        installed as blocks by the replay.  Later waves, and a wave 0
+        of fewer than ``MIN_FANOUT`` tasks, merge in-parent —
         byte-identical either way.
         """
         from ..rewrite.columnar import run_enum_batched

@@ -112,12 +112,12 @@ class SimulatedExecutor:
         return run_eval_batched(self, name, items, ctx)
 
     def run_enum(self, name: str, items: Sequence[int], ctx) -> StageStats:
-        """The enum stage via the columnar cut-merge kernels plus
-        replay: every harvest-eligible root's merge is precomputed in
-        one batch (:meth:`~repro.cuts.CutManager.merge_tasks_columnar`)
-        and installed through a replay operator charging the identical
-        pair costs, so stats and the cut cache are byte-identical to
-        running the Section 4.2 enum operator per root."""
+        """The enum stage via the columnar cut-merge kernel plus replay:
+        every merge the worklist needs is precomputed, one kernel call
+        per dependency wave, and installed through a replay operator
+        charging the identical pair costs, so stats and the cut cache
+        are byte-identical to running the Section 4.2 enum operator per
+        root (:func:`~repro.rewrite.columnar.run_enum_batched`)."""
         from ..rewrite.columnar import run_enum_batched
 
         return run_enum_batched(self, name, items, ctx)

@@ -43,6 +43,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..aig.graph import KIND_AND, KIND_DEAD, Aig
+from ..aig.literals import lit_var
 from ..cuts.manager import CutColumns
 from ..npn.canon import _TRANSFORMS, npn_canon_batch_rows
 from ..npn.truth import CUT_LEAF_SENTINEL, batch_lift_tt4
@@ -511,22 +512,24 @@ def run_eval_batched(executor, name: str, items: Sequence[int], ctx,
 
 def run_enum_batched(executor, name: str, items: Sequence[int], ctx,
                      merge=None):
-    """Native enum stage: harvest every fan-out-eligible root, merge
-    them all in one columnar kernel invocation
+    """Native enum stage: plan every merge the worklist needs
+    (:meth:`~repro.cuts.CutManager.plan_closures`), run each dependency
+    wave as one columnar kernel invocation
     (:meth:`~repro.cuts.CutManager.merge_tasks_columnar`), then replay
-    through ``executor.run``.
+    through ``executor.run`` (DESIGN §4c "Closure waves").
 
-    The replay operator installs the precomputed cut set *before
-    yielding* — mirroring ``fresh_cuts``'s cache-then-lock shape, so an
-    aborted activity retries as a one-unit cache hit — and charges the
-    identical pair count, so phase costs, lock regions and the
-    :attr:`~repro.cuts.CutManager.work` trajectory are byte-identical
-    to running the enum operator per root.  Ineligible roots (already
-    fresh entries, deep recursions on cold caches, and any root whose
-    entry became fresh after an aborted retry) take the enum operator.
-    ``merge(tasks)`` lets the process executor run the kernel
-    on its pool instead, returning the same ``(root, block, pairs)``
-    rows (None back: merge here after all).
+    The stage only reads the graph, so a planned node has one block,
+    whoever reaches it first.  The replay operator of a root walks its
+    cold closure as ``_resolve`` would, pruned where an entry is already
+    stamp-fresh, and installs *before yielding* — ``fresh_cuts``'s
+    cache-then-lock shape, so an aborted activity retries as a one-unit
+    cache hit.  Its lock region and cost are the enum operator's
+    ``last_computed`` region and ``work`` delta, which keeps stats,
+    spans and :attr:`~repro.cuts.CutManager.work` byte-identical to
+    running that operator per root; it remains for cache answers and
+    order-dependent closures.  ``merge(tasks)`` lets the process
+    executor run wave 0 on its pool, returning the same ``(root, block,
+    pairs)`` rows (None back: merge here after all).
     """
     from ..core.operators import make_enum_operator
     from ..galois.activity import Phase
@@ -536,25 +539,34 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx,
     cutman = ctx.cutman
     live = [root for root in items if not aig.is_dead(root)]
     cutman.prime_liveness(live, fanins=True)
-    tasks = []
-    for root in live:
-        harvest = cutman.enum_harvest(root)
-        if harvest is not None:
-            tasks.append((root,) + harvest)
-    merged = merge(tasks) if merge is not None else None
-    if merged is None:
-        merged = cutman.merge_tasks_columnar(tasks, observer=executor.obs)
-    results = {root: (block, pairs) for root, block, pairs in merged}
+    plan, waves = cutman.plan_closures(live)
+    blocks, pairs = {}, {}  # per planned var; a block pending until installed
+    for wave in waves:  # a None input: the result of an earlier wave
+        tasks = [(v, f0, f1, b0 or blocks[lit_var(f0)], b1 or blocks[lit_var(f1)])
+                 for v, (_, f0, f1, b0, b1) in zip(wave, map(plan.get, wave))]
+        merged = merge(tasks) if merge is not None and not blocks else None
+        if merged is None:
+            merged = cutman.merge_tasks_columnar(
+                tasks, observer=executor.obs, pending=blocks.values())
+        for v, block, n_pairs in merged:
+            blocks[v], pairs[v] = block, n_pairs
 
     def replay_operator(root: int):
         if aig.is_dead(root):
             return
-        got = results.get(root)
-        if got is not None and not cutman.has_fresh_live_cuts(root):
-            block, pairs = got
-            cutman.install_cuts(root, block, work=pairs)
-            yield Phase(locks=(root,), cost=pairs + 1)
+        if plan.get(root) is None or cutman.has_fresh_live_cuts(root):
+            yield from enum_op(root)
             return
-        yield from enum_op(root)
+        region, cost, stack = [], 1, [root]
+        while stack:
+            v = stack.pop()
+            if region and cutman.has_fresh_entry(v):
+                continue  # a fanin some other activity installed
+            cutman.install_cuts(v, blocks[v], work=pairs[v])
+            region.append(v)
+            cost += pairs[v]
+            _, f0, f1, b0, b1 = plan[v]
+            stack += [lit_var(f) for f, b in ((f0, b0), (f1, b1)) if b is None]
+        yield Phase(locks=region, cost=cost)
 
     return executor.run(name, items, replay_operator)

@@ -60,6 +60,27 @@ def deep_chain_circuit(stages: int = 20, width: int = 4, seed: int = 0):
     return aig
 
 
+def capture_cut_managers(monkeypatch) -> list:
+    """The list every ``CutManager`` (or subclass) built from now on is
+    appended to, in construction order — a run's own manager is the
+    first one it creates (``DACParaRewriter.run`` keeps it local)."""
+    from repro.cuts import CutManager
+
+    managers: list = []
+    real_init = CutManager.__init__
+    monkeypatch.setattr(
+        CutManager, "__init__",
+        lambda self, *a, **k: managers.append(self) or real_init(self, *a, **k))
+    return managers
+
+
+def stage_tuple(stage) -> tuple:
+    """Everything deterministic a ``StageStats`` records."""
+    return (stage.name, stage.activities, stage.committed, stage.conflicts,
+            stage.useful_units, stage.aborted_units, stage.retries,
+            stage.start_time, stage.end_time)
+
+
 @pytest.fixture
 def small_aig() -> Aig:
     """f = (a & b) | (~a & c), g = a ^ b — a tiny well-known circuit."""

@@ -13,8 +13,8 @@ because nothing there calls it:
   references of ``eval_tasks_columnar`` and ``run_eval_batched``;
 * :class:`ReferenceExecutor` — a simulated executor whose read stages
   run the Section 4.2/4.3 generator operators per root;
-* :func:`reference_rewrite` — the unchanged driver with those
-  substituted.
+* :func:`reference_patches` / :func:`reference_rewrite` — the
+  unchanged driver with those substituted.
 
 ``tests/test_differential_fuzz.py`` holds every executor byte-identical
 to :func:`reference_rewrite`; the kernel property tests compare against
@@ -23,6 +23,7 @@ the classes directly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Generator, List, Sequence
 from unittest import mock
 
@@ -182,13 +183,12 @@ class ReferenceExecutor(SimulatedExecutor):
         return self.run(name, items, make_eval_operator(ctx))
 
 
-def reference_rewrite(aig, config, workers: int,
-                      stages: Sequence[str] = ("enum", "eval"), library=None):
-    """Rewrite ``aig`` in place through the unchanged DACPara driver at
-    ``workers`` simulated workers, with the reference substituted for
-    each stage in ``stages`` (``"enum"``: :class:`ScalarCutManager` and
-    the per-root enum operator; ``"eval"``: the per-root eval operator).
-    Returns the ``RewriteResult``."""
+@contextmanager
+def reference_patches(stages: Sequence[str] = ("enum", "eval")):
+    """Inside, a ``DACParaRewriter`` runs the unchanged driver with the
+    reference substituted for each stage in ``stages`` (``"enum"``:
+    :class:`ScalarCutManager` and the per-root enum operator;
+    ``"eval"``: the per-root eval operator) on simulated workers."""
 
     def executor(kind, n_workers, observer=None, jobs=None):
         return ReferenceExecutor(n_workers, observer=observer, stages=stages)
@@ -196,6 +196,14 @@ def reference_rewrite(aig, config, workers: int,
     cutman = ScalarCutManager if "enum" in stages else CutManager
     with mock.patch("repro.core.dacpara.make_executor", executor), \
             mock.patch("repro.core.dacpara.CutManager", cutman):
+        yield
+
+
+def reference_rewrite(aig, config, workers: int,
+                      stages: Sequence[str] = ("enum", "eval"), library=None):
+    """Rewrite ``aig`` in place at ``workers`` simulated workers under
+    :func:`reference_patches`.  Returns the ``RewriteResult``."""
+    with reference_patches(stages):
         engine = DACParaRewriter(
             config=config.with_workers(workers), library=library)
         return engine.run(aig)

@@ -9,6 +9,7 @@ regression points at the component, not just "a fuzz seed diverged".
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -16,7 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_aig
+from conftest import (
+    capture_cut_managers,
+    deep_chain_circuit,
+    random_aig,
+    stage_tuple,
+)
 from reference import ReferenceExecutor, ScalarCutManager
 from test_differential_fuzz import SMOKE_SEEDS, fuzz_circuit
 from repro.aig import Aig, AigSnapshot
@@ -24,13 +30,17 @@ from repro.aig.literals import lit_var
 from repro.bench import mtm_like
 from repro.config import dacpara_config
 from repro.core.operators import StageContext
+from repro.core.partition import node_dividing
 from repro.cuts import CutManager
 from repro.cuts.cut import Cut
+from repro.cuts import manager as manager_module
 from repro.cuts.manager import CutBlock
 from repro.errors import CutError
+from repro.galois import Phase
 from repro.galois.procpool import _MetricCollector
 from repro.galois.simsched import SimulatedExecutor
 from repro.library import get_library
+from repro.rewrite.base import apply_candidate, find_best_candidate
 from repro.npn.truth import (
     CUT_LEAF_SENTINEL,
     batch_cut_signs,
@@ -330,6 +340,25 @@ class TestLifeMirror:
         for v in aig.topo_ands():
             _stamps_match(cutman, cutman.fresh_cuts(v))
 
+    def test_dead_vars_leave_the_cache(self):
+        # Both branches of ``_sync``: the journal patch, then (journal
+        # trimmed) the full rebuild's sweep.  ``compact`` would count a
+        # dead var's rows as live for the rest of the run otherwise.
+        aig = mtm_like(num_pis=12, num_nodes=120, seed=4)
+        cutman = CutManager(aig)
+        for v in aig.topo_ands():
+            cutman.cuts(v)
+        for rebuild in (False, True):
+            top = aig.topo_ands()[-1]
+            aig.replace(top, aig.fanin0(top))
+            assert any(aig.is_dead(v) for v in cutman._cache)
+            if rebuild:
+                aig.trim_mutation_log(aig.mutation_epoch)
+            cutman._sync()
+            assert not any(aig.is_dead(v) for v in cutman._cache)
+        for v in aig.topo_ands():
+            _stamps_match(cutman, cutman.fresh_cuts(v))
+
     def test_mirror_of_a_snapshot(self):
         aig = mtm_like(num_pis=12, num_nodes=120, seed=4)
         top = aig.topo_ands()[-1]
@@ -371,6 +400,31 @@ class TestLazyMaterialization:
         columns = lazy.eval_harvest(aig.topo_ands())
         flat = [c for v in columns.roots for c in eager.cuts(v)]
         assert [columns.cut(i) for i in range(len(flat))] == flat
+
+
+    def test_two_pass_run_materializes_no_root(self, monkeypatch):
+        # Pass 2 answers nearly every root from cache; the enum operator
+        # resolves at block level, so a cache answer builds no ``Cut``
+        # list (it used to build — and discard — one per root).
+        from reference import reference_rewrite
+        from repro.config import dacpara_p1_config
+        from repro.core import DACParaRewriter
+        from test_procpool import aig_fingerprint, result_fingerprint
+
+        managers = capture_cut_managers(monkeypatch)
+        base = deep_chain_circuit(stages=6)
+        config = dacpara_p1_config(workers=5)
+        aig = copy.deepcopy(base)
+        result = DACParaRewriter(config=config).run(aig)
+        cutman = managers[0]
+        assert result.passes == 2 and result.replacements > 0
+        built = [v for v in aig.topo_ands()
+                 if v in cutman._cache and cutman._cache[v].cuts is not None]
+        assert len(built) <= result.revalidated  # validation's re-merges
+        a_ref = copy.deepcopy(base)
+        r_ref = reference_rewrite(a_ref, config, 5, ("enum", "eval"))
+        assert result_fingerprint(result) == result_fingerprint(r_ref)
+        assert aig_fingerprint(aig) == aig_fingerprint(a_ref)
 
 
 class TestDominanceOrder:
@@ -467,3 +521,251 @@ class TestRunEnumBatched:
                     a.useful_units, a.start_time, a.end_time) == \
                    (b.activities, b.committed, b.conflicts,
                     b.useful_units, b.start_time, b.end_time)
+
+
+# ---------------------------------------------------------------------------
+# Closure waves: the replay against the per-root operator, hazard by hazard
+# ---------------------------------------------------------------------------
+
+_BLOCKER = object()
+
+
+class _Recorder:
+    """Executor mixin: logs the ``(locks, cost)`` phases every activity
+    requests, aborted attempts included, in execution order.  With
+    ``blocker = (locks, cost)`` an extra first activity holds ``locks``
+    for ``cost`` units — the injected conflict."""
+
+    blocker = None
+
+    def run(self, name, items, operator):
+        self.log = log = []
+
+        def recording(item):
+            if item is _BLOCKER:
+                yield Phase(*self.blocker)
+                return
+            phases = []
+            log.append((item, phases))
+            for phase in operator(item):
+                phases.append((phase.locks, phase.cost))
+                yield phase
+
+        if self.blocker is not None:
+            items = [_BLOCKER] + list(items)
+        return super().run(name, items, recording)
+
+
+class _RecordingSimulated(_Recorder, SimulatedExecutor):
+    pass
+
+
+class _RecordingReference(_Recorder, ReferenceExecutor):
+    pass
+
+
+def _closure_stage(build, workers=1, blocker=None):
+    """One enum stage on the production path and on the per-root
+    operator over :class:`ScalarCutManager`; ``build(manager_class)``
+    returns ``(cutman, worklist)`` — deterministic, so both sides see
+    the same ids.  Asserts everything observable equal and returns the
+    production side's ``(log, cutman)``."""
+    sides = []
+    for manager, executor in ((CutManager, _RecordingSimulated),
+                              (ScalarCutManager, _RecordingReference)):
+        cutman, worklist = build(manager)
+        ctx = StageContext(aig=cutman.aig, cutman=cutman,
+                           library=get_library(),
+                           config=dacpara_config(workers=workers))
+        ex = executor(workers)
+        ex.blocker = blocker
+        stage = ex.run_enum("enum", worklist, ctx)
+        sides.append((ex.log, cutman, cutman.work, stage_tuple(stage)))
+    (log, cutman, work, stage), (ref_log, ref_cutman, ref_work, ref_stage) = sides
+    assert log == ref_log
+    assert work == ref_work
+    assert stage == ref_stage
+    for v in cutman.aig.topo_ands():
+        assert cutman.has_fresh_entry(v) == ref_cutman.has_fresh_entry(v), v
+        assert cutman.cuts(v) == ref_cutman.cuts(v), v
+    return log, cutman
+
+
+def _shared_cone():
+    """``s = t & c`` over ``t = a & b``, under two roots ``r1 = s & d``
+    and ``r2 = s & e``: on a cold cache the whole cone is one closure,
+    three waves deep."""
+    aig = Aig()
+    a, b, c, d, e = (aig.add_pi() for _ in range(5))
+    t = aig.and_(a, b)
+    s = aig.and_(t, c)
+    r1, r2 = aig.and_(s, d), aig.and_(s, e)
+    aig.add_po(r1)
+    aig.add_po(r2)
+    return aig, {"t": lit_var(t), "s": lit_var(s),
+                 "r1": lit_var(r1), "r2": lit_var(r2)}
+
+
+def _shared_fanin(*order):
+    def build(manager):
+        aig, nodes = _shared_cone()
+        return manager(aig, max_cuts=12), [nodes[name] for name in order]
+    return build
+
+
+class TestClosureReplay:
+    @pytest.mark.parametrize("workers", (1, 5))
+    def test_first_toucher_installs_shared_cold_fanin(self, workers):
+        nodes = _shared_cone()[1]
+        log, cutman = _closure_stage(_shared_fanin("r1", "r2"),
+                                     workers=workers)
+        (r1, (phase1,)), (r2, (phase2,)) = log
+        assert phase1[0] == {nodes["r1"], nodes["s"], nodes["t"]}
+        assert phase2[0] == {nodes["r2"]}  # region and cost exclude them
+        assert phase2[1] < phase1[1]
+        assert cutman.kernel_calls == 3    # one per wave, not one per node
+
+    @pytest.mark.parametrize("workers", (1, 5))
+    @pytest.mark.parametrize("order", (("r1", "s", "r2"), ("s", "r2", "r1")))
+    def test_closure_node_is_a_worklist_member(self, workers, order):
+        # Level drift: ``s`` sits in the same worklist as its fanouts.
+        # One block either way; after ``r1`` the member's own activity
+        # is a one-unit cache answer (in flight together with ``r1`` it
+        # first loses the lock on itself and retries).
+        s = _shared_cone()[1]["s"]
+        log, cutman = _closure_stage(_shared_fanin(*order), workers=workers)
+        answers = [phases for item, phases in log if item == s]
+        if order[0] == "r1":
+            assert answers == [[(frozenset({s}), 1)]] * min(workers, 2)
+        assert cutman.kernel_calls == 3
+
+    @pytest.mark.parametrize("order", ((0, 1, 2), (2, 1, 0), (1, 2, 0)))
+    def test_order_dependent_boundary_stays_scalar(self, order, monkeypatch):
+        # ``x``'s entry stays stamp-fresh while one of its cuts dies.
+        # ``r1 = x & e`` and ``r2 = (x & f) & c0`` reach it: both take
+        # the enum operator.  ``r3 = c0 & g`` shares the clean cold
+        # ``c0`` with ``r2`` and still batches.
+        def build(manager):
+            aig = Aig()
+            a, b, c, d, e, f, g, p, q = (aig.add_pi() for _ in range(9))
+            dying = aig.and_(a, b)
+            x = aig.and_(aig.and_(dying, c), d)
+            aig.add_po(x)
+            cutman = manager(aig, max_cuts=12)
+            cutman.cuts(lit_var(x))
+            aig.replace(lit_var(dying), a)
+            assert cutman.has_fresh_entry(lit_var(x))
+            assert not cutman.has_fresh_live_cuts(lit_var(x))
+            c0 = aig.and_(p, q)
+            roots = [aig.and_(x, e), aig.and_(aig.and_(x, f), c0),
+                     aig.and_(c0, g)]
+            for lit in roots:
+                aig.add_po(lit)
+            return cutman, [lit_var(roots[i]) for i in order]
+
+        cutman, worklist = build(CutManager)
+        plan, waves = cutman.plan_closures(worklist)
+        r1, r2, r3 = (worklist[order.index(i)] for i in range(3))
+        assert plan[r1] is None and plan[r2] is None
+        assert plan[r3][0] == 1 and waves[1] == [r3]
+        scalar = []
+        real = CutManager._merge_node
+        monkeypatch.setattr(
+            CutManager, "_merge_node",
+            lambda self, v: scalar.append(v) or real(self, v))
+        log, cutman = _closure_stage(build)
+        assert {r1, r2} <= set(scalar) and r3 not in scalar
+
+    def test_recycled_ids_never_read_the_dead_incarnation(self):
+        # The shape the deep ladder rung hits: a replacement's MFFC
+        # dies, the next ``apply_candidate`` reuses the ids, and the
+        # cache still holds the dead incarnation's block under the new
+        # node.  Those rows are poisoned before every enum stage: one
+        # read of them and the cut sets diverge from the reference's.
+        base = deep_chain_circuit(stages=3)
+        config = dacpara_config(workers=1)
+        sides = []
+        for manager, executor in ((CutManager, _RecordingSimulated),
+                                  (ScalarCutManager, _RecordingReference)):
+            aig = copy.deepcopy(base)
+            cutman = manager(aig, max_cuts=config.max_cuts)
+            ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
+                               config=config)
+            sides.append((aig, cutman, ctx, executor(1)))
+        (aig, cutman, _, _), (ref_aig, ref_cutman, _, _) = sides
+        driver = ScalarCutManager(aig)  # finds replacements; never the
+        poisoned = 0                    # managers under test
+        for worklist in node_dividing(aig):
+            live = [v for v in worklist if not aig.is_dead(v)]
+            cols = cutman._arena.cols
+            for v, block in cutman._cache.items():
+                if (block.off >= 0 and aig.is_and(v)
+                        and block.stamp != aig.stamp(v)
+                        and cols[2][block.off + block.cnt - 1, 0]
+                        != aig.life_stamp(v)):
+                    rows = slice(block.off, block.off + block.cnt)
+                    cols[0][rows] = 0  # the constant: alive, and wrong
+                    cols[1][rows] = 0
+                    cols[2][rows] = aig.life_stamp(0)
+                    poisoned += 1
+            logs = [ex.run_enum("enum", live, ctx) and ex.log
+                    for _, _, ctx, ex in sides]
+            assert logs[0] == logs[1]
+            assert cutman.work == ref_cutman.work
+            for root in live:
+                if aig.is_dead(root):
+                    continue
+                cand = find_best_candidate(aig, root, driver, get_library(),
+                                           config)
+                if cand is not None:
+                    apply_candidate(aig, cand)
+                    apply_candidate(ref_aig, cand)
+        assert poisoned > 0
+        assert aig.num_ands == ref_aig.num_ands < base.num_ands
+        for v in aig.topo_ands():
+            assert cutman.cuts(v) == ref_cutman.cuts(v), v
+
+    def test_pending_blocks_survive_compaction_between_waves(
+            self, monkeypatch):
+        compactions = []
+        real_compact = CutManager.compact
+        real_arena_compact = manager_module._Arena.compact
+
+        def eager(self, extra=()):
+            # Garbage rows past the live ones, and no threshold left.
+            junk = 4 * max(self._arena.used, 8)
+            self._arena.append(np.zeros((junk, 4), dtype=np.int64),
+                               np.zeros(junk, dtype=np.int64),
+                               np.zeros((junk, 4), dtype=np.int64),
+                               np.zeros(junk, dtype=np.uint64))
+            self._compact_at = 0
+            real_compact(self, extra)
+
+        def counting(self, blocks):
+            compactions.append(sum(b.cnt for b in blocks))
+            real_arena_compact(self, blocks)
+
+        monkeypatch.setattr(CutManager, "compact", eager)
+        monkeypatch.setattr(manager_module._Arena, "compact", counting)
+        log, cutman = _closure_stage(_shared_fanin("r1", "r2"))
+        # Before wave 0, wave 1 and wave 2 — each time keeping more
+        # rows: the earlier waves' pending results.
+        assert len(compactions) == 3
+        assert compactions == sorted(set(compactions))
+
+    def test_aborted_install_retries_as_cache_answer(self, monkeypatch):
+        installs = []
+        real = CutManager.install_cuts
+        monkeypatch.setattr(
+            CutManager, "install_cuts",
+            lambda self, root, block, work=0:
+                installs.append(root) or real(self, root, block, work))
+        r1 = _shared_cone()[1]["r1"]
+        log, cutman = _closure_stage(_shared_fanin("r1", "r2"), workers=2,
+                                     blocker=((r1,), 1000))
+        attempts = [phases for item, phases in log if item == r1]
+        assert len(attempts) == 2
+        assert len(attempts[0][0][0]) == 3 and attempts[0][0][1] > 1
+        assert attempts[1] == [(frozenset({r1}), 1)]
+        assert sorted(installs) == sorted(set(installs))  # nothing twice
+        assert len(installs) == 4

@@ -44,6 +44,15 @@ levels above the wavefront.  The reference reads levels only through
 bound-and-derive rule — both ``preserve_level`` settings must agree
 byte for byte on every deterministic executor.
 
+A fifth axis pins the **closure waves** of the enum stage (DESIGN
+§4c) where the per-level axes above barely reach them: with
+``MIN_FANOUT`` patched to 2, wave 0 of nearly every level of the deep
+chain — cold closure nodes included — crosses the pool while the later
+waves merge in-parent over its pending blocks; and a cold-cache
+``run(aig, restrict=top third)`` makes the first worklist's closure the
+whole lower TFI, one wave per level — result, per-stage stats and the
+cut cache equal the reference's.
+
 The smoke tier (always on, fixed seeds — CI runs it per-push) covers
 ``SMOKE_SEEDS`` plus two pool-sized circuits that genuinely cross the
 ``MIN_FANOUT`` threshold.  The remaining ~200-seed sweep is marked
@@ -71,8 +80,18 @@ from repro.library import get_library
 from repro.obs.observer import TracingObserver
 from repro.sat import check_equivalence_auto
 
-from conftest import deep_chain_circuit, random_aig
-from reference import ReferenceExecutor, ScalarCutManager, reference_rewrite
+from conftest import (
+    capture_cut_managers,
+    deep_chain_circuit,
+    random_aig,
+    stage_tuple,
+)
+from reference import (
+    ReferenceExecutor,
+    ScalarCutManager,
+    reference_patches,
+    reference_rewrite,
+)
 from test_procpool import aig_fingerprint, result_fingerprint
 
 SMOKE_SEEDS = tuple(range(12))
@@ -385,6 +404,90 @@ def test_deep_chain_vs_reference(preserve_level):
     for out in (a_ref, a_thr):
         check(out)
         assert check_equivalence_auto(base, out).equivalent
+
+
+def test_closure_waves_cross_the_pool(monkeypatch):
+    monkeypatch.setattr("repro.galois.procpool.MIN_FANOUT", 2)
+    waves = []
+    real_plan = CutManager.plan_closures
+
+    def plan(self, roots):
+        out = real_plan(self, roots)
+        waves.append([len(wave) for wave in out[1]])
+        return out
+
+    monkeypatch.setattr(CutManager, "plan_closures", plan)
+    base = deep_chain_circuit(stages=8)
+    a_ref = copy.deepcopy(base)
+    r_ref = reference_rewrite(a_ref, dacpara_config(), 5, ("enum", "eval"))
+    aig = copy.deepcopy(base)
+    obs = TracingObserver()
+    engine = DACParaRewriter(
+        config=dacpara_config(workers=5).with_executor("process", 2),
+        observer=obs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_proc = engine.run(aig)
+    assert result_fingerprint(r_proc) == result_fingerprint(r_ref)
+    assert aig_fingerprint(aig) == aig_fingerprint(a_ref)
+    check(aig)
+    assert check_equivalence_auto(base, aig).equivalent
+    # Levels whose wave 0 went to the pool and whose later waves merged
+    # in-parent on top of it.
+    assert sum(1 for w in waves if len(w) > 1 and w[0] >= 2) >= 10
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["fanout_payload_bytes_total{dir=back,stage=enum}"] > 0
+
+
+def _cut_cache(cutman):
+    aig = cutman.aig
+    return {v: cutman._materialize(cutman._cache[v])
+            for v in range(aig.size)
+            if not aig.is_dead(v) and cutman.has_fresh_entry(v)}
+
+
+@pytest.mark.parametrize("workers,kinds", (
+    (5, ("simulated", "process")), (1, ("simulated",))))
+def test_closure_cold_cache_restricted_vs_reference(workers, kinds,
+                                                    monkeypatch):
+    base = deep_chain_circuit(stages=6)
+    floor = 2 * base.max_level() // 3
+    top = {v for v in base.topo_ands() if base.level(v) > floor}
+    managers, wave_counts = capture_cut_managers(monkeypatch), []
+    real_plan = CutManager.plan_closures
+
+    def plan(self, roots):
+        out = real_plan(self, roots)
+        wave_counts.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(CutManager, "plan_closures", plan)
+
+    def run(kind):
+        aig = copy.deepcopy(base)
+        del managers[:], wave_counts[:]
+        engine = DACParaRewriter(
+            config=dacpara_config(workers=workers).with_executor(kind, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = engine.run(aig, restrict=top)
+        check(aig)
+        assert check_equivalence_auto(base, aig).equivalent
+        # The run's own manager is the first one it creates.
+        return (result_fingerprint(result), aig_fingerprint(aig),
+                [stage_tuple(s) for s in engine.last_stats.stages],
+                _cut_cache(managers[0]))
+
+    with reference_patches(("enum", "eval")):
+        want = run("simulated")
+    assert want[0][4] > 0  # replacements: the restricted run rewrote
+    for kind in kinds:
+        assert run(kind) == want, kind
+        # The first worklist sits on a cold cache: its closure is the
+        # whole lower TFI, one wave per level.
+        assert wave_counts[0] == floor + 1
+    if workers > 1:
+        run("threaded")  # check + exact equivalence only
 
 
 @pytest.mark.parametrize("seed", (101, 202))

@@ -251,6 +251,10 @@ class TestCrossExecutorEquivalence:
 
         sim_keep, sim_extra = split(snap_sim["counters"])
         proc_keep, proc_extra = split(snap_proc["counters"])
+        # One kernel invocation per wave in-process, per chunk under the
+        # pool's fan-out: both count, the counts differ (``batch_shape``).
+        assert sim_keep.pop("enum_kernel_calls_total") > 0
+        assert proc_keep.pop("enum_kernel_calls_total") > 0
         assert sim_keep == proc_keep
         # The simulated run must not emit any process-only counters.
         assert all(k.split("{")[0] in memo_counters for k in sim_extra)
