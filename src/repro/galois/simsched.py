@@ -20,6 +20,10 @@ activities **serially and deterministically**:
   cautious-operator protocol of :mod:`repro.galois.activity` guarantees
   mutations happen only after the last acquisition), and the activity
   retries after the conflicting holder's interval ends.
+* The intervals live in a per-stage **lock table**, ``lock -> [(commit
+  seq, acq, end), ...]`` in commit order: an acquisition looks only at
+  the wanted locks that are keys of the table — none when nothing
+  conflicts — so its cost does not grow with ``workers`` (DESIGN.md §4e).
 
 Committed effects are applied in pop order, which is a serializable
 order; the simulation is therefore exact for semantics and a faithful
@@ -35,7 +39,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulerError
 from ..obs.observer import NULL_OBSERVER, Observer
@@ -90,6 +94,7 @@ class SimulatedExecutor:
         self.stats = ExecutionStats(workers=workers)
         self.obs = observer if observer is not None else NULL_OBSERVER
         self.track_offset = track_offset
+        self.lock_probes = 0  # entries in the lock-table lists touched
 
     def close(self) -> None:
         """Release executor resources (no-op here; the process-pool
@@ -137,8 +142,9 @@ class SimulatedExecutor:
         retry: List[Tuple[int, int, object]] = []
         retry_counts: dict = {}
         seq = 0
-        # In-flight: (end_time, [(acq_time, lockset), ...])
-        inflight: List[Tuple[int, List[Tuple[int, frozenset]]]] = []
+        # The stage's lock table: lock -> [(commit_seq, acq, end), ...]
+        # in commit order, one entry per committed acquisition.
+        held: Dict[object, List[Tuple[int, int, int]]] = {}
 
         while ready or retry:
             t, w = heapq.heappop(worker_heap)
@@ -149,12 +155,11 @@ class SimulatedExecutor:
             else:
                 rt, _, item = heapq.heappop(retry)
                 t = max(t, rt)
-            inflight = [e for e in inflight if e[0] > t]
 
             gen = operator(item)
             acc = 0
-            intervals: List[Tuple[int, frozenset]] = []
-            conflict_at: Optional[int] = None
+            acquired: List[Tuple[int, frozenset]] = []
+            conflict: Optional[Tuple[int, object]] = None
             # Iterating the generator runs the operator's code; the final
             # next() (raising StopIteration inside the for) executes the
             # post-last-yield mutation block with every lock acquired.
@@ -166,18 +171,17 @@ class SimulatedExecutor:
                 # Acquire-then-work: locks are requested at the current
                 # instant and, if granted, held until the activity ends;
                 # the phase's cost is work performed while holding them.
-                acq_time = t + acc
                 if phase.locks:
-                    holder_end = self._conflicting_holder(
-                        inflight, acq_time, phase.locks
-                    )
-                    if holder_end is not None:
-                        conflict_at = holder_end
-                        break
-                    intervals.append((acq_time, phase.locks))
+                    contended = held.keys() & phase.locks
+                    if contended:
+                        conflict = self._first_holder(held, contended, t, t + acc)
+                        if conflict is not None:
+                            break
+                    acquired.append((t + acc, phase.locks))
                 acc += phase.cost
-            if conflict_at is not None:
+            if conflict is not None:
                 gen.close()
+                conflict_at, key = conflict
                 stage.conflicts += 1
                 stage.aborted_units += acc
                 if obs.enabled:
@@ -190,7 +194,8 @@ class SimulatedExecutor:
                 stage.retries += 1
                 if count > MAX_RETRIES:
                     raise SchedulerError(
-                        f"activity retried more than {MAX_RETRIES} times"
+                        f"activity {item!r} aborted {count} times in stage "
+                        f"{name!r}; contended key: {key!r}"
                     )
                 # Linear backoff on repeat losers: hot-spot contention
                 # (many activities fighting over one hub lock) would
@@ -207,8 +212,12 @@ class SimulatedExecutor:
             if obs.enabled:
                 obs.activity("commit", name, t, end, self.track_offset + w + 1,
                              cost=acc, **_item_args(item))
-            if intervals:
-                inflight.append((end, intervals))
+            # An activity's own acquisitions enter the table only here,
+            # so its later phases never conflict with its earlier ones.
+            for acq, locks in acquired:
+                entry = (stage.committed, acq, end)
+                for lock in locks:
+                    held.setdefault(lock, []).append(entry)
             heapq.heappush(worker_heap, (end, w))
             stage.end_time = max(stage.end_time, end)
 
@@ -225,18 +234,32 @@ class SimulatedExecutor:
                     aborted_units=stage.aborted_units)
         return stage
 
-    @staticmethod
-    def _conflicting_holder(
-        inflight: List[Tuple[int, List[Tuple[int, frozenset]]]],
-        acq_time: int,
-        want: frozenset,
-    ) -> Optional[int]:
-        """End time of an in-flight activity holding an intersecting
-        lock at ``acq_time``, or None."""
-        for end, intervals in inflight:
-            if end <= acq_time:
-                continue
-            for other_acq, locks in intervals:
-                if other_acq <= acq_time and locks & want:
-                    return end
-        return None
+    def _first_holder(self, held: dict, contended: set, t: int,
+                      acq_time: int) -> Optional[Tuple[int, object]]:
+        """``(end, lock)`` of the first activity in commit order holding
+        one of the ``contended`` locks at ``acq_time``, or None.
+
+        A list in which the walk meets an entry that ended by the pop
+        time ``t`` is pruned of all such entries: pop times never
+        decrease and every acquisition is at or after its pop, so they
+        can never match again.
+        """
+        first = end = key = None
+        probes = 0
+        for lock in contended:
+            entries = held[lock]
+            probes += len(entries)
+            stale = False
+            for seq, acq, until in entries:  # commit order: first match wins
+                if until <= t:
+                    stale = True
+                elif acq <= acq_time < until:
+                    if first is None or seq < first:
+                        first, end, key = seq, until, lock
+                    break
+            if stale:
+                entries[:] = [e for e in entries if e[2] > t]
+                if not entries:
+                    del held[lock]
+        self.lock_probes += probes
+        return None if first is None else (end, key)

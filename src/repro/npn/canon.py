@@ -15,8 +15,8 @@ Two implementations coexist:
 * :func:`npn_canon` — a lazily-built, module-level 65 536-entry lookup
   table: one ``uint16`` canonical representative plus one packed
   witness (the transform's row index, 0..767) per function.  Building
-  the table costs one vectorized sweep (~the price of a few hundred
-  exhaustive calls); afterwards canonicalization is two array reads.
+  the table enumerates each of the 222 classes once from its minimum
+  (~50 ms); afterwards canonicalization is two array reads.
   Both implementations break ties identically (first transform in row
   order achieving the minimum), so they agree bit-for-bit on canonical
   table *and* witness.
@@ -127,27 +127,32 @@ def npn_canon_exhaustive(tt: int) -> Tuple[int, NpnTransform]:
 
 
 def _build_canon_lut() -> Tuple[np.ndarray, np.ndarray]:
-    """One vectorized sweep over all 768 transforms x 65536 functions.
+    """One orbit per NPN class, 222 in all, walking functions upward.
 
-    Updates on strict improvement only, so the stored witness is the
-    *first* row achieving the minimum — the same tie-break as
-    ``argmin`` in the exhaustive search.
+    The smallest function not yet assigned is the minimum of its class;
+    its 768 pre-images ``T_r^-1(f)`` are the whole class and ``r`` is a
+    witness row of each.  The stored witness is the *first* row whose
+    pre-image the function is — the first achieving the minimum, the
+    same tie-break as ``argmin`` in the exhaustive search.
     """
-    funcs = np.arange(65536, dtype=np.uint32)
-    cols = [((funcs >> np.uint32(j)) & np.uint32(1)) for j in range(16)]
-    best = funcs.copy()  # row 0 is the identity transform
+    unassigned = np.uint32(65536)
+    canon = np.full(65536, unassigned, dtype=np.uint32)
     rows = np.zeros(65536, dtype=np.uint16)
-    acc = np.empty(65536, dtype=np.uint32)
-    for row in range(1, 768):
-        mat = _MATRICES[row]
-        acc[:] = cols[int(mat[0])]
-        for k in range(1, 16):
-            acc |= cols[int(mat[k])] << np.uint32(k)
-        acc ^= np.uint32(_OUT_FLAGS[row])
-        better = acc < best
-        best[better] = acc[better]
-        rows[better] = row
-    return best, rows
+    targets = _MATRICES.astype(np.intp)
+    out_bits = (_OUT_FLAGS & 1).astype(np.uint32)[:, None]
+    shifts = np.arange(16, dtype=np.uint32)
+    pre_bits = np.empty((768, 16), dtype=np.uint32)
+    f = 0
+    while canon[f] == unassigned:
+        # T_r(g)[k] = g[mat[r, k]] ^ out_r = f[k]: scatter f's bits.
+        bits = (np.uint32(f) >> shifts) & np.uint32(1)
+        np.put_along_axis(pre_bits, targets, bits ^ out_bits, axis=1)
+        members, first_row = np.unique(pre_bits @ _POW2, return_index=True)
+        canon[members] = f
+        rows[members] = first_row
+        # First function still unassigned; 0 (assigned) once none is.
+        f = int(np.argmax(canon == unassigned))
+    return canon, rows
 
 
 def ensure_canon_lut() -> Tuple[np.ndarray, np.ndarray]:

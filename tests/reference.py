@@ -12,9 +12,15 @@ because nothing there calls it:
   scoring loop and the Section 4.3 generator operator around it, the
   references of ``eval_tasks_columnar`` and ``run_eval_batched``;
 * :class:`ReferenceExecutor` — a simulated executor whose read stages
-  run the Section 4.2/4.3 generator operators per root;
+  run the Section 4.2/4.3 generator operators per root, and whose
+  event loop finds conflicts by scanning every in-flight activity's
+  lock intervals — the reference of ``SimulatedExecutor.run``'s lock
+  table;
 * :func:`reference_patches` / :func:`reference_rewrite` — the
-  unchanged driver with those substituted.
+  unchanged driver with those substituted;
+* :func:`build_canon_lut_sweep` — the NPN canon LUT computed function
+  by function over all 768 transforms, the reference of the
+  class-by-class build in ``npn/canon.py``.
 
 ``tests/test_differential_fuzz.py`` holds every executor byte-identical
 to :func:`reference_rewrite`; the kernel property tests compare against
@@ -23,9 +29,14 @@ the classes directly.
 
 from __future__ import annotations
 
+import heapq
+import time
+from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Generator, List, Sequence
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 from unittest import mock
+
+import numpy as np
 
 from repro.aig.literals import lit_compl, lit_var
 from repro.core.dacpara import DACParaRewriter
@@ -33,10 +44,12 @@ from repro.core.operators import StageContext, make_enum_operator
 from repro.cuts import CutManager
 from repro.cuts.cut import Cut, cut_is_stamp_alive, trivial_cut
 from repro.cuts.manager import CutBlock
-from repro.errors import CutError
-from repro.galois import Phase
-from repro.galois.simsched import SimulatedExecutor
+from repro.errors import CutError, SchedulerError
+from repro.galois import Phase, simsched
+from repro.galois.activity import Operator
+from repro.galois.simsched import SimulatedExecutor, _item_args, _publish_stage
 from repro.galois.stats import StageStats
+from repro.npn.canon import _MATRICES, _OUT_FLAGS
 from repro.npn.truth import expand, full_mask
 from repro.rewrite.base import (
     WorkMeter,
@@ -165,7 +178,9 @@ def make_eval_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, No
 
 class ReferenceExecutor(SimulatedExecutor):
     """Simulated scheduler whose read stages in ``stages`` run one
-    generator operator per root — no batch precompute, no replay."""
+    generator operator per root — no batch precompute, no replay — and
+    whose :meth:`run` is the interval-scan event loop, sharing no
+    conflict-detection code with production's lock table."""
 
     def __init__(self, workers: int, observer=None,
                  stages: Sequence[str] = ("enum", "eval")):
@@ -181,6 +196,127 @@ class ReferenceExecutor(SimulatedExecutor):
         if "eval" not in self.stages:
             return super().run_eval(name, items, ctx)
         return self.run(name, items, make_eval_operator(ctx))
+
+    def run(self, name: str, items: Sequence, operator: Operator) -> StageStats:
+        """The event loop as it stood before the lock table: the in-flight
+        list is rebuilt on every pop and every acquisition is checked
+        against every in-flight activity's lock intervals."""
+        start_wall = time.perf_counter()
+        stage = StageStats(name=name, start_time=self.now, end_time=self.now)
+        stage.activities = len(items)
+        obs = self.obs
+        span = None
+        if obs.enabled:
+            span = obs.begin(name, "stage", self.now, activities=len(items))
+        worker_heap: List[Tuple[int, int]] = [(self.now, w) for w in range(self.workers)]
+        heapq.heapify(worker_heap)
+        ready = deque(items)
+        retry: List[Tuple[int, int, object]] = []
+        retry_counts: dict = {}
+        seq = 0
+        # In-flight: (end_time, [(acq_time, lockset), ...])
+        inflight: List[Tuple[int, List[Tuple[int, frozenset]]]] = []
+
+        while ready or retry:
+            t, w = heapq.heappop(worker_heap)
+            if retry and retry[0][0] <= t:
+                rt, _, item = heapq.heappop(retry)
+            elif ready:
+                item = ready.popleft()
+            else:
+                rt, _, item = heapq.heappop(retry)
+                t = max(t, rt)
+            inflight = [e for e in inflight if e[0] > t]
+
+            gen = operator(item)
+            acc = 0
+            intervals: List[Tuple[int, frozenset]] = []
+            conflict_at: Optional[int] = None
+            # Iterating the generator runs the operator's code; the final
+            # next() (raising StopIteration inside the for) executes the
+            # post-last-yield mutation block with every lock acquired.
+            for phase in gen:
+                if not isinstance(phase, Phase):
+                    raise SchedulerError(
+                        f"operator yielded {type(phase).__name__}, expected Phase"
+                    )
+                # Acquire-then-work: locks are requested at the current
+                # instant and, if granted, held until the activity ends;
+                # the phase's cost is work performed while holding them.
+                acq_time = t + acc
+                if phase.locks:
+                    holder_end = self._conflicting_holder(
+                        inflight, acq_time, phase.locks
+                    )
+                    if holder_end is not None:
+                        conflict_at = holder_end
+                        break
+                    intervals.append((acq_time, phase.locks))
+                acc += phase.cost
+            if conflict_at is not None:
+                gen.close()
+                stage.conflicts += 1
+                stage.aborted_units += acc
+                if obs.enabled:
+                    track = self.track_offset + w + 1
+                    obs.activity("abort", name, t, t + acc, track,
+                                 **_item_args(item))
+                    obs.instant("conflict", name, t + acc, track)
+                count = retry_counts.get(id(item), 0) + 1
+                retry_counts[id(item)] = count
+                stage.retries += 1
+                if count > simsched.MAX_RETRIES:
+                    raise SchedulerError(
+                        f"activity retried more than {simsched.MAX_RETRIES} times"
+                    )
+                # Linear backoff on repeat losers: hot-spot contention
+                # (many activities fighting over one hub lock) would
+                # otherwise re-execute the whole pack once per commit.
+                backoff = (count - 1) * max(acc, 1)
+                seq += 1
+                heapq.heappush(retry, (max(conflict_at, t + acc) + backoff, seq, item))
+                heapq.heappush(worker_heap, (t + acc, w))
+                stage.end_time = max(stage.end_time, t + acc)
+                continue
+            end = t + acc
+            stage.committed += 1
+            stage.useful_units += acc
+            if obs.enabled:
+                obs.activity("commit", name, t, end, self.track_offset + w + 1,
+                             cost=acc, **_item_args(item))
+            if intervals:
+                inflight.append((end, intervals))
+            heapq.heappush(worker_heap, (end, w))
+            stage.end_time = max(stage.end_time, end)
+
+        self.now = stage.end_time
+        # Physical time goes into the stats only, never into the span
+        # (trace timestamps are simulated units and must stay
+        # byte-identical across re-runs).
+        stage.wall_seconds = time.perf_counter() - start_wall
+        self.stats.stages.append(stage)
+        if obs.enabled:
+            _publish_stage(obs, stage)
+            obs.end(span, stage.end_time, committed=stage.committed,
+                    conflicts=stage.conflicts, useful_units=stage.useful_units,
+                    aborted_units=stage.aborted_units)
+        return stage
+
+    @staticmethod
+    def _conflicting_holder(
+        inflight: List[Tuple[int, List[Tuple[int, frozenset]]]],
+        acq_time: int,
+        want: frozenset,
+    ) -> Optional[int]:
+        """End time of an in-flight activity holding an intersecting
+        lock at ``acq_time``, or None."""
+        for end, intervals in inflight:
+            if end <= acq_time:
+                continue
+            for other_acq, locks in intervals:
+                if other_acq <= acq_time and locks & want:
+                    return end
+        return None
 
 
 @contextmanager
@@ -207,3 +343,29 @@ def reference_rewrite(aig, config, workers: int,
         engine = DACParaRewriter(
             config=config.with_workers(workers), library=library)
         return engine.run(aig)
+
+
+def build_canon_lut_sweep() -> Tuple[np.ndarray, np.ndarray]:
+    """The canon LUT by one vectorized sweep over all 768 transforms x
+    65536 functions — the reference of ``npn.canon._build_canon_lut``'s
+    orbit enumeration.
+
+    Updates on strict improvement only, so the stored witness is the
+    *first* row achieving the minimum — the same tie-break as
+    ``argmin`` in the exhaustive search.
+    """
+    funcs = np.arange(65536, dtype=np.uint32)
+    cols = [((funcs >> np.uint32(j)) & np.uint32(1)) for j in range(16)]
+    best = funcs.copy()  # row 0 is the identity transform
+    rows = np.zeros(65536, dtype=np.uint16)
+    acc = np.empty(65536, dtype=np.uint32)
+    for row in range(1, 768):
+        mat = _MATRICES[row]
+        acc[:] = cols[int(mat[0])]
+        for k in range(1, 16):
+            acc |= cols[int(mat[k])] << np.uint32(k)
+        acc ^= np.uint32(_OUT_FLAGS[row])
+        better = acc < best
+        best[better] = acc[better]
+        rows[better] = row
+    return best, rows

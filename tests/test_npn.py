@@ -207,3 +207,20 @@ class TestBatchKernels:
         canon = canon_all_functions()
         for tt in range(0, 65536, 997):
             assert int(canon[tt]) == npn_canon_exhaustive(tt)[0]
+
+    def test_orbit_built_lut_equals_the_sweep_on_every_function(self):
+        """The LUT is built class by class from each class minimum; the
+        768 x 65 536 sweep (``tests/reference.py``) must give the same
+        canonical table *and* the same witness row for all 65 536
+        functions."""
+        import numpy as np
+
+        from reference import build_canon_lut_sweep
+        from repro.npn.canon import _build_canon_lut
+
+        canon, rows = _build_canon_lut()
+        sweep_canon, sweep_rows = build_canon_lut_sweep()
+        assert canon.dtype == sweep_canon.dtype
+        assert rows.dtype == sweep_rows.dtype
+        assert np.array_equal(canon, sweep_canon)
+        assert np.array_equal(rows, sweep_rows)
