@@ -13,16 +13,6 @@ from .generators import (
     square_like,
     voter_like,
 )
-from .hotpath import run_hotpath_bench, write_report
-from .regress import (
-    DEFAULT_THRESHOLD,
-    MetricDelta,
-    TRACKED_METRICS,
-    append_history,
-    compare_reports,
-    format_comparison,
-    load_history,
-)
 from .suite import (
     epfl_names,
     make_epfl,
@@ -52,13 +42,4 @@ __all__ = [
     "table1_suite",
     "table2_suite",
     "table3_suite",
-    "run_hotpath_bench",
-    "write_report",
-    "DEFAULT_THRESHOLD",
-    "MetricDelta",
-    "TRACKED_METRICS",
-    "append_history",
-    "compare_reports",
-    "format_comparison",
-    "load_history",
 ]

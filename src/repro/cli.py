@@ -17,9 +17,7 @@ line on stderr).  Simulated-clock trace timestamps are work units, so
 a re-run with the same inputs is byte-identical; with ``--executor
 process`` the trace additionally carries real wall-clock tracks (one
 per pool-worker pid, in a separate Chrome-trace ``pid`` group so the
-two clock domains stay apart in one Perfetto view).  ``bench``
-appends each run to ``BENCH_history.jsonl`` and ``bench --compare
-BASELINE.json`` exits nonzero on regressions past ``--threshold``.
+two clock domains stay apart in one Perfetto view).
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from typing import List, Optional
 
 from .aig import Aig, read_aiger, write_aag, write_aig
 from .bench import epfl_names, make_epfl, make_mtm, mtm_names
+from .errors import ReproError
 from .experiments import ENGINE_FACTORIES, make_engine
 from .galois import EXECUTOR_KINDS
 from .obs import (
@@ -362,183 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_bench = sub.add_parser(
-        "bench", help="run the hot-path micro-benchmarks"
-    )
-    p_bench.add_argument(
-        "-o", "--output", default="BENCH_hotpath.json",
-        help="where to write the JSON report (default: BENCH_hotpath.json)",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="smaller circuits and a subsampled scalar NPN baseline",
-    )
-    p_bench.add_argument(
-        "--check", action="store_true",
-        help="exit nonzero unless the machine-independent invariants "
-             "hold (NPN LUT beats scalar, batch eval >=2x scalar and "
-             "identical, snapshot deltas >=5x smaller, sharded rewrite "
-             "and sharded QoR runs functionally equivalent to base)",
-    )
-    p_bench.add_argument(
-        "--compare", metavar="BASELINE.json", default=None,
-        help="diff this run against a baseline report; exits nonzero "
-             "when any tracked metric regresses past --threshold",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=None, metavar="F",
-        help="relative regression threshold for --compare "
-             "(default 0.15 = 15%%)",
-    )
-    p_bench.add_argument(
-        "--history", metavar="PATH", default="BENCH_history.jsonl",
-        help="JSONL file each run is appended to with its git revision "
-             "(default: BENCH_history.jsonl)",
-    )
-    p_bench.add_argument(
-        "--no-history", action="store_true",
-        help="skip appending this run to the history file",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
-
     p_shell = sub.add_parser("shell", help="interactive ABC-style shell")
     p_shell.set_defaults(func=_cmd_shell)
     return parser
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench.hotpath import run_hotpath_bench, write_report
-    from .bench.regress import (
-        DEFAULT_THRESHOLD,
-        append_history,
-        compare_reports,
-        format_comparison,
-    )
-
-    report = run_hotpath_bench(quick=args.quick)
-    write_report(report, args.output)
-    if not args.no_history:
-        append_history(report, args.history)
-    npn = report["npn_canon"]
-    print(
-        f"npn-canon: lut {npn['lut_lookups_per_second']:.0f}/s vs scalar "
-        f"{npn['scalar_lookups_per_second']:.0f}/s "
-        f"(speedup {npn['speedup']:.1f}x, LUT build {npn['lut_build_seconds']:.3f}s)"
-    )
-    cuts = report["cut_enumeration"]
-    print(
-        f"cut-enum: {cuts['cuts_per_second']:.0f} cuts/s "
-        f"({cuts['vectorized_pairs']} pairs merged)"
-    )
-    ev = report["eval_stage"]
-    print(
-        f"eval-stage: simulated {ev['simulated_nodes_per_second']:.0f} nodes/s, "
-        f"process {ev['process_nodes_per_second']:.0f} nodes/s "
-        f"(jobs={ev['jobs']}), "
-        f"{ev['multijob_nodes_per_second']:.0f} nodes/s "
-        f"(jobs={ev['multijob_jobs']})"
-    )
-    be = report["batch_eval"]
-    print(
-        f"batch-eval: batch {be['batch_nodes_per_second']:.0f} nodes/s vs "
-        f"scalar {be['scalar_nodes_per_second']:.0f} nodes/s "
-        f"(speedup {be['speedup']:.1f}x, "
-        f"identical={be['identical_results']})"
-    )
-    deg = report["degraded_eval"]
-    print(
-        f"degraded-eval: {deg['degraded_seconds']:.3f}s vs healthy "
-        f"{deg['healthy_seconds']:.3f}s ({deg['overhead_ratio']}x, "
-        f"{deg['chunk_retries']} retries, {deg['pool_restarts']} pool "
-        f"restarts, {deg['chunk_fallbacks']} fallbacks)"
-    )
-    snap = report["snapshot_delta"]
-    print(
-        f"snapshot-delta: {snap['full_bytes_per_stage']:.0f} B/stage full vs "
-        f"{snap['delta_bytes_per_stage']:.0f} B/stage delta "
-        f"(reduction {snap['reduction']:.1f}x, "
-        f"{snap['recaptures']}/{snap['stages']} recaptures)"
-    )
-    shr = report["sharded_rewrite"]
-    curve = " ".join(
-        f"{e['shards']}sh={e['seconds']:.3f}s" for e in shr["curve"]
-    )
-    print(
-        f"sharded-rewrite: {shr['nodes']} nodes, {curve} "
-        f"(speedup@4 {shr['speedup_at_4']}x, jobs={shr['jobs']}, "
-        f"boundary {shr['boundary_frozen']}, "
-        f"equivalent={shr['equivalent']})"
-    )
-    qor = report["sharded_qor"]
-    print(
-        f"sharded-qor: area {qor['area_sharded']} sharded "
-        f"({qor['shards']}sh x {qor['shard_passes']}p + cleanup) vs "
-        f"{qor['area_unsharded']} unsharded "
-        f"(gap {qor['area_gap_pct']}%, equivalent={qor['equivalent']})"
-    )
-    print(f"written: {args.output}")
-    if args.check and npn["speedup"] <= 1.0:
-        print(
-            f"CHECK FAILED: NPN LUT not faster than scalar "
-            f"(speedup {npn['speedup']:.2f}x)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and not be["identical_results"]:
-        print(
-            "CHECK FAILED: batch eval candidates differ from scalar",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and (be["speedup"] is None or be["speedup"] < 2.0):
-        # Deliberately far below the measured ~5x: this gates the
-        # mechanism (batch kernels must clearly beat the scalar loop
-        # on any machine), not the exact figure of the bench host.
-        print(
-            f"CHECK FAILED: batch eval not >=2x faster than scalar "
-            f"(speedup {be['speedup']}x)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and (snap["reduction"] is None or snap["reduction"] < 5.0):
-        print(
-            f"CHECK FAILED: snapshot deltas not >=5x smaller than full "
-            f"recapture (reduction {snap['reduction']}x)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and not shr["equivalent"]:
-        # The machine-independent half of the sharded section: every
-        # curve point must stay functionally equivalent to the base
-        # circuit.  The speedup itself is a property of the host (it
-        # degenerates to ~1x on single-core containers), so it is
-        # tracked by --compare, not gated here.
-        print(
-            "CHECK FAILED: sharded rewrite not equivalent to base",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and not qor["equivalent"]:
-        print(
-            "CHECK FAILED: sharded QoR run not equivalent to base",
-            file=sys.stderr,
-        )
-        return 1
-    if args.compare:
-        try:
-            with open(args.compare) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline {args.compare!r}: {exc}",
-                  file=sys.stderr)
-            return 1
-        threshold = (args.threshold if args.threshold is not None
-                     else DEFAULT_THRESHOLD)
-        deltas = compare_reports(report, baseline, threshold=threshold)
-        print(format_comparison(deltas, threshold))
-        if any(d.regressed for d in deltas):
-            return 3
-    return 0
 
 
 def _cmd_shell(args: argparse.Namespace) -> int:
@@ -550,4 +375,8 @@ def _cmd_shell(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2

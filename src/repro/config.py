@@ -29,7 +29,6 @@ class RewriteConfig:
     zero_gain: bool = False
     preserve_level: bool = False
     workers: int = 1
-    seed: int = 0
     # Execution backend: 'simulated' (deterministic instrument;
     # workers=1 is the serial timing reference), 'process' (wall-clock
     # multi-core enum/eval), 'threaded'.

@@ -86,14 +86,7 @@ class DACParaRewriter:
         executor = make_executor(
             config.executor, config.workers, observer=obs, jobs=config.jobs
         )
-        result = RewriteResult(
-            engine=self.name,
-            workers=config.workers,
-            area_before=aig.num_ands,
-            area_after=aig.num_ands,
-            delay_before=aig.max_level(),
-            delay_after=aig.max_level(),
-        )
+        result = RewriteResult.begin(self.name, config.workers, aig)
         cutman = CutManager(aig, max_cuts=config.max_cuts)
         ctx = StageContext(
             aig=aig, cutman=cutman, library=self.library, config=config,
@@ -171,18 +164,10 @@ class DACParaRewriter:
 
         self.last_stats = executor.stats
         self.last_validation_stats = ctx.validation_stats
-        result.area_after = aig.num_ands
-        result.delay_after = aig.max_level()
         result.replacements = ctx.replacements
         ctx.reset_round()  # bank the last round's attempts
         result.attempted = ctx.attempted
         result.validation_failures = ctx.validation_failures
         result.revalidated = ctx.validation_stats.reenumerated
-        stats = executor.stats
-        result.work_units = stats.total_useful_units
-        result.makespan_units = stats.makespan
-        result.conflicts = stats.total_conflicts
-        result.aborted_units = stats.total_aborted_units
-        result.stage_units = stats.units_by_stage_name()
         result.shard_fallback = self._shard_fallback
-        return result
+        return result.finish(aig, executor.stats)

@@ -63,8 +63,10 @@ from .validation import ShardMergeStats, validate_shard_payload
 #: not decompose must not trip that net.
 _LOG = logging.getLogger("repro.shards")
 
-#: Simulation width of the worker-side pre/post equivalence guard.
+#: Simulation width and pattern seed of the worker-side pre/post
+#: equivalence guard.
 SHARD_CHECK_WIDTH = 64
+SHARD_CHECK_SEED = 0
 
 
 def shard_subconfig(config):
@@ -157,10 +159,10 @@ def rewrite_shard(src, shard: Shard, config) -> dict:
     start = time.perf_counter()
     sub, _ = build_shard_aig(src, shard)
     ands_before = sub.num_ands
-    pre = random_simulation(sub, width=SHARD_CHECK_WIDTH, seed=config.seed)
+    pre = random_simulation(sub, width=SHARD_CHECK_WIDTH, seed=SHARD_CHECK_SEED)
     engine = DACParaRewriter(config=shard_subconfig(config))
     result = engine.run(sub)
-    post = random_simulation(sub, width=SHARD_CHECK_WIDTH, seed=config.seed)
+    post = random_simulation(sub, width=SHARD_CHECK_WIDTH, seed=SHARD_CHECK_SEED)
     nodes, outs = _serialize_sub(sub, len(shard.support))
     return {
         "ok": pre == post,
@@ -270,14 +272,8 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
         )
         return None
 
-    result = RewriteResult(
-        engine=rewriter.name,
-        workers=config.workers,
-        area_before=aig.num_ands,
-        area_after=aig.num_ands,
-        delay_before=aig.max_level(),
-        delay_after=aig.max_level(),
-        shards=plan.num_shards,
+    result = RewriteResult.begin(
+        rewriter.name, config.workers, aig, shards=plan.num_shards
     )
     run_span = None
     if obs.enabled:
@@ -447,8 +443,7 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
     result.shard_passes = passes_run
     result.makespan_units = makespan_total
     result.stage_units = stage_units
-    result.area_after = aig.num_ands
-    result.delay_after = aig.max_level()
+    result.finish(aig)
     if obs.enabled:
         if recovered:
             obs.count("shard_boundary_recovered_total", recovered)

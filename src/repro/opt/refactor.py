@@ -244,11 +244,7 @@ class RefactorEngine:
         self.passes = passes
 
     def run(self, aig: Aig) -> RewriteResult:
-        result = RewriteResult(
-            engine=self.name, workers=1,
-            area_before=aig.num_ands, area_after=aig.num_ands,
-            delay_before=aig.max_level(), delay_after=aig.max_level(),
-        )
+        result = RewriteResult.begin(self.name, 1, aig)
         for _ in range(self.passes):
             result.passes += 1
             changed = False
@@ -265,9 +261,7 @@ class RefactorEngine:
                     changed = changed or saved != 0
             if not changed:
                 break
-        result.area_after = aig.num_ands
-        result.delay_after = aig.max_level()
-        return result
+        return result.finish(aig)
 
 
 class ParallelRefactor:
@@ -288,11 +282,7 @@ class ParallelRefactor:
         from ..core.partition import node_dividing
 
         executor = make_executor(self.executor_kind, self.workers)
-        result = RewriteResult(
-            engine=self.name, workers=self.workers,
-            area_before=aig.num_ands, area_after=aig.num_ands,
-            delay_before=aig.max_level(), delay_after=aig.max_level(),
-        )
+        result = RewriteResult.begin(self.name, self.workers, aig)
         prep: Dict[int, RefactorCandidate] = {}
         counters = {"replacements": 0}
 
@@ -332,13 +322,5 @@ class ParallelRefactor:
             if counters["replacements"] == before:
                 break
 
-        result.area_after = aig.num_ands
-        result.delay_after = aig.max_level()
         result.replacements = counters["replacements"]
-        stats = executor.stats
-        result.work_units = stats.total_useful_units
-        result.makespan_units = stats.makespan
-        result.conflicts = stats.total_conflicts
-        result.aborted_units = stats.total_aborted_units
-        result.stage_units = stats.units_by_stage_name()
-        return result
+        return result.finish(aig, executor.stats)

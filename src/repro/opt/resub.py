@@ -52,11 +52,7 @@ class ResubEngine:
 
     def run(self, aig: Aig) -> RewriteResult:
         """Resubstitute ``aig`` in place; returns the result record."""
-        result = RewriteResult(
-            engine=self.name, workers=1,
-            area_before=aig.num_ands, area_after=aig.num_ands,
-            delay_before=aig.max_level(), delay_after=aig.max_level(),
-        )
+        result = RewriteResult.begin(self.name, 1, aig)
         for _ in range(self.passes):
             result.passes += 1
             changed = False
@@ -69,9 +65,7 @@ class ResubEngine:
                     changed = True
             if not changed:
                 break
-        result.area_after = aig.num_ands
-        result.delay_after = aig.max_level()
-        return result
+        return result.finish(aig)
 
     # ------------------------------------------------------------------
 

@@ -53,14 +53,7 @@ class LockFusedRewriter:
         executor = make_executor(
             config.executor, config.workers, observer=obs, jobs=config.jobs
         )
-        result = RewriteResult(
-            engine=self.name,
-            workers=config.workers,
-            area_before=aig.num_ands,
-            area_after=aig.num_ands,
-            delay_before=aig.max_level(),
-            delay_after=aig.max_level(),
-        )
+        result = RewriteResult.begin(self.name, config.workers, aig)
         cutman = CutManager(aig, max_cuts=config.max_cuts)
         counters = {"replacements": 0, "saved": 0}
         operator = self._make_operator(aig, cutman, config, counters)
@@ -89,16 +82,8 @@ class LockFusedRewriter:
                     replacements=counters["replacements"])
             obs.count("replacements_total", counters["replacements"])
 
-        result.area_after = aig.num_ands
-        result.delay_after = aig.max_level()
         result.replacements = counters["replacements"]
-        stats = executor.stats
-        result.work_units = stats.total_useful_units
-        result.makespan_units = stats.makespan
-        result.conflicts = stats.total_conflicts
-        result.aborted_units = stats.total_aborted_units
-        result.stage_units = stats.units_by_stage_name()
-        return result
+        return result.finish(aig, executor.stats)
 
     def _make_operator(self, aig: Aig, cutman: CutManager, config: RewriteConfig,
                        counters: dict):

@@ -40,6 +40,27 @@ class RewriteResult:
     # ("" = no fallback happened; e.g. "too_few_pos", "too_few_regions").
     shard_fallback: str = ""
 
+    @classmethod
+    def begin(cls, engine: str, workers: int, aig, **extra) -> "RewriteResult":
+        """The record at the start of a run on ``aig``: after == before."""
+        area, delay = aig.num_ands, aig.max_level()
+        return cls(engine=engine, workers=workers, area_before=area,
+                   area_after=area, delay_before=delay, delay_after=delay,
+                   **extra)
+
+    def finish(self, aig, stats=None) -> "RewriteResult":
+        """Close the record on the rewritten ``aig``; ``stats`` (an
+        executor's ``ExecutorStats``) fills the work accounting."""
+        self.area_after = aig.num_ands
+        self.delay_after = aig.max_level()
+        if stats is not None:
+            self.work_units = stats.total_useful_units
+            self.makespan_units = stats.makespan
+            self.conflicts = stats.total_conflicts
+            self.aborted_units = stats.total_aborted_units
+            self.stage_units = stats.units_by_stage_name()
+        return self
+
     @property
     def area_reduction(self) -> int:
         """The paper's "Area Reduction" column: AND nodes removed."""

@@ -38,14 +38,7 @@ class SerialRewriter:
     def run(self, aig: Aig) -> RewriteResult:
         """Rewrite ``aig`` in place; returns the result record."""
         config = self.config
-        result = RewriteResult(
-            engine=self.name,
-            workers=1,
-            area_before=aig.num_ands,
-            area_after=aig.num_ands,
-            delay_before=aig.max_level(),
-            delay_after=aig.max_level(),
-        )
+        result = RewriteResult.begin(self.name, 1, aig)
         cutman = CutManager(aig, max_cuts=config.max_cuts)
         meter = WorkMeter()
         obs = self.obs
@@ -82,8 +75,7 @@ class SerialRewriter:
             obs.count("committed_total", result.attempted, stage="sweep")
             obs.count("useful_units_total", now(), stage="sweep")
             obs.count("replacements_total", result.replacements)
-        result.area_after = aig.num_ands
-        result.delay_after = aig.max_level()
+        result.finish(aig)
         result.work_units = meter.units + cutman.work
         result.makespan_units = result.work_units  # one worker
         result.stage_units = {

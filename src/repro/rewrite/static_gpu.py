@@ -68,14 +68,7 @@ class StaticRewriter:
         cpu = SimulatedExecutor(
             workers=1, observer=obs, track_offset=config.workers + 1
         )
-        result = RewriteResult(
-            engine=self.name,
-            workers=config.workers,
-            area_before=aig.num_ands,
-            area_after=aig.num_ands,
-            delay_before=aig.max_level(),
-            delay_after=aig.max_level(),
-        )
+        result = RewriteResult.begin(self.name, config.workers, aig)
 
         run_span = None
         if obs.enabled:
@@ -118,9 +111,8 @@ class StaticRewriter:
                 if not cut_is_stamp_alive(aig, candidate.cut):
                     result.validation_failures += 1
                     return
-                saved = apply_candidate(aig, candidate)
+                apply_candidate(aig, candidate)
                 result.replacements += 1
-                del saved
 
             cpu.run("cpu-replace", sorted(stored), replace_operator)
             if obs.enabled:
@@ -133,13 +125,11 @@ class StaticRewriter:
             obs.count("replacements_total", result.replacements)
             obs.count("validation_failures_total", result.validation_failures)
 
-        result.area_after = aig.num_ands
-        result.delay_after = aig.max_level()
+        result.finish(aig)
         result.work_units = (
             gpu.stats.total_useful_units + cpu.stats.total_useful_units
         )
         result.makespan_units = gpu.stats.makespan + cpu.stats.makespan
-        result.conflicts = 0
         result.stage_units = {
             **gpu.stats.units_by_stage_name(),
             **cpu.stats.units_by_stage_name(),

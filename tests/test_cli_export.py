@@ -74,6 +74,34 @@ class TestCli:
         assert read_aiger(out_path).num_ands > 100
 
 
+class TestCliErrors:
+    """Named errors and OS errors end in one stderr line and exit 2."""
+
+    def _one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error: ")
+        assert "Traceback" not in captured.err
+        return lines[0]
+
+    def test_malformed_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.aag"
+        bad.write_text("xyz 1 2\n")
+        assert "xyz" in self._one_error_line(["stats", str(bad)], capsys)
+
+    def test_missing_input(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.aag")
+        assert "nope.aag" in self._one_error_line(["stats", missing], capsys)
+
+    def test_config_error(self, circuit_file, capsys):
+        line = self._one_error_line(
+            ["rewrite", circuit_file, "--jobs", "0"], capsys
+        )
+        assert "jobs" in line
+
+
 class TestExport:
     def test_dot_structure(self, small_aig):
         text = to_dot(small_aig)
@@ -177,7 +205,3 @@ class TestCliExecutorFlags:
         else:
             assert code == 1
             assert "--executor" in err
-
-    def test_bench_parser_wired(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "--no-such-flag"])

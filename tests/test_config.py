@@ -68,12 +68,12 @@ class TestValidation:
 def test_runtime_knobs_are_gone(capsys):
     for knob in ("cut_size", "delta_max_fraction", "shared_memory",
                  "chunk_max_retries", "pool_restart_budget",
-                 "wall_telemetry"):
+                 "wall_telemetry", "seed"):
         with pytest.raises(TypeError):
             RewriteConfig(**{knob: 1})
     with pytest.raises(TypeError):
         DACParaRewriter(executor_kind="simulated")
-    assert len(dataclasses.fields(RewriteConfig)) == 16
+    assert len(dataclasses.fields(RewriteConfig)) == 15
     for argv in (["--no-shm"], ["--delta-max-fraction", "0.5"],
                  ["--chunk-retries", "1"], ["--pool-restart-budget", "1"],
                  ["--executor", "serial"]):
@@ -145,3 +145,24 @@ def test_scalar_and_generic_forks_are_gone():
         module = importlib.import_module(f"repro.galois.{info.name}")
         for _, cls in inspect.getmembers(module, inspect.isclass):
             assert not [a for a in dir(cls) if a.startswith("supports_native")]
+
+
+def test_second_benchmark_is_gone(capsys):
+    """`benchmarks/ladder` is the one benchmark: no `bench` subcommand,
+    no hot-path / regression modules, no committed recordings."""
+    import importlib.util
+    import pathlib
+
+    import repro.bench
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    for name in repro.bench.__all__:
+        assert getattr(repro.bench, name).__module__ in (
+            "repro.bench.generators", "repro.bench.suite"), name
+    for module in ("hotpath", "regress"):
+        assert importlib.util.find_spec(f"repro.bench.{module}") is None
+    root = pathlib.Path(__file__).resolve().parent.parent
+    assert not list(root.glob("BENCH_*.json*"))

@@ -159,6 +159,37 @@ class TestSnapshotDelta:
         patched = base.apply_delta(pickle.loads(blob))
         assert_snapshots_equal(patched, AigSnapshot.capture(aig))
 
+    def test_hand_off_rounds_stay_sparse_under_the_rebase_rule(self):
+        """Mutate-then-hand-off rounds under the shipper's policy: every
+        delta equals a fresh capture, a rebase round is charged a full
+        capture, and the mean bytes per round stay under a fifth of it."""
+        from repro.bench import mtm_like
+        from repro.galois.shipper import needs_rebase
+
+        def size(obj) -> int:
+            return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+        aig = mtm_like(num_pis=32, num_nodes=2500, seed=5)
+        rng = random.Random(7)
+        base = AigSnapshot.capture(aig)
+        aig.trim_mutation_log(base.epoch)
+        full = shipped = 0
+        for _ in range(6):
+            for v in rng.sample(list(aig.ands()), 4):
+                if aig.is_and(v):  # an earlier replace may have killed it
+                    aig.replace(v, aig.fanin0(v))
+            fresh = AigSnapshot.capture(aig)
+            full += size(fresh)
+            if needs_rebase(aig, base.epoch):
+                base = fresh
+                aig.trim_mutation_log(base.epoch)
+                shipped += size(fresh)
+                continue
+            delta = base.delta_since(aig)
+            assert_snapshots_equal(base.apply_delta(delta), fresh)
+            shipped += size(delta)
+        assert shipped < full / 5
+
     def test_apply_delta_rejects_wrong_base(self):
         aig = random_aig(num_pis=4, num_nodes=30, num_pos=2, seed=5)
         base = AigSnapshot.capture(aig)
