@@ -10,20 +10,27 @@ columns of a live :class:`~repro.aig.graph.Aig`) become the primary
 store, and a whole table of per-root cut rows
 (:class:`~repro.cuts.manager.CutColumns`) is scored in three phases:
 
-1. **Kernel phase** (numpy, one call per batch): every cut function is
+1. **Kernel phase** (numpy, once per batch): every cut function is
    lifted into the 4-variable space (:func:`~repro.npn.truth.
    batch_lift_tt4`), canonicalized through one gather of the 65 536-
    entry NPN LUT (:func:`~repro.npn.canon.npn_canon_batch_rows`), and
    class-filtered against a precomputed membership mask — replacing a
-   per-cut ``expand``/``npn_canon``/``in allowed`` chain.
-2. **Scoring phase** (tight Python loop over plain lists): the exact
-   deref/strash/revive/level bookkeeping of
-   :func:`~repro.rewrite.base.evaluate_candidate`, with the per-cut
-   invariants hoisted out of the per-structure loop — the local deref
-   walk is computed once per (root, cut) and shared copy-on-write
-   across structures (a revive is the only mutation, and revives are
-   rare), leaf literals are bound once per cut, and structures are
-   decoded into index tuples once per process.
+   per-cut ``expand``/``npn_canon``/``in allowed`` chain.  The same
+   pass resolves each distinct class's structures once, charges every
+   root's work units (a ``bincount``) and binds the leaf literal of
+   every structure input (one gather through the 768 witness
+   transforms), so phase 2 visits only eligible, class-allowed cuts.
+2. **Scoring phase** (tight Python loop over plain lists): the
+   strash/level bookkeeping of :func:`~repro.rewrite.base.
+   evaluate_candidate`, with its shadow reference counts replaced by
+   closure bitmasks (DESIGN §4f).  One unbounded deref walk per root
+   finds the nodes that die with it — none when the root dies alone —
+   and gives each a mask of the dead part of its fanin cone; a cut
+   leaf or a strash hit inside the dead set keeps exactly its mask
+   alive, so a row's gain is ``|root dead| - popcount(alive) -
+   added``.  A row is dropped at the add or the revive that takes it
+   below the gain it needs; structures are decoded into index tuples
+   once per process.
 3. **Replay**: callers feed the returned ``(root, candidate, units)``
    triples through the simulated scheduler, so results, meter charges
    and stage stats are those of one Section 4.3 operator per root on
@@ -108,9 +115,13 @@ def columnar_view(aig_like) -> ColumnarView:
 #: distinct allowed-class set (there are only a couple of presets).
 _ALLOWED_MASKS: Dict[FrozenSet[int], np.ndarray] = {}
 
-#: witness-row -> ((pos, neg-bit) x4, out-neg bit), decoded once from
-#: the 768 NpnTransform objects.
-_ROW_LEAVES: List[Optional[tuple]] = [None] * 768
+#: The 768 NpnTransform objects as gather tables, indexed by witness
+#: row: structure input ``i`` reads leaf position ``_POS[row, i]``
+#: complemented by ``_NEG[row, i]``; the output by ``_OUT_NEG[row]``.
+_POS = np.array([t.perm for t in _TRANSFORMS], dtype=np.intp)
+_NEG = np.array([[t.neg_mask >> i & 1 for i in range(4)]
+                 for t in _TRANSFORMS], dtype=np.int64)
+_OUT_NEG = np.array([t.out_neg for t in _TRANSFORMS], dtype=np.int64)
 
 #: id(structure) -> (pin, decoded nodes, out index, out compl, charge).
 #: Keyed by identity (structures are interned in the library); the pin
@@ -127,16 +138,6 @@ def _allowed_mask(allowed: FrozenSet[int]) -> np.ndarray:
     return mask
 
 
-def _row_leaves(row: int) -> tuple:
-    entry = _ROW_LEAVES[row]
-    if entry is None:
-        transform = _TRANSFORMS[row]
-        asg = tuple((pos, int(neg)) for pos, neg in transform.leaf_assignment())
-        entry = (asg, int(transform.out_neg))
-        _ROW_LEAVES[row] = entry
-    return entry
-
-
 def _decode_structure(structure) -> tuple:
     key = id(structure)
     hit = _DECODED_STRUCTS.get(key)
@@ -151,35 +152,42 @@ def _decode_structure(structure) -> tuple:
     return entry
 
 
-def _deref_cone(root, blocked, kind, fanin0, fanin1, nref):
-    """Shadow-refcount deref of ``root``'s cone: ``(local refs, dead
-    set)`` — the nodes that die with the root, never through a
-    ``blocked`` var (the cut leaves)."""
+def _deref_cone(root, kind, fanin0, fanin1, nref):
+    """Shadow-refcount deref of ``root``'s cone: the nodes that die with
+    the root (its MFFC), in discovery order — the root first, every
+    node after all of its dead fanouts."""
     ref: Dict[int, int] = {}
     ref_get = ref.get
-    dead = {root}
+    dead = [root]
     stack = [root]
     while stack:
         v = stack.pop()
-        fv = fanin0[v] >> 1
-        r = ref_get(fv)
-        if r is None:
-            r = nref[fv]
-        r -= 1
-        ref[fv] = r
-        if r == 0 and fv not in blocked and kind[fv] == KIND_AND:
-            dead.add(fv)
-            stack.append(fv)
-        fv = fanin1[v] >> 1
-        r = ref_get(fv)
-        if r is None:
-            r = nref[fv]
-        r -= 1
-        ref[fv] = r
-        if r == 0 and fv not in blocked and kind[fv] == KIND_AND:
-            dead.add(fv)
-            stack.append(fv)
-    return ref, dead
+        for fv in (fanin0[v] >> 1, fanin1[v] >> 1):
+            r = ref_get(fv)
+            if r is None:
+                r = nref[fv]
+            r -= 1
+            ref[fv] = r
+            if r == 0 and kind[fv] == KIND_AND:
+                dead.append(fv)
+                stack.append(fv)
+    return dead
+
+
+def _closures(dead, fanin0, fanin1):
+    """``var -> bitmask`` over a :func:`_deref_cone` list (bit ``k`` is
+    ``dead[k]``): the node plus the dead nodes of its fanin cone — what
+    stays alive when the node does, as a cut leaf or a strash hit
+    (DESIGN §4f).  Reverse discovery order is fanins-first; Python ints,
+    so a cone wider than 64 nodes needs nothing special."""
+    closure: Dict[int, int] = {}
+    closure_get = closure.get
+    bit = 1 << len(dead)
+    for v in reversed(dead):
+        bit >>= 1
+        closure[v] = (bit | closure_get(fanin0[v] >> 1, 0)
+                      | closure_get(fanin1[v] >> 1, 0))
+    return closure
 
 
 # ---------------------------------------------------------------------------
@@ -214,137 +222,133 @@ def eval_tasks_columnar(
     fanin1 = view.fanin1
     nref = view.nref
     level = view.level
-    stamp_col = view.stamp
-    life_col = view.life
     strash_get = view.strash.get
     psize = view.size
     lit_cap = 2 * psize
     roots, counts = tasks.roots, tasks.counts
+    live = [kind[root] != KIND_DEAD for root in roots]
     # Lazy levels (DESIGN §4d): settling the roots makes the raw column
     # exact for every node stored at or below ``bound`` — each root, its
     # TFI, every cut leaf.  Only a strash hit can be stored above it; its
     # level is derived, never read.  A snapshot is captured settled.
     bound = sys.maxsize
     if isinstance(aig_like, Aig):
-        bound = max((aig_like.level(root) for root in roots
-                     if kind[root] != KIND_DEAD), default=0)
+        bound = max((aig_like.level(root) for root, alive in zip(roots, live)
+                     if alive), default=0)
 
-    allowed = config.allowed_classes
     max_structs = config.max_structs
     preserve_level = config.preserve_level
-    zero_gain = config.zero_gain
-    min_gain = 0 if zero_gain else 1
+    min_gain = 0 if config.zero_gain else 1
 
-    # ---- kernel phase: lift + canonicalize + class-filter every
-    # vector-eligible cut across the whole batch in three numpy calls.
+    # ---- kernel phase: everything a cut needs before its structures
+    # are walked, for the whole batch at once.  Lift + canonicalize +
+    # class-filter; resolve each distinct class once; charge units per
+    # root; bind the leaf literal of every structure input.
     t0 = time.perf_counter()
-    leaf_rows = tasks.leaves.tolist()
-    sizes_arr = (tasks.leaves < CUT_LEAF_SENTINEL).sum(axis=1)
-    tts_arr = tasks.tt
-    live_root = np.array([kind[root] != KIND_DEAD for root in roots],
-                         dtype=bool)
-    eligible = np.flatnonzero(np.repeat(live_root, counts) & (sizes_arr >= 2))
+    n_roots = len(roots)
+    live_root = np.array(live, dtype=bool)
+    counts_col = np.array(counts, dtype=np.int64)
+    root_of = np.repeat(np.arange(n_roots), counts_col)
+    # Rows are ascending and sentinel-padded: column 1 is real from
+    # two leaves up.
+    eligible = np.flatnonzero(
+        live_root[root_of] & (tasks.leaves[:, 1] < CUT_LEAF_SENTINEL))
     n_flat = len(eligible)
-    canon_col = np.zeros(len(sizes_arr), dtype=np.int64)
-    row_col = np.full(len(sizes_arr), -1, dtype=np.int64)
-    if n_flat:
-        canon_col[eligible], row_col[eligible] = npn_canon_batch_rows(
-            batch_lift_tt4(tts_arr[eligible], sizes_arr[eligible])
-        )
-    sizes = sizes_arr.tolist()
-    canons = canon_col.tolist()
-    rows = row_col.tolist()
-    oks = _allowed_mask(allowed)[canon_col].tolist()
+    leaves = tasks.leaves[eligible]
+    real = leaves < CUT_LEAF_SENTINEL
+    canon_col, row_col = npn_canon_batch_rows(
+        batch_lift_tt4(tasks.tt[eligible], real.sum(axis=1)))
+    allowed = np.flatnonzero(_allowed_mask(config.allowed_classes)[canon_col])
+    npn_misses = n_flat - len(allowed)
+    flat = eligible[allowed]  # row of ``tasks`` per scored cut
+    row_col = row_col[allowed]
+    classes, class_of, class_hits = np.unique(
+        canon_col[allowed], return_inverse=True, return_counts=True)
+    classes = classes.tolist()
+    entries = []
+    for canon in classes:
+        structures = library.structures(canon)
+        if max_structs is not None:
+            structures = structures[:max_structs]
+        entries.append(tuple(_decode_structure(s) for s in structures))
+    root_of = root_of[flat]
+    charges = np.array([sum(s[4] for s in entry) for entry in entries],
+                       dtype=np.int64)
+    units = np.bincount(root_of, weights=charges[class_of],
+                        minlength=n_roots).astype(np.int64)
+    units[~live_root] = -1
+    units = units.tolist()
+    class_hits = class_hits.tolist()
+    vectorized = sum(n * len(entry) for n, entry in zip(class_hits, entries))
+    # Per scored cut: [0, literal of structure input 1..4, leaves x4,
+    # class index, output complement].  A padded position reads
+    # constant false, complemented like any other.
+    leaves = leaves[allowed]
+    table = np.zeros((len(flat), 11), dtype=np.int64)
+    table[:, 1:5] = np.take_along_axis(
+        np.where(real[allowed], leaves, 0) << 1, _POS[row_col], axis=1
+    ) | _NEG[row_col]
+    table[:, 5:9] = leaves
+    table[:, 9] = class_of
+    table[:, 10] = _OUT_NEG[row_col]
+    table = table.tolist()
+    cuts_of = np.bincount(root_of, minlength=n_roots)
+    scored_roots = np.flatnonzero(cuts_of)
+    starts = np.cumsum(counts_col) - counts_col  # first ``tasks`` row per root
     kernel_seconds = time.perf_counter() - t0
 
-    # ---- scoring phase: exact evaluate_candidate semantics, per-cut
-    # invariants hoisted out of the per-structure loop.
+    # ---- scoring phase: exact evaluate_candidate semantics over the
+    # dead set as closure bitmasks (DESIGN §4f).
     t0 = time.perf_counter()
-    results: List[Tuple[int, Optional[Candidate], int]] = []
-    per_canon: Dict[int, tuple] = {}
-    npn_hits: Dict[int, int] = {}
-    npn_misses = 0
-    vectorized = 0
-    ci = 0  # cursor into the flat per-cut columns
+    results: List[Tuple[int, Optional[Candidate], int]] = [
+        (root, None, n) for root, n in zip(roots, units)]
+    deref_walks = 0
+    hi = 0  # cursor into ``table``
 
-    for root, num_cuts in zip(roots, counts):
-        first, ci = ci, ci + num_cuts
-        if kind[root] == KIND_DEAD:
-            results.append((root, None, -1))
-            continue
-        units = 0
+    for ri, num_cuts in zip(scored_roots.tolist(),
+                            cuts_of[scored_roots].tolist()):
+        lo, hi = hi, hi + num_cuts
+        root = roots[ri]
         best_key = None
         best = None
-        # Branch and bound: ``len(dead) - added`` only falls during a
-        # walk, so a structure is dropped once it cannot reach the gain
-        # a candidate needs, nor the best gain so far (ties walk on:
-        # they still compete on added nodes and level).
+        # Branch and bound: ``dead_n - added`` only falls during a
+        # walk, so a structure is dropped at the add or the revive
+        # that takes it below the gain a candidate needs, or the best
+        # gain so far (ties walk on: they still compete on added nodes
+        # and level).
         floor = min_gain
         root_level = level[root]
-        root_ref = None  # unbounded deref of the root cone, lazily
-        root_dead = None
-        for i in range(first, ci):
-            csize = sizes[i]
-            if csize < 2:
-                continue
-            if not oks[i]:
-                npn_misses += 1
-                continue
-            cleaves = leaf_rows[i][:csize]
-            canon = canons[i]
-            row = rows[i]
-            if observing:
-                npn_hits[canon] = npn_hits.get(canon, 0) + 1
-            entry = per_canon.get(canon)
-            if entry is None:
-                structures = library.structures(canon)
-                if max_structs is not None:
-                    structures = structures[:max_structs]
-                entry = tuple(_decode_structure(s) for s in structures)
-                per_canon[canon] = entry
-            if not entry:
+        # The root's MFFC, once: the root alone unless a fanin is an
+        # AND it holds the last reference to.
+        f0, f1 = fanin0[root] >> 1, fanin1[root] >> 1
+        if ((nref[f0] == 1 and kind[f0] == KIND_AND)
+                or (nref[f1] == 1 and kind[f1] == KIND_AND)):
+            deref_walks += 1
+            root_dead = _deref_cone(root, kind, fanin0, fanin1, nref)
+            closure_get = _closures(root_dead, fanin0, fanin1).get
+            root_dead_n = len(root_dead)
+        else:
+            closure_get = None
+            root_dead_n = 1
+        for j in range(lo, hi):
+            cut = table[j]
+            # A leaf keeps itself and the dead part of its cone alive.
+            kept = 0
+            if closure_get is not None:
+                for leaf in cut[5:9]:
+                    kept |= closure_get(leaf, 0)
+            cut_dead_n = root_dead_n - kept.bit_count()
+            if cut_dead_n < floor:
                 continue
 
-            # Local deref of the root cone: the nodes that die when the
-            # cut cone goes, against shadow reference counts (never the
-            # shared ones).  The cut leaves only *block* dead-marking,
-            # so the walk is cut-independent unless a leaf would have
-            # died — compute the unbounded walk once per root and fall
-            # back to a per-cut bounded walk in that (rare) case.
-            if root_dead is None:
-                root_ref, root_dead = _deref_cone(
-                    root, (), kind, fanin0, fanin1, nref)
-            if root_dead.isdisjoint(cleaves):
-                base_ref = root_ref
-                base_dead = root_dead
-            else:
-                base_ref, base_dead = _deref_cone(
-                    root, cleaves, kind, fanin0, fanin1, nref)
-
-            # Leaf literal per canonical structure input, once per cut.
-            asg, out_neg = _row_leaves(row)
-            base_vals = [0]
-            for pos, neg in asg:
-                base_vals.append(
-                    ((cleaves[pos] << 1) | neg) if pos < csize else neg
-                )
-
-            for structure, snodes, out_idx, out_c, charge in entry:
-                units += charge
-                vectorized += 1
-                values = base_vals.copy()
+            for structure, snodes, out_idx, out_c, _ in entries[cut[9]]:
+                values = cut[:5]
                 vappend = values.append
-                local_ref = base_ref
-                dead = base_dead
-                owned = False  # copy-on-write: only a revive mutates
-                levels = None
-                overlay = None
+                alive = kept
+                dead_n = cut_dead_n
+                levels = overlay = None
                 added = 0
-                abort = False
                 for i0, c0, i1, c1 in snodes:
-                    if len(dead) - added < floor:
-                        abort = True
-                        break
                     a = values[i0] ^ c0
                     b = values[i1] ^ c1
                     # Inline Aig._fold_trivial ((a ^ b) < 2 covers both
@@ -366,29 +370,16 @@ def eval_tasks_columnar(
                                 # The structure rebuilds the root
                                 # internally; using it would put the
                                 # root in its own replacement cone.
-                                abort = True
                                 break
-                            if hv in dead:
-                                if not owned:
-                                    local_ref = dict(local_ref)
-                                    dead = set(dead)
-                                    owned = True
-                                # Revive the resurrected node's cone.
-                                rstack = [hv]
-                                while rstack:
-                                    u = rstack.pop()
-                                    if u not in dead:
-                                        continue
-                                    dead.discard(u)
-                                    for fl in (fanin0[u], fanin1[u]):
-                                        fv = fl >> 1
-                                        r = local_ref.get(fv)
-                                        if r is None:
-                                            r = nref[fv]
-                                        r += 1
-                                        local_ref[fv] = r
-                                        if r > 0 and fv in dead:
-                                            rstack.append(fv)
+                            if closure_get is not None:
+                                # Revive: the hit and the dead part of
+                                # its cone stay.
+                                revived = closure_get(hv, 0) & ~alive
+                                if revived:
+                                    alive |= revived
+                                    dead_n -= revived.bit_count()
+                                    if dead_n - added < floor:
+                                        break
                             if level[hv] > bound:
                                 # Possibly stale, but hv = a & b and both
                                 # operand levels are exact: patch the
@@ -405,11 +396,13 @@ def eval_tasks_columnar(
                         if hit >= 0:
                             vappend(hit)
                             continue
-                    else:
-                        overlay = {}
-                        levels = {}
                     new_var = psize + added
                     added += 1
+                    if dead_n - added < floor:
+                        break
+                    if overlay is None:
+                        overlay = {}
+                        levels = {}
                     av = a >> 1
                     bv = b >> 1
                     la = levels[av] if av >= psize else level[av]
@@ -418,53 +411,52 @@ def eval_tasks_columnar(
                     new_lit = new_var << 1
                     overlay[(a, b)] = new_lit
                     vappend(new_lit)
-                if abort:
-                    continue
-                out_lit = values[out_idx] ^ out_c ^ out_neg
-                ov = out_lit >> 1
-                if ov == root:
-                    continue  # identity replacement
-                new_level = levels[ov] if ov >= psize else level[ov]
-                if preserve_level and new_level > root_level:
-                    continue
-                gain = len(dead) - added
-                key = (gain, -added, -new_level)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    floor = max(floor, gain)
-                    best = (i, canon, _TRANSFORMS[row], structure, gain,
-                            new_level)
+                else:
+                    out_lit = values[out_idx] ^ out_c ^ cut[10]
+                    ov = out_lit >> 1
+                    if ov == root:
+                        continue  # identity replacement
+                    new_level = levels[ov] if ov >= psize else level[ov]
+                    if preserve_level and new_level > root_level:
+                        continue
+                    gain = dead_n - added
+                    key = (gain, -added, -new_level)
+                    if best_key is None or key > best_key:
+                        best_key = key
+                        floor = max(floor, gain)
+                        best = (j, structure, gain, new_level)
 
-        if observing:
-            observer.observe("cuts_per_node", num_cuts)
-        candidate = None
-        if best is not None:
-            gain = best[4]
-            if gain > 0 or (zero_gain and gain == 0):
-                if observing:
-                    observer.observe("gain", gain)
-                candidate = Candidate(
-                    root=root,
-                    root_stamp=stamp_col[root],
-                    root_life=life_col[root],
-                    cut=(tasks.cut(best[0]) if tasks.stamps is not None
-                         else best[0] - first),
-                    canon_tt=best[1],
-                    transform=best[2],
-                    structure=best[3],
-                    gain=gain,
-                    new_root_level=best[5],
-                )
-        results.append((root, candidate, units))
+        if best is not None and best[2] >= min_gain:
+            j, structure, gain, new_level = best
+            i = int(flat[j])
+            results[ri] = (root, Candidate(
+                root=root,
+                root_stamp=view.stamp[root],
+                root_life=view.life[root],
+                cut=(tasks.cut(i) if tasks.stamps is not None
+                     else i - int(starts[ri])),
+                canon_tt=classes[table[j][9]],
+                transform=_TRANSFORMS[row_col[j]],
+                structure=structure,
+                gain=gain,
+                new_root_level=new_level,
+            ), units[ri])
 
     if observing:
         score_seconds = time.perf_counter() - t0
-        for canon, n in sorted(npn_hits.items()):
+        for (_, candidate, n), num_cuts in zip(results, counts):
+            if n >= 0:
+                observer.observe("cuts_per_node", num_cuts)
+                if candidate is not None:
+                    observer.observe("gain", candidate.gain)
+        for canon, n in zip(classes, class_hits):
             observer.count("npn_class_hits_total", n, cls=f"{canon:04x}")
         if npn_misses:
             observer.count("npn_class_misses_total", npn_misses)
         if vectorized:
             observer.count("eval_vectorized_candidates_total", vectorized)
+        if deref_walks:
+            observer.count("eval_deref_walks_total", deref_walks)
         observer.observe("eval_batch_size", float(n_flat))
         observer.observe("eval_kernel_seconds", kernel_seconds, phase="canon")
         observer.observe("eval_kernel_seconds", score_seconds, phase="score")
