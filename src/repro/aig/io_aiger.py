@@ -64,19 +64,29 @@ def write_aig(aig: Aig, path: PathOrFile) -> None:
 
 
 def read_aiger(path: PathOrFile) -> Aig:
-    """Read either an ASCII or binary AIGER file (sniffs the header)."""
+    """Read either an ASCII or binary AIGER file (sniffs the header).
+
+    Malformed input of any kind ends in :class:`AigerFormatError`
+    naming the line (ASCII) or byte offset (binary) where it broke; the
+    header's counts are checked against the file before anything is
+    built."""
     with open(path, "rb") as fh:
-        header = fh.readline().split()
-        if not header:
-            raise AigerFormatError("empty AIGER file")
-        fmt = header[0]
-        if fmt == b"aag":
-            fh.seek(0)
-            text = fh.read().decode("ascii")
-            return _parse_aag(text)
-        if fmt == b"aig":
-            return _parse_binary(header, fh)
-        raise AigerFormatError(f"unknown AIGER format marker {fmt!r}")
+        data = fh.read()
+    end = data.find(b"\n")
+    end = len(data) if end < 0 else end
+    header = data[:end].split()
+    if not header:
+        raise AigerFormatError("empty AIGER file")
+    fmt = header[0]
+    if fmt == b"aag":
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise AigerFormatError(f"byte {exc.start}: not ASCII") from None
+        return _parse_aag(text)
+    if fmt == b"aig":
+        return _parse_binary(header, data, end + 1)
+    raise AigerFormatError(f"unknown AIGER format marker {fmt!r}")
 
 
 # ----------------------------------------------------------------------
@@ -109,18 +119,16 @@ def _write_delta(fh: BinaryIO, delta: int) -> None:
     fh.write(bytes((delta,)))
 
 
-def _read_delta(fh: BinaryIO) -> int:
-    value = 0
-    shift = 0
-    while True:
-        byte = fh.read(1)
-        if not byte:
-            raise AigerFormatError("truncated binary AIGER delta")
-        b = byte[0]
+def _read_delta(data: bytes, pos: int) -> Tuple[int, int]:
+    """The delta encoded at ``data[pos:]`` and the offset after it."""
+    value = shift = 0
+    for at in range(pos, len(data)):
+        b = data[at]
         value |= (b & 0x7F) << shift
         if not b & 0x80:
-            return value
+            return value, at + 1
         shift += 7
+    raise AigerFormatError(f"byte {pos}: truncated binary AIGER delta")
 
 
 def _parse_header_counts(parts: List[bytes]) -> Tuple[int, int, int, int, int]:
@@ -130,6 +138,8 @@ def _parse_header_counts(parts: List[bytes]) -> Tuple[int, int, int, int, int]:
         m, i, l, o, a = (int(p) for p in parts[1:6])
     except ValueError as exc:
         raise AigerFormatError(f"bad AIGER header: {parts!r}") from exc
+    if min(m, i, l, o, a) < 0:
+        raise AigerFormatError(f"negative count in AIGER header: {parts!r}")
     if l != 0:
         raise AigerFormatError("latches are not supported (combinational only)")
     if m < i + a:
@@ -137,97 +147,116 @@ def _parse_header_counts(parts: List[bytes]) -> Tuple[int, int, int, int, int]:
     return m, i, l, o, a
 
 
+def _literals(field: str, count: int, max_lit: int, where: str) -> List[int]:
+    """``count`` literals in ``0..max_lit`` from one text line."""
+    parts = field.split()
+    if len(parts) != count:
+        raise AigerFormatError(f"{where}: expected {count} literal(s), got {field!r}")
+    try:
+        lits = [int(p) for p in parts]
+    except ValueError:
+        raise AigerFormatError(f"{where}: bad literal in {field!r}") from None
+    for lit in lits:
+        if not 0 <= lit <= max_lit:
+            raise AigerFormatError(f"{where}: literal {lit} outside 0..{max_lit}")
+    return lits
+
+
 def _parse_aag(text: str) -> Aig:
     lines = text.splitlines()
-    if not lines:
-        raise AigerFormatError("empty AIGER file")
     m, i, _, o, a = _parse_header_counts([p.encode() for p in lines[0].split()])
+    if 1 + i + o + a > len(lines):
+        raise AigerFormatError(
+            f"line {len(lines)}: truncated, the header announces "
+            f"{1 + i + o + a} lines")
+    max_lit = 2 * m + 1
     aig = Aig()
     lit_map: Dict[int, int] = {0: 0}
-    cursor = 1
-    declared_inputs: List[int] = []
-    for _ in range(i):
-        lit = int(lines[cursor])
-        cursor += 1
+    for n in range(1, 1 + i):
+        lit, = _literals(lines[n], 1, max_lit, f"line {n + 1}")
         if lit & 1 or lit == 0:
-            raise AigerFormatError(f"bad input literal {lit}")
-        declared_inputs.append(lit)
+            raise AigerFormatError(f"line {n + 1}: bad input literal {lit}")
         lit_map[lit] = aig.add_pi()
-    po_lits = []
-    for _ in range(o):
-        po_lits.append(int(lines[cursor]))
-        cursor += 1
-    pending: List[Tuple[int, int, int]] = []
-    for _ in range(a):
-        parts = lines[cursor].split()
-        cursor += 1
-        if len(parts) != 3:
-            raise AigerFormatError(f"bad AND line: {lines[cursor - 1]!r}")
-        pending.append((int(parts[0]), int(parts[1]), int(parts[2])))
+    po_lits = [(_literals(lines[n], 1, max_lit, f"line {n + 1}")[0], n)
+               for n in range(1 + i, 1 + i + o)]
+    pending = [(*_literals(lines[n], 3, max_lit, f"line {n + 1}"), n)
+               for n in range(1 + i + o, 1 + i + o + a)]
     _build_ands(aig, lit_map, pending)
-    for lit in po_lits:
-        aig.add_po(_resolve(lit, lit_map))
+    for lit, n in po_lits:
+        aig.add_po(_resolve(lit, lit_map, f"line {n + 1}"))
     return aig
 
 
-def _parse_binary(header: List[bytes], fh: BinaryIO) -> Aig:
+def _parse_binary(header: List[bytes], data: bytes, pos: int) -> Aig:
     m, i, _, o, a = _parse_header_counts(header)
+    # Every output line and every AND's delta pair takes two bytes or
+    # more; inputs take none, so a large I is legal.
+    if 2 * (o + a) > len(data) - pos:
+        raise AigerFormatError(
+            f"byte {len(data)}: truncated, the header announces {o} outputs "
+            f"and {a} ANDs")
+    max_lit = 2 * m + 1
     aig = Aig()
     lit_map: Dict[int, int] = {0: 0}
     for k in range(i):
         lit_map[2 * (k + 1)] = aig.add_pi()
     po_lits = []
     for _ in range(o):
-        line = fh.readline()
-        if not line:
-            raise AigerFormatError("truncated binary AIGER outputs")
-        po_lits.append(int(line))
+        end = data.find(b"\n", pos)
+        if end < 0:
+            raise AigerFormatError(f"byte {pos}: truncated binary AIGER outputs")
+        field = data[pos:end].decode("ascii", errors="replace")
+        po_lits.append((_literals(field, 1, max_lit, f"byte {pos}")[0], pos))
+        pos = end + 1
     for k in range(a):
-        lhs = 2 * (i + 1 + k)
-        delta0 = _read_delta(fh)
-        delta1 = _read_delta(fh)
+        lhs, at = 2 * (i + 1 + k), pos
+        delta0, pos = _read_delta(data, pos)
+        delta1, pos = _read_delta(data, pos)
         rhs0 = lhs - delta0
         rhs1 = rhs0 - delta1
         if rhs1 < 0:
-            raise AigerFormatError(f"negative literal in AND {lhs}")
-        lit_map[lhs] = aig.and_(_resolve(rhs0, lit_map), _resolve(rhs1, lit_map))
-    for lit in po_lits:
-        aig.add_po(_resolve(lit, lit_map))
+            raise AigerFormatError(f"byte {at}: negative literal in AND {lhs}")
+        where = f"byte {at}"
+        lit_map[lhs] = aig.and_(_resolve(rhs0, lit_map, where),
+                                _resolve(rhs1, lit_map, where))
+    for lit, at in po_lits:
+        aig.add_po(_resolve(lit, lit_map, f"byte {at}"))
     return aig
 
 
-def _build_ands(aig: Aig, lit_map: Dict[int, int], pending: List[Tuple[int, int, int]]) -> None:
-    """Build ASCII-declared ANDs, tolerating any declaration order."""
+def _build_ands(aig: Aig, lit_map: Dict[int, int],
+                pending: List[Tuple[int, int, int, int]]) -> None:
+    """Build ASCII-declared ANDs ``(lhs, rhs0, rhs1, line index)``,
+    tolerating any declaration order."""
     remaining = list(pending)
     while remaining:
         progressed = False
-        deferred: List[Tuple[int, int, int]] = []
-        for lhs, rhs0, rhs1 in remaining:
-            if lhs & 1:
-                raise AigerFormatError(f"odd AND literal {lhs}")
-            if (rhs0 & ~1) in lit_map or rhs0 <= 1:
-                ready0 = True
-            else:
-                ready0 = False
+        deferred: List[Tuple[int, int, int, int]] = []
+        for lhs, rhs0, rhs1, n in remaining:
+            if lhs & 1 or lhs == 0:
+                raise AigerFormatError(f"line {n + 1}: bad AND literal {lhs}")
+            ready0 = (rhs0 & ~1) in lit_map or rhs0 <= 1
             ready1 = (rhs1 & ~1) in lit_map or rhs1 <= 1
             if ready0 and ready1:
+                where = f"line {n + 1}"
                 lit_map[lhs] = aig.and_(
-                    _resolve(rhs0, lit_map), _resolve(rhs1, lit_map)
+                    _resolve(rhs0, lit_map, where), _resolve(rhs1, lit_map, where)
                 )
                 progressed = True
             else:
-                deferred.append((lhs, rhs0, rhs1))
+                deferred.append((lhs, rhs0, rhs1, n))
         if not progressed and deferred:
             raise AigerFormatError(
-                f"cyclic or dangling AND definitions: {deferred[:3]!r}..."
+                f"line {deferred[0][3] + 1}: cyclic or dangling AND "
+                f"definitions: {[d[:3] for d in deferred[:3]]!r}..."
             )
         remaining = deferred
 
 
-def _resolve(lit: int, lit_map: Dict[int, int]) -> int:
+def _resolve(lit: int, lit_map: Dict[int, int], where: str) -> int:
     if lit <= 1:
         return lit
     base = lit & ~1
     if base not in lit_map:
-        raise AigerFormatError(f"undefined literal {lit}")
+        raise AigerFormatError(f"{where}: undefined literal {lit}")
     return lit_map[base] ^ (lit & 1)

@@ -70,21 +70,24 @@ def make_enum_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, No
     """
 
     def operator(root: int) -> Generator[Phase, None, None]:
-        aig = ctx.aig
-        if aig.is_dead(root):
-            return
-        before = ctx.cutman.work
-        ctx.cutman.fresh_block(root)  # resolve only: no ``Cut`` is built
-        cost = ctx.cutman.work - before + 1
-        # Lock the node plus the nodes whose cut sets the recursion had
-        # to compute: only TFI/TFO-related worklist neighbours can race
-        # on those shared entries, so conflicts here are rare and cheap
-        # — exactly the paper's Section 4.2 argument.
-        region: Set[int] = {root}
-        region.update(ctx.cutman.last_computed)
-        yield Phase(locks=region, cost=cost)
+        if not ctx.aig.is_dead(root):
+            yield enum_phase(ctx.cutman, root)
 
     return operator
+
+
+def enum_phase(cutman: CutManager, root: int) -> Phase:
+    """The enum operator's one step for a live ``root``: resolve its
+    cut set, then the phase that charges the merge work it took."""
+    before = cutman.work
+    cutman.fresh_block(root)  # resolve only: no ``Cut`` is built
+    # Lock the node plus the nodes whose cut sets the recursion had to
+    # compute: only TFI/TFO-related worklist neighbours can race on
+    # those shared entries, so conflicts here are rare and cheap —
+    # exactly the paper's Section 4.2 argument.
+    region: Set[int] = {root}
+    region.update(cutman.last_computed)
+    return Phase(locks=region, cost=cutman.work - before + 1)
 
 
 def make_replace_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, None, None]]:

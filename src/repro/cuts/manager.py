@@ -8,21 +8,24 @@ fanin *cuts* (cuts whose own leaves have died) are filtered out at
 merge time, which keeps the inductive validity invariant of
 :mod:`repro.cuts.cut` intact.
 
-Cut sets live as **column blocks** in one growable arena per manager
-(sentinel-padded leaf rows, truth tables, leaf stamps, 64-bit signs;
-a :class:`CutBlock` is a var's ``(stamp, offset, count)``).  The merge
-kernel reads fanin rows from the arena and appends result blocks to
-it, liveness is a vector compare against a life/kind mirror of the
-graph, and the evaluation engine reads the columns directly.
-:class:`~repro.cuts.cut.Cut` objects are materialized lazily, only at
-API edges: :meth:`CutManager.cuts` and the winning ``Candidate.cut``
-(the per-pair merge that builds every ``Cut`` is the reference in
-``tests/reference.py``, a subclass overriding :meth:`CutManager.
-_merge_node`).  Rows also are what crosses the process boundary
-(:meth:`CutManager.export_tasks` / :meth:`CutManager.merge_exported` /
-:meth:`CutManager.import_blocks`), by value and never as offsets.
-DESIGN.md "cut-merge kernel" has the soundness arguments and the
-ownership rules.
+Cut sets live as rows of one growable **arena** per manager
+(sentinel-padded leaf rows, truth tables, leaf stamps, 64-bit signs),
+and the cache is an **index table** over it: per var ``(entry stamp,
+arena offset, row count, alive epoch)``, -1 for no entry.  Every entry
+is rows — the trivial cut of a non-AND node included — so an enum stage
+plans, hands off and installs a whole worklist in vector passes
+(:meth:`CutManager.plan_closures`, :meth:`CutManager.
+merge_tasks_columnar`, :meth:`CutManager.install_cuts`), liveness is a
+vector compare against a mirror of the graph, and the evaluation engine
+reads the columns directly.  :class:`~repro.cuts.cut.Cut` lists are
+built only at API edges (:meth:`CutManager.cuts` /
+:meth:`CutManager.fresh_cuts`, memoized per entry, and the winning
+``Candidate.cut``); the per-pair merge that builds every ``Cut`` is the
+reference in ``tests/reference.py``.  Rows also are what crosses the
+process boundary (:meth:`CutManager.export_tasks` /
+:meth:`CutManager.merge_exported` / :meth:`CutManager.import_blocks`),
+by value and never as offsets.  DESIGN.md §4c and §4g have the
+soundness arguments and the ownership rules.
 
 The manager also counts merge work (``work`` attribute): the simulated
 parallel executor charges activities by this measure, which is what
@@ -31,9 +34,8 @@ makes the reproduced speedups data-driven rather than hand-tuned.
 
 from __future__ import annotations
 
-import itertools
 import time
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,8 +49,9 @@ from ..npn.truth import (
     batch_union_leaves,
     full_mask,
     lift_lut,
+    tag_leaves,
 )
-from .cut import Cut, cut_is_stamp_alive, trivial_cut
+from .cut import Cut
 
 DEFAULT_MAX_CUTS = 12
 
@@ -56,11 +59,21 @@ DEFAULT_MAX_CUTS = 12
 _FULL_MASKS_ARR = np.array([full_mask(n) for n in range(5)], dtype=np.int64)
 
 # ``leaf & _ID_MASK`` maps the sentinel pad to var 0 (the constant node,
-# which never dies), so padded rows index the life/kind mirror safely;
-# pad stamp lanes hold the constant's life stamp and always compare equal.
+# which never dies), so padded rows index the life mirror safely; pad
+# stamp lanes hold the constant's life stamp and always compare equal.
 _ID_MASK = CUT_LEAF_SENTINEL - 1
-_LANE_BITS = np.array([1, 2, 4, 8], dtype=np.int64)
+_SIDE_BITS = np.array([[0], [1]], dtype=np.int64)  # a union tag's side bits
+# Multiplier moving bit 0 of bytes 0..3 of a 32-bit word to bits 24..27
+# (no partial product lands there or carries into it).
+_LANE_PACK = (1 << 24) | (1 << 17) | (1 << 10) | (1 << 3)
 _MIN_ARENA_ROWS = 1024
+
+# The index table's rows; -1 throughout a var's column: no entry.
+_STAMP, _OFF, _CNT, _ALIVE = range(4)
+_NO_ENTRY = -1
+# The kernel's packed sort keys hold a leaf id in 31 bits, the pad as
+# the all-ones value: valid ids must stay below it.
+_LEAF_LIMIT = (1 << 31) - 1
 
 
 def _ranges(offs: "np.ndarray", cnts: "np.ndarray") -> "np.ndarray":
@@ -70,18 +83,18 @@ def _ranges(offs: "np.ndarray", cnts: "np.ndarray") -> "np.ndarray":
     return np.repeat(offs - (ends - cnts), cnts) + np.arange(total)
 
 
-def _block_rows(blocks) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Arena row indices of (staged) ``blocks``, concatenated, and the
-    per-block counts."""
-    cnts = np.array([b.cnt for b in blocks], dtype=np.int64)
-    return _ranges(np.array([b.off for b in blocks], dtype=np.int64), cnts), cnts
+def _all_lanes(flags: "np.ndarray") -> "np.ndarray":
+    """``flags.all(axis=1)`` over a C-contiguous ``(n, 4)`` bool array:
+    each row's four flag bytes read as one word."""
+    return flags.view(np.uint32).reshape(-1) == 0x01010101
 
 
-def _task_vectors(tasks):
-    """``(roots, comp0, comp1)`` arrays of ``(root, f0, f1, ...)`` tasks."""
-    return (np.array([t[0] for t in tasks], dtype=np.int64),
-            np.array([lit_compl(t[1]) for t in tasks], dtype=bool),
-            np.array([lit_compl(t[2]) for t in tasks], dtype=bool))
+def _extend(arr: "np.ndarray", cap: int, fill) -> "np.ndarray":
+    """``arr`` grown along its last axis to ``cap``, new slots ``fill``
+    (broadcast)."""
+    out = np.full(arr.shape[:-1] + (cap,), fill, dtype=np.int64)
+    out[..., : arr.shape[-1]] = arr
+    return out
 
 
 def _build_cuts(leaves, tt, stamps, sign) -> List[Cut]:
@@ -102,22 +115,40 @@ def _build_cuts(leaves, tt, stamps, sign) -> List[Cut]:
     return out
 
 
-class CutBlock:
-    """One var's cut set: ``cnt`` arena rows at ``off`` (``off < 0``:
-    not staged yet) and/or its ``Cut`` list (``None``: not materialized
-    yet), keyed to the var's ``stamp``.  ``alive_epoch`` memoizes "every
-    cut alive" per graph mutation epoch.  Only the owning manager moves
-    ``off`` (compaction)."""
+class EnumPlan:
+    """The merges one enum stage needs (:meth:`CutManager.plan_closures`):
+    task ``t`` merges AND node ``var[t]`` over fanin literals ``lit0[t]``
+    / ``lit1[t]``, each input the fanin's own entry (``src* = -1``) or
+    task ``src*[t]``'s result; ``waves[w]`` indexes dependency wave
+    ``w``.  The first ``simple`` tasks are roots picked by vector
+    compares; ``index`` maps each var walked per root to its task (None:
+    order-dependent).  Merges fill ``off``/``cnt`` (pending until
+    :meth:`CutManager.install_cuts`), ``pairs`` and ``epoch``;
+    ``per_root`` counts the live roots not simple.  Built directly,
+    every task is simple and wave 0."""
 
-    __slots__ = ("stamp", "off", "cnt", "cuts", "alive_epoch")
+    def __init__(self, var, lit0, lit1, src0=None, src1=None, waves=None,
+                 simple: Optional[int] = None,
+                 index: Optional[Dict[int, Optional[int]]] = None):
+        self.var = np.asarray(var, dtype=np.int64)
+        n = len(self.var)
+        self.lit0 = np.asarray(lit0, dtype=np.int64)
+        self.lit1 = np.asarray(lit1, dtype=np.int64)
+        stable = np.full(n, -1, dtype=np.int64)
+        self.src0 = stable if src0 is None else np.asarray(src0, dtype=np.int64)
+        self.src1 = stable if src1 is None else np.asarray(src1, dtype=np.int64)
+        self.waves = [np.arange(n)] if waves is None else waves
+        self.simple = n if simple is None else simple
+        self.index = {} if index is None else index
+        # Per task; a zero count: not merged yet.
+        self.off, self.cnt, self.pairs = np.zeros((3, n), dtype=np.int64)
+        self.epoch: Optional[int] = None
+        self.per_root = 0
 
-    def __init__(self, off: int, cnt: int, cuts: Optional[List[Cut]] = None,
-                 stamp: Optional[int] = None):
-        self.stamp = stamp
-        self.off = off
-        self.cnt = cnt
-        self.cuts = cuts
-        self.alive_epoch = None
+    def tasks_of(self, roots) -> "np.ndarray":
+        """The tasks merging ``roots`` (each var is planned once)."""
+        order = np.argsort(self.var)
+        return order[np.searchsorted(self.var, roots, sorter=order)]
 
 
 class CutColumns(NamedTuple):
@@ -141,8 +172,8 @@ class CutColumns(NamedTuple):
 
 
 class _Arena:
-    """Append-only column store shared by all of a manager's blocks:
-    ``cols`` = (leaves ``(n, 4)``, tt, leaf stamps ``(n, 4)``, sign)."""
+    """Append-only column store behind a manager's entries: ``cols`` =
+    (leaves ``(n, 4)``, tt, leaf stamps ``(n, 4)``, sign)."""
 
     def __init__(self) -> None:
         self.used = 0
@@ -163,16 +194,14 @@ class _Arena:
         self.used = end
         return off
 
-    def compact(self, blocks: Sequence[CutBlock]) -> None:
-        """Keep only the rows of ``blocks`` (all staged), re-offsetting
-        them in place."""
-        rows, _ = _block_rows(blocks)
+    def compact(self, offs: "np.ndarray", cnts: "np.ndarray") -> "np.ndarray":
+        """Keep only the row blocks at ascending ``offs`` (``cnts`` rows
+        each), packed in order; returns their new offsets."""
+        rows = _ranges(offs, cnts)
         for col in self.cols:
-            col[: len(rows)] = col[rows]
-        self.used = 0
-        for b in blocks:
-            b.off = self.used
-            self.used += b.cnt
+            col[: len(rows)] = col.take(rows, axis=0)
+        self.used = len(rows)
+        return np.cumsum(cnts) - cnts
 
 
 class CutManager:
@@ -193,50 +222,67 @@ class CutManager:
         # Vars the most recent cuts() call had to merge (the operators'
         # lock region for the shared recursion).
         self.last_computed: List[int] = []
-        self._cache: Dict[int, CutBlock] = {}
         self._arena = _Arena()
         self._compact_at = 8 * _MIN_ARENA_ROWS
-        # Life/kind mirror of the graph: life stamps as one array, dead
-        # nodes reading -1 (no recorded stamp), patched through the
-        # mutation journal.
+        # Graph mirrors patched through the mutation journal — life
+        # stamps (dead nodes -1: no recorded stamp), structure stamps,
+        # fanin literals (-1: not an AND) — and the index table.
         self._epoch: Optional[int] = None
-        self._life = None
+        self._graph = np.empty((4, 0), dtype=np.int64)
+        self._life, self._stamp = self._graph[:2]
+        self._fan = self._graph[2:]
+        self._tab = np.empty((4, 0), dtype=np.int64)
+        # ``Cut`` lists built at the API edge: var -> (arena offset, cuts).
+        self._memo: Dict[int, tuple] = {}
         self.vec_pairs = 0  # pairs merged by the kernel (observer counter)
         self.kernel_calls = 0  # kernel invocations (observer counter)
+        # Enum-stage roots the plan sends down the per-root path
+        # (observer counter).
+        self.per_root_resolves = 0
 
     # ------------------------------------------------------------------
 
     def cuts(self, var: int) -> List[Cut]:
         """Cut set of ``var`` on the current graph (cached)."""
-        return self._materialize(self._resolve(var))
+        self._resolve(var)
+        return self._materialize(var)
 
     def fresh_cuts(self, var: int) -> List[Cut]:
         """Cut set with stamp-dead cuts purged: if any cached cut has a
         stale leaf, the node's cuts are re-merged from the (filtered)
         fanin sets."""
-        return self._materialize(self.fresh_block(var))
+        self.fresh_block(var)
+        return self._materialize(var)
 
     def eval_harvest(self, roots) -> CutColumns:
         """The eval stage's task table: each root's (stamp-validated)
         enumerated cut set, in worklist order, gathered into one
-        :class:`CutColumns` — no ``Cut`` built."""
-        self.prime_liveness(roots)
-        blocks = [self.fresh_block(root) for root in roots]
-        self._stage(blocks)
-        rows, cnts = _block_rows(blocks)
+        :class:`CutColumns` — no ``Cut`` built.  Roots with a fresh live
+        entry (all of them after an enum stage) are one gather; any
+        other is resolved first, in order."""
+        vars = np.asarray(roots, dtype=np.int64).reshape(-1)
+        self._sync()
+        live, _ = self._fresh_live(vars)
+        if not live.all():
+            for root in vars[~live].tolist():
+                self.fresh_block(root)
+        cnts = self._tab[_CNT, vars]
+        rows = _ranges(self._tab[_OFF, vars], cnts)
         leaves, tt, stamps, _ = self._arena.cols
-        return CutColumns(list(roots), cnts.tolist(), leaves[rows], tt[rows],
-                          stamps[rows])
+        return CutColumns(list(roots), cnts.tolist(), leaves.take(rows, axis=0),
+                          tt.take(rows), stamps.take(rows, axis=0))
 
     def invalidate(self, var: int) -> None:
         """Drop the cache entry for one node."""
-        self._cache.pop(var, None)
+        self._sync()
+        self._tab[:, var] = _NO_ENTRY
 
     def invalidate_tfo(self, var: int) -> int:
         """Recursively drop cache entries of ``var`` and its transitive
         fanout — the paper's "previous enumeration results ... of all
         transitive fanouts for each deleted node will be recursively
         cleared".  Returns the number of entries dropped."""
+        self._sync()
         dropped = 0
         stack = [var]
         seen = set()
@@ -245,274 +291,328 @@ class CutManager:
             if v in seen:
                 continue
             seen.add(v)
-            if self._cache.pop(v, None) is not None:
+            if self._tab.item(_STAMP, v) != _NO_ENTRY:
+                self._tab[:, v] = _NO_ENTRY
                 dropped += 1
             if not self.aig.is_dead(v):
                 stack.extend(self.aig.fanouts(v))
         return dropped
 
-    def clear(self) -> None:
-        """Drop every cached cut set and the arena rows behind them."""
-        self._cache.clear()
-        self._arena = _Arena()
-
     # ------------------------------------------------------------------
     # Resolution and liveness
 
-    def _resolve(self, var: int) -> CutBlock:
-        """The stamp-fresh block of ``var``, merging bottom-up whatever
+    def _fresh(self, var: int) -> bool:
+        """``var``'s entry is keyed to its current stamp (synced table)."""
+        return self._tab.item(_STAMP, var) == self.aig.stamp(var)
+
+    def _fresh_live(self, vars: "np.ndarray", stamps=None):
+        """``(live, fresh)`` per var (synced mirrors; ``stamps``, the
+        vars' structure stamps, if already gathered): ``fresh``, the
+        entry is keyed to the var's stamp; ``live``, also every cut
+        alive.  The fresh entries not yet verified at this epoch are in
+        one vector compare, and each all-alive one's epoch recorded."""
+        tab, epoch = self._tab, self._epoch
+        entry = tab.take(vars, axis=1)
+        if stamps is None:
+            stamps = self._stamp.take(vars)
+        fresh = entry[_STAMP] == stamps
+        unknown = np.flatnonzero(fresh & (entry[_ALIVE] != epoch))
+        if len(unknown):
+            cnts = entry[_CNT, unknown]
+            rows_alive = self._rows_alive(_ranges(entry[_OFF, unknown], cnts))
+            starts = np.cumsum(cnts) - cnts
+            alive = unknown[np.logical_and.reduceat(rows_alive, starts)]
+            entry[_ALIVE, alive] = epoch
+            tab[_ALIVE, vars[alive]] = epoch
+        return fresh & (entry[_ALIVE] == epoch), fresh
+
+    def _resolve(self, var: int) -> None:
+        """Make ``var``'s entry stamp-fresh, merging bottom-up whatever
         is missing or stale (the body of :meth:`cuts`)."""
         aig = self.aig
         if aig.is_dead(var):
             raise CutError(f"cut enumeration on dead node {var}")
+        self._sync()
         self.last_computed = []
-        cache = self._cache
-        block = cache.get(var)
-        if block is not None and block.stamp == aig.stamp(var):
-            return block
+        fresh = self._fresh
+        if fresh(var):
+            return
         # Iterative post-order resolution (circuits are deep).
         stack = [var]
         while stack:
             v = stack[-1]
-            block = cache.get(v)
-            if block is not None and block.stamp == aig.stamp(v):
+            if fresh(v):
                 stack.pop()
                 continue
             if not aig.is_and(v):
-                self._trivial_block(v)
+                self._install_trivial(v)
                 stack.pop()
                 continue
             pending = False
             for fv in (lit_var(aig.fanin0(v)), lit_var(aig.fanin1(v))):
-                fblock = cache.get(fv)
-                if fblock is None or fblock.stamp != aig.stamp(fv):
+                if not fresh(fv):
                     stack.append(fv)
                     pending = True
             if pending:
                 continue
-            block = self._merge_node(v)
-            block.stamp = aig.stamp(v)
-            cache[v] = block
+            off, cnt = self._merge_node(v)
+            self._write(v, off, cnt, self._epoch)  # alive as merged
             self.last_computed.append(v)
             stack.pop()
-        return cache[var]
 
-    def fresh_block(self, var: int) -> CutBlock:
-        """:meth:`fresh_cuts` at block level: no ``Cut`` is built."""
-        block = self._resolve(var)
-        if not self._all_alive(block):
+    def fresh_block(self, var: int) -> None:
+        """:meth:`fresh_cuts` without building a ``Cut``: resolve
+        ``var``'s entry, re-merging it when one of its cuts has died."""
+        self._resolve(var)
+        if not self._all_alive(var):
             self.invalidate(var)
-            block = self._resolve(var)
-        return block
+            self._resolve(var)
 
-    def _trivial_block(self, var: int) -> CutBlock:
-        """Cache the trivial-cut set :meth:`cuts` keeps for a non-AND node."""
-        aig = self.aig
-        block = CutBlock(-1, 1, [trivial_cut(aig, var)], aig.stamp(var))
-        self._cache[var] = block
-        return block
+    def _write(self, vars, offs, cnts, alive) -> None:
+        """Point the entries of ``vars`` at arena rows, keyed to their
+        current stamps and verified all alive at epoch ``alive``."""
+        tab = self._tab
+        tab[_STAMP, vars] = self._stamp[vars]
+        tab[_OFF, vars] = offs
+        tab[_CNT, vars] = cnts
+        tab[_ALIVE, vars] = alive
 
-    def _materialize(self, block: CutBlock) -> List[Cut]:
-        cuts = block.cuts
-        if cuts is None:
-            rows = slice(block.off, block.off + block.cnt)
-            cuts = block.cuts = _build_cuts(*(c[rows] for c in self._arena.cols))
+    def _trivial_rows(self, vars: "np.ndarray") -> int:
+        """Append the trivial cut row of each of ``vars``; returns the
+        first one's offset."""
+        n = len(vars)
+        leaves = np.full((n, 4), CUT_LEAF_SENTINEL, dtype=np.int64)
+        leaves[:, 0] = vars
+        stamps = np.full((n, 4), self._life[0], dtype=np.int64)
+        stamps[:, 0] = self._life[vars]
+        return self._arena.append(leaves, np.full(n, 0b10, dtype=np.int64),
+                                  stamps, batch_cut_signs(leaves))
+
+    def _install_trivial(self, vars) -> None:
+        """Enter the trivial-cut set :meth:`cuts` keeps for non-AND
+        nodes, for each of ``vars`` (synced mirrors)."""
+        vars = np.asarray(vars, dtype=np.int64).reshape(-1)
+        off = self._trivial_rows(vars)
+        self._write(vars, off + np.arange(len(vars)), 1, self._epoch)
+
+    def _materialize(self, var: int) -> List[Cut]:
+        off = self._tab.item(_OFF, var)
+        memo = self._memo.get(var)
+        if memo is not None and memo[0] == off:
+            return memo[1]
+        rows = slice(off, off + self._tab.item(_CNT, var))
+        cuts = _build_cuts(*(c[rows] for c in self._arena.cols))
+        self._memo[var] = (off, cuts)
         return cuts
 
-    def _stage(self, blocks: Sequence[CutBlock]) -> None:
-        """Write object-only blocks' rows into the arena, one bulk conversion."""
-        todo = list({id(b): b for b in blocks if b.off < 0}.values())
-        if not todo:
+    def _grow(self, n: int) -> None:
+        """Room for ``n`` vars in the mirrors and the table, plus slack:
+        the last slot is never a var's (no entry, not an AND)."""
+        if n < self._graph.shape[1]:
             return
-        cuts = [c for b in todo for c in b.cuts]
-        self._sync()
-        pad = (int(self._life[0]),)
-        sent = (CUT_LEAF_SENTINEL,)
-        leaves = np.array(
-            [c.leaves + sent * (4 - len(c.leaves)) for c in cuts], dtype=np.int64
-        ).reshape(-1, 4)  # (0, 4) when every set is empty
-        stamps = np.array(
-            [c.leaf_stamps + pad * (4 - len(c.leaves)) for c in cuts],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        tt = np.array([c.tt for c in cuts], dtype=np.int64)
-        off = self._arena.append(leaves, tt, stamps, batch_cut_signs(leaves))
-        for b in todo:
-            b.off = off
-            off += b.cnt
+        cap = n + n // 4 + 1
+        self._graph = _extend(self._graph, cap, np.array([[0], [0], [-1], [-1]]))
+        self._life, self._stamp = self._graph[:2]
+        self._fan = self._graph[2:]
+        self._tab = _extend(self._tab, cap, _NO_ENTRY)
 
     def _sync(self) -> None:
-        """Bring the life mirror up to the graph's mutation epoch, and
-        drop the cache entries of vars that died (never resolved again;
-        a recycled id mismatches on stamp)."""
+        """Bring the graph mirrors up to the graph's mutation epoch, and
+        drop the entries of vars that died (never resolved again; a
+        recycled id mismatches on stamp)."""
         aig = self.aig
         epoch = getattr(aig, "mutation_epoch", 0)  # snapshots never mutate
         if epoch == self._epoch:
             return
         life, kind = aig._life, aig._kind
+        self._grow(len(life))
         dirty = None
         if self._epoch is not None:
             dirty = aig.dirty_since(self._epoch)
+        stamp, f0, f1 = aig._stamp, aig._fanin0, aig._fanin1
         if dirty is None or 4 * len(dirty) > len(life):
-            self._life = np.where(
-                np.asarray(kind) == KIND_DEAD, -1, np.asarray(life, dtype=np.int64))
-            idx = list(self._cache)
+            idx = np.arange(len(life))
+            rows = np.array([life, stamp, f0, f1, kind], dtype=np.int64)
         else:
-            grow = len(life) - len(self._life)
-            if grow > 0:
-                self._life = np.concatenate(
-                    [self._life, np.zeros(grow + len(life) // 4, dtype=np.int64)])
-            idx = list(dirty)
-            self._life[idx] = [-1 if kind[v] == KIND_DEAD else life[v] for v in idx]
-        for v in idx:
-            if kind[v] == KIND_DEAD:
-                self._cache.pop(v, None)
+            idx = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+            rows = np.array([(life[v], stamp[v], f0[v], f1[v], kind[v])
+                             for v in idx.tolist()], dtype=np.int64).reshape(-1, 5).T
+        dead = rows[4] == KIND_DEAD
+        rows[0, dead] = -1
+        self._graph[:, idx] = rows[:4]
+        self._tab[:, idx[dead]] = _NO_ENTRY
         self._epoch = epoch
 
     def _rows_alive(self, rows) -> "np.ndarray":
         """Per-row ``cut_is_stamp_alive`` (index array or slice; synced mirror)."""
         leaves, _, stamps, _ = self._arena.cols
-        return (self._life[leaves[rows] & _ID_MASK] == stamps[rows]).all(axis=1)
+        if not isinstance(rows, slice):
+            leaves, stamps = leaves.take(rows, axis=0), stamps.take(rows, axis=0)
+            rows = slice(None)
+        return _all_lanes(self._life.take(leaves[rows] & _ID_MASK) == stamps[rows])
 
-    def _all_alive(self, block: CutBlock) -> bool:
+    def _all_alive(self, var: int) -> bool:
+        """Every cut of ``var``'s entry alive (memoized per epoch)."""
         self._sync()
-        if block.alive_epoch != self._epoch:
-            if block.off < 0:  # object-only: not worth staging for this
-                alive = all(cut_is_stamp_alive(self.aig, c) for c in block.cuts)
-            else:
-                alive = self._rows_alive(slice(block.off, block.off + block.cnt)).all()
-            if not alive:
-                return False
-            block.alive_epoch = self._epoch
+        tab = self._tab
+        if tab.item(_ALIVE, var) == self._epoch:
+            return True
+        off = tab.item(_OFF, var)
+        if not self._rows_alive(slice(off, off + tab.item(_CNT, var))).all():
+            return False
+        tab[_ALIVE, var] = self._epoch
         return True
-
-    def prime_liveness(self, vars, fanins: bool = False) -> None:
-        """Verify the arena-resident sets of ``vars`` (and, with
-        ``fanins``, of their fanin nodes) alive in one vector compare,
-        so the per-root checks that follow on the same graph state
-        answer from the per-block memo."""
-        self._sync()
-        epoch, aig, cache = self._epoch, self.aig, self._cache
-        probe = list(vars)
-        if fanins:
-            probe += [lit_var(fl) for v in probe if aig.is_and(v)
-                      for fl in (aig.fanin0(v), aig.fanin1(v))]
-        blocks = [b for b in {v: cache.get(v) for v in probe}.values()
-                  if b is not None and b.off >= 0 and b.alive_epoch != epoch]
-        if not blocks:
-            return
-        rows, cnts = _block_rows(blocks)
-        owner = np.repeat(np.arange(len(blocks)), cnts)
-        dead = np.bincount(owner[~self._rows_alive(rows)],
-                           minlength=len(blocks))
-        for block, n_dead in zip(blocks, dead.tolist()):
-            if not n_dead:
-                block.alive_epoch = epoch
 
     def has_fresh_live_cuts(self, var: int) -> bool:
         """True when ``var``'s entry is stamp-fresh and every cached cut is
         alive: :meth:`fresh_cuts` then answers from cache, no merge work."""
-        block = self._cache.get(var)
-        return (block is not None and block.stamp == self.aig.stamp(var)
-                and self._all_alive(block))
-
-    # ------------------------------------------------------------------
-    # Harvest / install (the batch and fan-out hand-off)
-
-    def _stage_input(self, fv: int):
-        """Fanin ``fv``'s cut set as an enum-stage merge input: its
-        block when **stable for the whole stage** — a stamp-fresh entry
-        with every cut alive (never recomputed mid-stage), or a non-AND
-        (always the trivial cut).  None: it needs a merge first (missing
-        or stamp-stale).  False: order-dependent — stamp-fresh with dead
-        cuts, maybe a worklist root re-merged before its reader runs."""
-        block = self._cache.get(fv)
-        if block is not None and block.stamp == self.aig.stamp(fv):
-            return block if self._all_alive(block) else False
-        return None if self.aig.is_and(fv) else self._trivial_block(fv)
-
-    def enum_harvest(self, root: int):
-        """Inputs for a batched or worker-side merge of ``root``:
-        ``(f0, f1, block0, block1)`` — the fanin literals and their
-        cached :class:`CutBlock` s — or None.
-
-        A root is eligible when its merge is a *pure function of
-        shippable state*: an AND node whose own entry needs
-        (re)computing and whose fanin sets are both stable
-        (:meth:`_stage_input`).  None for a root with a fresh live
-        entry (a one-unit cache answer) and for one with any other
-        fanin — the closure of length one of :meth:`plan_closures`,
-        which plans the rest.
-        """
-        aig = self.aig
-        if not aig.is_and(root) or self.has_fresh_live_cuts(root):
-            return None
-        f0, f1 = aig.fanin0(root), aig.fanin1(root)
-        block0 = self._stage_input(lit_var(f0))
-        block1 = block0 and self._stage_input(lit_var(f1))
-        return (f0, f1, block0, block1) if block1 else None
+        self._sync()
+        return self._fresh(var) and self._all_alive(var)
 
     def has_fresh_entry(self, var: int) -> bool:
         """True when ``var``'s entry is keyed to its current stamp — all
         :meth:`_resolve` asks of a fanin before merging over it."""
-        block = self._cache.get(var)
-        return block is not None and block.stamp == self.aig.stamp(var)
+        self._sync()
+        return self._fresh(var)
 
-    def plan_closures(self, roots):
-        """The merges an enum stage over live ``roots`` needs, each
-        exactly once, as ``(plan, waves)``: the roots without a fresh
-        live entry and, below them, every fanin whose entry is missing
-        or stamp-stale — what :meth:`_resolve` would merge.  ``plan[v]
-        = (wave, f0, f1, block0, block1)``, a block None standing for a
-        planned fanin's result; ``waves[w]`` lists the vars merging over
-        stable blocks and results of waves below ``w``.  ``plan[v] is
-        None``: order-dependent (a fanin is, or a planned fanin's plan
-        is) and left to :meth:`fresh_block`."""
+    # ------------------------------------------------------------------
+    # Planning and install (the batch and fan-out hand-off)
+
+    def _stage_input(self, fv: int) -> Optional[bool]:
+        """Fanin ``fv``'s cut set as an enum-stage merge input (synced
+        table): True when **stable for the whole stage** — a stamp-fresh
+        entry with every cut alive (never recomputed mid-stage), or a
+        non-AND (its trivial entry made here if missing).  None: it
+        needs a merge first (missing or stamp-stale).  False:
+        order-dependent — stamp-fresh with dead cuts, maybe a worklist
+        root re-merged before its reader runs."""
+        if self._fresh(fv):
+            return self._all_alive(fv)
+        if self.aig.is_and(fv):
+            return None
+        self._install_trivial(fv)
+        return True
+
+    def enum_harvest(self, root: int):
+        """The fanin literals ``(f0, f1)`` of ``root`` when its merge is
+        a *pure function of shippable state* — an AND node whose own
+        entry needs (re)computing and whose fanin sets are both stable
+        (:meth:`_stage_input`) — else None: a cache answer or the
+        closure of length one of :meth:`plan_closures`, which applies
+        the same test to a whole worklist in vector passes."""
         aig = self.aig
-        plan: Dict[int, Optional[tuple]] = {}
-        waves: List[List[int]] = [[]]
-        for root in roots:
-            stack = [root]
-            while stack:  # iterative: a cold closure can be TFI-deep
-                v = stack[-1]
-                if v in plan or not aig.is_and(v) or self.has_fresh_live_cuts(v):
-                    stack.pop()  # level drift or a shared fanin; a cache answer
-                    continue
-                f0, f1 = aig.fanin0(v), aig.fanin1(v)
-                wave, sets, first = 0, [], []
-                for fv in (lit_var(f0), lit_var(f1)):
-                    block = self._stage_input(fv)
-                    if block is None and fv not in plan:
-                        first.append(fv)
-                    elif block is None and plan[fv] is None:
-                        block = False
-                    elif block is None:
-                        wave = max(wave, plan[fv][0] + 1)
-                    sets.append(block)
-                if False in sets:
-                    plan[v] = None
-                elif first:
-                    stack.extend(first)
-                    continue
-                else:
-                    plan[v] = (wave, f0, f1, *sets)
-                    if wave == len(waves):
-                        waves.append([])
-                    waves[wave].append(v)
-                stack.pop()
-        return plan, waves
+        if not aig.is_and(root) or self.has_fresh_live_cuts(root):
+            return None
+        f0, f1 = aig.fanin0(root), aig.fanin1(root)
+        stable = self._stage_input(lit_var(f0)) and self._stage_input(lit_var(f1))
+        return (f0, f1) if stable else None
 
-    def install_cuts(self, root: int, block: CutBlock, work: int = 0) -> None:
-        """Install a batch- or worker-computed cut set (a
-        :class:`CutBlock` from :meth:`merge_tasks_columnar` or
-        :meth:`import_blocks`) for AND node ``root``, keyed to its
-        current stamp — with the trivial entries its harvest cached for
-        non-AND fanins, exactly what :meth:`cuts` would have cached.
-        ``work`` (the merge-pair count) is charged to :attr:`work`,
-        byte-identical with an in-parent merge."""
-        block.stamp = self.aig.stamp(root)
-        self._cache[root] = block
-        self.work += work
+    def plan_closures(self, roots) -> EnumPlan:
+        """The merges an enum stage over ``roots`` needs, each exactly
+        once: the live roots without a fresh live entry and, below them,
+        every fanin whose entry is missing or stamp-stale — what
+        :meth:`_resolve` would merge.
+
+        Vector passes over the table prime liveness and pick out the
+        roots whose merge is a wave-0 task over two stable inputs
+        (:meth:`_stage_input`'s rule, trivial entries of non-AND fanins
+        included): the plan's ``simple`` tasks.  Only the other AND
+        roots without a fresh live entry are walked per root, as
+        :meth:`_resolve` would walk them: a var merging over stable
+        inputs and results of lower waves is a task of the wave above
+        them; one with an order-dependent input (stamp-fresh with dead
+        cuts, or a var planned so) maps to None in ``index`` and is
+        left to :meth:`fresh_block`.  Adds the plan's ``per_root`` to
+        :attr:`per_root_resolves`."""
+        self._sync()
+        roots = np.asarray(roots, dtype=np.int64).reshape(-1)
+        roots = roots.compress(self._life.take(roots) >= 0)
+        n = len(roots)
+        lits = self._fan.take(roots, axis=1)  # -1: not an AND (reads slot -1)
+        probe = np.concatenate([roots, lits.reshape(-1) >> 1])
+        graph = self._graph.take(probe, axis=1)  # life, stamp, fanins
+        live, fresh = self._fresh_live(probe, graph[1])
+        is_and = graph[2] >= 0
+        cand = is_and[:n] & ~live[:n]
+        cold = ~(fresh[n:] | is_and[n:])  # a non-AND fanin without an entry
+        if cold.any():
+            cold &= np.concatenate([cand, cand])
+            self._install_trivial(sorted(set(probe[n:].compress(cold).tolist())))
+        stable = np.where(fresh[n:], live[n:], ~is_and[n:])
+        pick = np.flatnonzero(cand & stable[:n] & stable[n:])
+        simple = roots[pick]
+        n_simple = len(pick)
+        cand[pick] = False
+        if not cand.any():
+            plan = EnumPlan(simple, lits[0, pick], lits[1, pick])
+        else:
+            index = dict(zip(simple.tolist(), range(n_simple)))
+            walked: List[tuple] = []  # (var, lit0, lit1, src0, src1, wave)
+            for root in roots[cand].tolist():
+                self._walk(root, index, walked, n_simple)
+            rows = np.array(walked, dtype=np.int64).reshape(-1, 6).T
+            tasks = n_simple + np.arange(len(walked))
+            waves = [np.concatenate([np.arange(n_simple), tasks[rows[5] == 0]])]
+            waves += [tasks[rows[5] == w] for w in range(1, rows[5].max(initial=0) + 1)]
+            stable_src = np.full(n_simple, -1, dtype=np.int64)
+            heads = (simple, lits[0, pick], lits[1, pick], stable_src, stable_src)
+            plan = EnumPlan(*(np.concatenate([head, row])
+                              for head, row in zip(heads, rows)),
+                            waves, n_simple, index)
+        plan.per_root = len(roots) - n_simple
+        self.per_root_resolves += plan.per_root
+        return plan
+
+    def _walk(self, root: int, index, walked, n_simple: int) -> None:
+        """Plan ``root``'s cold closure (:meth:`plan_closures`):
+        post-order, pruned at planned vars, non-ANDs and cache answers."""
+        aig = self.aig
+        stack = [root]
+        while stack:  # iterative: a cold closure can be TFI-deep
+            v = stack[-1]
+            if v in index or not aig.is_and(v) or self.has_fresh_live_cuts(v):
+                stack.pop()  # level drift or a shared fanin; a cache answer
+                continue
+            lits = (aig.fanin0(v), aig.fanin1(v))
+            wave, srcs, first, dependent = 0, [], [], False
+            for lit in lits:
+                fv = lit_var(lit)
+                stable = self._stage_input(fv)
+                src = -1
+                if stable is None and fv not in index:
+                    first.append(fv)
+                elif stable is None:
+                    src = index[fv]
+                    if src is None:
+                        dependent = True
+                    else:
+                        below = walked[src - n_simple][5] if src >= n_simple else 0
+                        wave = max(wave, below + 1)
+                dependent = dependent or stable is False
+                srcs.append(src)
+            if dependent:
+                index[v] = None
+            elif first:
+                stack.extend(first)
+                continue
+            else:
+                index[v] = n_simple + len(walked)
+                walked.append((v,) + lits + tuple(srcs) + (wave,))
+            stack.pop()
+
+    def install_cuts(self, plan: EnumPlan, tasks) -> None:
+        """Install the merged results of plan ``tasks`` (from
+        :meth:`merge_tasks_columnar` or :meth:`import_blocks`) as their
+        vars' entries in one vector write, keyed to their current
+        stamps.  A result is alive at the epoch it was merged in (its
+        leaves are its inputs' live leaves plus the root), which is
+        recorded rather than re-verified.  The tasks' merge pairs are
+        charged to :attr:`work`, byte-identical with an in-parent
+        merge."""
+        self._sync()
+        tasks = np.asarray(tasks, dtype=np.int64)
+        self._write(plan.var[tasks], plan.off[tasks], plan.cnt[tasks], plan.epoch)
+        self.work += int(plan.pairs[tasks].sum())
 
     # ------------------------------------------------------------------
     # Merging
@@ -520,17 +620,19 @@ class CutManager:
     def _live_rows(self, var: int) -> "np.ndarray":
         """Arena row indices of ``var``'s live cuts (the trivial cut's
         row when none survive)."""
-        block = self._cache[var]  # fanin entries are resolved first
-        self._stage([block])
-        if not self._all_alive(block):
-            alive = self._rows_alive(slice(block.off, block.off + block.cnt))
-            if alive.any():
-                return block.off + np.flatnonzero(alive)
-            block = CutBlock(-1, 1, [trivial_cut(self.aig, var)])
-            self._stage([block])
-        return np.arange(block.off, block.off + block.cnt)
+        off = self._tab.item(_OFF, var)  # fanin entries are resolved first
+        rows = np.arange(off, off + self._tab.item(_CNT, var))
+        if self._all_alive(var):
+            return rows
+        alive = self._rows_alive(rows)
+        if alive.any():
+            return rows[alive]
+        off = self._trivial_rows(np.array([var], dtype=np.int64))
+        return np.arange(off, off + 1)
 
-    def _merge_node(self, v: int) -> CutBlock:
+    def _merge_node(self, v: int):
+        """Merge ``v`` over its fanins' live cuts; returns its result
+        rows as ``(offset, count)``."""
         aig = self.aig
         f0, f1 = aig.fanin0(v), aig.fanin1(v)
         rows0, rows1 = self._live_rows(lit_var(f0)), self._live_rows(lit_var(f1))
@@ -541,55 +643,62 @@ class CutManager:
             np.array([v]), np.array([lit_compl(f0)]), np.array([lit_compl(f1)]),
             rows0, np.array([len(rows0)]), rows1, np.array([len(rows1)]),
         )
-        return CutBlock(self._arena.append(*out[:4]), int(out[4][0]))
+        return self._arena.append(*out[:4]), int(out[4][0])
 
-    def merge_tasks_columnar(self, tasks, observer=None, pending=()):
-        """Merge a whole wave of planned nodes in one kernel invocation.
+    def _task_vectors(self, plan: EnumPlan, tasks: "np.ndarray"):
+        """The kernel's task vectors ``(roots, comp0, comp1, off0, n0s,
+        off1, n1s)`` of plan ``tasks``, each input the fanin's own entry
+        or an earlier task's result; records the tasks' merge pairs."""
+        out = [plan.var[tasks]]
+        sides = []
+        for lits, srcs in ((plan.lit0, plan.src0), (plan.lit1, plan.src1)):
+            lit, src = lits[tasks], srcs[tasks]
+            stable = src < 0
+            var = lit >> 1
+            out.append((lit & 1).astype(bool))
+            sides += [np.where(stable, self._tab[_OFF, var], plan.off[src]),
+                      np.where(stable, self._tab[_CNT, var], plan.cnt[src])]
+        plan.pairs[tasks] = sides[1] * sides[3]
+        return tuple(out + sides)
 
-        ``tasks`` are ``(root,) + enum_harvest(root)`` tuples, or a
-        later closure wave's, whose fanin blocks may be earlier results.
-        Returns ``(root, block, pairs)`` rows in task order — ``block``
-        a :class:`CutBlock` already in the arena, *pending* until
-        :meth:`install_cuts` caches it: pass the ``pending`` blocks of
-        earlier calls back, or the compaction here drops their rows.
-        ``pairs`` is the merge work the caller charges via
-        :meth:`install_cuts`: this method does **not** touch
-        :attr:`work`, exactly like a pool worker's merge.  A
-        metric-enabled ``observer`` gets ``enum_batch_size`` and
-        per-phase ``enum_kernel_seconds``.
+    def merge_tasks_columnar(self, plan: EnumPlan, tasks, observer=None) -> None:
+        """Merge plan ``tasks`` (one dependency wave) in one kernel
+        invocation: gather their inputs' rows from the table and from
+        earlier waves' results, run the kernel and record each task's
+        result rows in ``plan`` — *pending* until :meth:`install_cuts`
+        installs them (a compaction here moves them along).  This method
+        does **not** touch :attr:`work`, exactly like a pool worker's
+        merge.  A metric-enabled ``observer`` gets ``enum_batch_size``
+        and per-phase ``enum_kernel_seconds``.
         """
-        if not tasks:
-            return []
-        sets = [t[3] for t in tasks] + [t[4] for t in tasks]
-        self.compact(itertools.chain(sets, pending))
-        self._stage(sets)
-        rows0, n0s = _block_rows(sets[:len(tasks)])
-        rows1, n1s = _block_rows(sets[len(tasks):])
-        roots, comp0, comp1 = _task_vectors(tasks)
-        out = self._merge_rows(roots, comp0, comp1, rows0, n0s, rows1, n1s,
-                               observer)
-        blocks = self.import_blocks(*out)
-        return [(t[0], b, p) for t, b, p in zip(tasks, blocks, (n0s * n1s).tolist())]
+        tasks = np.asarray(tasks, dtype=np.int64)
+        if not len(tasks):
+            return
+        self.compact(plan)
+        roots, comp0, comp1, off0, n0s, off1, n1s = self._task_vectors(plan, tasks)
+        out = self._merge_rows(roots, comp0, comp1, _ranges(off0, n0s), n0s,
+                               _ranges(off1, n1s), n1s, observer)
+        self.import_blocks(plan, tasks, *out)
 
     # ------------------------------------------------------------------
     # Rows across the process boundary (by value; offsets never ship)
 
-    def export_tasks(self, tasks):
-        """The by-value form of harvested ``tasks`` for a pool worker:
+    def export_tasks(self, plan: EnumPlan, tasks):
+        """The by-value form of wave-0 plan ``tasks`` for a pool worker:
         the task vectors ``(roots, comp0, comp1, off0, n0s, off1, n1s)``
         and the de-duplicated arena rows ``(leaves, tt, stamps, sign)``
-        the fanin blocks reference, ``off*`` indexing into those rows."""
-        sets = [t[3] for t in tasks] + [t[4] for t in tasks]
-        uniq = list({id(b): b for b in sets}.values())
-        self._stage(uniq)
-        rows, uniq_cnts = _block_rows(uniq)
-        local = dict(zip(map(id, uniq),
-                         (np.cumsum(uniq_cnts) - uniq_cnts).tolist()))
-        offs = np.array([local[id(b)] for b in sets], dtype=np.int64)
-        cnts = np.array([b.cnt for b in sets], dtype=np.int64)
-        n = len(tasks)
-        return (_task_vectors(tasks) + (offs[:n], cnts[:n], offs[n:], cnts[n:]),
-                tuple(col[rows] for col in self._arena.cols))
+        their inputs reference, ``off*`` indexing into those rows."""
+        roots, comp0, comp1, off0, n0s, off1, n1s = self._task_vectors(plan, tasks)
+        offs = np.concatenate([off0, off1])
+        cnts = np.concatenate([n0s, n1s])
+        uniq, first, inverse = np.unique(offs, return_index=True,
+                                         return_inverse=True)
+        uniq_cnts = cnts[first]
+        local = (np.cumsum(uniq_cnts) - uniq_cnts)[inverse]
+        n = len(roots)
+        rows = _ranges(uniq, uniq_cnts)
+        return ((roots, comp0, comp1, local[:n], n0s, local[n:], n1s),
+                tuple(col.take(rows, axis=0) for col in self._arena.cols))
 
     def merge_exported(self, roots, comp0, comp1, off0, n0s, off1, n1s, rows,
                        observer=None):
@@ -603,14 +712,16 @@ class CutManager:
             _ranges(base + off1, n1s), n1s, observer)
         return (roots,) + out
 
-    def import_blocks(self, counts, leaves, tt, stamps, sign) -> List[CutBlock]:
+    def import_blocks(self, plan: EnumPlan, tasks, counts, leaves, tt, stamps,
+                      sign) -> None:
         """Append result rows (this manager's kernel output, or a
-        worker's) to the arena in one copy; one :class:`CutBlock` per
-        entry of ``counts``, ready for :meth:`install_cuts`."""
+        worker's) to the arena in one copy and record them as the
+        results of plan ``tasks``, ``counts[i]`` rows each, ready for
+        :meth:`install_cuts`."""
         base = self._arena.append(leaves, tt, stamps, sign)
-        ends = np.cumsum(counts)
-        return [CutBlock(base + end - cnt, cnt)
-                for end, cnt in zip(ends.tolist(), counts.tolist())]
+        plan.off[tasks] = base + np.cumsum(counts) - counts
+        plan.cnt[tasks] = counts
+        plan.epoch = self._epoch
 
     def _merge_rows(self, roots, comp0, comp1, rows0, n0s, rows1, n1s, observer):
         """One kernel invocation plus its bookkeeping; returns
@@ -624,19 +735,26 @@ class CutManager:
             observer.observe("enum_kernel_seconds", out[6], phase="filter")
         return (out[4],) + out[:4]
 
-    def compact(self, extra: Iterable[CutBlock] = ()) -> None:
-        """Reclaim arena rows no block references (re-merged, never
-        installed, staging-only) once they outnumber the live ones.
-        Call only between batch merges / fan-outs, when the only blocks
-        outside the cache are ``extra``: the task inputs and the pending
-        results of earlier waves (read only when a compaction is due)."""
+    def compact(self, plan: EnumPlan) -> None:
+        """Reclaim arena rows no entry references (re-merged, never
+        installed, scratch) once they outnumber the live ones.  Call
+        only between batch merges / fan-outs: the only rows outside the
+        table are then ``plan``'s pending results, which move with the
+        entries."""
         arena = self._arena
         if arena.used < self._compact_at:
             return
-        blocks = list(self._cache.values()) + list(extra)
-        blocks = list({id(b): b for b in blocks if b.off >= 0}.values())
-        if 2 * sum(b.cnt for b in blocks) < arena.used:
-            arena.compact(blocks)
+        tab = self._tab
+        held = np.flatnonzero(tab[_STAMP] != _NO_ENTRY)
+        done = np.flatnonzero(plan.cnt)
+        offs = np.concatenate([tab[_OFF, held], plan.off[done]])
+        uniq, first = np.unique(offs, return_index=True)
+        uniq_cnts = np.concatenate([tab[_CNT, held], plan.cnt[done]])[first]
+        if 2 * int(uniq_cnts.sum()) < arena.used:
+            moved = arena.compact(uniq, uniq_cnts)
+            tab[_OFF, held] = moved[np.searchsorted(uniq, tab[_OFF, held])]
+            plan.off[done] = moved[np.searchsorted(uniq, plan.off[done])]
+            self._memo.clear()
         self._compact_at = max(8 * _MIN_ARENA_ROWS, 2 * arena.used)
 
     def _columnar_core(self, roots, comp0, comp1, rows0, n0s, rows1, n1s):
@@ -649,7 +767,8 @@ class CutManager:
         result block columns ``(leaves, tt, stamps, sign)`` — each
         task's rows contiguous, sorted by ``(-size, leaves)``, cut at
         ``max_cuts``, trivial cut last — the per-task row counts, and
-        the union-/filter-phase seconds.
+        the union-/filter-phase seconds.  Leaf ids must stay below
+        2**31 - 1 (:class:`CutError` otherwise).
         """
         t_start = time.perf_counter()
         self.kernel_calls += 1
@@ -658,40 +777,55 @@ class CutManager:
         k = self.k
         n_tasks = len(roots)
 
+        # Each source row's columns, gathered once: the pairs index
+        # these (``i0``/``i1``), not the arena.  (Gathers are ``take``s
+        # and masks ``compress``es throughout: numpy's fancy-index paths
+        # are several times slower on these shapes.)
+        tags0 = tag_leaves(src_leaves.take(rows0, axis=0), 1)
+        tags1 = tag_leaves(src_leaves.take(rows1, axis=0), 2)
+        sign0, sign1 = src_sign.take(rows0), src_sign.take(rows1)
+        tt0, tt1 = src_tt.take(rows0), src_tt.take(rows1)
+
         # Row-major pair grid per task (c0 outer, c1 inner): the nested
-        # loop's insertion order, which decides duplicates below.
-        ppt = n0s * n1s
-        pair_ends = np.cumsum(ppt)
-        task_of = np.repeat(np.arange(n_tasks), ppt)
-        r = np.arange(int(pair_ends[-1])) - (pair_ends - ppt)[task_of]
-        n1p = n1s[task_of]
-        i0 = rows0[(np.cumsum(n0s) - n0s)[task_of] + r // n1p]
-        i1 = rows1[(np.cumsum(n1s) - n1s)[task_of] + r % n1p]
+        # loop's insertion order, which decides duplicates below.  Each
+        # fanin-0 row repeats once per fanin-1 row of its task, and those
+        # run through the task's fanin-1 rows.
+        n1_of0 = np.repeat(n1s, n0s)
+        i0 = np.repeat(np.arange(len(n1_of0)), n1_of0)
+        i1 = _ranges(np.repeat(np.cumsum(n1s) - n1s, n0s), n1_of0)
         # Sign prefilter: the union's signature has at most one bit per
         # leaf, so more than k bits means more than k leaves.
-        usign = src_sign[i0] | src_sign[i1]
+        usign = sign0.take(i0) | sign1.take(i1)
         keep = np.flatnonzero(np.bitwise_count(usign) <= k)
-        i0, i1, task_of, usign = i0[keep], i1[keep], task_of[keep], usign[keep]
-        union, sizes = batch_union_leaves(src_leaves[i0], src_leaves[i1])
+        i0, i1, usign = i0.take(keep), i1.take(keep), usign.take(keep)
+        task_of = np.repeat(np.arange(n_tasks), n0s).take(i0)
+        tags, sizes = batch_union_leaves(tags0.take(i0, axis=0),
+                                         tags1.take(i1, axis=0))
         feas = np.flatnonzero(sizes <= k)
-        i0, i1, task_of, usign = i0[feas], i1[feas], task_of[feas], usign[feas]
-        sizes = sizes[feas]
-        union = union[feas, :4]
+        i0, i1, task_of, usign, sizes = (
+            col.take(feas) for col in (i0, i1, task_of, usign, sizes))
+        tags = tags[:, :4].take(feas, axis=0)
+        valid = tags < CUT_LEAF_SENTINEL
+        union = np.where(valid, tags >> 2, _LEAF_LIMIT)
+        if ((union >= _LEAF_LIMIT) & valid).any():
+            raise CutError(f"cut leaf id beyond the kernel's {_LEAF_LIMIT - 1}")
         union_seconds = time.perf_counter() - t_start
 
         # Dominance filter, closed form of the insertion-order one: keep
         # the ⊆-minimal leaf sets, first occurrence of each.  One stable
-        # sort gives the output order and makes duplicates adjacent.
+        # sort over three packed keys — (task, -size, l0), (l1, l2), l3
+        # — gives the output order and makes duplicates adjacent.
         t_start = time.perf_counter()
-        order = np.lexsort((union[:, 3], union[:, 2], union[:, 1],
-                            union[:, 0], -sizes, task_of))
-        s_task, s_leaves = task_of[order], union[order]
+        key0 = ((task_of * 8 + 4 - sizes) << 31) | union[:, 0]
+        key1 = (union[:, 1] << 31) | union[:, 2]
+        key2 = union[:, 3]
+        order = np.lexsort((key2, key1, key0))
+        s0, s1, s2 = key0.take(order), key1.take(order), key2.take(order)
         first = np.ones(len(order), dtype=bool)
-        first[1:] = (s_task[1:] != s_task[:-1]) | (
-            s_leaves[1:] != s_leaves[:-1]).any(axis=1)
-        uniq = order[first]
-        u_task, u_leaves = s_task[first], s_leaves[first]
-        u_size, u_sign = sizes[uniq], usign[uniq]
+        first[1:] = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])
+        uniq = order.compress(first)
+        u_task, u_size, u_sign = task_of.take(uniq), sizes.take(uniq), usign.take(uniq)
+        u_leaves = union.take(uniq, axis=0)
         per_task = np.bincount(u_task, minlength=n_tasks)
         seg_ends = np.cumsum(per_task)
         # A set can only be dominated by a strictly smaller one of its
@@ -699,41 +833,41 @@ class CutManager:
         # the first smaller-size row to the task's end.
         key = u_task * 8 - u_size
         lo = np.searchsorted(key, key, side="right")
-        n_small = seg_ends[u_task] - lo
+        n_small = seg_ends.take(u_task) - lo
         big = np.repeat(np.arange(len(uniq)), n_small)
         small = _ranges(lo, n_small)
-        cand = np.flatnonzero((u_sign[small] & ~u_sign[big]) == 0)
-        big, small = big[cand], small[cand]
-        sm_leaves = u_leaves[small]
-        subset = (
-            (sm_leaves[:, :, None] == u_leaves[big][:, None, :]).any(axis=2)
-            | (sm_leaves == CUT_LEAF_SENTINEL)
-        ).all(axis=1)
+        cand = np.flatnonzero((u_sign.take(small) & ~u_sign.take(big)) == 0)
+        big, small = big.take(cand), small.take(cand)
+        sm_leaves = u_leaves.take(small, axis=0)
+        hits = sm_leaves[:, :, None] == u_leaves.take(big, axis=0)[:, None, :]
+        covered = (hits.view(np.uint32)[..., 0] != 0) | (sm_leaves == _LEAF_LIMIT)
         kept = np.ones(len(uniq), dtype=bool)
-        kept[big[subset]] = False
+        kept[big.compress(_all_lanes(covered))] = False
         if self.max_cuts is not None:
             before = np.cumsum(kept) - kept
-            rank = before - before[(seg_ends - per_task)[u_task]]
+            rank = before - before.take((seg_ends - per_task).take(u_task))
             kept &= rank < self.max_cuts
-        sel = uniq[kept]
-        sel_task = u_task[kept]
-        sel_leaves = u_leaves[kept]
+        sel = uniq.compress(kept)
+        sel_task = u_task.compress(kept)
+        sel_leaves = u_leaves.compress(kept, axis=0)
 
-        # Truth tables of the survivors: one LUT gather per side, keyed
-        # by the table and the mask of union positions its leaves fill.
-        valid = sel_leaves < CUT_LEAF_SENTINEL
-        lut = lift_lut().reshape(-1)
-        masks = _FULL_MASKS_ARR[sizes[sel]]
-        tt = masks
-        for idx, comp in ((i0[sel], comp0), (i1[sel], comp1)):
-            member = (
-                sel_leaves[:, :, None] == src_leaves[idx][:, None, :]
-            ).any(axis=2) & valid
-            side = lut[src_tt[idx] * 16 + member @ _LANE_BITS].astype(np.int64)
-            tt = tt & np.where(comp[sel_task], side ^ 0xFFFF, side)
+        # Truth tables of the survivors: one LUT gather for both sides,
+        # keyed by each side's table and the mask of union positions its
+        # leaves fill — the side's tag bit in each lane, the four lane
+        # bytes packed into four bits by one multiply.
+        bits = (tags.take(sel, axis=0)[:, None, :] >> _SIDE_BITS) & 1
+        lanes = bits.astype(np.uint8).view("<u4")[..., 0].astype(np.int64)
+        lanes = (lanes * _LANE_PACK >> 24) & 15
+        src = np.stack([tt0.take(i0.take(sel)), tt1.take(i1.take(sel))], axis=1)
+        flip = np.stack([comp0, comp1], axis=1) * 0xFFFF
+        sides = lift_lut().reshape(-1).take(src * 16 + lanes) ^ \
+            flip.take(sel_task, axis=0)
+        tt = _FULL_MASKS_ARR.take(sizes.take(sel)) & sides[:, 0] & sides[:, 1]
 
         # Result blocks: each task's survivors, then its trivial cut.
         life = self._life
+        sel_leaves = np.where(sel_leaves == _LEAF_LIMIT, CUT_LEAF_SENTINEL,
+                              sel_leaves)
         counts = np.bincount(sel_task, minlength=n_tasks) + 1
         n_out = len(sel) + n_tasks
         pos = np.arange(len(sel)) + sel_task
@@ -747,7 +881,7 @@ class CutManager:
         out_stamps[pos] = life[sel_leaves & _ID_MASK]
         out_stamps[triv, 0] = life[roots]
         out_sign = np.empty(n_out, dtype=np.uint64)
-        out_sign[pos] = usign[sel]
+        out_sign[pos] = usign.take(sel)
         out_sign[triv] = np.uint64(1) << (roots.astype(np.uint64) & np.uint64(63))
         filter_seconds = time.perf_counter() - t_start
         return (out_leaves, out_tt, out_stamps, out_sign, counts,

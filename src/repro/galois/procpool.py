@@ -932,37 +932,33 @@ class ProcessExecutor(SimulatedExecutor):
         The stage is :func:`~repro.rewrite.columnar.run_enum_batched`
         with wave 0's kernel call moved to the pool — within an enum
         stage the graph is read-only, so every planned merge is a pure
-        function of the stage-start state.  The wave's fanin blocks
-        ship as rows
+        function of the stage-start state.  The wave's fanin sets ship
+        as rows
         (:meth:`~repro.cuts.manager.CutManager.export_tasks`), workers
         run the identical kernel against the snapshot, and each chunk's
-        result rows are appended to the parent's arena in one copy and
-        installed as blocks by the replay.  Later waves, and a wave 0
-        of fewer than ``MIN_FANOUT`` tasks, merge in-parent —
-        byte-identical either way.
+        result rows are appended to the parent's arena in one copy as
+        the plan's results, which the replay installs.  Later waves,
+        and a wave 0 of fewer than ``MIN_FANOUT`` tasks, merge
+        in-parent — byte-identical either way.
         """
         from ..rewrite.columnar import run_enum_batched
 
         cutman = ctx.cutman
 
-        def merge(tasks):
+        def merge(plan, tasks):
             if len(tasks) < MIN_FANOUT:
-                return None
-            cutman.compact()  # only between fan-outs: offsets are live below
+                return False
+            cutman.compact(plan)  # only between fan-outs: offsets are live below
             parts = []
             for lo, hi in self._bounds(len(tasks)):
-                vectors, rows = cutman.export_tasks(tasks[lo:hi])
+                vectors, rows = cutman.export_tasks(plan, tasks[lo:hi])
                 parts.append(_ColumnChunk(vectors[0], vectors[1:], rows))
             merged = self._fan_out(name, ctx.aig, ctx.config, parts,
                                    _enum_columns, nodes=len(items))
             if merged is None:
-                return None
-            pairs = {t[0]: t[3].cnt * t[4].cnt for t in tasks}
-            return [
-                (root, block, pairs[root])
-                for roots, *columns in merged
-                for root, block in zip(roots.tolist(),
-                                       cutman.import_blocks(*columns))
-            ]
+                return False
+            for roots, *columns in merged:
+                cutman.import_blocks(plan, plan.tasks_of(roots), *columns)
+            return True
 
         return self._native_stage(run_enum_batched, name, items, ctx, merge)

@@ -176,26 +176,44 @@ def batch_lift_tt4(tts, sizes):
 CUT_LEAF_SENTINEL = 1 << 62
 
 
-def batch_union_leaves(l0, l1):
-    """Vectorized leaf-set union over many cut pairs.
+def tag_leaves(leaves, side: int):
+    """Side-tagged leaf rows, the input of :func:`batch_union_leaves`:
+    ``leaf << 2 | side`` (``side`` 1 or 2) for every valid leaf of the
+    sentinel-padded ``leaves``; pads stay :data:`CUT_LEAF_SENTINEL`."""
+    return np.where(leaves < CUT_LEAF_SENTINEL, leaves << 2 | side,
+                    CUT_LEAF_SENTINEL)
 
-    ``l0`` and ``l1`` are ``(P, k)`` int64 arrays of ascending leaf
-    ids padded with :data:`CUT_LEAF_SENTINEL`.  Returns ``(rows,
-    sizes)`` where ``rows`` is the ``(P, 2k)`` sorted, sentinel-padded
-    union of each pair and ``sizes`` its per-row valid-leaf count —
-    the batch form of ``sorted(set(c0.leaves) | set(c1.leaves))`` in
-    the cut manager's merge loop.
+
+def batch_union_leaves(t0, t1):
+    """Vectorized leaf-set union over many cut pairs, side-tagged.
+
+    ``t0`` and ``t1`` are ``(P, 4)`` rows of :func:`tag_leaves` (side 1
+    and 2) over ascending, sentinel-padded leaf ids.  Returns ``(rows,
+    sizes)``: ``rows`` is the ``(P, 8)`` sorted, sentinel-padded union
+    of each pair, every entry ``leaf << 2 | mask`` with ``mask`` the
+    sides holding the leaf (1, 2 or 3), and ``sizes`` its per-row
+    valid-leaf count — the batch form of ``sorted(set(c0.leaves) |
+    set(c1.leaves))`` in the cut manager's merge loop, with each
+    side's lane membership in the low two bits.
     """
-    u = np.concatenate([l0, l1], axis=1)
+    u = np.concatenate([t0, t1], axis=1)
     u.sort(axis=1)
-    # Each leaf occurs at most once per side, so duplicates are
-    # adjacent pairs: one sentinel-overwrite pass plus a re-sort
-    # leaves each row as its deduplicated, ascending union.
-    dup = u[:, 1:] == u[:, :-1]
-    u[:, 1:][dup] = CUT_LEAF_SENTINEL
+    # Each leaf occurs at most once per side, so a shared leaf is an
+    # adjacent (tag 1, tag 2) pair — the only neighbours one apart: fold
+    # the right tag into the left entry, overwrite the right one with
+    # the sentinel, re-sort.  The neighbour test runs over the flat
+    # array, its row-crossing pairs masked out.
+    flat = u.reshape(-1)
+    dup = np.zeros(len(flat), dtype=bool)
+    dup[:-1] = (flat[1:] - flat[:-1]) == 1
+    dup[u.shape[1] - 1::u.shape[1]] = False
+    flat |= dup * 3
+    np.putmask(flat[1:], dup[:-1], CUT_LEAF_SENTINEL)
     u.sort(axis=1)
-    sizes = (u < CUT_LEAF_SENTINEL).sum(axis=1)
-    return u, sizes
+    # Valid-entry count per row: a row's 8 flags, one byte each, as one
+    # 64-bit word.
+    sizes = np.bitwise_count((u < CUT_LEAF_SENTINEL).view(np.uint64))
+    return u, sizes.reshape(-1).astype(np.int64)
 
 
 def batch_cut_signs(leaves):

@@ -50,7 +50,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..aig.graph import KIND_AND, KIND_DEAD, Aig
-from ..aig.literals import lit_var
 from ..cuts.manager import CutColumns
 from ..npn.canon import _TRANSFORMS, npn_canon_batch_rows
 from ..npn.truth import CUT_LEAF_SENTINEL, batch_lift_tt4
@@ -508,57 +507,81 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx,
     (:meth:`~repro.cuts.CutManager.plan_closures`), run each dependency
     wave as one columnar kernel invocation
     (:meth:`~repro.cuts.CutManager.merge_tasks_columnar`), then replay
-    through ``executor.run`` (DESIGN §4c "Closure waves").
+    through ``executor.run`` (DESIGN §4c "Closure waves", §4g).
 
-    The stage only reads the graph, so a planned node has one block,
-    whoever reaches it first.  The replay operator of a root walks its
-    cold closure as ``_resolve`` would, pruned where an entry is already
-    stamp-fresh, and installs *before yielding* — ``fresh_cuts``'s
-    cache-then-lock shape, so an aborted activity retries as a one-unit
-    cache hit.  Its lock region and cost are the enum operator's
-    ``last_computed`` region and ``work`` delta, which keeps stats,
-    spans and :attr:`~repro.cuts.CutManager.work` byte-identical to
-    running that operator per root; it remains for cache answers and
-    order-dependent closures.  ``merge(tasks)`` lets the process
-    executor run wave 0 on its pool, returning the same ``(root, block,
-    pairs)`` rows (None back: merge here after all).
+    The replay charges each root what the per-root enum operator would:
+    its ``last_computed`` region as locks, its ``work`` delta as cost, so
+    stats, spans and :attr:`~repro.cuts.CutManager.work` are
+    byte-identical to running it per root.  A simple root's first
+    attempt yields its one-lock phase and leaves its install pending;
+    pending installs are written in one vector pass
+    (:meth:`~repro.cuts.CutManager.install_cuts`) before any root takes
+    the per-root path — the only one that reads another var's entry —
+    and when the stage ends.  A closure root walks its cold closure as
+    ``_resolve`` would and installs *before yielding*, so an aborted
+    activity retries as a one-unit cache answer; cache answers,
+    order-dependent closures and retries run the operator's own step
+    (:func:`~repro.core.operators.enum_phase`).  ``merge(plan, tasks)``
+    lets the process executor run wave 0 on its pool (False back: merge
+    here after all).
     """
-    from ..core.operators import make_enum_operator
+    from ..core.operators import enum_phase
     from ..galois.activity import Phase
 
-    enum_op = make_enum_operator(ctx)
-    aig = ctx.aig
-    cutman = ctx.cutman
-    live = [root for root in items if not aig.is_dead(root)]
-    cutman.prime_liveness(live, fanins=True)
-    plan, waves = cutman.plan_closures(live)
-    blocks, pairs = {}, {}  # per planned var; a block pending until installed
-    for wave in waves:  # a None input: the result of an earlier wave
-        tasks = [(v, f0, f1, b0 or blocks[lit_var(f0)], b1 or blocks[lit_var(f1)])
-                 for v, (_, f0, f1, b0, b1) in zip(wave, map(plan.get, wave))]
-        merged = merge(tasks) if merge is not None and not blocks else None
-        if merged is None:
-            merged = cutman.merge_tasks_columnar(
-                tasks, observer=executor.obs, pending=blocks.values())
-        for v, block, n_pairs in merged:
-            blocks[v], pairs[v] = block, n_pairs
+    aig, cutman = ctx.aig, ctx.cutman
+    plan = cutman.plan_closures(items)
+    for w, wave in enumerate(plan.waves):
+        if not (w == 0 and merge is not None and merge(plan, wave)):
+            cutman.merge_tasks_columnar(plan, wave, observer=executor.obs)
+    var, pairs, simple = plan.var.tolist(), plan.pairs.tolist(), plan.simple
+    deps = list(zip(plan.src0[simple:].tolist(), plan.src1[simple:].tolist()))
+    # Simple roots whose first attempt is still ahead and whose entry no
+    # per-root path has written: root -> task.
+    first = dict(zip(var[:simple], range(simple)))
+    pending: List[int] = []  # tasks whose install is deferred
+
+    def flush():
+        cutman.install_cuts(plan, pending)
+        pending.clear()
 
     def replay_operator(root: int):
+        t = first.pop(root, None)
+        if t is not None:
+            pending.append(t)
+            yield Phase(locks=(root,), cost=pairs[t] + 1)
+            return
         if aig.is_dead(root):
             return
-        if plan.get(root) is None or cutman.has_fresh_live_cuts(root):
-            yield from enum_op(root)
+        t = plan.index.get(root)
+        if t is None or t in pending or cutman.has_fresh_live_cuts(root):
+            if pending:
+                flush()
+            phase = enum_phase(cutman, root)
+            for v in cutman.last_computed:
+                first.pop(v, None)
+            yield phase
             return
-        region, cost, stack = [], 1, [root]
+        # A closure walk reads its vars' entries, pending ones installed.
+        tasks, done, cost, stack = [], set(pending), 1, [t]
         while stack:
-            v = stack.pop()
-            if region and cutman.has_fresh_entry(v):
-                continue  # a fanin some other activity installed
-            cutman.install_cuts(v, blocks[v], work=pairs[v])
-            region.append(v)
-            cost += pairs[v]
-            _, f0, f1, b0, b1 = plan[v]
-            stack += [lit_var(f) for f, b in ((f0, b0), (f1, b1)) if b is None]
+            t = stack.pop()
+            if tasks and (t in done or cutman.has_fresh_entry(var[t])):
+                continue  # a fanin this walk or another activity installed
+            tasks.append(t)
+            done.add(t)
+            cost += pairs[t]
+            if t >= simple:
+                stack += [s for s in deps[t - simple] if s >= 0]
+        cutman.install_cuts(plan, pending + tasks)
+        pending.clear()
+        region = [var[t] for t in tasks]
+        for v in region:
+            first.pop(v, None)
         yield Phase(locks=region, cost=cost)
 
-    return executor.run(name, items, replay_operator)
+    stage = executor.run(name, items, replay_operator)
+    if pending:
+        flush()
+    if plan.per_root and executor.obs.enabled:
+        executor.obs.count("enum_per_root_resolves_total", plan.per_root)
+    return stage

@@ -74,6 +74,26 @@ def capture_cut_managers(monkeypatch) -> list:
     return managers
 
 
+def harvest_plan(cutman):
+    """Walk ``cutman``'s graph in topological order: every node whose
+    merge :meth:`~repro.cuts.CutManager.enum_harvest` accepts becomes a
+    task of the returned one-wave ``EnumPlan`` (merged by nobody yet),
+    every other one is enumerated per root on the spot."""
+    from repro.cuts.manager import EnumPlan
+
+    roots, lits = [], []
+    for v in cutman.aig.topo_ands():
+        harvest = cutman.enum_harvest(v)
+        if harvest is None:
+            cutman.fresh_cuts(v)
+        else:
+            roots.append(v)
+            lits.append(harvest)
+    assert roots  # the worklist path is actually exercised
+    f0, f1 = zip(*lits)
+    return EnumPlan(roots, f0, f1)
+
+
 def stage_tuple(stage) -> tuple:
     """Everything deterministic a ``StageStats`` records."""
     return (stage.name, stage.activities, stage.committed, stage.conflicts,

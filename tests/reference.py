@@ -8,6 +8,8 @@ because nothing there calls it:
 
 * :class:`ScalarCutManager` — the per-pair cut merge, the reference of
   ``CutManager._columnar_core``;
+* :func:`reference_plan` — the enum-stage planner walked root by root,
+  the reference of ``CutManager.plan_closures``' vector passes;
 * :func:`eval_tasks_scalar` / :func:`make_eval_operator` — the per-cut
   scoring loop and the Section 4.3 generator operator around it, the
   references of ``eval_tasks_columnar`` and ``run_eval_batched``;
@@ -43,14 +45,13 @@ from repro.core.dacpara import DACParaRewriter
 from repro.core.operators import StageContext, make_enum_operator
 from repro.cuts import CutManager
 from repro.cuts.cut import Cut, cut_is_stamp_alive, trivial_cut
-from repro.cuts.manager import CutBlock
 from repro.errors import CutError, SchedulerError
 from repro.galois import Phase, simsched
 from repro.galois.activity import Operator
 from repro.galois.simsched import SimulatedExecutor, _item_args, _publish_stage
 from repro.galois.stats import StageStats
 from repro.npn.canon import _MATRICES, _OUT_FLAGS
-from repro.npn.truth import expand, full_mask
+from repro.npn.truth import CUT_LEAF_SENTINEL, expand, full_mask
 from repro.rewrite.base import (
     WorkMeter,
     best_candidate_over_cuts,
@@ -60,29 +61,53 @@ from repro.rewrite.base import (
 _FULL_MASKS = tuple(full_mask(n) for n in range(5))
 
 
+def append_cuts(cutman: CutManager, cuts: Sequence[Cut]) -> int:
+    """Enter ``cuts`` as rows of ``cutman``'s arena (synced mirror);
+    returns their offset."""
+    pad = (int(cutman._life[0]),)
+    sent = (CUT_LEAF_SENTINEL,)
+    leaves = np.array([c.leaves + sent * (4 - c.size) for c in cuts],
+                      dtype=np.int64).reshape(-1, 4)
+    stamps = np.array([c.leaf_stamps + pad * (4 - c.size) for c in cuts],
+                      dtype=np.int64).reshape(-1, 4)
+    return cutman._arena.append(
+        leaves, np.array([c.tt for c in cuts], dtype=np.int64), stamps,
+        np.array([c.sign for c in cuts], dtype=np.uint64))
+
+
+def load_entry(cutman: CutManager, var: int, cuts: Sequence[Cut]) -> None:
+    """Make ``cuts`` the stamp-fresh entry of ``var`` (liveness left for
+    the manager to verify)."""
+    cutman._sync()
+    cutman._write(var, append_cuts(cutman, cuts), len(cuts), -1)
+
+
 class ScalarCutManager(CutManager):
     """Cut manager whose merge is the classic nested loop over the two
-    fanin cut lists: identical cut sets, order and work charges, with
-    every set an object-only block."""
+    fanin cut lists: identical cut sets, order and work charges, every
+    set built as ``Cut`` objects (and kept as its entry's memo) before
+    it is entered as arena rows."""
 
-    def _merge_node(self, v: int) -> CutBlock:
+    def _merge_node(self, v: int):
         aig = self.aig
         f0, f1 = aig.fanin0(v), aig.fanin1(v)
         c0_all = self._live_cuts(lit_var(f0))
         c1_all = self._live_cuts(lit_var(f1))
         self.work += len(c0_all) * len(c1_all)
         cuts = self._merge_scalar(v, f0, f1, c0_all, c1_all)
-        return CutBlock(-1, len(cuts), cuts)
+        off = append_cuts(self, cuts)
+        self._memo[v] = (off, cuts)
+        return off, len(cuts)
 
     def _live_cuts(self, var: int) -> List[Cut]:
-        block = self._cache.get(var)
-        if block is None:
+        self._sync()
+        if self._tab[0, var] == -1:
             raise CutError(
                 f"no cached cut set for node {var}: enumerate it first "
                 f"(cuts()/install_cuts())"
             )
-        cuts = self._materialize(block)
-        if self._all_alive(block):
+        cuts = self._materialize(var)
+        if self._all_alive(var):
             return list(cuts)
         live = [c for c in cuts if cut_is_stamp_alive(self.aig, c)]
         return live if live else [trivial_cut(self.aig, var)]
@@ -317,6 +342,43 @@ class ReferenceExecutor(SimulatedExecutor):
                 if other_acq <= acq_time and locks & want:
                     return end
         return None
+
+
+def reference_plan(cutman: CutManager, roots: Sequence[int]) -> dict:
+    """The enum-stage planner as one walk per root — the form whose
+    per-root test ``CutManager.plan_closures`` applies in vector passes:
+    ``plan[v] = (wave, f0, f1)`` for every merge the stage needs (wave 0:
+    both fanin sets stable), ``None`` for an order-dependent one."""
+    aig = cutman.aig
+    cutman._sync()
+    plan: dict = {}
+    for root in roots:
+        stack = [] if aig.is_dead(root) else [root]
+        while stack:
+            v = stack[-1]
+            if v in plan or not aig.is_and(v) or cutman.has_fresh_live_cuts(v):
+                stack.pop()
+                continue
+            f0, f1 = aig.fanin0(v), aig.fanin1(v)
+            wave, stable, first = 0, [], []
+            for fv in (lit_var(f0), lit_var(f1)):
+                s = cutman._stage_input(fv)
+                if s is None and fv not in plan:
+                    first.append(fv)
+                elif s is None and plan[fv] is None:
+                    s = False
+                elif s is None:
+                    wave = max(wave, plan[fv][0] + 1)
+                stable.append(s)
+            if False in stable:
+                plan[v] = None
+            elif first:
+                stack.extend(first)
+                continue
+            else:
+                plan[v] = (wave, f0, f1)
+            stack.pop()
+    return plan
 
 
 @contextmanager

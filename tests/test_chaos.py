@@ -47,6 +47,7 @@ from repro.library import get_library
 from repro.obs.metrics import FAULT_TOLERANCE_COUNTERS
 from repro.obs.observer import TracingObserver
 
+from conftest import harvest_plan
 from test_procpool import aig_fingerprint, result_fingerprint
 
 JOBS = 2
@@ -446,14 +447,8 @@ class TestColumnChunkValidator:
     def _enum_chunk_and_result():
         aig = mtm_like(num_pis=12, num_nodes=120, seed=6)
         cutman = CutManager(aig, k=4, max_cuts=12)
-        tasks = []
-        for v in aig.topo_ands():
-            harvest = cutman.enum_harvest(v)
-            if harvest is not None:
-                tasks.append((v,) + harvest)
-            else:
-                cutman.fresh_cuts(v)
-        vectors, rows = cutman.export_tasks(tasks)
+        plan = harvest_plan(cutman)
+        vectors, rows = cutman.export_tasks(plan, plan.waves[0])
         chunk = _ColumnChunk(vectors[0], vectors[1:], rows)
         result = _enum_columns(aig, chunk, dacpara_config(), _MetricCollector())
         return aig, chunk, result

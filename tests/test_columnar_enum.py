@@ -20,10 +20,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     capture_cut_managers,
     deep_chain_circuit,
+    harvest_plan,
     random_aig,
     stage_tuple,
 )
-from reference import ReferenceExecutor, ScalarCutManager
+from reference import ReferenceExecutor, ScalarCutManager, load_entry
 from test_differential_fuzz import SMOKE_SEEDS, fuzz_circuit
 from repro.aig import Aig, AigSnapshot
 from repro.aig.literals import lit_var
@@ -34,7 +35,7 @@ from repro.core.partition import node_dividing
 from repro.cuts import CutManager
 from repro.cuts.cut import Cut
 from repro.cuts import manager as manager_module
-from repro.cuts.manager import CutBlock
+from repro.cuts.manager import EnumPlan, _build_cuts
 from repro.errors import CutError
 from repro.galois import Phase
 from repro.galois.procpool import _MetricCollector
@@ -50,11 +51,24 @@ from repro.npn.truth import (
     expand_map16,
     full_mask,
     lift_lut,
+    tag_leaves,
 )
 
 
 def _pad(leaves):
     return tuple(leaves) + (CUT_LEAF_SENTINEL,) * (4 - len(leaves))
+
+
+def _entries(cutman):
+    """The vars holding an entry in ``cutman``'s index table."""
+    held = np.flatnonzero(cutman._tab[manager_module._STAMP] != -1)
+    return held.tolist()
+
+
+def _result_cuts(cutman, plan, t):
+    """Task ``t``'s merged (pending) result rows as ``Cut`` objects."""
+    rows = slice(plan.off[t], plan.off[t] + plan.cnt[t])
+    return _build_cuts(*(col[rows] for col in cutman._arena.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +86,22 @@ class TestKernels:
             rows0.append(_pad(c0))
             rows1.append(_pad(c1))
             want.append(sorted(set(c0) | set(c1)))
-        union, sizes = batch_union_leaves(
-            np.array(rows0, dtype=np.int64), np.array(rows1, dtype=np.int64)
-        )
+        leaves0 = np.array(rows0, dtype=np.int64)
+        leaves1 = np.array(rows1, dtype=np.int64)
+        tags, sizes = batch_union_leaves(tag_leaves(leaves0, 1),
+                                         tag_leaves(leaves1, 2))
+        valid = tags < CUT_LEAF_SENTINEL
+        union = np.where(valid, tags >> 2, CUT_LEAF_SENTINEL)
         for row, size, expect in zip(union.tolist(), sizes.tolist(), want):
             assert size == len(expect)  # includes k-infeasible (> 4) rows
             assert row[: min(size, 4)] == expect[:4]
             assert all(x == CUT_LEAF_SENTINEL for x in row[size:])
+        # The folded tags are the per-lane membership the truth-table
+        # step used to broadcast: lane p of side s is set iff the union's
+        # p-th leaf is one of side s's leaves.
+        for bit, leaves in ((0, leaves0), (1, leaves1)):
+            member = (union[:, :, None] == leaves[:, None, :]).any(axis=2) & valid
+            assert np.array_equal((tags >> bit) & 1, member.astype(np.int64))
 
     def test_batch_cut_signs_matches_cut_sign(self):
         rng = random.Random(9)
@@ -163,63 +186,48 @@ class TestMergeIdentity:
         aig = mtm_like(num_pis=16, num_nodes=300, seed=4)
         scalar, columnar, live = _enumerate_both(aig)
         fresh = CutManager(aig, k=4, max_cuts=12)
-        tasks = []
-        for v in aig.topo_ands():
-            harvest = fresh.enum_harvest(v)
-            if harvest is not None:
-                tasks.append((v,) + harvest)
-            else:
-                fresh.fresh_cuts(v)
-        assert tasks  # the worklist path is actually exercised
-        merged = fresh.merge_tasks_columnar(tasks)
-        assert [m[0] for m in merged] == [t[0] for t in tasks]  # task order
-        for (root, f0, f1, b0, b1), (_, block, pairs) in zip(tasks, merged):
-            assert pairs == b0.cnt * b1.cnt
-            assert fresh._materialize(block) == scalar.fresh_cuts(root)
+        plan = harvest_plan(fresh)
+        fresh.merge_tasks_columnar(plan, plan.waves[0])
+        for t, (root, f0, f1) in enumerate(zip(
+                plan.var.tolist(), plan.lit0.tolist(), plan.lit1.tolist())):
+            assert plan.pairs[t] == len(fresh.cuts(lit_var(f0))) * \
+                len(fresh.cuts(lit_var(f1)))
+            assert _result_cuts(fresh, plan, t) == scalar.fresh_cuts(root)
 
     def test_merge_tasks_columnar_charges_no_work(self):
         aig = mtm_like(num_pis=12, num_nodes=120, seed=5)
         cutman = CutManager(aig, k=4, max_cuts=12)
-        tasks = []
-        for v in aig.topo_ands():
-            harvest = cutman.enum_harvest(v)
-            if harvest is not None:
-                tasks.append((v,) + harvest)
-            else:
-                cutman.fresh_cuts(v)
+        plan = harvest_plan(cutman)
         before = cutman.work
-        merged = cutman.merge_tasks_columnar(tasks)
+        cutman.merge_tasks_columnar(plan, plan.waves[0])
         assert cutman.work == before  # the caller charges via install_cuts
-        for root, cuts, pairs in merged:
-            cutman.install_cuts(root, cuts, work=pairs)
-        assert cutman.work == before + sum(m[2] for m in merged)
+        cutman.install_cuts(plan, plan.waves[0])
+        assert cutman.work == before + plan.pairs.sum()
+        for t, root in enumerate(plan.var.tolist()):
+            assert cutman.cuts(root) == _result_cuts(cutman, plan, t)
 
     def test_enum_tasks_columnar_entry_point(self):
         # The worker-side entry: a throwaway manager over a snapshot
         # merges the rows the parent exported, and the parent imports
-        # the result rows as blocks — equal to its own batch merge.
+        # the result rows as task results — equal to its own batch merge.
         aig = mtm_like(num_pis=12, num_nodes=120, seed=6)
         cutman = CutManager(aig, k=4, max_cuts=12)
-        tasks = []
-        for v in aig.topo_ands():
-            harvest = cutman.enum_harvest(v)
-            if harvest is not None:
-                tasks.append((v,) + harvest)
-            else:
-                cutman.fresh_cuts(v)
-        vectors, rows = cutman.export_tasks(tasks)
-        # Shared fanin blocks ship once: fewer rows than block references.
-        assert len(rows[1]) < sum(t[3].cnt + t[4].cnt for t in tasks)
+        plan = harvest_plan(cutman)
+        vectors, rows = cutman.export_tasks(plan, plan.waves[0])
+        # Shared fanin sets ship once: fewer rows than input references.
+        n0s, n1s = vectors[4], vectors[6]
+        assert len(rows[1]) < (n0s + n1s).sum()
         worker = CutManager(AigSnapshot.capture(aig), k=4, max_cuts=12)
         roots, counts, *columns = worker.merge_exported(*vectors, rows)
-        assert roots.tolist() == [t[0] for t in tasks]
+        assert roots.tolist() == plan.var.tolist()
         assert counts.sum() == len(columns[0])
-        blocks = cutman.import_blocks(counts, *columns)
-        want = cutman.merge_tasks_columnar(tasks)
-        assert [cutman._materialize(b) for b in blocks] == \
-               [cutman._materialize(m[1]) for m in want]
+        cutman.import_blocks(plan, plan.tasks_of(roots), counts, *columns)
+        want = EnumPlan(plan.var, plan.lit0, plan.lit1)
+        cutman.merge_tasks_columnar(want, want.waves[0])
+        for t in range(len(plan.var)):
+            assert _result_cuts(cutman, plan, t) == _result_cuts(cutman, want, t)
         assert worker.work == 0
-        assert worker.vec_pairs == sum(m[2] for m in want)
+        assert worker.vec_pairs == want.pairs.sum() == plan.pairs.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -249,34 +257,87 @@ def _fanin_sets(draw):
             draw(st.integers(0, 3)), draw(side), draw(side))
 
 
+class _FarLife:
+    """Life stamps over a var universe too large to allocate: var ``v``
+    reads ``v % 7 + 1`` (stands in for a manager's life mirror)."""
+
+    def __getitem__(self, idx):
+        return np.asarray(idx) % 7 + 1
+
+
+def _cuts_of(aig, side):
+    out = []
+    for leaf_set, tt in side:
+        leaves = tuple(sorted(leaf_set))
+        out.append(Cut(leaves, tt & full_mask(len(leaves)),
+                       tuple(aig.life_stamp(l) for l in leaves)))
+    return out
+
+
+def _merge_both(aig, root, k, max_cuts, compl, c0, c1, life=None):
+    """The kernel's merge of fanin sets ``c0``/``c1`` (entered as the
+    entries of vars 5 and 6) for ``root``, and the scalar oracle's."""
+    f0, f1 = 2 * 5 + (compl & 1), 2 * 6 + (compl >> 1)
+    kernel = CutManager(aig, k=k, max_cuts=max_cuts)
+    kernel._sync()
+    if life is not None:
+        kernel._life = life
+    load_entry(kernel, 5, c0)
+    load_entry(kernel, 6, c1)
+    plan = EnumPlan([root], [f0], [f1])
+    kernel.merge_tasks_columnar(plan, plan.waves[0])
+    want = ScalarCutManager(aig, k=k, max_cuts=max_cuts)._merge_scalar(
+        root, f0, f1, c0, c1)
+    assert plan.pairs[0] == kernel.vec_pairs == len(c0) * len(c1)
+    return _result_cuts(kernel, plan, 0), want
+
+
 class TestKernelEqualsScalarProperty:
     @settings(max_examples=300, deadline=None)
     @given(_fanin_sets())
     def test_merge_matches_scalar_oracle(self, case):
         k, max_cuts, compl, side0, side1 = case
         aig, root = _pool_aig()
-
-        def cuts_of(side):
-            out = []
-            for leaf_set, tt in side:
-                leaves = tuple(sorted(leaf_set))
-                out.append(Cut(leaves, tt & full_mask(len(leaves)),
-                               tuple(aig.life_stamp(l) for l in leaves)))
-            return out
-
-        c0, c1 = cuts_of(side0), cuts_of(side1)
-        f0, f1 = 2 * 5 + (compl & 1), 2 * 6 + (compl >> 1)
-        kernel = CutManager(aig, k=k, max_cuts=max_cuts)
-        oracle = ScalarCutManager(aig, k=k, max_cuts=max_cuts)
-        task = (root, f0, f1, CutBlock(-1, len(c0), c0), CutBlock(-1, len(c1), c1))
-        (_, block, pairs), = kernel.merge_tasks_columnar([task])
-        got = kernel._materialize(block)
-        want = oracle._merge_scalar(root, f0, f1, c0, c1)
+        got, want = _merge_both(aig, root, k, max_cuts, compl,
+                                _cuts_of(aig, side0), _cuts_of(aig, side1))
         # Cut equality covers leaves, tt and leaf_stamps; list equality
         # covers order and the max_cuts cut; the cached sign is extra.
         assert got == want
         assert [c.sign for c in got] == [c.sign for c in want]
-        assert pairs == kernel.vec_pairs == len(c0) * len(c1)
+
+    def test_packed_sort_keys_over_ids_straddling_2_30_and_2_31(self):
+        # Leaf ids on both sides of 2**30 and next to the pad value
+        # 2**31 - 1: the three packed keys must order, deduplicate and
+        # dominance-filter them exactly as the scalar merge does.
+        aig, root = _pool_aig()
+        aig.life_stamp = lambda v: v % 7 + 1
+        ids = (3, (1 << 30) - 1, 1 << 30, (1 << 30) + 1, (1 << 31) - 3,
+               (1 << 31) - 2)
+        rng = random.Random(5)
+        side0 = [({ids[0], ids[2]}, rng.getrandbits(16)),
+                 ({ids[1], ids[3], ids[5]}, rng.getrandbits(16)),
+                 ({ids[4]}, rng.getrandbits(16)),
+                 ({ids[2], ids[5]}, rng.getrandbits(16))]
+        side1 = [({ids[1], ids[2]}, rng.getrandbits(16)),
+                 ({ids[0], ids[4], ids[5]}, rng.getrandbits(16)),
+                 ({ids[3]}, rng.getrandbits(16)),
+                 ({ids[5]}, rng.getrandbits(16))]
+        c0, c1 = _cuts_of(aig, side0), _cuts_of(aig, side1)
+        for max_cuts in (2, 12, None):
+            for compl in range(4):
+                got, want = _merge_both(aig, root, 4, max_cuts, compl, c0, c1,
+                                        life=_FarLife())
+                assert got == want
+                assert [c.sign for c in got] == [c.sign for c in want]
+        assert any(l >= 1 << 30 for c in got for l in c.leaves)
+
+    def test_leaf_id_at_the_pad_value_raises(self):
+        aig, root = _pool_aig()
+        aig.life_stamp = lambda v: v % 7 + 1
+        c0 = _cuts_of(aig, [({3, (1 << 31) - 1}, 0b0110)])
+        c1 = _cuts_of(aig, [({4}, 0b10)])
+        with pytest.raises(CutError, match="leaf id"):
+            _merge_both(aig, root, 4, 12, 0, c0, c1, life=_FarLife())
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +412,11 @@ class TestLifeMirror:
         for rebuild in (False, True):
             top = aig.topo_ands()[-1]
             aig.replace(top, aig.fanin0(top))
-            assert any(aig.is_dead(v) for v in cutman._cache)
+            assert any(aig.is_dead(v) for v in _entries(cutman))
             if rebuild:
                 aig.trim_mutation_log(aig.mutation_epoch)
             cutman._sync()
-            assert not any(aig.is_dead(v) for v in cutman._cache)
+            assert not any(aig.is_dead(v) for v in _entries(cutman))
         for v in aig.topo_ands():
             _stamps_match(cutman, cutman.fresh_cuts(v))
 
@@ -381,20 +442,16 @@ class TestLazyMaterialization:
         for v in aig.topo_ands():
             levels.setdefault(aig.level(v), []).append(v)
         for lv in sorted(levels):
-            lazy.prime_liveness(levels[lv], fanins=True)
-            tasks = []
-            for v in levels[lv]:
-                harvest = lazy.enum_harvest(v)
-                assert harvest is not None
-                tasks.append((v,) + harvest)
-            for root, block, pairs in lazy.merge_tasks_columnar(tasks):
-                assert block.cuts is None
-                lazy.install_cuts(root, block, work=pairs)
+            plan = lazy.plan_closures(levels[lv])
+            assert plan.simple == len(plan.var) == len(levels[lv])
+            lazy.merge_tasks_columnar(plan, plan.waves[0])
+            lazy.install_cuts(plan, plan.waves[0])
+            for root in levels[lv]:
                 eager.fresh_cuts(root)
             # Same cost trajectory; every pair rode the kernel.
             assert lazy.work == eager.work == lazy.vec_pairs
+        assert not lazy._memo
         for v in aig.topo_ands():
-            assert lazy._cache[v].cuts is None
             assert lazy.cuts(v) == eager.cuts(v), v
             assert lazy.cuts(v) is lazy.cuts(v)  # materialized once
         columns = lazy.eval_harvest(aig.topo_ands())
@@ -418,8 +475,9 @@ class TestLazyMaterialization:
         result = DACParaRewriter(config=config).run(aig)
         cutman = managers[0]
         assert result.passes == 2 and result.replacements > 0
+        offs = cutman._tab[manager_module._OFF]
         built = [v for v in aig.topo_ands()
-                 if v in cutman._cache and cutman._cache[v].cuts is not None]
+                 if cutman._memo.get(v, (None,))[0] == offs[v]]
         assert len(built) <= result.revalidated  # validation's re-merges
         a_ref = copy.deepcopy(base)
         r_ref = reference_rewrite(a_ref, config, 5, ("enum", "eval"))
@@ -469,15 +527,9 @@ class TestObserverEmissions:
     def test_merge_tasks_emits_batch_telemetry(self):
         aig = mtm_like(num_pis=12, num_nodes=120, seed=5)
         cutman = CutManager(aig, k=4, max_cuts=12)
-        tasks = []
-        for v in aig.topo_ands():
-            harvest = cutman.enum_harvest(v)
-            if harvest is not None:
-                tasks.append((v,) + harvest)
-            else:
-                cutman.fresh_cuts(v)
+        plan = harvest_plan(cutman)
         collector = _MetricCollector()
-        cutman.merge_tasks_columnar(tasks, observer=collector)
+        cutman.merge_tasks_columnar(plan, plan.waves[0], observer=collector)
         names = [obs[0] for obs in collector.observations]
         assert names.count("enum_batch_size") == 1
         phases = sorted(
@@ -664,10 +716,11 @@ class TestClosureReplay:
             return cutman, [lit_var(roots[i]) for i in order]
 
         cutman, worklist = build(CutManager)
-        plan, waves = cutman.plan_closures(worklist)
+        plan = cutman.plan_closures(worklist)
         r1, r2, r3 = (worklist[order.index(i)] for i in range(3))
-        assert plan[r1] is None and plan[r2] is None
-        assert plan[r3][0] == 1 and waves[1] == [r3]
+        assert plan.index[r1] is None and plan.index[r2] is None
+        assert plan.waves[1].tolist() == [plan.index[r3]]
+        assert plan.simple == 0 and plan.per_root == 3
         scalar = []
         real = CutManager._merge_node
         monkeypatch.setattr(
@@ -697,13 +750,12 @@ class TestClosureReplay:
         poisoned = 0                    # managers under test
         for worklist in node_dividing(aig):
             live = [v for v in worklist if not aig.is_dead(v)]
-            cols = cutman._arena.cols
-            for v, block in cutman._cache.items():
-                if (block.off >= 0 and aig.is_and(v)
-                        and block.stamp != aig.stamp(v)
-                        and cols[2][block.off + block.cnt - 1, 0]
-                        != aig.life_stamp(v)):
-                    rows = slice(block.off, block.off + block.cnt)
+            cols, tab = cutman._arena.cols, cutman._tab
+            for v in _entries(cutman):
+                stamp, off, cnt, _ = tab[:, v].tolist()
+                if (v < aig.size and aig.is_and(v) and stamp != aig.stamp(v)
+                        and cols[2][off + cnt - 1, 0] != aig.life_stamp(v)):
+                    rows = slice(off, off + cnt)
                     cols[0][rows] = 0  # the constant: alive, and wrong
                     cols[1][rows] = 0
                     cols[2][rows] = aig.life_stamp(0)
@@ -731,7 +783,7 @@ class TestClosureReplay:
         real_compact = CutManager.compact
         real_arena_compact = manager_module._Arena.compact
 
-        def eager(self, extra=()):
+        def eager(self, plan=None):
             # Garbage rows past the live ones, and no threshold left.
             junk = 4 * max(self._arena.used, 8)
             self._arena.append(np.zeros((junk, 4), dtype=np.int64),
@@ -739,11 +791,11 @@ class TestClosureReplay:
                                np.zeros((junk, 4), dtype=np.int64),
                                np.zeros(junk, dtype=np.uint64))
             self._compact_at = 0
-            real_compact(self, extra)
+            real_compact(self, plan)
 
-        def counting(self, blocks):
-            compactions.append(sum(b.cnt for b in blocks))
-            real_arena_compact(self, blocks)
+        def counting(self, offs, cnts):
+            compactions.append(int(cnts.sum()))
+            return real_arena_compact(self, offs, cnts)
 
         monkeypatch.setattr(CutManager, "compact", eager)
         monkeypatch.setattr(manager_module._Arena, "compact", counting)
@@ -753,13 +805,34 @@ class TestClosureReplay:
         assert len(compactions) == 3
         assert compactions == sorted(set(compactions))
 
+    def test_simple_root_retry_before_any_flush_is_a_cache_answer(self):
+        # ``q`` is a simple task whose first attempt loses its lock: its
+        # install is still pending when the retry pops, ahead of the
+        # closure root ``r1`` whose walk would have flushed it.
+        def build(manager):
+            aig, nodes = _shared_cone()
+            a, b, c, d, e = (aig.add_pi() for _ in range(5))
+            simple = [aig.and_(a, b), aig.and_(c, d), aig.and_(d, e)]
+            for lit in simple:
+                aig.add_po(lit)
+            return (manager(aig, max_cuts=12),
+                    [lit_var(lit) for lit in simple] + [nodes["r1"]])
+
+        cutman, worklist = build(CutManager)
+        plan = cutman.plan_closures(worklist)
+        assert plan.simple == 3 and plan.per_root == 1
+        q = worklist[0]
+        log, cutman = _closure_stage(build, workers=2, blocker=((q,), 2))
+        attempts = [phases for item, phases in log if item == q]
+        assert len(attempts) == 2 and attempts[1] == [(frozenset({q}), 1)]
+
     def test_aborted_install_retries_as_cache_answer(self, monkeypatch):
         installs = []
         real = CutManager.install_cuts
         monkeypatch.setattr(
             CutManager, "install_cuts",
-            lambda self, root, block, work=0:
-                installs.append(root) or real(self, root, block, work))
+            lambda self, plan, tasks:
+                installs.extend(plan.var[tasks].tolist()) or real(self, plan, tasks))
         r1 = _shared_cone()[1]["r1"]
         log, cutman = _closure_stage(_shared_fanin("r1", "r2"), workers=2,
                                      blocker=((r1,), 1000))

@@ -188,3 +188,51 @@ class TestEnumKernelCalls:
         assert cutman.kernel_calls == len(merged) and sum(merged) == tasks
         counters = obs.metrics.snapshot()["counters"]
         assert counters["enum_kernel_calls_total"] == cutman.kernel_calls
+
+
+class TestPerRootResolves:
+    @pytest.mark.parametrize("circuit", ("mtm", "deep_chain"))
+    def test_per_root_resolves_counts_the_non_wave0_roots(self, circuit,
+                                                          monkeypatch):
+        """The cut-cache index (DESIGN §4g): an enum stage walks per root
+        only the roots its plan does not make wave-0 tasks over stable
+        inputs — closure roots, order-dependent roots and cache answers;
+        every other root is planned, merged and installed in vector
+        passes.  The count equals the per-root planner's on every stage,
+        and is the same whichever executor merges wave 0."""
+        import copy
+        import warnings
+
+        from reference import reference_plan
+        from repro.bench import mtm_like
+        from repro.cuts import CutManager
+        from repro.obs.observer import TracingObserver
+
+        want = []
+        real_plan = CutManager.plan_closures
+
+        def plan(self, roots):
+            ref = reference_plan(self, roots)
+            want.append(sum(1 for r in roots if not self.aig.is_dead(r)
+                            and (ref.get(r) is None or ref[r][0] > 0)))
+            return real_plan(self, roots)
+
+        monkeypatch.setattr(CutManager, "plan_closures", plan)
+        managers = capture_cut_managers(monkeypatch)
+        base = (mtm_like(24, 2500, seed=7) if circuit == "mtm"
+                else deep_chain_circuit())
+        counts = {}
+        for kind in ("simulated", "process"):
+            del managers[:], want[:]
+            obs = TracingObserver()
+            engine = DACParaRewriter(
+                dacpara_config(workers=8).with_executor(kind, 2), observer=obs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a silent pool fallback
+                engine.run(copy.deepcopy(base))
+            cutman = managers[0]
+            assert cutman.per_root_resolves == sum(want) > 0
+            counters = obs.metrics.snapshot()["counters"]
+            assert counters["enum_per_root_resolves_total"] == sum(want)
+            counts[kind] = cutman.per_root_resolves
+        assert counts["simulated"] == counts["process"]
