@@ -321,12 +321,11 @@ def _run_chunk(stage_fn, ref, tasks, config, fault: Optional[str] = None,
 def _warm_shared_state(config) -> None:
     """Build the heavyweight read-only tables in the parent before the
     pool forks, so workers inherit them copy-on-write instead of each
-    rebuilding the NPN LUT and the enumeration table."""
-    from ..library import enumeration_table, get_library
+    rebuilding the NPN LUT and reloading the NST."""
+    from ..library import get_library
     from ..npn import ensure_canon_lut
 
     ensure_canon_lut()
-    enumeration_table()
     get_library()
     config.allowed_classes  # forces the class-set (and canon) tables
 

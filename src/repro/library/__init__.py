@@ -1,7 +1,11 @@
-"""Replacement-structure library (the NST and its generators)."""
+"""Replacement-structure library (the NST and its generators).
+
+The generators (:mod:`repro.library.synthesis`) are not imported here:
+no run calls them, and ``python -m repro.library.synthesis`` rewrites
+the packaged table from them.
+"""
 
 from .isop import Cube, cover_tt, cube_tt, isop
-from .cache import CACHE_VERSION, ENV_VAR, cache_path, load_cache, save_cache
 from .factor import factor_to_structure
 from .nst import DEFAULT_MAX_STRUCTS, StructureLibrary, get_library
 from .structures import (
@@ -11,14 +15,8 @@ from .structures import (
     StructureBuilder,
     input_lit,
 )
-from .synthesis import ENUM_BUDGET, candidates, enumeration_table
 
 __all__ = [
-    "CACHE_VERSION",
-    "ENV_VAR",
-    "cache_path",
-    "load_cache",
-    "save_cache",
     "Cube",
     "cover_tt",
     "cube_tt",
@@ -32,7 +30,4 @@ __all__ = [
     "Structure",
     "StructureBuilder",
     "input_lit",
-    "ENUM_BUDGET",
-    "candidates",
-    "enumeration_table",
 ]

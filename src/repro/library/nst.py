@@ -2,7 +2,10 @@
 
 Maps a canonical NPN representative to its candidate replacement
 structures — the paper's *Structure Manager* plus *NPN Manager* fused
-into one lookup, generated on demand and cached process-wide.
+into one lookup.  Like ABC's, the table is precomputed: all 222 classes
+ship in ``nst_table.json`` (regenerate with ``python -m
+repro.library.synthesis``), and every entry is verified when a library
+is built, so a corrupt table fails loudly instead of rewriting wrongly.
 
 Structures are immutable, so DACPara's evaluation-stage "thread-local
 copies of NPN equivalent structures" are satisfied by sharing: no
@@ -11,79 +14,77 @@ mutation can leak between concurrently evaluating activities.
 
 from __future__ import annotations
 
-import atexit
+import json
 from functools import lru_cache
-from typing import Dict, Iterable, Tuple
+from pathlib import Path
+from typing import Dict, Tuple
 
+from ..errors import LibraryError
 from ..npn.canon import npn_canon
-from ..npn.truth import MASK4
-from .cache import cache_path, load_cache, save_cache
 from .structures import Structure
-from .synthesis import candidates
 
+#: Structures per class the table holds (``candidates(rep, 8)``).
 DEFAULT_MAX_STRUCTS = 8
+
+#: The packaged table: ``{"0x…": [[out, a0, b0, a1, b1, …], …]}`` — per
+#: canonical class its structures' output literal and flattened AND
+#: fanin literals, cheapest first.
+TABLE_PATH = Path(__file__).with_name("nst_table.json")
+
+
+def load_table(text: str) -> Dict[int, Tuple[Structure, ...]]:
+    """Decode the NST text and verify every entry: each structure must
+    reference only earlier nodes and compute the class it is filed
+    under.  Raises :class:`LibraryError` naming the first bad class."""
+    table: Dict[int, Tuple[Structure, ...]] = {}
+    for key, entries in json.loads(text).items():
+        rep = int(key, 16)
+        structs = []
+        for flat in entries:
+            st = Structure(nodes=tuple(zip(flat[1::2], flat[2::2])), out=flat[0])
+            try:
+                st.validate()
+            except LibraryError as exc:
+                raise LibraryError(f"NST class {key}: {exc}") from None
+            if st.eval_tt() != rep:
+                raise LibraryError(
+                    f"NST class {key}: structure computes {st.eval_tt():#06x}")
+            structs.append(st)
+        table[rep] = tuple(structs)
+    return table
 
 
 class StructureLibrary:
-    """Lazy per-class structure store.
+    """The packaged NST, loaded and verified at construction.
 
-    When ``REPRO_NST_CACHE`` names a file, previously synthesized
-    structures are loaded (and verified — see :mod:`repro.library.
-    cache`) at construction, and the table is flushed back at
-    interpreter exit if synthesis added anything new.  ``cache_hits``
-    counts classes answered from the persisted table; ``cache_misses``
-    counts fresh syntheses.
+    Each class keeps its first ``max_structs`` structures (1..8); the
+    generator sorts before it truncates, so that prefix is exactly
+    ``candidates(rep, max_structs)``.
     """
 
     def __init__(self, max_structs: int = DEFAULT_MAX_STRUCTS):
+        if not 1 <= max_structs <= DEFAULT_MAX_STRUCTS:
+            raise LibraryError(
+                f"max_structs must be 1..{DEFAULT_MAX_STRUCTS}, got {max_structs}")
         self.max_structs = max_structs
-        self._table: Dict[int, Tuple[Structure, ...]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._persisted: frozenset = frozenset()
-        self._cache_path = cache_path()
-        self._dirty = False
-        if self._cache_path is not None:
-            self._table.update(load_cache(self._cache_path, max_structs))
-            self._persisted = frozenset(self._table)
-            atexit.register(self.save_persistent)
+        self._table = {rep: structs[:max_structs] for rep, structs
+                       in load_table(TABLE_PATH.read_text()).items()}
 
     def structures(self, canon_tt: int) -> Tuple[Structure, ...]:
         """Candidate structures for a canonical representative,
-        cheapest (fewest ANDs, then shallowest) first."""
-        canon_tt &= MASK4
-        hit = self._table.get(canon_tt)
-        if hit is None:
-            self.cache_misses += 1
-            hit = tuple(candidates(canon_tt, self.max_structs))
-            self._table[canon_tt] = hit
-            self._dirty = True
-        elif canon_tt in self._persisted:
-            self.cache_hits += 1
-        return hit
-
-    def save_persistent(self) -> None:
-        """Flush the table to the configured cache file (no-op when
-        the cache is off or nothing new was synthesized)."""
-        if self._cache_path is None or not self._dirty:
-            return
-        save_cache(self._cache_path, self.max_structs, self._table)
-        self._persisted = frozenset(self._table)
-        self._dirty = False
+        cheapest (fewest ANDs, then shallowest) first — the same tuple
+        on every call."""
+        try:
+            return self._table[canon_tt]
+        except KeyError:
+            raise LibraryError(
+                f"{canon_tt:#06x} is not a canonical NPN representative"
+            ) from None
 
     def structures_for_function(self, tt: int) -> Tuple[Structure, ...]:
         """Convenience: canonicalize then look up."""
         canon, _ = npn_canon(tt)
         return self.structures(canon)
-
-    def preload(self, classes: Iterable[int]) -> None:
-        """Force generation for a set of canonical representatives."""
-        for rep in classes:
-            self.structures(rep)
-
-    @property
-    def num_cached_classes(self) -> int:
-        return len(self._table)
 
 
 @lru_cache(maxsize=4)

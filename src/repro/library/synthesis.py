@@ -10,18 +10,24 @@ substitution):
 * **Shannon/MUX decomposition** — one candidate per top variable.
 
 All candidates are verified against the requested truth table before
-they leave this module.
+they leave this module.  Nothing calls them at run time: they generate
+the packaged NST (:data:`~repro.library.nst.TABLE_PATH`), which
+``python -m repro.library.synthesis`` rewrites from
+:func:`render_table`, and a tier-1 test holds the two equal.
 """
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import LibraryError
+from ..npn.classes import all_classes
 from ..npn.truth import MASK4, cofactor, support, var_table
 from .factor import factor_to_structure
 from .isop import isop
+from .nst import DEFAULT_MAX_STRUCTS, TABLE_PATH
 from .structures import Structure, StructureBuilder
 
 ENUM_BUDGET = 4  # max AND nodes explored by the forward enumeration
@@ -157,3 +163,19 @@ def _as_literal(tt: int, sup: Tuple[int, ...]) -> Optional[Tuple[int, bool]]:
     if tt == (x ^ MASK4):
         return sup[0], True
     return None
+
+
+def render_table() -> str:
+    """The NST text (:func:`~repro.library.nst.load_table`'s format):
+    ``candidates(rep, 8)`` for every canonical class, one line each."""
+    lines = []
+    for rep in all_classes():
+        entries = [[st.out, *(lit for pair in st.nodes for lit in pair)]
+                   for st in candidates(rep, DEFAULT_MAX_STRUCTS)]
+        lines.append(f'"{rep:#06x}": {json.dumps(entries, separators=(",", ":"))}')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+if __name__ == "__main__":
+    TABLE_PATH.write_text(render_table())
+    print(f"wrote {TABLE_PATH}")

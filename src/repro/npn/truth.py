@@ -139,16 +139,19 @@ def lift_lut():
     leaf rows both ascend, so the mask of union positions holding a
     source leaf fixes the whole position pattern, and ``lut[tt, m] &
     full_mask(nd)`` equals ``expand(tt, src, dst)`` (as for
-    :func:`batch_expand`).  Built on first use (~15 ms, 2 MB)."""
-    tts = np.arange(1 << 16, dtype=np.uint32)
-    lut = np.empty((1 << 16, 16), dtype=np.uint16)
+    :func:`batch_expand`).  Built on first use (~3 ms, 2 MB).
+
+    The lift is an OR over the source minterms set in ``tt``, so the
+    table is the OR of two 256-row tables, one per byte of ``tt``:
+    ``lut[tt] = lo[tt & 255] | hi[tt >> 8]``."""
+    byte = np.arange(256, dtype=np.uint16)
+    lo, hi = halves = np.zeros((2, 256, 16), dtype=np.uint16)
     for m in range(16):
         mapping = expand_map16(tuple(p for p in range(4) if (m >> p) & 1))
-        col = np.zeros(1 << 16, dtype=np.uint32)
         for k, j in enumerate(mapping):
-            col |= ((tts >> np.uint32(j)) & np.uint32(1)) << np.uint32(k)
-        lut[:, m] = col
-    return lut
+            halves[j >> 3, :, m] |= ((byte >> (j & 7)) & 1) << k
+    # Row ``tt = h * 256 + l`` of the outer OR is ``hi[h] | lo[l]``.
+    return (hi[:, None] | lo[None, :]).reshape(1 << 16, 16)
 
 
 #: Cut-width -> block-replication multiplier lifting an ``n``-variable

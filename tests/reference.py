@@ -22,7 +22,9 @@ because nothing there calls it:
   unchanged driver with those substituted;
 * :func:`build_canon_lut_sweep` — the NPN canon LUT computed function
   by function over all 768 transforms, the reference of the
-  class-by-class build in ``npn/canon.py``.
+  class-by-class build in ``npn/canon.py``;
+* :func:`lift_lut_sweep` — the lift LUT computed mask by mask over all
+  65 536 tables, the reference of ``npn.truth.lift_lut``'s byte tables.
 
 ``tests/test_differential_fuzz.py`` holds every executor byte-identical
 to :func:`reference_rewrite`; the kernel property tests compare against
@@ -51,7 +53,7 @@ from repro.galois.activity import Operator
 from repro.galois.simsched import SimulatedExecutor, _item_args, _publish_stage
 from repro.galois.stats import StageStats
 from repro.npn.canon import _MATRICES, _OUT_FLAGS
-from repro.npn.truth import CUT_LEAF_SENTINEL, expand, full_mask
+from repro.npn.truth import CUT_LEAF_SENTINEL, expand, expand_map16, full_mask
 from repro.rewrite.base import (
     WorkMeter,
     best_candidate_over_cuts,
@@ -431,3 +433,17 @@ def build_canon_lut_sweep() -> Tuple[np.ndarray, np.ndarray]:
         best[better] = acc[better]
         rows[better] = row
     return best, rows
+
+
+def lift_lut_sweep() -> np.ndarray:
+    """The lift LUT by one sweep per union mask over all 65 536 tables
+    — the reference of ``npn.truth.lift_lut``'s two byte tables."""
+    tts = np.arange(1 << 16, dtype=np.uint32)
+    lut = np.empty((1 << 16, 16), dtype=np.uint16)
+    for m in range(16):
+        mapping = expand_map16(tuple(p for p in range(4) if (m >> p) & 1))
+        col = np.zeros(1 << 16, dtype=np.uint32)
+        for k, j in enumerate(mapping):
+            col |= ((tts >> np.uint32(j)) & np.uint32(1)) << np.uint32(k)
+        lut[:, m] = col
+    return lut

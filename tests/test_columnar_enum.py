@@ -24,7 +24,12 @@ from conftest import (
     random_aig,
     stage_tuple,
 )
-from reference import ReferenceExecutor, ScalarCutManager, load_entry
+from reference import (
+    ReferenceExecutor,
+    ScalarCutManager,
+    lift_lut_sweep,
+    load_entry,
+)
 from test_differential_fuzz import SMOKE_SEEDS, fuzz_circuit
 from repro.aig import Aig, AigSnapshot
 from repro.aig.literals import lit_var
@@ -112,6 +117,10 @@ class TestKernels:
         rows = np.array([_pad(c.leaves) for c in cuts], dtype=np.int64)
         got = batch_cut_signs(rows).tolist()
         assert got == [c.sign for c in cuts]
+
+    def test_lift_lut_equals_the_mask_sweep(self):
+        # The two byte tables OR-ed against one sweep per union mask.
+        assert np.array_equal(lift_lut(), lift_lut_sweep())
 
     def test_lift_lut_equals_batch_expand_and_expand(self):
         # Every position mask x every 16-bit table against the gather

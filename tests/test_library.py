@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,14 +14,15 @@ from repro.errors import LibraryError
 from repro.library import (
     Structure,
     StructureBuilder,
-    candidates,
+    StructureLibrary,
     cover_tt,
-    enumeration_table,
     factor_to_structure,
     get_library,
     input_lit,
     isop,
 )
+from repro.library.nst import TABLE_PATH, load_table
+from repro.library.synthesis import candidates, enumeration_table, render_table
 from repro.npn import MASK4, all_classes, npn_canon, var_table
 
 
@@ -170,8 +174,9 @@ class TestLibrary:
 
     def test_library_caches(self):
         lib = get_library()
-        a = lib.structures(0x8888)
-        b = lib.structures(0x8888)
+        canon, _ = npn_canon(0x8888)
+        a = lib.structures(canon)
+        b = lib.structures(canon)
         assert a is b
 
     def test_structures_for_function_canonicalizes(self):
@@ -185,83 +190,95 @@ class TestLibrary:
             assert len(lib.structures(rep)) <= lib.max_structs
 
 
+class TestPackagedTable:
+    """The shipped NST is the generator's output, verified on load."""
+
+    def test_table_is_the_render_of_candidates(self):
+        # Regenerate with ``python -m repro.library.synthesis``.
+        assert TABLE_PATH.read_text() == render_table()
+
+    def test_candidates_truncate_to_a_prefix(self):
+        for rep in all_classes():
+            full = candidates(rep, 8)
+            for m in range(1, 8):
+                assert candidates(rep, m) == full[:m]
+
+    def test_flipped_output_literal_names_its_class(self):
+        payload = json.loads(TABLE_PATH.read_text())
+        payload["0x0007"][0][0] ^= 1
+        with pytest.raises(LibraryError, match="0x0007"):
+            load_table(json.dumps(payload))
+
+    def test_forward_reference_names_its_class(self):
+        payload = json.loads(TABLE_PATH.read_text())
+        payload["0x0007"][0][1] = 14  # node 0 reads its own output
+        with pytest.raises(LibraryError, match="0x0007"):
+            load_table(json.dumps(payload))
+
+    def test_non_canonical_key_raises(self):
+        with pytest.raises(LibraryError, match="canonical"):
+            get_library().structures(0x8888)
+
+    @pytest.mark.parametrize("max_structs", [0, 9])
+    def test_max_structs_out_of_range_raises(self, max_structs):
+        with pytest.raises(LibraryError, match="max_structs"):
+            StructureLibrary(max_structs=max_structs)
+
+    def test_max_structs_slices_the_table(self):
+        small, full = StructureLibrary(max_structs=2), get_library()
+        for rep in all_classes():
+            assert small.structures(rep) == full.structures(rep)[:2]
+
+
 class TestPersistentNstCache:
-    def _make_library(self, monkeypatch, path):
-        from repro.library.nst import StructureLibrary
+    """The packaged table is the NST persisted on disk: ``render_table``
+    writes it and ``load_table`` reads it back."""
 
-        monkeypatch.setenv("REPRO_NST_CACHE", str(path))
-        return StructureLibrary()
-
-    def test_round_trip(self, tmp_path, monkeypatch):
+    def test_round_trip(self, tmp_path):
         path = tmp_path / "nst.json"
-        reps = [0x0001, 0x0007, 0x1234]
-        canons = [npn_canon(r)[0] for r in reps]
+        path.write_text(render_table())
+        loaded = load_table(path.read_text())
+        assert len(loaded) == 222
+        for rep in (0x0001, 0x0007, 0x1234):
+            canon, _ = npn_canon(rep)
+            assert loaded[canon] == tuple(candidates(canon, 8))
 
-        first = self._make_library(monkeypatch, path)
-        expected = {c: first.structures(c) for c in canons}
-        assert first.cache_misses == len(set(canons))
-        assert first.cache_hits == 0
-        first.save_persistent()
-        assert path.exists()
-
-        second = self._make_library(monkeypatch, path)
-        for c in canons:
-            assert second.structures(c) == expected[c]
-        assert second.cache_misses == 0
-        assert second.cache_hits == len(canons)
-
-    def test_corrupt_entry_resynthesized(self, tmp_path, monkeypatch):
-        import json
-        import warnings as warnings_mod
-
-        path = tmp_path / "nst.json"
-        first = self._make_library(monkeypatch, path)
-        canon, _ = npn_canon(0x0007)
-        good = first.structures(canon)
-        first.save_persistent()
-
-        payload = json.loads(path.read_text())
-        # Flip the output literal of the first cached structure: it no
-        # longer evaluates to its class and must be rejected on load.
-        payload["classes"][str(canon)][0][1] ^= 1
-        path.write_text(json.dumps(payload))
-
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("ignore")
-            second = self._make_library(monkeypatch, path)
-        assert second.structures(canon) == good  # resynthesized, not trusted
-        assert second.cache_misses >= 1
-
-    def test_unreadable_file_degrades_to_empty(self, tmp_path, monkeypatch):
-        import warnings as warnings_mod
-
-        path = tmp_path / "nst.json"
-        path.write_text("{ not json")
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("ignore")
-            lib = self._make_library(monkeypatch, path)
-        canon, _ = npn_canon(0x0001)
-        assert lib.structures(canon)
-        assert lib.cache_hits == 0
-
-    def test_disabled_without_env(self, monkeypatch):
-        from repro.library.nst import StructureLibrary
-
-        monkeypatch.delenv("REPRO_NST_CACHE", raising=False)
-        lib = StructureLibrary()
-        assert lib._cache_path is None
-        lib.save_persistent()  # no-op, must not raise
-
-    def test_max_structs_mismatch_ignored(self, tmp_path, monkeypatch):
-        from repro.library.nst import StructureLibrary
-
-        path = tmp_path / "nst.json"
-        monkeypatch.setenv("REPRO_NST_CACHE", str(path))
+    def test_max_structs_mismatch_ignored(self):
         small = StructureLibrary(max_structs=2)
-        canon, _ = npn_canon(0x0007)
-        small.structures(canon)
-        small.save_persistent()
-
         big = StructureLibrary(max_structs=8)
-        assert big.cache_hits == 0  # entries for max_structs=2 not loaded
+        canon, _ = npn_canon(0x0007)
+        assert len(small.structures(canon)) <= 2
+        assert big.structures(canon) == tuple(candidates(canon, 8))
         assert len(big.structures(canon)) >= len(small.structures(canon))
+
+
+def test_no_engine_synthesizes_at_run_time():
+    """Every engine, and the process pool's workers, answer from the
+    packaged table: a fresh interpreter with the generators stubbed to
+    raise still finishes all of them."""
+    script = """
+import warnings
+import repro.library.synthesis as synthesis
+
+def refuse(*args, **kwargs):
+    raise AssertionError("structure synthesis at run time")
+
+synthesis.candidates = synthesis.enumeration_table = refuse
+from repro.bench import mtm_like
+from repro.config import dacpara_config
+from repro.core import DACParaRewriter
+from repro.rewrite import LockFusedRewriter, SerialRewriter, StaticRewriter
+warnings.simplefilter("error")  # a silent pool fallback is a bug
+engines = (
+    DACParaRewriter(),
+    DACParaRewriter(config=dacpara_config().with_executor("process", jobs=2)),
+    SerialRewriter(),
+    LockFusedRewriter(),
+    StaticRewriter(),
+)
+for engine in engines:
+    assert engine.run(mtm_like(8, 400, 1)).replacements > 0, engine
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=240)
+    assert proc.returncode == 0, proc.stderr
