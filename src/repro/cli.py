@@ -14,8 +14,8 @@ trace-event format — open in Perfetto), ``--events out.jsonl`` (JSONL
 stream), ``--metrics out.prom`` (Prometheus text), ``--json``
 (machine-readable result on stdout) and ``--progress`` (live status
 line on stderr).  Simulated-clock trace timestamps are work units, so
-a re-run with the same inputs is byte-identical; with ``--executor
-process`` the trace additionally carries real wall-clock tracks (one
+a re-run with the same inputs is byte-identical; a sharded run with
+``--executor process`` additionally carries real wall-clock tracks (one
 per pool-worker pid, in a separate Chrome-trace ``pid`` group so the
 two clock domains stay apart in one Perfetto view).
 """
@@ -175,17 +175,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     aig = read_aiger(args.input)
     obs = TracingObserver()
     engine = make_engine(args.engine, workers=args.workers, observer=obs)
-    config_updates = {
-        field: value
-        for field, value in (("executor", args.executor), ("jobs", args.jobs))
-        if value is not None
-    }
-    if config_updates and hasattr(engine, "config"):
-        engine.config = dataclasses.replace(engine.config, **config_updates)
     result = engine.run(aig)
     print(result.summary())
     stats = getattr(engine, "last_stats", None)
-    print(format_profile(obs.tracer, result.workers, stats=stats, wall=obs.wall))
+    print(format_profile(obs.tracer, result.workers, stats=stats))
     return 0
 
 
@@ -260,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rw.add_argument(
         "--executor", default=None, choices=sorted(EXECUTOR_KINDS),
         help="execution backend: 'simulated' is the deterministic "
-             "instrument, 'process' evaluates on real cores",
+             "instrument, 'process' rewrites the shards of a sharded "
+             "run (--shards) on real cores",
     )
     p_rw.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -294,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rw.add_argument(
         "--chunk-timeout", type=float, default=None, metavar="SECONDS",
-        help="deadline per fanned-out chunk; a chunk past it is "
+        help="deadline per shard on a pool worker; a shard past it is "
              "computed in-parent and the wedged pool restarted "
              "(default 300, 0 disables; --executor process)",
     )
@@ -327,15 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default="dacpara", choices=sorted(ENGINE_FACTORIES)
     )
     p_prof.add_argument("--workers", type=int, default=None)
-    p_prof.add_argument(
-        "--executor", default=None, choices=sorted(EXECUTOR_KINDS),
-        help="execution backend; 'process' adds a pool wall-clock "
-             "breakdown to the profile",
-    )
-    p_prof.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="OS worker processes for --executor process",
-    )
     p_prof.set_defaults(func=_cmd_profile)
 
     p_flow = sub.add_parser("flow", help="run an optimization flow")

@@ -30,14 +30,15 @@ class RewriteConfig:
     preserve_level: bool = False
     workers: int = 1
     # Execution backend: 'simulated' (deterministic instrument;
-    # workers=1 is the serial timing reference), 'process' (wall-clock
-    # multi-core enum/eval), 'threaded'.
+    # workers=1 is the serial timing reference), 'threaded', or
+    # 'process': shards (``shards`` > 1) are rewritten on a pool of OS
+    # processes; the level pipeline always runs simulated in-process.
     executor: str = "simulated"
-    # OS worker processes for the process executor; None = core count.
+    # OS worker processes for the shard pool; None = core count.
     # Independent of ``workers`` (the logical parallelism model).
     jobs: Optional[int] = None
-    # Deadline for one fanned-out chunk: a chunk that outlives it is
-    # computed in-parent and the (presumed wedged) pool is restarted.
+    # Deadline for one shard on a pool worker: a shard that outlives it
+    # is computed in-parent and the (presumed wedged) pool is restarted.
     # None disables the deadline (a hung worker then hangs the stage).
     # The rest of the fault policy is fixed (repro.galois.faults).
     chunk_timeout_seconds: Optional[float] = 300.0

@@ -17,7 +17,7 @@ from typing import Optional, Set
 
 from ..aig import Aig
 from ..cuts import CutManager
-from ..galois import make_executor
+from ..galois import make_executor, warn_unused_jobs
 from ..library import StructureLibrary, get_library
 from ..obs.observer import NULL_OBSERVER, Observer
 from ..rewrite.result import RewriteResult
@@ -83,9 +83,8 @@ class DACParaRewriter:
                 return sharded
         config = self.config
         obs = self.obs
-        executor = make_executor(
-            config.executor, config.workers, observer=obs, jobs=config.jobs
-        )
+        warn_unused_jobs(config)
+        executor = make_executor(config.executor, config.workers, observer=obs)
         result = RewriteResult.begin(self.name, config.workers, aig)
         cutman = CutManager(aig, max_cuts=config.max_cuts)
         ctx = StageContext(

@@ -12,9 +12,9 @@ This module runs divide-and-conquer one level up:
    nodes become pseudo-PIs) and the *entire*
    enumerate/evaluate/replace level pipeline runs on it — on pool
    workers via :meth:`~repro.galois.procpool.ProcessExecutor.run_shards`
-   (the graph ships as the stage's snapshot ref; each shard task is
-   only its var lists), or sequentially in-parent for the in-process
-   executors;
+   under ``executor="process"`` (the graph ships as the pass's snapshot
+   ref; each shard task is only its var lists), or sequentially
+   in-parent otherwise;
 3. results come back as renumbered node lists and are spliced into the
    parent graph through :func:`~repro.core.validation.
    validate_shard_payload` — rebuilding through ``Aig.and_`` *is* the
@@ -249,7 +249,7 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
     ``RewriteResult.shard_fallback``), counted as
     ``shard_fallback_total{reason}``, and logged once.
     """
-    from ..galois import make_executor
+    from ..galois import ProcessExecutor
     from ..library import get_library
     from .dacpara import DACParaRewriter
 
@@ -284,19 +284,12 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
         )
 
     # Pool workers rebuild the structure library via get_library(), so
-    # a custom library keeps the whole fan-out in-parent (same rule as
-    # the native eval stage).  One executor serves every pass: the
-    # snapshot shipper sends deltas between passes and fault-plan chunk
-    # coordinates stay cumulative.
-    use_pool = (
-        config.executor == "process"
-        and rewriter.library is get_library()
-    )
-    executor = (
-        make_executor(
-            "process", config.workers, observer=obs, jobs=config.jobs
-        )
-        if use_pool
+    # a custom library keeps the whole fan-out in-parent.  One pool
+    # serves every pass: the snapshot shipper sends deltas between
+    # passes and fault-plan chunk coordinates stay cumulative.
+    pool = (
+        ProcessExecutor(config.workers, observer=obs, jobs=config.jobs)
+        if config.executor == "process" and rewriter.library is get_library()
         else None
     )
 
@@ -340,10 +333,9 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
                 )
 
             tasks = [(shard.index, shard) for shard in plan.shards]
-            if executor is not None:
-                merged = executor.run_shards(
-                    aig, tasks, config, pass_index=pass_index
-                )
+            if pool is not None:
+                merged = pool.run_shards(aig, tasks, config,
+                                         pass_index=pass_index)
             else:
                 merged = []
                 for index, shard in tasks:
@@ -394,8 +386,8 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
                 obs.end(pass_span, 0, replacements=pass_replacements,
                         area=aig.num_ands)
     finally:
-        if executor is not None:
-            executor.close()
+        if pool is not None:
+            pool.close()
 
     # Sequential boundary cleanup: re-run the normal pipeline over the
     # former-seam neighborhood.  Always on the simulated executor, so
@@ -456,7 +448,7 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
                 obs.count("shard_merge_total", n, outcome=cause)
         obs.end(run_span, 0, area_after=aig.num_ands,
                 replacements=result.replacements, passes=passes_run)
-    rewriter.last_stats = executor.stats if executor is not None else None
+    rewriter.last_stats = None
     rewriter.last_validation_stats = None
     rewriter.last_shard_stats = stats
     return result

@@ -21,10 +21,7 @@ reads the columns directly.  :class:`~repro.cuts.cut.Cut` lists are
 built only at API edges (:meth:`CutManager.cuts` /
 :meth:`CutManager.fresh_cuts`, memoized per entry, and the winning
 ``Candidate.cut``); the per-pair merge that builds every ``Cut`` is the
-reference in ``tests/reference.py``.  Rows also are what crosses the
-process boundary (:meth:`CutManager.export_tasks` /
-:meth:`CutManager.merge_exported` / :meth:`CutManager.import_blocks`),
-by value and never as offsets.  DESIGN.md §4c and §4g have the
+reference in ``tests/reference.py``.  DESIGN.md §4c and §4g have the
 soundness arguments and the ownership rules.
 
 The manager also counts merge work (``work`` attribute): the simulated
@@ -159,9 +156,7 @@ class CutColumns(NamedTuple):
     counts: List[int]
     leaves: "np.ndarray"  # (N, 4) ascending, CUT_LEAF_SENTINEL-padded
     tt: "np.ndarray"      # (N,)
-    # (N, 4); None on the worker side of a fan-out, which scores from
-    # ``leaves``/``tt`` alone and names its winners by index.
-    stamps: Optional["np.ndarray"]
+    stamps: "np.ndarray"  # (N, 4)
 
     def cut(self, i: int) -> Cut:
         """Materialize row ``i`` (the winning ``Candidate.cut``)."""
@@ -476,7 +471,7 @@ class CutManager:
         return self._fresh(var)
 
     # ------------------------------------------------------------------
-    # Planning and install (the batch and fan-out hand-off)
+    # Planning and install (the batch hand-off)
 
     def _stage_input(self, fv: int) -> Optional[bool]:
         """Fanin ``fv``'s cut set as an enum-stage merge input (synced
@@ -495,7 +490,7 @@ class CutManager:
 
     def enum_harvest(self, root: int):
         """The fanin literals ``(f0, f1)`` of ``root`` when its merge is
-        a *pure function of shippable state* — an AND node whose own
+        a *pure function of stage-start state* — an AND node whose own
         entry needs (re)computing and whose fanin sets are both stable
         (:meth:`_stage_input`) — else None: a cache answer or the
         closure of length one of :meth:`plan_closures`, which applies
@@ -602,13 +597,12 @@ class CutManager:
 
     def install_cuts(self, plan: EnumPlan, tasks) -> None:
         """Install the merged results of plan ``tasks`` (from
-        :meth:`merge_tasks_columnar` or :meth:`import_blocks`) as their
-        vars' entries in one vector write, keyed to their current
-        stamps.  A result is alive at the epoch it was merged in (its
-        leaves are its inputs' live leaves plus the root), which is
-        recorded rather than re-verified.  The tasks' merge pairs are
-        charged to :attr:`work`, byte-identical with an in-parent
-        merge."""
+        :meth:`merge_tasks_columnar`) as their vars' entries in one
+        vector write, keyed to their current stamps.  A result is alive
+        at the epoch it was merged in (its leaves are its inputs' live
+        leaves plus the root), which is recorded rather than
+        re-verified.  The tasks' merge pairs are charged to
+        :attr:`work`, byte-identical with a per-root merge."""
         self._sync()
         tasks = np.asarray(tasks, dtype=np.int64)
         self._write(plan.var[tasks], plan.off[tasks], plan.cnt[tasks], plan.epoch)
@@ -667,8 +661,8 @@ class CutManager:
         earlier waves' results, run the kernel and record each task's
         result rows in ``plan`` — *pending* until :meth:`install_cuts`
         installs them (a compaction here moves them along).  This method
-        does **not** touch :attr:`work`, exactly like a pool worker's
-        merge.  A metric-enabled ``observer`` gets ``enum_batch_size``
+        does **not** touch :attr:`work`: the replay charges it at the
+        install.  A metric-enabled ``observer`` gets ``enum_batch_size``
         and per-phase ``enum_kernel_seconds``.
         """
         tasks = np.asarray(tasks, dtype=np.int64)
@@ -676,70 +670,25 @@ class CutManager:
             return
         self.compact(plan)
         roots, comp0, comp1, off0, n0s, off1, n1s = self._task_vectors(plan, tasks)
-        out = self._merge_rows(roots, comp0, comp1, _ranges(off0, n0s), n0s,
-                               _ranges(off1, n1s), n1s, observer)
-        self.import_blocks(plan, tasks, *out)
-
-    # ------------------------------------------------------------------
-    # Rows across the process boundary (by value; offsets never ship)
-
-    def export_tasks(self, plan: EnumPlan, tasks):
-        """The by-value form of wave-0 plan ``tasks`` for a pool worker:
-        the task vectors ``(roots, comp0, comp1, off0, n0s, off1, n1s)``
-        and the de-duplicated arena rows ``(leaves, tt, stamps, sign)``
-        their inputs reference, ``off*`` indexing into those rows."""
-        roots, comp0, comp1, off0, n0s, off1, n1s = self._task_vectors(plan, tasks)
-        offs = np.concatenate([off0, off1])
-        cnts = np.concatenate([n0s, n1s])
-        uniq, first, inverse = np.unique(offs, return_index=True,
-                                         return_inverse=True)
-        uniq_cnts = cnts[first]
-        local = (np.cumsum(uniq_cnts) - uniq_cnts)[inverse]
-        n = len(roots)
-        rows = _ranges(uniq, uniq_cnts)
-        return ((roots, comp0, comp1, local[:n], n0s, local[n:], n1s),
-                tuple(col.take(rows, axis=0) for col in self._arena.cols))
-
-    def merge_exported(self, roots, comp0, comp1, off0, n0s, off1, n1s, rows,
-                       observer=None):
-        """Worker side of :meth:`export_tasks`: load ``rows`` into this
-        (throwaway) manager's arena, run the kernel, and return the
-        result by value — ``(roots, counts, leaves, tt, stamps, sign)``,
-        the echo of ``roots`` first so the parent can check alignment."""
-        base = self._arena.append(*rows)
-        out = self._merge_rows(
-            roots, comp0, comp1, _ranges(base + off0, n0s), n0s,
-            _ranges(base + off1, n1s), n1s, observer)
-        return (roots,) + out
-
-    def import_blocks(self, plan: EnumPlan, tasks, counts, leaves, tt, stamps,
-                      sign) -> None:
-        """Append result rows (this manager's kernel output, or a
-        worker's) to the arena in one copy and record them as the
-        results of plan ``tasks``, ``counts[i]`` rows each, ready for
-        :meth:`install_cuts`."""
-        base = self._arena.append(leaves, tt, stamps, sign)
+        total_pairs = int((n0s * n1s).sum())
+        self.vec_pairs += total_pairs
+        *block, counts, union_s, filter_s = self._columnar_core(
+            roots, comp0, comp1, _ranges(off0, n0s), n0s, _ranges(off1, n1s),
+            n1s)
+        if observer is not None and observer.enabled:
+            observer.observe("enum_batch_size", float(total_pairs))
+            observer.observe("enum_kernel_seconds", union_s, phase="union")
+            observer.observe("enum_kernel_seconds", filter_s, phase="filter")
+        base = self._arena.append(*block)
         plan.off[tasks] = base + np.cumsum(counts) - counts
         plan.cnt[tasks] = counts
         plan.epoch = self._epoch
 
-    def _merge_rows(self, roots, comp0, comp1, rows0, n0s, rows1, n1s, observer):
-        """One kernel invocation plus its bookkeeping; returns
-        ``(counts, leaves, tt, stamps, sign)``."""
-        total_pairs = int((n0s * n1s).sum())
-        self.vec_pairs += total_pairs
-        out = self._columnar_core(roots, comp0, comp1, rows0, n0s, rows1, n1s)
-        if observer is not None and observer.enabled:
-            observer.observe("enum_batch_size", float(total_pairs))
-            observer.observe("enum_kernel_seconds", out[5], phase="union")
-            observer.observe("enum_kernel_seconds", out[6], phase="filter")
-        return (out[4],) + out[:4]
-
     def compact(self, plan: EnumPlan) -> None:
         """Reclaim arena rows no entry references (re-merged, never
         installed, scratch) once they outnumber the live ones.  Call
-        only between batch merges / fan-outs: the only rows outside the
-        table are then ``plan``'s pending results, which move with the
+        only between batch merges: the only rows outside the table are
+        then ``plan``'s pending results, which move with the
         entries."""
         arena = self._arena
         if arena.used < self._compact_at:

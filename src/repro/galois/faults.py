@@ -1,11 +1,10 @@
 """The process runtime's fault policy and its chaos hook.
 
-One policy, fixed: a chunk that raises, returns a corrupted result or
-dies with its pool is resubmitted up to :data:`CHUNK_MAX_RETRIES` times
-with capped exponential backoff, split in half up to
-:data:`MAX_SPLIT_DEPTH` times, then quarantined and computed in-parent;
-a dead or wedged pool is replaced up to :data:`POOL_RESTART_BUDGET`
-times per run.  The one value that must scale with the input — the
+One policy, fixed: a shard chunk that raises, returns a corrupted
+result or dies with its pool is resubmitted up to
+:data:`CHUNK_MAX_RETRIES` times with capped exponential backoff, then
+quarantined and computed in-parent; a dead or wedged pool is replaced
+up to :data:`POOL_RESTART_BUDGET` times per run.  The one value that must scale with the input — the
 per-chunk deadline — is ``RewriteConfig.chunk_timeout_seconds``.
 :mod:`repro.galois.procpool` reads every constant at call time.
 
@@ -15,9 +14,9 @@ holds entries ``mode@stage:chunk[:fires]`` separated by ``,`` or
 ``;``, where ``mode`` is one of ``kill`` (SIGKILL the worker),
 ``hang`` (sleep past any deadline), ``raise`` (raise
 :class:`InjectedFault`) or ``corrupt`` (return a mangled result),
-``stage``/``chunk`` select the fan-out coordinates (``*`` matches
-any), and ``fires`` bounds how many submissions trigger it (default
-1).  The directive is armed by the parent per submission and executed
+``stage``/``chunk`` select the fan-out coordinates (the pool's one
+stage is ``shard``; ``*`` matches any), and ``fires`` bounds how many
+submissions trigger it (default 1).  The directive is armed by the parent per submission and executed
 worker-side, so retries of an already-fired coordinate run clean.
 """
 
@@ -29,7 +28,7 @@ import time
 from typing import Dict, List, Optional
 
 #: Failed chunks (worker raised, corrupted result, died with the pool)
-#: are resubmitted up to this many times before they are split.
+#: are resubmitted up to this many times before they are quarantined.
 CHUNK_MAX_RETRIES = 2
 
 #: Pool replacements (``BrokenProcessPool``, timed-out chunk) allowed
@@ -42,11 +41,6 @@ POOL_RESTART_BUDGET = 2
 RETRY_BACKOFF_BASE = 0.02
 RETRY_BACKOFF_CAP_EXP = 4
 RETRY_BACKOFF_MAX = 0.25
-
-#: A chunk that keeps failing is split in half at most this many times
-#: before its pieces are quarantined; bounds the number of doomed
-#: submissions a poison chunk can cost to O(2**depth * retries).
-MAX_SPLIT_DEPTH = 2
 
 #: How long an injected ``hang`` fault sleeps worker-side.  Must only
 #: exceed any chunk deadline under test; the wedged worker is reaped
@@ -139,12 +133,9 @@ def _execute_fault(mode: str) -> None:
 
 
 def _corrupt_results(results):
-    """The ``corrupt`` fault: mangle a chunk's result in ways the
-    parent-side validator must catch — a column result gets a wrong
-    root echo and loses its last row, a result list a wrong root and
-    its last entry."""
-    if isinstance(results, tuple):
-        return (results[0] + 1, results[1]) + tuple(c[:-1] for c in results[2:])
+    """The ``corrupt`` fault: mangle a chunk's result list in ways the
+    parent-side validator must catch — a wrong index on its first entry
+    and the loss of its last."""
     if not results:
         return [(0, None, 0)]
     mangled = list(results)

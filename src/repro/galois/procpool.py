@@ -1,60 +1,52 @@
-"""Process-pool executor: true multi-core wall-clock for the read stages.
+"""Process pool for shard-parallel rewriting: the one home of multi-core
+wall-clock in this repository.
 
-The paper's argument (Section 4.3) is that evaluation — >90 % of
-rewrite runtime — is embarrassingly parallel: it only *reads* the
-shared graph and writes disjoint ``prepInfo`` slots.  Cut enumeration
-is read-only over the stage-start graph too.  The GIL keeps the
-threaded executor from cashing that in; this executor does it with
-``concurrent.futures.ProcessPoolExecutor``:
+A sharded run (:func:`repro.core.shards.run_sharded`) plans
+TFI/TFO-disjoint regions and hands each pass's shards to
+:meth:`ProcessExecutor.run_shards`:
 
-1. the parent ships the worklist's shared read state as a stage ref
+1. the parent ships the graph as a stage ref
    (:mod:`repro.galois.shipper`) — the pickle of a full
-   :class:`~repro.aig.snapshot.AigSnapshot` capture only when it must
-   (first stage of a run, or after heavy mutation), otherwise an
-   incremental :class:`~repro.aig.snapshot.SnapshotDelta` against the
-   base snapshot the workers cache per run;
-2. node chunks fan out to a persistent worker pool as **column
-   blocks** (:class:`_ColumnChunk`): cut-set rows by value — the
-   de-duplicated fanin rows of an enumeration chunk, a ``leaves``/``tt``
-   slice of the evaluation stage's table — never ``Cut`` objects and
-   never arena offsets (DESIGN.md §4c has the ownership rules);
-3. returned result rows / units and winners are merged on the parent by
-   **replaying** them through the inherited simulated scheduler with
-   the workers' reported per-node costs.
+   :class:`~repro.aig.snapshot.AigSnapshot` capture on the first pass
+   or after heavy mutation, otherwise an incremental
+   :class:`~repro.aig.snapshot.SnapshotDelta` against the base snapshot
+   the workers cache per run;
+2. every shard is one chunk carrying only its var lists: a worker
+   extracts the shard's sub-AIG from the snapshot and runs the whole
+   DACPara pipeline on it (:func:`~repro.core.shards.rewrite_shard`,
+   simulated executor inside), so a payload is a pure function of the
+   graph and the shard;
+3. the payloads come back unordered and the caller splices them in
+   shard-index order.
 
-Step 3 is what makes ``executor="process"`` produce *byte-identical*
-results, stats and traces to ``"simulated"``: evaluation
-and enumeration costs are data-driven (structures evaluated per cut,
-merge pairs per node), independent of where the computation physically
-ran, so the replay reconstructs the exact simulated timeline while the
-heavy lifting happened on real cores.  Replacement runs on the
-inherited simulated path — graph mutation semantics are untouched.
+The level pipeline never leaves the parent: :class:`ProcessExecutor`
+is the stage executor of ``executor="process"``, and the enumerate /
+evaluate / replace stages of an unsharded run (or of the boundary
+cleanup) run on its simulated scheduler exactly as under
+``"simulated"``; its pool starts only when a sharded run fans shards
+out (DESIGN.md §4i).
 
 When the platform cannot spawn processes (restricted sandboxes), the
-executor falls back to computing chunks in-parent — same results, no
-parallelism — and says so via ``warnings`` once *per run* (each
-executor instance carries a run id, so two runs in one interpreter
-each report their own fallback).
+pool computes the shards in-parent — same payloads, no parallelism —
+and says so via ``warnings`` once *per run* (each pool instance carries
+a run id, so two runs in one interpreter each report their own
+fallback).
 
-Fault tolerance is *chunk-grained*, not stage-grained: a chunk that
-raises, returns a corrupted result, or times out is retried with
-capped exponential backoff, split in half on repeated failure, and —
-only as a last resort — computed in-parent and recorded on the
-executor's quarantine list, while every other chunk of the fan-out
-still completes on worker cores.  A dead pool (``BrokenProcessPool``)
-is restarted a bounded number of times instead of being abandoned for
-the rest of the run.  The policy's constants and the fault-injection
-hook that tests it (``REPRO_FAULT_PLAN`` / ``config.fault_plan``) live
-in :mod:`repro.galois.faults`.  Because every recovery path
-reproduces the exact values a healthy worker would have returned (the
-merge is keyed by root and replayed through the simulated scheduler),
-results stay byte-identical to ``executor="simulated"`` under any
+Fault tolerance is *chunk-grained*: a shard chunk that raises, returns
+a corrupted result, or times out is retried with capped exponential
+backoff and — only as a last resort — computed in-parent and recorded
+on the pool's quarantine list, while every other shard still completes
+on worker cores.  A dead pool (``BrokenProcessPool``) is restarted a
+bounded number of times instead of being abandoned for the rest of the
+run.  The policy's constants and the fault-injection hook that tests it
+(``REPRO_FAULT_PLAN`` / ``config.fault_plan``) live in
+:mod:`repro.galois.faults`.  Because every recovery path reproduces the
+exact payload a healthy worker would have returned, a sharded process
+run stays byte-identical to the sequential sharded run under any
 combination of faults.
 
-Observability is dual-clock.  The replayed simulated timeline stays
-byte-identical to ``executor="simulated"``; *physical* time is
-captured separately: when the attached observer carries a ``wall``
-timeline, every chunk carries a
+Observability is wall-clock and side-channel only: when the attached
+observer carries a ``wall`` timeline, every chunk carries a
 :class:`~repro.obs.wall.ChunkTelemetry` record back from its worker —
 wall-clock spans for snapshot patch and compute, merged parent-side
 with the submit/receive timestamps into per-pid tracks on the
@@ -62,8 +54,7 @@ observer's :class:`~repro.obs.collect.WallTimeline`, along with
 ``chunk_wall_seconds{stage,phase}`` histograms, pool occupancy gauges,
 fault instants and a bounded flight-recorder ring dumped on
 quarantine or pool restart.  With the no-op observer none of this is
-allocated: telemetry is side-channel only and results never depend on
-it.
+allocated, and results never depend on it.
 """
 
 from __future__ import annotations
@@ -74,9 +65,7 @@ import time
 import warnings
 from collections import deque
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - present on every supported CPython
     from concurrent.futures.process import BrokenProcessPool as _BrokenPool
@@ -94,11 +83,10 @@ from .shipper import (
     _resolve_snapshot,
 )
 from .simsched import SimulatedExecutor
-from .stats import StageStats
 
-#: Worklists smaller than this are evaluated in-parent: the snapshot
-#: pickle plus IPC round-trip costs more than the evaluation itself.
-MIN_FANOUT = 16
+#: The fan-out's coordinate in the fault plan (``mode@shard:N``) and
+#: its ``stage`` label on every pool metric.
+STAGE = "shard"
 
 _RUN_COUNTER = itertools.count(1)
 
@@ -110,70 +98,19 @@ def default_jobs() -> int:
 
 class ChunkResultError(Exception):
     """A worker returned a result list that does not answer the tasks
-    it was handed (wrong length, wrong roots, wrong shape) — treated
-    exactly like a worker-side exception: retry, split, quarantine."""
-
-
-class _ColumnChunk:
-    """One chunk of a column fan-out, by value: per-task vectors
-    (``roots`` first) and the row columns those tasks index —
-
-    * enum: ``task_cols = (comp0, comp1, off0, n0s, off1, n1s)`` over
-      ``row_cols = (leaves, tt, stamps, sign)``, the de-duplicated fanin
-      rows (:meth:`~repro.cuts.manager.CutManager.export_tasks`);
-    * eval: ``task_cols = (off, counts)`` over ``row_cols = (leaves,
-      tt)``, a slice of the stage's :class:`~repro.cuts.manager.
-      CutColumns`.
-
-    Offsets are local to ``row_cols`` (never the parent's arena), so
-    slicing — the fault path's split — keeps the rows and halves the
-    task vectors.
-    """
-
-    __slots__ = ("roots", "task_cols", "row_cols")
-
-    def __init__(self, roots, task_cols, row_cols):
-        self.roots = roots
-        self.task_cols = task_cols
-        self.row_cols = row_cols
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __getitem__(self, part: slice) -> "_ColumnChunk":
-        return _ColumnChunk(
-            self.roots[part], tuple(c[part] for c in self.task_cols),
-            self.row_cols,
-        )
+    it was handed (wrong length, wrong shard indices) — treated exactly
+    like a worker-side exception: retry, then quarantine."""
 
 
 def _validate_chunk(tasks, results: object):
-    """Check a worker's answer actually answers ``tasks``.
+    """Check a worker's answer actually answers ``tasks``: as many
+    ``(index, payload, units)`` triples as ``(index, shard)`` tasks, in
+    task order.
 
-    The merge is keyed by root, so an undetected misalignment would
-    silently corrupt the replay; shape mismatches instead surface as
-    :class:`ChunkResultError` and take the retry path.  A column chunk
-    is answered by a tuple of the root echo, one per-task vector and
-    the stage's payload, whose row columns (enum: ``leaves``, ``tt``,
-    ``stamps``, ``sign``) must hold exactly the rows the per-task
-    counts announce; a task list by as many ``(root, ..., ...)``
-    triples.
+    The splice is keyed by shard index, so an undetected misalignment
+    would silently corrupt the merge; shape mismatches instead surface
+    as :class:`ChunkResultError` and take the retry path.
     """
-    if isinstance(tasks, _ColumnChunk):
-        ok = (
-            isinstance(results, tuple) and len(results) >= 3
-            and all(isinstance(c, np.ndarray) for c in results[:2])
-            and np.array_equal(results[0], tasks.roots)
-            and len(results[1]) == len(tasks)
-            and all(len(c) == results[1].sum() for c in results[2:]
-                    if isinstance(c, np.ndarray))
-        )
-        if not ok:
-            raise ChunkResultError(
-                f"column result does not answer the {len(tasks)} task "
-                f"roots it was handed"
-            )
-        return results
     if not isinstance(results, list) or len(results) != len(tasks):
         raise ChunkResultError(
             f"chunk returned {len(results) if isinstance(results, list) else type(results).__name__} "
@@ -182,7 +119,7 @@ def _validate_chunk(tasks, results: object):
     for task, entry in zip(tasks, results):
         if not isinstance(entry, tuple) or len(entry) != 3 or entry[0] != task[0]:
             raise ChunkResultError(
-                f"chunk result {entry!r} does not answer task root {task[0]}"
+                f"chunk result {entry!r} does not answer task {task[0]}"
             )
     return results
 
@@ -191,9 +128,8 @@ class _MetricCollector(Observer):
     """Order-insensitive metric sink used inside pool workers.
 
     Counters and histogram observations recorded against the snapshot
-    are replayed into the parent's observer after the fan-in, so a
-    process run reports the same ``npn_class_hits_total``/
-    ``cuts_per_node``/``gain`` metrics a simulated run does.
+    are replayed into the parent's observer after the fan-in, in an
+    order that does not depend on which worker finished first.
     """
 
     enabled = True
@@ -224,63 +160,18 @@ class _MetricCollector(Observer):
 
 
 # ---------------------------------------------------------------------------
-# Worker entry points
+# Worker entry point
 # ---------------------------------------------------------------------------
-
-
-def _eval_columns(aig_like, chunk: _ColumnChunk, config, collector):
-    """Score one eval chunk against a read-only AIG view.
-
-    Like every stage function, runs identically against an
-    :class:`~repro.aig.snapshot.AigSnapshot` (worker side) or the live
-    :class:`Aig` (the per-chunk in-parent degrade): :func:`~repro.
-    rewrite.columnar.eval_tasks_columnar` over the chunk's
-    ``leaves``/``tt`` rows.
-    Returns ``(roots, units, winners)`` — the root echo, each root's
-    structure-evaluation units (the cost the simulated eval operator
-    charges, ``-1`` for a dead root) and the candidates found, each
-    naming its cut by index within its root's set.
-    """
-    from ..cuts.manager import CutColumns, _ranges
-    from ..library import get_library
-    from ..rewrite.columnar import eval_tasks_columnar
-
-    off, counts = chunk.task_cols
-    rows = _ranges(off, counts)
-    table = CutColumns(chunk.roots.tolist(), counts.tolist(),
-                       *(col[rows] for col in chunk.row_cols), None)
-    triples = eval_tasks_columnar(
-        aig_like, table, config, get_library(), observer=collector)
-    return (chunk.roots, np.array([t[2] for t in triples], dtype=np.int64),
-            [t[1] for t in triples if t[1] is not None])
-
-
-def _enum_columns(aig_like, chunk: _ColumnChunk, config, collector):
-    """Merge one enum chunk: a throwaway manager over ``aig_like`` (the
-    snapshot worker-side, the live graph for an in-parent degrade)
-    loads the shipped rows and runs the same kernel as the in-process
-    batch — :meth:`~repro.cuts.manager.CutManager.merge_exported`.
-    Returns ``(roots, counts, leaves, tt, stamps, sign)``; the pairs
-    merged and the kernel call ride the collector as
-    ``enum_vectorized_pairs_total`` / ``enum_kernel_calls_total``."""
-    from ..cuts.manager import CutManager
-
-    cutman = CutManager(aig_like, max_cuts=config.max_cuts)
-    out = cutman.merge_exported(
-        chunk.roots, *chunk.task_cols, chunk.row_cols, observer=collector)
-    collector.count("enum_vectorized_pairs_total", cutman.vec_pairs)
-    collector.count("enum_kernel_calls_total", cutman.kernel_calls)
-    return out
 
 
 def _shard_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, int]]:
     """Run the full rewrite pipeline on each ``(index, shard)`` task.
 
-    Like the column stages, runs identically against the live graph
-    (in-parent fallback) or a snapshot (worker side): the per-shard
-    rewrite is deterministic, so every recovery path reproduces the
-    exact payload a healthy worker would have returned.  Returns
-    ``(index, payload, work-units)`` triples.
+    Runs identically against the live graph (in-parent fallback) or a
+    snapshot (worker side): the per-shard rewrite is deterministic, so
+    every recovery path reproduces the exact payload a healthy worker
+    would have returned.  Returns ``(index, payload, work-units)``
+    triples.
     """
     from ..core.shards import rewrite_shard
 
@@ -292,13 +183,12 @@ def _shard_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, 
     return out
 
 
-def _run_chunk(stage_fn, ref, tasks, config, fault: Optional[str] = None,
+def _run_chunk(ref, tasks, config, fault: Optional[str] = None,
                telemetry: Optional[tuple] = None):
-    """The worker entry point: resolve the snapshot and run one chunk
-    through ``stage_fn`` (:func:`_eval_columns`, :func:`_enum_columns`
-    or :func:`_shard_tasks`).  ``telemetry`` is ``(stage, chunk,
-    attempt)`` — the fan-out coordinates only the parent knows — or
-    None when the observer is the no-op (no record is then allocated).
+    """The worker entry point: resolve the snapshot and rewrite one
+    chunk of shards.  ``telemetry`` is ``(stage, chunk, attempt)`` — the
+    fan-out coordinates only the parent knows — or None when the
+    observer is the no-op (no record is then allocated).
     """
     if fault is not None:
         faults._execute_fault(fault)
@@ -310,7 +200,7 @@ def _run_chunk(stage_fn, ref, tasks, config, fault: Optional[str] = None,
     snapshot = _resolve_snapshot(ref, collector)
     if tele is not None:
         tele.enter("compute")
-    out = stage_fn(snapshot, tasks, config, collector)
+    out = _shard_tasks(snapshot, tasks, config, collector)
     if fault == "corrupt":
         out = faults._corrupt_results(out)
     if tele is not None:
@@ -331,44 +221,48 @@ def _warm_shared_state(config) -> None:
 
 
 class _ChunkJob:
-    """One chunk of a stage fan-out, carrying its retry provenance.
+    """One chunk of a shard fan-out, carrying its retry provenance.
 
-    ``index`` is the chunk's coordinate in the *initial* chunking (the
-    fault plan's and the quarantine list's coordinate system — halves
-    of a split chunk keep their parent's index).  ``ref`` is the
-    snapshot ref every submission of this chunk ships and ``kind`` the
-    label its bytes are counted under: the stage's, or the
-    self-contained ``refill`` after a worker-side cache miss.
+    ``index`` is the chunk's coordinate (the fault plan's and the
+    quarantine list's coordinate system, cumulative across the passes
+    of a run).  ``ref`` is the snapshot ref every submission of this
+    chunk ships and ``kind`` the label its bytes are counted under: the
+    pass's, or the self-contained ``refill`` after a worker-side cache
+    miss.
     """
 
-    __slots__ = ("index", "tasks", "ref", "kind", "attempts", "splits",
-                 "refills")
+    __slots__ = ("index", "tasks", "ref", "kind", "attempts", "refills")
 
-    def __init__(self, index: int, tasks, ref: tuple, kind: str,
-                 splits: int = 0):
+    def __init__(self, index: int, tasks, ref: tuple, kind: str):
         self.index = index
         self.tasks = tasks
         self.ref = ref
         self.kind = kind
         self.attempts = 0
-        self.splits = splits
         self.refills = 0
 
 
 # ---------------------------------------------------------------------------
-# The executor
+# The pool
 # ---------------------------------------------------------------------------
 
 
 class ProcessExecutor(SimulatedExecutor):
-    """Simulated scheduler whose read stages run on real processes.
+    """Simulated scheduler plus the shard fan-out's worker pool.
 
     ``workers`` is the *logical* worker count of the simulated timeline
     (the paper's parallelism model); ``jobs`` is the number of OS
-    worker processes doing the physical work (defaults to the core
-    count).  The two are independent knobs: quality and reported
-    speedups follow ``workers``, wall-clock follows ``jobs``.
+    worker processes that rewrite shards (defaults to the core count).
+    The pool starts on the first :meth:`run_shards` call, never for the
+    level stages.
     """
+
+    # A level's read stages are the simulated scheduler's, bound under
+    # this class's own name so a per-class profile tells a process
+    # run's level pipeline apart (benchmarks/ladder/spans.py times
+    # these two names).
+    run_enum = SimulatedExecutor.run_enum
+    run_eval = SimulatedExecutor.run_eval
 
     def __init__(
         self,
@@ -382,17 +276,14 @@ class ProcessExecutor(SimulatedExecutor):
             raise ValueError(f"need at least one job, got {self.jobs}")
         self._pool = None
         self._pool_broken = False
-        # One executor = one run: refs are keyed by this id in the
-        # worker caches, and fallback warnings are scoped to it.
+        # One pool = one run: refs are keyed by this id in the worker
+        # caches, and fallback warnings are scoped to it.
         self.run_id = f"{os.getpid():x}-{next(_RUN_COUNTER)}"
         self._fallback_warned = False
         self._shipper = _SnapshotShipper(self.run_id)
         self.snapshot_bytes_total = 0
         self.shipped_bytes: Dict[str, int] = {}
         self.cache_refills = 0
-        # The simulated-clock span of the fan-out whose replay is
-        # running: (span, snapshot bytes), closed by _native_stage.
-        self._fanout_span: Optional[tuple] = None
         # Cumulative shard chunks fanned out across seam-rotation
         # passes: keeps fault-plan chunk coordinates ("mode@shard:N")
         # global over a multi-pass run instead of restarting at 0.
@@ -405,7 +296,7 @@ class ProcessExecutor(SimulatedExecutor):
         self.chunk_retries = 0
         self.chunk_timeouts = 0
         self.chunk_fallbacks = 0
-        self.quarantined: List[Tuple[str, int]] = []
+        self.quarantined: List[int] = []  # chunk coordinates
         self._fault_plan: Optional[faults.FaultPlan] = None
         self._fault_plan_spec: Optional[str] = None
 
@@ -417,7 +308,7 @@ class ProcessExecutor(SimulatedExecutor):
         Scoped per run: the run id in the message keeps Python's
         warning registry from deduplicating one run's fallback against
         another's, and the instance flag keeps one run from warning on
-        every stage.
+        every pass.
         """
         if self._fallback_warned:
             return
@@ -470,7 +361,7 @@ class ProcessExecutor(SimulatedExecutor):
         Returns the fresh pool, or None once the budget is spent — the
         caller then degrades the remaining chunks in-parent (the pool
         is *not* marked permanently broken: the next run gets a clean
-        slate via its own executor instance).
+        slate via its own instance).
         """
         self._discard_pool()
         budget = faults.POOL_RESTART_BUDGET
@@ -507,14 +398,15 @@ class ProcessExecutor(SimulatedExecutor):
         except Exception:
             pass
 
-    # -- shared fan-out plumbing --------------------------------------
+    # -- fan-out plumbing ---------------------------------------------
 
-    def _account_bytes(self, stage: str, kind: str, nbytes: int) -> None:
+    def _account_bytes(self, kind: str, nbytes: int) -> None:
         self.snapshot_bytes_total += nbytes
         self.shipped_bytes[kind] = self.shipped_bytes.get(kind, 0) + nbytes
         obs = self.obs
         if obs.enabled:
-            obs.count("snapshot_bytes_shipped_total", nbytes, stage=stage, kind=kind)
+            obs.count("snapshot_bytes_shipped_total", nbytes, stage=STAGE,
+                      kind=kind)
 
     def _get_fault_plan(self, config) -> Optional[faults.FaultPlan]:
         spec = config.fault_plan or os.environ.get("REPRO_FAULT_PLAN")
@@ -522,8 +414,6 @@ class ProcessExecutor(SimulatedExecutor):
             self._fault_plan_spec = spec
             self._fault_plan = faults.FaultPlan.parse(spec)
         return self._fault_plan
-
-    # -- wall-clock telemetry -----------------------------------------
 
     def _wall(self):
         """The observer's wall timeline, or None when it carries none
@@ -549,90 +439,68 @@ class ProcessExecutor(SimulatedExecutor):
         obs.gauge("pool_workers_seen", util["workers_seen"])
 
     def _degrade_chunk(self, job, fallback, collector):
-        """Compute one chunk in-parent (the same stage function, against
-        the live graph) — the rest of the fan-out still completes on
-        worker cores."""
+        """Compute one chunk in-parent (against the live graph) — the
+        rest of the fan-out still completes on worker cores."""
         self.chunk_fallbacks += 1
         if self.obs.enabled:
             self.obs.count("chunk_fallback_total")
         return fallback(job.tasks, collector)
 
-    def _record_failure(
-        self, job, retry, stage, fallback, collector, merged, wall=None,
-    ) -> None:
+    def _record_failure(self, job, retry, fallback, collector, merged,
+                        wall=None) -> None:
         """Route one failed chunk: retry with backoff while its budget
-        lasts, then split it in half, then quarantine and degrade."""
+        lasts, then quarantine and degrade."""
         progress = self.obs.progress
         job.attempts += 1
         if job.attempts <= faults.CHUNK_MAX_RETRIES:
             self.chunk_retries += 1
             if self.obs.enabled:
-                self.obs.count("chunk_retries_total", stage=stage)
-            self._wall_instant(wall, "chunk_retry", stage=stage,
+                self.obs.count("chunk_retries_total", stage=STAGE)
+            self._wall_instant(wall, "chunk_retry", stage=STAGE,
                                chunk=job.index, attempt=job.attempts)
             if progress is not None:
                 progress.bump("retries")
             retry.append(job)
             return
-        if len(job.tasks) > 1 and job.splits < faults.MAX_SPLIT_DEPTH:
-            mid = len(job.tasks) // 2
-            self.chunk_retries += 2
-            if self.obs.enabled:
-                self.obs.count("chunk_retries_total", 2, stage=stage)
-            self._wall_instant(wall, "chunk_split", stage=stage,
-                               chunk=job.index, depth=job.splits + 1)
-            if progress is not None:
-                progress.bump("retries", 2)
-            for piece in (job.tasks[:mid], job.tasks[mid:]):
-                retry.append(
-                    _ChunkJob(job.index, piece, job.ref, job.kind,
-                              splits=job.splits + 1)
-                )
-            return
-        # Poison chunk: every retry and split exhausted.  Record the
-        # coordinates, surface them through the observer, and compute
-        # the chunk in-parent so the stage still completes exactly.
-        self.quarantined.append((stage, job.index))
+        # Poison chunk: every retry exhausted.  Record the coordinate,
+        # surface it through the observer, and compute the chunk
+        # in-parent so the pass still completes exactly.
+        self.quarantined.append(job.index)
         if self.obs.enabled:
             self.obs.count("quarantined_chunks_total")
             self.obs.instant(
-                "chunk_quarantined", "fault", self.now,
-                stage=stage, chunk=job.index, tasks=len(job.tasks),
+                "chunk_quarantined", "fault", 0,
+                stage=STAGE, chunk=job.index, tasks=len(job.tasks),
             )
-        self._wall_instant(wall, "chunk_quarantined", stage=stage,
+        self._wall_instant(wall, "chunk_quarantined", stage=STAGE,
                            chunk=job.index, tasks=len(job.tasks))
         if wall is not None:
-            wall.dump_flight("chunk_quarantined", stage=stage,
+            wall.dump_flight("chunk_quarantined", stage=STAGE,
                              chunk=job.index)
         merged.append(self._degrade_chunk(job, fallback, collector))
 
-    def _collect_chunks(
-        self, pool, stage_fn, ref, ref_kind, parts, config, collector,
-        stage, aig, index_base=0,
-    ):
+    def _collect_chunks(self, pool, ref, ref_kind, parts, config, collector,
+                        aig, index_base=0):
         """Submit all chunks and fan results back in, fault-tolerantly:
         the list of per-chunk results, in completion order.
 
         Failure handling is chunk-grained: a worker that misses its
         cached base snapshot is refilled; a chunk that raises or
         returns a corrupted result retries with capped exponential
-        backoff, splits on repeated failure, and is quarantined (and
-        computed in-parent, ``stage_fn`` against the live ``aig``) as a
-        last resort; a chunk that outlives
-        ``config.chunk_timeout_seconds`` degrades in-parent
-        immediately and the wedged pool is restarted; a
-        ``BrokenProcessPool`` restarts the pool (within
-        ``faults.POOL_RESTART_BUDGET``) and resubmits the chunks that
-        died with it.  Every path reproduces the exact values a healthy
-        worker would have returned, keeping process mode byte-identical
-        to simulated mode under any fault.  Snapshot bytes are counted
-        per submission — a retried, split or resubmitted chunk ships
-        its ref again.
+        backoff and is quarantined (and computed in-parent against the
+        live ``aig``) as a last resort; a chunk that outlives
+        ``config.chunk_timeout_seconds`` degrades in-parent immediately
+        and the wedged pool is restarted; a ``BrokenProcessPool``
+        restarts the pool (within ``faults.POOL_RESTART_BUDGET``) and
+        resubmits the chunks that died with it.  Every path reproduces
+        the exact payload a healthy worker would have returned.
+        Snapshot bytes are counted per submission — a retried or
+        resubmitted chunk ships its ref again.
         """
         merged: list = []
 
         def fallback(tasks, coll):
-            return stage_fn(aig, tasks, config, coll)
+            return _shard_tasks(aig, tasks, config, coll)
 
         obs = self.obs
         queue = deque(
@@ -655,15 +523,15 @@ class ProcessExecutor(SimulatedExecutor):
             wedged = False
             while queue:
                 job = queue.popleft()
-                fault = plan.arm(stage, job.index) if plan is not None else None
+                fault = plan.arm(STAGE, job.index) if plan is not None else None
                 tele_args = (
-                    (stage, job.index, job.attempts) if wall is not None
+                    (STAGE, job.index, job.attempts) if wall is not None
                     else None
                 )
                 try:
                     future = pool.submit(
-                        _run_chunk, stage_fn, job.ref, job.tasks, config,
-                        fault, tele_args,
+                        _run_chunk, job.ref, job.tasks, config, fault,
+                        tele_args,
                     )
                 except Exception:
                     # The pool died between rounds (broken or shut
@@ -672,9 +540,7 @@ class ProcessExecutor(SimulatedExecutor):
                     queue.appendleft(job)
                     break
                 inflight.append((job, future, time.time()))
-                self._account_bytes(stage, job.kind, _ref_nbytes(job.ref))
-                if obs.enabled:
-                    self._count_payload(stage, "out", job.tasks)
+                self._account_bytes(job.kind, _ref_nbytes(job.ref))
             retry: List[_ChunkJob] = []
             for job, future, submit_time in inflight:
                 try:
@@ -686,22 +552,19 @@ class ProcessExecutor(SimulatedExecutor):
                         )
                         for phase, seconds in phases.items():
                             obs.observe("chunk_wall_seconds", seconds,
-                                        stage=stage, phase=phase)
+                                        stage=STAGE, phase=phase)
                         if progress is not None:
                             progress.bump("chunks")
                     _validate_chunk(job.tasks, part_results)
                     merged.append(part_results)
                     collector.merge(part_collector)
-                    if obs.enabled:
-                        self._count_payload(stage, "back", part_results)
                 except SnapshotCacheMiss:
                     # Fresh worker without this run's base: resubmit
                     # self-contained.  Not a failure — unless the
                     # self-contained payload misses too.
                     if job.refills >= 1:
                         self._record_failure(
-                            job, retry, stage, fallback, collector,
-                            merged, wall=wall,
+                            job, retry, fallback, collector, merged, wall,
                         )
                         continue
                     self.cache_refills += 1
@@ -713,11 +576,11 @@ class ProcessExecutor(SimulatedExecutor):
                 except _FuturesTimeout:
                     # The worker is presumed wedged: only this chunk
                     # degrades in-parent, and the pool is replaced so
-                    # the hung process cannot poison later stages.
+                    # the hung process cannot poison later passes.
                     self.chunk_timeouts += 1
                     if self.obs.enabled:
                         self.obs.count("chunk_timeouts_total")
-                    self._wall_instant(wall, "chunk_timeout", stage=stage,
+                    self._wall_instant(wall, "chunk_timeout", stage=STAGE,
                                        chunk=job.index,
                                        deadline_seconds=timeout)
                     wedged = True
@@ -725,15 +588,13 @@ class ProcessExecutor(SimulatedExecutor):
                 except _BrokenPool:
                     pool_dead = True
                     self._record_failure(
-                        job, retry, stage, fallback, collector, merged,
-                        wall=wall,
+                        job, retry, fallback, collector, merged, wall,
                     )
                 except Exception:
                     # Worker-side raise (injected or real) or a
                     # corrupted result list caught by the validator.
                     self._record_failure(
-                        job, retry, stage, fallback, collector, merged,
-                        wall=wall,
+                        job, retry, fallback, collector, merged, wall,
                     )
             if pool_dead or wedged:
                 why = "a broken pool" if pool_dead else "a timed-out chunk"
@@ -749,32 +610,12 @@ class ProcessExecutor(SimulatedExecutor):
                 queue.extend(retry)
         return merged
 
-    def _count_payload(self, stage: str, direction: str, payload) -> None:
-        """Count the array bytes of a column chunk or a column result
-        (the shard fan-out's object payloads have none)."""
-        if isinstance(payload, _ColumnChunk):
-            payload = (payload.roots,) + payload.task_cols + payload.row_cols
-        elif not isinstance(payload, tuple):
-            return
-        nbytes = sum(c.nbytes for c in payload if isinstance(c, np.ndarray))
-        self.obs.count("fanout_payload_bytes_total", nbytes,
-                       stage=stage, dir=direction)
-
-    def _bounds(self, n: int) -> List[Tuple[int, int]]:
-        """``[lo, hi)`` task ranges of one chunk per job."""
-        step = (n + self.jobs - 1) // self.jobs
-        return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-    def _fan_out(self, stage, aig, config, parts, stage_fn,
-                 index_base=0, sim_span=True, **span_args):
-        """Ship ``parts`` (one chunk each) with the stage's snapshot ref
-        and fan the per-chunk results back in (completion order).
-        Returns None when there is no pool to fan out to — never
-        started, or lost to a whole-stage failure — and the caller
-        computes in-parent instead.  ``stage`` (``eval``/``enum``/
-        ``shard``) is the fault plan's coordinate and names the
-        fan-out's spans and metrics.
-        """
+    def _fan_out(self, aig, config, tasks, index_base, pass_index):
+        """Ship the graph's stage ref with one chunk per shard task and
+        fan the per-chunk results back in (completion order).  Returns
+        None when there is no pool to fan out to — never started, or
+        lost to a whole-pass failure — and the caller computes
+        in-parent instead."""
         pool = self._ensure_pool()
         if pool is None:
             return None
@@ -789,11 +630,11 @@ class ProcessExecutor(SimulatedExecutor):
         collector = _MetricCollector()
         try:
             merged = self._collect_chunks(
-                pool, stage_fn, ref, ref_kind, parts, config, collector,
-                stage, aig, index_base=index_base,
+                pool, ref, ref_kind, [[task] for task in tasks], config,
+                collector, aig, index_base=index_base,
             )
         except (OSError, MemoryError) as exc:
-            # Last-resort whole-stage degradation (fork limit, OOM
+            # Last-resort whole-pass degradation (fork limit, OOM
             # during submission) — per-chunk faults never get here.
             self._warn_fallback(f"process fan-out failed ({exc})")
             self._pool_broken = True
@@ -801,97 +642,20 @@ class ProcessExecutor(SimulatedExecutor):
             return None
         if obs.enabled:
             # The ref rides every submission: chunks, retries, refills.
-            snapshot_bytes = self.snapshot_bytes_total - shipped_before
-            obs.observe("snapshot_bytes", snapshot_bytes)
+            obs.observe("snapshot_bytes",
+                        self.snapshot_bytes_total - shipped_before)
             collector.replay_into(obs)
-            obs.observe(f"{stage}_fanout_wall_seconds",
+            obs.observe(f"{STAGE}_fanout_wall_seconds",
                         time.perf_counter() - start_wall)
             wall = self._wall()
             if wall is not None:
                 wall.parent_span(
-                    f"{stage}_fanout", start_time, time.time(), stage=stage,
-                    chunks=len(parts), jobs=self.jobs, **span_args,
+                    f"{STAGE}_fanout", start_time, time.time(), stage=STAGE,
+                    chunks=len(tasks), jobs=self.jobs, shards=len(tasks),
+                    shard_pass=pass_index,
                 )
                 self._update_pool_gauges(wall)
-            if sim_span:
-                span = obs.begin(
-                    f"{stage}_fanout", "fanout", self.now, jobs=self.jobs,
-                    chunks=len(parts), **span_args,
-                )
-                self._fanout_span = (span, snapshot_bytes)
         return merged
-
-    def _native_stage(self, batched, name, items, ctx, compute) -> StageStats:
-        """Run ``batched`` (the in-process stage driver) with ``compute``
-        standing in for its kernel call; the stage's wall time and the
-        fan-out span cover harvest, fan-out and replay."""
-        start_wall = time.perf_counter()
-        try:
-            stage = batched(self, name, items, ctx, compute)
-        finally:
-            fanout, self._fanout_span = self._fanout_span, None
-        stage.wall_seconds = time.perf_counter() - start_wall
-        if fanout is not None:
-            self.obs.end(
-                fanout[0], self.now,
-                wall_ms=round(stage.wall_seconds * 1e3, 3),
-                snapshot_bytes=fanout[1],
-            )
-        return stage
-
-    # -- the native eval stage ----------------------------------------
-
-    def run_eval(self, name: str, items: Sequence[int], ctx) -> StageStats:
-        """Fan the eval stage out to processes, then replay the merge.
-
-        The stage is :func:`~repro.rewrite.columnar.run_eval_batched`
-        with the scoring moved to the pool: each chunk ships a slice of
-        the stage's :class:`~repro.cuts.manager.CutColumns` (``leaves``
-        and ``tt`` only), workers return units and winners, and the
-        parent materializes each winning ``Candidate.cut`` from its own
-        columns.  The replay stores candidates into ``ctx.prep_info``
-        exactly as the simulated executor's does.  Small worklists stay
-        in-parent, and so does a run with a custom ``ctx.library``
-        (workers rebuild the lookup via ``get_library()``; the same rule
-        as :func:`repro.core.shards.run_sharded`): the stage then scores
-        in-process against ``ctx.library`` and the run warns once.
-        """
-        from ..library import get_library
-        from ..rewrite.columnar import run_eval_batched
-
-        def score(table):
-            if len(items) < MIN_FANOUT:
-                return None
-            if ctx.library is not get_library():
-                self._warn_fallback(
-                    "eval fan-out needs the default structure library")
-                return None
-            roots = np.array(table.roots, dtype=np.int64)
-            counts = np.array(table.counts, dtype=np.int64)
-            starts = np.cumsum(counts) - counts
-            parts = []
-            for lo, hi in self._bounds(len(counts)):
-                r0, r1 = starts[lo], starts[hi - 1] + counts[hi - 1]
-                parts.append(_ColumnChunk(
-                    roots[lo:hi], (starts[lo:hi] - r0, counts[lo:hi]),
-                    (table.leaves[r0:r1], table.tt[r0:r1]),
-                ))
-            merged = self._fan_out(name, ctx.aig, ctx.config, parts,
-                                   _eval_columns, nodes=len(items))
-            if merged is None:
-                return None
-            first = dict(zip(table.roots, starts.tolist()))
-            triples = []
-            for roots, units, winners in merged:
-                won = {cand.root: cand for cand in winners}
-                for root, n_units in zip(roots.tolist(), units.tolist()):
-                    cand = won.get(root)
-                    if cand is not None:
-                        cand.cut = table.cut(first[root] + cand.cut)
-                    triples.append((root, cand, n_units))
-            return triples
-
-        return self._native_stage(run_eval_batched, name, items, ctx, score)
 
     # -- the shard fan-out --------------------------------------------
 
@@ -899,10 +663,10 @@ class ProcessExecutor(SimulatedExecutor):
         """Fan whole-shard rewrites out to pool workers.
 
         ``tasks`` are ``(index, Shard)`` pairs; the graph ships as the
-        stage's snapshot ref and each chunk carries only a shard's var
-        lists.  One shard per chunk: a shard is the unit of
-        retry, quarantine and fault injection (stage name ``"shard"``
-        in the fault plan — chunk coordinates are cumulative across
+        pass's snapshot ref and each chunk carries only a shard's var
+        lists.  One shard per chunk: a shard is the unit of retry,
+        quarantine and fault injection (stage name ``"shard"`` in the
+        fault plan — chunk coordinates are cumulative across
         seam-rotation passes, so ``mode@shard:N`` can target any pass's
         chunks), and the in-parent fallback recomputes it against the
         live graph with identical results.  ``pass_index`` labels the
@@ -911,53 +675,10 @@ class ProcessExecutor(SimulatedExecutor):
         """
         index_base = self.shard_chunks_seen
         self.shard_chunks_seen += len(tasks)
-        merged = self._fan_out(
-            "shard", aig, config, [[task] for task in tasks],
-            _shard_tasks, index_base=index_base, sim_span=False,
-            shards=len(tasks), shard_pass=pass_index,
-        )
+        merged = self._fan_out(aig, config, tasks, index_base, pass_index)
         if merged is None:
             collector = _MetricCollector()
             merged = [_shard_tasks(aig, tasks, config, collector)]
             if self.obs.enabled:
                 collector.replay_into(self.obs)
         return [triple for part in merged for triple in part]
-
-    # -- the native enum stage ----------------------------------------
-
-    def run_enum(self, name: str, items: Sequence[int], ctx) -> StageStats:
-        """Fan cut enumeration out to processes, then replay the merge.
-
-        The stage is :func:`~repro.rewrite.columnar.run_enum_batched`
-        with wave 0's kernel call moved to the pool — within an enum
-        stage the graph is read-only, so every planned merge is a pure
-        function of the stage-start state.  The wave's fanin sets ship
-        as rows
-        (:meth:`~repro.cuts.manager.CutManager.export_tasks`), workers
-        run the identical kernel against the snapshot, and each chunk's
-        result rows are appended to the parent's arena in one copy as
-        the plan's results, which the replay installs.  Later waves,
-        and a wave 0 of fewer than ``MIN_FANOUT`` tasks, merge
-        in-parent — byte-identical either way.
-        """
-        from ..rewrite.columnar import run_enum_batched
-
-        cutman = ctx.cutman
-
-        def merge(plan, tasks):
-            if len(tasks) < MIN_FANOUT:
-                return False
-            cutman.compact(plan)  # only between fan-outs: offsets are live below
-            parts = []
-            for lo, hi in self._bounds(len(tasks)):
-                vectors, rows = cutman.export_tasks(plan, tasks[lo:hi])
-                parts.append(_ColumnChunk(vectors[0], vectors[1:], rows))
-            merged = self._fan_out(name, ctx.aig, ctx.config, parts,
-                                   _enum_columns, nodes=len(items))
-            if merged is None:
-                return False
-            for roots, *columns in merged:
-                cutman.import_blocks(plan, plan.tasks_of(roots), *columns)
-            return True
-
-        return self._native_stage(run_enum_batched, name, items, ctx, merge)

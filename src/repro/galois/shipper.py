@@ -2,8 +2,9 @@
 
 A stage ref is the picklable tuple
 ``(run_id, base_epoch, stage_epoch, base_blob, delta_blob)`` that rides
-every chunk of a fan-out.  The parent side (:class:`_SnapshotShipper`)
-decides per stage what goes in it; the worker side
+every chunk of a shard fan-out (one per seam-rotation pass).  The
+parent side (:class:`_SnapshotShipper`) decides per pass what goes in
+it; the worker side
 (:func:`_resolve_snapshot`) turns it back into an
 :class:`~repro.aig.snapshot.AigSnapshot` through a per-run base cache.
 There is one base hand-off: the base snapshot's pickle, shipped on the
@@ -53,7 +54,8 @@ def needs_rebase(aig, base_epoch: int) -> bool:
 #: run id -> cached *base* snapshot (epoch = the ref's base_epoch).
 _WORKER_BASES: "OrderedDict[str, AigSnapshot]" = OrderedDict()
 #: run id -> (stage epoch, patched snapshot) — memoizes the delta
-#: application across the chunks of one stage landing on one worker.
+#: application across the shard chunks of one pass landing on one
+#: worker.
 _WORKER_STAGES: Dict[str, Tuple[int, AigSnapshot]] = {}
 
 
@@ -158,9 +160,9 @@ class _SnapshotShipper:
             return self._ref(None), "cached", 0.0
         delta = self.base.delta_since(aig)
         if epoch != self._stage_epoch or self._stage_delta_blob is None:
-            # Otherwise: same graph state as the previous stage (enum →
-            # eval with no mutations in between) — reuse the pickled
-            # delta, and the workers' stage memo skips re-applying it.
+            # Otherwise: same graph state as the previous fan-out (a
+            # pass that spliced nothing) — reuse the pickled delta, and
+            # the workers' stage memo skips re-applying it.
             self._stage_delta_blob = pickle.dumps(
                 delta, protocol=pickle.HIGHEST_PROTOCOL)
         self._stage_epoch = epoch

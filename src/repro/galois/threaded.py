@@ -4,9 +4,9 @@ Exists to demonstrate that the operator protocol is genuinely safe
 under preemptive interleaving — it runs the same generators as the
 simulated executor with real ``threading`` workers and a shared lock
 registry.  Wall-clock speedup is *not* the point (the GIL serializes
-pure-Python work; DESIGN.md documents this substitution; the
-process-pool executor in :mod:`repro.galois.procpool` is the one built
-for wall-clock); the tests use it to show results and graph invariants
+pure-Python work; DESIGN.md documents this substitution; the shard
+pool in :mod:`repro.galois.procpool` is the one built for wall-clock);
+the tests use it to show results and graph invariants
 are preserved under real concurrency.
 
 Two safety layers:

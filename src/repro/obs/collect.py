@@ -6,7 +6,7 @@ simulated work-unit clock, the timeline collects *physical* seconds —
 one span track per pool-worker pid (built from the
 :class:`~repro.obs.wall.ChunkTelemetry` records piggybacked on chunk
 results), parent-side fan-out windows, and fault-tolerance instants
-(timeouts, retries, splits, quarantines, pool restarts).  The
+(timeouts, retries, quarantines, pool restarts).  The
 exporters (:mod:`repro.obs.export`) keep the domains apart via
 separate Chrome-trace ``pid`` groups, so one Perfetto view shows the
 simulated schedule and the real pool occupancy side by side.
@@ -23,7 +23,7 @@ The timeline also carries:
 
 :class:`ProgressLine` is the ``repro top``-style live status line
 (behind ``rewrite --progress``): a single ``\\r``-rewritten stderr
-line fed by the observer (levels, stages) and the process executor
+line fed by the observer (levels, stages) and the shard pool
 (chunks, retries), throttled so it never becomes the hot path.
 """
 

@@ -19,19 +19,16 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 25000, 100000,
 )
 
-#: Counters the fault-tolerant process executor emits on its recovery
-#: paths (``repro.galois.procpool``).  All stay at zero on a healthy
-#: run, which is what keeps process-mode metrics byte-identical to
-#: simulated-mode metrics when nothing goes wrong:
+#: Counters the fault-tolerant shard pool emits on its recovery paths
+#: (``repro.galois.procpool``).  All stay at zero on a healthy run:
 #:
 #: * ``pool_restarts_total``       — BrokenProcessPool / wedged-pool
 #:   replacements (bounded by ``faults.POOL_RESTART_BUDGET``)
-#: * ``chunk_retries_total{stage}`` — failed-chunk resubmissions,
-#:   including the two halves of an automatic chunk split
+#: * ``chunk_retries_total{stage}`` — failed-chunk resubmissions
 #: * ``chunk_timeouts_total``      — chunks that outlived
 #:   ``config.chunk_timeout_seconds``
 #: * ``quarantined_chunks_total``  — poison chunks that exhausted
-#:   retries and splits (coordinates on ``ProcessExecutor.quarantined``)
+#:   their retries (coordinates on ``ProcessExecutor.quarantined``)
 #: * ``chunk_fallback_total``      — chunks computed in-parent while
 #:   the rest of the fan-out stayed on worker cores
 FAULT_TOLERANCE_COUNTERS: Tuple[str, ...] = (

@@ -9,7 +9,7 @@ the deep-circuit slowdown of ``sqrt``/``hyp``/``div``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..galois.stats import ExecutionStats
 from .collect import WallTimeline
@@ -161,12 +161,10 @@ def format_profile(
     tracer: SpanTracer,
     workers: int,
     stats: "ExecutionStats | None" = None,
-    wall: Optional[WallTimeline] = None,
 ) -> str:
     """The breakdown tables as one printable report.  ``stats`` (when
     the caller holds the executor) gives exact stage numbers; otherwise
-    they are reconstructed from the trace's stage spans.  A populated
-    ``wall`` timeline appends the per-worker wall-clock table."""
+    they are reconstructed from the trace's stage spans."""
     from ..experiments.tables import format_table  # avoid an import cycle
 
     parts = ["== per-stage breakdown =="]
@@ -180,15 +178,4 @@ def format_profile(
         parts.append("")
         parts.append("== per-level worklist breakdown ==")
         parts.append(format_table(headers, rows))
-    if wall is not None and wall:
-        headers, rows = wall_breakdown(wall)
-        if rows:
-            util = wall.utilization()
-            parts.append("")
-            parts.append(
-                "== pool wall-clock breakdown "
-                f"(utilization {100.0 * util['utilization']:.1f}%, "
-                f"peak concurrency {util['peak_concurrency']:.0f}) =="
-            )
-            parts.append(format_table(headers, rows))
     return "\n".join(parts)

@@ -1,13 +1,13 @@
 """Worker-side wall-clock telemetry records.
 
 The simulated work-unit clock (:mod:`repro.obs.tracer`) cannot see
-where the *physical* time of a process fan-out goes: once a chunk
+where the *physical* time of the shard fan-out goes: once a chunk
 crosses the pipe into a pool worker, the parent only learns the
-aggregate stage wall time.  This module is the worker half of the
+aggregate pass wall time.  This module is the worker half of the
 cross-process wall-clock layer: a :class:`ChunkTelemetry` record is
 opened when a chunk lands in a worker, phase boundaries are marked as
-the chunk moves through its pipeline (snapshot patch → cut
-harvest/eval), and the finished record rides back to the parent
+the chunk moves through its pipeline (snapshot patch → shard
+rewrite), and the finished record rides back to the parent
 piggybacked on the existing chunk result tuple, where
 :class:`repro.obs.collect.WallTimeline` merges it with the parent's
 own submit/receive timestamps.
@@ -37,8 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 #: ``serialize`` are derived parent-side (submit→worker-start and
 #: worker-end→parent-receive respectively: queueing, IPC and pickle
 #: time live there); ``patch`` and ``compute`` are measured
-#: worker-side around snapshot resolution and the actual
-#: evaluation/merge work.
+#: worker-side around snapshot resolution and the shard rewrite.
 CHUNK_PHASES: Tuple[str, ...] = ("receive", "patch", "compute", "serialize")
 
 
@@ -47,10 +46,10 @@ class ChunkTelemetry:
 
     Worker-side lifecycle::
 
-        tele = ChunkTelemetry.begin("eval", chunk=3, attempt=0, tasks=64)
+        tele = ChunkTelemetry.begin("shard", chunk=3, attempt=0, tasks=1)
         tele.enter("patch")    # snapshot resolve/delta application
-        tele.enter("compute")  # evaluation / cut merging
-        tele.done(results=64)
+        tele.enter("compute")  # the shard's rewrite
+        tele.done(results=1)
 
     ``phases`` holds ``(name, start_offset, end_offset)`` triples in
     seconds relative to :attr:`anchor` (the worker's ``time.time()``

@@ -209,10 +209,7 @@ def eval_tasks_columnar(
     triples with the ``-1`` dead-root sentinel, candidate-for-candidate
     and unit-for-unit identical to that loop — including every
     observer counter and histogram value (counter increments are batched,
-    which the order-insensitive metric aggregation absorbs).  A pool
-    worker's slice carries no stamps (``tasks.stamps is None``): its
-    candidates name the winning cut by its index within the root's set,
-    and the parent materializes it from its own columns.
+    which the order-insensitive metric aggregation absorbs).
     """
     observing = observer is not None and observer.enabled
     view = columnar_view(aig_like)
@@ -293,7 +290,6 @@ def eval_tasks_columnar(
     table = table.tolist()
     cuts_of = np.bincount(root_of, minlength=n_roots)
     scored_roots = np.flatnonzero(cuts_of)
-    starts = np.cumsum(counts_col) - counts_col  # first ``tasks`` row per root
     kernel_seconds = time.perf_counter() - t0
 
     # ---- scoring phase: exact evaluate_candidate semantics over the
@@ -427,13 +423,11 @@ def eval_tasks_columnar(
 
         if best is not None and best[2] >= min_gain:
             j, structure, gain, new_level = best
-            i = int(flat[j])
             results[ri] = (root, Candidate(
                 root=root,
                 root_stamp=view.stamp[root],
                 root_life=view.life[root],
-                cut=(tasks.cut(i) if tasks.stamps is not None
-                     else i - int(starts[ri])),
+                cut=tasks.cut(int(flat[j])),
                 canon_tt=classes[table[j][9]],
                 transform=_TRANSFORMS[row_col[j]],
                 structure=structure,
@@ -467,25 +461,20 @@ def eval_tasks_columnar(
 # ---------------------------------------------------------------------------
 
 
-def run_eval_batched(executor, name: str, items: Sequence[int], ctx,
-                     score=None):
+def run_eval_batched(executor, name: str, items: Sequence[int], ctx):
     """Native eval stage: batch-precompute with the columnar kernels,
     then replay through ``executor.run``.
 
     The replay operator charges the meter units and phase costs of a
     per-root Section 4.3 operator, so the stage stats, spans and
-    timeline are byte-identical to one.  ``score(table)`` lets the
-    process executor compute the triples on its pool instead (None
-    back: score here after all).
+    timeline are byte-identical to one.
     """
     from ..galois.activity import Phase
 
-    tasks = ctx.cutman.eval_harvest(items)
-    merged = score(tasks) if score is not None else None
-    if merged is None:
-        merged = eval_tasks_columnar(
-            ctx.aig, tasks, ctx.config, ctx.library, observer=executor.obs
-        )
+    merged = eval_tasks_columnar(
+        ctx.aig, ctx.cutman.eval_harvest(items), ctx.config, ctx.library,
+        observer=executor.obs,
+    )
     results = {root: (candidate, units) for root, candidate, units in merged}
     prep_info = ctx.prep_info
     meter = ctx.meter
@@ -501,8 +490,7 @@ def run_eval_batched(executor, name: str, items: Sequence[int], ctx,
     return executor.run(name, items, replay_operator)
 
 
-def run_enum_batched(executor, name: str, items: Sequence[int], ctx,
-                     merge=None):
+def run_enum_batched(executor, name: str, items: Sequence[int], ctx):
     """Native enum stage: plan every merge the worklist needs
     (:meth:`~repro.cuts.CutManager.plan_closures`), run each dependency
     wave as one columnar kernel invocation
@@ -521,18 +509,15 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx,
     ``_resolve`` would and installs *before yielding*, so an aborted
     activity retries as a one-unit cache answer; cache answers,
     order-dependent closures and retries run the operator's own step
-    (:func:`~repro.core.operators.enum_phase`).  ``merge(plan, tasks)``
-    lets the process executor run wave 0 on its pool (False back: merge
-    here after all).
+    (:func:`~repro.core.operators.enum_phase`).
     """
     from ..core.operators import enum_phase
     from ..galois.activity import Phase
 
     aig, cutman = ctx.aig, ctx.cutman
     plan = cutman.plan_closures(items)
-    for w, wave in enumerate(plan.waves):
-        if not (w == 0 and merge is not None and merge(plan, wave)):
-            cutman.merge_tasks_columnar(plan, wave, observer=executor.obs)
+    for wave in plan.waves:
+        cutman.merge_tasks_columnar(plan, wave, observer=executor.obs)
     var, pairs, simple = plan.var.tolist(), plan.pairs.tolist(), plan.simple
     deps = list(zip(plan.src0[simple:].tolist(), plan.src1[simple:].tolist()))
     # Simple roots whose first attempt is still ahead and whose entry no

@@ -24,7 +24,7 @@ from typing import Generator, Optional, Set
 from ..aig import Aig, mffc
 from ..config import RewriteConfig, iccad18_config
 from ..cuts import CutManager
-from ..galois import Phase, make_executor
+from ..galois import Phase, make_executor, warn_unused_jobs
 from ..library import StructureLibrary, get_library
 from ..obs.observer import NULL_OBSERVER, Observer
 from .base import WorkMeter, apply_candidate, find_best_candidate
@@ -50,9 +50,8 @@ class LockFusedRewriter:
         """Rewrite ``aig`` in place with the fused parallel operator."""
         config = self.config
         obs = self.obs
-        executor = make_executor(
-            config.executor, config.workers, observer=obs, jobs=config.jobs
-        )
+        warn_unused_jobs(config)
+        executor = make_executor(config.executor, config.workers, observer=obs)
         result = RewriteResult.begin(self.name, config.workers, aig)
         cutman = CutManager(aig, max_cuts=config.max_cuts)
         counters = {"replacements": 0, "saved": 0}

@@ -390,7 +390,7 @@ def reference_patches(stages: Sequence[str] = ("enum", "eval")):
     :class:`ScalarCutManager` and the per-root enum operator;
     ``"eval"``: the per-root eval operator) on simulated workers."""
 
-    def executor(kind, n_workers, observer=None, jobs=None):
+    def executor(kind, n_workers, observer=None):
         return ReferenceExecutor(n_workers, observer=observer, stages=stages)
 
     cutman = ScalarCutManager if "enum" in stages else CutManager

@@ -170,19 +170,27 @@ class TestCliExecutorFlags:
         code = main([
             "rewrite", circuit_file, "-o", out_path,
             "--executor", "process", "--jobs", "1", "--verify",
+            "--shards", "2", "--shard-min-nodes", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "OK" in out
         assert read_aiger(out_path).num_ands <= read_aiger(circuit_file).num_ands
 
+    def test_process_without_shards_warns(self, circuit_file, tmp_path):
+        with pytest.warns(UserWarning, match="jobs is unused"):
+            assert main(["rewrite", circuit_file,
+                         "-o", str(tmp_path / "proc.aag"),
+                         "--executor", "process", "--jobs", "2"]) == 0
+
     def test_rewrite_executor_matches_simulated(self, circuit_file, tmp_path):
         sim_path = str(tmp_path / "sim.aag")
         proc_path = str(tmp_path / "proc.aag")
+        sharded = ["--shards", "2", "--shard-min-nodes", "1"]
         assert main(["rewrite", circuit_file, "-o", sim_path,
-                     "--executor", "simulated"]) == 0
+                     "--executor", "simulated", *sharded]) == 0
         assert main(["rewrite", circuit_file, "-o", proc_path,
-                     "--executor", "process", "--jobs", "1"]) == 0
+                     "--executor", "process", "--jobs", "1", *sharded]) == 0
         sim = read_aiger(sim_path)
         proc = read_aiger(proc_path)
         assert sim.num_ands == proc.num_ands

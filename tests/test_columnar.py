@@ -551,14 +551,3 @@ class TestDerefWalkCount:
         assert 0 < walks <= np.count_nonzero(has_eligible)
         snap = AigSnapshot.capture(aig)
         assert _deref_walks(snap, tasks, config) == walks
-        # The process executor's view: stamp-less chunks of the table.
-        half = len(live) // 2
-        cut = sum(tasks.counts[:half])
-        chunks = [
-            CutColumns(tasks.roots[:half], tasks.counts[:half],
-                       tasks.leaves[:cut], tasks.tt[:cut], None),
-            CutColumns(tasks.roots[half:], tasks.counts[half:],
-                       tasks.leaves[cut:], tasks.tt[cut:], None),
-        ]
-        assert sum(_deref_walks(snap, chunk, config)
-                   for chunk in chunks) == walks

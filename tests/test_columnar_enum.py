@@ -215,29 +215,6 @@ class TestMergeIdentity:
         for t, root in enumerate(plan.var.tolist()):
             assert cutman.cuts(root) == _result_cuts(cutman, plan, t)
 
-    def test_enum_tasks_columnar_entry_point(self):
-        # The worker-side entry: a throwaway manager over a snapshot
-        # merges the rows the parent exported, and the parent imports
-        # the result rows as task results — equal to its own batch merge.
-        aig = mtm_like(num_pis=12, num_nodes=120, seed=6)
-        cutman = CutManager(aig, k=4, max_cuts=12)
-        plan = harvest_plan(cutman)
-        vectors, rows = cutman.export_tasks(plan, plan.waves[0])
-        # Shared fanin sets ship once: fewer rows than input references.
-        n0s, n1s = vectors[4], vectors[6]
-        assert len(rows[1]) < (n0s + n1s).sum()
-        worker = CutManager(AigSnapshot.capture(aig), k=4, max_cuts=12)
-        roots, counts, *columns = worker.merge_exported(*vectors, rows)
-        assert roots.tolist() == plan.var.tolist()
-        assert counts.sum() == len(columns[0])
-        cutman.import_blocks(plan, plan.tasks_of(roots), counts, *columns)
-        want = EnumPlan(plan.var, plan.lit0, plan.lit1)
-        cutman.merge_tasks_columnar(want, want.waves[0])
-        for t in range(len(plan.var)):
-            assert _result_cuts(cutman, plan, t) == _result_cuts(cutman, want, t)
-        assert worker.work == 0
-        assert worker.vec_pairs == want.pairs.sum() == plan.pairs.sum()
-
 
 # ---------------------------------------------------------------------------
 # Kernel vs scalar oracle on adversarial fanin sets (property)

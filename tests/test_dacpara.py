@@ -198,10 +198,8 @@ class TestPerRootResolves:
         only the roots its plan does not make wave-0 tasks over stable
         inputs — closure roots, order-dependent roots and cache answers;
         every other root is planned, merged and installed in vector
-        passes.  The count equals the per-root planner's on every stage,
-        and is the same whichever executor merges wave 0."""
+        passes.  The count equals the per-root planner's on every stage."""
         import copy
-        import warnings
 
         from reference import reference_plan
         from repro.bench import mtm_like
@@ -221,18 +219,10 @@ class TestPerRootResolves:
         managers = capture_cut_managers(monkeypatch)
         base = (mtm_like(24, 2500, seed=7) if circuit == "mtm"
                 else deep_chain_circuit())
-        counts = {}
-        for kind in ("simulated", "process"):
-            del managers[:], want[:]
-            obs = TracingObserver()
-            engine = DACParaRewriter(
-                dacpara_config(workers=8).with_executor(kind, 2), observer=obs)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a silent pool fallback
-                engine.run(copy.deepcopy(base))
-            cutman = managers[0]
-            assert cutman.per_root_resolves == sum(want) > 0
-            counters = obs.metrics.snapshot()["counters"]
-            assert counters["enum_per_root_resolves_total"] == sum(want)
-            counts[kind] = cutman.per_root_resolves
-        assert counts["simulated"] == counts["process"]
+        obs = TracingObserver()
+        DACParaRewriter(dacpara_config(workers=8), observer=obs).run(
+            copy.deepcopy(base))
+        cutman = managers[0]
+        assert cutman.per_root_resolves == sum(want) > 0
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["enum_per_root_resolves_total"] == sum(want)

@@ -1,11 +1,8 @@
-"""Differential fuzzing across all three executors.
+"""Differential fuzzing across the executors.
 
 Each seed generates a random strashed AIG and runs the full DACPara
-rewrite through every executor kind.  The oracle is layered:
+rewrite through the stage executors.  The oracle is layered:
 
-* ``process`` must be **byte-identical** to ``simulated`` (same output
-  graph, same result counters) — the fan-out merge replays worker
-  results through the simulated scheduler, so any divergence is a bug.
 * ``simulated`` with one worker — the serial timing reference — must
   repeat byte for byte (a single worker admits exactly one
   interleaving).
@@ -17,9 +14,9 @@ rewrite through every executor kind.  The oracle is layered:
   PI counts in exhaustive-simulation range so the check is exact).
 
 A second axis pins the **columnar batch engines** against the scalar
-references in ``tests/reference.py``: full runs on every deterministic
-executor (simulated at 5 workers and at 1, process) must be
-byte-identical to ``reference_rewrite`` with the per-root eval operator substituted (and,
+references in ``tests/reference.py``: full runs on the simulated
+executor (at 5 workers and at 1) must be byte-identical to
+``reference_rewrite`` with the per-root eval operator substituted (and,
 independently, with the per-pair cut merge and per-root enum operator
 substituted), and on the threaded executor — whose full-run
 interleaving is scheduler-dependent — the eval *stage* in isolation
@@ -28,9 +25,10 @@ is lock-free, so per-root stores are interleaving-independent), and the
 enum *stage* must install the exact same cut sets (cut sets are a pure
 function of the graph).
 
-A third axis pins **shard-parallel mode**: repeated sharded runs at a
-fixed seed/shard count must be byte-identical (and the process shard
-fan-out byte-identical to the sequential sharded run), while sharded
+A third axis pins **shard-parallel mode**, the one place the process
+pool runs: repeated sharded runs at a fixed seed/shard count must be
+byte-identical (and the process shard fan-out byte-identical to the
+sequential sharded run), while sharded
 vs unsharded output — which legitimately differs structurally, the
 frozen boundary changes which rewrites commit — is held to the
 semantic bar: matching simulation signatures and exact SAT
@@ -45,17 +43,14 @@ bound-and-derive rule — both ``preserve_level`` settings must agree
 byte for byte on every deterministic executor.
 
 A fifth axis pins the **closure waves** of the enum stage (DESIGN
-§4c) where the per-level axes above barely reach them: with
-``MIN_FANOUT`` patched to 2, wave 0 of nearly every level of the deep
-chain — cold closure nodes included — crosses the pool while the later
-waves merge in-parent over its pending blocks; and a cold-cache
+§4c) where the per-level axes above barely reach them: a cold-cache
 ``run(aig, restrict=top third)`` makes the first worklist's closure the
 whole lower TFI, one wave per level — result, per-stage stats and the
 cut cache equal the reference's.
 
 The smoke tier (always on, fixed seeds — CI runs it per-push) covers
-``SMOKE_SEEDS`` plus two pool-sized circuits that genuinely cross the
-``MIN_FANOUT`` threshold.  The remaining ~200-seed sweep is marked
+``SMOKE_SEEDS`` plus pool-sized circuits whose production sharded
+configuration genuinely ships shards to the pool.  The remaining ~200-seed sweep is marked
 ``slow`` and excluded by the default ``-m "not slow"`` addopts; run it
 with ``pytest tests/test_differential_fuzz.py -m slow``.
 """
@@ -124,10 +119,7 @@ def _run(base, kind: str, workers: int = 5, **overrides):
 
 
 def check_differential(base) -> None:
-    r_sim, a_sim = _run(base, "simulated")
-    r_proc, a_proc = _run(base, "process")
-    assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
-    assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
+    _, a_sim = _run(base, "simulated")
 
     r_sim1, a_sim1 = _run(base, "simulated", workers=1)
     r_ser, a_ser = _run(base, "simulated", workers=1)
@@ -136,7 +128,7 @@ def check_differential(base) -> None:
 
     _, a_thr = _run(base, "threaded")
 
-    for out in (a_sim, a_proc, a_sim1, a_ser, a_thr):
+    for out in (a_sim, a_sim1, a_ser, a_thr):
         check(out)
         assert check_equivalence_auto(base, out).equivalent
 
@@ -181,16 +173,16 @@ def _enum_stage_cuts(base, manager, executor):
 
 
 def _check_against_reference(base, stages, **overrides):
-    """Every deterministic executor's full run against the reference
-    run with ``stages`` substituted; returns the last reference run."""
+    """The simulated executor's full run at 5 workers and at 1 against
+    the reference run with ``stages`` substituted; returns the last
+    reference run."""
     config = dataclasses.replace(dacpara_config(), **overrides)
-    for workers, kinds in ((5, ("simulated", "process")), (1, ("simulated",))):
+    for workers in (5, 1):
         a_ref = copy.deepcopy(base)
         r_ref = reference_rewrite(a_ref, config, workers, stages)
-        for kind in kinds:
-            r_col, a_col = _run(base, kind, workers=workers, **overrides)
-            assert result_fingerprint(r_col) == result_fingerprint(r_ref), kind
-            assert aig_fingerprint(a_col) == aig_fingerprint(a_ref), kind
+        r_col, a_col = _run(base, "simulated", workers=workers, **overrides)
+        assert result_fingerprint(r_col) == result_fingerprint(r_ref)
+        assert aig_fingerprint(a_col) == aig_fingerprint(a_ref)
     return r_ref, a_ref
 
 
@@ -374,8 +366,7 @@ def test_columnar_vs_scalar_smoke(seed):
 
 @pytest.mark.parametrize("seed", (303,))
 def test_columnar_vs_scalar_pool_sized(seed):
-    # Big enough that the process executor genuinely fans the batch
-    # kernels out to pool workers in both modes.
+    # Wide worklists: the batch kernels score hundreds of roots a call.
     check_columnar_differential(mtm_like(num_pis=12, num_nodes=250, seed=seed))
 
 
@@ -386,8 +377,7 @@ def test_columnar_enum_vs_scalar_smoke(seed):
 
 @pytest.mark.parametrize("seed", (303,))
 def test_columnar_enum_vs_scalar_pool_sized(seed):
-    # Big enough that the process executor genuinely fans the merge
-    # worklists out to pool workers in both modes.
+    # Wide worklists: each merge wave is hundreds of tasks.
     check_enum_differential(mtm_like(num_pis=12, num_nodes=250, seed=seed))
 
 
@@ -406,39 +396,6 @@ def test_deep_chain_vs_reference(preserve_level):
         assert check_equivalence_auto(base, out).equivalent
 
 
-def test_closure_waves_cross_the_pool(monkeypatch):
-    monkeypatch.setattr("repro.galois.procpool.MIN_FANOUT", 2)
-    waves = []
-    real_plan = CutManager.plan_closures
-
-    def plan(self, roots):
-        out = real_plan(self, roots)
-        waves.append([len(wave) for wave in out.waves])
-        return out
-
-    monkeypatch.setattr(CutManager, "plan_closures", plan)
-    base = deep_chain_circuit(stages=8)
-    a_ref = copy.deepcopy(base)
-    r_ref = reference_rewrite(a_ref, dacpara_config(), 5, ("enum", "eval"))
-    aig = copy.deepcopy(base)
-    obs = TracingObserver()
-    engine = DACParaRewriter(
-        config=dacpara_config(workers=5).with_executor("process", 2),
-        observer=obs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        r_proc = engine.run(aig)
-    assert result_fingerprint(r_proc) == result_fingerprint(r_ref)
-    assert aig_fingerprint(aig) == aig_fingerprint(a_ref)
-    check(aig)
-    assert check_equivalence_auto(base, aig).equivalent
-    # Levels whose wave 0 went to the pool and whose later waves merged
-    # in-parent on top of it.
-    assert sum(1 for w in waves if len(w) > 1 and w[0] >= 2) >= 10
-    counters = obs.metrics.snapshot()["counters"]
-    assert counters["fanout_payload_bytes_total{dir=back,stage=enum}"] > 0
-
-
 def _cut_cache(cutman):
     aig = cutman.aig
     return {v: cutman._materialize(v)
@@ -447,7 +404,7 @@ def _cut_cache(cutman):
 
 
 @pytest.mark.parametrize("workers,kinds", (
-    (5, ("simulated", "process")), (1, ("simulated",))))
+    (5, ("simulated",)), (1, ("simulated",))))
 def test_closure_cold_cache_restricted_vs_reference(workers, kinds,
                                                     monkeypatch):
     base = deep_chain_circuit(stages=6)
@@ -492,23 +449,26 @@ def test_closure_cold_cache_restricted_vs_reference(workers, kinds,
 
 @pytest.mark.parametrize("seed", (101, 202))
 def test_fuzz_pool_sized(seed):
-    # Large enough that the process executor actually ships snapshots
-    # to the pool (both stages fan out past MIN_FANOUT) instead of
-    # falling back to in-parent execution.
+    # Large enough that the production sharded configuration (seam
+    # rotation + cleanup) ships every pass's shards to the pool instead
+    # of falling back to in-parent execution.
     base = mtm_like(num_pis=12, num_nodes=250, seed=seed)
-    r_sim, a_sim = _run(base, "simulated")
+    r_seq, a_seq = _run_sharded_qor(base, "simulated")
+    assert r_seq.shards >= 2
 
     aig = copy.deepcopy(base)
     obs = TracingObserver()
-    engine = DACParaRewriter(
-        config=dacpara_config(workers=5).with_executor("process", 2),
-        observer=obs,
+    config = dataclasses.replace(
+        dacpara_config(workers=5), shards=4, shard_min_nodes=1,
+        shard_passes=2, boundary_cleanup=True,
     )
+    engine = DACParaRewriter(config=config.with_executor("process", 2),
+                             observer=obs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r_proc = engine.run(aig)
-    assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
-    assert aig_fingerprint(aig) == aig_fingerprint(a_sim)
+    assert result_fingerprint(r_proc) == result_fingerprint(r_seq)
+    assert aig_fingerprint(aig) == aig_fingerprint(a_seq)
     assert check_equivalence_auto(base, aig).equivalent
     shipped = sum(
         value
@@ -516,45 +476,6 @@ def test_fuzz_pool_sized(seed):
         if key.startswith("snapshot_bytes_shipped_total")
     )
     assert shipped > 0  # the pool genuinely ran; not an in-parent pass
-
-
-def test_pool_computed_cut_sets_stay_resident(monkeypatch):
-    # Residency regression: pool-computed sets come back as rows and are
-    # installed as arena rows, so the process run materializes no more
-    # ``Cut`` objects than the simulated one (and, like every entry,
-    # their liveness is a vector compare: the table has no object form).
-    from repro.cuts import manager
-
-    base = mtm_like(num_pis=12, num_nodes=250, seed=101)
-    built = []
-    real_build = manager._build_cuts
-
-    def counting_build(leaves, tt, stamps, sign):
-        built.append(len(tt))
-        return real_build(leaves, tt, stamps, sign)
-
-    monkeypatch.setattr(manager, "_build_cuts", counting_build)
-    r_sim, a_sim = _run(base, "simulated")
-    built_sim = sum(built)
-    del built[:]
-
-    aig = copy.deepcopy(base)
-    obs = TracingObserver()
-    engine = DACParaRewriter(
-        config=dacpara_config(workers=5).with_executor("process", 2),
-        observer=obs,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        r_proc = engine.run(aig)
-    assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
-    assert aig_fingerprint(aig) == aig_fingerprint(a_sim)
-    counters = obs.metrics.snapshot()["counters"]
-    for stage in ("enum", "eval"):  # rows genuinely crossed, both ways
-        for direction in ("out", "back"):
-            key = f"fanout_payload_bytes_total{{dir={direction},stage={stage}}}"
-            assert counters[key] > 0
-    assert sum(built) <= built_sim
 
 
 @pytest.mark.slow

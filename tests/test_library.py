@@ -257,6 +257,7 @@ def test_no_engine_synthesizes_at_run_time():
     packaged table: a fresh interpreter with the generators stubbed to
     raise still finishes all of them."""
     script = """
+import dataclasses
 import warnings
 import repro.library.synthesis as synthesis
 
@@ -271,7 +272,9 @@ from repro.rewrite import LockFusedRewriter, SerialRewriter, StaticRewriter
 warnings.simplefilter("error")  # a silent pool fallback is a bug
 engines = (
     DACParaRewriter(),
-    DACParaRewriter(config=dacpara_config().with_executor("process", jobs=2)),
+    DACParaRewriter(config=dataclasses.replace(
+        dacpara_config().with_executor("process", jobs=2),
+        shards=2, shard_min_nodes=1)),
     SerialRewriter(),
     LockFusedRewriter(),
     StaticRewriter(),

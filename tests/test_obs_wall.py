@@ -344,7 +344,7 @@ class TestExportRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Integration: a real process fan-out populates the timeline
+# Integration: a real shard fan-out populates the timeline
 # without perturbing results
 
 
@@ -357,6 +357,11 @@ def _run(base, kind, config, observer=None):
     return result, aig
 
 
+def _sharded(**over):
+    return dataclasses.replace(
+        dacpara_config(workers=8), shards=4, shard_min_nodes=1, **over)
+
+
 @pytest.fixture(scope="module")
 def base_aig():
     return mtm_like(num_pis=20, num_nodes=500, seed=5)
@@ -364,7 +369,7 @@ def base_aig():
 
 class TestProcessTelemetry:
     def test_worker_tracks_and_byte_identity(self, base_aig):
-        cfg = dacpara_config(workers=8)
+        cfg = _sharded()
         r_sim, a_sim = _run(base_aig, "simulated", cfg)
         obs = TracingObserver()
         r_proc, a_proc = _run(base_aig, "process", cfg, observer=obs)
@@ -396,11 +401,8 @@ class TestProcessTelemetry:
 
     def test_fault_instants_and_flight_dump(self, base_aig, monkeypatch):
         monkeypatch.setattr(faults, "CHUNK_MAX_RETRIES", 1)
-        cfg = dataclasses.replace(
-            dacpara_config(workers=8),
-            fault_plan="raise@eval:0:99",  # poison chunk: retries out
-        )
-        r_sim, a_sim = _run(base_aig, "simulated", dacpara_config(workers=8))
+        cfg = _sharded(fault_plan="raise@shard:0:99")  # poison: retries out
+        r_sim, a_sim = _run(base_aig, "simulated", _sharded())
         obs = TracingObserver()
         r_proc, a_proc = _run(base_aig, "process", cfg, observer=obs)
         assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
@@ -413,8 +415,8 @@ class TestProcessTelemetry:
         obs = TracingObserver()
         buf = io.StringIO()
         obs.progress = ProgressLine(stream=buf, min_interval=0.0, force=True)
-        _run(base_aig, "process", dacpara_config(workers=8), observer=obs)
+        _run(base_aig, "process", _sharded(), observer=obs)
         obs.progress.close()
         assert obs.progress.fields.get("chunks", 0) > 0
-        assert obs.progress.fields.get("stages", 0) > 0
+        assert obs.progress.fields.get("pass", 0) == 1  # the shard pass
         assert "chunks" in buf.getvalue()

@@ -1,15 +1,17 @@
-"""Process-pool executor, AIG snapshots, and the vectorized kernels.
+"""The shard pool, AIG snapshots, and the vectorized kernels.
 
-The headline guarantee under test: ``executor="process"`` is
+The headline guarantees under test: ``executor="process"`` is
 *byte-identical* to ``"simulated"`` — same RewriteResult, same final
-graph, same stats, same metrics — because evaluation costs are
-data-driven and the fan-out merge replays them through the simulated
-scheduler.
+graph, same stats, same metrics — because the level pipeline runs on
+the simulated scheduler either way, and the pool only ever rewrites
+whole shards (:class:`~repro.galois.procpool.ProcessExecutor`), whose
+payloads are pure functions of the graph and the shard.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
 import random
 import subprocess
@@ -19,10 +21,10 @@ import warnings
 import pytest
 
 from repro.aig import AigSnapshot
-from repro.bench import mtm_like, sin_like, voter_like
-from repro.config import RewriteConfig, dacpara_config
+from repro.bench import mem_ctrl_like, mtm_like, sin_like
+from repro.config import RewriteConfig, dacpara_config, iccad18_config
 from repro.core import DACParaRewriter
-from repro.core.operators import StageContext
+from repro.core.partition import plan_regions
 from repro.cuts import CutManager
 from repro.errors import ConfigError
 from repro.galois import (
@@ -31,7 +33,7 @@ from repro.galois import (
     make_executor,
     shipper,
 )
-from repro.galois.procpool import MIN_FANOUT, default_jobs
+from repro.galois.procpool import default_jobs
 from repro.library import get_library
 from repro.npn import (
     canon_lut_ready,
@@ -41,10 +43,11 @@ from repro.npn import (
     npn_canon_exhaustive,
 )
 from repro.obs.observer import TracingObserver
+from repro.rewrite import LockFusedRewriter
 from repro.rewrite.base import best_candidate_over_cuts, find_best_candidate
 
 from conftest import random_aig
-from reference import make_eval_operator, reference_rewrite
+from reference import reference_rewrite
 
 
 def aig_fingerprint(aig):
@@ -144,18 +147,24 @@ def aig_fingerprint_snapshot(snap):
 
 
 class TestCrossExecutorEquivalence:
+    """A sharded run's shards rewritten on the pool are byte-identical
+    to the same sharded run computed sequentially in-parent; the
+    unsharded checks below run the simulated scheduler alone."""
+
     CIRCUITS = [
         lambda: mtm_like(num_pis=24, num_nodes=600, seed=0),
         lambda: mtm_like(num_pis=20, num_nodes=500, seed=5),
         lambda: sin_like(width=8),
-        lambda: voter_like(num_inputs=31),
+        lambda: mem_ctrl_like(),
     ]
 
-    def _run(self, base, kind, workers=8):
+    def _run(self, base, kind, workers=8, shards=1, observer=None):
         aig = copy.deepcopy(base)
-        engine = DACParaRewriter(
-            config=dacpara_config(workers=workers).with_executor(kind, 2)
+        config = dataclasses.replace(
+            dacpara_config(workers=workers).with_executor(kind, 2),
+            shards=shards, shard_min_nodes=1,
         )
+        engine = DACParaRewriter(config=config, observer=observer)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a silent pool fallback is a bug
             result = engine.run(aig)
@@ -164,20 +173,17 @@ class TestCrossExecutorEquivalence:
     @pytest.mark.parametrize("idx", range(len(CIRCUITS)))
     def test_process_byte_identical_to_simulated(self, idx):
         base = self.CIRCUITS[idx]()
-        r_sim, a_sim, e_sim = self._run(base, "simulated")
-        r_proc, a_proc, e_proc = self._run(base, "process")
+        r_sim, a_sim, e_sim = self._run(base, "simulated", shards=4)
+        r_proc, a_proc, e_proc = self._run(base, "process", shards=4)
+        assert r_proc.shards >= 2
         assert result_fingerprint(r_sim) == result_fingerprint(r_proc)
         assert aig_fingerprint(a_sim) == aig_fingerprint(a_proc)
-        sim_stages = e_sim.last_stats.stages
-        proc_stages = e_proc.last_stats.stages
-        assert len(sim_stages) == len(proc_stages)
-        for a, b in zip(sim_stages, proc_stages):
-            assert (a.name, a.activities, a.committed, a.conflicts,
-                    a.useful_units, a.aborted_units, a.start_time,
-                    a.end_time) == \
-                   (b.name, b.activities, b.committed, b.conflicts,
-                    b.useful_units, b.aborted_units, b.start_time,
-                    b.end_time)
+
+        def merge_counts(engine):
+            stats = engine.last_shard_stats
+            return {f: getattr(stats, f) for f in stats.__slots__}
+
+        assert merge_counts(e_sim) == merge_counts(e_proc)
 
     def test_attempted_counts_every_worklist(self):
         # Regression: attempted used to report the last worklist only
@@ -186,11 +192,9 @@ class TestCrossExecutorEquivalence:
         # live node of the first pass is evaluated once.
         base = mtm_like(num_pis=24, num_nodes=600, seed=0)
         r_sim, _, _ = self._run(base, "simulated")
-        r_proc, _, _ = self._run(base, "process")
         assert r_sim.replacements > 0 and r_sim.delay_before > 1
         assert r_sim.attempted >= r_sim.replacements + r_sim.validation_failures
         assert r_sim.attempted >= r_sim.area_after
-        assert r_sim.attempted == r_proc.attempted
 
     def test_serial_same_quality_and_equivalent_graph(self):
         from repro.sat import check_equivalence_auto
@@ -216,129 +220,35 @@ class TestCrossExecutorEquivalence:
         base = mtm_like(num_pis=24, num_nodes=600, seed=1)
 
         def run(kind):
-            aig = copy.deepcopy(base)
             obs = TracingObserver()
-            engine = DACParaRewriter(
-                config=dacpara_config(workers=8).with_executor(kind, 2),
-                observer=obs,
-            )
-            engine.run(aig)
+            self._run(base, kind, shards=4, observer=obs)
             return obs.metrics.snapshot()
 
         snap_sim = run("simulated")
         snap_proc = run("process")
-        # The truth-table expand memo serves only the scalar oracle;
-        # everything data-driven must match.
-        memo_counters = {
-            "cut_tt_cache_hits_total", "cut_tt_cache_misses_total",
-            "cut_expand_cache_evictions_total",
-        }
-        proc_only_counters = (
-            "snapshot_bytes_shipped_total",
-            "fanout_payload_bytes_total",
-            "worker_snapshot_cache_",
-        )
-
-        def split(counters):
-            keep, extra = {}, {}
-            for key, value in counters.items():
-                name = key.split("{")[0]
-                if name in memo_counters or name.startswith(proc_only_counters):
-                    extra[key] = value
-                else:
-                    keep[key] = value
-            return keep, extra
-
-        sim_keep, sim_extra = split(snap_sim["counters"])
-        proc_keep, proc_extra = split(snap_proc["counters"])
-        # One kernel invocation per wave in-process, per chunk under the
-        # pool's fan-out: both count, the counts differ (``batch_shape``).
-        assert sim_keep.pop("enum_kernel_calls_total") > 0
-        assert proc_keep.pop("enum_kernel_calls_total") > 0
-        assert sim_keep == proc_keep
-        # The simulated run must not emit any process-only counters.
-        assert all(k.split("{")[0] in memo_counters for k in sim_extra)
-        proc_only = {
-            "eval_fanout_wall_seconds", "enum_fanout_wall_seconds",
-            "snapshot_bytes", "snapshot_delta_ratio",
-            "chunk_wall_seconds",  # wall-clock telemetry: physical only
-        }
-        # Batch-engine telemetry both engines emit but whose values
-        # legitimately differ: kernel seconds are wall-clock, and the
-        # batch size is one whole worklist in-process versus one chunk
-        # per observation under the pool's fan-out.
-        batch_shape = {
-            "eval_kernel_seconds", "eval_batch_size",
-            "enum_kernel_seconds", "enum_batch_size",
-        }
-        shared = set(snap_sim["histograms"]) & set(snap_proc["histograms"])
-        assert set(snap_sim["histograms"]) - set(snap_proc["histograms"]) == set()
+        # Shipping and shard-run counts are the pool's alone; every
+        # other counter is data.
+        pool_only = ("snapshot_bytes_shipped_total", "worker_snapshot_cache_",
+                     "shard_runs_total")
+        proc_counters = {k: v for k, v in snap_proc["counters"].items()
+                         if not k.startswith(pool_only)}
+        assert len(proc_counters) < len(snap_proc["counters"])
+        assert snap_sim["counters"] == proc_counters
+        proc_only = {"snapshot_bytes", "snapshot_delta_ratio",
+                     "shard_fanout_wall_seconds", "chunk_wall_seconds"}
         extras = set(snap_proc["histograms"]) - set(snap_sim["histograms"])
+        assert set(snap_sim["histograms"]) <= set(snap_proc["histograms"])
         assert {e.split("{")[0] for e in extras} <= proc_only
-        for name in shared:
-            if name.split("{")[0] in batch_shape:
-                continue
-            assert snap_sim["histograms"][name] == snap_proc["histograms"][name]
+        # Kernel and shard seconds are wall-clock; every other value is
+        # data.
+        wall_clock = {"eval_kernel_seconds", "enum_kernel_seconds",
+                      "shard_wall_seconds"}
+        for name, hist in snap_sim["histograms"].items():
+            if name.split("{")[0] not in wall_clock:
+                assert snap_proc["histograms"][name] == hist
 
 
 class TestProcessExecutor:
-    def test_small_worklist_stays_in_parent(self):
-        aig = random_aig(num_pis=6, num_nodes=60, num_pos=4, seed=3)
-        live = [v for v in aig.topo_ands()][: MIN_FANOUT - 1]
-        cutman = CutManager(aig, k=4, max_cuts=12)
-        for root in live:
-            cutman.fresh_cuts(root)
-        ctx = StageContext(
-            aig=aig, cutman=cutman, library=get_library(),
-            config=dacpara_config(),
-        )
-        ex = ProcessExecutor(4, jobs=2)
-        try:
-            ex.run_eval("eval", live, ctx)
-            assert ex.snapshot_bytes_total == 0  # no fan-out happened
-            assert ex._pool is None  # pool never even created
-        finally:
-            ex.close()
-
-    def test_in_parent_fallback_matches_eval_operator(self):
-        aig = mtm_like(num_pis=16, num_nodes=200, seed=8)
-        live = aig.topo_ands()
-        config = dacpara_config(workers=4)
-
-        def eval_stage(executor_factory, native):
-            a = copy.deepcopy(aig)
-            cutman = CutManager(a, k=4, max_cuts=12)
-            for root in a.topo_ands():
-                cutman.fresh_cuts(root)
-            ctx = StageContext(
-                aig=a, cutman=cutman, library=get_library(), config=config
-            )
-            ex = executor_factory()
-            try:
-                if native:
-                    stage = ex.run_eval("eval", a.topo_ands(), ctx)
-                else:
-                    stage = ex.run("eval", a.topo_ands(), make_eval_operator(ctx))
-            finally:
-                ex.close()
-            stored = {
-                v: ctx.prep_info.get(v)
-                for v in a.topo_ands()
-                if ctx.prep_info.get(v) is not None
-            }
-            return stage, {v: (c.gain, c.canon_tt) for v, c in stored.items()}
-
-        def broken_pool():
-            ex = ProcessExecutor(4, jobs=2)
-            ex._pool_broken = True  # force the in-parent path
-            return ex
-
-        s_sim, cand_sim = eval_stage(lambda: SimulatedExecutor(4), native=False)
-        s_par, cand_par = eval_stage(broken_pool, native=True)
-        assert cand_sim == cand_par
-        assert (s_sim.useful_units, s_sim.end_time) == \
-               (s_par.useful_units, s_par.end_time)
-
     def test_jobs_validation_and_default(self):
         assert default_jobs() >= 1
         ex = ProcessExecutor(2)
@@ -348,92 +258,120 @@ class TestProcessExecutor:
             ProcessExecutor(2, jobs=0)
 
     def test_factory_and_close_idempotent(self):
-        ex = make_executor("process", 4, jobs=1)
+        ex = make_executor("process", 4)
         assert isinstance(ex, ProcessExecutor)
+        assert isinstance(ex, SimulatedExecutor)
+        assert ex.workers == 4
         ex.close()
         ex.close()
+
+    def test_the_pool_runs_shards_only(self, monkeypatch):
+        # The level stages are the simulated scheduler's: no pool ever
+        # starts for them, and a process run of a level pipeline (either
+        # engine) says it is single-core instead of quietly ignoring
+        # ``jobs``.
+        assert ProcessExecutor.run_enum is SimulatedExecutor.run_enum
+        assert ProcessExecutor.run_eval is SimulatedExecutor.run_eval
+        started = []
+        real_ensure = ProcessExecutor._ensure_pool
+
+        def ensure(self):
+            started.append(self)
+            return real_ensure(self)
+
+        monkeypatch.setattr(ProcessExecutor, "_ensure_pool", ensure)
+        base = mtm_like(num_pis=12, num_nodes=250, seed=404)
+
+        def run(kind, shards, engine=DACParaRewriter, preset=dacpara_config):
+            config = dataclasses.replace(
+                preset(workers=4).with_executor(kind, 2),
+                shards=shards, shard_min_nodes=1)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                aig = copy.deepcopy(base)
+                result = engine(config=config).run(aig)
+            return result, aig, [str(w.message) for w in caught]
+
+        r_one, a_one, said = run("process", 1)
+        assert started == [] and r_one.shards == 0
+        assert len(said) == 1 and "jobs is unused" in said[0]
+        _, _, said = run("process", 1, LockFusedRewriter, iccad18_config)
+        assert started == []
+        assert len(said) == 1 and "jobs is unused" in said[0]
+        r_sim, a_sim, quiet = run("simulated", 1)
+        assert quiet == []
+        assert result_fingerprint(r_one) == result_fingerprint(r_sim)
+        assert aig_fingerprint(a_one) == aig_fingerprint(a_sim)
+
+        r_four, _, quiet = run("process", 4)
+        assert quiet == [] and r_four.shards == 4
+        assert len(set(started)) == 1
+        assert started[0].snapshot_bytes_total > 0
 
     def test_custom_library_uses_generic_path(self):
         # Pool workers rebuild the lookup via get_library(), so a custom
-        # library keeps eval scoring in-process against ctx.library —
-        # loudly, once per run — while enum (which needs no library)
-        # still fans out.
-        import dataclasses
-
+        # library keeps a sharded run's shards in-parent, rewritten
+        # against the caller's library — quietly, since nothing
+        # degraded: the result is the sequential sharded run's.
         from repro.library import StructureLibrary
 
         aig = mtm_like(num_pis=12, num_nodes=250, seed=9)
         library = StructureLibrary()
         config = dacpara_config(workers=5)
 
-        def run(kind):
+        def run(kind, shards):
             a = copy.deepcopy(aig)
             obs = TracingObserver()
             engine = DACParaRewriter(
-                config=config.with_executor(kind, 2), library=library,
-                observer=obs,
+                config=dataclasses.replace(
+                    config.with_executor(kind, 2), shards=shards,
+                    shard_min_nodes=1),
+                library=library, observer=obs,
             )
-            result = engine.run(a)
-            return result, a, engine, obs.metrics.snapshot()["counters"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = engine.run(a)
+            return result, a, obs.metrics.snapshot()["counters"]
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            r_proc, a_proc, e_proc, counters = run("process")
-        msgs = [str(w.message) for w in caught
-                if issubclass(w.category, RuntimeWarning)]
-        assert len(msgs) == 1 and "default structure library" in msgs[0]
-        shipped = {
-            stage: sum(v for k, v in counters.items()
-                       if k.startswith("snapshot_bytes_shipped_total")
-                       and f"stage={stage}" in k)
-            for stage in ("enum", "eval")
-        }
-        assert shipped["enum"] > 0 and shipped["eval"] == 0
-
-        r_sim, a_sim, e_sim, _ = run("simulated")
+        r_proc, a_proc, counters = run("process", 4)
+        assert r_proc.shards >= 2
+        assert not any(k.startswith("snapshot_bytes_shipped_total")
+                       for k in counters)
+        r_sim, a_sim, _ = run("simulated", 4)
         assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
         assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
-        assert [dataclasses.replace(s, wall_seconds=0.0)
-                for s in e_proc.last_stats.stages] == \
-               [dataclasses.replace(s, wall_seconds=0.0)
-                for s in e_sim.last_stats.stages]
+
+        r_one, a_one, _ = run("simulated", 1)
         a_ref = copy.deepcopy(aig)
         r_ref = reference_rewrite(a_ref, config, 5, library=library)
-        assert result_fingerprint(r_proc) == result_fingerprint(r_ref)
-        assert aig_fingerprint(a_proc) == aig_fingerprint(a_ref)
-
-        def eval_stage_prep(executor):
-            cutman = CutManager(aig, k=4, max_cuts=12)
-            live = aig.topo_ands()
-            for root in live:
-                cutman.fresh_cuts(root)
-            ctx = StageContext(
-                aig=aig, cutman=cutman, library=library, config=config)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    executor.run_eval("eval", live, ctx)
-            finally:
-                executor.close()
-            return {v: ctx.prep_info.get(v) for v in live}
-
-        assert eval_stage_prep(ProcessExecutor(5, jobs=2)) == \
-            eval_stage_prep(SimulatedExecutor(5))
+        assert result_fingerprint(r_one) == result_fingerprint(r_ref)
+        assert aig_fingerprint(a_one) == aig_fingerprint(a_ref)
 
 
-class TestEnumFanout:
-    """Process-parallel cut enumeration: byte-identity under every
-    shipping configuration, plus the worker-cache refill path."""
+def _payload_key(triple):
+    """A shard payload without its wall-clock field."""
+    index, payload, units = triple
+    return (index, payload["ok"], payload["nodes"], payload["outs"],
+            payload["counters"], units)
+
+
+class TestShardShipping:
+    """How the graph reaches the shard workers: the first pass ships a
+    full capture, later seam-rotation passes a delta against the base
+    the workers cache (a full recapture once the delta is too large),
+    and a fresh worker that misses its base is refilled."""
 
     BASE = staticmethod(lambda: mtm_like(num_pis=20, num_nodes=500, seed=5))
 
-    def _run_engine(self, base, kind, config=None):
+    def _run_engine(self, base, kind):
         aig = copy.deepcopy(base)
         obs = TracingObserver()
-        engine = DACParaRewriter(
-            config=(config or dacpara_config(workers=8)).with_executor(kind, 2),
-            observer=obs,
+        config = dataclasses.replace(
+            dacpara_config(workers=8), shards=4, shard_min_nodes=1,
+            shard_passes=3,
         )
+        engine = DACParaRewriter(config=config.with_executor(kind, 2),
+                                 observer=obs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = engine.run(aig)
@@ -456,13 +394,14 @@ class TestEnumFanout:
         assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
         assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
         shipped = self._shipped_by_kind(metrics)
-        # fraction 0.0 forbids deltas: every mutated stage recaptures in
-        # full, unmutated stages still reuse the worker-cached base.
+        # fraction 0.0 forbids deltas: every pass after a splice
+        # recaptures in full.
         assert shipped.get("delta", 0) == 0
         assert shipped.get("full", 0) > 0
 
     def test_default_run_uses_deltas(self):
-        _, _, metrics = self._run_engine(self.BASE(), "process")
+        r_proc, _, metrics = self._run_engine(self.BASE(), "process")
+        assert r_proc.shard_passes == 3
         shipped = self._shipped_by_kind(metrics)
         assert shipped.get("delta", 0) > 0
         assert any(
@@ -471,62 +410,46 @@ class TestEnumFanout:
         )
 
     def test_worker_cache_refill_after_pool_restart(self):
-        aig = mtm_like(num_pis=16, num_nodes=300, seed=21)
+        aig = self.BASE()
         config = dacpara_config(workers=4)
-
-        def prepped_ctx(a):
-            cutman = CutManager(a, k=4, max_cuts=12)
-            for root in a.topo_ands():
-                cutman.fresh_cuts(root)
-            return StageContext(
-                aig=a, cutman=cutman, library=get_library(), config=config
-            )
-
-        a_proc = copy.deepcopy(aig)
-        ctx = prepped_ctx(a_proc)
+        plan, _ = plan_regions(aig, 4, 1, rotation=0, max_cuts=12)
+        tasks = [(shard.index, shard) for shard in plan.shards]
         ex = ProcessExecutor(4, jobs=2)
         try:
-            ex.run_eval("eval", a_proc.topo_ands(), ctx)
+            first = ex.run_shards(aig, tasks, config)
             assert ex.cache_refills == 0
             # Kill the pool: the replacement's fresh workers have never
-            # seen this run's base snapshot, so the "cached" refs the
+            # seen this run's base snapshot, so the "cached" ref the
             # shipper sends next must miss and trigger refills.
             ex._pool.shutdown(wait=True, cancel_futures=True)
             ex._pool = None
-            ex.run_eval("eval", a_proc.topo_ands(), ctx)
+            second = ex.run_shards(aig, tasks, config)
             assert ex.cache_refills > 0
             assert ex.shipped_bytes.get("refill", 0) > 0
             # A refill is neither a retry nor a fallback.
             assert ex.chunk_retries == 0 and ex.chunk_fallbacks == 0
         finally:
             ex.close()
-        # The refilled pass still computes the exact same candidates.
-        a_ref = copy.deepcopy(aig)
-        ctx_ref = prepped_ctx(a_ref)
-        sim = SimulatedExecutor(4)
-        sim.run("eval", a_ref.topo_ands(), make_eval_operator(ctx_ref))
-        got = {v: ctx.prep_info.get(v) for v in a_proc.topo_ands()}
-        want = {v: ctx_ref.prep_info.get(v) for v in a_ref.topo_ands()}
-        assert {v: c and (c.gain, c.canon_tt) for v, c in got.items()} == \
-               {v: c and (c.gain, c.canon_tt) for v, c in want.items()}
+        # The refilled pass computes the exact same payloads.
+        assert sorted(map(_payload_key, second)) == \
+            sorted(map(_payload_key, first))
 
 
 def test_process_runs_never_load_shared_memory():
-    """One base hand-off: a whole process run — per-level and sharded —
-    finishes without ``multiprocessing.shared_memory`` ever imported."""
+    """One base hand-off: a whole sharded process run finishes without
+    ``multiprocessing.shared_memory`` ever imported."""
     script = """
 import dataclasses, sys, warnings
 from repro.bench import mtm_like
 from repro.config import dacpara_config
 from repro.core import DACParaRewriter
 warnings.simplefilter("error")  # a silent pool fallback is a bug
-for shards in (1, 2):
-    config = dataclasses.replace(
-        dacpara_config(workers=4), executor="process", jobs=2,
-        shards=shards, shard_min_nodes=1)
-    result = DACParaRewriter(config=config).run(
-        mtm_like(num_pis=12, num_nodes=250, seed=404))
-    assert result.replacements > 0 and result.shards == (shards > 1) * shards
+config = dataclasses.replace(
+    dacpara_config(workers=4), executor="process", jobs=2,
+    shards=2, shard_min_nodes=1, shard_passes=2)
+result = DACParaRewriter(config=config).run(
+    mtm_like(num_pis=12, num_nodes=250, seed=404))
+assert result.replacements > 0 and result.shards == 2
 assert "multiprocessing.shared_memory" not in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", script],
