@@ -23,17 +23,12 @@ from .simulate import (
     simulate_pattern,
 )
 from .io_aiger import read_aiger, write_aag, write_aig
-from .snapshot import (
-    AigSnapshot,
-    SnapshotDelta,
-    capture_delta,
-)
+from .snapshot import AigSnapshot, SnapshotDelta
 
 __all__ = [
     "Aig",
     "AigSnapshot",
     "SnapshotDelta",
-    "capture_delta",
     "KIND_AND",
     "KIND_CONST",
     "KIND_DEAD",

@@ -96,16 +96,16 @@ class Aig:
         self.generation = 0
         self.name = ""
 
-        # Mutation journal: every change to a node's snapshot-visible
-        # state (kind/fanins/nref/level/stamp/life) appends the var id.
+        # Mutation journal: every change to a node's state
+        # (kind/fanins/nref/level/stamp/life) appends the var id.
         # A level change is journaled when it is *settled*, not when the
-        # redirect that caused it happens; snapshot capture settles
-        # first, so equal epochs still mean equal snapshot content.
+        # redirect that caused it happens.
         # ``mutation_epoch`` is the monotonic length of this journal
         # (plus a base offset so epochs survive trims and copies);
         # ``dirty_since(epoch)`` answers "which vars changed" in
         # O(changes), which is what makes incremental snapshot deltas
-        # cheap on deep circuits (see :mod:`repro.aig.snapshot`).
+        # (see :mod:`repro.aig.snapshot`) and the cut cache's graph
+        # mirrors cheap on deep circuits.
         self._mutation_log: List[int] = []
         self._epoch_base = 0
 
@@ -212,14 +212,14 @@ class Aig:
 
     @property
     def mutation_epoch(self) -> int:
-        """Monotonic mutation counter: bumps on every change to any
-        node's snapshot-visible state.  Equal epochs guarantee equal
-        snapshot content; the counter never decreases, not even across
-        :meth:`copy` or :meth:`trim_mutation_log`."""
+        """Monotonic mutation counter: bumps on every journaled change
+        to any node's state (equal epochs: nothing journaled between);
+        the counter never decreases, not even across :meth:`copy` or
+        :meth:`trim_mutation_log`."""
         return self._epoch_base + len(self._mutation_log)
 
     def dirty_since(self, epoch: int) -> Optional[Set[int]]:
-        """Vars whose snapshot-visible state changed after ``epoch``.
+        """Vars whose journaled state changed after ``epoch``.
 
         Returns ``None`` when ``epoch`` predates the retained journal
         (after a trim or a copy) — the caller must fall back to a full

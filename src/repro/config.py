@@ -30,9 +30,9 @@ class RewriteConfig:
     preserve_level: bool = False
     workers: int = 1
     # Execution backend: 'simulated' (deterministic instrument;
-    # workers=1 is the serial timing reference), 'threaded', or
-    # 'process': shards (``shards`` > 1) are rewritten on a pool of OS
-    # processes; the level pipeline always runs simulated in-process.
+    # workers=1 is the serial timing reference) or 'process': shards
+    # (``shards`` > 1) are rewritten on a pool of OS processes; the
+    # level pipeline always runs simulated in-process.
     executor: str = "simulated"
     # OS worker processes for the shard pool; None = core count.
     # Independent of ``workers`` (the logical parallelism model).
@@ -44,7 +44,7 @@ class RewriteConfig:
     chunk_timeout_seconds: Optional[float] = 300.0
     # Fault-injection plan for the chaos tests: entries
     # "mode@stage:chunk[:fires]" (mode = kill/hang/raise/corrupt)
-    # separated by "," or ";"; None falls back to $REPRO_FAULT_PLAN.
+    # separated by "," or ";"; None injects nothing.
     fault_plan: Optional[str] = None
     # Shard-parallel rewriting: split the graph into up to this many
     # TFI/TFO-disjoint PO-cone regions and run the *whole* pipeline per

@@ -13,11 +13,9 @@ central idea:
 * **replacement** — validates the stored result against the latest
   graph, then holds locks only for the short splice-in.
 
-Shared mutable state lives in :class:`StageContext`; executors
-guarantee that generator resumptions are serialized (simulated
-executor: activities run atomically at pop; threaded executor: a
-global commit mutex wraps every resumption), so plain Python
-containers are safe here.
+Shared mutable state lives in :class:`StageContext`; the simulated
+scheduler runs each activity atomically at pop, so generator
+resumptions are serialized and plain Python containers are safe here.
 """
 
 from __future__ import annotations

@@ -101,10 +101,6 @@ class ShardPlan:
     po_groups: Tuple[int, ...] = ()
     rotation: int = 0
 
-    @property
-    def total_owned(self) -> int:
-        return sum(len(s.owned) for s in self.shards)
-
 
 def merge_work_estimates(aig: Aig, max_cuts: int = 12) -> Dict[int, int]:
     """Per-node merge-work proxy: estimated cut-pair products.

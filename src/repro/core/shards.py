@@ -149,7 +149,7 @@ def rewrite_shard(src, shard: Shard, config) -> dict:
 
     Runs identically against the live graph (sequential in-process
     mode, fault fallback) or a snapshot (pool worker): the sub-AIG
-    build reads only fanins and levels, and the rewrite inside is
+    build reads only fanins, and the rewrite inside is
     deterministic, so every path produces the same payload bytes.
     ``ok`` records the worker-side pre/post simulation-signature
     check — a guard the merge validation refuses to splice without.

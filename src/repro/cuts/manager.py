@@ -142,11 +142,6 @@ class EnumPlan:
         self.epoch: Optional[int] = None
         self.per_root = 0
 
-    def tasks_of(self, roots) -> "np.ndarray":
-        """The tasks merging ``roots`` (each var is planned once)."""
-        order = np.argsort(self.var)
-        return order[np.searchsorted(self.var, roots, sorter=order)]
-
 
 class CutColumns(NamedTuple):
     """The eval stage's resident task table: ``counts[i]`` consecutive
@@ -416,7 +411,7 @@ class CutManager:
         drop the entries of vars that died (never resolved again; a
         recycled id mismatches on stamp)."""
         aig = self.aig
-        epoch = getattr(aig, "mutation_epoch", 0)  # snapshots never mutate
+        epoch = aig.mutation_epoch
         if epoch == self._epoch:
             return
         life, kind = aig._life, aig._kind

@@ -61,7 +61,7 @@ ENGINE_FACTORIES: Dict[str, Callable[..., object]] = {
 
 def make_engine(name: str, workers: Optional[int] = None, observer=None):
     """Instantiate an engine by table name; ``observer`` (an
-    :class:`repro.obs.Observer`) is threaded into the engine and its
+    :class:`repro.obs.Observer`) is passed to the engine and its
     executor so one flag can trace any engine in the matrix."""
     if name not in ENGINE_FACTORIES:
         raise KeyError(f"unknown engine {name!r}; have {sorted(ENGINE_FACTORIES)}")

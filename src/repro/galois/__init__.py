@@ -1,6 +1,6 @@
 """Galois-like parallel runtime: cautious operators, exclusive locks,
-abort-and-retry, simulated and threaded executors, and the process pool
-that runs shards."""
+abort-and-retry on the simulated scheduler, and the process pool that
+runs shards."""
 
 import warnings
 
@@ -8,9 +8,8 @@ from .activity import Operator, Phase
 from .procpool import ProcessExecutor, default_jobs
 from .simsched import SimulatedExecutor
 from .stats import ExecutionStats, StageStats
-from .threaded import ThreadedExecutor
 
-EXECUTOR_KINDS = ("simulated", "threaded", "process")
+EXECUTOR_KINDS = ("simulated", "process")
 
 __all__ = [
     "Operator",
@@ -19,7 +18,6 @@ __all__ = [
     "SimulatedExecutor",
     "ExecutionStats",
     "StageStats",
-    "ThreadedExecutor",
     "EXECUTOR_KINDS",
     "default_jobs",
     "warn_unused_jobs",
@@ -27,14 +25,12 @@ __all__ = [
 
 
 def make_executor(kind: str, workers: int, observer=None):
-    """The level pipeline's executor: ``'simulated'``, ``'threaded'``
-    or ``'process'``.  The process executor runs level stages on its
-    simulated scheduler; its pool only ever rewrites whole shards (the
-    sharded top level builds that one with the run's ``jobs``)."""
+    """The level pipeline's executor: ``'simulated'`` or ``'process'``.
+    The process executor runs level stages on its simulated scheduler;
+    its pool only ever rewrites whole shards (the sharded top level
+    builds that one with the run's ``jobs``)."""
     if kind == "simulated":
         return SimulatedExecutor(workers, observer=observer)
-    if kind == "threaded":
-        return ThreadedExecutor(workers, observer=observer)
     if kind == "process":
         return ProcessExecutor(workers, observer=observer)
     raise ValueError(f"unknown executor kind {kind!r}")

@@ -8,16 +8,16 @@ up to :data:`POOL_RESTART_BUDGET` times per run.  The one value that must scale 
 per-chunk deadline — is ``RewriteConfig.chunk_timeout_seconds``.
 :mod:`repro.galois.procpool` reads every constant at call time.
 
-For testing those paths there is a fault-injection hook: the
-``REPRO_FAULT_PLAN`` environment variable (or ``config.fault_plan``)
-holds entries ``mode@stage:chunk[:fires]`` separated by ``,`` or
-``;``, where ``mode`` is one of ``kill`` (SIGKILL the worker),
-``hang`` (sleep past any deadline), ``raise`` (raise
+For testing those paths there is a fault-injection hook:
+``RewriteConfig.fault_plan`` holds entries ``mode@stage:chunk[:fires]``
+separated by ``,`` or ``;``, where ``mode`` is one of ``kill`` (SIGKILL
+the worker), ``hang`` (sleep past any deadline), ``raise`` (raise
 :class:`InjectedFault`) or ``corrupt`` (return a mangled result),
 ``stage``/``chunk`` select the fan-out coordinates (the pool's one
 stage is ``shard``; ``*`` matches any), and ``fires`` bounds how many
-submissions trigger it (default 1).  The directive is armed by the parent per submission and executed
-worker-side, so retries of an already-fired coordinate run clean.
+submissions trigger it (default 1).  The directive is armed by the
+parent per submission and executed worker-side, so retries of an
+already-fired coordinate run clean.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class InjectedFault(RuntimeError):
 
 
 class FaultPlan:
-    """Parsed ``REPRO_FAULT_PLAN`` / ``config.fault_plan`` directives.
+    """Parsed ``config.fault_plan`` directives.
 
     Entries are ``mode@stage:chunk[:fires]``; :meth:`arm` is called by
     the parent for every chunk submission and consumes one fire from

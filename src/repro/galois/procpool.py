@@ -39,11 +39,10 @@ on the pool's quarantine list, while every other shard still completes
 on worker cores.  A dead pool (``BrokenProcessPool``) is restarted a
 bounded number of times instead of being abandoned for the rest of the
 run.  The policy's constants and the fault-injection hook that tests it
-(``REPRO_FAULT_PLAN`` / ``config.fault_plan``) live in
-:mod:`repro.galois.faults`.  Because every recovery path reproduces the
-exact payload a healthy worker would have returned, a sharded process
-run stays byte-identical to the sequential sharded run under any
-combination of faults.
+(``config.fault_plan``) live in :mod:`repro.galois.faults`.  Because
+every recovery path reproduces the exact payload a healthy worker would
+have returned, a sharded process run stays byte-identical to the
+sequential sharded run under any combination of faults.
 
 Observability is wall-clock and side-channel only: when the attached
 observer carries a ``wall`` timeline, every chunk carries a
@@ -409,7 +408,7 @@ class ProcessExecutor(SimulatedExecutor):
                       kind=kind)
 
     def _get_fault_plan(self, config) -> Optional[faults.FaultPlan]:
-        spec = config.fault_plan or os.environ.get("REPRO_FAULT_PLAN")
+        spec = config.fault_plan
         if spec != self._fault_plan_spec:
             self._fault_plan_spec = spec
             self._fault_plan = faults.FaultPlan.parse(spec)

@@ -4,12 +4,12 @@ A stage ref is the picklable tuple
 ``(run_id, base_epoch, stage_epoch, base_blob, delta_blob)`` that rides
 every chunk of a shard fan-out (one per seam-rotation pass).  The
 parent side (:class:`_SnapshotShipper`) decides per pass what goes in
-it; the worker side
-(:func:`_resolve_snapshot`) turns it back into an
-:class:`~repro.aig.snapshot.AigSnapshot` through a per-run base cache.
-There is one base hand-off: the base snapshot's pickle, shipped on the
-stage that captures it and assumed cached afterwards — a worker that
-does not hold it (fresh after a pool restart, evicted) answers
+it; the worker side (:func:`_resolve_snapshot`) turns it back into an
+:class:`~repro.aig.snapshot.AigSnapshot` — the graph's node kinds and
+fanin columns, all a shard rebuild reads — through a per-run base
+cache.  There is one base hand-off: the base snapshot's pickle, shipped
+on the stage that captures it and assumed cached afterwards — a worker
+that does not hold it (fresh after a pool restart, evicted) answers
 :class:`SnapshotCacheMiss` and the parent resubmits that chunk
 self-contained (:meth:`_SnapshotShipper.refill_ref`).
 """
@@ -41,7 +41,9 @@ def needs_rebase(aig, base_epoch: int) -> bool:
     """The rebase rule: a delta against ``base_epoch`` is impossible
     (the journal no longer reaches it) or touches more than
     :data:`DELTA_MAX_FRACTION` of the node slots.  Pending levels are
-    settled first, so the count is the one ``capture_delta`` will see."""
+    settled first (a settled level is journaled), so the rule and the
+    epochs the shipper records do not depend on which levels the run
+    happened to read since the last hand-off."""
     aig.settle_levels()
     dirty = aig.dirty_since(base_epoch)
     return dirty is None or len(dirty) > DELTA_MAX_FRACTION * max(1, aig.size)

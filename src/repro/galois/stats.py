@@ -19,9 +19,8 @@ class StageStats:
     aborted_units: int = 0
     start_time: int = 0
     end_time: int = 0
-    # Real elapsed seconds for the stage.  Zero on the simulated
-    # executors (their timeline is work units); the process executor
-    # fills it in so profiles can put wall-clock next to work units.
+    # Real elapsed seconds for the stage (the timeline is work units),
+    # so profiles can put wall-clock next to work units.
     wall_seconds: float = 0.0
 
     @property
@@ -59,14 +58,6 @@ class ExecutionStats:
     @property
     def total_conflicts(self) -> int:
         return sum(s.conflicts for s in self.stages)
-
-    @property
-    def total_retries(self) -> int:
-        return sum(s.retries for s in self.stages)
-
-    @property
-    def total_wall_seconds(self) -> float:
-        return sum(s.wall_seconds for s in self.stages)
 
     def units_by_stage_name(self) -> Dict[str, int]:
         out: Dict[str, int] = {}

@@ -163,11 +163,3 @@ def _garbage_collect(structure: Structure) -> Structure:
     out_var = structure.out >> 1
     new_out = (remap.get(out_var, out_var) << 1) | (structure.out & 1)
     return Structure(nodes=tuple(new_nodes), out=new_out)
-
-
-def import_and_merge(base: StructureBuilder, a: Structure, b: Structure,
-                     compl_a: bool, compl_b: bool) -> int:
-    """AND of two structures inside ``base`` with full sharing."""
-    la = base.import_structure(a) ^ int(compl_a)
-    lb = base.import_structure(b) ^ int(compl_b)
-    return base.and_(la, lb)

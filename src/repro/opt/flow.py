@@ -36,10 +36,6 @@ class FlowResult:
     steps: List[FlowStep] = field(default_factory=list)
 
     @property
-    def area_trace(self) -> List[int]:
-        return [s.area for s in self.steps]
-
-    @property
     def final(self) -> FlowStep:
         return self.steps[-1]
 

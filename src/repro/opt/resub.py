@@ -15,7 +15,6 @@ shrink the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..aig import Aig, mffc
@@ -25,15 +24,6 @@ from ..rewrite.result import RewriteResult
 from .refactor import cone_truth_table, reconvergence_cut
 
 DEFAULT_MAX_DIVISORS = 24
-
-
-@dataclass
-class ResubMove:
-    """A discovered resubstitution."""
-
-    kind: str          # '0-resub' | '1-resub'
-    new_lit: int       # literal to splice (for 0-resub)
-    gain: int
 
 
 class ResubEngine:

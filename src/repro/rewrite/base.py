@@ -262,9 +262,7 @@ def best_candidate_over_cuts(
     """Best replacement for ``root`` over an explicit cut list.
 
     The cut list is whatever the enumeration stage produced; ``aig``
-    only needs the read-only surface (fanins, refs, levels, strash
-    probes), so this also runs against an :class:`~repro.aig.snapshot.
-    AigSnapshot` inside process-pool eval workers.
+    is only read (fanins, refs, levels, strash probes).
     """
     allowed = config.allowed_classes
     observing = observer is not None and observer.enabled

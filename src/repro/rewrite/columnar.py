@@ -4,11 +4,10 @@ The per-cut loop the baseline engines run
 (:func:`repro.rewrite.base.best_candidate_over_cuts`) dispatches
 several Python method calls per graph access and recomputes the root
 cone's local deref once per *structure*.  This module inverts the data
-layout: the per-node arrays of an
-:class:`~repro.aig.snapshot.AigSnapshot` (or the identical internal
-columns of a live :class:`~repro.aig.graph.Aig`) become the primary
-store, and a whole table of per-root cut rows
-(:class:`~repro.cuts.manager.CutColumns`) is scored in three phases:
+layout: the internal per-node columns of the live
+:class:`~repro.aig.graph.Aig` become the primary store, and a whole
+table of per-root cut rows (:class:`~repro.cuts.manager.CutColumns`) is
+scored in three phases:
 
 1. **Kernel phase** (numpy, once per batch): every cut function is
    lifted into the 4-variable space (:func:`~repro.npn.truth.
@@ -43,7 +42,6 @@ every executor byte-identical to it.
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -86,24 +84,13 @@ class ColumnarView:
         self.size = len(kind)
 
 
-def columnar_view(aig_like) -> ColumnarView:
-    """The columnar view of a live :class:`Aig` or an ``AigSnapshot``.
-
-    A live graph already stores its columns as plain lists, so the view
-    just references them (valid until the next mutation — fine for the
-    read-only eval stage).  A snapshot converts its numpy arrays via
-    :meth:`~repro.aig.snapshot.AigSnapshot.columns` (cached on the
-    snapshot, one ``tolist`` per array per generation).
-    """
-    if isinstance(aig_like, Aig):
-        return ColumnarView(
-            aig_like._kind, aig_like._fanin0, aig_like._fanin1,
-            aig_like._nref, aig_like._level, aig_like._stamp,
-            aig_like._life, aig_like._strash,
-        )
-    kind, fanin0, fanin1, nref, level, stamp, life = aig_like.columns()
-    return ColumnarView(kind, fanin0, fanin1, nref, level, stamp, life,
-                        aig_like._ensure_strash())
+def columnar_view(aig: Aig) -> ColumnarView:
+    """The columnar view of a live :class:`Aig`: the graph already
+    stores its columns as plain lists, so the view just references them
+    (valid until the next mutation — fine for the read-only eval
+    stage)."""
+    return ColumnarView(aig._kind, aig._fanin0, aig._fanin1, aig._nref,
+                        aig._level, aig._stamp, aig._life, aig._strash)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +182,7 @@ def _closures(dead, fanin0, fanin1):
 
 
 def eval_tasks_columnar(
-    aig_like,
+    aig: Aig,
     tasks: CutColumns,
     config,
     library,
@@ -212,7 +199,7 @@ def eval_tasks_columnar(
     which the order-insensitive metric aggregation absorbs).
     """
     observing = observer is not None and observer.enabled
-    view = columnar_view(aig_like)
+    view = columnar_view(aig)
     kind = view.kind
     fanin0 = view.fanin0
     fanin1 = view.fanin1
@@ -226,11 +213,9 @@ def eval_tasks_columnar(
     # Lazy levels (DESIGN §4d): settling the roots makes the raw column
     # exact for every node stored at or below ``bound`` — each root, its
     # TFI, every cut leaf.  Only a strash hit can be stored above it; its
-    # level is derived, never read.  A snapshot is captured settled.
-    bound = sys.maxsize
-    if isinstance(aig_like, Aig):
-        bound = max((aig_like.level(root) for root, alive in zip(roots, live)
-                     if alive), default=0)
+    # level is derived, never read.
+    bound = max((aig.level(root) for root, alive in zip(roots, live)
+                 if alive), default=0)
 
     max_structs = config.max_structs
     preserve_level = config.preserve_level

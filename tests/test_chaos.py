@@ -2,7 +2,7 @@
 
 The shard pool's headline guarantee — a sharded process run is
 byte-identical to the sequential sharded run — must survive every
-fault the ``REPRO_FAULT_PLAN`` hook can inject worker-side:
+fault the ``RewriteConfig.fault_plan`` hook can inject worker-side:
 
 * ``kill``    — SIGKILL a worker mid-chunk (BrokenProcessPool):
   bounded pool restart, dead chunks resubmitted;

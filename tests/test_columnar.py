@@ -2,7 +2,7 @@
 
 ``tests/test_differential_fuzz.py`` pins the engine byte-identical to
 the scalar reference (``tests/reference.py``) end-to-end; these tests
-cover the pieces directly — the numpy kernels, the columnar views, the
+cover the pieces directly — the numpy kernels, the columnar view, the
 replay glue and the observer parity — so a regression points at the
 component, not just "a fuzz seed diverged".
 """
@@ -21,7 +21,6 @@ from reference import ReferenceExecutor, eval_tasks_scalar
 from repro.aig import Aig
 from repro.aig.literals import lit_var
 from repro.aig.mffc import mffc
-from repro.aig.snapshot import AigSnapshot
 from repro.aig.traversal import tfi
 from repro.bench import mtm_like
 from repro.config import dacpara_config
@@ -100,27 +99,11 @@ class TestKernels:
 
 
 class TestColumnarView:
-    def test_live_and_snapshot_views_agree(self):
-        aig = mtm_like(num_pis=12, num_nodes=120, seed=2)
-        live = columnar_view(aig)
-        snap = AigSnapshot.capture(aig)
-        cold = columnar_view(snap)
-        for field in ("kind", "fanin0", "fanin1", "nref", "level",
-                      "stamp", "life"):
-            assert list(getattr(live, field)) == list(getattr(cold, field))
-        assert live.strash == cold.strash
-        assert live.size == cold.size == aig.size
-
     def test_live_view_references_graph_columns(self):
         aig = mtm_like(num_pis=8, num_nodes=60, seed=1)
         view = columnar_view(aig)
         assert view.fanin0 is aig._fanin0  # no copy for a live graph
         assert view.strash is aig._strash
-
-    def test_snapshot_columns_cached(self):
-        aig = mtm_like(num_pis=8, num_nodes=60, seed=1)
-        snap = AigSnapshot.capture(aig)
-        assert snap.columns() is snap.columns()
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +121,27 @@ def _setup(num_nodes=220, seed=8, num_pis=16, config=None):
     return aig, cutman, live, cutman.eval_harvest(live)
 
 
+class _RawLevels:
+    """The graph as a scorer reading its raw level column would see it:
+    ``level`` returns the stored value, never settling a pending one."""
+
+    def __init__(self, aig):
+        self._aig = aig
+
+    def __getattr__(self, name):
+        return getattr(self._aig, name)
+
+    def level(self, var):
+        return self._aig._level[var]
+
+
 class TestEvalTasksColumnar:
-    def test_matches_scalar_on_live_and_snapshot(self):
+    def test_matches_scalar(self):
         aig, _, live, tasks = _setup()
         config = dacpara_config()
         library = get_library()
-        snap = AigSnapshot.capture(aig)
-        want = eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
+        want = eval_tasks_scalar(aig, tasks, config, _MetricCollector(),
                                  library)
-        assert eval_tasks_columnar(snap, tasks, config, library) == want
         assert eval_tasks_columnar(aig, tasks, config, library) == want
 
     @pytest.mark.parametrize("overrides", [
@@ -159,10 +154,9 @@ class TestEvalTasksColumnar:
         config = dataclasses.replace(dacpara_config(), **overrides)
         aig, _, live, tasks = _setup(num_nodes=150, seed=4, config=config)
         library = get_library()
-        snap = AigSnapshot.capture(aig)
-        want = eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
+        want = eval_tasks_scalar(aig, tasks, config, _MetricCollector(),
                                  library)
-        assert eval_tasks_columnar(snap, tasks, config, library) == want
+        assert eval_tasks_columnar(aig, tasks, config, library) == want
 
     def test_dead_root_sentinel(self):
         aig, _, live, tasks = _setup(num_nodes=100, seed=6)
@@ -171,9 +165,8 @@ class TestEvalTasksColumnar:
         victim = live[-1]
         aig.replace(victim, aig.fanin0(victim))
         assert aig.is_dead(victim)
-        snap = AigSnapshot.capture(aig)
-        got = eval_tasks_columnar(snap, tasks, config, library)
-        want = eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
+        got = eval_tasks_columnar(aig, tasks, config, library)
+        want = eval_tasks_scalar(aig, tasks, config, _MetricCollector(),
                                  library)
         assert got == want
         by_root = {root: (cand, units) for root, cand, units in got}
@@ -212,27 +205,26 @@ class TestEvalTasksColumnar:
 
         got = eval_tasks_columnar(aig, tasks, config, library)
         assert hv in aig._level_pending  # scored without settling it
+        (_, candidate, _), = got
+        assert candidate.gain == 2 and candidate.new_root_level == 2
+        # The same table scored against the raw column, which keeps the
+        # stale value, loses the candidate: the staleness is
+        # decision-relevant.
+        (_, vetoed, _), = eval_tasks_scalar(
+            _RawLevels(aig), tasks, config, _MetricCollector(), library)
+        assert vetoed is None and aig._level[hv] == 9
         # The reference reads through aig.level(), which settles ``hit``.
         assert got == eval_tasks_scalar(aig, tasks, config,
                                         _MetricCollector(), library)
-        (_, candidate, _), = got
-        assert candidate.gain == 2 and candidate.new_root_level == 2
-        # The same table against a column that keeps the stale value
-        # loses the candidate: the staleness is decision-relevant.
-        stale = AigSnapshot.capture(aig)
-        stale._level[hv] = 9
-        (_, vetoed, _), = eval_tasks_columnar(stale, tasks, config, library)
-        assert vetoed is None
 
     def test_observer_parity_with_scalar(self):
         aig, _, live, tasks = _setup(num_nodes=180, seed=9)
         config = dacpara_config()
         library = get_library()
-        snap = AigSnapshot.capture(aig)
         col_scalar = _MetricCollector()
         col_batch = _MetricCollector()
-        eval_tasks_scalar(snap, tasks, config, col_scalar, library)
-        eval_tasks_columnar(snap, tasks, config, library, observer=col_batch)
+        eval_tasks_scalar(aig, tasks, config, col_scalar, library)
+        eval_tasks_columnar(aig, tasks, config, library, observer=col_batch)
         shared = {k: v for k, v in col_batch.counts.items()
                   if k[0] not in ("eval_vectorized_candidates_total",
                                   "eval_deref_walks_total")}
@@ -526,9 +518,9 @@ class TestDeadSetClosures:
                 mffc(aig, root, [leaf]) == set(chain[depth + 1:])
 
 
-def _deref_walks(aig_like, tasks, config):
+def _deref_walks(aig, tasks, config):
     collector = _MetricCollector()
-    eval_tasks_columnar(aig_like, tasks, config, get_library(),
+    eval_tasks_columnar(aig, tasks, config, get_library(),
                         observer=collector)
     return collector.counts.get(("eval_deref_walks_total", ()), 0)
 
@@ -549,5 +541,3 @@ class TestDerefWalkCount:
             tasks.leaves[:, 1] < CUT_LEAF_SENTINEL,
             np.cumsum(tasks.counts) - tasks.counts)
         assert 0 < walks <= np.count_nonzero(has_eligible)
-        snap = AigSnapshot.capture(aig)
-        assert _deref_walks(snap, tasks, config) == walks

@@ -57,16 +57,6 @@ class TestDACParaCorrectness:
         check(aig)
         assert result.area_after == aig.num_ands
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_function_preserved_threaded(self, seed):
-        aig = random_aig(num_pis=6, num_nodes=60, num_pos=5, seed=seed)
-        sigs = exhaustive_signatures(aig)
-        DACParaRewriter(
-            dacpara_config(workers=4).with_executor("threaded")
-        ).run(aig)
-        assert exhaustive_signatures(aig) == sigs
-        check(aig)
-
     def test_reduces_redundant_circuit(self):
         aig = Aig()
         a, b, c, d = (aig.add_pi() for _ in range(4))

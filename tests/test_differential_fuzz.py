@@ -1,29 +1,23 @@
-"""Differential fuzzing across the executors.
+"""Differential fuzzing of the level pipeline and the shard pool.
 
 Each seed generates a random strashed AIG and runs the full DACPara
-rewrite through the stage executors.  The oracle is layered:
+rewrite on the simulated scheduler.  The oracle is layered:
 
-* ``simulated`` with one worker — the serial timing reference — must
-  repeat byte for byte (a single worker admits exactly one
-  interleaving).
-* ``threaded`` runs real OS threads, so its commit interleaving — and
-  hence node numbering — is scheduler-dependent; it is held to the
-  semantic bar only: SAT-equivalent output, same invariants.
-* Every executor's output must be SAT-equivalent to the *input*
+* one worker — the serial timing reference — must repeat byte for byte
+  (a single worker admits exactly one interleaving);
+* every run's output (5 workers and 1) must pass the structural check
+  and be SAT-equivalent to the *input*
   (:func:`repro.sat.check_equivalence_auto`; the fuzz circuits keep
   PI counts in exhaustive-simulation range so the check is exact).
 
 A second axis pins the **columnar batch engines** against the scalar
-references in ``tests/reference.py``: full runs on the simulated
-executor (at 5 workers and at 1) must be byte-identical to
-``reference_rewrite`` with the per-root eval operator substituted (and,
-independently, with the per-pair cut merge and per-root enum operator
-substituted), and on the threaded executor — whose full-run
-interleaving is scheduler-dependent — the eval *stage* in isolation
-must store the exact same candidates as the reference executor's (it
-is lock-free, so per-root stores are interleaving-independent), and the
-enum *stage* must install the exact same cut sets (cut sets are a pure
-function of the graph).
+references in ``tests/reference.py``: full runs (at 5 workers and at 1)
+must be byte-identical to ``reference_rewrite`` with the per-root eval
+operator substituted (and, independently, with the per-pair cut merge
+and per-root enum operator substituted); in isolation, the eval
+*stage* must store the exact same candidates as the reference
+executor's, and the enum *stage*, run level by level, must install the
+exact same cut sets (cut sets are a pure function of the graph).
 
 A third axis pins **shard-parallel mode**, the one place the process
 pool runs: repeated sharded runs at a fixed seed/shard count must be
@@ -39,8 +33,8 @@ shape it exists for: a deep add/sub/mux chain (112 levels, ~15 % of
 the nodes replaced) where every committed replacement leaves pending
 levels above the wavefront.  The reference reads levels only through
 ``aig.level()``; the columnar eval reads the raw column under the
-bound-and-derive rule — both ``preserve_level`` settings must agree
-byte for byte on every deterministic executor.
+bound-and-derive rule — under both ``preserve_level`` settings the
+two must agree byte for byte.
 
 A fifth axis pins the **closure waves** of the enum stage (DESIGN
 §4c) where the per-level axes above barely reach them: a cold-cache
@@ -70,7 +64,7 @@ from repro.config import dacpara_config
 from repro.core import DACParaRewriter
 from repro.core.operators import StageContext
 from repro.cuts import CutManager
-from repro.galois.threaded import ThreadedExecutor
+from repro.galois.simsched import SimulatedExecutor
 from repro.library import get_library
 from repro.obs.observer import TracingObserver
 from repro.sat import check_equivalence_auto
@@ -126,18 +120,15 @@ def check_differential(base) -> None:
     assert result_fingerprint(r_ser) == result_fingerprint(r_sim1)
     assert aig_fingerprint(a_ser) == aig_fingerprint(a_sim1)
 
-    _, a_thr = _run(base, "threaded")
-
-    for out in (a_sim, a_sim1, a_ser, a_thr):
+    for out in (a_sim, a_sim1, a_ser):
         check(out)
         assert check_equivalence_auto(base, out).equivalent
 
 
 def _eval_stage_prep(base, executor):
     """Run the eval stage alone on ``executor(4)``; returns the
-    per-root prep_info stores (interleaving-independent on real
-    threads: the stage is lock-free and each activity writes only its
-    own root's slot)."""
+    per-root prep_info stores (interleaving-independent: the stage is
+    lock-free and each activity writes only its own root's slot)."""
     aig = copy.deepcopy(base)
     config = dacpara_config(workers=4)
     cutman = CutManager(aig, max_cuts=config.max_cuts)
@@ -155,7 +146,7 @@ def _enum_stage_cuts(base, manager, executor):
     """Run the enum stage alone on ``executor(4)``, level by level (so
     the batched path genuinely merges whole worklists); returns every
     node's installed cut set.  Cut sets are a pure function of the
-    graph, so on real threads they are interleaving-independent."""
+    graph, so they are interleaving-independent."""
     aig = copy.deepcopy(base)
     config = dacpara_config(workers=4)
     cutman = manager(aig, max_cuts=config.max_cuts)
@@ -188,17 +179,17 @@ def _check_against_reference(base, stages, **overrides):
 
 def check_enum_differential(base) -> None:
     """Columnar cut enumeration pinned byte-identical to the scalar
-    merge reference on every executor kind."""
+    merge reference, in full runs and as an isolated stage."""
     _check_against_reference(base, ("enum",))
-    assert _enum_stage_cuts(base, CutManager, ThreadedExecutor) == \
+    assert _enum_stage_cuts(base, CutManager, SimulatedExecutor) == \
         _enum_stage_cuts(base, ScalarCutManager, ReferenceExecutor)
 
 
 def check_columnar_differential(base) -> None:
-    """Batch-kernel eval pinned byte-identical to the scalar reference
-    on every executor kind."""
+    """Batch-kernel eval pinned byte-identical to the scalar reference,
+    in full runs and as an isolated stage."""
     _check_against_reference(base, ("eval",))
-    assert _eval_stage_prep(base, ThreadedExecutor) == \
+    assert _eval_stage_prep(base, SimulatedExecutor) == \
         _eval_stage_prep(base, ReferenceExecutor)
 
 
@@ -390,10 +381,8 @@ def test_deep_chain_vs_reference(preserve_level):
     assert r_ref.replacements >= 0.05 * base.num_ands
     if preserve_level:
         assert r_ref.delay_after <= r_ref.delay_before
-    _, a_thr = _run(base, "threaded", preserve_level=preserve_level)
-    for out in (a_ref, a_thr):
-        check(out)
-        assert check_equivalence_auto(base, out).equivalent
+    check(a_ref)
+    assert check_equivalence_auto(base, a_ref).equivalent
 
 
 def _cut_cache(cutman):
@@ -443,8 +432,6 @@ def test_closure_cold_cache_restricted_vs_reference(workers, kinds,
         # The first worklist sits on a cold cache: its closure is the
         # whole lower TFI, one wave per level.
         assert wave_counts[0] == floor + 1
-    if workers > 1:
-        run("threaded")  # check + exact equivalence only
 
 
 @pytest.mark.parametrize("seed", (101, 202))

@@ -38,15 +38,6 @@ class TestLockFused:
         r8 = LockFusedRewriter(iccad18_config(workers=8)).run(a8)
         assert r8.makespan_units < r1.makespan_units
 
-    def test_threaded_executor_equivalence(self):
-        aig = random_aig(num_pis=6, num_nodes=60, num_pos=5, seed=2)
-        sigs = exhaustive_signatures(aig)
-        LockFusedRewriter(
-            iccad18_config(workers=4).with_executor("threaded")
-        ).run(aig)
-        assert exhaustive_signatures(aig) == sigs
-        check(aig)
-
 
 class TestStaticGpu:
     @pytest.mark.parametrize("variant", ["dac22", "tcad23"])

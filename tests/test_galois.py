@@ -1,9 +1,8 @@
-"""Tests for the Galois-like runtime (simulated and threaded)."""
+"""Tests for the Galois-like runtime (the simulated scheduler)."""
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from reference import ReferenceExecutor
 from repro.errors import SchedulerError
 from repro.galois import (
+    EXECUTOR_KINDS,
     Phase,
     SimulatedExecutor,
-    ThreadedExecutor,
     make_executor,
 )
 from repro.obs import TracingObserver
@@ -320,78 +319,11 @@ class TestLockTable:
         assert "activity 'n" in message
 
 
-class TestThreadedExecutor:
-    def test_all_committed(self):
-        ex = ThreadedExecutor(workers=4)
-        done = []
-        mutex = threading.Lock()
-
-        def op(item):
-            yield Phase(locks={item % 5}, cost=1)
-            with mutex:
-                done.append(item)
-
-        stage = ex.run("s", list(range(50)), op)
-        assert stage.committed == 50
-        assert sorted(done) == list(range(50))
-
-    def test_aborted_activities_retry(self):
-        ex = ThreadedExecutor(workers=8)
-        counter = {"value": 0}
-
-        def op(item):
-            yield Phase(locks={"hot"}, cost=1)
-            counter["value"] += 1  # under commit mutex by protocol
-
-        stage = ex.run("s", list(range(40)), op)
-        assert counter["value"] == 40
-
-    def test_retries_counted_on_contention(self):
-        import time
-
-        ex = ThreadedExecutor(workers=8)
-
-        def op(item):
-            yield Phase(locks={"hot"}, cost=1)
-            time.sleep(0.0005)  # hold the hot lock long enough to collide
-
-        stage = ex.run("s", list(range(24)), op)
-        assert stage.committed == 24
-        assert stage.retries == stage.conflicts  # every abort was requeued
-        assert ex.stats.total_retries == stage.retries
-
-    def test_retry_storm_raises_scheduler_error(self, monkeypatch):
-        from repro.galois import threaded as threaded_mod
-
-        monkeypatch.setattr(threaded_mod, "MAX_RETRIES", 3)
-        monkeypatch.setattr(threaded_mod, "BACKOFF_BASE", 1e-7)
-        ex = ThreadedExecutor(workers=1)
-        # A key owned by a thread that never releases it: every attempt
-        # to acquire it loses, exhausting the retry budget.
-        ex._held["hot"] = -1
-
-        def op(item):
-            yield Phase(locks={"hot"}, cost=1)
-
-        with pytest.raises(SchedulerError) as exc_info:
-            ex.run("s", ["loser"], op)
-        message = str(exc_info.value)
-        assert "aborted" in message
-        assert "'hot'" in message  # the contended key is named
-
-    def test_wall_seconds_recorded(self):
-        ex = ThreadedExecutor(workers=2)
-
-        def op(item):
-            yield Phase(locks=(), cost=1)
-
-        stage = ex.run("s", list(range(10)), op)
-        assert stage.wall_seconds > 0
-        assert ex.stats.total_wall_seconds >= stage.wall_seconds
-
+class TestMakeExecutor:
     def test_factory(self):
+        assert EXECUTOR_KINDS == ("simulated", "process")
         assert isinstance(make_executor("simulated", 4), SimulatedExecutor)
-        assert isinstance(make_executor("threaded", 2), ThreadedExecutor)
         assert make_executor("simulated", 1).workers == 1
-        with pytest.raises(ValueError):
-            make_executor("serial", 1)
+        for kind in ("serial", "threaded"):
+            with pytest.raises(ValueError):
+                make_executor(kind, 1)

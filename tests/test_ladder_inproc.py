@@ -7,8 +7,8 @@ every in-process run, the directory is closed to a gain-claiming change
 (``BENCHMARK.json`` ``paths``), so ``benchmarks/conftest.py`` marks the
 check a strict xfail — which would also hide a pool metric turning
 non-zero.  Same circuit, same seed, same asserts, here, until the
-benchmark-only PR (ROADMAP hygiene item (g)) relaxes the line and
-deletes both.
+benchmark-only PR (ROADMAP item 1) relaxes the line and deletes
+both.
 """
 
 import sys

@@ -251,17 +251,6 @@ class TestAllEnginesTraceable:
         assert obs.tracer.by_cat("stage")
         json.loads(chrome_trace_json(obs.tracer))  # must serialize
 
-    def test_threaded_executor_stage_counters(self):
-        obs = TracingObserver()
-        aig = random_aig(num_pis=6, num_nodes=80, num_pos=4, seed=2)
-        DACParaRewriter(
-            dacpara_config(workers=4).with_executor("threaded"), observer=obs
-        ).run(aig)
-        snap = obs.metrics.snapshot()
-        assert any(k.startswith("committed_total") for k in snap["counters"])
-        run = obs.tracer.by_cat("run")[0]
-        assert run.duration > 0  # threaded timeline advances by useful work
-
 
 class TestCliObservability:
     @pytest.fixture

@@ -1,4 +1,4 @@
-"""The shard pool, AIG snapshots, and the vectorized kernels.
+"""The shard pool, the fanin snapshot it ships, and the vectorized kernels.
 
 The headline guarantees under test: ``executor="process"`` is
 *byte-identical* to ``"simulated"`` — same RewriteResult, same final
@@ -18,6 +18,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.aig import AigSnapshot
@@ -25,8 +26,9 @@ from repro.bench import mem_ctrl_like, mtm_like, sin_like
 from repro.config import RewriteConfig, dacpara_config, iccad18_config
 from repro.core import DACParaRewriter
 from repro.core.partition import plan_regions
-from repro.cuts import CutManager
-from repro.errors import ConfigError
+from repro.core.shards import rewrite_shard, splice_shard
+from repro.core.validation import ShardMergeStats
+from repro.errors import AigError, ConfigError
 from repro.galois import (
     ProcessExecutor,
     SimulatedExecutor,
@@ -34,7 +36,6 @@ from repro.galois import (
     shipper,
 )
 from repro.galois.procpool import default_jobs
-from repro.library import get_library
 from repro.npn import (
     canon_lut_ready,
     ensure_canon_lut,
@@ -44,7 +45,6 @@ from repro.npn import (
 )
 from repro.obs.observer import TracingObserver
 from repro.rewrite import LockFusedRewriter
-from repro.rewrite.base import best_candidate_over_cuts, find_best_candidate
 
 from conftest import random_aig
 from reference import reference_rewrite
@@ -76,74 +76,52 @@ class TestAigSnapshot:
         aig = random_aig(num_pis=6, num_nodes=120, num_pos=5, seed=11)
         snap = AigSnapshot.capture(aig)
         assert snap.size == aig.size
-        assert snap.num_ands == aig.num_ands
-        assert snap.num_pis == aig.num_pis
-        assert tuple(snap.pis) == tuple(aig.pis)
-        assert tuple(snap.pos) == tuple(aig.pos)
+        assert snap.epoch == aig.mutation_epoch
         for v in range(aig.size):
-            assert snap.is_dead(v) == aig.is_dead(v)
-            assert snap.is_and(v) == aig.is_and(v)
-            assert snap.is_pi(v) == aig.is_pi(v)
             if aig.is_and(v):
                 assert snap.fanin0(v) == aig.fanin0(v)
                 assert snap.fanin1(v) == aig.fanin1(v)
-                assert snap.fanins(v) == aig.fanins(v)
-            if not aig.is_dead(v):
-                assert snap.nref(v) == aig.nref(v)
-                assert snap.level(v) == aig.level(v)
-                assert snap.stamp(v) == aig.stamp(v)
-                assert snap.life_stamp(v) == aig.life_stamp(v)
-
-    def test_strash_probe_matches_aig(self):
-        aig = random_aig(num_pis=6, num_nodes=120, num_pos=5, seed=12)
-        snap = AigSnapshot.capture(aig)
-        rng = random.Random(5)
-        for _ in range(300):
-            a = rng.randrange(2 * aig.size)
-            b = rng.randrange(2 * aig.size)
-            assert snap.has_and(a, b) == aig.has_and(a, b)
+            else:
+                with pytest.raises(AigError):
+                    snap.fanin0(v)
 
     def test_pickle_round_trip(self):
         aig = random_aig(num_pis=6, num_nodes=80, num_pos=4, seed=13)
         snap = AigSnapshot.capture(aig)
-        snap.has_and(2, 4)  # force the lazy strash, excluded from pickling
         clone = pickle.loads(pickle.dumps(snap))
-        assert aig_fingerprint_snapshot(clone) == aig_fingerprint_snapshot(snap)
-        rng = random.Random(6)
-        for _ in range(100):
-            a = rng.randrange(2 * aig.size)
-            b = rng.randrange(2 * aig.size)
-            assert clone.has_and(a, b) == snap.has_and(a, b)
+        assert clone.epoch == snap.epoch
+        for field in ("_kind", "_fanin0", "_fanin1"):
+            assert np.array_equal(getattr(clone, field), getattr(snap, field))
 
-    def test_candidate_search_identical_on_snapshot(self):
-        aig = mtm_like(num_pis=16, num_nodes=300, seed=2)
-        config = dacpara_config()
-        cutman = CutManager(aig, k=4, max_cuts=12)
-        library = get_library()
-        snap = AigSnapshot.capture(aig)
-        for root in aig.topo_ands():
-            cuts = tuple(cutman.fresh_cuts(root))
-            live = find_best_candidate(aig, root, cutman, library, config)
-            snapped = best_candidate_over_cuts(
-                snap, root, cuts, library, config
-            )
-            assert (live is None) == (snapped is None)
-            if live is not None:
-                assert live.gain == snapped.gain
-                assert live.structure == snapped.structure
-                assert live.transform == snapped.transform
-                assert live.cut.leaves == snapped.cut.leaves
+    def test_hand_off_ships_fanins_and_rebuilds_every_shard(self):
+        """The pickled state is the kind and fanin columns alone, and a
+        base patched past a splice hands every shard of a fresh plan the
+        payload the live graph would."""
+        aig = mtm_like(num_pis=24, num_nodes=600, seed=0)
+        config = dataclasses.replace(dacpara_config(), shards=4,
+                                     shard_min_nodes=1)
+        base = AigSnapshot.capture(aig)
+        state = pickle.loads(pickle.dumps(base)).__getstate__()
+        columns = [x for x in state if isinstance(x, np.ndarray)]
+        assert len(columns) == 3
+        for column, field in zip(columns, ("_kind", "_fanin0", "_fanin1")):
+            assert column.tolist() == list(getattr(aig, field))
 
+        plan, _ = plan_regions(aig, 4, 1, rotation=0)
+        stats = ShardMergeStats()
+        assert sum(splice_shard(aig, shard, rewrite_shard(aig, shard, config),
+                                stats) for shard in plan.shards) > 0
+        patched = base.apply_delta(base.delta_since(aig))
+        plan, _ = plan_regions(aig, 4, 1, rotation=1)
+        assert plan.num_shards >= 2
 
-def aig_fingerprint_snapshot(snap):
-    nodes = tuple(
-        sorted(
-            (v, snap.fanin0(v), snap.fanin1(v))
-            for v in range(snap.size)
-            if snap.is_and(v)
-        )
-    )
-    return (nodes, tuple(snap.pis), tuple(snap.pos))
+        def payload(src, shard):
+            out = rewrite_shard(src, shard, config)
+            del out["wall_seconds"]
+            return out
+
+        for shard in plan.shards:
+            assert payload(patched, shard) == payload(aig, shard)
 
 
 class TestCrossExecutorEquivalence:

@@ -2,8 +2,8 @@
 
 The contract under test: for any mutation sequence,
 ``base.apply_delta(base.delta_since(aig))`` is indistinguishable from a
-fresh ``AigSnapshot.capture(aig)`` — same arrays, same metadata, same
-strash probes — and the epoch bookkeeping (``copy()``, journal trims)
+fresh ``AigSnapshot.capture(aig)`` — same kind and fanin columns, same
+epoch — and the epoch bookkeeping (``copy()``, journal trims)
 can only ever force a *full recapture*, never a wrong delta.
 """
 
@@ -15,27 +15,18 @@ import random
 import numpy as np
 import pytest
 
-from repro.aig import (
-    Aig,
-    AigSnapshot,
-    capture_delta,
-)
+from repro.aig import Aig, AigSnapshot
 from repro.aig.literals import lit_not, lit_var
 from repro.errors import AigError
 
 from conftest import random_aig
 
-_ARRAYS = ("_kind", "_fanin0", "_fanin1", "_nref", "_level", "_stamp", "_life")
+_ARRAYS = ("_kind", "_fanin0", "_fanin1")
 
 
 def assert_snapshots_equal(a: AigSnapshot, b: AigSnapshot) -> None:
     for field in _ARRAYS:
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    assert a.pis == b.pis
-    assert a.pos == b.pos
-    assert a.num_ands == b.num_ands
-    assert a.generation == b.generation
-    assert a.name == b.name
     assert a.epoch == b.epoch
 
 
@@ -126,11 +117,9 @@ class TestSnapshotDelta:
         assert delta is not None
         patched = base.apply_delta(delta)
         assert_snapshots_equal(patched, AigSnapshot.capture(aig))
-        # Strash probes agree too (rebuilt from the patched arrays).
-        for _ in range(100):
-            a = rng.randrange(2 * aig.size)
-            b = rng.randrange(2 * aig.size)
-            assert patched.has_and(a, b) == aig.has_and(a, b)
+        # Fanins agree with the live graph on every AND.
+        for v in aig.ands():
+            assert (patched.fanin0(v), patched.fanin1(v)) == aig.fanins(v)
 
     def test_chained_deltas(self):
         rng = random.Random(99)
@@ -178,9 +167,12 @@ class TestSnapshotDelta:
             for v in rng.sample(list(aig.ands()), 4):
                 if aig.is_and(v):  # an earlier replace may have killed it
                     aig.replace(v, aig.fanin0(v))
+            # The shipper's order: the rule (which settles levels), then
+            # the capture.
+            rebase = needs_rebase(aig, base.epoch)
             fresh = AigSnapshot.capture(aig)
             full += size(fresh)
-            if needs_rebase(aig, base.epoch):
+            if rebase:
                 base = fresh
                 aig.trim_mutation_log(base.epoch)
                 shipped += size(fresh)
@@ -205,13 +197,14 @@ class TestSnapshotDelta:
         base = AigSnapshot.capture(aig)
         aig.add_po(2 * aig.pis[0])
         aig.trim_mutation_log(aig.mutation_epoch)
-        assert capture_delta(aig, base.epoch) is None
+        assert base.delta_since(aig) is None
 
 
 class TestPendingLevels:
-    """Levels are settled lazily (DESIGN §4d); every snapshot reader
-    settles first, so a delta and the rebase rule see the same dirty
-    set a fresh capture would."""
+    """Levels are settled lazily (DESIGN §4d) and a settled level is
+    journaled.  A snapshot carries no levels, so a delta taken with
+    levels pending still equals a fresh capture; the rebase rule
+    settles first, so its verdict does not depend on pending levels."""
 
     @staticmethod
     def _chain_with_pending_levels(length: int = 40):
@@ -233,12 +226,8 @@ class TestPendingLevels:
     def test_delta_with_pending_levels_equals_fresh_capture(self):
         aig, base = self._chain_with_pending_levels()
         patched = base.apply_delta(base.delta_since(aig))
-        assert not aig._level_pending
+        assert aig._level_pending  # the hand-off reads no level
         assert_snapshots_equal(patched, AigSnapshot.capture(aig))
-        for v in aig.ands():
-            f0, f1 = aig.fanins(v)
-            assert patched.level(v) == 1 + max(
-                patched.level(f0 >> 1), patched.level(f1 >> 1))
 
     def test_needs_rebase_counts_settled_levels(self):
         from repro.galois.shipper import DELTA_MAX_FRACTION, needs_rebase
