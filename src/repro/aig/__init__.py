@@ -7,8 +7,6 @@ from .literals import (
     LIT_TRUE,
     lit_compl,
     lit_not,
-    lit_not_cond,
-    lit_regular,
     lit_var,
     make_lit,
 )
@@ -38,8 +36,6 @@ __all__ = [
     "LIT_TRUE",
     "lit_compl",
     "lit_not",
-    "lit_not_cond",
-    "lit_regular",
     "lit_var",
     "make_lit",
     "mffc",

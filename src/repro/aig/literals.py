@@ -30,13 +30,3 @@ def lit_compl(lit: int) -> bool:
 def lit_not(lit: int) -> int:
     """Complement a literal."""
     return lit ^ 1
-
-
-def lit_not_cond(lit: int, cond: bool) -> int:
-    """Complement a literal when ``cond`` is true."""
-    return lit ^ int(cond)
-
-
-def lit_regular(lit: int) -> int:
-    """The positive-phase literal of the same variable."""
-    return lit & ~1

@@ -19,8 +19,6 @@ from .suite import (
     make_mtm,
     mtm_names,
     table1_suite,
-    table2_suite,
-    table3_suite,
 )
 
 __all__ = [
@@ -40,6 +38,4 @@ __all__ = [
     "make_mtm",
     "mtm_names",
     "table1_suite",
-    "table2_suite",
-    "table3_suite",
 ]

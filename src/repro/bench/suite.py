@@ -86,13 +86,3 @@ def table1_suite() -> List[Aig]:
     circuits = [make_epfl(name) for name in epfl_names()]
     circuits += [make_mtm(name) for name in mtm_names()]
     return circuits
-
-
-def table2_suite() -> List[Aig]:
-    """Table 2 uses the same twelve circuits as Table 1."""
-    return table1_suite()
-
-
-def table3_suite() -> List[Aig]:
-    """Table 3 uses only the MtM set."""
-    return [make_mtm(name) for name in mtm_names()]

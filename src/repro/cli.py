@@ -5,7 +5,6 @@ Commands:
 * ``stats FILE``                      — print circuit statistics
 * ``rewrite IN -o OUT``               — run a rewriting engine
 * ``profile IN``                      — per-stage/per-level breakdown
-* ``flow IN -o OUT --script resyn2``  — run an optimization flow
 * ``cec A B``                         — combinational equivalence check
 * ``gen NAME -o OUT``                 — generate a benchmark circuit
 
@@ -42,7 +41,6 @@ from .obs import (
     prometheus_text,
     write_jsonl,
 )
-from .opt import FLOW_SCRIPTS, run_flow
 from .sat import check_equivalence_auto
 
 
@@ -182,22 +180,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_flow(args: argparse.Namespace) -> int:
-    aig = read_aiger(args.input)
-    original = aig.copy() if args.verify else None
-    optimized, trace = run_flow(aig, script=args.script, workers=args.workers)
-    print(trace.summary())
-    if original is not None:
-        cec = check_equivalence_auto(original, optimized)
-        print(f"equivalence ({cec.method}): {'OK' if cec.equivalent else 'FAILED'}")
-        if not cec.equivalent:
-            return 2
-    if args.output:
-        _write(optimized, args.output)
-        print(f"written: {args.output}")
-    return 0
-
-
 def _cmd_cec(args: argparse.Namespace) -> int:
     a = read_aiger(args.circuit_a)
     b = read_aiger(args.circuit_b)
@@ -323,16 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--workers", type=int, default=None)
     p_prof.set_defaults(func=_cmd_profile)
 
-    p_flow = sub.add_parser("flow", help="run an optimization flow")
-    p_flow.add_argument("input")
-    p_flow.add_argument("-o", "--output")
-    p_flow.add_argument(
-        "--script", default="resyn2", choices=sorted(FLOW_SCRIPTS)
-    )
-    p_flow.add_argument("--workers", type=int, default=8)
-    p_flow.add_argument("--verify", action="store_true")
-    p_flow.set_defaults(func=_cmd_flow)
-
     p_cec = sub.add_parser("cec", help="equivalence check two circuits")
     p_cec.add_argument("circuit_a")
     p_cec.add_argument("circuit_b")
@@ -345,16 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--base", action="store_true", help="skip the size doubling"
     )
     p_gen.set_defaults(func=_cmd_gen)
-
-    p_shell = sub.add_parser("shell", help="interactive ABC-style shell")
-    p_shell.set_defaults(func=_cmd_shell)
     return parser
-
-
-def _cmd_shell(args: argparse.Namespace) -> int:
-    from .shell import run_shell
-
-    return run_shell()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -37,11 +37,6 @@ def var_table(i: int, n: int) -> int:
     return out
 
 
-def tt_not(tt: int, n: int) -> int:
-    """Complement within the ``n``-variable space."""
-    return tt ^ full_mask(n)
-
-
 def cofactor(tt: int, var: int, value: int, n: int) -> int:
     """Shannon cofactor with ``var`` fixed to ``value`` (result still
     expressed in the full ``n``-variable space)."""
@@ -245,12 +240,6 @@ def shrink_to_support(tt: int, n: int) -> Tuple[int, Tuple[int, ...]]:
         if (tt >> j) & 1:
             out |= 1 << k
     return out, sup
-
-
-def tt_to_str(tt: int, n: int) -> str:
-    """Binary string, most-significant minterm first (debug aid)."""
-    width = 1 << n
-    return format(tt & full_mask(n), f"0{width}b")
 
 
 def eval_tt(tt: int, assignment: List[int]) -> int:

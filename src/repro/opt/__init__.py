@@ -1,8 +1,7 @@
-"""Companion optimization passes: balance, refactor, fraig, flows."""
+"""Large-cut refactoring, the second operator on DACPara's skeleton, plus
+AIG balancing."""
 
 from .balance import BalanceResult, balance
-from .fraig import FraigResult, fraig
-from .flow import FLOW_SCRIPTS, FlowResult, FlowStep, run_flow
 from .refactor import (
     DEFAULT_MAX_LEAVES,
     ParallelRefactor,
@@ -12,17 +11,10 @@ from .refactor import (
     cone_truth_table,
     reconvergence_cut,
 )
-from .resub import ResubEngine
 
 __all__ = [
     "BalanceResult",
     "balance",
-    "FraigResult",
-    "fraig",
-    "FLOW_SCRIPTS",
-    "FlowResult",
-    "FlowStep",
-    "run_flow",
     "DEFAULT_MAX_LEAVES",
     "ParallelRefactor",
     "RefactorCandidate",
@@ -30,5 +22,4 @@ __all__ = [
     "build_factored",
     "cone_truth_table",
     "reconvergence_cut",
-    "ResubEngine",
 ]

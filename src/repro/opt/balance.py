@@ -4,9 +4,8 @@ Rewriting is area-oriented; the classic companion pass for *delay* is
 balancing: every maximal multi-input AND (a tree of AND2 nodes reached
 through non-complemented edges) is re-decomposed as a
 minimum-depth binary tree by Huffman-style greedy pairing of its
-leaves, lowest arrival level first.  The paper's flows (as in ABC's
-``resyn2``) interleave balancing with rewriting; :mod:`repro.opt.flow`
-does the same.
+leaves, lowest arrival level first.  ABC scripts such as ``resyn2``
+interleave balancing with rewriting.
 """
 
 from __future__ import annotations

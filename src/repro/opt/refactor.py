@@ -16,14 +16,12 @@ gain exactly by building under locks and undoing unprofitable builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from ..aig import Aig, mffc
 from ..aig.literals import lit_compl, lit_var
-from ..config import RewriteConfig
-from ..cuts.cut import cut_is_stamp_alive
-from ..galois import Phase, make_executor
+from ..galois import Phase, SimulatedExecutor
 from ..library.isop import Cube, isop
 from ..npn.truth import full_mask
 from ..rewrite.result import RewriteResult
@@ -159,7 +157,7 @@ class RefactorCandidate:
     estimated_gain: int
 
 
-def _evaluate_node(aig: Aig, root: int, max_leaves: int, zero_gain: bool
+def _evaluate_node(aig: Aig, root: int, max_leaves: int
                    ) -> Optional[RefactorCandidate]:
     """The lock-free part: cut, simulate, ISOP both phases, estimate."""
     leaves = reconvergence_cut(aig, root, max_leaves)
@@ -176,7 +174,7 @@ def _evaluate_node(aig: Aig, root: int, max_leaves: int, zero_gain: bool
         cubes, out_compl = pos_cover, False
     saved = len(mffc(aig, root, leaves))
     estimate = saved - _cover_cost(cubes)
-    if estimate < 0 and not zero_gain:
+    if estimate < 0:
         return None
     return RefactorCandidate(
         root=root,
@@ -195,7 +193,7 @@ def _cover_cost(cubes: List[Cube]) -> int:
     return max(literals - len(cubes), 0) + max(len(cubes) - 1, 0)
 
 
-def _try_apply(aig: Aig, cand: RefactorCandidate, zero_gain: bool) -> int:
+def _try_apply(aig: Aig, cand: RefactorCandidate) -> int:
     """Build the factored cover; keep it only on real positive gain.
     Returns nodes saved (0 when undone).  Must run atomically."""
     if aig.is_dead(cand.root) or aig.life_stamp(cand.root) != cand.root_life:
@@ -213,8 +211,7 @@ def _try_apply(aig: Aig, cand: RefactorCandidate, zero_gain: bool) -> int:
     added = len(created)
     gain = saved - added - revived
     out_var = lit_var(out)
-    profitable = gain > 0 or (zero_gain and gain == 0)
-    if not profitable or out_var == cand.root or _creates_cycle(aig, cand.root, out_var):
+    if gain <= 0 or out_var == cand.root or _creates_cycle(aig, cand.root, out_var):
         for var in reversed(created):
             aig.delete_if_dangling(var)
         return 0
@@ -237,30 +234,19 @@ class RefactorEngine:
 
     name = "refactor-serial"
 
-    def __init__(self, max_leaves: int = DEFAULT_MAX_LEAVES,
-                 zero_gain: bool = False, passes: int = 1):
+    def __init__(self, max_leaves: int = DEFAULT_MAX_LEAVES):
         self.max_leaves = max_leaves
-        self.zero_gain = zero_gain
-        self.passes = passes
 
     def run(self, aig: Aig) -> RewriteResult:
         result = RewriteResult.begin(self.name, 1, aig)
-        for _ in range(self.passes):
-            result.passes += 1
-            changed = False
-            for root in aig.topo_ands():
-                if aig.is_dead(root):
-                    continue
-                result.attempted += 1
-                cand = _evaluate_node(aig, root, self.max_leaves, self.zero_gain)
-                if cand is None:
-                    continue
-                saved = _try_apply(aig, cand, self.zero_gain)
-                if saved > 0 or (self.zero_gain and saved == 0 and cand.estimated_gain >= 0):
-                    result.replacements += 1
-                    changed = changed or saved != 0
-            if not changed:
-                break
+        result.passes = 1
+        for root in aig.topo_ands():
+            if aig.is_dead(root):
+                continue
+            result.attempted += 1
+            cand = _evaluate_node(aig, root, self.max_leaves)
+            if cand is not None and _try_apply(aig, cand) > 0:
+                result.replacements += 1
         return result.finish(aig)
 
 
@@ -269,27 +255,23 @@ class ParallelRefactor:
 
     name = "refactor-dacpara"
 
-    def __init__(self, workers: int = 40, max_leaves: int = DEFAULT_MAX_LEAVES,
-                 zero_gain: bool = False, passes: int = 1,
-                 executor_kind: str = "simulated"):
+    def __init__(self, workers: int = 40, max_leaves: int = DEFAULT_MAX_LEAVES):
         self.workers = workers
         self.max_leaves = max_leaves
-        self.zero_gain = zero_gain
-        self.passes = passes
-        self.executor_kind = executor_kind
 
     def run(self, aig: Aig) -> RewriteResult:
         from ..core.partition import node_dividing
 
-        executor = make_executor(self.executor_kind, self.workers)
+        executor = SimulatedExecutor(self.workers)
         result = RewriteResult.begin(self.name, self.workers, aig)
+        result.passes = 1
         prep: Dict[int, RefactorCandidate] = {}
-        counters = {"replacements": 0}
 
         def eval_op(root: int) -> Generator[Phase, None, None]:
             if aig.is_dead(root):
                 return
-            cand = _evaluate_node(aig, root, self.max_leaves, self.zero_gain)
+            result.attempted += 1
+            cand = _evaluate_node(aig, root, self.max_leaves)
             cost = 1 + (len(cand.leaves) * 4 + len(cand.cubes) * 2 if cand else 2)
             yield Phase(locks=(), cost=cost)
             if cand is not None and cand.estimated_gain > 0:
@@ -304,23 +286,16 @@ class ParallelRefactor:
             region.update(aig.fanouts(root))
             region.update(mffc(aig, root, cand.leaves))
             yield Phase(locks=region, cost=2 + len(cand.cubes))
-            if _try_apply(aig, cand, self.zero_gain) > 0:
-                counters["replacements"] += 1
+            if _try_apply(aig, cand) > 0:
+                result.replacements += 1
 
-        for _ in range(self.passes):
-            result.passes += 1
-            before = counters["replacements"]
-            for worklist in node_dividing(aig):
-                live = [v for v in worklist if not aig.is_dead(v)]
-                if not live:
-                    continue
-                prep.clear()
-                executor.run("rf-eval", live, eval_op)
-                pending = [v for v in live if v in prep]
-                if pending:
-                    executor.run("rf-replace", pending, replace_op)
-            if counters["replacements"] == before:
-                break
-
-        result.replacements = counters["replacements"]
+        for worklist in node_dividing(aig):
+            live = [v for v in worklist if not aig.is_dead(v)]
+            if not live:
+                continue
+            prep.clear()
+            executor.run("rf-eval", live, eval_op)
+            pending = [v for v in live if v in prep]
+            if pending:
+                executor.run("rf-replace", pending, replace_op)
         return result.finish(aig, executor.stats)

@@ -38,15 +38,6 @@ class TestCli:
         original = read_aiger(circuit_file)
         assert optimized.num_ands <= original.num_ands
 
-    def test_flow(self, circuit_file, tmp_path, capsys):
-        out_path = str(tmp_path / "flow.aag")
-        code = main([
-            "flow", circuit_file, "-o", out_path,
-            "--script", "compress", "--workers", "2", "--verify",
-        ])
-        assert code == 0
-        assert "input" in capsys.readouterr().out
-
     def test_cec_equivalent(self, circuit_file, capsys):
         assert main(["cec", circuit_file, circuit_file]) == 0
         assert "EQUIVALENT" in capsys.readouterr().out

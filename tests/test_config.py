@@ -166,3 +166,32 @@ def test_second_benchmark_is_gone(capsys):
         assert importlib.util.find_spec(f"repro.bench.{module}") is None
     root = pathlib.Path(__file__).resolve().parent.parent
     assert not list(root.glob("BENCH_*.json*"))
+
+
+def test_off_path_passes_are_gone(capsys):
+    """Beside the rewriter only the refactor extension, balancing and the
+    LUT mapper remain: no `flow` / `shell` subcommand, no MIG, shell,
+    resub or fraig modules, and the refactor engines take no knob their
+    callers never set."""
+    import importlib
+    import importlib.util
+
+    import repro.opt
+    from repro.opt import ParallelRefactor, RefactorEngine, refactor
+
+    for argv in (["flow", "x.aig", "--script", "resyn2"], ["shell"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    for module in ("mig", "shell", "opt.resub", "opt.fraig", "opt.flow"):
+        assert importlib.util.find_spec(f"repro.{module}") is None, module
+    for name in repro.opt.__all__:
+        home = refactor
+        if name in ("BalanceResult", "balance"):
+            home = importlib.import_module("repro.opt.balance")
+        assert getattr(repro.opt, name) is getattr(home, name), name
+    with pytest.raises(TypeError):
+        RefactorEngine(zero_gain=True)
+    with pytest.raises(TypeError):
+        ParallelRefactor(executor_kind="simulated")

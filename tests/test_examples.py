@@ -1,7 +1,9 @@
-"""Smoke tests: every example script must run cleanly."""
+"""Smoke tests: every example script must run cleanly (the long-running
+ones must at least import)."""
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -11,6 +13,8 @@ import pytest
 EXAMPLES = sorted(
     (pathlib.Path(__file__).parent.parent / "examples").glob("*.py")
 )
+# Exercised end to end by the benchmarks; tier-1 only imports them.
+LONG_RUNNING = ("epfl_flow.py", "parallel_scaling.py")
 
 
 def test_examples_exist():
@@ -21,9 +25,12 @@ def test_examples_exist():
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs(script):
-    if script.name in ("epfl_flow.py", "parallel_scaling.py",
-                       "optimization_flow.py"):
-        pytest.skip("long-running example; exercised by the benchmarks")
+    if script.name in LONG_RUNNING:
+        spec = importlib.util.spec_from_file_location(script.stem, script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main)
+        return
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,

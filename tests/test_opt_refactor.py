@@ -136,6 +136,22 @@ class TestParallelRefactor:
             total_parallel += ParallelRefactor(workers=8).run(b).area_reduction
         assert total_parallel >= 0.6 * total_serial
 
+    def test_attempted_counts_every_live_root(self):
+        """The eval stage counts each root it evaluates, as the serial
+        loop does: with nothing to gain, that is every AND node."""
+        aig = Aig()
+        a, b, c, d = (aig.add_pi() for _ in range(4))
+        aig.add_po(aig.and_(aig.and_(a, b), aig.and_(c, d)))
+        serial = RefactorEngine().run(aig.copy())
+        parallel = ParallelRefactor(workers=8).run(aig.copy())
+        assert serial.attempted == parallel.attempted == aig.num_ands == 3
+        assert parallel.replacements == 0
+
+        aig = random_aig(num_pis=7, num_nodes=200, num_pos=6, seed=1)
+        before = aig.num_ands
+        result = ParallelRefactor(workers=8).run(aig)
+        assert 0 < result.replacements <= result.attempted <= before
+
     def test_parallel_speedup(self):
         a = random_aig(num_pis=8, num_nodes=300, num_pos=8, seed=77)
         b = a.copy()
