@@ -10,13 +10,10 @@ Commands:
 
 Observability: ``rewrite`` accepts ``--trace out.trace.json`` (Chrome
 trace-event format — open in Perfetto), ``--events out.jsonl`` (JSONL
-stream), ``--metrics out.prom`` (Prometheus text), ``--json``
-(machine-readable result on stdout) and ``--progress`` (live status
-line on stderr).  Simulated-clock trace timestamps are work units, so
-a re-run with the same inputs is byte-identical; a sharded run with
-``--executor process`` additionally carries real wall-clock tracks (one
-per pool-worker pid, in a separate Chrome-trace ``pid`` group so the
-two clock domains stay apart in one Perfetto view).
+stream), ``--json`` (machine-readable result on stdout) and
+``--progress`` (live status line on stderr).  Trace timestamps are
+simulated work units, so a re-run with the same inputs is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from .obs import (
     TracingObserver,
     chrome_trace_json,
     format_profile,
-    prometheus_text,
     write_jsonl,
 )
 from .sat import check_equivalence_auto
@@ -71,7 +67,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _make_observer(args: argparse.Namespace) -> Optional[TracingObserver]:
-    wants = (args.trace or args.events or args.metrics or args.json
+    wants = (args.trace or args.events or args.json
              or getattr(args, "progress", False))
     if not wants:
         return None
@@ -90,13 +86,9 @@ def _export_observation(args: argparse.Namespace, obs: Optional[TracingObserver]
             fh.write(chrome_trace_json(
                 obs.tracer,
                 metadata={"engine": engine_name, "input": args.input},
-                wall=obs.wall,
             ))
     if args.events:
-        write_jsonl(args.events, obs.tracer, obs.metrics, wall=obs.wall)
-    if args.metrics:
-        with open(args.metrics, "w") as fh:
-            fh.write(prometheus_text(obs.metrics))
+        write_jsonl(args.events, obs.tracer, obs.metrics)
 
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
@@ -281,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rw.add_argument(
         "--events", metavar="PATH", help="write a JSONL span/metric stream"
-    )
-    p_rw.add_argument(
-        "--metrics", metavar="PATH", help="write Prometheus-format metrics"
     )
     p_rw.add_argument(
         "--json", action="store_true", help="machine-readable result on stdout"

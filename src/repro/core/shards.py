@@ -334,8 +334,7 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
 
             tasks = [(shard.index, shard) for shard in plan.shards]
             if pool is not None:
-                merged = pool.run_shards(aig, tasks, config,
-                                         pass_index=pass_index)
+                merged = pool.run_shards(aig, tasks, config)
             else:
                 merged = []
                 for index, shard in tasks:

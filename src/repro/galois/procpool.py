@@ -44,16 +44,16 @@ every recovery path reproduces the exact payload a healthy worker would
 have returned, a sharded process run stays byte-identical to the
 sequential sharded run under any combination of faults.
 
-Observability is wall-clock and side-channel only: when the attached
-observer carries a ``wall`` timeline, every chunk carries a
-:class:`~repro.obs.wall.ChunkTelemetry` record back from its worker —
-wall-clock spans for snapshot patch and compute, merged parent-side
-with the submit/receive timestamps into per-pid tracks on the
-observer's :class:`~repro.obs.collect.WallTimeline`, along with
-``chunk_wall_seconds{stage,phase}`` histograms, pool occupancy gauges,
-fault instants and a bounded flight-recorder ring dumped on
-quarantine or pool restart.  With the no-op observer none of this is
-allocated, and results never depend on it.
+Observability stays on the simulated clock: the pool adds no trace
+timestamps, so a traced sharded process run exports the same Chrome
+trace as the sharded simulated run.  What it reports are metrics —
+the fault-tolerance counters (``FAULT_TOLERANCE_COUNTERS``), the
+shipped snapshot bytes (``snapshot_*``), the fan-out's
+``shard_fanout_wall_seconds`` histogram, and a ``chunk_quarantined``
+instant at simulated time 0 per poison chunk — plus the ``chunks`` and
+``retries`` fields of the ``--progress`` line.  Each shard payload
+carries its worker's own seconds, which the caller records as
+``shard_wall_seconds``.  Results never depend on any of it.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ except ImportError:  # pragma: no cover
         pass
 
 from ..obs.observer import Observer
-from ..obs.wall import ChunkTelemetry
 from . import faults
 from .shipper import (
     SnapshotCacheMiss,
@@ -182,29 +181,18 @@ def _shard_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, 
     return out
 
 
-def _run_chunk(ref, tasks, config, fault: Optional[str] = None,
-               telemetry: Optional[tuple] = None):
+def _run_chunk(ref, tasks, config, fault: Optional[str] = None):
     """The worker entry point: resolve the snapshot and rewrite one
-    chunk of shards.  ``telemetry`` is ``(stage, chunk, attempt)`` — the
-    fan-out coordinates only the parent knows — or None when the
-    observer is the no-op (no record is then allocated).
-    """
+    chunk of shards.  Returns the ``(index, payload, units)`` triples
+    and the chunk's metric collector."""
     if fault is not None:
         faults._execute_fault(fault)
-    tele = None
-    if telemetry is not None:
-        tele = ChunkTelemetry.begin(*telemetry, tasks=len(tasks))
-        tele.enter("patch")
     collector = _MetricCollector()
     snapshot = _resolve_snapshot(ref, collector)
-    if tele is not None:
-        tele.enter("compute")
     out = _shard_tasks(snapshot, tasks, config, collector)
     if fault == "corrupt":
         out = faults._corrupt_results(out)
-    if tele is not None:
-        tele.done(results=len(tasks))
-    return out, collector, tele
+    return out, collector
 
 
 def _warm_shared_state(config) -> None:
@@ -372,11 +360,6 @@ class ProcessExecutor(SimulatedExecutor):
         self.pool_restarts += 1
         if self.obs.enabled:
             self.obs.count("pool_restarts_total")
-            wall = self._wall()
-            if wall is not None:
-                wall.instant("pool_restart", why=why,
-                             restarts=self.pool_restarts)
-                wall.dump_flight("pool_restart", why=why)
         return self._ensure_pool()
 
     def close(self, wait: bool = True) -> None:
@@ -414,29 +397,6 @@ class ProcessExecutor(SimulatedExecutor):
             self._fault_plan = faults.FaultPlan.parse(spec)
         return self._fault_plan
 
-    def _wall(self):
-        """The observer's wall timeline, or None when it carries none
-        (telemetry is on iff the observer has one)."""
-        if not self.obs.enabled:
-            return None
-        return getattr(self.obs, "wall", None)
-
-    def _wall_instant(self, wall, name: str, **args) -> None:
-        if wall is not None:
-            wall.instant(name, **args)
-
-    def _update_pool_gauges(self, wall) -> None:
-        """Occupancy/utilization gauges from worker-span overlap; last
-        write wins, so each fan-out refreshes the run-wide picture."""
-        if wall is None or not wall.chunks:
-            return
-        util = wall.utilization(self.jobs)
-        obs = self.obs
-        obs.gauge("pool_utilization", round(util["utilization"], 6))
-        obs.gauge("pool_peak_concurrency", util["peak_concurrency"])
-        obs.gauge("pool_busy_seconds", round(util["busy_seconds"], 6))
-        obs.gauge("pool_workers_seen", util["workers_seen"])
-
     def _degrade_chunk(self, job, fallback, collector):
         """Compute one chunk in-parent (against the live graph) — the
         rest of the fan-out still completes on worker cores."""
@@ -445,8 +405,7 @@ class ProcessExecutor(SimulatedExecutor):
             self.obs.count("chunk_fallback_total")
         return fallback(job.tasks, collector)
 
-    def _record_failure(self, job, retry, fallback, collector, merged,
-                        wall=None) -> None:
+    def _record_failure(self, job, retry, fallback, collector, merged) -> None:
         """Route one failed chunk: retry with backoff while its budget
         lasts, then quarantine and degrade."""
         progress = self.obs.progress
@@ -455,8 +414,6 @@ class ProcessExecutor(SimulatedExecutor):
             self.chunk_retries += 1
             if self.obs.enabled:
                 self.obs.count("chunk_retries_total", stage=STAGE)
-            self._wall_instant(wall, "chunk_retry", stage=STAGE,
-                               chunk=job.index, attempt=job.attempts)
             if progress is not None:
                 progress.bump("retries")
             retry.append(job)
@@ -471,11 +428,6 @@ class ProcessExecutor(SimulatedExecutor):
                 "chunk_quarantined", "fault", 0,
                 stage=STAGE, chunk=job.index, tasks=len(job.tasks),
             )
-        self._wall_instant(wall, "chunk_quarantined", stage=STAGE,
-                           chunk=job.index, tasks=len(job.tasks))
-        if wall is not None:
-            wall.dump_flight("chunk_quarantined", stage=STAGE,
-                             chunk=job.index)
         merged.append(self._degrade_chunk(job, fallback, collector))
 
     def _collect_chunks(self, pool, ref, ref_kind, parts, config, collector,
@@ -501,14 +453,12 @@ class ProcessExecutor(SimulatedExecutor):
         def fallback(tasks, coll):
             return _shard_tasks(aig, tasks, config, coll)
 
-        obs = self.obs
         queue = deque(
             _ChunkJob(index, part, ref, ref_kind)
             for index, part in enumerate(parts, start=index_base)
         )
         plan = self._get_fault_plan(config)
         timeout = config.chunk_timeout_seconds
-        wall = self._wall()
         progress = self.obs.progress
         while queue:
             if pool is None:
@@ -523,14 +473,9 @@ class ProcessExecutor(SimulatedExecutor):
             while queue:
                 job = queue.popleft()
                 fault = plan.arm(STAGE, job.index) if plan is not None else None
-                tele_args = (
-                    (STAGE, job.index, job.attempts) if wall is not None
-                    else None
-                )
                 try:
                     future = pool.submit(
                         _run_chunk, job.ref, job.tasks, config, fault,
-                        tele_args,
                     )
                 except Exception:
                     # The pool died between rounds (broken or shut
@@ -538,22 +483,15 @@ class ProcessExecutor(SimulatedExecutor):
                     pool_dead = True
                     queue.appendleft(job)
                     break
-                inflight.append((job, future, time.time()))
+                inflight.append((job, future))
                 self._account_bytes(job.kind, _ref_nbytes(job.ref))
             retry: List[_ChunkJob] = []
-            for job, future, submit_time in inflight:
+            for job, future in inflight:
                 try:
-                    part_results, part_collector, part_tele = \
+                    part_results, part_collector = \
                         future.result(timeout=timeout)
-                    if part_tele is not None and wall is not None:
-                        phases = wall.add_chunk(
-                            part_tele, submit_time, time.time()
-                        )
-                        for phase, seconds in phases.items():
-                            obs.observe("chunk_wall_seconds", seconds,
-                                        stage=STAGE, phase=phase)
-                        if progress is not None:
-                            progress.bump("chunks")
+                    if progress is not None:
+                        progress.bump("chunks")
                     _validate_chunk(job.tasks, part_results)
                     merged.append(part_results)
                     collector.merge(part_collector)
@@ -563,7 +501,7 @@ class ProcessExecutor(SimulatedExecutor):
                     # self-contained payload misses too.
                     if job.refills >= 1:
                         self._record_failure(
-                            job, retry, fallback, collector, merged, wall,
+                            job, retry, fallback, collector, merged,
                         )
                         continue
                     self.cache_refills += 1
@@ -579,21 +517,18 @@ class ProcessExecutor(SimulatedExecutor):
                     self.chunk_timeouts += 1
                     if self.obs.enabled:
                         self.obs.count("chunk_timeouts_total")
-                    self._wall_instant(wall, "chunk_timeout", stage=STAGE,
-                                       chunk=job.index,
-                                       deadline_seconds=timeout)
                     wedged = True
                     merged.append(self._degrade_chunk(job, fallback, collector))
                 except _BrokenPool:
                     pool_dead = True
                     self._record_failure(
-                        job, retry, fallback, collector, merged, wall,
+                        job, retry, fallback, collector, merged,
                     )
                 except Exception:
                     # Worker-side raise (injected or real) or a
                     # corrupted result list caught by the validator.
                     self._record_failure(
-                        job, retry, fallback, collector, merged, wall,
+                        job, retry, fallback, collector, merged,
                     )
             if pool_dead or wedged:
                 why = "a broken pool" if pool_dead else "a timed-out chunk"
@@ -609,7 +544,7 @@ class ProcessExecutor(SimulatedExecutor):
                 queue.extend(retry)
         return merged
 
-    def _fan_out(self, aig, config, tasks, index_base, pass_index):
+    def _fan_out(self, aig, config, tasks, index_base):
         """Ship the graph's stage ref with one chunk per shard task and
         fan the per-chunk results back in (completion order).  Returns
         None when there is no pool to fan out to — never started, or
@@ -619,7 +554,6 @@ class ProcessExecutor(SimulatedExecutor):
         if pool is None:
             return None
         start_wall = time.perf_counter()
-        start_time = time.time()
         obs = self.obs
         _warm_shared_state(config)
         ref, ref_kind, ratio = self._shipper.stage_ref(aig)
@@ -646,19 +580,11 @@ class ProcessExecutor(SimulatedExecutor):
             collector.replay_into(obs)
             obs.observe(f"{STAGE}_fanout_wall_seconds",
                         time.perf_counter() - start_wall)
-            wall = self._wall()
-            if wall is not None:
-                wall.parent_span(
-                    f"{STAGE}_fanout", start_time, time.time(), stage=STAGE,
-                    chunks=len(tasks), jobs=self.jobs, shards=len(tasks),
-                    shard_pass=pass_index,
-                )
-                self._update_pool_gauges(wall)
         return merged
 
     # -- the shard fan-out --------------------------------------------
 
-    def run_shards(self, aig, tasks, config, pass_index=0) -> List[tuple]:
+    def run_shards(self, aig, tasks, config) -> List[tuple]:
         """Fan whole-shard rewrites out to pool workers.
 
         ``tasks`` are ``(index, Shard)`` pairs; the graph ships as the
@@ -668,13 +594,12 @@ class ProcessExecutor(SimulatedExecutor):
         fault plan — chunk coordinates are cumulative across
         seam-rotation passes, so ``mode@shard:N`` can target any pass's
         chunks), and the in-parent fallback recomputes it against the
-        live graph with identical results.  ``pass_index`` labels the
-        fan-out span for multi-pass telemetry.  Returns the
+        live graph with identical results.  Returns the
         ``(index, payload, units)`` triples, unordered.
         """
         index_base = self.shard_chunks_seen
         self.shard_chunks_seen += len(tasks)
-        merged = self._fan_out(aig, config, tasks, index_base, pass_index)
+        merged = self._fan_out(aig, config, tasks, index_base)
         if merged is None:
             collector = _MetricCollector()
             merged = [_shard_tasks(aig, tasks, config, collector)]

@@ -5,23 +5,13 @@ the engine drivers; by default it is the shared no-op
 :data:`NULL_OBSERVER` (zero overhead), and a :class:`TracingObserver`
 turns the same hooks into a hierarchical span trace (run → pass →
 worklist → stage → activity, timestamped in deterministic simulated
-work units) plus a metrics registry.  A second, physical clock domain
-rides alongside: pool workers record wall-clock
-:class:`ChunkTelemetry` spans (:mod:`repro.obs.wall`) that the parent
-merges into a per-pid :class:`WallTimeline` (:mod:`repro.obs.collect`)
-with fault instants, occupancy analysis and a bounded flight-recorder
-ring.  Exporters serialize everything into Chrome trace-event JSON
-(Perfetto / ``chrome://tracing`` — simulated and wall clocks as
-separate process groups), a JSONL event stream, or Prometheus text.
+work units) plus a metrics registry.  The trace has one clock: real
+seconds enter only as metric values (kernel and shard wall seconds),
+never as timestamps.  Exporters serialize the observation into Chrome
+trace-event JSON (Perfetto / ``chrome://tracing``) or a JSONL event
+stream.
 """
 
-from .collect import (
-    FLIGHT_RECORDER_SIZE,
-    ProgressLine,
-    WallEvent,
-    WallSpan,
-    WallTimeline,
-)
 from .metrics import (
     Counter,
     FAULT_TOLERANCE_COUNTERS,
@@ -29,13 +19,11 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .observer import NULL_OBSERVER, Observer, TracingObserver
+from .observer import NULL_OBSERVER, Observer, ProgressLine, TracingObserver
 from .export import (
     chrome_trace_json,
     jsonl_lines,
-    prometheus_text,
     to_chrome_trace,
-    wall_trace_events,
     write_jsonl,
 )
 from .profile import (
@@ -43,17 +31,12 @@ from .profile import (
     level_breakdown,
     stage_breakdown,
     stage_breakdown_from_tracer,
-    wall_breakdown,
 )
 from .tracer import Event, Span, SpanTracer
-from .wall import CHUNK_PHASES, ChunkTelemetry
 
 __all__ = [
-    "CHUNK_PHASES",
-    "ChunkTelemetry",
     "Counter",
     "FAULT_TOLERANCE_COUNTERS",
-    "FLIGHT_RECORDER_SIZE",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -61,20 +44,14 @@ __all__ = [
     "Observer",
     "ProgressLine",
     "TracingObserver",
-    "WallEvent",
-    "WallSpan",
-    "WallTimeline",
     "chrome_trace_json",
     "jsonl_lines",
-    "prometheus_text",
     "to_chrome_trace",
-    "wall_trace_events",
     "write_jsonl",
     "format_profile",
     "level_breakdown",
     "stage_breakdown",
     "stage_breakdown_from_tracer",
-    "wall_breakdown",
     "Event",
     "Span",
     "SpanTracer",

@@ -1,21 +1,19 @@
 """Exporters for the observability layer.
 
-Three formats, all with stable key order:
+Two formats, both with stable key order:
 
 * **Chrome trace-event JSON** — load in Perfetto or ``chrome://tracing``
   to *see* per-level barrier idle time and stage overlap.  Timestamps
-  are simulated work units interpreted as microseconds; with a
-  populated :class:`~repro.obs.collect.WallTimeline` the trace gains a
-  second process group per worker pid carrying real wall-clock spans,
-  so one Perfetto view shows both clock domains (kept apart via
-  separate trace ``pid``\\ s — they must never share an axis).
-* **JSONL** — one event per line, for ad-hoc ``jq``/pandas analysis
-  (wall spans, fault instants and flight-recorder dumps included).
-* **Prometheus text** — the metrics registry in exposition format.
+  are simulated work units interpreted as microseconds.
+* **JSONL** — one event per line, for ad-hoc ``jq``/pandas analysis,
+  ending in one ``metrics`` record with the registry's snapshot.
 
-The simulated half of every export is deterministic (no wall-clock
-enters it); the wall half is honest physical time and varies run to
-run by construction.
+The Chrome trace is deterministic: no wall-clock enters it, so a
+re-run with the same inputs — or a sharded run on the process pool
+against the same run on the simulated executor — exports the same
+bytes.  The JSONL stream's span and instant records are equally
+deterministic; its ``metrics`` record also carries the registry's
+wall-clock histograms (kernel and shard seconds).
 """
 
 from __future__ import annotations
@@ -23,12 +21,11 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List, Optional
 
-from .collect import WallTimeline
 from .metrics import MetricsRegistry
 from .tracer import SpanTracer
 
-#: Chrome-trace ``pid`` of the simulated-clock process group.  Wall
-#: tracks use real OS pids, which are never 0.
+#: Chrome-trace ``pid`` of the simulated-clock process group, the only
+#: one a trace has.
 SIM_CLOCK_PID = 0
 
 
@@ -40,64 +37,11 @@ def _dumps(obj: object) -> str:
 # Chrome trace-event format
 
 
-def _wall_us(seconds: float) -> int:
-    """Wall seconds (relative to the timeline origin) as trace µs."""
-    return int(round(seconds * 1e6))
-
-
-def wall_trace_events(wall: WallTimeline) -> List[Dict[str, object]]:
-    """The wall-clock timeline as Chrome trace events.
-
-    One trace process group per pid: the parent's fan-out windows plus
-    one group per pool-worker pid, each labelled so Perfetto shows the
-    clock domain at a glance.  Timestamps are microseconds since the
-    timeline origin — a different axis from the simulated group's work
-    units, which is exactly why the pids differ.
-    """
-    events: List[Dict[str, object]] = []
-    pids = sorted({s.pid for s in wall.spans} | {e.pid for e in wall.events})
-    for pid in pids:
-        label = ("wall-clock parent" if pid == wall.parent_pid
-                 else f"wall-clock worker {pid}")
-        events.append({
-            "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-            "args": {"name": label},
-        })
-    for span in wall.spans:
-        events.append({
-            "ph": "X",
-            "name": span.name,
-            "cat": f"wall.{span.cat}",
-            "ts": _wall_us(span.start),
-            "dur": max(0, _wall_us(span.end) - _wall_us(span.start)),
-            "pid": span.pid,
-            "tid": 0,
-            "args": dict(span.args),
-        })
-    for event in wall.events:
-        events.append({
-            "ph": "i",
-            "s": "p",
-            "name": event.name,
-            "cat": f"wall.{event.cat}",
-            "ts": _wall_us(event.ts),
-            "pid": event.pid,
-            "tid": 0,
-            "args": dict(event.args),
-        })
-    return events
-
-
 def to_chrome_trace(
     tracer: SpanTracer,
     metadata: Optional[Dict[str, object]] = None,
-    wall: Optional[WallTimeline] = None,
 ) -> Dict[str, object]:
-    """The trace as a Chrome/Perfetto ``traceEvents`` object.
-
-    A populated ``wall`` timeline contributes its own process groups
-    (real pids) next to the simulated-clock group (pid 0).
-    """
+    """The trace as a Chrome/Perfetto ``traceEvents`` object."""
     events: List[Dict[str, object]] = []
     events.append({
         "ph": "M", "name": "process_name", "pid": SIM_CLOCK_PID, "tid": 0,
@@ -134,19 +78,10 @@ def to_chrome_trace(
             "tid": event.track,
             "args": dict(event.args, sid=event.sid),
         })
-    other = dict(metadata or {}, clock="simulated-work-units")
-    if wall is not None and wall:
-        events.extend(wall_trace_events(wall))
-        other["wall_clock"] = {
-            "origin_unix_seconds": wall.t0,
-            "worker_pids": wall.worker_pids(),
-            "chunks": wall.chunks,
-            "flight_dumps": len(wall.dumps),
-        }
     doc: Dict[str, object] = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": other,
+        "otherData": dict(metadata or {}, clock="simulated-work-units"),
     }
     return doc
 
@@ -154,11 +89,9 @@ def to_chrome_trace(
 def chrome_trace_json(
     tracer: SpanTracer,
     metadata: Optional[Dict[str, object]] = None,
-    wall: Optional[WallTimeline] = None,
 ) -> str:
-    """Serialization of :func:`to_chrome_trace` (byte-reproducible
-    when no wall timeline is attached)."""
-    return _dumps(to_chrome_trace(tracer, metadata, wall))
+    """Serialization of :func:`to_chrome_trace` (byte-reproducible)."""
+    return _dumps(to_chrome_trace(tracer, metadata))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +101,8 @@ def chrome_trace_json(
 def jsonl_lines(
     tracer: SpanTracer,
     metrics: Optional[MetricsRegistry] = None,
-    wall: Optional[WallTimeline] = None,
 ) -> Iterator[str]:
-    """One JSON object per line: spans, instants, wall-clock records
-    and flight-recorder dumps, then metric values."""
+    """One JSON object per line: spans, instants, then metric values."""
     for span in tracer.spans:
         yield _dumps({
             "kind": "span", "sid": span.sid, "parent": span.parent,
@@ -184,21 +115,6 @@ def jsonl_lines(
             "cat": event.cat, "ts": event.ts, "track": event.track,
             "args": event.args,
         })
-    if wall is not None:
-        for wspan in wall.spans:
-            yield _dumps({
-                "kind": "wall_span", "name": wspan.name, "cat": wspan.cat,
-                "pid": wspan.pid, "start": wspan.start, "end": wspan.end,
-                "args": wspan.args,
-            })
-        for wevent in wall.events:
-            yield _dumps({
-                "kind": "wall_instant", "name": wevent.name,
-                "cat": wevent.cat, "pid": wevent.pid, "ts": wevent.ts,
-                "args": wevent.args,
-            })
-        for dump in wall.dumps:
-            yield _dumps({"kind": "flight_dump", **dump})
     if metrics is not None:
         yield _dumps({"kind": "metrics", "snapshot": metrics.snapshot()})
 
@@ -207,69 +123,7 @@ def write_jsonl(
     path: str,
     tracer: SpanTracer,
     metrics: Optional[MetricsRegistry] = None,
-    wall: Optional[WallTimeline] = None,
 ) -> None:
     with open(path, "w") as fh:
-        for line in jsonl_lines(tracer, metrics, wall):
+        for line in jsonl_lines(tracer, metrics):
             fh.write(line + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Prometheus exposition format
-
-
-def _prom_escape(value: object) -> str:
-    """Escape one label value per the exposition-format spec: inside
-    double quotes, backslash, double-quote and line-feed must be
-    written ``\\\\``, ``\\"`` and ``\\n`` — anything else (a stage name
-    containing a quote, say) would split or corrupt the sample line."""
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _prom_labels(labels) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{_prom_escape(v)}"' for k, v in labels)
-    return f"{{{inner}}}"
-
-
-def _prom_number(value: float) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
-def prometheus_text(metrics: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format."""
-    lines: List[str] = []
-    seen_types = set()
-
-    def header(name: str, kind: str) -> None:
-        if name not in seen_types:
-            seen_types.add(name)
-            lines.append(f"# TYPE {name} {kind}")
-
-    for name, labels, counter in metrics.counters():
-        header(name, "counter")
-        lines.append(f"{name}{_prom_labels(labels)} {counter.value}")
-    for name, labels, gauge in metrics.gauges():
-        header(name, "gauge")
-        lines.append(f"{name}{_prom_labels(labels)} {_prom_number(gauge.value)}")
-    for name, labels, hist in metrics.histograms():
-        header(name, "histogram")
-        cumulative = 0
-        for bound, bucket in zip(hist.bounds, hist.buckets):
-            cumulative += bucket
-            le = _prom_labels(labels + (("le", _prom_number(float(bound))),))
-            lines.append(f"{name}_bucket{le} {cumulative}")
-        cumulative += hist.buckets[-1]
-        le = _prom_labels(labels + (("le", "+Inf"),))
-        lines.append(f"{name}_bucket{le} {cumulative}")
-        lines.append(f"{name}_sum{_prom_labels(labels)} {_prom_number(hist.total)}")
-        lines.append(f"{name}_count{_prom_labels(labels)} {hist.count}")
-    return "\n".join(lines) + "\n"

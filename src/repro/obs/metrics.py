@@ -4,20 +4,16 @@ The registry is the numeric half of the observability layer (the
 tracer is the temporal half): gain distributions, cuts-per-node, NPN
 class hit frequencies, conflict/abort totals per stage,
 validation-failure causes, per-level worklist occupancy.  Everything
-is deterministic — values come from the simulated executor and the
-engines' own counters, never from wall-clock sampling.
+but the ``*_seconds`` histograms (kernel, shard and fan-out wall
+seconds) is deterministic — values come from the simulated executor
+and the engines' own counters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
-
-# Work-unit / count scales in this repo span 0 .. ~1e6.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 25000, 100000,
-)
 
 #: Counters the fault-tolerant shard pool emits on its recovery paths
 #: (``repro.galois.procpool``).  All stay at zero on a healthy run:
@@ -69,17 +65,12 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with exact sum/count/min/max.
+    """A distribution summary: exact count/sum/min/max (what the
+    ``--json`` and JSONL snapshots report)."""
 
-    ``buckets[i]`` counts observations ``<= bounds[i]``; one overflow
-    bucket catches the rest (Prometheus ``+Inf`` semantics).
-    """
+    __slots__ = ("count", "total", "min", "max")
 
-    __slots__ = ("bounds", "buckets", "count", "total", "min", "max")
-
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self.bounds = tuple(bounds)
-        self.buckets = [0] * (len(self.bounds) + 1)
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
@@ -92,11 +83,6 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
 
     @property
     def mean(self) -> float:
@@ -127,13 +113,11 @@ class MetricsRegistry:
             metric = self._gauges[key] = Gauge()
         return metric
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS, **labels: object
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: object) -> Histogram:
         key = (name, _label_key(labels))
         metric = self._histograms.get(key)
         if metric is None:
-            metric = self._histograms[key] = Histogram(bounds)
+            metric = self._histograms[key] = Histogram()
         return metric
 
     # -- iteration / snapshots -------------------------------------------

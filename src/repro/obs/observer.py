@@ -12,27 +12,80 @@ even the cost of building event arguments::
 covers one engine run end to end (executor stages, operator metrics,
 engine-level pass/worklist structure), which is what lets a single
 ``--trace`` flag capture the whole matrix of engines.
+
+:class:`ProgressLine` is the live status line behind ``rewrite
+--progress``: a single ``\\r``-rewritten stderr line fed by the
+observer (passes, levels, stages) and the shard pool (chunks,
+retries), throttled so it never becomes the hot path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import sys
+import time
+from typing import Any, Dict, Optional, TextIO
 
-from .collect import FLIGHT_RECORDER_SIZE, ProgressLine, WallTimeline
-from .metrics import DEFAULT_BUCKETS, MetricsRegistry
+from .metrics import MetricsRegistry
 from .tracer import Span, SpanTracer
+
+
+class ProgressLine:
+    """Single-line live progress (the ``--progress`` flag).
+
+    Fields are free-form ``key=value`` pairs rendered in first-set
+    order; :meth:`set` overwrites, :meth:`bump` increments.  Rendering
+    is throttled to ``min_interval`` seconds so feeding it from hot
+    loops is safe, and :meth:`close` finishes with a newline so the
+    shell prompt is not overwritten.  Nothing is written when the
+    stream is not a terminal unless ``force`` is set (tests set it).
+    """
+
+    def __init__(self, stream: Optional[TextIO] = None,
+                 min_interval: float = 0.1, force: bool = False):
+        self.stream = stream if stream is not None else sys.stderr
+        self.min_interval = min_interval
+        self.enabled = force or bool(getattr(self.stream, "isatty", lambda: False)())
+        self.fields: Dict[str, Any] = {}
+        self.renders = 0
+        self._last: Optional[float] = None
+        self._width = 0
+
+    def set(self, **fields: Any) -> None:
+        self.fields.update(fields)
+        self._render()
+
+    def bump(self, key: str, n: int = 1) -> None:
+        self.fields[key] = self.fields.get(key, 0) + n
+        self._render()
+
+    def _render(self, final: bool = False) -> None:
+        if not self.enabled:
+            return
+        now = time.monotonic()
+        if (not final and self._last is not None
+                and now - self._last < self.min_interval):
+            return
+        self._last = now
+        line = " · ".join(f"{k} {v}" for k, v in self.fields.items())
+        pad = " " * max(0, self._width - len(line))
+        self._width = len(line)
+        self.stream.write(f"\r{line}{pad}")
+        self.stream.flush()
+        self.renders += 1
+
+    def close(self) -> None:
+        if not self.enabled:
+            return
+        self._render(final=True)
+        if self._width:
+            self.stream.write("\n")
+            self.stream.flush()
 
 
 class Observer:
     """No-op base observer (the zero-overhead default)."""
 
     enabled = False
-
-    #: Wall-clock timeline of the run (the second clock domain).  None
-    #: on the no-op observer so instrumented sites can skip telemetry
-    #: entirely; a :class:`TracingObserver` owns a real
-    #: :class:`~repro.obs.collect.WallTimeline`.
-    wall: Optional[WallTimeline] = None
 
     #: Live progress sink (``--progress``); None = silent.
     progress: Optional[ProgressLine] = None
@@ -75,10 +128,9 @@ class TracingObserver(Observer):
 
     enabled = True
 
-    def __init__(self, flight_size: int = FLIGHT_RECORDER_SIZE) -> None:
+    def __init__(self) -> None:
         self.tracer = SpanTracer()
         self.metrics = MetricsRegistry()
-        self.wall = WallTimeline(flight_size=flight_size)
         self.progress: Optional[ProgressLine] = None
 
     def begin(self, name: str, cat: str, ts: int, **args: Any) -> Span:
@@ -109,7 +161,7 @@ class TracingObserver(Observer):
         self.metrics.counter(name, **labels).inc(n)
 
     def observe(self, name: str, value: float, **labels: object) -> None:
-        self.metrics.histogram(name, DEFAULT_BUCKETS, **labels).observe(value)
+        self.metrics.histogram(name, **labels).observe(value)
 
     def gauge(self, name: str, value: float, **labels: object) -> None:
         self.metrics.gauge(name, **labels).set(value)

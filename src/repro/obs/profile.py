@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..galois.stats import ExecutionStats
-from .collect import WallTimeline
 from .tracer import SpanTracer
 
 
@@ -118,41 +117,6 @@ def level_breakdown(
             i, span.args.get("level", "-"), span.args.get("size", "-"),
             window, useful, f"{100.0 * busy:.1f}%",
             f"{100.0 * (1.0 - busy):.1f}%",
-        ])
-    return headers, rows
-
-
-def wall_breakdown(wall: WallTimeline) -> Tuple[List[str], List[List[str]]]:
-    """Per-worker wall-clock busy time and chunk-phase split, from the
-    cross-process chunk telemetry (process executor only).
-
-    One row per pool-worker pid: chunks it processed, seconds spent in
-    each pipeline phase (receive = queue + request IPC, patch =
-    snapshot resolve, compute = eval/merge work, serialize = result
-    pickle + response IPC) and the busy share of the pool window.
-    """
-    headers = ["WorkerPid", "Chunks", "ReceiveS", "PatchS", "ComputeS",
-               "SerializeS", "BusyS"]
-    per_pid: Dict[int, Dict[str, float]] = {}
-    chunks: Dict[int, set] = {}
-    for span in wall.spans:
-        if span.cat != "chunk":
-            continue
-        acc = per_pid.setdefault(span.pid, {})
-        acc[span.name] = acc.get(span.name, 0.0) + span.duration
-        chunks.setdefault(span.pid, set()).add(
-            (span.args.get("stage"), span.args.get("chunk"),
-             span.args.get("attempt"))
-        )
-    rows = []
-    for pid in sorted(per_pid):
-        acc = per_pid[pid]
-        busy = sum(acc.values())
-        rows.append([
-            pid, len(chunks.get(pid, ())),
-            f"{acc.get('receive', 0.0):.4f}", f"{acc.get('patch', 0.0):.4f}",
-            f"{acc.get('compute', 0.0):.4f}",
-            f"{acc.get('serialize', 0.0):.4f}", f"{busy:.4f}",
         ])
     return headers, rows
 

@@ -9,11 +9,11 @@ whatever control span is open when they are recorded.
 
 All timestamps are abstract work units (the currency of
 :mod:`repro.galois.simsched`), never wall-clock, which is what makes a
-trace byte-reproducible across runs with the same seed.  Physical time
-lives in a separate clock domain — the per-worker wall spans of
-:class:`repro.obs.collect.WallTimeline` — and the exporters keep the
-two apart via distinct Chrome-trace ``pid`` groups; nothing from that
-domain ever enters this tracer's timeline.
+trace byte-reproducible across runs with the same seed — and across
+executors: a sharded run on the process pool traces the same bytes
+as on the simulated executor.  Physical seconds are metric values
+(:class:`repro.obs.metrics.MetricsRegistry` histograms), never
+timestamps on this timeline.
 """
 
 from __future__ import annotations

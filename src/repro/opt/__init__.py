@@ -1,7 +1,5 @@
-"""Large-cut refactoring, the second operator on DACPara's skeleton, plus
-AIG balancing."""
+"""Large-cut refactoring, the second operator on DACPara's skeleton."""
 
-from .balance import BalanceResult, balance
 from .refactor import (
     DEFAULT_MAX_LEAVES,
     ParallelRefactor,
@@ -13,8 +11,6 @@ from .refactor import (
 )
 
 __all__ = [
-    "BalanceResult",
-    "balance",
     "DEFAULT_MAX_LEAVES",
     "ParallelRefactor",
     "RefactorCandidate",

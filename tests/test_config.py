@@ -169,11 +169,10 @@ def test_second_benchmark_is_gone(capsys):
 
 
 def test_off_path_passes_are_gone(capsys):
-    """Beside the rewriter only the refactor extension, balancing and the
-    LUT mapper remain: no `flow` / `shell` subcommand, no MIG, shell,
-    resub or fraig modules, and the refactor engines take no knob their
+    """Beside the rewriter only the refactor extension remains: no
+    `flow` / `shell` subcommand, no MIG, shell, resub, fraig, balance or
+    LUT-mapping modules, and the refactor engines take no knob their
     callers never set."""
-    import importlib
     import importlib.util
 
     import repro.opt
@@ -184,14 +183,28 @@ def test_off_path_passes_are_gone(capsys):
             main(argv)
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
-    for module in ("mig", "shell", "opt.resub", "opt.fraig", "opt.flow"):
+    for module in ("mig", "shell", "opt.resub", "opt.fraig", "opt.flow",
+                   "opt.balance", "mapping"):
         assert importlib.util.find_spec(f"repro.{module}") is None, module
     for name in repro.opt.__all__:
-        home = refactor
-        if name in ("BalanceResult", "balance"):
-            home = importlib.import_module("repro.opt.balance")
-        assert getattr(repro.opt, name) is getattr(home, name), name
+        assert getattr(repro.opt, name) is getattr(refactor, name), name
     with pytest.raises(TypeError):
         RefactorEngine(zero_gain=True)
     with pytest.raises(TypeError):
         ParallelRefactor(executor_kind="simulated")
+
+
+def test_wall_clock_domain_and_prometheus_are_gone():
+    """The observer has one clock: no wall-clock telemetry modules, no
+    flight-recorder knob and no Prometheus export on the CLI."""
+    import importlib.util
+
+    from repro.obs import TracingObserver
+
+    for module in ("obs.wall", "obs.collect"):
+        assert importlib.util.find_spec(f"repro.{module}") is None, module
+    with pytest.raises(TypeError):
+        TracingObserver(flight_size=8)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["rewrite", "--metrics", "m.prom", "x.aig"])
+    assert exit_info.value.code == 2

@@ -18,7 +18,6 @@ from repro.obs import (
     chrome_trace_json,
     jsonl_lines,
     level_breakdown,
-    prometheus_text,
     stage_breakdown,
     stage_breakdown_from_tracer,
     to_chrome_trace,
@@ -163,16 +162,6 @@ class TestMetricsRegistry:
         assert snap["histograms"]["gain"]["max"] == 30
         assert snap["histograms"]["gain"]["sum"] == 33
 
-    def test_prometheus_text_format(self):
-        reg = MetricsRegistry()
-        reg.counter("conflicts_total", stage="replace").inc(2)
-        reg.histogram("gain").observe(1)
-        text = prometheus_text(reg)
-        assert '# TYPE conflicts_total counter' in text
-        assert 'conflicts_total{stage="replace"} 2' in text
-        assert 'gain_bucket{le="+Inf"} 1' in text
-        assert "gain_count 1" in text
-
     def test_engine_metrics_captured(self):
         """The run populates the paper-motivated metric families."""
         obs, _, result = _traced_run()
@@ -266,16 +255,19 @@ class TestCliObservability:
         from repro.cli import main
 
         trace = str(tmp_path / "t.trace.json")
-        prom = str(tmp_path / "m.prom")
+        events = str(tmp_path / "e.jsonl")
         code = main([
             "rewrite", circuit_file, "--engine", "dacpara", "--workers", "4",
-            "--trace", trace, "--metrics", prom,
+            "--trace", trace, "--events", events,
         ])
         assert code == 0
         doc = json.loads(open(trace).read())
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert {"run", "pass", "worklist", "stage"} <= cats
-        assert "# TYPE" in open(prom).read()
+        # The metrics registry rides the JSONL stream as its last record.
+        last = json.loads(open(events).read().splitlines()[-1])
+        assert last["kind"] == "metrics"
+        assert last["snapshot"]["counters"]
 
     def test_rewrite_trace_reproducible(self, circuit_file, tmp_path, capsys):
         from repro.cli import main

@@ -213,7 +213,7 @@ class TestCrossExecutorEquivalence:
         assert len(proc_counters) < len(snap_proc["counters"])
         assert snap_sim["counters"] == proc_counters
         proc_only = {"snapshot_bytes", "snapshot_delta_ratio",
-                     "shard_fanout_wall_seconds", "chunk_wall_seconds"}
+                     "shard_fanout_wall_seconds"}
         extras = set(snap_proc["histograms"]) - set(snap_sim["histograms"])
         assert set(snap_sim["histograms"]) <= set(snap_proc["histograms"])
         assert {e.split("{")[0] for e in extras} <= proc_only
