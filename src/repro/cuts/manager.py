@@ -32,12 +32,13 @@ makes the reproduced speedups data-driven rather than hand-tuned.
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from ..aig import Aig
-from ..aig.graph import KIND_DEAD
+from ..aig.graph import KIND_AND, KIND_DEAD
 from ..aig.literals import lit_compl, lit_var
 from ..errors import CutError
 from ..npn.truth import (
@@ -59,10 +60,10 @@ _FULL_MASKS_ARR = np.array([full_mask(n) for n in range(5)], dtype=np.int64)
 # which never dies), so padded rows index the life mirror safely; pad
 # stamp lanes hold the constant's life stamp and always compare equal.
 _ID_MASK = CUT_LEAF_SENTINEL - 1
-_SIDE_BITS = np.array([[0], [1]], dtype=np.int64)  # a union tag's side bits
-# Multiplier moving bit 0 of bytes 0..3 of a 32-bit word to bits 24..27
-# (no partial product lands there or carries into it).
-_LANE_PACK = (1 << 24) | (1 << 17) | (1 << 10) | (1 << 3)
+_SIDES = np.array([[1], [2]], dtype=np.int64)  # a leaf tag's side bit
+# Bit 0 of each byte of a 32-bit word, and the multiplier moving those
+# four bits to bits 24..27 (no other partial product lands there).
+_LANE_BITS, _LANE_GATHER = 0x01010101, 0x01020408
 _MIN_ARENA_ROWS = 1024
 
 # The index table's rows; -1 throughout a var's column: no entry.
@@ -75,9 +76,9 @@ _LEAF_LIMIT = (1 << 31) - 1
 
 def _ranges(offs: "np.ndarray", cnts: "np.ndarray") -> "np.ndarray":
     """Concatenated ``arange(off, off + cnt)`` runs."""
-    ends = np.cumsum(cnts)
+    ends = cnts.cumsum()
     total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(offs - (ends - cnts), cnts) + np.arange(total)
+    return (offs - ends + cnts).repeat(cnts) + np.arange(total)
 
 
 def _all_lanes(flags: "np.ndarray") -> "np.ndarray":
@@ -122,23 +123,27 @@ class EnumPlan:
     order-dependent).  Merges fill ``off``/``cnt`` (pending until
     :meth:`CutManager.install_cuts`), ``pairs`` and ``epoch``;
     ``per_root`` counts the live roots not simple.  Built directly,
-    every task is simple and wave 0."""
+    every task is simple and wave 0.  ``lit``, ``src`` and ``res`` hold
+    the per-side and ``(off, cnt)`` pairs as rows of one array each."""
 
     def __init__(self, var, lit0, lit1, src0=None, src1=None, waves=None,
                  simple: Optional[int] = None,
                  index: Optional[Dict[int, Optional[int]]] = None):
         self.var = np.asarray(var, dtype=np.int64)
         n = len(self.var)
-        self.lit0 = np.asarray(lit0, dtype=np.int64)
-        self.lit1 = np.asarray(lit1, dtype=np.int64)
-        stable = np.full(n, -1, dtype=np.int64)
-        self.src0 = stable if src0 is None else np.asarray(src0, dtype=np.int64)
-        self.src1 = stable if src1 is None else np.asarray(src1, dtype=np.int64)
+        self.lit = np.array((lit0, lit1), dtype=np.int64).reshape(2, n)
+        self.src = np.full((2, n), -1, dtype=np.int64)
+        if src0 is not None:
+            self.src[:] = src0, src1
+        self.lit0, self.lit1 = self.lit
+        self.src0, self.src1 = self.src
         self.waves = [np.arange(n)] if waves is None else waves
         self.simple = n if simple is None else simple
         self.index = {} if index is None else index
         # Per task; a zero count: not merged yet.
-        self.off, self.cnt, self.pairs = np.zeros((3, n), dtype=np.int64)
+        self.res = np.zeros((2, n), dtype=np.int64)
+        self.off, self.cnt = self.res
+        self.pairs = np.zeros(n, dtype=np.int64)
         self.epoch: Optional[int] = None
         self.per_root = 0
 
@@ -252,12 +257,13 @@ class CutManager:
         other is resolved first, in order."""
         vars = np.asarray(roots, dtype=np.int64).reshape(-1)
         self._sync()
-        live, _ = self._fresh_live(vars)
+        live, _, entry = self._fresh_live(vars)
         if not live.all():
             for root in vars[~live].tolist():
                 self.fresh_block(root)
-        cnts = self._tab[_CNT, vars]
-        rows = _ranges(self._tab[_OFF, vars], cnts)
+            entry = self._tab.take(vars, axis=1)
+        cnts = entry[_CNT]
+        rows = _ranges(entry[_OFF], cnts)
         leaves, tt, stamps, _ = self._arena.cols
         return CutColumns(list(roots), cnts.tolist(), leaves.take(rows, axis=0),
                           tt.take(rows), stamps.take(rows, axis=0))
@@ -296,25 +302,27 @@ class CutManager:
         return self._tab.item(_STAMP, var) == self.aig.stamp(var)
 
     def _fresh_live(self, vars: "np.ndarray", stamps=None):
-        """``(live, fresh)`` per var (synced mirrors; ``stamps``, the
-        vars' structure stamps, if already gathered): ``fresh``, the
+        """``(live, fresh, entry)`` per var (synced mirrors; ``stamps``,
+        the vars' structure stamps, if already gathered): ``fresh``, the
         entry is keyed to the var's stamp; ``live``, also every cut
-        alive.  The fresh entries not yet verified at this epoch are in
-        one vector compare, and each all-alive one's epoch recorded."""
+        alive; ``entry``, the vars' table columns.  The fresh entries
+        not yet verified at this epoch are in one vector compare, and
+        each all-alive one's epoch recorded."""
         tab, epoch = self._tab, self._epoch
         entry = tab.take(vars, axis=1)
         if stamps is None:
             stamps = self._stamp.take(vars)
         fresh = entry[_STAMP] == stamps
-        unknown = np.flatnonzero(fresh & (entry[_ALIVE] != epoch))
+        unknown = (fresh & (entry[_ALIVE] != epoch)).nonzero()[0]
         if len(unknown):
-            cnts = entry[_CNT, unknown]
-            rows_alive = self._rows_alive(_ranges(entry[_OFF, unknown], cnts))
-            starts = np.cumsum(cnts) - cnts
-            alive = unknown[np.logical_and.reduceat(rows_alive, starts)]
+            sub = entry.take(unknown, axis=1)
+            cnts = sub[_CNT]
+            rows_alive = self._rows_alive(_ranges(sub[_OFF], cnts))
+            alive = unknown.compress(np.logical_and.reduceat(
+                rows_alive, cnts.cumsum() - cnts))
             entry[_ALIVE, alive] = epoch
-            tab[_ALIVE, vars[alive]] = epoch
-        return fresh & (entry[_ALIVE] == epoch), fresh
+            tab[_ALIVE, vars.take(alive)] = epoch
+        return fresh & (entry[_ALIVE] == epoch), fresh, entry
 
     def _resolve(self, var: int) -> None:
         """Make ``var``'s entry stamp-fresh, merging bottom-up whatever
@@ -423,10 +431,12 @@ class CutManager:
         if dirty is None or 4 * len(dirty) > len(life):
             idx = np.arange(len(life))
             rows = np.array([life, stamp, f0, f1, kind], dtype=np.int64)
-        else:
-            idx = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
-            rows = np.array([(life[v], stamp[v], f0[v], f1[v], kind[v])
-                             for v in idx.tolist()], dtype=np.int64).reshape(-1, 5).T
+        else:  # epochs differ, so something was journaled
+            idx = list(dirty)
+            get = itemgetter(*idx)  # a tuple, or one value for one var
+            rows = np.array([get(life), get(stamp), get(f0), get(f1), get(kind)],
+                            dtype=np.int64).reshape(5, -1)
+            idx = np.array(idx, dtype=np.int64)
         dead = rows[4] == KIND_DEAD
         rows[0, dead] = -1
         self._graph[:, idx] = rows[:4]
@@ -444,6 +454,10 @@ class CutManager:
     def _all_alive(self, var: int) -> bool:
         """Every cut of ``var``'s entry alive (memoized per epoch)."""
         self._sync()
+        return self._live(var)
+
+    def _live(self, var: int) -> bool:
+        """:meth:`_all_alive` on synced mirrors."""
         tab = self._tab
         if tab.item(_ALIVE, var) == self._epoch:
             return True
@@ -477,7 +491,7 @@ class CutManager:
         order-dependent — stamp-fresh with dead cuts, maybe a worklist
         root re-merged before its reader runs."""
         if self._fresh(fv):
-            return self._all_alive(fv)
+            return self._live(fv)
         if self.aig.is_and(fv):
             return None
         self._install_trivial(fv)
@@ -521,34 +535,41 @@ class CutManager:
         lits = self._fan.take(roots, axis=1)  # -1: not an AND (reads slot -1)
         probe = np.concatenate([roots, lits.reshape(-1) >> 1])
         graph = self._graph.take(probe, axis=1)  # life, stamp, fanins
-        live, fresh = self._fresh_live(probe, graph[1])
+        live, fresh, _ = self._fresh_live(probe, graph[1])
         is_and = graph[2] >= 0
         cand = is_and[:n] & ~live[:n]
         cold = ~(fresh[n:] | is_and[n:])  # a non-AND fanin without an entry
+        # A live entry is fresh: the stable inputs are the live and the
+        # cold ones (their trivial entry made here).
+        stable = live[n:] | cold
         if cold.any():
             cold &= np.concatenate([cand, cand])
             self._install_trivial(sorted(set(probe[n:].compress(cold).tolist())))
-        stable = np.where(fresh[n:], live[n:], ~is_and[n:])
-        pick = np.flatnonzero(cand & stable[:n] & stable[n:])
-        simple = roots[pick]
+        both = stable[:n] & stable[n:]
+        pick = (cand & both).nonzero()[0]
+        simple = roots.take(pick)
         n_simple = len(pick)
-        cand[pick] = False
-        if not cand.any():
-            plan = EnumPlan(simple, lits[0, pick], lits[1, pick])
+        walk = cand & ~both
+        if not walk.any():
+            plan = EnumPlan(simple, *lits.take(pick, axis=1))
         else:
             index = dict(zip(simple.tolist(), range(n_simple)))
             walked: List[tuple] = []  # (var, lit0, lit1, src0, src1, wave)
-            for root in roots[cand].tolist():
+            for root in roots.compress(walk).tolist():
                 self._walk(root, index, walked, n_simple)
+            waves: List[list] = [list(range(n_simple))]
+            for t, row in enumerate(walked, n_simple):
+                if row[5] == len(waves):  # a wave first shows after the one below
+                    waves.append([])
+                waves[row[5]].append(t)
             rows = np.array(walked, dtype=np.int64).reshape(-1, 6).T
-            tasks = n_simple + np.arange(len(walked))
-            waves = [np.concatenate([np.arange(n_simple), tasks[rows[5] == 0]])]
-            waves += [tasks[rows[5] == w] for w in range(1, rows[5].max(initial=0) + 1)]
-            stable_src = np.full(n_simple, -1, dtype=np.int64)
-            heads = (simple, lits[0, pick], lits[1, pick], stable_src, stable_src)
-            plan = EnumPlan(*(np.concatenate([head, row])
-                              for head, row in zip(heads, rows)),
-                            waves, n_simple, index)
+            src = np.full((2, n_simple + len(walked)), -1, dtype=np.int64)
+            src[:, n_simple:] = rows[3:5]
+            plan = EnumPlan(np.concatenate([simple, rows[0]]),
+                            *np.concatenate([lits.take(pick, axis=1), rows[1:3]],
+                                            axis=1),
+                            *src, [np.array(w, dtype=np.int64) for w in waves],
+                            n_simple, index)
         plan.per_root = len(roots) - n_simple
         self.per_root_resolves += plan.per_root
         return plan
@@ -557,17 +578,19 @@ class CutManager:
         """Plan ``root``'s cold closure (:meth:`plan_closures`):
         post-order, pruned at planned vars, non-ANDs and cache answers."""
         aig = self.aig
+        kind, fanin0, fanin1 = aig._kind, aig._fanin0, aig._fanin1
+        fresh, live, stage_input = self._fresh, self._live, self._stage_input
         stack = [root]
         while stack:  # iterative: a cold closure can be TFI-deep
             v = stack[-1]
-            if v in index or not aig.is_and(v) or self.has_fresh_live_cuts(v):
+            if v in index or kind[v] != KIND_AND or (fresh(v) and live(v)):
                 stack.pop()  # level drift or a shared fanin; a cache answer
                 continue
-            lits = (aig.fanin0(v), aig.fanin1(v))
+            lits = (fanin0[v], fanin1[v])
             wave, srcs, first, dependent = 0, [], [], False
             for lit in lits:
-                fv = lit_var(lit)
-                stable = self._stage_input(fv)
+                fv = lit >> 1
+                stable = stage_input(fv)
                 src = -1
                 if stable is None and fv not in index:
                     first.append(fv)
@@ -629,129 +652,130 @@ class CutManager:
         self.work += n_pairs
         self.vec_pairs += n_pairs
         out = self._columnar_core(
-            np.array([v]), np.array([lit_compl(f0)]), np.array([lit_compl(f1)]),
-            rows0, np.array([len(rows0)]), rows1, np.array([len(rows1)]),
+            np.array([v]), np.array([[lit_compl(f0), lit_compl(f1)]]),
+            np.concatenate([rows0, rows1]), np.array([len(rows0)]),
+            np.array([len(rows1)]),
         )
         return self._arena.append(*out[:4]), int(out[4][0])
 
-    def _task_vectors(self, plan: EnumPlan, tasks: "np.ndarray"):
-        """The kernel's task vectors ``(roots, comp0, comp1, off0, n0s,
-        off1, n1s)`` of plan ``tasks``, each input the fanin's own entry
-        or an earlier task's result; records the tasks' merge pairs."""
-        out = [plan.var[tasks]]
-        sides = []
-        for lits, srcs in ((plan.lit0, plan.src0), (plan.lit1, plan.src1)):
-            lit, src = lits[tasks], srcs[tasks]
-            stable = src < 0
-            var = lit >> 1
-            out.append((lit & 1).astype(bool))
-            sides += [np.where(stable, self._tab[_OFF, var], plan.off[src]),
-                      np.where(stable, self._tab[_CNT, var], plan.cnt[src])]
-        plan.pairs[tasks] = sides[1] * sides[3]
-        return tuple(out + sides)
-
-    def merge_tasks_columnar(self, plan: EnumPlan, tasks, observer=None) -> None:
-        """Merge plan ``tasks`` (one dependency wave) in one kernel
-        invocation: gather their inputs' rows from the table and from
-        earlier waves' results, run the kernel and record each task's
-        result rows in ``plan`` — *pending* until :meth:`install_cuts`
-        installs them (a compaction here moves them along).  This method
-        does **not** touch :attr:`work`: the replay charges it at the
-        install.  A metric-enabled ``observer`` gets ``enum_batch_size``
-        and per-phase ``enum_kernel_seconds``.
+    def merge_tasks_columnar(self, plan: EnumPlan, observer=None) -> None:
+        """Merge every task of ``plan``, one kernel invocation per
+        dependency wave, in wave order: gather each wave's inputs' rows
+        from the table and from earlier waves' results, run the kernel
+        and record each task's result rows in ``plan`` — *pending*
+        until :meth:`install_cuts` installs them.  The sync, the
+        compaction check and the table gather of the tasks' inputs are
+        paid once per plan, not once per wave.  This method does **not**
+        touch :attr:`work`: the replay charges it at the install.  A
+        metric-enabled ``observer`` gets ``enum_batch_size`` and
+        per-phase ``enum_kernel_seconds`` per kernel call.
         """
-        tasks = np.asarray(tasks, dtype=np.int64)
-        if not len(tasks):
+        if not len(plan.var):
             return
-        self.compact(plan)
-        roots, comp0, comp1, off0, n0s, off1, n1s = self._task_vectors(plan, tasks)
-        total_pairs = int((n0s * n1s).sum())
-        self.vec_pairs += total_pairs
-        *block, counts, union_s, filter_s = self._columnar_core(
-            roots, comp0, comp1, _ranges(off0, n0s), n0s, _ranges(off1, n1s),
-            n1s)
-        if observer is not None and observer.enabled:
-            observer.observe("enum_batch_size", float(total_pairs))
-            observer.observe("enum_kernel_seconds", union_s, phase="union")
-            observer.observe("enum_kernel_seconds", filter_s, phase="filter")
-        base = self._arena.append(*block)
-        plan.off[tasks] = base + np.cumsum(counts) - counts
-        plan.cnt[tasks] = counts
+        self._sync()
+        self.compact()
+        observing = observer is not None and observer.enabled
+        # Every input's ``(off, cnt)`` as the fanin's own entry,
+        # ``[row, side, task]``; from wave 1 on, an input another task
+        # merges reads that task's result instead.
+        own = self._tab[_OFF:_CNT + 1].take(plan.lit >> 1, axis=1)
+        comp = (plan.lit & 1).T
+        arena = self._arena
+        for wave, tasks in enumerate(plan.waves):
+            inputs = own.take(tasks, axis=2)
+            if wave:
+                src = plan.src.take(tasks, axis=1)
+                inputs = np.where(src >= 0, plan.res.take(src, axis=1), inputs)
+            offs, cnts = inputs
+            pairs = cnts[0] * cnts[1]
+            plan.pairs[tasks] = pairs
+            *block, counts, union_s, filter_s = self._columnar_core(
+                plan.var.take(tasks), comp.take(tasks, axis=0),
+                _ranges(offs.reshape(-1), cnts.reshape(-1)), *cnts)
+            if observing:
+                observer.observe("enum_batch_size", float(pairs.sum()))
+                observer.observe("enum_kernel_seconds", union_s, phase="union")
+                observer.observe("enum_kernel_seconds", filter_s, phase="filter")
+            ends = counts.cumsum()
+            plan.off[tasks] = ends - counts + arena.append(*block)
+            plan.cnt[tasks] = counts
         plan.epoch = self._epoch
+        self.vec_pairs += int(plan.pairs.sum())
 
-    def compact(self, plan: EnumPlan) -> None:
+    def compact(self) -> None:
         """Reclaim arena rows no entry references (re-merged, never
-        installed, scratch) once they outnumber the live ones.  Call
-        only between batch merges: the only rows outside the table are
-        then ``plan``'s pending results, which move with the
-        entries."""
+        installed, scratch) once they outnumber the live ones.  Called
+        when no merged result is pending — at a plan's merge, before its
+        first wave — so every row worth keeping is an entry's."""
         arena = self._arena
         if arena.used < self._compact_at:
             return
         tab = self._tab
-        held = np.flatnonzero(tab[_STAMP] != _NO_ENTRY)
-        done = np.flatnonzero(plan.cnt)
-        offs = np.concatenate([tab[_OFF, held], plan.off[done]])
+        held = (tab[_STAMP] != _NO_ENTRY).nonzero()[0]
+        offs = tab[_OFF].take(held)
         uniq, first = np.unique(offs, return_index=True)
-        uniq_cnts = np.concatenate([tab[_CNT, held], plan.cnt[done]])[first]
+        uniq_cnts = tab[_CNT].take(held).take(first)
         if 2 * int(uniq_cnts.sum()) < arena.used:
             moved = arena.compact(uniq, uniq_cnts)
-            tab[_OFF, held] = moved[np.searchsorted(uniq, tab[_OFF, held])]
-            plan.off[done] = moved[np.searchsorted(uniq, plan.off[done])]
+            tab[_OFF, held] = moved.take(uniq.searchsorted(offs))
             self._memo.clear()
         self._compact_at = max(8 * _MIN_ARENA_ROWS, 2 * arena.used)
 
-    def _columnar_core(self, roots, comp0, comp1, rows0, n0s, rows1, n1s):
+    def _columnar_core(self, roots, comp, rows, n0s, n1s):
         """The batch merge kernel shared by every columnar entry point
         (DESIGN.md "cut-merge kernel" has the soundness arguments).
 
-        Task ``t`` merges arena rows ``rows0[...]`` (``n0s[t]`` of
-        them, fanin 0) with ``rows1[...]`` for AND node ``roots[t]``
-        with fanin complements ``comp0[t]``/``comp1[t]``.  Returns the
-        result block columns ``(leaves, tt, stamps, sign)`` — each
-        task's rows contiguous, sorted by ``(-size, leaves)``, cut at
-        ``max_cuts``, trivial cut last — the per-task row counts, and
-        the union-/filter-phase seconds.  Leaf ids must stay below
-        2**31 - 1 (:class:`CutError` otherwise).
+        Task ``t`` merges ``n0s[t]`` arena rows (fanin 0) with
+        ``n1s[t]`` rows (fanin 1) for AND node ``roots[t]`` with fanin
+        complements ``comp[t]``; ``rows`` lists every task's fanin-0
+        rows, then every task's fanin-1 rows.  Returns the result block
+        columns ``(leaves, tt, stamps, sign)`` — each task's rows
+        contiguous, sorted by ``(-size, leaves)``, cut at ``max_cuts``,
+        trivial cut last — the per-task row counts, and the union-/
+        filter-phase seconds.  Leaf ids must stay below 2**31 - 1
+        (:class:`CutError` otherwise).  Reads the synced mirrors.
         """
         t_start = time.perf_counter()
         self.kernel_calls += 1
-        self._sync()
         src_leaves, src_tt, _, src_sign = self._arena.cols
         k = self.k
         n_tasks = len(roots)
 
-        # Each source row's columns, gathered once: the pairs index
-        # these (``i0``/``i1``), not the arena.  (Gathers are ``take``s
-        # and masks ``compress``es throughout: numpy's fancy-index paths
-        # are several times slower on these shapes.)
-        tags0 = tag_leaves(src_leaves.take(rows0, axis=0), 1)
-        tags1 = tag_leaves(src_leaves.take(rows1, axis=0), 2)
-        sign0, sign1 = src_sign.take(rows0), src_sign.take(rows1)
-        tt0, tt1 = src_tt.take(rows0), src_tt.take(rows1)
+        # Each source row's side-tagged leaves, gathered once: the
+        # pairs index these, not the arena.  (Gathers are ``take``s and
+        # masks ``compress``es throughout: numpy's fancy-index paths are
+        # several times slower on these shapes.)
+        n1_of0 = n1s.repeat(n0s)  # per fanin-0 row
+        n_rows0 = len(n1_of0)
+        side = _SIDES.repeat((n_rows0, len(rows) - n_rows0), axis=0)
+        tags = tag_leaves(src_leaves.take(rows, axis=0), side)
 
         # Row-major pair grid per task (c0 outer, c1 inner): the nested
-        # loop's insertion order, which decides duplicates below.  Each
-        # fanin-0 row repeats once per fanin-1 row of its task, and those
-        # run through the task's fanin-1 rows.
-        n1_of0 = np.repeat(n1s, n0s)
-        i0 = np.repeat(np.arange(len(n1_of0)), n1_of0)
-        i1 = _ranges(np.repeat(np.cumsum(n1s) - n1s, n0s), n1_of0)
+        # loop's insertion order, which decides duplicates below.  Pair
+        # ``p`` joins rows ``grid[p]``: each fanin-0 row once per
+        # fanin-1 row of its task, and those run through the task's
+        # fanin-1 rows.
+        ends = n1_of0.cumsum()
+        n_pairs = int(ends[-1])
+        grid = np.empty((n_pairs, 2), dtype=np.int64)
+        grid[:, 0] = np.arange(n_rows0).repeat(n1_of0)
+        first1 = (n1s.cumsum() - n1s + n_rows0).repeat(n0s)
+        grid[:, 1] = (first1 - ends + n1_of0).repeat(n1_of0) + np.arange(n_pairs)
         # Sign prefilter: the union's signature has at most one bit per
         # leaf, so more than k bits means more than k leaves.
-        usign = sign0.take(i0) | sign1.take(i1)
-        keep = np.flatnonzero(np.bitwise_count(usign) <= k)
-        i0, i1, usign = i0.take(keep), i1.take(keep), usign.take(keep)
-        task_of = np.repeat(np.arange(n_tasks), n0s).take(i0)
-        tags, sizes = batch_union_leaves(tags0.take(i0, axis=0),
-                                         tags1.take(i1, axis=0))
-        feas = np.flatnonzero(sizes <= k)
-        i0, i1, task_of, usign, sizes = (
-            col.take(feas) for col in (i0, i1, task_of, usign, sizes))
+        usign = src_sign.take(rows).take(grid)
+        usign = usign[:, 0] | usign[:, 1]
+        keep = (np.bitwise_count(usign) <= k).nonzero()[0]
+        grid, usign = grid.take(keep, axis=0), usign.take(keep)
+        tags, sizes = batch_union_leaves(
+            tags.take(grid, axis=0).reshape(-1, 8))
+        feas = (sizes <= k).nonzero()[0]
+        grid, usign, sizes = (grid.take(feas, axis=0), usign.take(feas),
+                              sizes.take(feas))
+        task_of = np.arange(n_tasks).repeat(n0s).take(grid[:, 0])
         tags = tags[:, :4].take(feas, axis=0)
-        valid = tags < CUT_LEAF_SENTINEL
-        union = np.where(valid, tags >> 2, _LEAF_LIMIT)
-        if ((union >= _LEAF_LIMIT) & valid).any():
+        union = np.minimum(tags >> 2, _LEAF_LIMIT)  # the pad: _LEAF_LIMIT
+        if np.count_nonzero(union < _LEAF_LIMIT) != sizes.sum():
             raise CutError(f"cut leaf id beyond the kernel's {_LEAF_LIMIT - 1}")
         union_seconds = time.perf_counter() - t_start
 
@@ -765,22 +789,23 @@ class CutManager:
         key2 = union[:, 3]
         order = np.lexsort((key2, key1, key0))
         s0, s1, s2 = key0.take(order), key1.take(order), key2.take(order)
-        first = np.ones(len(order), dtype=bool)
+        first = np.empty(len(order), dtype=bool)
+        first[:1] = True
         first[1:] = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])
         uniq = order.compress(first)
         u_task, u_size, u_sign = task_of.take(uniq), sizes.take(uniq), usign.take(uniq)
         u_leaves = union.take(uniq, axis=0)
         per_task = np.bincount(u_task, minlength=n_tasks)
-        seg_ends = np.cumsum(per_task)
+        seg_ends = per_task.cumsum()
         # A set can only be dominated by a strictly smaller one of its
         # task; sizes descend within a task, so those are the rows from
         # the first smaller-size row to the task's end.
         key = u_task * 8 - u_size
-        lo = np.searchsorted(key, key, side="right")
+        lo = key.searchsorted(key, side="right")
         n_small = seg_ends.take(u_task) - lo
-        big = np.repeat(np.arange(len(uniq)), n_small)
+        big = np.arange(len(uniq)).repeat(n_small)
         small = _ranges(lo, n_small)
-        cand = np.flatnonzero((u_sign.take(small) & ~u_sign.take(big)) == 0)
+        cand = ((u_sign.take(small) & ~u_sign.take(big)) == 0).nonzero()[0]
         big, small = big.take(cand), small.take(cand)
         sm_leaves = u_leaves.take(small, axis=0)
         hits = sm_leaves[:, :, None] == u_leaves.take(big, axis=0)[:, None, :]
@@ -788,7 +813,7 @@ class CutManager:
         kept = np.ones(len(uniq), dtype=bool)
         kept[big.compress(_all_lanes(covered))] = False
         if self.max_cuts is not None:
-            before = np.cumsum(kept) - kept
+            before = kept.cumsum() - kept
             rank = before - before.take((seg_ends - per_task).take(u_task))
             kept &= rank < self.max_cuts
         sel = uniq.compress(kept)
@@ -798,32 +823,30 @@ class CutManager:
         # Truth tables of the survivors: one LUT gather for both sides,
         # keyed by each side's table and the mask of union positions its
         # leaves fill — the side's tag bit in each lane, the four lane
-        # bytes packed into four bits by one multiply.
-        bits = (tags.take(sel, axis=0)[:, None, :] >> _SIDE_BITS) & 1
-        lanes = bits.astype(np.uint8).view("<u4")[..., 0].astype(np.int64)
-        lanes = (lanes * _LANE_PACK >> 24) & 15
-        src = np.stack([tt0.take(i0.take(sel)), tt1.take(i1.take(sel))], axis=1)
-        flip = np.stack([comp0, comp1], axis=1) * 0xFFFF
+        # bytes of a 32-bit word gathered into four bits by one multiply.
+        member = (tags.take(sel, axis=0) & 3).astype(np.uint8).view(np.uint32)
+        lanes = np.concatenate([member & _LANE_BITS, member >> 1 & _LANE_BITS],
+                               axis=1) * _LANE_GATHER >> 24 & 15
+        src = src_tt.take(rows).take(grid.take(sel, axis=0))
         sides = lift_lut().reshape(-1).take(src * 16 + lanes) ^ \
-            flip.take(sel_task, axis=0)
+            comp.take(sel_task, axis=0) * 0xFFFF
         tt = _FULL_MASKS_ARR.take(sizes.take(sel)) & sides[:, 0] & sides[:, 1]
 
-        # Result blocks: each task's survivors, then its trivial cut.
-        life = self._life
-        sel_leaves = np.where(sel_leaves == _LEAF_LIMIT, CUT_LEAF_SENTINEL,
-                              sel_leaves)
+        # Result blocks: each task's survivors, then its trivial cut; a
+        # pad's stamp lane reads the constant's life stamp.
+        n_sel = len(sel)
         counts = np.bincount(sel_task, minlength=n_tasks) + 1
-        n_out = len(sel) + n_tasks
-        pos = np.arange(len(sel)) + sel_task
-        triv = np.cumsum(counts) - 1
+        n_out = n_sel + n_tasks
+        pos = np.arange(n_sel) + sel_task
+        triv = counts.cumsum() - 1
         out_leaves = np.full((n_out, 4), CUT_LEAF_SENTINEL, dtype=np.int64)
-        out_leaves[pos] = sel_leaves
+        out_leaves[pos] = np.where(sel_leaves == _LEAF_LIMIT, CUT_LEAF_SENTINEL,
+                                   sel_leaves)
         out_leaves[triv, 0] = roots
-        out_tt = np.full(n_out, 0b10, dtype=np.int64)
+        out_tt = np.empty(n_out, dtype=np.int64)
         out_tt[pos] = tt
-        out_stamps = np.full((n_out, 4), life[0], dtype=np.int64)
-        out_stamps[pos] = life[sel_leaves & _ID_MASK]
-        out_stamps[triv, 0] = life[roots]
+        out_tt[triv] = 0b10
+        out_stamps = self._life[out_leaves & _ID_MASK]
         out_sign = np.empty(n_out, dtype=np.uint64)
         out_sign[pos] = usign.take(sel)
         out_sign[triv] = np.uint64(1) << (roots.astype(np.uint64) & np.uint64(63))

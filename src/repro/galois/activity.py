@@ -48,7 +48,7 @@ class Phase:
         if cost < 0:
             raise SchedulerError(f"negative phase cost {cost}")
         self.locks = frozenset(locks)
-        self.cost = max(cost, 0)
+        self.cost = cost
 
 
 Operator = Callable[..., Generator[Phase, None, None]]

@@ -136,8 +136,8 @@ class SimulatedExecutor:
         span = None
         if obs.enabled:
             span = obs.begin(name, "stage", self.now, activities=len(items))
+        # Sorted, so already a heap.
         worker_heap: List[Tuple[int, int]] = [(self.now, w) for w in range(self.workers)]
-        heapq.heapify(worker_heap)
         ready = deque(items)
         retry: List[Tuple[int, int, object]] = []
         retry_counts: dict = {}
@@ -145,15 +145,18 @@ class SimulatedExecutor:
         # The stage's lock table: lock -> [(commit_seq, acq, end), ...]
         # in commit order, one entry per committed acquisition.
         held: Dict[object, List[Tuple[int, int, int]]] = {}
+        heappop, heappush, next_ready = heapq.heappop, heapq.heappush, ready.popleft
+        observing = obs.enabled
+        committed, useful, end_time = 0, 0, self.now
 
         while ready or retry:
-            t, w = heapq.heappop(worker_heap)
+            t, w = heappop(worker_heap)
             if retry and retry[0][0] <= t:
-                rt, _, item = heapq.heappop(retry)
+                rt, _, item = heappop(retry)
             elif ready:
-                item = ready.popleft()
+                item = next_ready()
             else:
-                rt, _, item = heapq.heappop(retry)
+                rt, _, item = heappop(retry)
                 t = max(t, rt)
 
             gen = operator(item)
@@ -184,7 +187,7 @@ class SimulatedExecutor:
                 conflict_at, key = conflict
                 stage.conflicts += 1
                 stage.aborted_units += acc
-                if obs.enabled:
+                if observing:
                     track = self.track_offset + w + 1
                     obs.activity("abort", name, t, t + acc, track,
                                  **_item_args(item))
@@ -202,25 +205,29 @@ class SimulatedExecutor:
                 # otherwise re-execute the whole pack once per commit.
                 backoff = (count - 1) * max(acc, 1)
                 seq += 1
-                heapq.heappush(retry, (max(conflict_at, t + acc) + backoff, seq, item))
-                heapq.heappush(worker_heap, (t + acc, w))
-                stage.end_time = max(stage.end_time, t + acc)
+                heappush(retry, (max(conflict_at, t + acc) + backoff, seq, item))
+                heappush(worker_heap, (t + acc, w))
+                if t + acc > end_time:
+                    end_time = t + acc
                 continue
             end = t + acc
-            stage.committed += 1
-            stage.useful_units += acc
-            if obs.enabled:
+            committed += 1
+            useful += acc
+            if observing:
                 obs.activity("commit", name, t, end, self.track_offset + w + 1,
                              cost=acc, **_item_args(item))
             # An activity's own acquisitions enter the table only here,
             # so its later phases never conflict with its earlier ones.
             for acq, locks in acquired:
-                entry = (stage.committed, acq, end)
+                entry = (committed, acq, end)
                 for lock in locks:
                     held.setdefault(lock, []).append(entry)
-            heapq.heappush(worker_heap, (end, w))
-            stage.end_time = max(stage.end_time, end)
+            heappush(worker_heap, (end, w))
+            if end > end_time:
+                end_time = end
 
+        stage.committed, stage.useful_units = committed, useful
+        stage.end_time = end_time
         self.now = stage.end_time
         # Physical time goes into the stats only, never into the span
         # (trace timestamps are simulated units and must stay

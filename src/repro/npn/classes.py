@@ -50,8 +50,10 @@ def practical_classes() -> FrozenSet[int]:
     return frozenset(rep for rep, _ in ranked[:NUM_PRACTICAL_CLASSES])
 
 
+@lru_cache(maxsize=None)
 def class_set(name: str) -> FrozenSet[int]:
-    """Resolve a class-set name: ``'all222'`` or ``'common134'``."""
+    """Resolve a class-set name: ``'all222'`` or ``'common134'`` (the
+    same frozenset on every call)."""
     if name == "all222":
         return frozenset(all_classes())
     if name == "common134":

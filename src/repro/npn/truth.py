@@ -154,18 +154,15 @@ def lift_lut():
 #: ``expand`` map for ``src = (0..n-1), dst = (0, 1, 2, 3)`` reads
 #: source minterm ``k & (2**n - 1)`` for destination minterm ``k``,
 #: which is exactly a multiply by the repeating-block constant.
-_TT4_LIFT_MULT = (0xFFFF, 0x5555, 0x1111, 0x0101, 0x0001)
+_TT4_LIFT_MULT = np.array([0xFFFF, 0x5555, 0x1111, 0x0101, 0x0001],
+                          dtype=np.uint32)
 
 
 def batch_lift_tt4(tts, sizes):
     """Vectorized :func:`~repro.rewrite.base.cut_tt4`: lift many cut
     functions (``sizes[i]``-variable tables, 0..4 vars) into the full
     4-variable space in one numpy call."""
-    tts = np.asarray(tts, dtype=np.uint32)
-    mult = np.asarray(_TT4_LIFT_MULT, dtype=np.uint32)[
-        np.asarray(sizes, dtype=np.int64)
-    ]
-    return tts * mult
+    return np.asarray(tts, dtype=np.uint32) * _TT4_LIFT_MULT.take(sizes)
 
 
 #: Pad value for leaf columns: larger than any node id, so sorting a
@@ -174,19 +171,21 @@ def batch_lift_tt4(tts, sizes):
 CUT_LEAF_SENTINEL = 1 << 62
 
 
-def tag_leaves(leaves, side: int):
+def tag_leaves(leaves, side):
     """Side-tagged leaf rows, the input of :func:`batch_union_leaves`:
-    ``leaf << 2 | side`` (``side`` 1 or 2) for every valid leaf of the
-    sentinel-padded ``leaves``; pads stay :data:`CUT_LEAF_SENTINEL`."""
+    ``leaf << 2 | side`` (``side`` 1 or 2, or a column of them, one per
+    row) for every valid leaf of the sentinel-padded ``leaves``; pads
+    stay :data:`CUT_LEAF_SENTINEL`."""
     return np.where(leaves < CUT_LEAF_SENTINEL, leaves << 2 | side,
                     CUT_LEAF_SENTINEL)
 
 
-def batch_union_leaves(t0, t1):
+def batch_union_leaves(u):
     """Vectorized leaf-set union over many cut pairs, side-tagged.
 
-    ``t0`` and ``t1`` are ``(P, 4)`` rows of :func:`tag_leaves` (side 1
-    and 2) over ascending, sentinel-padded leaf ids.  Returns ``(rows,
+    Row ``p`` of the ``(P, 8)`` array ``u`` is a pair's two ``(4,)``
+    rows of :func:`tag_leaves` (side 1, then side 2) over ascending,
+    sentinel-padded leaf ids; it is sorted in place.  Returns ``(rows,
     sizes)``: ``rows`` is the ``(P, 8)`` sorted, sentinel-padded union
     of each pair, every entry ``leaf << 2 | mask`` with ``mask`` the
     sides holding the leaf (1, 2 or 3), and ``sizes`` its per-row
@@ -194,7 +193,6 @@ def batch_union_leaves(t0, t1):
     set(c1.leaves))`` in the cut manager's merge loop, with each
     side's lane membership in the low two bits.
     """
-    u = np.concatenate([t0, t1], axis=1)
     u.sort(axis=1)
     # Each leaf occurs at most once per side, so a shared leaf is an
     # adjacent (tag 1, tag 2) pair — the only neighbours one apart: fold

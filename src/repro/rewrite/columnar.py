@@ -11,14 +11,17 @@ scored in three phases:
 
 1. **Kernel phase** (numpy, once per batch): every cut function is
    lifted into the 4-variable space (:func:`~repro.npn.truth.
-   batch_lift_tt4`), canonicalized through one gather of the 65 536-
-   entry NPN LUT (:func:`~repro.npn.canon.npn_canon_batch_rows`), and
-   class-filtered against a precomputed membership mask — replacing a
-   per-cut ``expand``/``npn_canon``/``in allowed`` chain.  The same
-   pass resolves each distinct class's structures once, charges every
-   root's work units (a ``bincount``) and binds the leaf literal of
-   every structure input (one gather through the 768 witness
-   transforms), so phase 2 visits only eligible, class-allowed cuts.
+   batch_lift_tt4`); one gather of the per-process class table
+   (:func:`class_table`, keyed by library identity, allowed classes
+   and ``max_structs``) gives its class slot — -1 for a class not
+   allowed — and one of the witness LUT its NPN transform, replacing a
+   per-cut ``expand``/``npn_canon``/``in allowed`` chain.  The table
+   already holds each allowed class's decoded structures and charge,
+   so no batch runs a per-class ``np.unique`` or structure loop: the
+   same pass charges every root's work units (a ``bincount``) and
+   binds the leaf literal of every structure input (one gather through
+   the 768 witness transforms), so phase 2 visits only eligible,
+   class-allowed cuts.
 2. **Scoring phase** (tight Python loop over plain lists): the
    strash/level bookkeeping of :func:`~repro.rewrite.base.
    evaluate_candidate`, with its shadow reference counts replaced by
@@ -28,8 +31,8 @@ scored in three phases:
    leaf or a strash hit inside the dead set keeps exactly its mask
    alive, so a row's gain is ``|root dead| - popcount(alive) -
    added``.  A row is dropped at the add or the revive that takes it
-   below the gain it needs; structures are decoded into index tuples
-   once per process.
+   below the gain it needs; structures come decoded into index tuples
+   from the class table.
 3. **Replay**: callers feed the returned ``(root, candidate, units)``
    triples through the simulated scheduler, so results, meter charges
    and stage stats are those of one Section 4.3 operator per root on
@@ -43,13 +46,13 @@ every executor byte-identical to it.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..aig.graph import KIND_AND, KIND_DEAD, Aig
 from ..cuts.manager import CutColumns
-from ..npn.canon import _TRANSFORMS, npn_canon_batch_rows
+from ..npn.canon import _TRANSFORMS, ensure_canon_lut
 from ..npn.truth import CUT_LEAF_SENTINEL, batch_lift_tt4
 from .base import Candidate
 
@@ -97,10 +100,6 @@ def columnar_view(aig: Aig) -> ColumnarView:
 # Per-process decode caches
 # ---------------------------------------------------------------------------
 
-#: canonical-class membership masks, one 65 536-entry bool array per
-#: distinct allowed-class set (there are only a couple of presets).
-_ALLOWED_MASKS: Dict[FrozenSet[int], np.ndarray] = {}
-
 #: The 768 NpnTransform objects as gather tables, indexed by witness
 #: row: structure input ``i`` reads leaf position ``_POS[row, i]``
 #: complemented by ``_NEG[row, i]``; the output by ``_OUT_NEG[row]``.
@@ -109,33 +108,57 @@ _NEG = np.array([[t.neg_mask >> i & 1 for i in range(4)]
                  for t in _TRANSFORMS], dtype=np.int64)
 _OUT_NEG = np.array([t.out_neg for t in _TRANSFORMS], dtype=np.int64)
 
-#: id(structure) -> (pin, decoded nodes, out index, out compl, charge).
-#: Keyed by identity (structures are interned in the library); the pin
-#: keeps the id from being recycled under us.
-_DECODED_STRUCTS: Dict[int, tuple] = {}
+#: Leaf to literal: ``(leaf << 1) & _LIT_MASK`` is 0 for the pad.
+_LIT_MASK = (CUT_LEAF_SENTINEL << 1) - 1
 
 
-def _allowed_mask(allowed: FrozenSet[int]) -> np.ndarray:
-    mask = _ALLOWED_MASKS.get(allowed)
-    if mask is None:
-        mask = np.zeros(65536, dtype=bool)
-        mask[list(allowed)] = True
-        _ALLOWED_MASKS[allowed] = mask
-    return mask
+class ClassTable(NamedTuple):
+    """What the eval stage needs of one (library, allowed classes,
+    ``max_structs``) triple, resolved once per process: ``slot[tt]`` is
+    the slot of the NPN class of 4-input table ``tt``, -1 when the
+    class is not allowed; per slot (allowed classes in ascending
+    order), the canonical table, the decoded structures ``(structure,
+    nodes, out index, out compl, charge)``, their charge sum and count,
+    and the ``npn_class_hits_total`` label."""
+
+    library: object  # pins the identity the table is keyed by
+    slot: np.ndarray  # int16, 65 536 entries
+    canon: List[int]
+    entries: List[tuple]
+    charge: np.ndarray
+    n_structs: np.ndarray
+    labels: List[str]
 
 
-def _decode_structure(structure) -> tuple:
-    key = id(structure)
-    hit = _DECODED_STRUCTS.get(key)
-    if hit is not None and hit[0] is structure:
+_CLASS_TABLES: Dict[tuple, ClassTable] = {}
+
+
+def class_table(library, allowed: FrozenSet[int],
+                max_structs: Optional[int]) -> ClassTable:
+    """The cached :class:`ClassTable` of ``library`` (by identity),
+    ``allowed`` and ``max_structs``."""
+    key = (id(library), allowed, max_structs)
+    hit = _CLASS_TABLES.get(key)
+    if hit is not None and hit.library is library:
         return hit
-    nodes = tuple(
-        (l0 >> 1, l0 & 1, l1 >> 1, l1 & 1) for l0, l1 in structure.nodes
-    )
-    entry = (structure, nodes, structure.out >> 1, structure.out & 1,
-             len(structure.nodes) + 2)
-    _DECODED_STRUCTS[key] = entry
-    return entry
+    canon = sorted(allowed)
+    entries = []
+    shared: Dict[tuple, tuple] = {}  # one decoded node tuple per value
+    for c in canon:
+        structures = library.structures(c)[:max_structs]
+        entries.append(tuple(
+            (s, tuple(shared.setdefault(node, node) for node in (
+                (l0 >> 1, l0 & 1, l1 >> 1, l1 & 1) for l0, l1 in s.nodes)),
+             s.out >> 1, s.out & 1, len(s.nodes) + 2) for s in structures))
+    of_canon = np.full(65536, -1, dtype=np.int16)
+    of_canon[canon] = np.arange(len(canon))
+    table = ClassTable(
+        library, of_canon.take(ensure_canon_lut()[0]), canon, entries,
+        np.array([sum(s[4] for s in e) for e in entries], dtype=np.int64),
+        np.array([len(e) for e in entries], dtype=np.int64),
+        [f"{c:04x}" for c in canon])
+    _CLASS_TABLES[key] = table
+    return table
 
 
 def _deref_cone(root, kind, fanin0, fanin1, nref):
@@ -222,59 +245,51 @@ def eval_tasks_columnar(
     min_gain = 0 if config.zero_gain else 1
 
     # ---- kernel phase: everything a cut needs before its structures
-    # are walked, for the whole batch at once.  Lift + canonicalize +
-    # class-filter; resolve each distinct class once; charge units per
-    # root; bind the leaf literal of every structure input.
+    # are walked, for the whole batch at once.  Lift, then one gather of
+    # the class table gives each cut's class slot (-1: not allowed) and
+    # one of the witness LUT its transform; charge units per root; bind
+    # the leaf literal of every structure input.
     t0 = time.perf_counter()
+    classes = class_table(library, config.allowed_classes, max_structs)
     n_roots = len(roots)
-    live_root = np.array(live, dtype=bool)
-    counts_col = np.array(counts, dtype=np.int64)
-    root_of = np.repeat(np.arange(n_roots), counts_col)
+    root_of = np.arange(n_roots).repeat(counts)
     # Rows are ascending and sentinel-padded: column 1 is real from
     # two leaves up.
-    eligible = np.flatnonzero(
-        live_root[root_of] & (tasks.leaves[:, 1] < CUT_LEAF_SENTINEL))
+    eligible = tasks.leaves[:, 1] < CUT_LEAF_SENTINEL
+    all_live = all(live)
+    if not all_live:
+        eligible &= np.array(live).take(root_of)
+    eligible = eligible.nonzero()[0]
     n_flat = len(eligible)
-    leaves = tasks.leaves[eligible]
-    real = leaves < CUT_LEAF_SENTINEL
-    canon_col, row_col = npn_canon_batch_rows(
-        batch_lift_tt4(tasks.tt[eligible], real.sum(axis=1)))
-    allowed = np.flatnonzero(_allowed_mask(config.allowed_classes)[canon_col])
+    leaves = tasks.leaves.take(eligible, axis=0)
+    # A row's four "real leaf" flags, one byte each, as one word.
+    sizes = np.bitwise_count((leaves < CUT_LEAF_SENTINEL).view(np.uint32))
+    tt4 = batch_lift_tt4(tasks.tt.take(eligible), sizes.reshape(-1))
+    slot = classes.slot.take(tt4)
+    allowed = (slot >= 0).nonzero()[0]
     npn_misses = n_flat - len(allowed)
-    flat = eligible[allowed]  # row of ``tasks`` per scored cut
-    row_col = row_col[allowed]
-    classes, class_of, class_hits = np.unique(
-        canon_col[allowed], return_inverse=True, return_counts=True)
-    classes = classes.tolist()
-    entries = []
-    for canon in classes:
-        structures = library.structures(canon)
-        if max_structs is not None:
-            structures = structures[:max_structs]
-        entries.append(tuple(_decode_structure(s) for s in structures))
-    root_of = root_of[flat]
-    charges = np.array([sum(s[4] for s in entry) for entry in entries],
-                       dtype=np.int64)
-    units = np.bincount(root_of, weights=charges[class_of],
+    flat = eligible.take(allowed)  # row of ``tasks`` per scored cut
+    slot = slot.take(allowed)
+    row_col = ensure_canon_lut()[1].take(tt4.take(allowed))
+    root_of = root_of.take(flat)
+    units = np.bincount(root_of, weights=classes.charge.take(slot),
                         minlength=n_roots).astype(np.int64)
-    units[~live_root] = -1
+    if not all_live:
+        units[~np.array(live)] = -1
     units = units.tolist()
-    class_hits = class_hits.tolist()
-    vectorized = sum(n * len(entry) for n, entry in zip(class_hits, entries))
     # Per scored cut: [0, literal of structure input 1..4, leaves x4,
-    # class index, output complement].  A padded position reads
-    # constant false, complemented like any other.
-    leaves = leaves[allowed]
-    table = np.zeros((len(flat), 11), dtype=np.int64)
-    table[:, 1:5] = np.take_along_axis(
-        np.where(real[allowed], leaves, 0) << 1, _POS[row_col], axis=1
-    ) | _NEG[row_col]
-    table[:, 5:9] = leaves
-    table[:, 9] = class_of
-    table[:, 10] = _OUT_NEG[row_col]
-    table = table.tolist()
-    cuts_of = np.bincount(root_of, minlength=n_roots)
-    scored_roots = np.flatnonzero(cuts_of)
+    # class slot, output complement].  A padded position reads
+    # constant false (its literal shifts out of the mask), complemented
+    # like any other.
+    leaves = leaves.take(allowed, axis=0)
+    n_cuts = len(allowed)
+    perm = _POS.take(row_col, axis=0) + np.arange(0, 4 * n_cuts, 4)[:, None]
+    inputs = ((leaves << 1) & _LIT_MASK).take(perm) | _NEG.take(row_col, axis=0)
+    table = np.concatenate(
+        [np.zeros((n_cuts, 1), dtype=np.int64), inputs, leaves,
+         slot[:, None], _OUT_NEG.take(row_col)[:, None]], axis=1).tolist()
+    entries = classes.entries
+    cuts_of = np.bincount(root_of, minlength=n_roots).tolist()
     kernel_seconds = time.perf_counter() - t0
 
     # ---- scoring phase: exact evaluate_candidate semantics over the
@@ -285,9 +300,9 @@ def eval_tasks_columnar(
     deref_walks = 0
     hi = 0  # cursor into ``table``
 
-    for ri, num_cuts in zip(scored_roots.tolist(),
-                            cuts_of[scored_roots].tolist()):
-        lo, hi = hi, hi + num_cuts
+    # The roots with an eligible, class-allowed cut, in order.
+    for ri in [ri for ri, n in enumerate(cuts_of) if n]:
+        lo, hi = hi, hi + cuts_of[ri]
         root = roots[ri]
         best_key = None
         best = None
@@ -413,7 +428,7 @@ def eval_tasks_columnar(
                 root_stamp=view.stamp[root],
                 root_life=view.life[root],
                 cut=tasks.cut(int(flat[j])),
-                canon_tt=classes[table[j][9]],
+                canon_tt=classes.canon[table[j][9]],
                 transform=_TRANSFORMS[row_col[j]],
                 structure=structure,
                 gain=gain,
@@ -427,10 +442,13 @@ def eval_tasks_columnar(
                 observer.observe("cuts_per_node", num_cuts)
                 if candidate is not None:
                     observer.observe("gain", candidate.gain)
-        for canon, n in zip(classes, class_hits):
-            observer.count("npn_class_hits_total", n, cls=f"{canon:04x}")
+        hits = np.bincount(slot, minlength=len(classes.canon))
+        for s in hits.nonzero()[0].tolist():
+            observer.count("npn_class_hits_total", int(hits[s]),
+                           cls=classes.labels[s])
         if npn_misses:
             observer.count("npn_class_misses_total", npn_misses)
+        vectorized = int(hits @ classes.n_structs)
         if vectorized:
             observer.count("eval_vectorized_candidates_total", vectorized)
         if deref_walks:
@@ -501,8 +519,7 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx):
 
     aig, cutman = ctx.aig, ctx.cutman
     plan = cutman.plan_closures(items)
-    for wave in plan.waves:
-        cutman.merge_tasks_columnar(plan, wave, observer=executor.obs)
+    cutman.merge_tasks_columnar(plan, observer=executor.obs)
     var, pairs, simple = plan.var.tolist(), plan.pairs.tolist(), plan.simple
     deps = list(zip(plan.src0[simple:].tolist(), plan.src1[simple:].tolist()))
     # Simple roots whose first attempt is still ahead and whose entry no

@@ -36,9 +36,9 @@ from repro.npn.canon import _TRANSFORMS, npn_canon_batch_rows
 from repro.npn.truth import CUT_LEAF_SENTINEL, batch_lift_tt4, expand
 from repro.rewrite.base import cut_tt4
 from repro.rewrite.columnar import (
-    _allowed_mask,
     _closures,
     _deref_cone,
+    class_table,
     columnar_view,
     eval_tasks_columnar,
 )
@@ -84,13 +84,75 @@ class TestKernels:
             assert canon == want_canon
             assert _TRANSFORMS[row] == want_transform
 
-    def test_allowed_mask_correct_and_cached(self):
-        allowed = frozenset({0x0000, 0x1234, 0xBEEF})
-        mask = _allowed_mask(allowed)
-        assert mask.shape == (65536,)
-        assert mask.sum() == 3
-        assert mask[0x1234] and mask[0xBEEF] and not mask[0x0001]
-        assert _allowed_mask(allowed) is mask  # cached per frozenset
+    @pytest.mark.parametrize("max_structs", (None, 5, 8))
+    @pytest.mark.parametrize("preset", ("common134", "all222"))
+    def test_class_table_slots_entries_and_cache(self, preset, max_structs):
+        from repro.npn.classes import class_set
+        from repro.library import StructureLibrary
+
+        allowed = class_set(preset)
+        library = get_library()
+        table = class_table(library, allowed, max_structs)
+        canon_lut = ensure_canon_lut()[0]
+        assert table.slot.dtype == np.int16 and table.slot.shape == (65536,)
+        # The slots cover exactly the allowed classes, ascending.
+        assert table.canon == sorted(allowed)
+        hit = table.slot >= 0
+        assert set(canon_lut[hit].tolist()) == set(allowed)
+        assert np.isin(canon_lut, list(allowed)).tolist() == hit.tolist()
+        assert (np.array(table.canon)[table.slot[hit]] == canon_lut[hit]).all()
+        for s, canon in enumerate(table.canon):
+            structures = library.structures(canon)[:max_structs]
+            entry = table.entries[s]
+            assert [e[0] for e in entry] == list(structures)
+            for (structure, nodes, out_idx, out_c, charge) in entry:
+                assert nodes == tuple((l0 >> 1, l0 & 1, l1 >> 1, l1 & 1)
+                                      for l0, l1 in structure.nodes)
+                assert (out_idx, out_c) == (structure.out >> 1,
+                                            structure.out & 1)
+                assert charge == len(structure.nodes) + 2
+            assert table.charge[s] == sum(len(x.nodes) + 2
+                                          for x in structures)
+            assert table.n_structs[s] == len(structures)
+            assert table.labels[s] == f"{canon:04x}"
+        # Cached by identity for one key; never shared between two
+        # library objects.
+        assert class_table(library, allowed, max_structs) is table
+        other = StructureLibrary()
+        assert class_table(other, allowed, max_structs) is not table
+        assert class_table(other, allowed, max_structs).library is other
+
+    def test_class_hits_equal_a_unique_recount(self):
+        from repro.core.dacpara import DACParaRewriter
+        from repro.obs.observer import TracingObserver
+        import repro.rewrite.columnar as columnar
+
+        config = dacpara_config()
+        want: dict = {}
+        real = columnar.eval_tasks_columnar
+
+        def recount(aig, tasks, *args, **kwargs):
+            live = np.array([not aig.is_dead(r) for r in tasks.roots])
+            rows = live.repeat(tasks.counts) & \
+                (tasks.leaves[:, 1] < CUT_LEAF_SENTINEL)
+            sizes = (tasks.leaves[rows] < CUT_LEAF_SENTINEL).sum(axis=1)
+            canon, _ = npn_canon_batch_rows(
+                batch_lift_tt4(tasks.tt[rows], sizes))
+            canon = canon[np.isin(canon, list(config.allowed_classes))]
+            for cls, n in zip(*np.unique(canon, return_counts=True)):
+                key = f"npn_class_hits_total{{cls={int(cls):04x}}}"
+                want[key] = want.get(key, 0) + int(n)
+            return real(aig, tasks, *args, **kwargs)
+
+        columnar.eval_tasks_columnar = recount
+        try:
+            obs = TracingObserver()
+            DACParaRewriter(config, observer=obs).run(mtm_like(24, 2500, seed=7))
+        finally:
+            columnar.eval_tasks_columnar = real
+        got = {k: v for k, v in obs.metrics.snapshot()["counters"].items()
+               if k.startswith("npn_class_hits_total")}
+        assert got == want and len(want) >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,8 @@ class TestKernels:
             want.append(sorted(set(c0) | set(c1)))
         leaves0 = np.array(rows0, dtype=np.int64)
         leaves1 = np.array(rows1, dtype=np.int64)
-        tags, sizes = batch_union_leaves(tag_leaves(leaves0, 1),
-                                         tag_leaves(leaves1, 2))
+        tags, sizes = batch_union_leaves(np.concatenate(
+            [tag_leaves(leaves0, 1), tag_leaves(leaves1, 2)], axis=1))
         valid = tags < CUT_LEAF_SENTINEL
         union = np.where(valid, tags >> 2, CUT_LEAF_SENTINEL)
         for row, size, expect in zip(union.tolist(), sizes.tolist(), want):
@@ -196,7 +196,7 @@ class TestMergeIdentity:
         scalar, columnar, live = _enumerate_both(aig)
         fresh = CutManager(aig, k=4, max_cuts=12)
         plan = harvest_plan(fresh)
-        fresh.merge_tasks_columnar(plan, plan.waves[0])
+        fresh.merge_tasks_columnar(plan)
         for t, (root, f0, f1) in enumerate(zip(
                 plan.var.tolist(), plan.lit0.tolist(), plan.lit1.tolist())):
             assert plan.pairs[t] == len(fresh.cuts(lit_var(f0))) * \
@@ -208,7 +208,7 @@ class TestMergeIdentity:
         cutman = CutManager(aig, k=4, max_cuts=12)
         plan = harvest_plan(cutman)
         before = cutman.work
-        cutman.merge_tasks_columnar(plan, plan.waves[0])
+        cutman.merge_tasks_columnar(plan)
         assert cutman.work == before  # the caller charges via install_cuts
         cutman.install_cuts(plan, plan.waves[0])
         assert cutman.work == before + plan.pairs.sum()
@@ -271,7 +271,7 @@ def _merge_both(aig, root, k, max_cuts, compl, c0, c1, life=None):
     load_entry(kernel, 5, c0)
     load_entry(kernel, 6, c1)
     plan = EnumPlan([root], [f0], [f1])
-    kernel.merge_tasks_columnar(plan, plan.waves[0])
+    kernel.merge_tasks_columnar(plan)
     want = ScalarCutManager(aig, k=k, max_cuts=max_cuts)._merge_scalar(
         root, f0, f1, c0, c1)
     assert plan.pairs[0] == kernel.vec_pairs == len(c0) * len(c1)
@@ -429,7 +429,7 @@ class TestLazyMaterialization:
         for lv in sorted(levels):
             plan = lazy.plan_closures(levels[lv])
             assert plan.simple == len(plan.var) == len(levels[lv])
-            lazy.merge_tasks_columnar(plan, plan.waves[0])
+            lazy.merge_tasks_columnar(plan)
             lazy.install_cuts(plan, plan.waves[0])
             for root in levels[lv]:
                 eager.fresh_cuts(root)
@@ -514,7 +514,7 @@ class TestObserverEmissions:
         cutman = CutManager(aig, k=4, max_cuts=12)
         plan = harvest_plan(cutman)
         collector = _MetricCollector()
-        cutman.merge_tasks_columnar(plan, plan.waves[0], observer=collector)
+        cutman.merge_tasks_columnar(plan, observer=collector)
         names = [obs[0] for obs in collector.observations]
         assert names.count("enum_batch_size") == 1
         phases = sorted(
@@ -762,21 +762,23 @@ class TestClosureReplay:
         for v in aig.topo_ands():
             assert cutman.cuts(v) == ref_cutman.cuts(v), v
 
-    def test_pending_blocks_survive_compaction_between_waves(
-            self, monkeypatch):
+    def test_compaction_once_per_plan_keeps_every_entry(self, monkeypatch):
+        # A three-wave plan merges in one call: the arena is compacted
+        # (here forced, past a pile of garbage rows) once, before wave
+        # 0, when every row worth keeping is an entry's; the stage stays
+        # identical to the per-root operator.
         compactions = []
         real_compact = CutManager.compact
         real_arena_compact = manager_module._Arena.compact
 
-        def eager(self, plan=None):
-            # Garbage rows past the live ones, and no threshold left.
+        def eager(self):
             junk = 4 * max(self._arena.used, 8)
             self._arena.append(np.zeros((junk, 4), dtype=np.int64),
                                np.zeros(junk, dtype=np.int64),
                                np.zeros((junk, 4), dtype=np.int64),
                                np.zeros(junk, dtype=np.uint64))
             self._compact_at = 0
-            real_compact(self, plan)
+            real_compact(self)
 
         def counting(self, offs, cnts):
             compactions.append(int(cnts.sum()))
@@ -785,10 +787,7 @@ class TestClosureReplay:
         monkeypatch.setattr(CutManager, "compact", eager)
         monkeypatch.setattr(manager_module._Arena, "compact", counting)
         log, cutman = _closure_stage(_shared_fanin("r1", "r2"))
-        # Before wave 0, wave 1 and wave 2 — each time keeping more
-        # rows: the earlier waves' pending results.
-        assert len(compactions) == 3
-        assert compactions == sorted(set(compactions))
+        assert len(compactions) == 1 and cutman.kernel_calls == 3
 
     def test_simple_root_retry_before_any_flush_is_a_cache_answer(self):
         # ``q`` is a simple task whose first attempt loses its lock: its
