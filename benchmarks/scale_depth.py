@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from rung_child import run_rung_child
 
 ROOT = Path(__file__).resolve().parents[1]
 SIGNATURE_BITS = 1024
@@ -195,23 +195,15 @@ def main() -> int:
         print(json.dumps(run_rung(args.rung, args.p1)))
         return 0
 
-    env = dict(os.environ, PYTHONPATH=str(args.src), PYTHONHASHSEED="0")
     print(f"{'stages':>6} {'ANDs':>7} {'levels':>6} {'nodes/s':>8} "
           f"{'level_updates':>13} {'upd/AND':>7} {'kernel_calls':>12} "
           f"{'per_enum':>8} {'area':>7} {'depth':>6}"
           + "".join(f" {column + ' µs':>10}" for column, *_ in FIT_TARGETS))
     for stages in args.stages:
-        rows = []
-        for _ in range(args.repeat):
-            proc = subprocess.run(
-                [sys.executable, __file__, "--rung", str(stages)]
-                + ["--p1"] * args.p1,
-                env=env, capture_output=True, text=True)
-            if proc.returncode:
-                sys.stderr.write(proc.stderr)
-                return proc.returncode
-            rows.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-        row = _median_row(rows)
+        row = _median_row([
+            run_rung_child(__file__, [str(stages)] + ["--p1"] * args.p1,
+                           args.src)
+            for _ in range(args.repeat)])
         updates, calls = row["level_updates"], row["kernel_calls"]
         shown = ("-", "-") if updates is None else (
             updates, f"{updates / row['ands']:.2f}")

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from rung_child import run_rung_child
 
 ROOT = Path(__file__).resolve().parents[1]
 SIGNATURE_BITS = 1024
@@ -77,18 +77,11 @@ def main() -> int:
         print(json.dumps(run_rung(args.rung)))
         return 0
 
-    env = dict(os.environ, PYTHONPATH=str(args.src), PYTHONHASHSEED="0")
     print(f"{'workers':>7} {'wall_s':>7} "
           + " ".join(f"{name + '_s':>9}" for name in STAGES)
           + f" {'conflicts':>9} {'makespan':>9} {'area':>7}")
     for workers in args.workers:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--rung", str(workers)],
-            env=env, capture_output=True, text=True)
-        if proc.returncode:
-            sys.stderr.write(proc.stderr)
-            return proc.returncode
-        row = json.loads(proc.stdout.strip().splitlines()[-1])
+        row = run_rung_child(__file__, [str(workers)], args.src)
         print(f"{row['workers']:>7} {row['wall_s']:>7.2f} "
               + " ".join(f"{row[name + '_s']:>9.3f}" for name in STAGES)
               + f" {row['conflicts']:>9} {row['makespan']:>9} "

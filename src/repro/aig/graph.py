@@ -34,6 +34,7 @@ rewriter never pays for the fanout above its wavefront.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import AigError
@@ -172,7 +173,9 @@ class Aig:
 
     def fanins(self, var: int) -> Tuple[int, int]:
         """Both fanin literals of an AND node."""
-        return self.fanin0(var), self.fanin1(var)
+        if self._kind[var] != KIND_AND:
+            raise AigError(f"node {var} ({self.kind_name(var)}) has no fanins")
+        return self._fanin0[var], self._fanin1[var]
 
     def fanouts(self, var: int) -> Tuple[int, ...]:
         """Variable ids of live AND nodes consuming ``var``."""
@@ -258,9 +261,7 @@ class Aig:
     def ands(self) -> Iterator[int]:
         """Iterate over live AND variable ids in increasing id order."""
         kinds = self._kind
-        for var in range(1, len(kinds)):
-            if kinds[var] == KIND_AND:
-                yield var
+        return compress(range(len(kinds)), map(KIND_AND.__eq__, kinds))
 
     def nodes(self) -> Iterator[int]:
         """Iterate over all live variable ids (constant, PIs, ANDs)."""
@@ -325,38 +326,71 @@ class Aig:
         self._deref_delete(old_var)
 
     def and_(self, f0: int, f1: int) -> int:
-        """AND of two literals, with trivial rules and strashing."""
-        self._check_lit(f0)
-        self._check_lit(f1)
-        folded = self._fold_trivial(f0, f1)
-        if folded >= 0:
-            return folded
+        """AND of two literals, with trivial rules and strashing (checks,
+        folding and ``_alloc`` inlined, same state: DESIGN §4k)."""
+        kind, n = self._kind, len(self._kind)
+        if not (0 <= f0 and f0 >> 1 < n and kind[f0 >> 1] != KIND_DEAD
+                and 0 <= f1 and f1 >> 1 < n and kind[f1 >> 1] != KIND_DEAD):
+            self._check_lit(f0)
+            self._check_lit(f1)
         if f0 > f1:
             f0, f1 = f1, f0
-        hit = self._strash.get((f0, f1), -1)
-        if hit >= 0:
-            return make_lit(hit)
-        return make_lit(self._new_and(f0, f1))
+        if f0 < 2 or (f0 ^ f1) < 2:
+            return self._fold_trivial(f0, f1)
+        key = (f0, f1)
+        var = self._strash.get(key, -1)
+        if var >= 0:
+            return var << 1
+        v0, v1 = f0 >> 1, f1 >> 1
+        level = self._level
+        l0, l1 = level[v0], level[v1]
+        self._stamp_counter = stamp = self._stamp_counter + 1
+        if self._free:
+            var = self._free.pop()
+            kind[var] = KIND_AND
+            self._fanin0[var] = f0
+            self._fanin1[var] = f1
+            self._nref[var] = 0
+            level[var] = (l0 if l0 >= l1 else l1) + 1
+            self._stamp[var] = self._life[var] = stamp
+            self._fanouts[var] = set()
+        else:
+            var = n
+            kind.append(KIND_AND)
+            self._fanin0.append(f0)
+            self._fanin1.append(f1)
+            self._nref.append(0)
+            level.append((l0 if l0 >= l1 else l1) + 1)
+            self._stamp.append(stamp)
+            self._life.append(stamp)
+            self._fanouts.append(set())
+        log = self._mutation_log
+        log.append(var)
+        log.append(v0)
+        log.append(v1)
+        self._nref[v0] += 1
+        self._nref[v1] += 1
+        self._fanouts[v0].add(var)
+        self._fanouts[v1].add(var)
+        self._strash[key] = var
+        self._num_ands += 1
+        self.generation += 1
+        return var << 1
 
     # Convenience gates built from AND (kept here because they are the
     # vocabulary every generator and test uses).
 
     def or_(self, f0: int, f1: int) -> int:
-        return lit_not(self.and_(lit_not(f0), lit_not(f1)))
+        return self.and_(f0 ^ 1, f1 ^ 1) ^ 1
 
     def xor_(self, f0: int, f1: int) -> int:
-        return lit_not(
-            self.and_(
-                lit_not(self.and_(f0, lit_not(f1))),
-                lit_not(self.and_(lit_not(f0), f1)),
-            )
-        )
+        and_ = self.and_
+        return and_(and_(f0, f1 ^ 1) ^ 1, and_(f0 ^ 1, f1) ^ 1) ^ 1
 
     def mux_(self, sel: int, t: int, e: int) -> int:
         """``sel ? t : e``."""
-        return lit_not(
-            self.and_(lit_not(self.and_(sel, t)), lit_not(self.and_(lit_not(sel), e)))
-        )
+        and_ = self.and_
+        return and_(and_(sel, t) ^ 1, and_(sel ^ 1, e) ^ 1) ^ 1
 
     def maj3_(self, a: int, b: int, c: int) -> int:
         """Majority of three literals."""
@@ -463,24 +497,6 @@ class Aig:
         self._stamp_counter += 1
         self._stamp[var] = self._stamp_counter
         self._touch(var)
-
-    def _new_and(self, f0: int, f1: int) -> int:
-        # Precondition: f0 < f1, no trivial folding applies, both alive.
-        var = self._alloc(KIND_AND)
-        self._fanin0[var] = f0
-        self._fanin1[var] = f1
-        v0, v1 = f0 >> 1, f1 >> 1
-        self._nref[v0] += 1
-        self._nref[v1] += 1
-        self._touch(v0)
-        self._touch(v1)
-        self._fanouts[v0].add(var)
-        self._fanouts[v1].add(var)
-        self._level[var] = max(self._level[v0], self._level[v1]) + 1
-        self._strash[(f0, f1)] = var
-        self._num_ands += 1
-        self.generation += 1
-        return var
 
     def _redirect(self, ov: int, nl: int, stack: List[Tuple[int, int]]) -> None:
         """Move all fanouts and PO references of ``ov`` onto ``nl``."""
@@ -678,9 +694,10 @@ class Aig:
         return mapping
 
     def topo_ands(self) -> List[int]:
-        """Live AND nodes in a valid topological order (by level, then id)."""
+        """Live AND nodes in a valid topological order (by level, then id:
+        the sort is stable over increasing ids)."""
         self.settle_levels()
-        return sorted(self.ands(), key=lambda v: (self._level[v], v))
+        return sorted(self.ands(), key=self._level.__getitem__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,11 +11,10 @@ cross-checks in the tests.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Sequence
+from typing import List, Sequence
 
 from ..errors import AigError
 from .graph import Aig
-from .literals import lit_compl, lit_var
 
 
 def simulate(aig: Aig, pi_values: Sequence[int], width: int) -> List[int]:
@@ -29,22 +28,23 @@ def simulate(aig: Aig, pi_values: Sequence[int], width: int) -> List[int]:
             f"expected {aig.num_pis} PI vectors, got {len(pi_values)}"
         )
     mask = (1 << width) - 1
-    values: Dict[int, int] = {0: 0}
+    values = [0] * aig.size  # indexed by var; the constant stays 0
     for pi_var, vec in zip(aig.pis, pi_values):
         values[pi_var] = vec & mask
+    fanin0, fanin1 = aig._fanin0, aig._fanin1
     for var in aig.topo_ands():
-        f0, f1 = aig.fanin0(var), aig.fanin1(var)
-        v0 = values[lit_var(f0)]
-        if lit_compl(f0):
+        f0, f1 = fanin0[var], fanin1[var]
+        v0 = values[f0 >> 1]
+        if f0 & 1:
             v0 ^= mask
-        v1 = values[lit_var(f1)]
-        if lit_compl(f1):
+        v1 = values[f1 >> 1]
+        if f1 & 1:
             v1 ^= mask
         values[var] = v0 & v1
     outs = []
     for lit in aig.pos:
-        v = values[lit_var(lit)]
-        if lit_compl(lit):
+        v = values[lit >> 1]
+        if lit & 1:
             v ^= mask
         outs.append(v)
     return outs

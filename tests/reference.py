@@ -24,7 +24,13 @@ because nothing there calls it:
   by function over all 768 transforms, the reference of the
   class-by-class build in ``npn/canon.py``;
 * :func:`lift_lut_sweep` — the lift LUT computed mask by mask over all
-  65 536 tables, the reference of ``npn.truth.lift_lut``'s byte tables.
+  65 536 tables, the reference of ``npn.truth.lift_lut``'s byte tables;
+* :func:`reference_and` — ``Aig.and_`` as the chain of helpers it
+  inlines (``_check_lit``, ``_fold_trivial``, ``_alloc``, ``_touch``),
+  the reference of its state;
+* :func:`reference_write_aig` / :func:`reference_read_aig` — the binary
+  AIGER writer and reader a byte and a literal at a time, the
+  references of ``aig.io_aiger``'s vector varint codec.
 
 ``tests/test_differential_fuzz.py`` holds every executor byte-identical
 to :func:`reference_rewrite`; the kernel property tests compare against
@@ -34,20 +40,24 @@ the classes directly.
 from __future__ import annotations
 
 import heapq
+import os
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Generator, List, Optional, Sequence, Tuple
+from typing import (BinaryIO, Callable, Dict, Generator, List, Optional,
+                    Sequence, Tuple, Union)
 from unittest import mock
 
 import numpy as np
 
-from repro.aig.literals import lit_compl, lit_var
+from repro.aig.graph import KIND_AND, Aig
+from repro.aig.io_aiger import _literals, _parse_header_counts
+from repro.aig.literals import lit_compl, lit_var, make_lit
 from repro.core.dacpara import DACParaRewriter
 from repro.core.operators import StageContext, make_enum_operator
 from repro.cuts import CutManager
 from repro.cuts.cut import Cut, cut_is_stamp_alive, trivial_cut
-from repro.errors import CutError, SchedulerError
+from repro.errors import AigerFormatError, CutError, SchedulerError
 from repro.galois import Phase, simsched
 from repro.galois.activity import Operator
 from repro.galois.simsched import SimulatedExecutor, _item_args, _publish_stage
@@ -447,3 +457,145 @@ def lift_lut_sweep() -> np.ndarray:
             col |= ((tts >> np.uint32(j)) & np.uint32(1)) << np.uint32(k)
         lut[:, m] = col
     return lut
+
+
+def reference_and(aig: Aig, f0: int, f1: int) -> int:
+    """``aig.and_(f0, f1)`` one helper call at a time."""
+    aig._check_lit(f0)
+    aig._check_lit(f1)
+    folded = aig._fold_trivial(f0, f1)
+    if folded >= 0:
+        return folded
+    if f0 > f1:
+        f0, f1 = f1, f0
+    hit = aig._strash.get((f0, f1), -1)
+    if hit >= 0:
+        return make_lit(hit)
+    var = aig._alloc(KIND_AND)
+    aig._fanin0[var] = f0
+    aig._fanin1[var] = f1
+    v0, v1 = f0 >> 1, f1 >> 1
+    aig._nref[v0] += 1
+    aig._nref[v1] += 1
+    aig._touch(v0)
+    aig._touch(v1)
+    aig._fanouts[v0].add(var)
+    aig._fanouts[v1].add(var)
+    aig._level[var] = max(aig._level[v0], aig._level[v1]) + 1
+    aig._strash[(f0, f1)] = var
+    aig._num_ands += 1
+    aig.generation += 1
+    return make_lit(var)
+
+
+def _compact_numbering(aig: Aig) -> Tuple[Dict[int, int], List[int]]:
+    """Internal var ids to compact AIGER numbering (PIs first, then
+    ANDs in topological order)."""
+    var_map: Dict[int, int] = {0: 0}
+    for i, pi in enumerate(aig.pis):
+        var_map[pi] = i + 1
+    ands = aig.topo_ands()
+    for j, var in enumerate(ands):
+        var_map[var] = aig.num_pis + 1 + j
+    return var_map, ands
+
+
+def _map_lit(lit: int, var_map: Dict[int, int]) -> int:
+    return 2 * var_map[lit_var(lit)] + (lit & 1)
+
+
+def _write_delta(fh: BinaryIO, delta: int) -> None:
+    if delta <= 0:
+        raise AigerFormatError(f"non-positive AIGER delta {delta}")
+    while delta >= 0x80:
+        fh.write(bytes((0x80 | (delta & 0x7F),)))
+        delta >>= 7
+    fh.write(bytes((delta,)))
+
+
+def reference_write_aig(aig: Aig, path: Union[str, "os.PathLike[str]"]) -> None:
+    """Binary AIGER, one literal mapped and one byte written at a time —
+    the reference of ``io_aiger.write_aig``."""
+    var_map, ands = _compact_numbering(aig)
+    max_var = aig.num_pis + len(ands)
+    with open(path, "wb") as fh:
+        header = f"aig {max_var} {aig.num_pis} 0 {aig.num_pos} {len(ands)}\n"
+        fh.write(header.encode("ascii"))
+        for lit in aig.pos:
+            fh.write(f"{_map_lit(lit, var_map)}\n".encode("ascii"))
+        for var in ands:
+            lhs = 2 * var_map[var]
+            rhs0 = _map_lit(aig.fanin0(var), var_map)
+            rhs1 = _map_lit(aig.fanin1(var), var_map)
+            if rhs0 < rhs1:
+                rhs0, rhs1 = rhs1, rhs0
+            _write_delta(fh, lhs - rhs0)
+            _write_delta(fh, rhs0 - rhs1)
+        if aig.name:
+            fh.write(b"c\n")
+            fh.write(aig.name.encode("utf-8") + b"\n")
+
+
+def _read_delta(data: bytes, pos: int) -> Tuple[int, int]:
+    """The delta encoded at ``data[pos:]`` and the offset after it."""
+    value = shift = 0
+    for at in range(pos, len(data)):
+        b = data[at]
+        value |= (b & 0x7F) << shift
+        if not b & 0x80:
+            return value, at + 1
+        shift += 7
+    raise AigerFormatError(f"byte {pos}: truncated binary AIGER delta")
+
+
+def _resolve(lit: int, lit_map: Dict[int, int], where: str) -> int:
+    if lit <= 1:
+        return lit
+    base = lit & ~1
+    if base not in lit_map:
+        raise AigerFormatError(f"{where}: undefined literal {lit}")
+    return lit_map[base] ^ (lit & 1)
+
+
+def reference_read_aig(path: Union[str, "os.PathLike[str]"]) -> Aig:
+    """Binary AIGER, one byte decoded and one literal resolved through a
+    dict at a time, every AND built by :func:`reference_and` — the
+    reference of ``io_aiger.read_aiger`` on ``.aig`` files."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.find(b"\n")
+    end = len(data) if end < 0 else end
+    header, pos = data[:end].split(), end + 1
+    assert header and header[0] == b"aig", "binary AIGER only"
+    m, i, _, o, a = _parse_header_counts(header, "byte 0")
+    if 2 * (o + a) > len(data) - pos:
+        raise AigerFormatError(
+            f"byte {len(data)}: truncated, the header announces {o} outputs "
+            f"and {a} ANDs")
+    max_lit = 2 * m + 1
+    aig = Aig()
+    lit_map: Dict[int, int] = {0: 0}
+    for k in range(i):
+        lit_map[2 * (k + 1)] = aig.add_pi()
+    po_lits = []
+    for _ in range(o):
+        end = data.find(b"\n", pos)
+        if end < 0:
+            raise AigerFormatError(f"byte {pos}: truncated binary AIGER outputs")
+        field = data[pos:end].decode("ascii", errors="replace")
+        po_lits.append((_literals(field, 1, max_lit, f"byte {pos}")[0], pos))
+        pos = end + 1
+    for k in range(a):
+        lhs, at = 2 * (i + 1 + k), pos
+        delta0, pos = _read_delta(data, pos)
+        delta1, pos = _read_delta(data, pos)
+        rhs0 = lhs - delta0
+        rhs1 = rhs0 - delta1
+        if rhs1 < 0:
+            raise AigerFormatError(f"byte {at}: negative literal in AND {lhs}")
+        where = f"byte {at}"
+        lit_map[lhs] = reference_and(aig, _resolve(rhs0, lit_map, where),
+                                     _resolve(rhs1, lit_map, where))
+    for lit, at in po_lits:
+        aig.add_po(_resolve(lit, lit_map, f"byte {at}"))
+    return aig

@@ -1,10 +1,14 @@
-"""Call-budget pins for the steps every level runs.
+"""Call-budget pins for the steps every level runs, and for the cold
+path every run pays once per node.
 
 A deep circuit's levels hold a few dozen roots each, so the fixed cost
 of a call to plan -> merge -> eval, not the per-root work, decides what
-a level costs (DESIGN §4j).  These tests count the calls repro code
-issues while one call of each step runs on ``deep_chain_circuit()`` at
-a fixed level: ``call`` events whose caller is a ``repro`` frame plus
+a level costs (DESIGN §4j).  Before the first level, a run reads,
+simulates and (at its end) writes the whole circuit, and every node it
+builds goes through ``Aig.and_`` (DESIGN §4k).  These tests count the
+calls repro code issues while one call of each step runs on
+``deep_chain_circuit()`` (at a fixed level, for the level steps):
+``call`` events whose caller is a ``repro`` frame plus
 ``c_call`` events from ``repro`` frames (a numpy function or method,
 a builtin, a repro helper).  What numpy does inside a call is not
 counted, so a budget does not depend on the machine or the numpy
@@ -15,11 +19,14 @@ the kernel-call pins rather than as a slower ladder run.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
 
 from conftest import deep_chain_circuit
+from repro.aig import Aig, read_aiger, simulate, write_aig
+from repro.aig.simulate import random_patterns
 from repro.config import dacpara_config
 from repro.cuts.manager import CutManager, EnumPlan
 from repro.library import get_library
@@ -33,7 +40,11 @@ def _from_repro(frame) -> bool:
 
 
 def calls_issued(fn, *args) -> int:
-    """Calls issued from ``repro`` frames while ``fn(*args)`` runs."""
+    """Calls issued from ``repro`` frames while ``fn(*args)`` runs.
+
+    The cyclic collector is off meanwhile: a collection would run any
+    ``gc.callbacks`` (hypothesis registers one) as a call whose caller
+    is whichever ``repro`` frame allocated last."""
     issued = 0
 
     def profile(frame, event, arg):
@@ -43,11 +54,15 @@ def calls_issued(fn, *args) -> int:
         elif event == "c_call":
             issued += _from_repro(frame)
 
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return issued
 
 
@@ -101,3 +116,50 @@ class TestCallBudget:
         warm = eval_tasks_columnar(*args)
         assert calls_issued(eval_tasks_columnar, *args) <= 581
         assert eval_tasks_columnar(*args) == warm
+
+
+class TestColdPathBudget:
+    """Per-AND counts on ``deep_chain_circuit()`` (1 530 ANDs)."""
+
+    @pytest.fixture
+    def circuit(self, tmp_path):
+        aig = deep_chain_circuit()
+        assert aig.num_ands == 1530
+        return aig, tmp_path / "chain.aig"
+
+    def test_write_aig(self, circuit):
+        """14.1 calls per AND before the vector varint encoder (a
+        ``write`` per byte, a ``_map_lit`` per literal): 21 571."""
+        aig, path = circuit
+        assert calls_issued(write_aig, aig, path) <= 69
+
+    def test_read_aiger(self, circuit):
+        """36.2 calls per AND before the vector decode and the lean
+        ``and_`` (a call per delta, a location string per AND):
+        55 370.  What is left is the one ``and_`` per AND and its
+        column and journal appends."""
+        aig, path = circuit
+        write_aig(aig, path)
+        assert calls_issued(read_aiger, path) <= 26319  # 17.2 per AND
+
+    def test_simulate(self, circuit):
+        """8.0 calls per AND before ``simulate`` read the fanin columns
+        (``fanin0``/``fanin1``, ``lit_var``/``lit_compl``) and
+        ``topo_ands`` sorted without a per-node key: 12 276."""
+        aig, _ = circuit
+        patterns = random_patterns(aig.num_pis, 64, 0)
+        assert calls_issued(simulate, aig, patterns, 64) <= 22
+
+    @pytest.mark.parametrize("case,budget", (("new_node", 15), ("strash_hit", 2)))
+    def test_and(self, case, budget):
+        """29 calls for a new node and 8 for a strash hit before
+        ``and_`` did the work of ``_check_lit``, ``_fold_trivial``,
+        ``_new_and``, ``_alloc``, ``_bump_stamp`` and ``_touch`` in
+        place; a new node's 15 are its eight column appends, its three
+        journal appends, its fanout set, its two fanout insertions and
+        ``len``."""
+        aig = Aig()
+        a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
+        aig.and_(a, b)
+        args = (a, c) if case == "new_node" else (a, b)
+        assert calls_issued(aig.and_, *args) <= budget
