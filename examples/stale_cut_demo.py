@@ -18,7 +18,7 @@ from repro.core import validate_candidate
 from repro.core.validation import ValidationStats
 from repro.cuts import CutManager, cut_is_stamp_alive, cut_leaves_alive
 from repro.library import get_library
-from repro.rewrite.base import find_best_candidate
+from repro.rewrite import find_best_candidate
 
 
 def _candidate_with_internal_leaf(aig, root, cutman):

@@ -1,17 +1,19 @@
 """The DACPara operators (Sections 4.2-4.4).
 
-Each operator is a cautious Galois generator (see
-:mod:`repro.galois.activity`).  The division of labour is the paper's
-central idea:
+The division of labour is the paper's central idea:
 
-* **enumeration** — short, locks the node and its cut region;
+* **enumeration** — short, locks the node and its cut region: the
+  replay generator of :func:`repro.rewrite.columnar.run_enum_batched`,
+  whose per-root step (cache answers, retries) is :func:`enum_phase`;
 * **evaluation** — the >90 %-of-runtime stage, *entirely lock-free*
   (reads the graph, writes only its own ``prepInfo`` slot): its
   operator is the replay generator of
   :func:`repro.rewrite.columnar.run_eval_batched`, which scores the
   whole worklist as one batch first;
-* **replacement** — validates the stored result against the latest
-  graph, then holds locks only for the short splice-in.
+* **replacement** — a cautious Galois generator (see
+  :mod:`repro.galois.activity`) that validates the stored result
+  against the latest graph, then holds locks only for the short
+  splice-in.
 
 Shared mutable state lives in :class:`StageContext`; the simulated
 scheduler runs each activity atomically at pop, so generator
@@ -21,7 +23,7 @@ resumptions are serialized and plain Python containers are safe here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, List, Set
+from typing import Callable, Generator, Set
 
 from ..aig import Aig, mffc
 from ..cuts import CutManager
@@ -56,22 +58,6 @@ class StageContext:
         """Close the current worklist round and open a fresh one."""
         self.attempted += self.prep_info.stored + self.prep_info.skipped
         self.prep_info = PrepInfo()
-
-
-def make_enum_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, None, None]]:
-    """Parallel cut enumeration (Section 4.2).
-
-    Locks the node and the leaves its cuts reach: transitive-fanin
-    relations inside a drifted worklist would otherwise let two
-    activities race on the shared recursive enumeration.  The stage is
-    cheap, so these conflicts cost little (as the paper argues).
-    """
-
-    def operator(root: int) -> Generator[Phase, None, None]:
-        if not ctx.aig.is_dead(root):
-            yield enum_phase(ctx.cutman, root)
-
-    return operator
 
 
 def enum_phase(cutman: CutManager, root: int) -> Phase:

@@ -7,10 +7,10 @@ from .base import (
     apply_candidate,
     cut_tt4,
     evaluate_candidate,
-    find_best_candidate,
     instantiate,
     leaf_literals,
 )
+from .columnar import find_best_candidate
 from .result import RewriteResult
 from .serial import SerialRewriter
 from .lockfused import LockFusedRewriter

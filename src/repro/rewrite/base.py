@@ -1,6 +1,6 @@
 """Machinery shared by every rewriting engine.
 
-Three responsibilities:
+Two responsibilities:
 
 * **Evaluation** — given a node, a cut and a candidate structure,
   compute the exact gain of replacing the cut cone by the structure,
@@ -11,25 +11,25 @@ Three responsibilities:
   DACPara's evaluation stage run lock-free).
 * **Instantiation** — build the chosen structure in the AIG over the
   cut leaves, honoring the NPN witness transform.
-* **Candidate selection** — enumerate cuts, canonicalize, look up
-  library structures, and keep the best-gain candidate (the inner loop
-  of Mishchenko's DAG-aware rewriting).
+
+Candidate selection — the inner loop of Mishchenko's DAG-aware
+rewriting — is :func:`repro.rewrite.columnar.find_best_candidate`, the
+columnar eval kernel on one root; :func:`evaluate_candidate` stays the
+single-pair scorer DACPara's validation re-checks a stored result with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..aig import Aig
 from ..aig.literals import LIT_FALSE, lit_var, make_lit
 from ..aig.traversal import is_in_tfi
-from ..cuts import Cut, CutManager
-from ..library import Structure, StructureLibrary
-from ..library.structures import FIRST_INTERNAL_VAR
-from ..npn import NpnTransform, npn_canon
+from ..cuts import Cut
+from ..library import Structure
+from ..npn import NpnTransform
 from ..npn.truth import expand
-from ..config import RewriteConfig
 
 
 class WorkMeter:
@@ -229,89 +229,6 @@ def instantiate(
             created.append(lit_var(lit))
         values.append(lit)
     return values[structure.out >> 1] ^ (structure.out & 1) ^ int(transform.out_neg)
-
-
-def find_best_candidate(
-    aig: Aig,
-    root: int,
-    cutman: CutManager,
-    library: StructureLibrary,
-    config: RewriteConfig,
-    meter: Optional[WorkMeter] = None,
-    observer=None,
-) -> Optional[Candidate]:
-    """The DAG-aware rewriting inner loop for a single node.
-
-    The ``fresh_cuts`` call merges through the cut manager's columnar
-    union/dominance kernels.
-    """
-    return best_candidate_over_cuts(
-        aig, root, cutman.fresh_cuts(root), library, config, meter, observer
-    )
-
-
-def best_candidate_over_cuts(
-    aig: Aig,
-    root: int,
-    cuts,
-    library: StructureLibrary,
-    config: RewriteConfig,
-    meter: Optional[WorkMeter] = None,
-    observer=None,
-) -> Optional[Candidate]:
-    """Best replacement for ``root`` over an explicit cut list.
-
-    The cut list is whatever the enumeration stage produced; ``aig``
-    is only read (fanins, refs, levels, strash probes).
-    """
-    allowed = config.allowed_classes
-    observing = observer is not None and observer.enabled
-    num_cuts = 0
-    best: Optional[Candidate] = None
-    best_key = None
-    for cut in cuts:
-        num_cuts += 1
-        if cut.size < 2:
-            continue
-        canon, transform = npn_canon(cut_tt4(cut))
-        if canon not in allowed:
-            if observing:
-                observer.count("npn_class_misses_total")
-            continue
-        if observing:
-            observer.count("npn_class_hits_total", cls=f"{canon:04x}")
-        structures = library.structures(canon)
-        if config.max_structs is not None:
-            structures = structures[: config.max_structs]
-        for structure in structures:
-            evaluation = evaluate_candidate(aig, root, cut, structure, transform, meter)
-            if evaluation is None:
-                continue
-            if config.preserve_level and evaluation.new_root_level > aig.level(root):
-                continue
-            key = (evaluation.gain, -evaluation.added, -evaluation.new_root_level)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = Candidate(
-                    root=root,
-                    root_stamp=aig.stamp(root),
-                    root_life=aig.life_stamp(root),
-                    cut=cut,
-                    canon_tt=canon,
-                    transform=transform,
-                    structure=structure,
-                    gain=evaluation.gain,
-                    new_root_level=evaluation.new_root_level,
-                )
-    if observing:
-        observer.observe("cuts_per_node", num_cuts)
-    if best is None:
-        return None
-    if best.gain > 0 or (config.zero_gain and best.gain == 0):
-        if observing:
-            observer.observe("gain", best.gain)
-        return best
-    return None
 
 
 def apply_candidate(aig: Aig, candidate: Candidate) -> int:

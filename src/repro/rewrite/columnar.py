@@ -1,10 +1,9 @@
-"""Columnar batch evaluation: the eval-stage hot path over flat arrays.
+"""Columnar batch evaluation: the one candidate selector of every engine.
 
-The per-cut loop the baseline engines run
-(:func:`repro.rewrite.base.best_candidate_over_cuts`) dispatches
-several Python method calls per graph access and recomputes the root
-cone's local deref once per *structure*.  This module inverts the data
-layout: the internal per-node columns of the live
+A per-cut loop over :func:`~repro.rewrite.base.evaluate_candidate`
+dispatches several Python method calls per graph access and recomputes
+the root cone's local deref once per *structure*.  This module inverts
+the data layout: the internal per-node columns of the live
 :class:`~repro.aig.graph.Aig` become the primary store, and a whole
 table of per-root cut rows (:class:`~repro.cuts.manager.CutColumns`) is
 scored in three phases:
@@ -38,9 +37,15 @@ scored in three phases:
    and stage stats are those of one Section 4.3 operator per root on
    every executor.
 
-``tests/reference.py`` keeps that per-root operator (and the per-pair
-cut merge) as the reference; ``tests/test_differential_fuzz.py`` pins
-every executor byte-identical to it.
+DACPara's eval stage scores a whole worklist per call
+(:func:`run_eval_batched`); the baseline engines (ABC, ICCAD'18, the
+GPU models) score one root per call through :func:`find_best_candidate`,
+the same kernel on a one-root table.
+
+``tests/reference.py`` keeps the per-cut loop, that per-root operator
+and the per-pair cut merge as the reference;
+``tests/test_differential_fuzz.py`` pins every executor and every
+baseline engine byte-identical to it.
 """
 
 from __future__ import annotations
@@ -51,50 +56,10 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..aig.graph import KIND_AND, KIND_DEAD, Aig
-from ..cuts.manager import CutColumns
+from ..cuts.manager import CutColumns, CutManager
 from ..npn.canon import _TRANSFORMS, ensure_canon_lut
 from ..npn.truth import CUT_LEAF_SENTINEL, batch_lift_tt4
-from .base import Candidate
-
-# ---------------------------------------------------------------------------
-# Columnar views
-# ---------------------------------------------------------------------------
-
-
-class ColumnarView:
-    """Plain-list columns plus the strash dict of one graph generation.
-
-    Scalar indexing into Python lists is several times faster than
-    numpy scalar indexing (no per-access dtype boxing), which is what
-    the scoring phase lives on; the numpy arrays are used only by the
-    kernel phase.  Views are read-only by convention — the eval stage
-    never mutates the graph.
-    """
-
-    __slots__ = ("kind", "fanin0", "fanin1", "nref", "level", "stamp",
-                 "life", "strash", "size")
-
-    def __init__(self, kind, fanin0, fanin1, nref, level, stamp, life,
-                 strash):
-        self.kind = kind
-        self.fanin0 = fanin0
-        self.fanin1 = fanin1
-        self.nref = nref
-        self.level = level
-        self.stamp = stamp
-        self.life = life
-        self.strash = strash
-        self.size = len(kind)
-
-
-def columnar_view(aig: Aig) -> ColumnarView:
-    """The columnar view of a live :class:`Aig`: the graph already
-    stores its columns as plain lists, so the view just references them
-    (valid until the next mutation — fine for the read-only eval
-    stage)."""
-    return ColumnarView(aig._kind, aig._fanin0, aig._fanin1, aig._nref,
-                        aig._level, aig._stamp, aig._life, aig._strash)
-
+from .base import Candidate, WorkMeter
 
 # ---------------------------------------------------------------------------
 # Per-process decode caches
@@ -211,25 +176,30 @@ def eval_tasks_columnar(
     library,
     observer=None,
 ) -> List[Tuple[int, Optional[Candidate], int]]:
-    """Score every root of the ``tasks`` table; the batch twin of a
-    loop over :func:`~repro.rewrite.base.best_candidate_over_cuts`.
+    """Score every root of the ``tasks`` table: for each, the best-gain
+    (cut, structure) pair by :func:`~repro.rewrite.base.
+    evaluate_candidate` semantics.
 
     The table is read column-wise — only a winning cut is ever
     materialized.  Returns ``(root, candidate-or-None, work-units)``
     triples with the ``-1`` dead-root sentinel, candidate-for-candidate
-    and unit-for-unit identical to that loop — including every
-    observer counter and histogram value (counter increments are batched,
+    and unit-for-unit identical to the per-cut loop in
+    ``tests/reference.py`` — including every observer counter and
+    histogram value that loop emits (counter increments are batched,
     which the order-insensitive metric aggregation absorbs).
     """
     observing = observer is not None and observer.enabled
-    view = columnar_view(aig)
-    kind = view.kind
-    fanin0 = view.fanin0
-    fanin1 = view.fanin1
-    nref = view.nref
-    level = view.level
-    strash_get = view.strash.get
-    psize = view.size
+    # The graph stores its columns as plain lists: scalar indexing into
+    # them is several times faster than into numpy (no per-access dtype
+    # boxing), which is what the scoring phase lives on.  Read only —
+    # the eval stage never mutates the graph.
+    kind = aig._kind
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    nref = aig._nref
+    level = raw_level = aig._level
+    strash_get = aig._strash.get
+    psize = len(kind)
     lit_cap = 2 * psize
     roots, counts = tasks.roots, tasks.counts
     live = [kind[root] != KIND_DEAD for root in roots]
@@ -379,7 +349,7 @@ def eval_tasks_columnar(
                                 # Possibly stale, but hv = a & b and both
                                 # operand levels are exact: patch the
                                 # derived level into a private copy.
-                                if level is view.level:
+                                if level is raw_level:
                                     level = list(level)
                                 la = level[a >> 1]
                                 lb = level[b >> 1]
@@ -425,8 +395,8 @@ def eval_tasks_columnar(
             j, structure, gain, new_level = best
             results[ri] = (root, Candidate(
                 root=root,
-                root_stamp=view.stamp[root],
-                root_life=view.life[root],
+                root_stamp=aig._stamp[root],
+                root_life=aig._life[root],
                 cut=tasks.cut(int(flat[j])),
                 canon_tt=classes.canon[table[j][9]],
                 transform=_TRANSFORMS[row_col[j]],
@@ -457,6 +427,24 @@ def eval_tasks_columnar(
         observer.observe("eval_kernel_seconds", kernel_seconds, phase="canon")
         observer.observe("eval_kernel_seconds", score_seconds, phase="score")
     return results
+
+
+def find_best_candidate(
+    aig: Aig,
+    root: int,
+    cutman: CutManager,
+    library,
+    config,
+    meter: Optional[WorkMeter] = None,
+    observer=None,
+) -> Optional[Candidate]:
+    """The DAG-aware rewriting inner loop for one node: the kernel on
+    ``root``'s (stamp-validated) cut set; charges its units to ``meter``."""
+    ((_, candidate, units),) = eval_tasks_columnar(
+        aig, cutman.eval_harvest([root]), config, library, observer)
+    if meter is not None and units >= 0:
+        meter.add(units)
+    return candidate
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from ..cuts import CutManager
 from ..galois import Phase, make_executor, warn_unused_jobs
 from ..library import StructureLibrary, get_library
 from ..obs.observer import NULL_OBSERVER, Observer
-from .base import WorkMeter, apply_candidate, find_best_candidate
+from .base import WorkMeter, apply_candidate
+from .columnar import find_best_candidate
 from .result import RewriteResult
 
 

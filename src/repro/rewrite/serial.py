@@ -16,7 +16,8 @@ from ..config import RewriteConfig, abc_rewrite_config
 from ..cuts import CutManager
 from ..library import StructureLibrary, get_library
 from ..obs.observer import NULL_OBSERVER, Observer
-from .base import WorkMeter, apply_candidate, find_best_candidate
+from .base import WorkMeter, apply_candidate
+from .columnar import find_best_candidate
 from .result import RewriteResult
 
 

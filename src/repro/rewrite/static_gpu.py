@@ -35,7 +35,8 @@ from ..cuts import CutManager, cut_is_stamp_alive
 from ..galois import Phase, SimulatedExecutor
 from ..library import StructureLibrary, get_library
 from ..obs.observer import NULL_OBSERVER, Observer
-from .base import Candidate, WorkMeter, apply_candidate, find_best_candidate
+from .base import Candidate, WorkMeter, apply_candidate
+from .columnar import find_best_candidate
 from .result import RewriteResult
 
 

@@ -1,25 +1,35 @@
 """Reference implementations the production kernels are pinned against.
 
 Production has one enumerate/evaluate path: whole worklists merged and
-scored as columnar batches, then replayed through the scheduler.  What
-lives here is the other way to compute the same thing — one cut pair,
-one cut, one root at a time, every ``Cut`` built — kept out of ``src/``
-because nothing there calls it:
+scored as columnar batches, then replayed through the scheduler (the
+baseline engines score one-root batches).  What lives here is the other
+way to compute the same thing — one cut pair, one cut, one root at a
+time, every ``Cut`` built — kept out of ``src/`` because nothing there
+calls it:
 
 * :class:`ScalarCutManager` — the per-pair cut merge, the reference of
   ``CutManager._columnar_core``;
 * :func:`reference_plan` — the enum-stage planner walked root by root,
   the reference of ``CutManager.plan_closures``' vector passes;
-* :func:`eval_tasks_scalar` / :func:`make_eval_operator` — the per-cut
-  scoring loop and the Section 4.3 generator operator around it, the
-  references of ``eval_tasks_columnar`` and ``run_eval_batched``;
+* :func:`best_candidate_over_cuts` — the per-cut selection loop over
+  ``evaluate_candidate``, the reference of ``eval_tasks_columnar``;
+  :func:`reference_find_best_candidate` runs it on one root's cut set
+  (the reference of ``find_best_candidate``, the baseline engines'
+  selector), :func:`eval_tasks_scalar` over a cut table, and
+  :func:`make_eval_operator` inside the Section 4.3 generator operator
+  (the reference of ``run_eval_batched``);
+* :func:`make_enum_operator` — the Section 4.2 generator operator
+  around ``enum_phase``, the reference of ``run_enum_batched``;
 * :class:`ReferenceExecutor` — a simulated executor whose read stages
   run the Section 4.2/4.3 generator operators per root, and whose
   event loop finds conflicts by scanning every in-flight activity's
   lock intervals — the reference of ``SimulatedExecutor.run``'s lock
   table;
 * :func:`reference_patches` / :func:`reference_rewrite` — the
-  unchanged driver with those substituted;
+  unchanged driver with those substituted, and
+  :func:`reference_selector_patches` — the unchanged baseline engines
+  with the reference selector substituted; both switch the columnar
+  eval kernel off (:func:`kernel_off`);
 * :func:`build_canon_lut_sweep` — the NPN canon LUT computed function
   by function over all 768 transforms, the reference of the
   class-by-class build in ``npn/canon.py``;
@@ -33,8 +43,9 @@ because nothing there calls it:
   references of ``aig.io_aiger``'s vector varint codec.
 
 ``tests/test_differential_fuzz.py`` holds every executor byte-identical
-to :func:`reference_rewrite`; the kernel property tests compare against
-the classes directly.
+to :func:`reference_rewrite` and every baseline engine to its run under
+:func:`reference_selector_patches`; the kernel property tests compare
+against the classes directly.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ import heapq
 import os
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import (BinaryIO, Callable, Dict, Generator, List, Optional,
                     Sequence, Tuple, Union)
 from unittest import mock
@@ -53,8 +64,9 @@ import numpy as np
 from repro.aig.graph import KIND_AND, Aig
 from repro.aig.io_aiger import _literals, _parse_header_counts
 from repro.aig.literals import lit_compl, lit_var, make_lit
+from repro.config import RewriteConfig
 from repro.core.dacpara import DACParaRewriter
-from repro.core.operators import StageContext, make_enum_operator
+from repro.core.operators import StageContext, enum_phase
 from repro.cuts import CutManager
 from repro.cuts.cut import Cut, cut_is_stamp_alive, trivial_cut
 from repro.errors import AigerFormatError, CutError, SchedulerError
@@ -62,12 +74,15 @@ from repro.galois import Phase, simsched
 from repro.galois.activity import Operator
 from repro.galois.simsched import SimulatedExecutor, _item_args, _publish_stage
 from repro.galois.stats import StageStats
+from repro.library import StructureLibrary
+from repro.npn import npn_canon
 from repro.npn.canon import _MATRICES, _OUT_FLAGS
 from repro.npn.truth import CUT_LEAF_SENTINEL, expand, expand_map16, full_mask
 from repro.rewrite.base import (
+    Candidate,
     WorkMeter,
-    best_candidate_over_cuts,
-    find_best_candidate,
+    cut_tt4,
+    evaluate_candidate,
 )
 
 _FULL_MASKS = tuple(full_mask(n) for n in range(5))
@@ -166,6 +181,102 @@ class ScalarCutManager(CutManager):
         results[:] = keep
 
 
+def best_candidate_over_cuts(
+    aig: Aig,
+    root: int,
+    cuts,
+    library: StructureLibrary,
+    config: RewriteConfig,
+    meter: Optional[WorkMeter] = None,
+    observer=None,
+) -> Optional[Candidate]:
+    """Best replacement for ``root`` over an explicit cut list.
+
+    The cut list is whatever the enumeration stage produced; ``aig``
+    is only read (fanins, refs, levels, strash probes).
+    """
+    allowed = config.allowed_classes
+    observing = observer is not None and observer.enabled
+    num_cuts = 0
+    best: Optional[Candidate] = None
+    best_key = None
+    for cut in cuts:
+        num_cuts += 1
+        if cut.size < 2:
+            continue
+        canon, transform = npn_canon(cut_tt4(cut))
+        if canon not in allowed:
+            if observing:
+                observer.count("npn_class_misses_total")
+            continue
+        if observing:
+            observer.count("npn_class_hits_total", cls=f"{canon:04x}")
+        structures = library.structures(canon)
+        if config.max_structs is not None:
+            structures = structures[: config.max_structs]
+        for structure in structures:
+            evaluation = evaluate_candidate(aig, root, cut, structure, transform, meter)
+            if evaluation is None:
+                continue
+            if config.preserve_level and evaluation.new_root_level > aig.level(root):
+                continue
+            key = (evaluation.gain, -evaluation.added, -evaluation.new_root_level)
+            if best_key is None or key > best_key:
+                best_key = key
+                best = Candidate(
+                    root=root,
+                    root_stamp=aig.stamp(root),
+                    root_life=aig.life_stamp(root),
+                    cut=cut,
+                    canon_tt=canon,
+                    transform=transform,
+                    structure=structure,
+                    gain=evaluation.gain,
+                    new_root_level=evaluation.new_root_level,
+                )
+    if observing:
+        observer.observe("cuts_per_node", num_cuts)
+    if best is None:
+        return None
+    if best.gain > 0 or (config.zero_gain and best.gain == 0):
+        if observing:
+            observer.observe("gain", best.gain)
+        return best
+    return None
+
+
+def reference_find_best_candidate(aig, root, cutman, library, config,
+                                  meter=None, observer=None):
+    """``repro.rewrite.find_best_candidate`` as the per-cut loop over
+    ``root``'s materialized cut set — the reference of the one-root
+    kernel call the baseline engines select through."""
+    return best_candidate_over_cuts(
+        aig, root, cutman.fresh_cuts(root), library, config, meter, observer
+    )
+
+
+def kernel_off():
+    """A patch under which any call into the columnar eval kernel fails:
+    the eval references must never score through it."""
+    return mock.patch(
+        "repro.rewrite.columnar.eval_tasks_columnar",
+        side_effect=AssertionError("a reference reached eval_tasks_columnar"))
+
+
+@contextmanager
+def reference_selector_patches():
+    """Inside, the ABC, ICCAD'18 and GPU engines select every candidate
+    through :func:`reference_find_best_candidate`, and the columnar
+    kernel is off."""
+    with ExitStack() as stack:
+        stack.enter_context(kernel_off())
+        for module in ("serial", "lockfused", "static_gpu"):
+            stack.enter_context(mock.patch(
+                f"repro.rewrite.{module}.find_best_candidate",
+                reference_find_best_candidate))
+        yield
+
+
 def eval_tasks_scalar(aig_like, table, config, collector, library):
     """The scalar evaluation loop over a ``CutColumns`` table (every
     row materialized as a ``Cut``) — the reference the columnar engine's
@@ -187,6 +298,22 @@ def eval_tasks_scalar(aig_like, table, config, collector, library):
     return out
 
 
+def make_enum_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, None, None]]:
+    """Parallel cut enumeration (Section 4.2).
+
+    Locks the node and the leaves its cuts reach: transitive-fanin
+    relations inside a drifted worklist would otherwise let two
+    activities race on the shared recursive enumeration.  The stage is
+    cheap, so these conflicts cost little (as the paper argues).
+    """
+
+    def operator(root: int) -> Generator[Phase, None, None]:
+        if not ctx.aig.is_dead(root):
+            yield enum_phase(ctx.cutman, root)
+
+    return operator
+
+
 def make_eval_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, None, None]]:
     """Parallel evaluation (Section 4.3) — no locks at all.
 
@@ -202,7 +329,7 @@ def make_eval_operator(ctx: StageContext) -> Callable[[int], Generator[Phase, No
         if aig.is_dead(root):
             return
         meter = WorkMeter()
-        candidate = find_best_candidate(
+        candidate = reference_find_best_candidate(
             aig, root, ctx.cutman, ctx.library, ctx.config, meter,
             observer=ctx.observer,
         )
@@ -398,14 +525,20 @@ def reference_patches(stages: Sequence[str] = ("enum", "eval")):
     """Inside, a ``DACParaRewriter`` runs the unchanged driver with the
     reference substituted for each stage in ``stages`` (``"enum"``:
     :class:`ScalarCutManager` and the per-root enum operator;
-    ``"eval"``: the per-root eval operator) on simulated workers."""
+    ``"eval"``: the per-root eval operator, with the columnar kernel
+    off) on simulated workers."""
 
     def executor(kind, n_workers, observer=None):
         return ReferenceExecutor(n_workers, observer=observer, stages=stages)
 
     cutman = ScalarCutManager if "enum" in stages else CutManager
-    with mock.patch("repro.core.dacpara.make_executor", executor), \
-            mock.patch("repro.core.dacpara.CutManager", cutman):
+    with ExitStack() as stack:
+        stack.enter_context(
+            mock.patch("repro.core.dacpara.make_executor", executor))
+        stack.enter_context(
+            mock.patch("repro.core.dacpara.CutManager", cutman))
+        if "eval" in stages:
+            stack.enter_context(kernel_off())
         yield
 
 

@@ -30,6 +30,7 @@ from repro.aig.simulate import random_patterns
 from repro.config import dacpara_config
 from repro.cuts.manager import CutManager, EnumPlan
 from repro.library import get_library
+from repro.rewrite import WorkMeter, find_best_candidate
 from repro.rewrite.columnar import eval_tasks_columnar
 
 LEVEL = 30  # 14 roots on the default chain
@@ -116,6 +117,21 @@ class TestCallBudget:
         warm = eval_tasks_columnar(*args)
         assert calls_issued(eval_tasks_columnar, *args) <= 581
         assert eval_tasks_columnar(*args) == warm
+
+    def test_find_best_candidate(self):
+        """The baselines' one-root selector, once per root of the level:
+        5 892 calls (1 383 for the costliest root) while it was a per-cut
+        loop over ``evaluate_candidate``; the one-root kernel call
+        issues 1 592 (213)."""
+        cutman, roots = _at_level()
+        plan = cutman.plan_closures(roots)
+        cutman.merge_tasks_columnar(plan)
+        cutman.install_cuts(plan, range(len(plan.var)))
+        args = (cutman.aig, cutman, get_library(), dacpara_config())
+        find_best_candidate(args[0], roots[0], *args[1:])  # class table
+        counts = [calls_issued(find_best_candidate, args[0], root,
+                               *args[1:], WorkMeter()) for root in roots]
+        assert sum(counts) <= 1592 and max(counts) <= 213
 
 
 class TestColdPathBudget:

@@ -2,9 +2,9 @@
 
 ``tests/test_differential_fuzz.py`` pins the engine byte-identical to
 the scalar reference (``tests/reference.py``) end-to-end; these tests
-cover the pieces directly — the numpy kernels, the columnar view, the
-replay glue and the observer parity — so a regression points at the
-component, not just "a fuzz seed diverged".
+cover the pieces directly — the numpy kernels, the replay glue and the
+observer parity — so a regression points at the component, not just
+"a fuzz seed diverged".
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.rewrite.columnar import (
     _closures,
     _deref_cone,
     class_table,
-    columnar_view,
     eval_tasks_columnar,
 )
 
@@ -153,19 +152,6 @@ class TestKernels:
         got = {k: v for k, v in obs.metrics.snapshot()["counters"].items()
                if k.startswith("npn_class_hits_total")}
         assert got == want and len(want) >= 5
-
-
-# ---------------------------------------------------------------------------
-# Columnar views
-# ---------------------------------------------------------------------------
-
-
-class TestColumnarView:
-    def test_live_view_references_graph_columns(self):
-        aig = mtm_like(num_pis=8, num_nodes=60, seed=1)
-        view = columnar_view(aig)
-        assert view.fanin0 is aig._fanin0  # no copy for a live graph
-        assert view.strash is aig._strash
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +489,9 @@ class TestBranchesByHand:
 # ---------------------------------------------------------------------------
 
 
-def _closure_view(aig, root):
-    view = columnar_view(aig)
-    dead = _deref_cone(root, view.kind, view.fanin0, view.fanin1, view.nref)
-    return dead, _closures(dead, view.fanin0, view.fanin1)
+def _dead_and_closures(aig, root):
+    dead = _deref_cone(root, aig._kind, aig._fanin0, aig._fanin1, aig._nref)
+    return dead, _closures(dead, aig._fanin0, aig._fanin1)
 
 
 def _bounded_dead(dead, closure, leaves):
@@ -524,7 +509,7 @@ class TestDeadSetClosures:
         aig = random_aig(num_pis=5, num_nodes=rng.randint(8, 45),
                          num_pos=rng.randint(1, 3), seed=seed)
         for root in aig.topo_ands():
-            dead, closure = _closure_view(aig, root)
+            dead, closure = _dead_and_closures(aig, root)
             assert set(dead) == mffc(aig, root)
             inside = sorted(set(dead) - {root})
             cone = sorted(tfi(aig, [root]) - {root})
@@ -547,7 +532,7 @@ class TestDeadSetClosures:
 
     def test_shared_dead_fanin_is_counted_once(self):
         aig, root, x, y, s = self._diamond()
-        dead, closure = _closure_view(aig, root)
+        dead, closure = _dead_and_closures(aig, root)
         assert len(dead) == 4
         both = closure[x] | closure[y]
         assert both.bit_count() == 3  # x, y and s — s once
@@ -556,7 +541,7 @@ class TestDeadSetClosures:
 
     def test_hit_below_a_kept_leaf_changes_nothing(self):
         aig, root, x, y, s = self._diamond()
-        dead, closure = _closure_view(aig, root)
+        dead, closure = _dead_and_closures(aig, root)
         assert closure[s] & ~closure[x] == 0
         assert _bounded_dead(dead, closure, [x, s]) == \
             _bounded_dead(dead, closure, [x]) == mffc(aig, root, [x])
@@ -570,7 +555,7 @@ class TestDeadSetClosures:
             chain.append(lit_var(lit))
         aig.add_po(lit)
         root = chain[-1]
-        dead, closure = _closure_view(aig, root)
+        dead, closure = _dead_and_closures(aig, root)
         assert len(dead) == 70 and closure[root].bit_count() == 70
         assert closure[root] >= 1 << 64
         for depth in (0, 1, 35, 64, 68):

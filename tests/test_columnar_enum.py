@@ -46,7 +46,7 @@ from repro.galois import Phase
 from repro.galois.procpool import _MetricCollector
 from repro.galois.simsched import SimulatedExecutor
 from repro.library import get_library
-from repro.rewrite.base import apply_candidate, find_best_candidate
+from repro.rewrite import apply_candidate, find_best_candidate
 from repro.npn.truth import (
     CUT_LEAF_SENTINEL,
     batch_cut_signs,

@@ -42,6 +42,13 @@ A fifth axis pins the **closure waves** of the enum stage (DESIGN
 whole lower TFI, one wave per level — result, per-stage stats and the
 cut cache equal the reference's.
 
+A sixth axis pins the **baseline engines' selector**: ABC
+(``SerialRewriter``), ICCAD'18 (``LockFusedRewriter``) and both GPU
+models (``StaticRewriter``) pick every rewrite through the one-root
+columnar kernel; under :func:`reference_selector_patches` they pick it
+through the per-cut loop instead.  Output bytes, the result record and
+every observer series the reference emits must agree.
+
 The smoke tier (always on, fixed seeds — CI runs it per-push) covers
 ``SMOKE_SEEDS`` plus pool-sized circuits whose production sharded
 configuration genuinely ships shards to the pool.  The remaining ~200-seed sweep is marked
@@ -58,15 +65,24 @@ import warnings
 
 import pytest
 
+from repro.aig import write_aig
 from repro.aig.check import check
 from repro.bench import mtm_like
-from repro.config import dacpara_config
+from repro.config import (
+    abc_rewrite_config,
+    dacpara_config,
+    dacpara_p1_config,
+    gpu_config,
+    iccad18_config,
+)
 from repro.core import DACParaRewriter
 from repro.core.operators import StageContext
 from repro.cuts import CutManager
 from repro.galois.simsched import SimulatedExecutor
 from repro.library import get_library
+from repro.obs.export import chrome_trace_json
 from repro.obs.observer import TracingObserver
+from repro.rewrite import LockFusedRewriter, SerialRewriter, StaticRewriter
 from repro.sat import check_equivalence_auto
 
 from conftest import (
@@ -80,6 +96,7 @@ from reference import (
     ScalarCutManager,
     reference_patches,
     reference_rewrite,
+    reference_selector_patches,
 )
 from test_procpool import aig_fingerprint, result_fingerprint
 
@@ -191,6 +208,65 @@ def check_columnar_differential(base) -> None:
     _check_against_reference(base, ("eval",))
     assert _eval_stage_prep(base, SimulatedExecutor) == \
         _eval_stage_prep(base, ReferenceExecutor)
+
+
+BASELINE_ENGINES = {
+    "abc": SerialRewriter,
+    "iccad18": LockFusedRewriter,
+    "dac22": lambda config, observer: StaticRewriter(
+        config, variant="dac22", observer=observer),
+    "tcad23": lambda config, observer: StaticRewriter(
+        config, variant="tcad23", observer=observer),
+}
+
+BASELINE_CONFIGS = {
+    "abc": abc_rewrite_config,
+    "iccad18": lambda: iccad18_config(workers=5),
+    "p1": lambda: dacpara_p1_config(workers=5),
+    "gpu": lambda: gpu_config(workers=5),  # all222, 8 cuts, 5 structures
+    "zero_gain": lambda: dataclasses.replace(
+        iccad18_config(workers=5), zero_gain=True),
+    "preserve_level": lambda: dataclasses.replace(
+        iccad18_config(workers=5), preserve_level=True),
+}
+
+
+#: The series only the columnar kernel emits.
+KERNEL_SERIES = {"eval_batch_size", "eval_kernel_seconds",
+                 "eval_vectorized_candidates_total", "eval_deref_walks_total"}
+
+
+def _run_baseline(base, engine: str, config: str, path):
+    """One baseline run on a copy of ``base``: output ``.aig`` bytes
+    (written to ``path``), result record, the observer's metrics
+    snapshot and its trace."""
+    aig = copy.deepcopy(base)
+    obs = TracingObserver()
+    result = BASELINE_ENGINES[engine](BASELINE_CONFIGS[config](),
+                                      observer=obs).run(aig)
+    write_aig(aig, path)
+    return path.read_bytes(), result.to_dict(), obs.metrics.snapshot(), \
+        chrome_trace_json(obs.tracer)
+
+
+def check_baseline_selector(base, engine: str, config: str, path) -> None:
+    """The shipped engine (kernel selector) against the same engine
+    under the per-cut reference selector.  The kernel also emits its
+    own series (:data:`KERNEL_SERIES`);
+    every series the reference emits is compared, and no other is
+    added."""
+    with reference_selector_patches():
+        want = _run_baseline(base, engine, config, path)
+    got = _run_baseline(base, engine, config, path)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[3] == want[3]
+    for kind, series in want[2].items():
+        for key, value in series.items():
+            assert got[2][kind][key] == value, key
+        added = {key.split("{")[0] for key in got[2][kind]} - \
+            {key.split("{")[0] for key in series}
+        assert added <= KERNEL_SERIES, added
 
 
 def _run_sharded(base, kind: str, shards: int = 4, workers: int = 5):
@@ -361,6 +437,15 @@ def test_columnar_vs_scalar_pool_sized(seed):
     check_columnar_differential(mtm_like(num_pis=12, num_nodes=250, seed=seed))
 
 
+@pytest.mark.parametrize("config", sorted(BASELINE_CONFIGS))
+@pytest.mark.parametrize("engine", sorted(BASELINE_ENGINES))
+def test_baseline_selector_vs_reference_smoke(engine, config, tmp_path):
+    bases = [fuzz_circuit(seed) for seed in SMOKE_SEEDS[:6]]
+    bases.append(mtm_like(num_pis=12, num_nodes=250, seed=303))
+    for base in bases:
+        check_baseline_selector(base, engine, config, tmp_path / "out.aig")
+
+
 @pytest.mark.parametrize("seed", SMOKE_SEEDS[:6])
 def test_columnar_enum_vs_scalar_smoke(seed):
     check_enum_differential(fuzz_circuit(seed))
@@ -475,6 +560,23 @@ def test_fuzz_full_sweep(seed):
 @pytest.mark.parametrize("seed", SLOW_SEEDS)
 def test_columnar_vs_scalar_full_sweep(seed):
     check_columnar_differential(fuzz_circuit(seed))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", SLOW_SEEDS)
+def test_baseline_selector_vs_reference_full_sweep(seed, tmp_path):
+    base = fuzz_circuit(seed)
+    for engine in BASELINE_ENGINES:
+        for config in BASELINE_CONFIGS:
+            check_baseline_selector(base, engine, config, tmp_path / "out.aig")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("engine", sorted(BASELINE_ENGINES))
+def test_baseline_selector_vs_reference_deep_chain(engine, tmp_path):
+    for config in ("abc", "preserve_level"):
+        check_baseline_selector(deep_chain_circuit(), engine, config,
+                                tmp_path / "out.aig")
 
 
 @pytest.mark.slow

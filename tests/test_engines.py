@@ -101,7 +101,7 @@ class TestValidationModule:
         from repro.core.validation import ValidationStats
         from repro.cuts import CutManager
         from repro.library import get_library
-        from repro.rewrite.base import find_best_candidate
+        from repro.rewrite import find_best_candidate
 
         aig = Aig()
         a, b, c, d = (aig.add_pi() for _ in range(4))
@@ -141,7 +141,7 @@ class TestValidationModule:
         from repro.core.validation import ValidationStats
         from repro.cuts import CutManager
         from repro.library import get_library
-        from repro.rewrite.base import find_best_candidate
+        from repro.rewrite import find_best_candidate
 
         aig = Aig()
         a, b, c, d = (aig.add_pi() for _ in range(4))

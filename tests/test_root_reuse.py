@@ -23,7 +23,7 @@ from repro.cuts import CutManager
 from repro.experiments import verify_equivalence
 from repro.library import get_library
 from repro.rewrite import StaticRewriter
-from repro.rewrite.base import find_best_candidate
+from repro.rewrite import find_best_candidate
 
 
 def _redundant_pair():
