@@ -26,7 +26,8 @@ import pytest
 from repro.bench import make_mtm
 from repro.config import gpu_config
 from repro.core import DACParaRewriter
-from repro.experiments import format_table, verify_equivalence
+from repro.experiments import format_table
+from repro.sat import check_equivalence_auto
 
 from conftest import write_report
 
@@ -50,7 +51,7 @@ def test_ablation_cell(benchmark, circuit, partition, validate):
             gpu_config(workers=40), validate=validate, partition=partition
         )
         result = rewriter.run(working)
-        verify_equivalence(original, working)
+        assert check_equivalence_auto(original, working).equivalent
         return result
 
     result = benchmark.pedantic(cell, rounds=1, iterations=1)

@@ -14,8 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import make_epfl, make_mtm
-from repro.experiments import format_table, to_seconds, verify_equivalence
+from repro.experiments import format_table, to_seconds
 from repro.opt import ParallelRefactor, RefactorEngine
+from repro.sat import check_equivalence_auto
 
 from conftest import write_report
 
@@ -39,7 +40,7 @@ def test_refactor_cell(benchmark, circuit, engine):
             result = RefactorEngine(max_leaves=8).run(working)
         else:
             result = ParallelRefactor(workers=40, max_leaves=8).run(working)
-        verify_equivalence(original, working)
+        assert check_equivalence_auto(original, working).equivalent
         return result
 
     result = benchmark.pedantic(cell, rounds=1, iterations=1)

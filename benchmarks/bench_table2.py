@@ -46,6 +46,7 @@ def test_table2_cell(benchmark, engine, bench_name):
         cec=row.cec_method,
     )
     assert row.cec_ok
+    assert row.cec_method in {"exhaustive", "sat-sweep"}
 
 
 def test_table2_report(benchmark):

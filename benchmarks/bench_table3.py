@@ -47,6 +47,7 @@ def test_table3_cell(benchmark, engine, bench_name):
         validation_failures=row.result.validation_failures,
     )
     assert row.cec_ok
+    assert row.cec_method in {"exhaustive", "sat-sweep"}
 
 
 def test_table3_report(benchmark):

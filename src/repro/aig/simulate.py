@@ -23,6 +23,14 @@ def simulate(aig: Aig, pi_values: Sequence[int], width: int) -> List[int]:
     ``pi_values[i]`` is the bit-packed value vector of PI ``i``.
     Returns one packed vector per PO.
     """
+    values = simulate_nodes(aig, pi_values, width)
+    mask = (1 << width) - 1
+    return [values[lit >> 1] ^ (mask if lit & 1 else 0) for lit in aig.pos]
+
+
+def simulate_nodes(aig: Aig, pi_values: Sequence[int], width: int) -> List[int]:
+    """Like :func:`simulate`, but returns the packed vector of every
+    node, indexed by var (the constant and dead slots read 0)."""
     if len(pi_values) != aig.num_pis:
         raise AigError(
             f"expected {aig.num_pis} PI vectors, got {len(pi_values)}"
@@ -41,13 +49,7 @@ def simulate(aig: Aig, pi_values: Sequence[int], width: int) -> List[int]:
         if f1 & 1:
             v1 ^= mask
         values[var] = v0 & v1
-    outs = []
-    for lit in aig.pos:
-        v = values[lit >> 1]
-        if lit & 1:
-            v ^= mask
-        outs.append(v)
-    return outs
+    return values
 
 
 def simulate_pattern(aig: Aig, bits: Sequence[int]) -> List[int]:

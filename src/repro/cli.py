@@ -5,8 +5,12 @@ Commands:
 * ``stats FILE``                      — print circuit statistics
 * ``rewrite IN -o OUT``               — run a rewriting engine
 * ``profile IN``                      — per-stage/per-level breakdown
-* ``cec A B``                         — combinational equivalence check
+* ``cec A B``                         — prove or refute equivalence
 * ``gen NAME -o OUT``                 — generate a benchmark circuit
+
+``cec`` and ``rewrite --verify`` both call
+:func:`repro.sat.check_equivalence_auto` and print the method that
+decided (``exhaustive`` or ``sat-sweep``; both are proofs).
 
 Observability: ``rewrite`` accepts ``--trace out.trace.json`` (Chrome
 trace-event format — open in Perfetto), ``--events out.jsonl`` (JSONL
@@ -294,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--workers", type=int, default=None)
     p_prof.set_defaults(func=_cmd_profile)
 
-    p_cec = sub.add_parser("cec", help="equivalence check two circuits")
+    p_cec = sub.add_parser("cec", help="prove or refute equivalence of two circuits")
     p_cec.add_argument("circuit_a")
     p_cec.add_argument("circuit_b")
     p_cec.set_defaults(func=_cmd_cec)

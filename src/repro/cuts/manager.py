@@ -273,27 +273,6 @@ class CutManager:
         self._sync()
         self._tab[:, var] = _NO_ENTRY
 
-    def invalidate_tfo(self, var: int) -> int:
-        """Recursively drop cache entries of ``var`` and its transitive
-        fanout — the paper's "previous enumeration results ... of all
-        transitive fanouts for each deleted node will be recursively
-        cleared".  Returns the number of entries dropped."""
-        self._sync()
-        dropped = 0
-        stack = [var]
-        seen = set()
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            if self._tab.item(_STAMP, v) != _NO_ENTRY:
-                self._tab[:, v] = _NO_ENTRY
-                dropped += 1
-            if not self.aig.is_dead(v):
-                stack.extend(self.aig.fanouts(v))
-        return dropped
-
     # ------------------------------------------------------------------
     # Resolution and liveness
 

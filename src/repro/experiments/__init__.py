@@ -1,4 +1,4 @@
-"""Experiment harness: engine registry, CEC tiers, table formatting."""
+"""Experiment harness: engine registry, checked runs, table formatting."""
 
 from .runner import (
     DEFAULT_WORKERS,
@@ -8,7 +8,6 @@ from .runner import (
     make_engine,
     run_experiment,
     run_matrix,
-    verify_equivalence,
 )
 from .tables import (
     comparison_table,
@@ -27,7 +26,6 @@ __all__ = [
     "make_engine",
     "run_experiment",
     "run_matrix",
-    "verify_equivalence",
     "comparison_table",
     "format_table",
     "geomean",

@@ -1,5 +1,5 @@
-"""Experiment runner: engines by name, tiered equivalence checking,
-and per-benchmark result rows."""
+"""Experiment runner: engines by name and per-benchmark result rows,
+each equivalence-checked by :func:`repro.sat.check_equivalence_auto`."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..aig import Aig, exhaustive_signatures
+from ..aig import Aig
 from ..config import (
     abc_rewrite_config,
     dacpara_config,
@@ -18,9 +18,7 @@ from ..config import (
 )
 from ..core import DACParaRewriter
 from ..rewrite import LockFusedRewriter, RewriteResult, SerialRewriter, StaticRewriter
-from ..sat import check_equivalence
-from ..sat.sweep import cec_sweep
-from ..aig.simulate import random_patterns, simulate
+from ..sat import check_equivalence_auto
 
 DEFAULT_WORKERS = 40
 GPU_WORKERS = 9216
@@ -82,31 +80,6 @@ class ExperimentRow:
     wall_seconds: float
 
 
-def verify_equivalence(original: Aig, rewritten: Aig) -> str:
-    """Tiered equivalence check; returns the method used or raises
-    AssertionError on inequivalence.
-
-    * ≤ 14 PIs — exhaustive simulation (exact);
-    * ≤ 1200 combined AND nodes — SAT sweeping (exact);
-    * otherwise — 4096-pattern random simulation (the fast screen; the
-      exact methods cover the same engines in the test suite).
-    """
-    if original.num_pis <= 14:
-        ok = exhaustive_signatures(original) == exhaustive_signatures(rewritten)
-        method = "exhaustive"
-    elif original.num_ands + rewritten.num_ands <= 1200:
-        ok = bool(cec_sweep(original, rewritten))
-        method = "sat-sweep"
-    else:
-        width = 4096
-        pats = random_patterns(original.num_pis, width, seed=1)
-        ok = simulate(original, pats, width) == simulate(rewritten, pats, width)
-        method = "simulation-4096"
-    if not ok:
-        raise AssertionError("rewritten circuit is NOT equivalent to the original")
-    return method
-
-
 def run_experiment(
     engine_name: str,
     circuit_factory: Callable[[], Aig],
@@ -114,7 +87,8 @@ def run_experiment(
     check: bool = True,
     observer=None,
 ) -> ExperimentRow:
-    """Run one engine on a fresh copy of one benchmark, with CEC."""
+    """Run one engine on a fresh copy of one benchmark, with CEC;
+    raises AssertionError when the output is not equivalent."""
     original = circuit_factory()
     working = original.copy()
     working.name = original.name
@@ -122,7 +96,12 @@ def run_experiment(
     start = time.perf_counter()
     result = engine.run(working)
     wall = time.perf_counter() - start
-    method = verify_equivalence(original, working) if check else "skipped"
+    method = "skipped"
+    if check:
+        cec = check_equivalence_auto(original, working)
+        if not cec.equivalent:
+            raise AssertionError("rewritten circuit is NOT equivalent to the original")
+        method = cec.method
     return ExperimentRow(
         benchmark=original.name,
         engine=engine_name,

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Dict, Tuple
 
 from ..errors import LibraryError
-from ..npn.canon import npn_canon
 from .structures import Structure
 
 #: Structures per class the table holds (``candidates(rep, 8)``).
@@ -80,11 +79,6 @@ class StructureLibrary:
             raise LibraryError(
                 f"{canon_tt:#06x} is not a canonical NPN representative"
             ) from None
-
-    def structures_for_function(self, tt: int) -> Tuple[Structure, ...]:
-        """Convenience: canonicalize then look up."""
-        canon, _ = npn_canon(tt)
-        return self.structures(canon)
 
 
 @lru_cache(maxsize=4)

@@ -185,19 +185,6 @@ def npn_canon_batch(tts: np.ndarray) -> np.ndarray:
     return canon[np.asarray(tts, dtype=np.uint32) & np.uint32(MASK4)]
 
 
-def npn_canon_batch_rows(tts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Canonical representatives *and* witness rows for an array of
-    truth tables (two LUT gathers).
-
-    The row indexes :data:`_TRANSFORMS` — the same object
-    :func:`npn_canon` returns — so batch callers (the columnar
-    evaluation engine) recover byte-identical witness transforms.
-    """
-    canon, rows = ensure_canon_lut()
-    idx = np.asarray(tts, dtype=np.uint32) & np.uint32(MASK4)
-    return canon[idx], rows[idx]
-
-
 def npn_class_of(tt: int) -> int:
     """Just the canonical table (no witness)."""
     return npn_canon(tt)[0]

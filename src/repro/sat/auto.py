@@ -1,57 +1,37 @@
-"""Size-tiered equivalence checking for interactive use.
+"""The one equivalence decision: :func:`check_equivalence_auto` picks
+the method and reports it in ``CecResult.method``.
 
-Monolithic miter SAT scales poorly in a pure-Python solver, so the
-user-facing tools pick the strongest method the circuit size affords:
+* ≤ 14 PIs — exhaustive simulation (``"exhaustive"``);
+* otherwise — the windowed SAT sweep of :mod:`repro.sat.sweep`
+  (``"sat-sweep"``).
 
-* ≤ 14 PIs — exhaustive simulation (exact);
-* ≤ 1200 combined AND nodes — SAT sweeping (exact);
-* otherwise — wide random simulation (a screen: inequivalence verdicts
-  are exact with a counterexample, equivalence verdicts are
-  probabilistic and labelled as such).
+Both are exact: every "equivalent" is a proof, and every
+counterexample separates the two circuits.  There is no size cut-off
+and no sampled verdict.  :func:`repro.sat.check_equivalence` (one
+monolithic miter) is the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from ..aig import Aig
-from ..aig.simulate import exhaustive_signatures, random_patterns, simulate
+from ..aig.simulate import exhaustive_signatures
 from ..errors import SatError
 from .equivalence import CecResult
 from .sweep import cec_sweep
 
-SWEEP_NODE_LIMIT = 1200
 EXHAUSTIVE_PI_LIMIT = 14
-SIM_WIDTH = 4096
 
 
-def check_equivalence_auto(aig1: Aig, aig2: Aig, seed: int = 1) -> CecResult:
-    """Equivalence check with the strongest affordable method."""
+def check_equivalence_auto(aig1: Aig, aig2: Aig) -> CecResult:
+    """Prove or refute equivalence with the method the PI count picks."""
     if aig1.num_pis != aig2.num_pis or aig1.num_pos != aig2.num_pos:
         raise SatError("cannot compare circuits with different interfaces")
-    if aig1.num_pis <= EXHAUSTIVE_PI_LIMIT:
-        s1 = exhaustive_signatures(aig1)
-        s2 = exhaustive_signatures(aig2)
-        if s1 == s2:
-            return CecResult(True, None, "exhaustive")
-        cex = _first_diff_pattern(s1, s2, aig1.num_pis)
-        return CecResult(False, cex, "exhaustive")
-    if aig1.num_ands + aig2.num_ands <= SWEEP_NODE_LIMIT:
+    if aig1.num_pis > EXHAUSTIVE_PI_LIMIT:
         return cec_sweep(aig1, aig2)
-    pats = random_patterns(aig1.num_pis, SIM_WIDTH, seed)
-    outs1 = simulate(aig1, pats, SIM_WIDTH)
-    outs2 = simulate(aig2, pats, SIM_WIDTH)
-    for v1, v2 in zip(outs1, outs2):
-        diff = v1 ^ v2
-        if diff:
-            bit = (diff & -diff).bit_length() - 1
-            cex = [(p >> bit) & 1 for p in pats]
-            return CecResult(False, cex, "simulation-4096")
-    return CecResult(True, None, "simulation-4096 (probabilistic)")
-
-
-def _first_diff_pattern(s1, s2, num_pis):
-    for v1, v2 in zip(s1, s2):
+    for v1, v2 in zip(exhaustive_signatures(aig1), exhaustive_signatures(aig2)):
         diff = v1 ^ v2
         if diff:
             minterm = (diff & -diff).bit_length() - 1
-            return [(minterm >> i) & 1 for i in range(num_pis)]
-    return None
+            cex = [(minterm >> i) & 1 for i in range(aig1.num_pis)]
+            return CecResult(False, cex, "exhaustive")
+    return CecResult(True, None, "exhaustive")

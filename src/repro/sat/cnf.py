@@ -2,18 +2,53 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..aig import Aig
-from ..aig.literals import lit_compl, lit_var
 from ..errors import SatError
 from .solver import Solver
+
+
+def encode_nodes(
+    aig: Aig, solver: Solver, nodes: Iterable[int], node_var: Dict[int, int]
+) -> Dict[int, int]:
+    """Tseitin-encode the AND nodes ``nodes`` (fanins first) onto ``solver``.
+
+    ``node_var`` maps every var the nodes read but do not define (PIs,
+    the constant, the leaves of a window) to a solver variable; it gains
+    one fresh variable per encoded node and is returned.  This is the
+    one encoder: whole circuits and sweep windows both go through it.
+    """
+    fanin0, fanin1 = aig._fanin0, aig._fanin1
+    new_var, add = solver.new_var, solver.add_clause
+    for var in nodes:
+        y = new_var()
+        a = solver_lit(fanin0[var], node_var)
+        b = solver_lit(fanin1[var], node_var)
+        add([-y, a])
+        add([-y, b])
+        add([y, -a, -b])
+        node_var[var] = y
+    return node_var
+
+
+def solver_lit(aig_lit: int, node_var: Dict[int, int]) -> int:
+    """The solver literal of an AIG literal under ``node_var``."""
+    sv = node_var[aig_lit >> 1]
+    return -sv if aig_lit & 1 else sv
+
+
+def false_var(solver: Solver) -> int:
+    """A fresh solver variable fixed to 0: the AIG constant."""
+    var = solver.new_var()
+    solver.add_clause([-var])
+    return var
 
 
 def encode_aig(
     aig: Aig, solver: Solver, pi_vars: List[int]
 ) -> List[int]:
-    """Tseitin-encode the AIG onto ``solver``.
+    """Tseitin-encode the whole AIG onto ``solver``.
 
     ``pi_vars`` supplies the solver variable for each PI (so two
     circuits can share inputs in a miter).  Returns one solver literal
@@ -23,25 +58,9 @@ def encode_aig(
         raise SatError(
             f"expected {aig.num_pis} PI vars, got {len(pi_vars)}"
         )
-    const_var = solver.new_var()
-    solver.add_clause([-const_var])  # constant false
-    node_var: Dict[int, int] = {0: const_var}
-    for pi, sv in zip(aig.pis, pi_vars):
-        node_var[pi] = sv
-    for var in aig.topo_ands():
-        y = solver.new_var()
-        node_var[var] = y
-        a = _solver_lit(aig.fanin0(var), node_var)
-        b = _solver_lit(aig.fanin1(var), node_var)
-        solver.add_clause([-y, a])
-        solver.add_clause([-y, b])
-        solver.add_clause([y, -a, -b])
-    return [_solver_lit(lit, node_var) for lit in aig.pos]
-
-
-def _solver_lit(aig_lit: int, node_var: Dict[int, int]) -> int:
-    sv = node_var[lit_var(aig_lit)]
-    return -sv if lit_compl(aig_lit) else sv
+    node_var = {0: false_var(solver), **dict(zip(aig.pis, pi_vars))}
+    encode_nodes(aig, solver, aig.topo_ands(), node_var)
+    return [solver_lit(lit, node_var) for lit in aig.pos]
 
 
 def build_miter(aig1: Aig, aig2: Aig) -> Tuple[Solver, List[int], int]:

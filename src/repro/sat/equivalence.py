@@ -8,9 +8,9 @@ Two-stage check, the standard industrial shape at small scale:
 2. **SAT** — a miter over shared PIs solved with the built-in CDCL
    solver; UNSAT proves equivalence.
 
-Every rewriting experiment in the benchmark harness runs this after
-optimization, mirroring the paper's "the rewritten circuits all passed
-the equivalence check".
+One monolithic miter, so it is the reference the tests compare the
+production decision, :func:`repro.sat.check_equivalence_auto`, against;
+the harness, ``repro cec`` and ``rewrite --verify`` call that one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ class CecResult:
 
     equivalent: bool
     counterexample: Optional[List[int]]  # one 0/1 value per PI
-    method: str                          # 'simulation' | 'sat'
+    # 'exhaustive' | 'sat-sweep' (check_equivalence_auto);
+    # 'simulation' | 'sat' (check_equivalence, the reference)
+    method: str
     sat_conflicts: int = 0
 
     def __bool__(self) -> bool:

@@ -33,6 +33,9 @@ calls it:
 * :func:`build_canon_lut_sweep` — the NPN canon LUT computed function
   by function over all 768 transforms, the reference of the
   class-by-class build in ``npn/canon.py``;
+* :func:`npn_canon_batch_rows` — canonical tables and witness rows of
+  a truth-table array, the batch form of ``npn_canon`` the columnar
+  kernel's class counts are checked against;
 * :func:`lift_lut_sweep` — the lift LUT computed mask by mask over all
   65 536 tables, the reference of ``npn.truth.lift_lut``'s byte tables;
 * :func:`reference_and` — ``Aig.and_`` as the chain of helpers it
@@ -75,7 +78,7 @@ from repro.galois.activity import Operator
 from repro.galois.simsched import SimulatedExecutor, _item_args, _publish_stage
 from repro.galois.stats import StageStats
 from repro.library import StructureLibrary
-from repro.npn import npn_canon
+from repro.npn import ensure_canon_lut, npn_canon
 from repro.npn.canon import _MATRICES, _OUT_FLAGS
 from repro.npn.truth import CUT_LEAF_SENTINEL, expand, expand_map16, full_mask
 from repro.rewrite.base import (
@@ -576,6 +579,15 @@ def build_canon_lut_sweep() -> Tuple[np.ndarray, np.ndarray]:
         best[better] = acc[better]
         rows[better] = row
     return best, rows
+
+
+def npn_canon_batch_rows(tts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Canonical representatives *and* witness rows for an array of
+    truth tables (two LUT gathers); a row indexes
+    ``npn.canon._TRANSFORMS``, the objects :func:`npn_canon` returns."""
+    canon, rows = ensure_canon_lut()
+    idx = np.asarray(tts, dtype=np.uint32) & np.uint32(0xFFFF)
+    return canon[idx], rows[idx]
 
 
 def lift_lut_sweep() -> np.ndarray:

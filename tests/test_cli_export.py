@@ -1,11 +1,10 @@
-"""Tests for the CLI and the DOT/Verilog exporters."""
+"""Tests for the CLI."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.aig import Aig, read_aiger, write_aag
-from repro.aig.export import to_dot, to_verilog
+from repro.aig import read_aiger, write_aag
 from repro.cli import main
 
 from conftest import random_aig
@@ -91,68 +90,6 @@ class TestCliErrors:
             ["rewrite", circuit_file, "--jobs", "0"], capsys
         )
         assert "jobs" in line
-
-
-class TestExport:
-    def test_dot_structure(self, small_aig):
-        text = to_dot(small_aig)
-        assert text.startswith("digraph")
-        assert text.count("triangle") >= small_aig.num_pis
-        assert "->" in text
-        assert text.rstrip().endswith("}")
-
-    def test_dot_complement_edges_dashed(self):
-        aig = Aig()
-        a, b = aig.add_pi(), aig.add_pi()
-        aig.add_po(aig.and_(a ^ 1, b))
-        assert "dashed" in to_dot(aig)
-
-    def test_verilog_structure(self, small_aig):
-        text = to_verilog(small_aig, module_name="m")
-        assert text.startswith("module m")
-        assert text.rstrip().endswith("endmodule")
-        assert text.count("assign") == small_aig.num_ands + small_aig.num_pos
-        for k in range(small_aig.num_pis):
-            assert f"input i{k};" in text
-
-    def test_verilog_semantics_by_eval(self, small_aig):
-        """Interpret the emitted assigns and compare with simulation."""
-        from repro.aig import simulate_pattern
-
-        text = to_verilog(small_aig)
-        assigns = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("assign"):
-                lhs, rhs = line[len("assign"):].split("=")
-                assigns[lhs.strip()] = rhs.strip().rstrip(";")
-
-        def eval_expr(expr, env):
-            if "&" in expr:
-                l, r = expr.split("&")
-                return eval_expr(l.strip(), env) & eval_expr(r.strip(), env)
-            if expr.startswith("~"):
-                return 1 - eval_expr(expr[1:], env)
-            if expr == "1'b0":
-                return 0
-            if expr == "1'b1":
-                return 1
-            return env[expr]
-
-        for pattern in range(1 << small_aig.num_pis):
-            bits = [(pattern >> i) & 1 for i in range(small_aig.num_pis)]
-            env = {f"i{k}": bit for k, bit in enumerate(bits)}
-            for name in sorted(assigns, key=lambda n: (n[0] != "n", n)):
-                pass
-            # evaluate wires in declaration order (topological)
-            for line in text.splitlines():
-                line = line.strip()
-                if line.startswith("assign"):
-                    lhs, rhs = line[len("assign"):].split("=")
-                    env[lhs.strip()] = eval_expr(rhs.strip().rstrip(";"), env)
-            expected = simulate_pattern(small_aig, bits)
-            got = [env[f"o{k}"] for k in range(small_aig.num_pos)]
-            assert got == expected
 
 
 class TestCliExecutorFlags:

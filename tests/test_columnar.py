@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import deep_chain_circuit, random_aig
-from reference import ReferenceExecutor, eval_tasks_scalar
+from reference import ReferenceExecutor, eval_tasks_scalar, npn_canon_batch_rows
 from repro.aig import Aig
 from repro.aig.literals import lit_var
 from repro.aig.mffc import mffc
@@ -32,7 +32,7 @@ from repro.galois.simsched import SimulatedExecutor
 from repro.library import get_library
 from repro.library.structures import Structure
 from repro.npn import ensure_canon_lut, npn_canon
-from repro.npn.canon import _TRANSFORMS, npn_canon_batch_rows
+from repro.npn.canon import _TRANSFORMS
 from repro.npn.truth import CUT_LEAF_SENTINEL, batch_lift_tt4, expand
 from repro.rewrite.base import cut_tt4
 from repro.rewrite.columnar import (

@@ -221,17 +221,6 @@ class TestCutCache:
         for cut in stored:
             assert not cut_is_stamp_alive(aig, cut)  # ...but stale
 
-    def test_invalidate_tfo(self):
-        aig = Aig()
-        a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
-        f = aig.and_(a, b)
-        top = aig.and_(f, c)
-        aig.add_po(top)
-        mgr = CutManager(aig)
-        mgr.cuts(lit_var(top))
-        dropped = mgr.invalidate_tfo(lit_var(f))
-        assert dropped >= 2  # f and top at least
-
 
 class TestExpandMemo:
     def _cut_sets(self, mgr, aig):

@@ -8,7 +8,8 @@ rewrite on the simulated scheduler.  The oracle is layered:
 * every run's output (5 workers and 1) must pass the structural check
   and be SAT-equivalent to the *input*
   (:func:`repro.sat.check_equivalence_auto`; the fuzz circuits keep
-  PI counts in exhaustive-simulation range so the check is exact).
+  PI counts in exhaustive-simulation range, the cheaper of its two
+  exact methods).
 
 A second axis pins the **columnar batch engines** against the scalar
 references in ``tests/reference.py``: full runs (at 5 workers and at 1)
@@ -107,8 +108,8 @@ SLOW_SEEDS = tuple(range(12, 200))
 def fuzz_circuit(seed: int):
     """A random AIG whose shape (PI/node/PO counts) also varies by seed.
 
-    PI counts stay within the exhaustive-simulation limit so every
-    equivalence verdict below is exact, never probabilistic.
+    PI counts stay within the exhaustive-simulation limit, so every
+    equivalence verdict below is an exhaustive one.
     """
     rng = random.Random(seed ^ 0x5EED)
     return random_aig(

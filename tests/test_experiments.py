@@ -16,9 +16,9 @@ from repro.experiments import (
     speedup_summary,
     table1_rows,
     to_seconds,
-    verify_equivalence,
 )
 from repro.rewrite import RewriteResult
+from repro.sat import check_equivalence_auto
 
 from conftest import random_aig
 
@@ -51,7 +51,7 @@ class TestRunExperiment:
     def test_row_contents(self, name):
         row = run_experiment(name, _factory, workers=4)
         assert row.cec_ok
-        assert row.cec_method in ("exhaustive", "sat-sweep", "simulation-4096")
+        assert row.cec_method in ("exhaustive", "sat-sweep")
         assert row.result.area_before > 0
         assert row.wall_seconds > 0
 
@@ -69,24 +69,41 @@ class TestRunExperiment:
 
 
 class TestVerifyEquivalence:
+    """The runner's check is :func:`check_equivalence_auto`; its method
+    lands in ``ExperimentRow.cec_method``."""
+
     def test_exhaustive_tier(self):
         a = _factory()
-        assert verify_equivalence(a, a.copy()) == "exhaustive"
+        assert check_equivalence_auto(a, a.copy()).method == "exhaustive"
 
     def test_sweep_tier(self):
         a = random_aig(num_pis=16, num_nodes=120, num_pos=4, seed=2)
-        assert verify_equivalence(a, a.copy()) == "sat-sweep"
+        assert check_equivalence_auto(a, a.copy()).method == "sat-sweep"
 
     def test_simulation_tier(self):
+        """The circuit the retired 4 096-pattern tier sampled (> 1 200
+        ANDs, > 14 PIs) is now proved."""
         a = mtm_like(num_pis=20, num_nodes=1500, seed=4)
-        assert verify_equivalence(a, a.copy()) == "simulation-4096"
+        row = run_experiment("dacpara", lambda: a.copy(), workers=4)
+        assert a.num_ands > 1200
+        assert row.cec_method == "sat-sweep"
 
-    def test_detects_inequivalence(self):
-        a = _factory()
+    def test_detects_inequivalence(self, monkeypatch):
+        from repro.experiments import runner
+
         b = _factory()
         b.set_po(0, b.po_lit(0) ^ 1)
+        monkeypatch.setattr(runner, "make_engine", lambda *a, **k: _Corrupt())
+        assert not check_equivalence_auto(_factory(), b).equivalent
         with pytest.raises(AssertionError):
-            verify_equivalence(a, b)
+            run_experiment("dacpara", _factory)
+
+
+class _Corrupt:
+    """An engine that complements PO 0."""
+
+    def run(self, aig):
+        aig.set_po(0, aig.po_lit(0) ^ 1)
 
 
 class TestTables:

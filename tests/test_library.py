@@ -179,11 +179,6 @@ class TestLibrary:
         b = lib.structures(canon)
         assert a is b
 
-    def test_structures_for_function_canonicalizes(self):
-        lib = get_library()
-        canon, _ = npn_canon(0x1234)
-        assert lib.structures_for_function(0x1234) is lib.structures(canon)
-
     def test_max_structs_respected(self):
         lib = get_library()
         for rep in list(all_classes())[:40]:

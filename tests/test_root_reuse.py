@@ -20,10 +20,10 @@ from repro.config import RewriteConfig, gpu_config
 from repro.core import DACParaRewriter, validate_candidate
 from repro.core.validation import ValidationStats
 from repro.cuts import CutManager
-from repro.experiments import verify_equivalence
 from repro.library import get_library
 from repro.rewrite import StaticRewriter
 from repro.rewrite import find_best_candidate
+from repro.sat import check_equivalence_auto
 
 
 def _redundant_pair():
@@ -74,11 +74,11 @@ def test_static_engines_survive_root_reuse_storms(variant):
     original = mtm_like(num_pis=24, num_nodes=1600, seed=16)
     working = original.copy()
     StaticRewriter(gpu_config(workers=64), variant=variant).run(working)
-    verify_equivalence(original, working)
+    assert check_equivalence_auto(original, working).equivalent
 
 
 def test_dacpara_survives_root_reuse_storms():
     original = mtm_like(num_pis=24, num_nodes=1200, seed=5)
     working = original.copy()
     DACParaRewriter(gpu_config(workers=40)).run(working)
-    verify_equivalence(original, working)
+    assert check_equivalence_auto(original, working).equivalent

@@ -1,13 +1,19 @@
-"""Tests for SAT sweeping equivalence checking."""
+"""Tests for the windowed SAT sweep and the one equivalence decision."""
 
 from __future__ import annotations
 
+import time
+from functools import reduce
+
 import pytest
 
-from repro.aig import Aig, lit_not
+from repro.aig import Aig, lit_not, simulate_pattern
+from repro.bench import make_epfl, make_mtm, mtm_like
 from repro.core import DACParaRewriter
 from repro.config import dacpara_config
 from repro.errors import SatError
+from repro.experiments import make_engine
+from repro.sat import check_equivalence_auto, sweep
 from repro.sat.sweep import cec_sweep
 
 from conftest import random_aig
@@ -80,24 +86,27 @@ class TestSweepAfterRewriting:
 
             pytest.skip("replaced node was functionally redundant")
         # Counterexample must be a real distinguishing input.
-        from repro.aig import simulate_pattern
-
         assert simulate_pattern(original, result.counterexample) != \
             simulate_pattern(bad, result.counterexample)
 
-    def test_refinement_survives_aliased_signatures(self):
+    def test_refinement_survives_aliased_signatures(self, monkeypatch):
         """Short simulation widths force signature collisions; the
         counterexample-driven refinement must keep the result exact."""
+        monkeypatch.setattr(sweep, "SIM_WIDTH", 8)
         a1 = random_aig(num_pis=8, num_nodes=120, num_pos=5, seed=3)
         a2 = a1.copy()
-        result = cec_sweep(a1, a2, sim_width=8)
+        DACParaRewriter(dacpara_config(workers=8)).run(a2)
+        refine = sweep._Sweep._refine
+        calls = []
+        monkeypatch.setattr(sweep._Sweep, "_refine",
+                            lambda self, cex: calls.append(cex) or refine(self, cex))
+        result = cec_sweep(a1, a2)
         assert result.equivalent
+        assert calls, "8 patterns should alias some classes"
 
 
 class TestAutoChecker:
     def test_exhaustive_tier_with_cex(self):
-        from repro.sat import check_equivalence_auto
-
         a1 = Aig()
         x, y = a1.add_pi(), a1.add_pi()
         a1.add_po(a1.and_(x, y))
@@ -107,24 +116,76 @@ class TestAutoChecker:
         result = check_equivalence_auto(a1, a2)
         assert not result.equivalent
         assert result.method == "exhaustive"
-        from repro.aig import simulate_pattern
-
         assert simulate_pattern(a1, result.counterexample) != \
             simulate_pattern(a2, result.counterexample)
 
     def test_probabilistic_tier_labelled(self):
-        from repro.bench import mtm_like
-        from repro.sat import check_equivalence_auto
-
+        """The circuit the retired sampled tier covered (> 1 200 ANDs,
+        > 14 PIs) is now proved."""
         a = mtm_like(num_pis=20, num_nodes=1500, seed=3)
+        assert a.num_ands > 1200
         result = check_equivalence_auto(a, a.copy())
         assert result.equivalent
-        assert "probabilistic" in result.method
+        assert result.method == "sat-sweep"
 
     def test_sweep_tier_used_for_midsize(self):
-        from repro.sat import check_equivalence_auto
-
         a = random_aig(num_pis=16, num_nodes=150, num_pos=5, seed=4)
         result = check_equivalence_auto(a, a.copy())
+        assert result.equivalent
+        assert result.method == "sat-sweep"
+
+
+def _dacpara_output(original):
+    working = original.copy()
+    make_engine("dacpara").run(working)
+    return working
+
+
+def _planted_fault(num_nodes):
+    """``mtm_like(24, num_nodes, 7)`` and its DACPara output with PO 0
+    XOR-ed with the AND of 20 PIs: one minterm in 2**20 flipped, which
+    4 096 random patterns miss with probability ≈ 0.996."""
+    original = mtm_like(num_pis=24, num_nodes=num_nodes, seed=7)
+    bad = _dacpara_output(original)
+    cube = reduce(bad.and_, [pi << 1 for pi in bad.pis[:20]])
+    bad.set_po(0, bad.xor_(bad.po_lit(0), cube))
+    return original, bad
+
+
+class TestProvedNotSampled:
+    def test_planted_one_minterm_fault_refuted(self):
+        original, bad = _planted_fault(3000)
+        result = check_equivalence_auto(original, bad)
+        assert not result.equivalent
+        assert result.method == "sat-sweep"
+        assert simulate_pattern(original, result.counterexample) != \
+            simulate_pattern(bad, result.counterexample)
+
+    @pytest.mark.parametrize("name", ["mem_ctrl", "sixteen"])
+    def test_table_circuits_proved(self, name):
+        original = make_epfl(name) if name == "mem_ctrl" else make_mtm(name)
+        assert original.num_pis > 14
+        result = check_equivalence_auto(original, _dacpara_output(original))
+        assert result.equivalent
+        assert result.method == "sat-sweep"
+
+    def test_counterexample_is_resimulated(self, monkeypatch):
+        """A sweep counterexample that does not separate the circuits
+        is an error, never a verdict."""
+        a = random_aig(num_pis=16, num_nodes=150, num_pos=5, seed=4)
+        b = a.copy()
+        b.set_po(0, lit_not(b.po_lit(0)))
+        monkeypatch.setattr(sweep._Sweep, "run", lambda self: [0] * 16)
+        with pytest.raises(SatError):
+            check_equivalence_auto(a, a.copy())
+        assert not check_equivalence_auto(a, b).equivalent
+
+    @pytest.mark.slow
+    def test_139k_ands_proved_within_budget(self):
+        original = mtm_like(num_pis=24, num_nodes=100000, seed=7)
+        working = _dacpara_output(original)
+        start = time.perf_counter()
+        result = check_equivalence_auto(original, working)
+        assert time.perf_counter() - start <= 120
         assert result.equivalent
         assert result.method == "sat-sweep"
