@@ -13,9 +13,14 @@ step, the peak RSS (``ru_maxrss``) after generation and after write +
 read, the file's bytes per AND and the generated graph's resident
 bytes per AND (RSS growth over generation).  Rungs of at most
 ``REWRITE_MAX`` ANDs (139k and below) also rewrite the circuit read
-back with ``DACParaRewriter(dacpara_config())`` and report nodes/s and
-the peak RSS after it; the output is ``check()``-ed and its signature
-compared with the input's, and a rung that fails either exits non-zero.
+back with ``DACParaRewriter(dacpara_config())`` and report nodes/s,
+the peak RSS after it and what the run added per AND (``run_B/AND``:
+peak after the rewrite minus the peak after write + read, over the
+ANDs), and the run's cut arena — the largest thing a rewrite holds
+besides the graph: rows used at the end, bytes per row, rows allocated
+and growth copies (``-`` for a tree whose arena does not count them).
+The output is ``check()``-ed and its signature compared with the
+input's, and a rung that fails either exits non-zero.
 
 Not part of ``BENCHMARK.json``; ``--src`` points the children at
 another checkout's ``src/`` so a parent commit can be measured with the
@@ -51,6 +56,22 @@ def _current_rss_bytes() -> int:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
+def _watch_arenas() -> list:
+    """The list every cut arena built from now on is appended to (a
+    run keeps its cut manager local)."""
+    from repro.cuts import manager
+
+    arenas: list = []
+    real_init = manager._Arena.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        arenas.append(self)
+
+    manager._Arena.__init__ = init
+    return arenas
+
+
 def run_rung(nodes: int) -> dict:
     """One rung, in this process."""
     from repro.aig import check, random_simulation, read_aiger, write_aig
@@ -82,10 +103,18 @@ def run_rung(nodes: int) -> dict:
         from repro.config import dacpara_config
         from repro.core.dacpara import DACParaRewriter
 
+        arenas = _watch_arenas()
         start = time.perf_counter()
         result = DACParaRewriter(dacpara_config()).run(aig)
         row["nodes_per_s"] = result.area_before / (time.perf_counter() - start)
         row["peak_rss_mb"] = _rss_mb()
+        row["run_b_per_and"] = (row["peak_rss_mb"] - row["rss_io_mb"]) * 2**20 / ands
+        arena, = arenas  # dacpara_config() runs unsharded: one manager
+        row["arena_rows"] = arena.used
+        row["arena_reserved"] = len(arena.cols[1])
+        row["arena_b_per_row"] = sum(col.nbytes for col in arena.cols) // len(arena.cols[1])
+        if hasattr(arena, "growths"):
+            row["arena_growths"] = arena.growths
         check(aig)
         if random_simulation(aig, SIGNATURE_BITS, 0) != signature:
             raise SystemExit(f"nodes={nodes}: signature mismatch")
@@ -115,7 +144,11 @@ def main() -> int:
                ("rss_io", "rss_io_mb", ".1f"),
                ("file_B/AND", "file_b_per_and", ".2f"),
                ("graph_B/AND", "graph_b_per_and", ".0f"),
-               ("nodes/s", "nodes_per_s", ".0f"), ("peak", "peak_rss_mb", ".1f"))
+               ("nodes/s", "nodes_per_s", ".0f"), ("peak", "peak_rss_mb", ".1f"),
+               ("run_B/AND", "run_b_per_and", ".0f"),
+               ("arena_rows", "arena_rows", "d"), ("B/row", "arena_b_per_row", "d"),
+               ("reserved", "arena_reserved", "d"),
+               ("growths", "arena_growths", "d"))
     print(" ".join(f"{title:>11}" for title, *_ in columns))
     for nodes in args.nodes:
         row = run_rung_child(__file__, [str(nodes)], args.src)

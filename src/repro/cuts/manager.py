@@ -8,10 +8,11 @@ fanin *cuts* (cuts whose own leaves have died) are filtered out at
 merge time, which keeps the inductive validity invariant of
 :mod:`repro.cuts.cut` intact.
 
-Cut sets live as rows of one growable **arena** per manager
-(sentinel-padded leaf rows, truth tables, leaf stamps, 64-bit signs),
-and the cache is an **index table** over it: per var ``(entry stamp,
-arena offset, row count, alive epoch)``, -1 for no entry.  Every entry
+Cut sets live as rows of one **arena** per manager (42-byte rows of
+int32 leaves padded with var 0, a 16-bit truth table, int32 leaf
+stamps and a 64-bit sign, reserved once), and the cache is an **index
+table** over it: per var ``(entry stamp, arena offset, row count, alive
+epoch)``, -1 for no entry.  Every entry
 is rows — the trivial cut of a non-AND node included — so an enum stage
 plans, hands off and installs a whole worklist in vector passes
 (:meth:`CutManager.plan_closures`, :meth:`CutManager.
@@ -42,7 +43,6 @@ from ..aig.graph import KIND_AND, KIND_DEAD
 from ..aig.literals import lit_compl, lit_var
 from ..errors import CutError
 from ..npn.truth import (
-    CUT_LEAF_SENTINEL,
     batch_cut_signs,
     batch_union_leaves,
     full_mask,
@@ -56,15 +56,16 @@ DEFAULT_MAX_CUTS = 12
 # Masks indexed by cut width; merge never recomputes full_mask().
 _FULL_MASKS_ARR = np.array([full_mask(n) for n in range(5)], dtype=np.int64)
 
-# ``leaf & _ID_MASK`` maps the sentinel pad to var 0 (the constant node,
-# which never dies), so padded rows index the life mirror safely; pad
-# stamp lanes hold the constant's life stamp and always compare equal.
-_ID_MASK = CUT_LEAF_SENTINEL - 1
 _SIDES = np.array([[1], [2]], dtype=np.int64)  # a leaf tag's side bit
 # Bit 0 of each byte of a 32-bit word, and the multiplier moving those
 # four bits to bits 24..27 (no other partial product lands there).
 _LANE_BITS, _LANE_GATHER = 0x01010101, 0x01020408
 _MIN_ARENA_ROWS = 1024
+# An arena row: four leaves (ascending, padded with var 0 — the
+# constant, never a leaf, so a pad lane indexes the life mirror and its
+# stamp lane, var 0's life stamp, always compares equal), the truth
+# table, four leaf stamps, the sign.  16 + 2 + 16 + 8 bytes.
+_COLUMNS = (((4,), np.int32), ((), np.uint16), ((4,), np.int32), ((), np.uint64))
 
 # The index table's rows; -1 throughout a var's column: no entry.
 _STAMP, _OFF, _CNT, _ALIVE = range(4)
@@ -72,6 +73,9 @@ _NO_ENTRY = -1
 # The kernel's packed sort keys hold a leaf id in 31 bits, the pad as
 # the all-ones value: valid ids must stay below it.
 _LEAF_LIMIT = (1 << 31) - 1
+# Leaf stamps are stored as int32: a graph whose stamp counter passes
+# this is refused, never wrapped.
+_STAMP_LIMIT = (1 << 31) - 1
 
 
 def _ranges(offs: "np.ndarray", cnts: "np.ndarray") -> "np.ndarray":
@@ -97,7 +101,7 @@ def _extend(arr: "np.ndarray", cap: int, fill) -> "np.ndarray":
 
 def _build_cuts(leaves, tt, stamps, sign) -> List[Cut]:
     """Materialize ``Cut`` objects from column rows."""
-    sizes = (leaves < CUT_LEAF_SENTINEL).sum(axis=1).tolist()
+    sizes = (leaves != 0).sum(axis=1).tolist()
     cut_new = Cut.__new__
     out = []
     for row, t, srow, sgn, n in zip(
@@ -154,36 +158,56 @@ class CutColumns(NamedTuple):
 
     roots: List[int]
     counts: List[int]
-    leaves: "np.ndarray"  # (N, 4) ascending, CUT_LEAF_SENTINEL-padded
-    tt: "np.ndarray"      # (N,)
-    stamps: "np.ndarray"  # (N, 4)
+    leaves: "np.ndarray"  # (N, 4) int32, ascending, padded with var 0
+    tt: "np.ndarray"      # (N,) uint16
+    stamps: "np.ndarray"  # (N, 4) int32
 
     def cut(self, i: int) -> Cut:
         """Materialize row ``i`` (the winning ``Candidate.cut``)."""
         row = self.leaves[i]
-        n = int((row < CUT_LEAF_SENTINEL).sum())
+        n = int((row != 0).sum())
         return Cut(tuple(row[:n].tolist()), int(self.tt[i]),
                    tuple(self.stamps[i, :n].tolist()))
 
 
 class _Arena:
     """Append-only column store behind a manager's entries: ``cols`` =
-    (leaves ``(n, 4)``, tt, leaf stamps ``(n, 4)``, sign)."""
+    (leaves ``(n, 4)``, tt, leaf stamps ``(n, 4)``, sign), one 42-byte
+    row per cut (:data:`_COLUMNS`).  ``reserve`` rows are allocated up
+    front — rows never written cost address space, not resident memory
+    — and an append past the capacity doubles it, one copy of the used
+    rows counted in :attr:`growths`."""
 
-    def __init__(self) -> None:
+    def __init__(self, reserve: int = 0) -> None:
         self.used = 0
-        self.cols = [np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64),
-                     np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.uint64)]
+        self.growths = 0  # capacity doublings (each copies the used rows)
+        self.cols = self.block(max(reserve, _MIN_ARENA_ROWS), np.empty)
+
+    @staticmethod
+    def block(n: int, alloc=np.zeros) -> list:
+        """``n`` rows in the column dtypes (``np.zeros``: all pad), to be
+        filled in and appended."""
+        return [alloc((n,) + shape, dtype=dtype) for shape, dtype in _COLUMNS]
+
+    @property
+    def reserved(self) -> int:
+        """Rows allocated."""
+        return len(self.cols[1])
+
+    def rows(self, sel: slice) -> tuple:
+        """Views of the columns of rows ``sel``."""
+        return tuple(col[sel] for col in self.cols)
 
     def append(self, *block) -> int:
-        """Copy a block of rows (one array per column) in; returns its offset."""
-        off, end = self.used, self.used + len(block[1])
+        """Copy a block of rows (one array per column, or a scalar
+        broadcast down a column) in; returns its offset."""
+        off, end = self.used, self.used + len(block[0])
         if end > len(self.cols[1]):
-            cap = max(2 * len(self.cols[1]), end, _MIN_ARENA_ROWS)
-            grown = [np.empty((cap,) + c.shape[1:], dtype=c.dtype) for c in self.cols]
+            grown = self.block(max(2 * len(self.cols[1]), end), np.empty)
             for new, old in zip(grown, self.cols):
                 new[:off] = old[:off]
             self.cols = grown
+            self.growths += 1
         for col, rows in zip(self.cols, block):
             col[off:end] = rows
         self.used = end
@@ -217,7 +241,11 @@ class CutManager:
         # Vars the most recent cuts() call had to merge (the operators'
         # lock region for the shared recursion).
         self.last_computed: List[int] = []
-        self._arena = _Arena()
+        # Twice the most rows the entries can hold: the stale rows a
+        # compaction check leaves never outnumber the live ones (DESIGN
+        # §4c "Arena and ownership").  Unbounded sets grow by doubling.
+        self._arena = _Arena(0 if max_cuts is None
+                             else 2 * (max_cuts + 1) * aig.size)
         self._compact_at = 8 * _MIN_ARENA_ROWS
         # Graph mirrors patched through the mutation journal — life
         # stamps (dead nodes -1: no recorded stamp), structure stamps,
@@ -264,7 +292,7 @@ class CutManager:
             entry = self._tab.take(vars, axis=1)
         cnts = entry[_CNT]
         rows = _ranges(entry[_OFF], cnts)
-        leaves, tt, stamps, _ = self._arena.cols
+        leaves, tt, stamps, _ = self._arena.cols  # int32, uint16, int32
         return CutColumns(list(roots), cnts.tolist(), leaves.take(rows, axis=0),
                           tt.take(rows), stamps.take(rows, axis=0))
 
@@ -357,13 +385,10 @@ class CutManager:
     def _trivial_rows(self, vars: "np.ndarray") -> int:
         """Append the trivial cut row of each of ``vars``; returns the
         first one's offset."""
-        n = len(vars)
-        leaves = np.full((n, 4), CUT_LEAF_SENTINEL, dtype=np.int64)
+        leaves = np.zeros((len(vars), 4), dtype=np.int32)
         leaves[:, 0] = vars
-        stamps = np.full((n, 4), self._life[0], dtype=np.int64)
-        stamps[:, 0] = self._life[vars]
-        return self._arena.append(leaves, np.full(n, 0b10, dtype=np.int64),
-                                  stamps, batch_cut_signs(leaves))
+        return self._arena.append(leaves, 0b10, self._life[leaves],
+                                  batch_cut_signs(leaves))
 
     def _install_trivial(self, vars) -> None:
         """Enter the trivial-cut set :meth:`cuts` keeps for non-AND
@@ -378,7 +403,7 @@ class CutManager:
         if memo is not None and memo[0] == off:
             return memo[1]
         rows = slice(off, off + self._tab.item(_CNT, var))
-        cuts = _build_cuts(*(c[rows] for c in self._arena.cols))
+        cuts = _build_cuts(*self._arena.rows(rows))
         self._memo[var] = (off, cuts)
         return cuts
 
@@ -396,11 +421,15 @@ class CutManager:
     def _sync(self) -> None:
         """Bring the graph mirrors up to the graph's mutation epoch, and
         drop the entries of vars that died (never resolved again; a
-        recycled id mismatches on stamp)."""
+        recycled id mismatches on stamp).  A stamp counter past int32
+        raises :class:`CutError`: the arena's stamp lanes would alias."""
         aig = self.aig
         epoch = aig.mutation_epoch
         if epoch == self._epoch:
             return
+        if aig._stamp_counter > _STAMP_LIMIT:
+            raise CutError(f"stamp counter {aig._stamp_counter} beyond the cut "
+                           f"arena's int32 leaf stamps ({_STAMP_LIMIT})")
         life, kind = aig._life, aig._kind
         self._grow(len(life))
         dirty = None
@@ -428,7 +457,7 @@ class CutManager:
         if not isinstance(rows, slice):
             leaves, stamps = leaves.take(rows, axis=0), stamps.take(rows, axis=0)
             rows = slice(None)
-        return _all_lanes(self._life.take(leaves[rows] & _ID_MASK) == stamps[rows])
+        return _all_lanes(self._life.take(leaves[rows]) == stamps[rows])
 
     def _all_alive(self, var: int) -> bool:
         """Every cut of ``var``'s entry alive (memoized per epoch)."""
@@ -727,7 +756,7 @@ class CutManager:
         n1_of0 = n1s.repeat(n0s)  # per fanin-0 row
         n_rows0 = len(n1_of0)
         side = _SIDES.repeat((n_rows0, len(rows) - n_rows0), axis=0)
-        tags = tag_leaves(src_leaves.take(rows, axis=0), side)
+        tags = tag_leaves(src_leaves.take(rows, axis=0), side)  # int64
 
         # Row-major pair grid per task (c0 outer, c1 inner): the nested
         # loop's insertion order, which decides duplicates below.  Pair
@@ -807,25 +836,25 @@ class CutManager:
         lanes = np.concatenate([member & _LANE_BITS, member >> 1 & _LANE_BITS],
                                axis=1) * _LANE_GATHER >> 24 & 15
         src = src_tt.take(rows).take(grid.take(sel, axis=0))
-        sides = lift_lut().reshape(-1).take(src * 16 + lanes) ^ \
+        sides = lift_lut().reshape(-1).take(
+            np.multiply(src, 16, dtype=np.int64) + lanes) ^ \
             comp.take(sel_task, axis=0) * 0xFFFF
         tt = _FULL_MASKS_ARR.take(sizes.take(sel)) & sides[:, 0] & sides[:, 1]
 
         # Result blocks: each task's survivors, then its trivial cut; a
-        # pad's stamp lane reads the constant's life stamp.
+        # pad lane (var 0) reads the constant's life stamp.
         n_sel = len(sel)
         counts = np.bincount(sel_task, minlength=n_tasks) + 1
         n_out = n_sel + n_tasks
         pos = np.arange(n_sel) + sel_task
         triv = counts.cumsum() - 1
-        out_leaves = np.full((n_out, 4), CUT_LEAF_SENTINEL, dtype=np.int64)
-        out_leaves[pos] = np.where(sel_leaves == _LEAF_LIMIT, CUT_LEAF_SENTINEL,
-                                   sel_leaves)
+        out_leaves = np.zeros((n_out, 4), dtype=np.int32)
+        out_leaves[pos] = np.where(sel_leaves == _LEAF_LIMIT, 0, sel_leaves)
         out_leaves[triv, 0] = roots
-        out_tt = np.empty(n_out, dtype=np.int64)
+        out_tt = np.empty(n_out, dtype=np.uint16)
         out_tt[pos] = tt
         out_tt[triv] = 0b10
-        out_stamps = self._life[out_leaves & _ID_MASK]
+        out_stamps = self._life[out_leaves]
         out_sign = np.empty(n_out, dtype=np.uint64)
         out_sign[pos] = usign.take(sel)
         out_sign[triv] = np.uint64(1) << (roots.astype(np.uint64) & np.uint64(63))

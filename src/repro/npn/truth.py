@@ -165,28 +165,29 @@ def batch_lift_tt4(tts, sizes):
     return np.asarray(tts, dtype=np.uint32) * _TT4_LIFT_MULT.take(sizes)
 
 
-#: Pad value for leaf columns: larger than any node id, so sorting a
-#: padded row pushes the padding to the right and the valid prefix
-#: stays in ascending leaf order.
-CUT_LEAF_SENTINEL = 1 << 62
+#: Pad of a side-tagged union row (:func:`tag_leaves`): above every
+#: tag, so sorting a row pushes the padding to the right and the valid
+#: prefix stays in ascending leaf order.  Leaf rows themselves are
+#: padded with var 0 (the constant, never a cut leaf).
+UNION_PAD = 1 << 62
 
 
 def tag_leaves(leaves, side):
     """Side-tagged leaf rows, the input of :func:`batch_union_leaves`:
     ``leaf << 2 | side`` (``side`` 1 or 2, or a column of them, one per
-    row) for every valid leaf of the sentinel-padded ``leaves``; pads
-    stay :data:`CUT_LEAF_SENTINEL`."""
-    return np.where(leaves < CUT_LEAF_SENTINEL, leaves << 2 | side,
-                    CUT_LEAF_SENTINEL)
+    row) for every leaf of the var-0-padded ``leaves`` (any integer
+    dtype; the tags are int64); pads become :data:`UNION_PAD`."""
+    return np.where(leaves != 0, np.left_shift(leaves, 2, dtype=np.int64) | side,
+                    UNION_PAD)
 
 
 def batch_union_leaves(u):
     """Vectorized leaf-set union over many cut pairs, side-tagged.
 
     Row ``p`` of the ``(P, 8)`` array ``u`` is a pair's two ``(4,)``
-    rows of :func:`tag_leaves` (side 1, then side 2) over ascending,
-    sentinel-padded leaf ids; it is sorted in place.  Returns ``(rows,
-    sizes)``: ``rows`` is the ``(P, 8)`` sorted, sentinel-padded union
+    rows of :func:`tag_leaves` (side 1, then side 2) over ascending
+    leaf ids; it is sorted in place.  Returns ``(rows, sizes)``:
+    ``rows`` is the ``(P, 8)`` sorted, :data:`UNION_PAD`-padded union
     of each pair, every entry ``leaf << 2 | mask`` with ``mask`` the
     sides holding the leaf (1, 2 or 3), and ``sizes`` its per-row
     valid-leaf count — the batch form of ``sorted(set(c0.leaves) |
@@ -197,28 +198,26 @@ def batch_union_leaves(u):
     # Each leaf occurs at most once per side, so a shared leaf is an
     # adjacent (tag 1, tag 2) pair — the only neighbours one apart: fold
     # the right tag into the left entry, overwrite the right one with
-    # the sentinel, re-sort.  The neighbour test runs over the flat
-    # array, its row-crossing pairs masked out.
+    # the pad, re-sort.  The neighbour test runs over the flat array,
+    # its row-crossing pairs masked out.
     flat = u.reshape(-1)
     dup = np.zeros(len(flat), dtype=bool)
     dup[:-1] = (flat[1:] - flat[:-1]) == 1
     dup[u.shape[1] - 1::u.shape[1]] = False
     flat |= dup * 3
-    np.putmask(flat[1:], dup[:-1], CUT_LEAF_SENTINEL)
+    np.putmask(flat[1:], dup[:-1], UNION_PAD)
     u.sort(axis=1)
     # Valid-entry count per row: a row's 8 flags, one byte each, as one
     # 64-bit word.
-    sizes = np.bitwise_count((u < CUT_LEAF_SENTINEL).view(np.uint64))
+    sizes = np.bitwise_count((u < UNION_PAD).view(np.uint64))
     return u, sizes.reshape(-1).astype(np.int64)
 
 
 def batch_cut_signs(leaves):
-    """Vectorized ``Cut.sign`` over sentinel-padded leaf rows: the
-    64-bit occupancy signature ``OR(1 << (leaf & 63))`` per row."""
-    leaves = np.asarray(leaves, dtype=np.int64)
-    valid = leaves < CUT_LEAF_SENTINEL
+    """Vectorized ``Cut.sign`` over var-0-padded leaf rows: the 64-bit
+    occupancy signature ``OR(1 << (leaf & 63))`` per row."""
     bits = np.where(
-        valid,
+        leaves != 0,
         np.uint64(1) << (leaves.astype(np.uint64) & np.uint64(63)),
         np.uint64(0),
     )

@@ -58,7 +58,7 @@ import numpy as np
 from ..aig.graph import KIND_AND, KIND_DEAD, Aig
 from ..cuts.manager import CutColumns, CutManager
 from ..npn.canon import _TRANSFORMS, ensure_canon_lut
-from ..npn.truth import CUT_LEAF_SENTINEL, batch_lift_tt4
+from ..npn.truth import batch_lift_tt4
 from .base import Candidate, WorkMeter
 
 # ---------------------------------------------------------------------------
@@ -72,9 +72,6 @@ _POS = np.array([t.perm for t in _TRANSFORMS], dtype=np.intp)
 _NEG = np.array([[t.neg_mask >> i & 1 for i in range(4)]
                  for t in _TRANSFORMS], dtype=np.int64)
 _OUT_NEG = np.array([t.out_neg for t in _TRANSFORMS], dtype=np.int64)
-
-#: Leaf to literal: ``(leaf << 1) & _LIT_MASK`` is 0 for the pad.
-_LIT_MASK = (CUT_LEAF_SENTINEL << 1) - 1
 
 
 class ClassTable(NamedTuple):
@@ -223,9 +220,9 @@ def eval_tasks_columnar(
     classes = class_table(library, config.allowed_classes, max_structs)
     n_roots = len(roots)
     root_of = np.arange(n_roots).repeat(counts)
-    # Rows are ascending and sentinel-padded: column 1 is real from
-    # two leaves up.
-    eligible = tasks.leaves[:, 1] < CUT_LEAF_SENTINEL
+    # Rows are ascending and padded with var 0 (never a leaf): column
+    # 1 is real from two leaves up.
+    eligible = tasks.leaves[:, 1] != 0
     all_live = all(live)
     if not all_live:
         eligible &= np.array(live).take(root_of)
@@ -233,7 +230,7 @@ def eval_tasks_columnar(
     n_flat = len(eligible)
     leaves = tasks.leaves.take(eligible, axis=0)
     # A row's four "real leaf" flags, one byte each, as one word.
-    sizes = np.bitwise_count((leaves < CUT_LEAF_SENTINEL).view(np.uint32))
+    sizes = np.bitwise_count((leaves != 0).view(np.uint32))
     tt4 = batch_lift_tt4(tasks.tt.take(eligible), sizes.reshape(-1))
     slot = classes.slot.take(tt4)
     allowed = (slot >= 0).nonzero()[0]
@@ -248,13 +245,14 @@ def eval_tasks_columnar(
         units[~np.array(live)] = -1
     units = units.tolist()
     # Per scored cut: [0, literal of structure input 1..4, leaves x4,
-    # class slot, output complement].  A padded position reads
-    # constant false (its literal shifts out of the mask), complemented
-    # like any other.
+    # class slot, output complement].  A padded position is var 0, so it
+    # reads constant false, complemented like any other; the literals
+    # widen the int32 leaves inside the shift.
     leaves = leaves.take(allowed, axis=0)
     n_cuts = len(allowed)
     perm = _POS.take(row_col, axis=0) + np.arange(0, 4 * n_cuts, 4)[:, None]
-    inputs = ((leaves << 1) & _LIT_MASK).take(perm) | _NEG.take(row_col, axis=0)
+    inputs = (np.left_shift(leaves, 1, dtype=np.int64).take(perm)
+              | _NEG.take(row_col, axis=0))
     table = np.concatenate(
         [np.zeros((n_cuts, 1), dtype=np.int64), inputs, leaves,
          slot[:, None], _OUT_NEG.take(row_col)[:, None]], axis=1).tolist()

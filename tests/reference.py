@@ -80,7 +80,7 @@ from repro.galois.stats import StageStats
 from repro.library import StructureLibrary
 from repro.npn import ensure_canon_lut, npn_canon
 from repro.npn.canon import _MATRICES, _OUT_FLAGS
-from repro.npn.truth import CUT_LEAF_SENTINEL, expand, expand_map16, full_mask
+from repro.npn.truth import expand, expand_map16, full_mask
 from repro.rewrite.base import (
     Candidate,
     WorkMeter,
@@ -93,16 +93,15 @@ _FULL_MASKS = tuple(full_mask(n) for n in range(5))
 
 def append_cuts(cutman: CutManager, cuts: Sequence[Cut]) -> int:
     """Enter ``cuts`` as rows of ``cutman``'s arena (synced mirror);
-    returns their offset."""
-    pad = (int(cutman._life[0]),)
-    sent = (CUT_LEAF_SENTINEL,)
-    leaves = np.array([c.leaves + sent * (4 - c.size) for c in cuts],
-                      dtype=np.int64).reshape(-1, 4)
-    stamps = np.array([c.leaf_stamps + pad * (4 - c.size) for c in cuts],
-                      dtype=np.int64).reshape(-1, 4)
-    return cutman._arena.append(
-        leaves, np.array([c.tt for c in cuts], dtype=np.int64), stamps,
-        np.array([c.sign for c in cuts], dtype=np.uint64))
+    returns their offset.  A pad lane is var 0 with var 0's life stamp."""
+    pad_stamp = int(cutman._life[0])
+    leaves, tt, stamps, sign = cutman._arena.block(len(cuts))
+    if cuts:  # a (0, 4) column takes no empty list
+        leaves[:] = [c.leaves + (0,) * (4 - c.size) for c in cuts]
+        stamps[:] = [c.leaf_stamps + (pad_stamp,) * (4 - c.size) for c in cuts]
+        tt[:] = [c.tt for c in cuts]
+        sign[:] = [c.sign for c in cuts]
+    return cutman._arena.append(leaves, tt, stamps, sign)
 
 
 def load_entry(cutman: CutManager, var: int, cuts: Sequence[Cut]) -> None:

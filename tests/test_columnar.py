@@ -33,7 +33,7 @@ from repro.library import get_library
 from repro.library.structures import Structure
 from repro.npn import ensure_canon_lut, npn_canon
 from repro.npn.canon import _TRANSFORMS
-from repro.npn.truth import CUT_LEAF_SENTINEL, batch_lift_tt4, expand
+from repro.npn.truth import batch_lift_tt4, expand
 from repro.rewrite.base import cut_tt4
 from repro.rewrite.columnar import (
     _closures,
@@ -132,9 +132,8 @@ class TestKernels:
 
         def recount(aig, tasks, *args, **kwargs):
             live = np.array([not aig.is_dead(r) for r in tasks.roots])
-            rows = live.repeat(tasks.counts) & \
-                (tasks.leaves[:, 1] < CUT_LEAF_SENTINEL)
-            sizes = (tasks.leaves[rows] < CUT_LEAF_SENTINEL).sum(axis=1)
+            rows = live.repeat(tasks.counts) & (tasks.leaves[:, 1] != 0)
+            sizes = (tasks.leaves[rows] != 0).sum(axis=1)
             canon, _ = npn_canon_batch_rows(
                 batch_lift_tt4(tasks.tt[rows], sizes))
             canon = canon[np.isin(canon, list(config.allowed_classes))]
@@ -368,14 +367,14 @@ def _one_cut(aig, root_lit, leaf_lits):
     root = lit_var(root_lit)
     table = CutManager(aig, k=4, max_cuts=12).eval_harvest([root])
     want = sorted(lit_var(x) for x in leaf_lits)
-    want += [CUT_LEAF_SENTINEL] * (4 - len(want))
+    want += [0] * (4 - len(want))  # the pad: var 0
     (i,) = [i for i in range(len(table.tt)) if table.leaves[i].tolist() == want]
     row = CutColumns([root], [1], table.leaves[i:i + 1], table.tt[i:i + 1],
                      table.stamps[i:i + 1])
     canon, transform = npn_canon(cut_tt4(row.cut(0)))
     reads = {want[pos]: ((1 + k) << 1) | int(neg)
              for k, (pos, neg) in enumerate(transform.leaf_assignment())
-             if want[pos] != CUT_LEAF_SENTINEL}
+             if want[pos] != 0}
     return row, canon, [reads[lit_var(x)] for x in leaf_lits]
 
 
@@ -585,6 +584,6 @@ class TestDerefWalkCount:
         tasks = cutman.eval_harvest(live)
         walks = _deref_walks(aig, tasks, config)
         has_eligible = np.add.reduceat(
-            tasks.leaves[:, 1] < CUT_LEAF_SENTINEL,
+            tasks.leaves[:, 1] != 0,
             np.cumsum(tasks.counts) - tasks.counts)
         assert 0 < walks <= np.count_nonzero(has_eligible)

@@ -48,7 +48,7 @@ from repro.galois.simsched import SimulatedExecutor
 from repro.library import get_library
 from repro.rewrite import apply_candidate, find_best_candidate
 from repro.npn.truth import (
-    CUT_LEAF_SENTINEL,
+    UNION_PAD,
     batch_cut_signs,
     batch_expand,
     batch_union_leaves,
@@ -61,7 +61,8 @@ from repro.npn.truth import (
 
 
 def _pad(leaves):
-    return tuple(leaves) + (CUT_LEAF_SENTINEL,) * (4 - len(leaves))
+    """A leaf row as the arena stores it: padded with var 0."""
+    return tuple(leaves) + (0,) * (4 - len(leaves))
 
 
 def _entries(cutman):
@@ -73,7 +74,7 @@ def _entries(cutman):
 def _result_cuts(cutman, plan, t):
     """Task ``t``'s merged (pending) result rows as ``Cut`` objects."""
     rows = slice(plan.off[t], plan.off[t] + plan.cnt[t])
-    return _build_cuts(*(col[rows] for col in cutman._arena.cols))
+    return _build_cuts(*cutman._arena.rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +87,9 @@ class TestKernels:
         rng = random.Random(7)
         rows0, rows1, want = [], [], []
         for _ in range(400):
-            c0 = sorted(rng.sample(range(40), rng.randint(1, 4)))
-            c1 = sorted(rng.sample(range(40), rng.randint(1, 4)))
+            # Leaf ids from 1: var 0 is the pad, never a leaf.
+            c0 = sorted(rng.sample(range(1, 41), rng.randint(1, 4)))
+            c1 = sorted(rng.sample(range(1, 41), rng.randint(1, 4)))
             rows0.append(_pad(c0))
             rows1.append(_pad(c1))
             want.append(sorted(set(c0) | set(c1)))
@@ -95,12 +97,12 @@ class TestKernels:
         leaves1 = np.array(rows1, dtype=np.int64)
         tags, sizes = batch_union_leaves(np.concatenate(
             [tag_leaves(leaves0, 1), tag_leaves(leaves1, 2)], axis=1))
-        valid = tags < CUT_LEAF_SENTINEL
-        union = np.where(valid, tags >> 2, CUT_LEAF_SENTINEL)
+        valid = tags < UNION_PAD
+        union = np.where(valid, tags >> 2, UNION_PAD)
         for row, size, expect in zip(union.tolist(), sizes.tolist(), want):
             assert size == len(expect)  # includes k-infeasible (> 4) rows
             assert row[: min(size, 4)] == expect[:4]
-            assert all(x == CUT_LEAF_SENTINEL for x in row[size:])
+            assert all(x == UNION_PAD for x in row[size:])
         # The folded tags are the per-lane membership the truth-table
         # step used to broadcast: lane p of side s is set iff the union's
         # p-th leaf is one of side s's leaves.
@@ -112,7 +114,7 @@ class TestKernels:
         rng = random.Random(9)
         cuts = []
         for _ in range(200):
-            leaves = tuple(sorted(rng.sample(range(200), rng.randint(1, 4))))
+            leaves = tuple(sorted(rng.sample(range(1, 201), rng.randint(1, 4))))
             cuts.append(Cut(leaves, 0, (0,) * len(leaves)))
         rows = np.array([_pad(c.leaves) for c in cuts], dtype=np.int64)
         got = batch_cut_signs(rows).tolist()
@@ -735,15 +737,16 @@ class TestClosureReplay:
         poisoned = 0                    # managers under test
         for worklist in node_dividing(aig):
             live = [v for v in worklist if not aig.is_dead(v)]
-            cols, tab = cutman._arena.cols, cutman._tab
+            tab = cutman._tab
             for v in _entries(cutman):
                 stamp, off, cnt, _ = tab[:, v].tolist()
+                # Views of the entry's rows, written in place.
+                leaves, tt, stamps, _ = cutman._arena.rows(slice(off, off + cnt))
                 if (v < aig.size and aig.is_and(v) and stamp != aig.stamp(v)
-                        and cols[2][off + cnt - 1, 0] != aig.life_stamp(v)):
-                    rows = slice(off, off + cnt)
-                    cols[0][rows] = 0  # the constant: alive, and wrong
-                    cols[1][rows] = 0
-                    cols[2][rows] = aig.life_stamp(0)
+                        and stamps[-1, 0] != aig.life_stamp(v)):
+                    leaves[:] = 0  # every lane a pad: alive, and wrong
+                    tt[:] = 0
+                    stamps[:] = aig.life_stamp(0)
                     poisoned += 1
             logs = [ex.run_enum("enum", live, ctx) and ex.log
                     for _, _, ctx, ex in sides]
@@ -773,10 +776,7 @@ class TestClosureReplay:
 
         def eager(self):
             junk = 4 * max(self._arena.used, 8)
-            self._arena.append(np.zeros((junk, 4), dtype=np.int64),
-                               np.zeros(junk, dtype=np.int64),
-                               np.zeros((junk, 4), dtype=np.int64),
-                               np.zeros(junk, dtype=np.uint64))
+            self._arena.append(*self._arena.block(junk))
             self._compact_at = 0
             real_compact(self)
 
