@@ -11,14 +11,24 @@ generated graph deleted first, as the ladder's child does) and a
 1024-bit ``random_simulation``.  A row reports the seconds of each
 step, the peak RSS (``ru_maxrss``) after generation and after write +
 read, the file's bytes per AND and the generated graph's resident
-bytes per AND (RSS growth over generation).  Rungs of at most
+bytes per AND (RSS growth over generation), and the read graph's bytes
+per AND by owner (``sys.getsizeof``): its seven node columns, the
+fanout containers, the strash and the mutation journal — each int
+object counted once, under the first of those owners that holds it,
+and the interpreter's cached small ints under none.  That walk runs
+last, on a second read of the file, after every peak is taken: it
+holds ≈ 450 bytes per AND of temporaries, which would otherwise stay
+in the heap under the rewrite's peak.  Rungs of at most
 ``REWRITE_MAX`` ANDs (139k and below) also rewrite the circuit read
 back with ``DACParaRewriter(dacpara_config())`` and report nodes/s,
 the peak RSS after it and what the run added per AND (``run_B/AND``:
 peak after the rewrite minus the peak after write + read, over the
 ANDs), and the run's cut arena — the largest thing a rewrite holds
 besides the graph: rows used at the end, bytes per row, rows allocated
-and growth copies (``-`` for a tree whose arena does not count them).
+and growth copies (``-`` for a tree whose arena does not count them) —
+and the widest merge-kernel call: its cut pairs and its scratch (the
+``tracemalloc`` peak inside the call, its result block included; only
+a call wider than every earlier one is traced).
 The output is ``check()``-ed and its signature compared with the
 input's, and a rung that fails either exits non-zero.
 
@@ -37,8 +47,10 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 from rung_child import run_rung_child
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,9 +84,90 @@ def _watch_arenas() -> list:
     return arenas
 
 
+def _watch_kernel() -> list:
+    """The one-element list holding the widest merge-kernel call from
+    now on as ``(pairs, traced peak bytes)``: only a call wider than
+    every earlier one runs under ``tracemalloc``, so the rest of the
+    run is timed and sized untraced."""
+    from repro.cuts.manager import CutManager
+
+    widest = [(0, 0)]
+    real_core = CutManager._columnar_core
+
+    def core(self, roots, comp, rows, n0s, n1s):
+        pairs = int((n0s * n1s).sum())
+        if pairs <= widest[0][0]:
+            return real_core(self, roots, comp, rows, n0s, n1s)
+        tracemalloc.start()
+        try:
+            out = real_core(self, roots, comp, rows, n0s, n1s)
+            widest[0] = pairs, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out
+
+    CutManager._columnar_core = core
+    return widest
+
+
+def _owner_bytes(aig) -> dict:
+    """Bytes of ``aig``'s store by owner (see the module docstring)."""
+    owners = {"columns": [aig._kind, aig._fanin0, aig._fanin1, aig._nref,
+                          aig._level, aig._stamp, aig._life],
+              "fanouts": [aig._fanouts], "strash": [aig._strash],
+              "journal": [aig._mutation_log]}
+    seen = np.empty(0, dtype=np.int64)
+    out = {}
+    for name, roots in owners.items():
+        held, ints, stack = 0, [], list(roots)
+        while stack:  # containers one or two deep: lists, sets, tuples, a dict
+            obj = stack.pop()
+            if type(obj) is int:
+                if not -5 <= obj <= 256:
+                    ints.append(obj)
+                continue
+            held += sys.getsizeof(obj)
+            stack.extend(obj)
+            if isinstance(obj, dict):
+                stack.extend(obj.values())
+        ids = np.fromiter(map(id, ints), dtype=np.int64, count=len(ints))
+        sizes = np.fromiter(map(sys.getsizeof, ints), dtype=np.int64, count=len(ints))
+        ids, first = np.unique(ids, return_index=True)
+        fresh = ~np.isin(ids, seen, assume_unique=True)
+        out[name] = held + int(sizes.take(first).compress(fresh).sum())
+        seen = np.union1d(seen, ids)
+    return out
+
+
+def _rewrite(aig, signature: int, row: dict) -> None:
+    """Rewrite ``aig`` in place and fill in the run's columns; exits
+    non-zero if the output fails ``check()`` or the signature."""
+    from repro.aig import check, random_simulation
+    from repro.config import dacpara_config
+    from repro.core.dacpara import DACParaRewriter
+
+    arenas, widest = _watch_arenas(), _watch_kernel()
+    start = time.perf_counter()
+    result = DACParaRewriter(dacpara_config()).run(aig)
+    row["nodes_per_s"] = result.area_before / (time.perf_counter() - start)
+    row["peak_rss_mb"] = _rss_mb()
+    row["run_b_per_and"] = (row["peak_rss_mb"] - row["rss_io_mb"]) * 2**20 / row["ands"]
+    arena, = arenas  # dacpara_config() runs unsharded: one manager
+    row["arena_rows"] = arena.used
+    row["arena_reserved"] = len(arena.cols[1])
+    row["arena_b_per_row"] = sum(col.nbytes for col in arena.cols) // len(arena.cols[1])
+    if hasattr(arena, "growths"):
+        row["arena_growths"] = arena.growths
+    row["kernel_pairs"], scratch = widest[0]
+    row["kernel_mb"] = scratch / 2**20
+    check(aig)
+    if random_simulation(aig, SIGNATURE_BITS, 0) != signature:
+        raise SystemExit(f"nodes={row['nodes']}: signature mismatch")
+
+
 def run_rung(nodes: int) -> dict:
     """One rung, in this process."""
-    from repro.aig import check, random_simulation, read_aiger, write_aig
+    from repro.aig import random_simulation, read_aiger, write_aig
     from repro.bench import mtm_like
 
     row: dict = {"nodes": nodes}
@@ -95,29 +188,15 @@ def run_rung(nodes: int) -> dict:
         start = time.perf_counter()
         aig = read_aiger(path)
         row["read_s"] = time.perf_counter() - start
-    row["rss_io_mb"] = _rss_mb()
-    start = time.perf_counter()
-    signature = random_simulation(aig, SIGNATURE_BITS, 0)
-    row["simulate_s"] = time.perf_counter() - start
-    if ands <= REWRITE_MAX:
-        from repro.config import dacpara_config
-        from repro.core.dacpara import DACParaRewriter
-
-        arenas = _watch_arenas()
+        row["rss_io_mb"] = _rss_mb()
         start = time.perf_counter()
-        result = DACParaRewriter(dacpara_config()).run(aig)
-        row["nodes_per_s"] = result.area_before / (time.perf_counter() - start)
-        row["peak_rss_mb"] = _rss_mb()
-        row["run_b_per_and"] = (row["peak_rss_mb"] - row["rss_io_mb"]) * 2**20 / ands
-        arena, = arenas  # dacpara_config() runs unsharded: one manager
-        row["arena_rows"] = arena.used
-        row["arena_reserved"] = len(arena.cols[1])
-        row["arena_b_per_row"] = sum(col.nbytes for col in arena.cols) // len(arena.cols[1])
-        if hasattr(arena, "growths"):
-            row["arena_growths"] = arena.growths
-        check(aig)
-        if random_simulation(aig, SIGNATURE_BITS, 0) != signature:
-            raise SystemExit(f"nodes={nodes}: signature mismatch")
+        signature = random_simulation(aig, SIGNATURE_BITS, 0)
+        row["simulate_s"] = time.perf_counter() - start
+        if ands <= REWRITE_MAX:
+            _rewrite(aig, signature, row)
+        del aig  # the owner walk goes last (module docstring)
+        for name, held in _owner_bytes(read_aiger(path)).items():
+            row[f"{name}_b_per_and"] = held / ands
     return row
 
 
@@ -144,11 +223,16 @@ def main() -> int:
                ("rss_io", "rss_io_mb", ".1f"),
                ("file_B/AND", "file_b_per_and", ".2f"),
                ("graph_B/AND", "graph_b_per_and", ".0f"),
+               ("cols_B/AND", "columns_b_per_and", ".0f"),
+               ("fout_B/AND", "fanouts_b_per_and", ".0f"),
+               ("strash_B/AND", "strash_b_per_and", ".0f"),
+               ("jrnl_B/AND", "journal_b_per_and", ".0f"),
                ("nodes/s", "nodes_per_s", ".0f"), ("peak", "peak_rss_mb", ".1f"),
                ("run_B/AND", "run_b_per_and", ".0f"),
                ("arena_rows", "arena_rows", "d"), ("B/row", "arena_b_per_row", "d"),
                ("reserved", "arena_reserved", "d"),
-               ("growths", "arena_growths", "d"))
+               ("growths", "arena_growths", "d"),
+               ("kern_pairs", "kernel_pairs", "d"), ("kern_MB", "kernel_mb", ".1f"))
     print(" ".join(f"{title:>11}" for title, *_ in columns))
     for nodes in args.nodes:
         row = run_rung_child(__file__, [str(nodes)], args.src)

@@ -8,17 +8,17 @@ precise message on the first violation.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import AigError
-from .graph import KIND_AND, KIND_CONST, KIND_DEAD, KIND_PI, Aig
+from .graph import Aig, strash_pair
 from .literals import lit_not, lit_var
 
 
 def check(aig: Aig) -> None:
     """Validate all structural invariants; raises on violation."""
     ref_count: Dict[int, int] = {}
-    fanout_sets: Dict[int, Set[int]] = {}
+    readers: Dict[int, List[int]] = {}  # ascending: filled in var order
     num_ands = 0
     seen_pairs: Dict[Tuple[int, int], int] = {}
 
@@ -39,7 +39,7 @@ def check(aig: Aig) -> None:
                 if aig.is_dead(fv):
                     raise AigError(f"node {var}: dead fanin {fv}")
                 ref_count[fv] = ref_count.get(fv, 0) + 1
-                fanout_sets.setdefault(fv, set()).add(var)
+                readers.setdefault(fv, []).append(var)
             expected = max(aig.level(lit_var(f0)), aig.level(lit_var(f1))) + 1
             if aig.level(var) != expected:
                 raise AigError(
@@ -60,6 +60,9 @@ def check(aig: Aig) -> None:
 
     if num_ands != aig.num_ands:
         raise AigError(f"num_ands counter {aig.num_ands} != actual {num_ands}")
+    for key, var in aig._strash.items():
+        if not aig.is_and(var) or strash_pair(key) != aig.fanins(var):
+            raise AigError(f"stale strash entry {strash_pair(key)} -> node {var}")
 
     for idx, lit in enumerate(aig.pos):
         var = lit_var(lit)
@@ -77,9 +80,9 @@ def check(aig: Aig) -> None:
             raise AigError(
                 f"node {var}: nref {aig.nref(var)} != actual {expected_refs}"
             )
-        expected_fanouts = fanout_sets.get(var, set())
-        if set(aig.fanouts(var)) != expected_fanouts:
+        # As multisets: a list can hold a duplicate a set could not.
+        fanouts = sorted(aig.fanouts(var))
+        if fanouts != readers.get(var, []):
             raise AigError(
-                f"node {var}: fanout set {set(aig.fanouts(var))} != "
-                f"actual {expected_fanouts}"
+                f"node {var}: fanouts {fanouts} != actual {readers.get(var, [])}"
             )

@@ -55,6 +55,22 @@ KIND_DEAD = 3
 
 _KIND_NAMES = {KIND_CONST: "const", KIND_PI: "pi", KIND_AND: "and", KIND_DEAD: "dead"}
 
+#: A strash key packs an AND's ordered fanin pair ``(lo, hi)`` into one
+#: int, ``lo << STRASH_SHIFT | hi`` (DESIGN §4k): literals stay below
+#: 2**32, so the pair comes back exact.  The hot paths inline the shift.
+STRASH_SHIFT = 32
+_HI_MASK = (1 << STRASH_SHIFT) - 1
+
+
+def strash_key(lo: int, hi: int) -> int:
+    """The strash key of the ordered fanin pair ``lo < hi``."""
+    return lo << STRASH_SHIFT | hi
+
+
+def strash_pair(key: int) -> Tuple[int, int]:
+    """The fanin pair ``(lo, hi)`` a strash key packs."""
+    return key >> STRASH_SHIFT, key & _HI_MASK
+
 
 class Aig:
     """A mutable And-Inverter Graph.
@@ -76,9 +92,11 @@ class Aig:
         self._level: List[int] = [0]
         self._stamp: List[int] = [0]
         self._life: List[int] = [0]
-        self._fanouts: List[Set[int]] = [set()]
+        # Each var's AND fanouts, in insertion order (no duplicates: an
+        # AND's two fanins are distinct vars).
+        self._fanouts: List[List[int]] = [[]]
 
-        self._strash: Dict[Tuple[int, int], int] = {}
+        self._strash: Dict[int, int] = {}  # strash_key(f0, f1) -> var
         self._free: List[int] = []
         self._pis: List[int] = []
         self._pos: List[int] = []
@@ -178,7 +196,8 @@ class Aig:
         return self._fanin0[var], self._fanin1[var]
 
     def fanouts(self, var: int) -> Tuple[int, ...]:
-        """Variable ids of live AND nodes consuming ``var``."""
+        """Variable ids of live AND nodes consuming ``var``, in the
+        order they attached (by creation or by a fanin redirect)."""
         return tuple(self._fanouts[var])
 
     def po_fanouts(self, var: int) -> Tuple[int, ...]:
@@ -282,7 +301,7 @@ class Aig:
         if folded >= 0:
             return folded
         a, b = (f0, f1) if f0 < f1 else (f1, f0)
-        var = self._strash.get((a, b), -1)
+        var = self._strash.get(a << 32 | b, -1)
         return make_lit(var) if var >= 0 else -1
 
     # ------------------------------------------------------------------
@@ -337,7 +356,7 @@ class Aig:
             f0, f1 = f1, f0
         if f0 < 2 or (f0 ^ f1) < 2:
             return self._fold_trivial(f0, f1)
-        key = (f0, f1)
+        key = f0 << 32 | f1  # strash_key(f0, f1)
         var = self._strash.get(key, -1)
         if var >= 0:
             return var << 1
@@ -353,7 +372,7 @@ class Aig:
             self._nref[var] = 0
             level[var] = (l0 if l0 >= l1 else l1) + 1
             self._stamp[var] = self._life[var] = stamp
-            self._fanouts[var] = set()
+            self._fanouts[var] = []
         else:
             var = n
             kind.append(KIND_AND)
@@ -363,15 +382,15 @@ class Aig:
             level.append((l0 if l0 >= l1 else l1) + 1)
             self._stamp.append(stamp)
             self._life.append(stamp)
-            self._fanouts.append(set())
+            self._fanouts.append([])
         log = self._mutation_log
         log.append(var)
         log.append(v0)
         log.append(v1)
         self._nref[v0] += 1
         self._nref[v1] += 1
-        self._fanouts[v0].add(var)
-        self._fanouts[v1].add(var)
+        self._fanouts[v0].append(var)
+        self._fanouts[v1].append(var)
         self._strash[key] = var
         self._num_ands += 1
         self.generation += 1
@@ -478,7 +497,7 @@ class Aig:
             self._fanin1[var] = -1
             self._nref[var] = 0
             self._level[var] = 0
-            self._fanouts[var] = set()
+            self._fanouts[var] = []
         else:
             var = len(self._kind)
             self._kind.append(kind)
@@ -488,7 +507,7 @@ class Aig:
             self._level.append(0)
             self._stamp.append(0)
             self._life.append(0)
-            self._fanouts.append(set())
+            self._fanouts.append([])
         self._bump_stamp(var)
         self._life[var] = self._stamp[var]
         return var
@@ -522,7 +541,7 @@ class Aig:
                 self._touch(folded >> 1)
                 continue
             a, b = (nf0, nf1) if nf0 < nf1 else (nf1, nf0)
-            hit = self._strash.get((a, b), -1)
+            hit = self._strash.get(a << 32 | b, -1)
             if hit >= 0 and hit != f:
                 stack.append((f, make_lit(hit)))
                 self._nref[hit] += 1  # protection reference
@@ -536,10 +555,10 @@ class Aig:
                 old_v, new_v = old_f >> 1, new_f >> 1
                 self._nref[old_v] -= 1
                 self._touch(old_v)
-                self._fanouts[old_v].discard(f)
+                self._fanouts[old_v].remove(f)
                 self._nref[new_v] += 1
                 self._touch(new_v)
-                self._fanouts[new_v].add(f)
+                self._fanouts[new_v].append(f)
                 if side == 0:
                     self._fanin0[f] = new_f
                 else:
@@ -550,8 +569,8 @@ class Aig:
             self._bump_stamp(f)
             self._update_level(f)
 
-    def _fanin_key(self, var: int) -> Tuple[int, int]:
-        return (self._fanin0[var], self._fanin1[var])
+    def _fanin_key(self, var: int) -> int:
+        return self._fanin0[var] << 32 | self._fanin1[var]
 
     def _update_level(self, var: int) -> None:
         """Mark ``var``'s stored level as possibly out of date."""
@@ -597,7 +616,7 @@ class Aig:
                 fv = fl >> 1
                 self._nref[fv] -= 1
                 self._touch(fv)
-                self._fanouts[fv].discard(v)
+                self._fanouts[fv].remove(v)
                 if self._nref[fv] == 0 and self._kind[fv] == KIND_AND:
                     stack.append(fv)
             # A recycled id must neither inherit this incarnation's heap
@@ -606,7 +625,7 @@ class Aig:
             self._kind[v] = KIND_DEAD
             self._fanin0[v] = -1
             self._fanin1[v] = -1
-            self._fanouts[v] = set()
+            self._fanouts[v] = []
             self._free.append(v)
             self._num_ands -= 1
             self._bump_stamp(v)

@@ -46,7 +46,7 @@ from ..npn.truth import (
     batch_cut_signs,
     batch_union_leaves,
     full_mask,
-    lift_lut,
+    lift_bytes,
     tag_leaves,
 )
 from .cut import Cut
@@ -60,7 +60,19 @@ _SIDES = np.array([[1], [2]], dtype=np.int64)  # a leaf tag's side bit
 # Bit 0 of each byte of a 32-bit word, and the multiplier moving those
 # four bits to bits 24..27 (no other partial product lands there).
 _LANE_BITS, _LANE_GATHER = 0x01010101, 0x01020408
+# A table's low byte selects a row of ``lift_bytes()``'s first 256, its
+# high byte one of the next 256: the shift and the row offset per byte.
+_BYTE_SHIFT = np.array([0, 8], dtype=np.uint16).reshape(2, 1, 1)
+_BYTE_ROW = np.array([0, 256], dtype=np.uint16).reshape(2, 1, 1)
 _MIN_ARENA_ROWS = 1024
+# The most cut pairs one kernel call merges: a wider dependency wave
+# runs as several calls over contiguous task chunks, so the kernel's
+# scratch (60-75 bytes a pair) stays bounded however wide the circuit
+# (DESIGN §4c "Chunked waves").  A chunk holds the tasks whose
+# first pair falls in one block of this many, so its pairs stay below
+# the cap plus one task's.
+_WAVE_PAIRS = 1 << 14
+_WHOLE_WAVE = (slice(None),)  # a wave under the cap: no chunking call
 # An arena row: four leaves (ascending, padded with var 0 — the
 # constant, never a leaf, so a pad lane indexes the life mirror and its
 # stamp lane, var 0's life stamp, always compares equal), the truth
@@ -83,6 +95,15 @@ def _ranges(offs: "np.ndarray", cnts: "np.ndarray") -> "np.ndarray":
     ends = cnts.cumsum()
     total = int(ends[-1]) if len(ends) else 0
     return (offs - ends + cnts).repeat(cnts) + np.arange(total)
+
+
+def _wave_chunks(starts: "np.ndarray") -> list:
+    """A wide wave's tasks as contiguous slices, one per block of
+    :data:`_WAVE_PAIRS` pairs that some task starts in (``starts``:
+    the pairs of the wave's tasks before each)."""
+    block = starts // _WAVE_PAIRS
+    bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(starts)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _all_lanes(flags: "np.ndarray") -> "np.ndarray":
@@ -671,12 +692,15 @@ class CutManager:
         dependency wave, in wave order: gather each wave's inputs' rows
         from the table and from earlier waves' results, run the kernel
         and record each task's result rows in ``plan`` — *pending*
-        until :meth:`install_cuts` installs them.  The sync, the
-        compaction check and the table gather of the tasks' inputs are
-        paid once per plan, not once per wave.  This method does **not**
-        touch :attr:`work`: the replay charges it at the install.  A
-        metric-enabled ``observer`` gets ``enum_batch_size`` and
-        per-phase ``enum_kernel_seconds`` per kernel call.
+        until :meth:`install_cuts` installs them.  A wave of more than
+        :data:`_WAVE_PAIRS` pairs runs as one invocation per contiguous
+        task chunk (:func:`_wave_chunks`); the rows appended are the
+        same.  The sync, the compaction check and the table gather of
+        the tasks' inputs are paid once per plan, not once per wave.
+        This method does **not** touch :attr:`work`: the replay charges
+        it at the install.  A metric-enabled ``observer`` gets
+        ``enum_batch_size`` and per-phase ``enum_kernel_seconds`` per
+        kernel call.
         """
         if not len(plan.var):
             return
@@ -697,16 +721,23 @@ class CutManager:
             offs, cnts = inputs
             pairs = cnts[0] * cnts[1]
             plan.pairs[tasks] = pairs
-            *block, counts, union_s, filter_s = self._columnar_core(
-                plan.var.take(tasks), comp.take(tasks, axis=0),
-                _ranges(offs.reshape(-1), cnts.reshape(-1)), *cnts)
-            if observing:
-                observer.observe("enum_batch_size", float(pairs.sum()))
-                observer.observe("enum_kernel_seconds", union_s, phase="union")
-                observer.observe("enum_kernel_seconds", filter_s, phase="filter")
-            ends = counts.cumsum()
-            plan.off[tasks] = ends - counts + arena.append(*block)
-            plan.cnt[tasks] = counts
+            roots, comps = plan.var.take(tasks), comp.take(tasks, axis=0)
+            ends = pairs.cumsum()
+            chunks = (_WHOLE_WAVE if ends[-1] <= _WAVE_PAIRS
+                      else _wave_chunks(ends - pairs))
+            for part in chunks:
+                sub = cnts[:, part]
+                *block, counts, union_s, filter_s = self._columnar_core(
+                    roots[part], comps[part],
+                    _ranges(offs[:, part].reshape(-1), sub.reshape(-1)), *sub)
+                if observing:
+                    observer.observe("enum_batch_size", float(pairs[part].sum()))
+                    observer.observe("enum_kernel_seconds", union_s, phase="union")
+                    observer.observe("enum_kernel_seconds", filter_s, phase="filter")
+                ends = counts.cumsum()
+                part = tasks[part]
+                plan.off[part] = ends - counts + arena.append(*block)
+                plan.cnt[part] = counts
         plan.epoch = self._epoch
         self.vec_pairs += int(plan.pairs.sum())
 
@@ -828,17 +859,17 @@ class CutManager:
         sel_task = u_task.compress(kept)
         sel_leaves = u_leaves.compress(kept, axis=0)
 
-        # Truth tables of the survivors: one LUT gather for both sides,
-        # keyed by each side's table and the mask of union positions its
-        # leaves fill — the side's tag bit in each lane, the four lane
-        # bytes of a 32-bit word gathered into four bits by one multiply.
+        # Truth tables of the survivors: one byte-table gather for both
+        # bytes of both sides, keyed by each byte of the side's table
+        # and the mask of union positions its leaves fill — the side's
+        # tag bit in each lane, the four lane bytes of a 32-bit word
+        # gathered into four bits by one multiply — and the bytes OR-ed.
         member = (tags.take(sel, axis=0) & 3).astype(np.uint8).view(np.uint32)
         lanes = np.concatenate([member & _LANE_BITS, member >> 1 & _LANE_BITS],
                                axis=1) * _LANE_GATHER >> 24 & 15
-        src = src_tt.take(rows).take(grid.take(sel, axis=0))
-        sides = lift_lut().reshape(-1).take(
-            np.multiply(src, 16, dtype=np.int64) + lanes) ^ \
-            comp.take(sel_task, axis=0) * 0xFFFF
+        src = src_tt.take(rows).take(grid.take(sel, axis=0))  # uint16
+        lifted = lift_bytes().take((src >> _BYTE_SHIFT & 255 | _BYTE_ROW) * 16 + lanes)
+        sides = (lifted[0] | lifted[1]) ^ comp.take(sel_task, axis=0) * 0xFFFF
         tt = _FULL_MASKS_ARR.take(sizes.take(sel)) & sides[:, 0] & sides[:, 1]
 
         # Result blocks: each task's survivors, then its trivial cut; a

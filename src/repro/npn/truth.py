@@ -116,8 +116,8 @@ def batch_expand(tts, mappings):
     ``(N, 16)`` array of source minterm indices (rows from
     :func:`expand_map16`).  Returns the N expanded 16-bit tables; for a
     destination width ``nd < 4`` the caller masks with
-    ``full_mask(nd)``.  The reference :func:`lift_lut` is built to
-    match (the cut manager's merge kernel gathers from the LUT).
+    ``full_mask(nd)``.  :func:`lift_bytes` is built to match (the cut
+    manager's merge kernel gathers from its byte tables).
     """
     tts = np.asarray(tts, dtype=np.uint32)
     mappings = np.asarray(mappings, dtype=np.uint8)
@@ -127,26 +127,25 @@ def batch_expand(tts, mappings):
 
 
 @lru_cache(maxsize=1)
-def lift_lut():
-    """The truth-table lift as one gather: a ``(65536, 16)`` ``uint16``
-    table, ``lut[tt, m]`` = ``tt`` with its variables moved to the set
-    bit positions of ``m`` in the 4-variable space.  Source and union
-    leaf rows both ascend, so the mask of union positions holding a
-    source leaf fixes the whole position pattern, and ``lut[tt, m] &
-    full_mask(nd)`` equals ``expand(tt, src, dst)`` (as for
-    :func:`batch_expand`).  Built on first use (~3 ms, 2 MB).
-
-    The lift is an OR over the source minterms set in ``tt``, so the
-    table is the OR of two 256-row tables, one per byte of ``tt``:
-    ``lut[tt] = lo[tt & 255] | hi[tt >> 8]``."""
+def lift_bytes():
+    """The truth-table lift as byte tables: a flat ``uint16`` array of
+    ``512 * 16`` entries (16 KB), row ``r`` at ``r * 16``.  Lifting
+    ``tt`` onto the set bit positions ``m`` of the 4-variable space is
+    an OR over the source minterms set in ``tt``, so it is the OR of
+    one row per byte of ``tt``: entry ``(tt & 255) * 16 + m`` (rows
+    0-255, the low byte) and entry ``(256 + (tt >> 8)) * 16 + m`` (rows
+    256-511, the high byte).  Source and union leaf rows both ascend,
+    so the mask of union positions holding a source leaf fixes the
+    whole position pattern, and the lift ``& full_mask(nd)`` equals
+    ``expand(tt, src, dst)`` (as for :func:`batch_expand`).  Built on
+    first use."""
     byte = np.arange(256, dtype=np.uint16)
-    lo, hi = halves = np.zeros((2, 256, 16), dtype=np.uint16)
+    halves = np.zeros((2, 256, 16), dtype=np.uint16)
     for m in range(16):
         mapping = expand_map16(tuple(p for p in range(4) if (m >> p) & 1))
         for k, j in enumerate(mapping):
             halves[j >> 3, :, m] |= ((byte >> (j & 7)) & 1) << k
-    # Row ``tt = h * 256 + l`` of the outer OR is ``hi[h] | lo[l]``.
-    return (hi[:, None] | lo[None, :]).reshape(1 << 16, 16)
+    return halves.reshape(-1)
 
 
 #: Cut-width -> block-replication multiplier lifting an ``n``-variable

@@ -327,7 +327,7 @@ def eval_tasks_columnar(
                     if a > b:
                         a, b = b, a
                     if b < lit_cap:
-                        hv = strash_get((a, b), -1)
+                        hv = strash_get(a << 32 | b, -1)  # strash_key(a, b)
                         if hv >= 0:
                             if hv == root:
                                 # The structure rebuilds the root

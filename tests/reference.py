@@ -36,8 +36,10 @@ calls it:
 * :func:`npn_canon_batch_rows` — canonical tables and witness rows of
   a truth-table array, the batch form of ``npn_canon`` the columnar
   kernel's class counts are checked against;
-* :func:`lift_lut_sweep` — the lift LUT computed mask by mask over all
-  65 536 tables, the reference of ``npn.truth.lift_lut``'s byte tables;
+* :func:`lift_lut` — the lift as one composed ``(65536, 16)`` table,
+  every row the OR of ``npn.truth.lift_bytes``' two byte rows, and
+  :func:`lift_lut_sweep` — the same table computed mask by mask over
+  all 65 536 tables, the reference of those byte tables;
 * :func:`reference_and` — ``Aig.and_`` as the chain of helpers it
   inlines (``_check_lit``, ``_fold_trivial``, ``_alloc``, ``_touch``),
   the reference of its state;
@@ -64,7 +66,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.aig.graph import KIND_AND, Aig
+from repro.aig.graph import KIND_AND, Aig, strash_key
 from repro.aig.io_aiger import _literals, _parse_header_counts
 from repro.aig.literals import lit_compl, lit_var, make_lit
 from repro.config import RewriteConfig
@@ -80,7 +82,7 @@ from repro.galois.stats import StageStats
 from repro.library import StructureLibrary
 from repro.npn import ensure_canon_lut, npn_canon
 from repro.npn.canon import _MATRICES, _OUT_FLAGS
-from repro.npn.truth import expand, expand_map16, full_mask
+from repro.npn.truth import expand, expand_map16, full_mask, lift_bytes
 from repro.rewrite.base import (
     Candidate,
     WorkMeter,
@@ -589,9 +591,21 @@ def npn_canon_batch_rows(tts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return canon[idx], rows[idx]
 
 
+def lift_lut() -> np.ndarray:
+    """The lift as one ``(65536, 16)`` ``uint16`` table: ``lut[tt, m]``
+    is ``tt`` with its variables moved to the set bit positions of
+    ``m``, the OR of ``lift_bytes()``'s low-byte row ``tt & 255`` and
+    high-byte row ``256 + (tt >> 8)`` (2 MB, which the merge kernel
+    never builds)."""
+    lo, hi = lift_bytes().reshape(2, 256, 16)
+    # Row ``tt = h * 256 + l`` of the outer OR is ``hi[h] | lo[l]``.
+    return (hi[:, None] | lo[None, :]).reshape(1 << 16, 16)
+
+
 def lift_lut_sweep() -> np.ndarray:
     """The lift LUT by one sweep per union mask over all 65 536 tables
-    — the reference of ``npn.truth.lift_lut``'s two byte tables."""
+    — the reference of ``npn.truth.lift_bytes``' byte tables (through
+    :func:`lift_lut`)."""
     tts = np.arange(1 << 16, dtype=np.uint32)
     lut = np.empty((1 << 16, 16), dtype=np.uint16)
     for m in range(16):
@@ -612,7 +626,7 @@ def reference_and(aig: Aig, f0: int, f1: int) -> int:
         return folded
     if f0 > f1:
         f0, f1 = f1, f0
-    hit = aig._strash.get((f0, f1), -1)
+    hit = aig._strash.get(strash_key(f0, f1), -1)
     if hit >= 0:
         return make_lit(hit)
     var = aig._alloc(KIND_AND)
@@ -623,10 +637,10 @@ def reference_and(aig: Aig, f0: int, f1: int) -> int:
     aig._nref[v1] += 1
     aig._touch(v0)
     aig._touch(v1)
-    aig._fanouts[v0].add(var)
-    aig._fanouts[v1].add(var)
+    aig._fanouts[v0].append(var)
+    aig._fanouts[v1].append(var)
     aig._level[var] = max(aig._level[v0], aig._level[v1]) + 1
-    aig._strash[(f0, f1)] = var
+    aig._strash[strash_key(f0, f1)] = var
     aig._num_ands += 1
     aig.generation += 1
     return make_lit(var)

@@ -5,7 +5,8 @@ helper chain it inlines.
 ``write_aig`` must write the bytes :func:`reference.reference_write_aig`
 writes, and ``read_aiger`` must leave a graph *state-identical* to the
 one :func:`reference.reference_read_aig` builds — every column, the
-mutation journal, strash and fanout iteration order, the free list —
+mutation journal, the strash's packed keys in insertion order, each
+var's fanout list in its order, the free list —
 or raise the same exception with the same located message.  The graphs
 cover recycled ids after ``replace`` and POs on constants, PIs and
 complemented literals; the hand-made files cover duplicate, trivial
@@ -25,17 +26,20 @@ from hypothesis import given, settings, strategies as st
 
 from reference import reference_and, reference_read_aig, reference_write_aig
 from repro.aig import Aig, read_aiger, tfo, write_aag, write_aig
+from repro.aig.graph import strash_pair
 from repro.bench import mtm_like
 from repro.errors import AigError, AigerFormatError
 
 
 def graph_state(aig: Aig) -> dict:
-    """Everything an ``Aig`` holds, in iteration order."""
+    """Everything an ``Aig`` holds, in iteration order: the fanout
+    lists as stored (insertion order) and the strash as its packed
+    ``strash_key`` ints, each unpacked to the fanin pair it keys."""
     return {
         "columns": (aig._kind, aig._fanin0, aig._fanin1, aig._nref,
                     aig._level, aig._stamp, aig._life),
-        "fanouts": [list(f) for f in aig._fanouts],
-        "strash": list(aig._strash.items()),
+        "fanouts": aig._fanouts,
+        "strash": [(key, strash_pair(key), var) for key, var in aig._strash.items()],
         "free": aig._free, "pis": aig._pis, "pos": aig._pos,
         "po_refs": [(v, list(r)) for v, r in aig._po_refs.items()],
         "journal": aig._mutation_log, "epoch": aig.mutation_epoch,

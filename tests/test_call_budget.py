@@ -94,7 +94,10 @@ class TestCallBudget:
     @pytest.mark.parametrize("shape", ("one_task", "wave"))
     def test_merge_tasks_columnar(self, shape):
         """190 calls before the plan-level merge — one call per wave
-        then — for a one-task tail wave and a 14-task wave alike."""
+        then — for a one-task tail wave and a 14-task wave alike.  The
+        wave cap's test (a running pair count, one call) is paid for by
+        the byte-table lift's one gather where the 2 MB table took a
+        ``reshape`` and a ``take``: 137 before and after."""
         cutman, roots = _at_level()
         if shape == "one_task":
             aig, root = cutman.aig, roots[0]
@@ -172,8 +175,9 @@ class TestColdPathBudget:
         ``and_`` did the work of ``_check_lit``, ``_fold_trivial``,
         ``_new_and``, ``_alloc``, ``_bump_stamp`` and ``_touch`` in
         place; a new node's 15 are its eight column appends, its three
-        journal appends, its fanout set, its two fanout insertions and
-        ``len``."""
+        journal appends, its strash probe, its two fanout appends and
+        ``len`` (the fanout ``set`` and its ``add``s before the
+        fanouts became lists counted the same)."""
         aig = Aig()
         a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
         aig.and_(a, b)

@@ -27,6 +27,7 @@ from conftest import (
 from reference import (
     ReferenceExecutor,
     ScalarCutManager,
+    lift_lut,
     lift_lut_sweep,
     load_entry,
 )
@@ -55,7 +56,7 @@ from repro.npn.truth import (
     expand,
     expand_map16,
     full_mask,
-    lift_lut,
+    lift_bytes,
     tag_leaves,
 )
 
@@ -121,7 +122,10 @@ class TestKernels:
         assert got == [c.sign for c in cuts]
 
     def test_lift_lut_equals_the_mask_sweep(self):
-        # The two byte tables OR-ed against one sweep per union mask.
+        # The kernel's byte tables (16 KB), their rows OR-ed per table,
+        # against one sweep per union mask over all 65 536 tables.
+        table = lift_bytes()
+        assert table.shape == (512 * 16,) and table.nbytes == 16 << 10
         assert np.array_equal(lift_lut(), lift_lut_sweep())
 
     def test_lift_lut_equals_batch_expand_and_expand(self):
