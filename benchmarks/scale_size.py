@@ -11,8 +11,9 @@ generated graph deleted first, as the ladder's child does) and a
 1024-bit ``random_simulation``.  A row reports the seconds of each
 step, the peak RSS (``ru_maxrss``) after generation and after write +
 read, the file's bytes per AND and the generated graph's resident
-bytes per AND (RSS growth over generation), and the read graph's bytes
-per AND by owner (``sys.getsizeof``): its seven node columns, the
+bytes per AND (RSS growth over generation), the read graph's journal
+entries per AND, and its bytes per AND by owner (``sys.getsizeof``):
+its seven node columns (lists, or numpy columns counted whole), the
 fanout containers, the strash and the mutation journal — each int
 object counted once, under the first of those owners that holds it,
 and the interpreter's cached small ints under none.  That walk runs
@@ -23,10 +24,11 @@ in the heap under the rewrite's peak.  Rungs of at most
 back with ``DACParaRewriter(dacpara_config())`` and report nodes/s,
 the peak RSS after it and what the run added per AND (``run_B/AND``:
 peak after the rewrite minus the peak after write + read, over the
-ANDs), and the run's cut arena — the largest thing a rewrite holds
-besides the graph: rows used at the end, bytes per row, rows allocated
-and growth copies (``-`` for a tree whose arena does not count them) —
-and the widest merge-kernel call: its cut pairs and its scratch (the
+ANDs), the run's cut table (the manager's per-var index, bytes per
+AND), its cut arena — the largest thing a rewrite holds besides the
+graph: rows used at the end, bytes per row, rows allocated and growth
+copies (``-`` for a tree whose arena does not count them) — and the
+widest merge-kernel call: its cut pairs and its scratch (the
 ``tracemalloc`` peak inside the call, its result block included; only
 a call wider than every earlier one is traced).
 The output is ``check()``-ed and its signature compared with the
@@ -68,20 +70,20 @@ def _current_rss_bytes() -> int:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
-def _watch_arenas() -> list:
-    """The list every cut arena built from now on is appended to (a
+def _watch_managers() -> list:
+    """The list every cut manager built from now on is appended to (a
     run keeps its cut manager local)."""
-    from repro.cuts import manager
+    from repro.cuts.manager import CutManager
 
-    arenas: list = []
-    real_init = manager._Arena.__init__
+    managers: list = []
+    real_init = CutManager.__init__
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
-        arenas.append(self)
+        managers.append(self)
 
-    manager._Arena.__init__ = init
-    return arenas
+    CutManager.__init__ = init
+    return managers
 
 
 def _watch_kernel() -> list:
@@ -126,8 +128,9 @@ def _owner_bytes(aig) -> dict:
                 if not -5 <= obj <= 256:
                     ints.append(obj)
                 continue
-            held += sys.getsizeof(obj)
-            stack.extend(obj)
+            held += sys.getsizeof(obj)  # an ndarray: header and data
+            if not isinstance(obj, np.ndarray):
+                stack.extend(obj)
             if isinstance(obj, dict):
                 stack.extend(obj.values())
         ids = np.fromiter(map(id, ints), dtype=np.int64, count=len(ints))
@@ -146,13 +149,15 @@ def _rewrite(aig, signature: int, row: dict) -> None:
     from repro.config import dacpara_config
     from repro.core.dacpara import DACParaRewriter
 
-    arenas, widest = _watch_arenas(), _watch_kernel()
+    managers, widest = _watch_managers(), _watch_kernel()
     start = time.perf_counter()
     result = DACParaRewriter(dacpara_config()).run(aig)
     row["nodes_per_s"] = result.area_before / (time.perf_counter() - start)
     row["peak_rss_mb"] = _rss_mb()
     row["run_b_per_and"] = (row["peak_rss_mb"] - row["rss_io_mb"]) * 2**20 / row["ands"]
-    arena, = arenas  # dacpara_config() runs unsharded: one manager
+    cutman, = managers  # dacpara_config() runs unsharded: one manager
+    row["table_b_per_and"] = cutman._tab.nbytes / row["ands"]
+    arena = cutman._arena
     row["arena_rows"] = arena.used
     row["arena_reserved"] = len(arena.cols[1])
     row["arena_b_per_row"] = sum(col.nbytes for col in arena.cols) // len(arena.cols[1])
@@ -189,6 +194,7 @@ def run_rung(nodes: int) -> dict:
         aig = read_aiger(path)
         row["read_s"] = time.perf_counter() - start
         row["rss_io_mb"] = _rss_mb()
+        row["journal_per_and"] = len(aig._mutation_log) / ands
         start = time.perf_counter()
         signature = random_simulation(aig, SIGNATURE_BITS, 0)
         row["simulate_s"] = time.perf_counter() - start
@@ -227,8 +233,10 @@ def main() -> int:
                ("fout_B/AND", "fanouts_b_per_and", ".0f"),
                ("strash_B/AND", "strash_b_per_and", ".0f"),
                ("jrnl_B/AND", "journal_b_per_and", ".0f"),
+               ("jrnl/AND", "journal_per_and", ".2f"),
                ("nodes/s", "nodes_per_s", ".0f"), ("peak", "peak_rss_mb", ".1f"),
                ("run_B/AND", "run_b_per_and", ".0f"),
+               ("tab_B/AND", "table_b_per_and", ".0f"),
                ("arena_rows", "arena_rows", "d"), ("B/row", "arena_b_per_row", "d"),
                ("reserved", "arena_reserved", "d"),
                ("growths", "arena_growths", "d"),

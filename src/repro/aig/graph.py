@@ -15,7 +15,9 @@ for the DACPara reproduction and shape everything here:
 * **Stamps** — every structural change to a node (creation, fanin
   update, deletion) bumps its stamp.  Cut caches and DACPara's
   replacement-time validation use stamps to detect exactly the
-  staleness the paper's Section 4.4 deals with.
+  staleness the paper's Section 4.4 deals with.  The stamp and life
+  columns are int64 arrays the cut store reads in place, and a stamp
+  bump is the one change the mutation journal records (DESIGN §4k).
 
 ``replace(old_var, new_lit)`` implements the full ABC-style cascade:
 fanouts are redirected, rehashed, and merged with existing nodes when
@@ -35,7 +37,9 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..errors import AigError
 from .literals import (
@@ -54,6 +58,8 @@ KIND_AND = 2
 KIND_DEAD = 3
 
 _KIND_NAMES = {KIND_CONST: "const", KIND_PI: "pi", KIND_AND: "and", KIND_DEAD: "dead"}
+
+_MIN_STAMP_SLOTS = 64  # a new graph's room in its stamp columns
 
 #: A strash key packs an AND's ordered fanin pair ``(lo, hi)`` into one
 #: int, ``lo << STRASH_SHIFT | hi`` (DESIGN §4k): literals stay below
@@ -90,8 +96,11 @@ class Aig:
         self._fanin1: List[int] = [-1]
         self._nref: List[int] = [0]
         self._level: List[int] = [0]
-        self._stamp: List[int] = [0]
-        self._life: List[int] = [0]
+        # Structure and life stamps: int64 columns with room for
+        # ``len(self._life)`` vars (doubled when full; slots past
+        # ``size`` are unused).
+        self._stamp = np.zeros(_MIN_STAMP_SLOTS, dtype=np.int64)
+        self._life = np.zeros(_MIN_STAMP_SLOTS, dtype=np.int64)
         # Each var's AND fanouts, in insertion order (no duplicates: an
         # AND's two fanins are distinct vars).
         self._fanouts: List[List[int]] = [[]]
@@ -112,19 +121,15 @@ class Aig:
 
         self._num_ands = 0
         self._stamp_counter = 0
-        self.generation = 0
         self.name = ""
 
-        # Mutation journal: every change to a node's state
-        # (kind/fanins/nref/level/stamp/life) appends the var id.
-        # A level change is journaled when it is *settled*, not when the
-        # redirect that caused it happens.
-        # ``mutation_epoch`` is the monotonic length of this journal
-        # (plus a base offset so epochs survive trims and copies);
-        # ``dirty_since(epoch)`` answers "which vars changed" in
-        # O(changes), which is what makes incremental snapshot deltas
-        # (see :mod:`repro.aig.snapshot`) and the cut cache's graph
-        # mirrors cheap on deep circuits.
+        # Mutation journal: every stamp bump appends its var, so entry
+        # ``i`` is stamp ``_epoch_base + i + 1`` and the stamp counter
+        # is the journal's epoch.  ``dirty_since(epoch)`` answers "which
+        # vars changed" in O(changes), which keeps incremental snapshot
+        # deltas (see :mod:`repro.aig.snapshot`) cheap on deep circuits.
+        # ``_epoch_base`` is the counter at the journal's first
+        # retained entry (trims and copies move it).
         self._mutation_log: List[int] = []
         self._epoch_base = 0
 
@@ -220,7 +225,7 @@ class Aig:
     def stamp(self, var: int) -> int:
         """Structure stamp: changes on creation, fanin update, deletion.
         Cache freshness is keyed to this."""
-        return self._stamp[var]
+        return self._stamp.item(var)
 
     def life_stamp(self, var: int) -> int:
         """Incarnation stamp: changes only on creation and deletion.
@@ -230,18 +235,17 @@ class Aig:
         fanin redirects preserve functions).  A deleted-and-reused id —
         the paper's Fig. 3 hazard — shows a new life stamp.  Cut
         validity is keyed to this."""
-        return self._life[var]
+        return self._life.item(var)
 
     @property
     def mutation_epoch(self) -> int:
-        """Monotonic mutation counter: bumps on every journaled change
-        to any node's state (equal epochs: nothing journaled between);
-        the counter never decreases, not even across :meth:`copy` or
-        :meth:`trim_mutation_log`."""
-        return self._epoch_base + len(self._mutation_log)
+        """The stamp counter: bumps on every stamp change (equal epochs:
+        no stamp changed between); it never decreases, not even across
+        :meth:`copy` or :meth:`trim_mutation_log`."""
+        return self._stamp_counter
 
     def dirty_since(self, epoch: int) -> Optional[Set[int]]:
-        """Vars whose journaled state changed after ``epoch``.
+        """Vars whose stamp changed after ``epoch``.
 
         Returns ``None`` when ``epoch`` predates the retained journal
         (after a trim or a copy) — the caller must fall back to a full
@@ -263,9 +267,6 @@ class Aig:
         index = min(index, len(self._mutation_log))
         del self._mutation_log[:index]
         self._epoch_base += index
-
-    def _touch(self, var: int) -> None:
-        self._mutation_log.append(var)
 
     def max_level(self) -> int:
         """Depth of the circuit: maximum level over the PO cones."""
@@ -322,7 +323,6 @@ class Aig:
         var = lit_var(lit)
         self._po_refs.setdefault(var, set()).add(index)
         self._nref[var] += 1
-        self._touch(var)
         return index
 
     def set_po(self, index: int, lit: int) -> None:
@@ -336,17 +336,16 @@ class Aig:
             if not refs:
                 del self._po_refs[old_var]
         self._nref[old_var] -= 1
-        self._touch(old_var)
         self._pos[index] = lit
         var = lit_var(lit)
         self._po_refs.setdefault(var, set()).add(index)
         self._nref[var] += 1
-        self._touch(var)
         self._deref_delete(old_var)
 
     def and_(self, f0: int, f1: int) -> int:
         """AND of two literals, with trivial rules and strashing (checks,
-        folding and ``_alloc`` inlined, same state: DESIGN §4k)."""
+        folding, ``_alloc`` and the stamp bump inlined, same state:
+        DESIGN §4k)."""
         kind, n = self._kind, len(self._kind)
         if not (0 <= f0 and f0 >> 1 < n and kind[f0 >> 1] != KIND_DEAD
                 and 0 <= f1 and f1 >> 1 < n and kind[f1 >> 1] != KIND_DEAD):
@@ -371,7 +370,6 @@ class Aig:
             self._fanin1[var] = f1
             self._nref[var] = 0
             level[var] = (l0 if l0 >= l1 else l1) + 1
-            self._stamp[var] = self._life[var] = stamp
             self._fanouts[var] = []
         else:
             var = n
@@ -380,20 +378,17 @@ class Aig:
             self._fanin1.append(f1)
             self._nref.append(0)
             level.append((l0 if l0 >= l1 else l1) + 1)
-            self._stamp.append(stamp)
-            self._life.append(stamp)
             self._fanouts.append([])
-        log = self._mutation_log
-        log.append(var)
-        log.append(v0)
-        log.append(v1)
+            if n == len(self._life):
+                self._grow_stamps()
+        self._stamp[var] = self._life[var] = stamp
+        self._mutation_log.append(var)
         self._nref[v0] += 1
         self._nref[v1] += 1
         self._fanouts[v0].append(var)
         self._fanouts[v1].append(var)
         self._strash[key] = var
         self._num_ands += 1
-        self.generation += 1
         return var << 1
 
     # Convenience gates built from AND (kept here because they are the
@@ -440,7 +435,6 @@ class Aig:
         # free a merge target before its pair is processed.
         stack = [(old_var, new_lit)]
         self._nref[new_lit >> 1] += 1
-        self._touch(new_lit >> 1)
         while stack:
             ov, nl = stack.pop()
             nv = nl >> 1
@@ -448,7 +442,6 @@ class Aig:
                 if nv == ov and lit_compl(nl) and self._kind[ov] != KIND_DEAD:
                     raise AigError(f"replacing node {ov} by its own complement")
                 self._nref[nv] -= 1
-                self._touch(nv)
                 self._deref_delete(nv)
                 continue
             if self._kind[nv] == KIND_DEAD:
@@ -459,9 +452,7 @@ class Aig:
             self._redirect(ov, nl, stack)
             self._deref_delete(ov)
             self._nref[nv] -= 1
-            self._touch(nv)
             self._deref_delete(nv)
-        self.generation += 1
 
     # ------------------------------------------------------------------
     # Internals
@@ -505,17 +496,24 @@ class Aig:
             self._fanin1.append(-1)
             self._nref.append(0)
             self._level.append(0)
-            self._stamp.append(0)
-            self._life.append(0)
             self._fanouts.append([])
+            if var == len(self._life):
+                self._grow_stamps()
         self._bump_stamp(var)
-        self._life[var] = self._stamp[var]
+        self._life[var] = self._stamp_counter
         return var
 
+    def _grow_stamps(self) -> None:
+        """Double the room of the stamp columns."""
+        self._stamp = np.concatenate([self._stamp, np.zeros_like(self._stamp)])
+        self._life = np.concatenate([self._life, np.zeros_like(self._life)])
+
     def _bump_stamp(self, var: int) -> None:
+        """Give ``var`` a new stamp and journal it: the one place a
+        node's change is recorded (:meth:`and_` inlines it)."""
         self._stamp_counter += 1
         self._stamp[var] = self._stamp_counter
-        self._touch(var)
+        self._mutation_log.append(var)
 
     def _redirect(self, ov: int, nl: int, stack: List[Tuple[int, int]]) -> None:
         """Move all fanouts and PO references of ``ov`` onto ``nl``."""
@@ -538,14 +536,12 @@ class Aig:
                 # released when it is deleted).
                 stack.append((f, folded))
                 self._nref[folded >> 1] += 1  # protection reference
-                self._touch(folded >> 1)
                 continue
             a, b = (nf0, nf1) if nf0 < nf1 else (nf1, nf0)
             hit = self._strash.get(a << 32 | b, -1)
             if hit >= 0 and hit != f:
                 stack.append((f, make_lit(hit)))
                 self._nref[hit] += 1  # protection reference
-                self._touch(hit)
                 continue
             # In-place fanin update with rehash.
             del self._strash[self._fanin_key(f)]
@@ -554,10 +550,8 @@ class Aig:
                     continue
                 old_v, new_v = old_f >> 1, new_f >> 1
                 self._nref[old_v] -= 1
-                self._touch(old_v)
                 self._fanouts[old_v].remove(f)
                 self._nref[new_v] += 1
-                self._touch(new_v)
                 self._fanouts[new_v].append(f)
                 if side == 0:
                     self._fanin0[f] = new_f
@@ -594,7 +588,6 @@ class Aig:
                 continue
             level[v] = new_level
             self.level_updates += 1
-            self._touch(v)
             for f in self._fanouts[v]:
                 self._update_level(f)
 
@@ -615,7 +608,6 @@ class Aig:
             for fl in (self._fanin0[v], self._fanin1[v]):
                 fv = fl >> 1
                 self._nref[fv] -= 1
-                self._touch(fv)
                 self._fanouts[fv].remove(v)
                 if self._nref[fv] == 0 and self._kind[fv] == KIND_AND:
                     stack.append(fv)
@@ -629,8 +621,7 @@ class Aig:
             self._free.append(v)
             self._num_ands -= 1
             self._bump_stamp(v)
-            self._life[v] = self._stamp[v]
-            self.generation += 1
+            self._life[v] = self._stamp_counter
 
     def add_ref(self, var: int) -> None:
         """Take a protection reference on ``var``.
@@ -644,13 +635,11 @@ class Aig:
         if self._kind[var] == KIND_DEAD:
             raise AigError(f"cannot protect dead node {var}")
         self._nref[var] += 1
-        self._touch(var)
 
     def drop_ref(self, var: int) -> None:
         """Release a protection reference taken by :meth:`add_ref`,
         deleting the node if it is now unreferenced."""
         self._nref[var] -= 1
-        self._touch(var)
         self._deref_delete(var)
 
     def delete_if_dangling(self, var: int) -> None:
@@ -678,20 +667,16 @@ class Aig:
     def copy(self) -> "Aig":
         """Deep structural copy (compacts away dead slots).
 
-        The copy's ``mutation_epoch`` continues from the source's: a
-        snapshot delta keyed to a pre-copy epoch can never be mistaken
-        for fresh (``dirty_since`` answers ``None``, forcing the safe
-        full recapture) even though copying renumbers every node."""
+        The copy's stamp counter starts at the source's, and its
+        journal starts after the copying: a snapshot delta keyed to a
+        pre-copy epoch can never be mistaken for fresh (``dirty_since``
+        answers ``None``, forcing the safe full recapture) even though
+        copying renumbers every node."""
         other = Aig()
         other.name = self.name
-        mapping = self.copy_into(other)
-        del mapping
-        # Strictly above every epoch the original ever handed out:
-        # copy_into renumbers nodes compactly, so a snapshot captured
-        # from the original must never alias an epoch of the copy (it
-        # would accept a delta computed against different node ids).
-        other._epoch_base = max(self.mutation_epoch, other.mutation_epoch) + 1
-        other._mutation_log = []
+        other._stamp_counter = other._epoch_base = self._stamp_counter
+        self.copy_into(other)
+        other.trim_mutation_log(other.mutation_epoch)
         return other
 
     def copy_into(self, other: "Aig") -> Dict[int, int]:

@@ -20,18 +20,14 @@ from ..aig.build import (
     barrel_shifter,
     constant_word,
     decoder,
-    full_adder,
     less_than,
     multiplier,
     pi_word,
     popcount,
     ripple_adder,
     ripple_subtractor,
-    shift_left_const,
     squarer,
-    word_and,
     word_mux,
-    word_xor,
 )
 from ..aig.literals import LIT_FALSE, LIT_TRUE
 

@@ -17,8 +17,8 @@ is rows — the trivial cut of a non-AND node included — so an enum stage
 plans, hands off and installs a whole worklist in vector passes
 (:meth:`CutManager.plan_closures`, :meth:`CutManager.
 merge_tasks_columnar`, :meth:`CutManager.install_cuts`), liveness is a
-vector compare against a mirror of the graph, and the evaluation engine
-reads the columns directly.  :class:`~repro.cuts.cut.Cut` lists are
+vector compare against the graph's own life column, and the evaluation
+engine reads the columns directly.  :class:`~repro.cuts.cut.Cut` lists are
 built only at API edges (:meth:`CutManager.cuts` /
 :meth:`CutManager.fresh_cuts`, memoized per entry, and the winning
 ``Candidate.cut``); the per-pair merge that builds every ``Cut`` is the
@@ -33,7 +33,7 @@ makes the reproduced speedups data-driven rather than hand-tuned.
 from __future__ import annotations
 
 import time
-from operator import itemgetter
+from itertools import chain
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -74,8 +74,8 @@ _MIN_ARENA_ROWS = 1024
 _WAVE_PAIRS = 1 << 14
 _WHOLE_WAVE = (slice(None),)  # a wave under the cap: no chunking call
 # An arena row: four leaves (ascending, padded with var 0 — the
-# constant, never a leaf, so a pad lane indexes the life mirror and its
-# stamp lane, var 0's life stamp, always compares equal), the truth
+# constant, never a leaf, so a pad lane indexes the graph's life column
+# and its stamp lane, var 0's life stamp, always compares equal), the truth
 # table, four leaf stamps, the sign.  16 + 2 + 16 + 8 bytes.
 _COLUMNS = (((4,), np.int32), ((), np.uint16), ((4,), np.int32), ((), np.uint64))
 
@@ -86,7 +86,7 @@ _NO_ENTRY = -1
 # the all-ones value: valid ids must stay below it.
 _LEAF_LIMIT = (1 << 31) - 1
 # Leaf stamps are stored as int32: a graph whose stamp counter passes
-# this is refused, never wrapped.
+# this is refused where stamps enter the arena, never wrapped.
 _STAMP_LIMIT = (1 << 31) - 1
 
 
@@ -112,14 +112,6 @@ def _all_lanes(flags: "np.ndarray") -> "np.ndarray":
     return flags.view(np.uint32).reshape(-1) == 0x01010101
 
 
-def _extend(arr: "np.ndarray", cap: int, fill) -> "np.ndarray":
-    """``arr`` grown along its last axis to ``cap``, new slots ``fill``
-    (broadcast)."""
-    out = np.full(arr.shape[:-1] + (cap,), fill, dtype=np.int64)
-    out[..., : arr.shape[-1]] = arr
-    return out
-
-
 def _build_cuts(leaves, tt, stamps, sign) -> List[Cut]:
     """Materialize ``Cut`` objects from column rows."""
     sizes = (leaves != 0).sum(axis=1).tolist()
@@ -140,16 +132,18 @@ def _build_cuts(leaves, tt, stamps, sign) -> List[Cut]:
 
 class EnumPlan:
     """The merges one enum stage needs (:meth:`CutManager.plan_closures`):
-    task ``t`` merges AND node ``var[t]`` over fanin literals ``lit0[t]``
-    / ``lit1[t]``, each input the fanin's own entry (``src* = -1``) or
-    task ``src*[t]``'s result; ``waves[w]`` indexes dependency wave
-    ``w``.  The first ``simple`` tasks are roots picked by vector
-    compares; ``index`` maps each var walked per root to its task (None:
-    order-dependent).  Merges fill ``off``/``cnt`` (pending until
-    :meth:`CutManager.install_cuts`), ``pairs`` and ``epoch``;
-    ``per_root`` counts the live roots not simple.  Built directly,
-    every task is simple and wave 0.  ``lit``, ``src`` and ``res`` hold
-    the per-side and ``(off, cnt)`` pairs as rows of one array each."""
+    task ``t`` merges AND node ``var[t]`` over fanin literals
+    ``lit[0, t]`` / ``lit[1, t]``, each input the fanin's own entry
+    (``src[side, t] = -1``) or task ``src[side, t]``'s result;
+    ``waves[w]`` indexes dependency wave ``w``.  The first ``simple``
+    tasks are roots picked by vector compares; ``index`` maps each var
+    walked per root to its task (None: order-dependent).  Merges fill
+    ``res`` — row 0 each result's arena offset, row 1 its row count,
+    pending until :meth:`CutManager.install_cuts` — ``pairs`` and
+    ``epoch``; ``per_root`` counts the live roots not simple.  Built
+    directly, every task is simple and wave 0.  Each field is one array
+    and no view of another, so a copied or pickled plan merges like
+    the original."""
 
     def __init__(self, var, lit0, lit1, src0=None, src1=None, waves=None,
                  simple: Optional[int] = None,
@@ -160,14 +154,11 @@ class EnumPlan:
         self.src = np.full((2, n), -1, dtype=np.int64)
         if src0 is not None:
             self.src[:] = src0, src1
-        self.lit0, self.lit1 = self.lit
-        self.src0, self.src1 = self.src
         self.waves = [np.arange(n)] if waves is None else waves
         self.simple = n if simple is None else simple
         self.index = {} if index is None else index
         # Per task; a zero count: not merged yet.
         self.res = np.zeros((2, n), dtype=np.int64)
-        self.off, self.cnt = self.res
         self.pairs = np.zeros(n, dtype=np.int64)
         self.epoch: Optional[int] = None
         self.per_root = 0
@@ -268,13 +259,9 @@ class CutManager:
         self._arena = _Arena(0 if max_cuts is None
                              else 2 * (max_cuts + 1) * aig.size)
         self._compact_at = 8 * _MIN_ARENA_ROWS
-        # Graph mirrors patched through the mutation journal — life
-        # stamps (dead nodes -1: no recorded stamp), structure stamps,
-        # fanin literals (-1: not an AND) — and the index table.
-        self._epoch: Optional[int] = None
-        self._graph = np.empty((4, 0), dtype=np.int64)
-        self._life, self._stamp = self._graph[:2]
-        self._fan = self._graph[2:]
+        # The index table.  The graph's stamp and life columns are read
+        # in place, and its stamp counter (``Aig.mutation_epoch``, read
+        # as the attribute on the per-call paths) dates the alive memo.
         self._tab = np.empty((4, 0), dtype=np.int64)
         # ``Cut`` lists built at the API edge: var -> (arena offset, cuts).
         self._memo: Dict[int, tuple] = {}
@@ -305,7 +292,7 @@ class CutManager:
         entry (all of them after an enum stage) are one gather; any
         other is resolved first, in order."""
         vars = np.asarray(roots, dtype=np.int64).reshape(-1)
-        self._sync()
+        self._fit()
         live, _, entry = self._fresh_live(vars)
         if not live.all():
             for root in vars[~live].tolist():
@@ -319,28 +306,25 @@ class CutManager:
 
     def invalidate(self, var: int) -> None:
         """Drop the cache entry for one node."""
-        self._sync()
+        self._fit()
         self._tab[:, var] = _NO_ENTRY
 
     # ------------------------------------------------------------------
     # Resolution and liveness
 
     def _fresh(self, var: int) -> bool:
-        """``var``'s entry is keyed to its current stamp (synced table)."""
+        """``var``'s entry is keyed to its current stamp (fitted table)."""
         return self._tab.item(_STAMP, var) == self.aig.stamp(var)
 
-    def _fresh_live(self, vars: "np.ndarray", stamps=None):
-        """``(live, fresh, entry)`` per var (synced mirrors; ``stamps``,
-        the vars' structure stamps, if already gathered): ``fresh``, the
-        entry is keyed to the var's stamp; ``live``, also every cut
+    def _fresh_live(self, vars: "np.ndarray"):
+        """``(live, fresh, entry)`` per var (fitted table): ``fresh``,
+        the entry is keyed to the var's stamp; ``live``, also every cut
         alive; ``entry``, the vars' table columns.  The fresh entries
         not yet verified at this epoch are in one vector compare, and
         each all-alive one's epoch recorded."""
-        tab, epoch = self._tab, self._epoch
+        tab, epoch = self._tab, self.aig._stamp_counter
         entry = tab.take(vars, axis=1)
-        if stamps is None:
-            stamps = self._stamp.take(vars)
-        fresh = entry[_STAMP] == stamps
+        fresh = entry[_STAMP] == self.aig._stamp.take(vars)
         unknown = (fresh & (entry[_ALIVE] != epoch)).nonzero()[0]
         if len(unknown):
             sub = entry.take(unknown, axis=1)
@@ -358,7 +342,7 @@ class CutManager:
         aig = self.aig
         if aig.is_dead(var):
             raise CutError(f"cut enumeration on dead node {var}")
-        self._sync()
+        self._fit()
         self.last_computed = []
         fresh = self._fresh
         if fresh(var):
@@ -382,7 +366,7 @@ class CutManager:
             if pending:
                 continue
             off, cnt = self._merge_node(v)
-            self._write(v, off, cnt, self._epoch)  # alive as merged
+            self._write(v, off, cnt, aig._stamp_counter)  # alive as merged
             self.last_computed.append(v)
             stack.pop()
 
@@ -390,7 +374,7 @@ class CutManager:
         """:meth:`fresh_cuts` without building a ``Cut``: resolve
         ``var``'s entry, re-merging it when one of its cuts has died."""
         self._resolve(var)
-        if not self._all_alive(var):
+        if not self._live(var):
             self.invalidate(var)
             self._resolve(var)
 
@@ -398,7 +382,7 @@ class CutManager:
         """Point the entries of ``vars`` at arena rows, keyed to their
         current stamps and verified all alive at epoch ``alive``."""
         tab = self._tab
-        tab[_STAMP, vars] = self._stamp[vars]
+        tab[_STAMP, vars] = self.aig._stamp[vars]
         tab[_OFF, vars] = offs
         tab[_CNT, vars] = cnts
         tab[_ALIVE, vars] = alive
@@ -408,15 +392,25 @@ class CutManager:
         first one's offset."""
         leaves = np.zeros((len(vars), 4), dtype=np.int32)
         leaves[:, 0] = vars
-        return self._arena.append(leaves, 0b10, self._life[leaves],
+        return self._arena.append(leaves, 0b10, self._leaf_stamps(leaves),
                                   batch_cut_signs(leaves))
+
+    def _leaf_stamps(self, leaves: "np.ndarray") -> "np.ndarray":
+        """The life stamps of ``leaves``, for the arena's int32 stamp
+        lanes.  A stamp counter past int32 raises :class:`CutError`: the
+        lanes would alias an old stamp."""
+        aig = self.aig
+        if aig._stamp_counter > _STAMP_LIMIT:
+            raise CutError(f"stamp counter {aig._stamp_counter} beyond the cut "
+                           f"arena's int32 leaf stamps ({_STAMP_LIMIT})")
+        return aig._life[leaves]
 
     def _install_trivial(self, vars) -> None:
         """Enter the trivial-cut set :meth:`cuts` keeps for non-AND
-        nodes, for each of ``vars`` (synced mirrors)."""
+        nodes, for each of ``vars`` (fitted table)."""
         vars = np.asarray(vars, dtype=np.int64).reshape(-1)
         off = self._trivial_rows(vars)
-        self._write(vars, off + np.arange(len(vars)), 1, self._epoch)
+        self._write(vars, off + np.arange(len(vars)), 1, self.aig._stamp_counter)
 
     def _materialize(self, var: int) -> List[Cut]:
         off = self._tab.item(_OFF, var)
@@ -428,91 +422,55 @@ class CutManager:
         self._memo[var] = (off, cuts)
         return cuts
 
-    def _grow(self, n: int) -> None:
-        """Room for ``n`` vars in the mirrors and the table, plus slack:
-        the last slot is never a var's (no entry, not an AND)."""
-        if n < self._graph.shape[1]:
+    def _fit(self) -> None:
+        """Room in the index table for every var of the graph, plus
+        slack: the last slot is never a var's (no entry)."""
+        n = len(self.aig._kind)
+        if n < self._tab.shape[1]:
             return
-        cap = n + n // 4 + 1
-        self._graph = _extend(self._graph, cap, np.array([[0], [0], [-1], [-1]]))
-        self._life, self._stamp = self._graph[:2]
-        self._fan = self._graph[2:]
-        self._tab = _extend(self._tab, cap, _NO_ENTRY)
-
-    def _sync(self) -> None:
-        """Bring the graph mirrors up to the graph's mutation epoch, and
-        drop the entries of vars that died (never resolved again; a
-        recycled id mismatches on stamp).  A stamp counter past int32
-        raises :class:`CutError`: the arena's stamp lanes would alias."""
-        aig = self.aig
-        epoch = aig.mutation_epoch
-        if epoch == self._epoch:
-            return
-        if aig._stamp_counter > _STAMP_LIMIT:
-            raise CutError(f"stamp counter {aig._stamp_counter} beyond the cut "
-                           f"arena's int32 leaf stamps ({_STAMP_LIMIT})")
-        life, kind = aig._life, aig._kind
-        self._grow(len(life))
-        dirty = None
-        if self._epoch is not None:
-            dirty = aig.dirty_since(self._epoch)
-        stamp, f0, f1 = aig._stamp, aig._fanin0, aig._fanin1
-        if dirty is None or 4 * len(dirty) > len(life):
-            idx = np.arange(len(life))
-            rows = np.array([life, stamp, f0, f1, kind], dtype=np.int64)
-        else:  # epochs differ, so something was journaled
-            idx = list(dirty)
-            get = itemgetter(*idx)  # a tuple, or one value for one var
-            rows = np.array([get(life), get(stamp), get(f0), get(f1), get(kind)],
-                            dtype=np.int64).reshape(5, -1)
-            idx = np.array(idx, dtype=np.int64)
-        dead = rows[4] == KIND_DEAD
-        rows[0, dead] = -1
-        self._graph[:, idx] = rows[:4]
-        self._tab[:, idx[dead]] = _NO_ENTRY
-        self._epoch = epoch
+        tab = np.full((4, n + n // 4 + 1), _NO_ENTRY, dtype=np.int64)
+        tab[:, : self._tab.shape[1]] = self._tab
+        self._tab = tab
 
     def _rows_alive(self, rows) -> "np.ndarray":
-        """Per-row ``cut_is_stamp_alive`` (index array or slice; synced mirror)."""
+        """Per-row ``cut_is_stamp_alive`` (index array or slice): every
+        leaf's recorded stamp is its life stamp — a deleted leaf's life
+        stamp is its deletion's, which no row recorded."""
         leaves, _, stamps, _ = self._arena.cols
         if not isinstance(rows, slice):
             leaves, stamps = leaves.take(rows, axis=0), stamps.take(rows, axis=0)
             rows = slice(None)
-        return _all_lanes(self._life.take(leaves[rows]) == stamps[rows])
-
-    def _all_alive(self, var: int) -> bool:
-        """Every cut of ``var``'s entry alive (memoized per epoch)."""
-        self._sync()
-        return self._live(var)
+        return _all_lanes(self.aig._life.take(leaves[rows]) == stamps[rows])
 
     def _live(self, var: int) -> bool:
-        """:meth:`_all_alive` on synced mirrors."""
-        tab = self._tab
-        if tab.item(_ALIVE, var) == self._epoch:
+        """Every cut of ``var``'s entry alive (fitted table; memoized per
+        epoch)."""
+        tab, epoch = self._tab, self.aig._stamp_counter
+        if tab.item(_ALIVE, var) == epoch:
             return True
         off = tab.item(_OFF, var)
         if not self._rows_alive(slice(off, off + tab.item(_CNT, var))).all():
             return False
-        tab[_ALIVE, var] = self._epoch
+        tab[_ALIVE, var] = epoch
         return True
 
     def has_fresh_live_cuts(self, var: int) -> bool:
         """True when ``var``'s entry is stamp-fresh and every cached cut is
         alive: :meth:`fresh_cuts` then answers from cache, no merge work."""
-        self._sync()
-        return self._fresh(var) and self._all_alive(var)
+        self._fit()
+        return self._fresh(var) and self._live(var)
 
     def has_fresh_entry(self, var: int) -> bool:
         """True when ``var``'s entry is keyed to its current stamp — all
         :meth:`_resolve` asks of a fanin before merging over it."""
-        self._sync()
+        self._fit()
         return self._fresh(var)
 
     # ------------------------------------------------------------------
     # Planning and install (the batch hand-off)
 
     def _stage_input(self, fv: int) -> Optional[bool]:
-        """Fanin ``fv``'s cut set as an enum-stage merge input (synced
+        """Fanin ``fv``'s cut set as an enum-stage merge input (fitted
         table): True when **stable for the whole stage** — a stamp-fresh
         entry with every cut alive (never recomputed mid-stage), or a
         non-AND (its trivial entry made here if missing).  None: it
@@ -557,15 +515,22 @@ class CutManager:
         cuts, or a var planned so) maps to None in ``index`` and is
         left to :meth:`fresh_block`.  Adds the plan's ``per_root`` to
         :attr:`per_root_resolves`."""
-        self._sync()
+        self._fit()
+        aig = self.aig
         roots = np.asarray(roots, dtype=np.int64).reshape(-1)
-        roots = roots.compress(self._life.take(roots) >= 0)
-        n = len(roots)
-        lits = self._fan.take(roots, axis=1)  # -1: not an AND (reads slot -1)
-        probe = np.concatenate([roots, lits.reshape(-1) >> 1])
-        graph = self._graph.take(probe, axis=1)  # life, stamp, fanins
-        live, fresh, _ = self._fresh_live(probe, graph[1])
-        is_and = graph[2] >= 0
+        rl, n = roots.tolist(), roots.size
+        # Fanin literals, -1 for a non-AND root: its fanins probe slot
+        # -1, the table's slack (no entry, so neither fresh nor live;
+        # every flag read there is masked by the root's ``cand``).
+        lits = np.fromiter(chain(map(aig._fanin0.__getitem__, rl),
+                                 map(aig._fanin1.__getitem__, rl)),
+                           np.int64, 2 * n)
+        probe = np.concatenate([roots, lits >> 1])
+        lits = lits.reshape(2, n)
+        kinds = np.fromiter(map(aig._kind.__getitem__, probe.tolist()),
+                            np.int64, 3 * n)
+        live, fresh, _ = self._fresh_live(probe)
+        is_and = kinds == KIND_AND
         cand = is_and[:n] & ~live[:n]
         cold = ~(fresh[n:] | is_and[n:])  # a non-AND fanin without an entry
         # A live entry is fresh: the stable inputs are the live and the
@@ -599,7 +564,7 @@ class CutManager:
                                             axis=1),
                             *src, [np.array(w, dtype=np.int64) for w in waves],
                             n_simple, index)
-        plan.per_root = len(roots) - n_simple
+        plan.per_root = n - int(np.count_nonzero(kinds[:n] == KIND_DEAD)) - n_simple
         self.per_root_resolves += plan.per_root
         return plan
 
@@ -650,9 +615,9 @@ class CutManager:
         leaves plus the root), which is recorded rather than
         re-verified.  The tasks' merge pairs are charged to
         :attr:`work`, byte-identical with a per-root merge."""
-        self._sync()
+        self._fit()
         tasks = np.asarray(tasks, dtype=np.int64)
-        self._write(plan.var[tasks], plan.off[tasks], plan.cnt[tasks], plan.epoch)
+        self._write(plan.var[tasks], *plan.res[:, tasks], plan.epoch)
         self.work += int(plan.pairs[tasks].sum())
 
     # ------------------------------------------------------------------
@@ -663,7 +628,7 @@ class CutManager:
         row when none survive)."""
         off = self._tab.item(_OFF, var)  # fanin entries are resolved first
         rows = np.arange(off, off + self._tab.item(_CNT, var))
-        if self._all_alive(var):
+        if self._live(var):
             return rows
         alive = self._rows_alive(rows)
         if alive.any():
@@ -695,8 +660,8 @@ class CutManager:
         until :meth:`install_cuts` installs them.  A wave of more than
         :data:`_WAVE_PAIRS` pairs runs as one invocation per contiguous
         task chunk (:func:`_wave_chunks`); the rows appended are the
-        same.  The sync, the compaction check and the table gather of
-        the tasks' inputs are paid once per plan, not once per wave.
+        same.  The compaction check and the table gather of the tasks'
+        inputs are paid once per plan, not once per wave.
         This method does **not** touch :attr:`work`: the replay charges
         it at the install.  A metric-enabled ``observer`` gets
         ``enum_batch_size`` and per-phase ``enum_kernel_seconds`` per
@@ -704,7 +669,7 @@ class CutManager:
         """
         if not len(plan.var):
             return
-        self._sync()
+        self._fit()
         self.compact()
         observing = observer is not None and observer.enabled
         # Every input's ``(off, cnt)`` as the fanin's own entry,
@@ -736,21 +701,24 @@ class CutManager:
                     observer.observe("enum_kernel_seconds", filter_s, phase="filter")
                 ends = counts.cumsum()
                 part = tasks[part]
-                plan.off[part] = ends - counts + arena.append(*block)
-                plan.cnt[part] = counts
-        plan.epoch = self._epoch
+                plan.res[:, part] = ends - counts + arena.append(*block), counts
+        plan.epoch = self.aig._stamp_counter
         self.vec_pairs += int(plan.pairs.sum())
 
     def compact(self) -> None:
-        """Reclaim arena rows no entry references (re-merged, never
-        installed, scratch) once they outnumber the live ones.  Called
-        when no merged result is pending — at a plan's merge, before its
-        first wave — so every row worth keeping is an entry's."""
+        """Reclaim arena rows no stamp-fresh entry references (re-merged,
+        never installed, scratch, and the rows of stale and dead vars'
+        entries, which are dropped) once they outnumber the live ones.
+        Called when no merged result is pending — at a plan's merge,
+        before its first wave — so every row worth keeping is an
+        entry's."""
         arena = self._arena
         if arena.used < self._compact_at:
             return
-        tab = self._tab
-        held = (tab[_STAMP] != _NO_ENTRY).nonzero()[0]
+        tab, size = self._tab, self.aig.size
+        fresh = tab[_STAMP, :size] == self.aig._stamp[:size]
+        tab[:, (~fresh).nonzero()[0]] = _NO_ENTRY
+        held = fresh.nonzero()[0]
         offs = tab[_OFF].take(held)
         uniq, first = np.unique(offs, return_index=True)
         uniq_cnts = tab[_CNT].take(held).take(first)
@@ -772,7 +740,7 @@ class CutManager:
         contiguous, sorted by ``(-size, leaves)``, cut at ``max_cuts``,
         trivial cut last — the per-task row counts, and the union-/
         filter-phase seconds.  Leaf ids must stay below 2**31 - 1
-        (:class:`CutError` otherwise).  Reads the synced mirrors.
+        (:class:`CutError` otherwise).  Reads the graph's life column.
         """
         t_start = time.perf_counter()
         self.kernel_calls += 1
@@ -885,7 +853,7 @@ class CutManager:
         out_tt = np.empty(n_out, dtype=np.uint16)
         out_tt[pos] = tt
         out_tt[triv] = 0b10
-        out_stamps = self._life[out_leaves]
+        out_stamps = self._leaf_stamps(out_leaves)
         out_sign = np.empty(n_out, dtype=np.uint64)
         out_sign[pos] = usign.take(sel)
         out_sign[triv] = np.uint64(1) << (roots.astype(np.uint64) & np.uint64(63))

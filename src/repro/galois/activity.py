@@ -24,8 +24,8 @@ is counted as wasted (the paper's Fig. 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Generator, Iterable, Set
+from dataclasses import dataclass
+from typing import Callable, FrozenSet, Generator, Iterable
 
 from ..errors import SchedulerError
 

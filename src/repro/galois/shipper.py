@@ -40,11 +40,9 @@ class SnapshotCacheMiss(Exception):
 def needs_rebase(aig, base_epoch: int) -> bool:
     """The rebase rule: a delta against ``base_epoch`` is impossible
     (the journal no longer reaches it) or touches more than
-    :data:`DELTA_MAX_FRACTION` of the node slots.  Pending levels are
-    settled first (a settled level is journaled), so the rule and the
-    epochs the shipper records do not depend on which levels the run
-    happened to read since the last hand-off."""
-    aig.settle_levels()
+    :data:`DELTA_MAX_FRACTION` of the node slots.  The journal holds
+    stamp changes only, so the rule does not depend on which levels the
+    run happened to read since the last hand-off."""
     dirty = aig.dirty_since(base_epoch)
     return dirty is None or len(dirty) > DELTA_MAX_FRACTION * max(1, aig.size)
 
@@ -156,7 +154,7 @@ class _SnapshotShipper:
             self._rebase(aig)
             self._stage_epoch, self._stage_delta_blob = self.base.epoch, None
             return self._ref(self._full_blob()), "full", 1.0
-        epoch = aig.mutation_epoch  # after needs_rebase settled the levels
+        epoch = aig.mutation_epoch
         if epoch == self.base.epoch:
             self._stage_epoch, self._stage_delta_blob = epoch, None
             return self._ref(None), "cached", 0.0

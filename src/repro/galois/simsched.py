@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulerError
 from ..obs.observer import NULL_OBSERVER, Observer

@@ -393,8 +393,8 @@ def eval_tasks_columnar(
             j, structure, gain, new_level = best
             results[ri] = (root, Candidate(
                 root=root,
-                root_stamp=aig._stamp[root],
-                root_life=aig._life[root],
+                root_stamp=int(aig._stamp[root]),
+                root_life=int(aig._life[root]),
                 cut=tasks.cut(int(flat[j])),
                 canon_tt=classes.canon[table[j][9]],
                 transform=_TRANSFORMS[row_col[j]],
@@ -507,7 +507,7 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx):
     plan = cutman.plan_closures(items)
     cutman.merge_tasks_columnar(plan, observer=executor.obs)
     var, pairs, simple = plan.var.tolist(), plan.pairs.tolist(), plan.simple
-    deps = list(zip(plan.src0[simple:].tolist(), plan.src1[simple:].tolist()))
+    deps = list(zip(*plan.src[:, simple:].tolist()))
     # Simple roots whose first attempt is still ahead and whose entry no
     # per-root path has written: root -> task.
     first = dict(zip(var[:simple], range(simple)))

@@ -30,7 +30,6 @@ from typing import Dict, Generator, Optional
 
 from ..aig import Aig
 from ..config import RewriteConfig, gpu_config
-from ..core.validation import validate_candidate
 from ..cuts import CutManager, cut_is_stamp_alive
 from ..galois import Phase, SimulatedExecutor
 from ..library import StructureLibrary, get_library

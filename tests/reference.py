@@ -41,8 +41,8 @@ calls it:
   :func:`lift_lut_sweep` — the same table computed mask by mask over
   all 65 536 tables, the reference of those byte tables;
 * :func:`reference_and` — ``Aig.and_`` as the chain of helpers it
-  inlines (``_check_lit``, ``_fold_trivial``, ``_alloc``, ``_touch``),
-  the reference of its state;
+  inlines (``_check_lit``, ``_fold_trivial``, ``_alloc`` and its
+  ``_bump_stamp``, the one journal entry), the reference of its state;
 * :func:`reference_write_aig` / :func:`reference_read_aig` — the binary
   AIGER writer and reader a byte and a literal at a time, the
   references of ``aig.io_aiger``'s vector varint codec.
@@ -94,9 +94,9 @@ _FULL_MASKS = tuple(full_mask(n) for n in range(5))
 
 
 def append_cuts(cutman: CutManager, cuts: Sequence[Cut]) -> int:
-    """Enter ``cuts`` as rows of ``cutman``'s arena (synced mirror);
-    returns their offset.  A pad lane is var 0 with var 0's life stamp."""
-    pad_stamp = int(cutman._life[0])
+    """Enter ``cuts`` as rows of ``cutman``'s arena; returns their
+    offset.  A pad lane is var 0 with var 0's life stamp."""
+    pad_stamp = cutman.aig.life_stamp(0)
     leaves, tt, stamps, sign = cutman._arena.block(len(cuts))
     if cuts:  # a (0, 4) column takes no empty list
         leaves[:] = [c.leaves + (0,) * (4 - c.size) for c in cuts]
@@ -109,7 +109,7 @@ def append_cuts(cutman: CutManager, cuts: Sequence[Cut]) -> int:
 def load_entry(cutman: CutManager, var: int, cuts: Sequence[Cut]) -> None:
     """Make ``cuts`` the stamp-fresh entry of ``var`` (liveness left for
     the manager to verify)."""
-    cutman._sync()
+    cutman._fit()
     cutman._write(var, append_cuts(cutman, cuts), len(cuts), -1)
 
 
@@ -131,14 +131,14 @@ class ScalarCutManager(CutManager):
         return off, len(cuts)
 
     def _live_cuts(self, var: int) -> List[Cut]:
-        self._sync()
+        self._fit()
         if self._tab[0, var] == -1:
             raise CutError(
                 f"no cached cut set for node {var}: enumerate it first "
                 f"(cuts()/install_cuts())"
             )
         cuts = self._materialize(var)
-        if self._all_alive(var):
+        if self._live(var):
             return list(cuts)
         live = [c for c in cuts if cut_is_stamp_alive(self.aig, c)]
         return live if live else [trivial_cut(self.aig, var)]
@@ -493,7 +493,7 @@ def reference_plan(cutman: CutManager, roots: Sequence[int]) -> dict:
     ``plan[v] = (wave, f0, f1)`` for every merge the stage needs (wave 0:
     both fanin sets stable), ``None`` for an order-dependent one."""
     aig = cutman.aig
-    cutman._sync()
+    cutman._fit()
     plan: dict = {}
     for root in roots:
         stack = [] if aig.is_dead(root) else [root]
@@ -635,14 +635,11 @@ def reference_and(aig: Aig, f0: int, f1: int) -> int:
     v0, v1 = f0 >> 1, f1 >> 1
     aig._nref[v0] += 1
     aig._nref[v1] += 1
-    aig._touch(v0)
-    aig._touch(v1)
     aig._fanouts[v0].append(var)
     aig._fanouts[v1].append(var)
     aig._level[var] = max(aig._level[v0], aig._level[v1]) + 1
     aig._strash[strash_key(f0, f1)] = var
     aig._num_ands += 1
-    aig.generation += 1
     return make_lit(var)
 
 

@@ -153,9 +153,9 @@ class TestMffc:
 
     def test_mffc_is_readonly(self):
         aig = random_aig(seed=9)
-        gen = aig.generation
+        epoch = aig.mutation_epoch
         refs = [aig.nref(v) for v in aig.ands()]
         for root in list(aig.ands())[:10]:
             mffc(aig, root)
-        assert aig.generation == gen
+        assert aig.mutation_epoch == epoch
         assert [aig.nref(v) for v in aig.ands()] == refs

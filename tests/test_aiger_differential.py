@@ -33,18 +33,21 @@ from repro.errors import AigError, AigerFormatError
 
 def graph_state(aig: Aig) -> dict:
     """Everything an ``Aig`` holds, in iteration order: the fanout
-    lists as stored (insertion order) and the strash as its packed
-    ``strash_key`` ints, each unpacked to the fanin pair it keys."""
+    lists as stored (insertion order), the stamp columns up to ``size``
+    and the strash as its packed ``strash_key`` ints, each unpacked to
+    the fanin pair it keys."""
+    size = aig.size
     return {
         "columns": (aig._kind, aig._fanin0, aig._fanin1, aig._nref,
-                    aig._level, aig._stamp, aig._life),
+                    aig._level, aig._stamp[:size].tolist(),
+                    aig._life[:size].tolist()),
         "fanouts": aig._fanouts,
         "strash": [(key, strash_pair(key), var) for key, var in aig._strash.items()],
         "free": aig._free, "pis": aig._pis, "pos": aig._pos,
         "po_refs": [(v, list(r)) for v, r in aig._po_refs.items()],
         "journal": aig._mutation_log, "epoch": aig.mutation_epoch,
         "pending": (sorted(aig._level_pending), aig._level_heap),
-        "counters": (aig.generation, aig._num_ands, aig._stamp_counter,
+        "counters": (aig._num_ands, aig._stamp_counter,
                      aig.level_updates, aig.name),
     }
 

@@ -39,7 +39,7 @@ from repro.config import dacpara_config
 from repro.core.operators import StageContext
 from repro.core.partition import node_dividing
 from repro.cuts import CutManager
-from repro.cuts.cut import Cut
+from repro.cuts.cut import Cut, cut_is_stamp_alive
 from repro.cuts import manager as manager_module
 from repro.cuts.manager import EnumPlan, _build_cuts
 from repro.errors import CutError
@@ -74,7 +74,8 @@ def _entries(cutman):
 
 def _result_cuts(cutman, plan, t):
     """Task ``t``'s merged (pending) result rows as ``Cut`` objects."""
-    rows = slice(plan.off[t], plan.off[t] + plan.cnt[t])
+    off, cnt = plan.res[:, t]
+    rows = slice(off, off + cnt)
     return _build_cuts(*cutman._arena.rows(rows))
 
 
@@ -204,7 +205,7 @@ class TestMergeIdentity:
         plan = harvest_plan(fresh)
         fresh.merge_tasks_columnar(plan)
         for t, (root, f0, f1) in enumerate(zip(
-                plan.var.tolist(), plan.lit0.tolist(), plan.lit1.tolist())):
+                plan.var.tolist(), *plan.lit.tolist())):
             assert plan.pairs[t] == len(fresh.cuts(lit_var(f0))) * \
                 len(fresh.cuts(lit_var(f1)))
             assert _result_cuts(fresh, plan, t) == scalar.fresh_cuts(root)
@@ -251,7 +252,7 @@ def _fanin_sets(draw):
 
 class _FarLife:
     """Life stamps over a var universe too large to allocate: var ``v``
-    reads ``v % 7 + 1`` (stands in for a manager's life mirror)."""
+    reads ``v % 7 + 1`` (stands in for the graph's life column)."""
 
     def __getitem__(self, idx):
         return np.asarray(idx) % 7 + 1
@@ -271,9 +272,8 @@ def _merge_both(aig, root, k, max_cuts, compl, c0, c1, life=None):
     entries of vars 5 and 6) for ``root``, and the scalar oracle's."""
     f0, f1 = 2 * 5 + (compl & 1), 2 * 6 + (compl >> 1)
     kernel = CutManager(aig, k=k, max_cuts=max_cuts)
-    kernel._sync()
     if life is not None:
-        kernel._life = life
+        aig._life = life
     load_entry(kernel, 5, c0)
     load_entry(kernel, 6, c1)
     plan = EnumPlan([root], [f0], [f1])
@@ -333,16 +333,24 @@ class TestKernelEqualsScalarProperty:
 
 
 # ---------------------------------------------------------------------------
-# Life mirror and lazy materialization
+# The graph's life column read in place, and lazy materialization
 # ---------------------------------------------------------------------------
 
 
-def _mirror_matches(cutman):
+def _rows_match_graph(cutman):
+    """On every stamp-fresh entry, the manager's vector liveness (the
+    graph's life column read in place) agrees with the per-cut
+    ``cut_is_stamp_alive``."""
     aig = cutman.aig
-    cutman._sync()
-    for v in range(aig.size):
-        want = -1 if aig.is_dead(v) else aig.life_stamp(v)
-        assert cutman._life[v] == want, v
+    tab = cutman._tab
+    for v in _entries(cutman):
+        stamp, off, cnt, _ = tab[:, v].tolist()
+        if v >= aig.size or stamp != aig.stamp(v):
+            continue  # stale: never read again
+        rows = np.arange(off, off + cnt)
+        cuts = _build_cuts(*cutman._arena.rows(slice(off, off + cnt)))
+        want = [cut_is_stamp_alive(aig, cut) for cut in cuts]
+        assert cutman._rows_alive(rows).tolist() == want, v
 
 
 def _stamps_match(cutman, cuts):
@@ -351,7 +359,11 @@ def _stamps_match(cutman, cuts):
             cutman.aig.life_stamp(leaf) for leaf in cut.leaves)
 
 
-class TestLifeMirror:
+class TestLifeColumn:
+    """The cut store keeps no copy of the graph: liveness reads the
+    graph's life column in place, so it follows replace, deletion and
+    id reuse at once, and a journal trim changes nothing it reads."""
+
     def test_tracks_replace_deletion_and_id_reuse(self):
         aig = Aig()
         a, b, c, d = (aig.add_pi() for _ in range(4))
@@ -361,66 +373,53 @@ class TestLifeMirror:
         aig.add_po(top)
         cutman = CutManager(aig)
         _stamps_match(cutman, cutman.cuts(lit_var(top)))
-        _mirror_matches(cutman)
+        _rows_match_graph(cutman)
         fv = lit_var(f)
         aig.replace(fv, a)               # f dies, g is restructured
         assert aig.is_dead(fv)
-        _mirror_matches(cutman)
+        _rows_match_graph(cutman)
         reborn = aig.and_(b, c)          # DESIGN 4b: the id comes back
         assert lit_var(reborn) == fv and not aig.is_dead(fv)
         aig.add_po(aig.and_(reborn, d))
-        _mirror_matches(cutman)
+        _rows_match_graph(cutman)
         for v in aig.topo_ands():        # re-merged sets carry new stamps
             _stamps_match(cutman, cutman.fresh_cuts(v))
         aig.trim_mutation_log(aig.mutation_epoch)
-        _mirror_matches(cutman)          # nothing to patch
+        _rows_match_graph(cutman)
         aig.replace(lit_var(reborn), b)
         aig.trim_mutation_log(aig.mutation_epoch)
-        _mirror_matches(cutman)          # journal gone: full rebuild
+        _rows_match_graph(cutman)
         for v in aig.topo_ands():
             _stamps_match(cutman, cutman.fresh_cuts(v))
 
-    def test_mirror_follows_a_whole_rewrite(self):
-        from repro.core import DACParaRewriter
-
-        aig = mtm_like(num_pis=16, num_nodes=300, seed=2)
-        cutman = CutManager(aig)
-        for v in aig.topo_ands():
-            cutman.fresh_cuts(v)
-        result = DACParaRewriter(config=dacpara_config()).run(aig)
-        assert result.replacements > 0
-        _mirror_matches(cutman)
-        for v in aig.topo_ands():
-            _stamps_match(cutman, cutman.fresh_cuts(v))
-
-    def test_dead_vars_leave_the_cache(self):
-        # Both branches of ``_sync``: the journal patch, then (journal
-        # trimmed) the full rebuild's sweep.  ``compact`` would count a
-        # dead var's rows as live for the rest of the run otherwise.
+    def test_stale_and_dead_entries_leave_at_compaction(self):
+        """A dead or restructured var's entry stays in the table until
+        a compaction check, which drops it: its rows are no longer
+        held."""
         aig = mtm_like(num_pis=12, num_nodes=120, seed=4)
         cutman = CutManager(aig)
         for v in aig.topo_ands():
             cutman.cuts(v)
-        for rebuild in (False, True):
-            top = aig.topo_ands()[-1]
-            aig.replace(top, aig.fanin0(top))
-            assert any(aig.is_dead(v) for v in _entries(cutman))
-            if rebuild:
-                aig.trim_mutation_log(aig.mutation_epoch)
-            cutman._sync()
-            assert not any(aig.is_dead(v) for v in _entries(cutman))
+        top = aig.topo_ands()[-1]
+        aig.replace(top, aig.fanin0(top))
+        assert any(aig.is_dead(v) for v in _entries(cutman))
+        cutman._compact_at = 0  # check now
+        cutman.compact()
+        held = _entries(cutman)
+        assert held and all(cutman._tab[0, v] == aig.stamp(v) for v in held)
+        _rows_match_graph(cutman)
         for v in aig.topo_ands():
             _stamps_match(cutman, cutman.fresh_cuts(v))
 
-    def test_first_sync_of_a_graph_with_dead_slots(self):
+    def test_first_use_of_a_graph_with_dead_slots(self):
         aig = mtm_like(num_pis=12, num_nodes=120, seed=4)
         top = aig.topo_ands()[-1]
         aig.replace(top, aig.fanin0(top))  # leave dead slots behind
         assert any(aig.is_dead(v) for v in range(aig.size))
-        cutman = CutManager(aig)  # the full build, not a journal patch
-        _mirror_matches(cutman)
+        cutman = CutManager(aig)
         for v in aig.topo_ands():
             _stamps_match(cutman, cutman.cuts(v))
+        _rows_match_graph(cutman)
 
 
 class TestLazyMaterialization:

@@ -9,6 +9,9 @@ over a whole run (a copy holds the old and the new array at once).
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -70,15 +73,17 @@ class TestReservation:
 
 
 class _ClippedLife:
-    """The life mirror read with ids past the graph clipped to its last
-    var: the kernel gathers result stamps for leaves no graph this
-    small holds."""
+    """The graph's life column read with ids past its room clipped to
+    its last slot: the kernel gathers result stamps for leaves no graph
+    this small holds."""
 
     def __init__(self, life):
         self.life = life
 
     def __getitem__(self, idx):
         return self.life.take(idx, mode="clip")
+
+    take = __getitem__
 
 
 def _entry_with_leaf(leaf: int, monkeypatch):
@@ -89,15 +94,15 @@ def _entry_with_leaf(leaf: int, monkeypatch):
     a, b = aig.add_pi(), aig.add_pi()
     root_lit = aig.and_(a, b)
     cutman = CutManager(aig)
-    cutman._sync()
+    cutman._fit()
     leaves, tt, stamps, sign = cutman._arena.block(1)
     leaves[0, 0] = leaf
     tt[0] = 0b10
     sign[0] = 1 << (leaf & 63)
     off = cutman._arena.append(leaves, tt, stamps, sign)
-    cutman._write(a >> 1, off, 1, cutman._epoch)
+    cutman._write(a >> 1, off, 1, aig.mutation_epoch)
     cutman._install_trivial([b >> 1])
-    monkeypatch.setattr(cutman, "_life", _ClippedLife(cutman._life))
+    monkeypatch.setattr(aig, "_life", _ClippedLife(aig._life))
     plan = EnumPlan([root_lit >> 1], [aig.fanin0(root_lit >> 1)],
                     [aig.fanin1(root_lit >> 1)])
     return cutman, plan, a >> 1, b >> 1
@@ -111,7 +116,7 @@ class TestLaneLimits:
         cutman, plan, a, b = _entry_with_leaf(big, monkeypatch)
         assert cutman.eval_harvest([a]).leaves.tolist() == [[big, 0, 0, 0]]
         cutman.merge_tasks_columnar(plan)
-        off, cnt = int(plan.off[0]), int(plan.cnt[0])
+        off, cnt = plan.res[:, 0].tolist()
         leaves = cutman._arena.rows(slice(off, off + cnt))[0]
         assert leaves.tolist() == [[b, big, 0, 0], [int(plan.var[0]), 0, 0, 0]]
 
@@ -122,9 +127,9 @@ class TestLaneLimits:
             cutman.merge_tasks_columnar(plan)
 
     def test_stamp_counter_past_int32_raises(self):
-        """A life stamp of 2**31 - 1 is stored exact; one past it is
-        refused at the next sync instead of wrapping into an alias of
-        an old stamp."""
+        """A life stamp of 2**31 - 1 is stored exact; a stamp counter
+        past it is refused where stamps enter the arena instead of
+        wrapping into an alias of an old stamp."""
         aig = Aig()
         a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
         cutman = CutManager(aig)
@@ -134,3 +139,43 @@ class TestLaneLimits:
         y = aig.and_(x, c)
         with pytest.raises(CutError, match="stamp counter"):
             cutman.cuts(y >> 1)
+
+
+def _cold_three_wave_plan():
+    """A manager on a cold cache over ``r1 = s & d``, ``r2 = s & e``,
+    ``s = t & c``, ``t = a & b``, and the plan for ``[r1, r2]``: three
+    waves, each reading the one below's results."""
+    aig = Aig()
+    a, b, c, d, e = (aig.add_pi() for _ in range(5))
+    s = aig.and_(aig.and_(a, b), c)
+    roots = [aig.and_(s, d), aig.and_(s, e)]
+    for lit in roots:
+        aig.add_po(lit)
+    cutman = CutManager(aig)
+    plan = cutman.plan_closures([lit >> 1 for lit in roots])
+    assert len(plan.waves) == 3
+    return cutman, plan
+
+
+class TestEnumPlanCopies:
+    @pytest.mark.parametrize("how", ("deepcopy", "pickle"))
+    def test_copied_plan_merges_like_the_original(self, how):
+        """A deep-copied or pickled multi-wave plan merges to the same
+        rows, ``res``, ``pairs`` and ``work`` as the original.  While
+        ``off``/``cnt`` were views of ``res``, a copy filled its own
+        ``off``/``cnt`` and the later waves read a ``res`` of zeros."""
+        cutman, plan = _cold_three_wave_plan()
+        twin = copy.deepcopy(cutman)
+        other = (copy.deepcopy(plan) if how == "deepcopy"
+                 else pickle.loads(pickle.dumps(plan)))
+        for manager, p in ((cutman, plan), (twin, other)):
+            manager.merge_tasks_columnar(p)
+            manager.install_cuts(p, range(len(p.var)))
+        assert np.array_equal(other.res, plan.res)
+        assert other.pairs.tolist() == plan.pairs.tolist() == [1, 2, 3, 3]
+        assert twin.work == cutman.work
+        used = cutman._arena.used
+        assert twin._arena.used == used
+        for got, want in zip(twin._arena.rows(slice(used)),
+                             cutman._arena.rows(slice(used))):
+            assert np.array_equal(got, want)

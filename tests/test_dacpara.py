@@ -214,5 +214,6 @@ class TestPerRootResolves:
             copy.deepcopy(base))
         cutman = managers[0]
         assert cutman.per_root_resolves == sum(want) > 0
+        assert type(cutman.per_root_resolves) is int  # serializes as JSON
         counters = obs.metrics.snapshot()["counters"]
         assert counters["enum_per_root_resolves_total"] == sum(want)

@@ -32,7 +32,8 @@ class TestGraphBytes:
         """Traced bytes ``read_aiger`` leaves allocated for
         ``mtm_like(16, 1500, seed=7)`` (2 067 ANDs): 594 per AND while
         each var's fanouts were a ``set`` and each strash key a tuple;
-        405 with fanout lists and packed int keys."""
+        405 with fanout lists and packed int keys; 334 with the stamps
+        in int64 columns and one journal entry per node."""
         path = tmp_path / "c.aig"
         aig = mtm_like(16, 1500, seed=7)
         ands = aig.num_ands
@@ -46,7 +47,7 @@ class TestGraphBytes:
         finally:
             tracemalloc.stop()
         assert aig.num_ands == ands == 2067
-        assert held / ands <= 415
+        assert held / ands <= 345
 
 
 class TestFanoutLists:
@@ -199,15 +200,15 @@ class TestChunkedWave:
             f0, f1 = aig.fanins(v)
             want = scalar._merge_scalar(v, f0, f1, cutman.cuts(f0 >> 1),
                                         cutman.cuts(f1 >> 1))
-            rows = slice(plan.off[t], plan.off[t] + plan.cnt[t])
+            off, cnt = plan.res[:, t]
+            rows = slice(off, off + cnt)
             assert _build_cuts(*cutman._arena.rows(rows)) == want
 
         monkeypatch.setattr(manager_module, "_WAVE_PAIRS", 1 << 40)
         calls.clear()
         whole.merge_tasks_columnar(whole_plan)
         assert len(calls) == 1
-        assert np.array_equal(plan.off, whole_plan.off)
-        assert np.array_equal(plan.cnt, whole_plan.cnt)
+        assert np.array_equal(plan.res, whole_plan.res)
         assert np.array_equal(plan.pairs, whole_plan.pairs)
         used = cutman._arena.used
         assert whole._arena.used == used

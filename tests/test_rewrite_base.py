@@ -90,12 +90,12 @@ class TestEvaluation:
 
     def test_evaluation_is_readonly(self):
         aig = random_aig(num_pis=5, num_nodes=40, seed=4)
-        gen = aig.generation
+        epoch = aig.mutation_epoch
         config = RewriteConfig(npn_classes="all222")
         cutman = CutManager(aig)
         for root in list(aig.ands())[:10]:
             find_best_candidate(aig, root, cutman, get_library(), config)
-        assert aig.generation == gen
+        assert aig.mutation_epoch == epoch
         check(aig)
 
     def test_gain_matches_actual_savings(self):

@@ -97,8 +97,8 @@ class TestMutationJournal:
         assert base.delta_since(clone) is None
         # New mutations on the copy are tracked from its own epoch on.
         e = clone.mutation_epoch
-        clone.add_po(2 * clone.pis[0])
-        assert clone.dirty_since(e) == {clone.pis[0]}
+        lit = clone.add_pi()
+        assert clone.dirty_since(e) == {lit_var(lit)}
 
 
 class TestSnapshotDelta:
@@ -167,8 +167,7 @@ class TestSnapshotDelta:
             for v in rng.sample(list(aig.ands()), 4):
                 if aig.is_and(v):  # an earlier replace may have killed it
                     aig.replace(v, aig.fanin0(v))
-            # The shipper's order: the rule (which settles levels), then
-            # the capture.
+            # The shipper's order: the rule, then the capture.
             rebase = needs_rebase(aig, base.epoch)
             fresh = AigSnapshot.capture(aig)
             full += size(fresh)
@@ -185,9 +184,9 @@ class TestSnapshotDelta:
     def test_apply_delta_rejects_wrong_base(self):
         aig = random_aig(num_pis=4, num_nodes=30, num_pos=2, seed=5)
         base = AigSnapshot.capture(aig)
-        aig.add_po(2 * aig.pis[0])
+        aig.add_pi()
         later = AigSnapshot.capture(aig)
-        aig.add_po(2 * aig.pis[1])
+        aig.add_pi()
         delta = later.delta_since(aig)
         with pytest.raises(AigError):
             base.apply_delta(delta)
@@ -195,16 +194,16 @@ class TestSnapshotDelta:
     def test_capture_delta_none_after_trim(self):
         aig = random_aig(num_pis=4, num_nodes=30, num_pos=2, seed=6)
         base = AigSnapshot.capture(aig)
-        aig.add_po(2 * aig.pis[0])
+        aig.add_pi()
         aig.trim_mutation_log(aig.mutation_epoch)
         assert base.delta_since(aig) is None
 
 
 class TestPendingLevels:
-    """Levels are settled lazily (DESIGN §4d) and a settled level is
-    journaled.  A snapshot carries no levels, so a delta taken with
-    levels pending still equals a fresh capture; the rebase rule
-    settles first, so its verdict does not depend on pending levels."""
+    """Levels are settled lazily (DESIGN §4d) and a settled level is not
+    journaled (it changes no stamp).  A snapshot carries no levels, so
+    a delta taken with levels pending still equals a fresh capture, and
+    the rebase rule's verdict does not depend on pending levels."""
 
     @staticmethod
     def _chain_with_pending_levels(length: int = 40):
@@ -217,8 +216,8 @@ class TestPendingLevels:
         aig.add_po(top)
         base = AigSnapshot.capture(aig)
         aig.trim_mutation_log(base.epoch)
-        # Every chain node is now one level too high, and none of them
-        # has been journaled yet.
+        # Every chain node is now one level too high; none of them is
+        # journaled.
         aig.replace(lit_var(bottom), aig.and_(a, c))
         assert aig._level_pending
         return aig, base
@@ -229,15 +228,19 @@ class TestPendingLevels:
         assert aig._level_pending  # the hand-off reads no level
         assert_snapshots_equal(patched, AigSnapshot.capture(aig))
 
-    def test_needs_rebase_counts_settled_levels(self):
+    def test_needs_rebase_ignores_level_settles(self):
+        """Settling the chain's levels journals nothing: the delta and
+        the rebase verdict are the same before and after (while a
+        settled level was journaled, the settle dirtied the whole chain
+        and forced a rebase)."""
         from repro.galois.shipper import DELTA_MAX_FRACTION, needs_rebase
 
         aig, base = self._chain_with_pending_levels()
-        # Unsettled, the journal holds the redirect alone: under the
-        # threshold.  Settled, the whole chain is dirty: over it.
-        assert len(aig.dirty_since(base.epoch)) <= DELTA_MAX_FRACTION * aig.size
-        answer = needs_rebase(aig, base.epoch)
-        assert answer is True
+        dirty = aig.dirty_since(base.epoch)
+        assert len(dirty) <= DELTA_MAX_FRACTION * aig.size
+        assert needs_rebase(aig, base.epoch) is False
+        assert aig._level_pending  # the rule settles nothing
         aig.settle_levels()
-        assert needs_rebase(aig, base.epoch) is answer
-        assert base.delta_since(aig).num_dirty > DELTA_MAX_FRACTION * aig.size
+        assert aig.level_updates > 0
+        assert aig.dirty_since(base.epoch) == dirty
+        assert needs_rebase(aig, base.epoch) is False
