@@ -20,48 +20,31 @@ Subpackages:
 * :mod:`repro.sat` — CDCL SAT solver and equivalence checking
 * :mod:`repro.bench` — benchmark circuit generators
 * :mod:`repro.experiments` — the table/figure reproduction harness
+
+The names here, and those of the subpackages a run uses only in part
+(``aig``, ``bench``, ``galois``, ``library``, ``obs``, ``rewrite``),
+are re-exported lazily (:mod:`repro._lazy`): a submodule is imported
+when one of its names is first read, so a run imports only what it
+runs.
 """
 
-from .aig import Aig, check, lit_not, lit_var, read_aiger, write_aag, write_aig
-from .config import (
-    RewriteConfig,
-    abc_rewrite_config,
-    dacpara_config,
-    dacpara_p1_config,
-    dacpara_p2_config,
-    gpu_config,
-    iccad18_config,
-)
-from .core import DACParaRewriter
-from .obs import NULL_OBSERVER, Observer, TracingObserver
-from .rewrite import LockFusedRewriter, RewriteResult, SerialRewriter, StaticRewriter
-from .sat import check_equivalence
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Aig",
-    "check",
-    "lit_not",
-    "lit_var",
-    "read_aiger",
-    "write_aag",
-    "write_aig",
-    "RewriteConfig",
-    "abc_rewrite_config",
-    "dacpara_config",
-    "dacpara_p1_config",
-    "dacpara_p2_config",
-    "gpu_config",
-    "iccad18_config",
-    "DACParaRewriter",
-    "NULL_OBSERVER",
-    "Observer",
-    "TracingObserver",
-    "LockFusedRewriter",
-    "RewriteResult",
-    "SerialRewriter",
-    "StaticRewriter",
-    "check_equivalence",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "aig": ("Aig", "check", "lit_not", "lit_var", "read_aiger", "write_aag",
+            "write_aig"),
+    "config": ("RewriteConfig", "abc_rewrite_config", "dacpara_config",
+               "dacpara_p1_config", "dacpara_p2_config", "gpu_config",
+               "iccad18_config"),
+    "core": ("DACParaRewriter",),
+    "obs": ("NULL_OBSERVER", "Observer", "TracingObserver"),
+    "rewrite": ("LockFusedRewriter", "RewriteResult", "SerialRewriter",
+                "StaticRewriter"),
+    "sat": ("check_equivalence",),
+    # Reachable as attributes, re-exporting nothing here.
+    "bench": (), "cuts": (), "errors": (), "experiments": (), "galois": (),
+    "library": (), "npn": (), "opt": (),
+})
+__all__.append("__version__")

@@ -1,58 +1,22 @@
-"""AIG substrate: graph, literals, traversal, MFFC, simulation, I/O."""
+"""AIG substrate: graph, literals, traversal, MFFC, simulation, I/O.
 
-from .graph import Aig, KIND_AND, KIND_CONST, KIND_DEAD, KIND_PI
-from .literals import (
-    CONST_VAR,
-    LIT_FALSE,
-    LIT_TRUE,
-    lit_compl,
-    lit_not,
-    lit_var,
-    make_lit,
-)
-from .mffc import mffc, mffc_size
-from .traversal import cone_cover, is_in_tfi, related, tfi, tfo, topo_order
-from .check import check
-from .simulate import (
-    exhaustive_signatures,
-    random_patterns,
-    random_simulation,
-    simulate,
-    simulate_pattern,
-)
-from .io_aiger import read_aiger, write_aag, write_aig
-from .snapshot import AigSnapshot, SnapshotDelta
+Re-exported lazily (:mod:`repro._lazy`): the rewriter loads the graph,
+literals, traversal and MFFC; I/O, simulation, the checker and the
+process pool's snapshots load when first read.
+"""
 
-__all__ = [
-    "Aig",
-    "AigSnapshot",
-    "SnapshotDelta",
-    "KIND_AND",
-    "KIND_CONST",
-    "KIND_DEAD",
-    "KIND_PI",
-    "CONST_VAR",
-    "LIT_FALSE",
-    "LIT_TRUE",
-    "lit_compl",
-    "lit_not",
-    "lit_var",
-    "make_lit",
-    "mffc",
-    "mffc_size",
-    "cone_cover",
-    "is_in_tfi",
-    "related",
-    "tfi",
-    "tfo",
-    "topo_order",
-    "check",
-    "exhaustive_signatures",
-    "random_patterns",
-    "random_simulation",
-    "simulate",
-    "simulate_pattern",
-    "read_aiger",
-    "write_aag",
-    "write_aig",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "graph": ("Aig", "KIND_AND", "KIND_CONST", "KIND_DEAD", "KIND_PI"),
+    "literals": ("CONST_VAR", "LIT_FALSE", "LIT_TRUE", "lit_compl", "lit_not",
+                 "lit_var", "make_lit"),
+    "mffc": ("mffc", "mffc_size"),
+    "traversal": ("cone_cover", "is_in_tfi", "related", "tfi", "tfo",
+                  "topo_order"),
+    "check": ("check",),
+    "simulate": ("exhaustive_signatures", "random_patterns",
+                 "random_simulation", "simulate", "simulate_pattern"),
+    "io_aiger": ("read_aiger", "write_aag", "write_aig"),
+    "snapshot": ("AigSnapshot", "SnapshotDelta"),
+})

@@ -18,6 +18,10 @@ stream), ``--json`` (machine-readable result on stdout) and
 ``--progress`` (live status line on stderr).  Trace timestamps are
 simulated work units, so a re-run with the same inputs is
 byte-identical.
+
+Each command imports what it runs inside its handler: ``stats`` and
+``gen`` load no engine, and only ``cec`` and ``rewrite --verify`` load
+the SAT package.
 """
 
 from __future__ import annotations
@@ -27,21 +31,15 @@ import dataclasses
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .aig import Aig, read_aiger, write_aag, write_aig
-from .bench import epfl_names, make_epfl, make_mtm, mtm_names
+from .config import EXECUTOR_KINDS
 from .errors import ReproError
-from .experiments import ENGINE_FACTORIES, make_engine
-from .galois import EXECUTOR_KINDS
-from .obs import (
-    ProgressLine,
-    TracingObserver,
-    chrome_trace_json,
-    format_profile,
-    write_jsonl,
-)
-from .sat import check_equivalence_auto
+from .experiments.runner import ENGINE_FACTORIES, make_engine
+
+if TYPE_CHECKING:
+    from .obs import TracingObserver
 
 
 def _write(aig: Aig, path: str) -> None:
@@ -75,6 +73,8 @@ def _make_observer(args: argparse.Namespace) -> Optional[TracingObserver]:
              or getattr(args, "progress", False))
     if not wants:
         return None
+    from .obs import ProgressLine, TracingObserver
+
     obs = TracingObserver()
     if getattr(args, "progress", False):
         obs.progress = ProgressLine()
@@ -85,6 +85,8 @@ def _export_observation(args: argparse.Namespace, obs: Optional[TracingObserver]
                         engine_name: str) -> None:
     if obs is None:
         return
+    from .obs import chrome_trace_json, write_jsonl
+
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(chrome_trace_json(
@@ -134,6 +136,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - start
     cec = None
     if original is not None:
+        from .sat import check_equivalence_auto
+
         cec = check_equivalence_auto(original, aig)
     if args.json:
         payload = {
@@ -166,6 +170,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from .obs import TracingObserver, format_profile
+
     aig = read_aiger(args.input)
     obs = TracingObserver()
     engine = make_engine(args.engine, workers=args.workers, observer=obs)
@@ -177,6 +183,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_cec(args: argparse.Namespace) -> int:
+    from .sat import check_equivalence_auto
+
     a = read_aiger(args.circuit_a)
     b = read_aiger(args.circuit_b)
     result = check_equivalence_auto(a, b)
@@ -189,6 +197,8 @@ def _cmd_cec(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .bench.suite import epfl_names, make_epfl, make_mtm, mtm_names
+
     if args.name in epfl_names():
         aig = make_epfl(args.name, doubled=not args.base)
     elif args.name in mtm_names():

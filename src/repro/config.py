@@ -8,6 +8,9 @@ from typing import FrozenSet, Optional
 from .errors import ConfigError
 from .npn.classes import class_set
 
+# The level pipeline's executors (``repro.galois.make_executor``).
+EXECUTOR_KINDS = ("simulated", "process")
+
 
 @dataclass(frozen=True)
 class RewriteConfig:
@@ -77,8 +80,6 @@ class RewriteConfig:
             raise ConfigError("max_cuts must be positive or None")
         if self.max_structs is not None and self.max_structs < 1:
             raise ConfigError("max_structs must be positive or None")
-        from .galois import EXECUTOR_KINDS
-
         if self.executor not in EXECUTOR_KINDS:
             raise ConfigError(f"unknown executor {self.executor!r}")
         if self.jobs is not None and self.jobs < 1:

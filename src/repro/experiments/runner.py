@@ -3,6 +3,7 @@ each equivalence-checked by :func:`repro.sat.check_equivalence_auto`."""
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -16,44 +17,43 @@ from ..config import (
     gpu_config,
     iccad18_config,
 )
-from ..core import DACParaRewriter
-from ..rewrite import LockFusedRewriter, RewriteResult, SerialRewriter, StaticRewriter
-from ..sat import check_equivalence_auto
+from ..rewrite.result import RewriteResult
 
 DEFAULT_WORKERS = 40
 GPU_WORKERS = 9216
 
+
+def _engine(module: str, cls: str, make_config: Callable[[int], object],
+            **options) -> Callable[..., object]:
+    """A factory that imports its engine class when called: a run loads
+    its own engine, never the others."""
+
+    def make(workers, observer=None):
+        engine = getattr(importlib.import_module(module, __package__), cls)
+        return engine(make_config(workers), observer=observer, **options)
+
+    return make
+
+
+_DACPARA = ("..core.dacpara", "DACParaRewriter")
+_GPU = ("..rewrite.static_gpu", "StaticRewriter")
+
 ENGINE_FACTORIES: Dict[str, Callable[..., object]] = {
-    "abc": lambda workers, observer=None: SerialRewriter(
-        abc_rewrite_config(), observer=observer
-    ),
-    "iccad18": lambda workers, observer=None: LockFusedRewriter(
-        iccad18_config(workers), observer=observer
-    ),
-    "dacpara": lambda workers, observer=None: DACParaRewriter(
-        dacpara_config(workers), observer=observer
-    ),
-    "dacpara-p1": lambda workers, observer=None: DACParaRewriter(
-        dacpara_p1_config(workers), observer=observer
-    ),
-    "dacpara-p2": lambda workers, observer=None: DACParaRewriter(
-        dacpara_p2_config(workers), observer=observer
-    ),
-    "dacpara-novalidate": lambda workers, observer=None: DACParaRewriter(
-        dacpara_config(workers), validate=False, observer=observer
-    ),
-    "gpu-dac22": lambda workers, observer=None: StaticRewriter(
-        gpu_config(workers), variant="dac22", observer=observer
-    ),
-    "gpu-tcad23": lambda workers, observer=None: StaticRewriter(
-        gpu_config(workers), variant="tcad23", observer=observer
-    ),
+    "abc": _engine("..rewrite.serial", "SerialRewriter",
+                   lambda workers: abc_rewrite_config()),
+    "iccad18": _engine("..rewrite.lockfused", "LockFusedRewriter",
+                       iccad18_config),
+    "dacpara": _engine(*_DACPARA, dacpara_config),
+    "dacpara-p1": _engine(*_DACPARA, dacpara_p1_config),
+    "dacpara-p2": _engine(*_DACPARA, dacpara_p2_config),
+    "dacpara-novalidate": _engine(*_DACPARA, dacpara_config, validate=False),
+    "gpu-dac22": _engine(*_GPU, gpu_config, variant="dac22"),
+    "gpu-tcad23": _engine(*_GPU, gpu_config, variant="tcad23"),
     # DACPara under the GPU works' exact budget (222 classes, 8 cuts,
     # 5 structures, 2 passes): isolates the paper's dynamic-vs-static
     # quality claim from the class-set confound.
-    "dacpara-222": lambda workers, observer=None: DACParaRewriter(
-        gpu_config(min(workers, 40)), observer=observer
-    ),
+    "dacpara-222": _engine(*_DACPARA,
+                           lambda workers: gpu_config(min(workers, 40))),
 }
 
 
@@ -98,6 +98,8 @@ def run_experiment(
     wall = time.perf_counter() - start
     method = "skipped"
     if check:
+        from ..sat import check_equivalence_auto
+
         cec = check_equivalence_auto(original, working)
         if not cec.equivalent:
             raise AssertionError("rewritten circuit is NOT equivalent to the original")

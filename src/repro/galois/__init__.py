@@ -1,27 +1,27 @@
 """Galois-like parallel runtime: cautious operators, exclusive locks,
 abort-and-retry on the simulated scheduler, and the process pool that
-runs shards."""
+runs shards.
+
+The pool (:mod:`repro.galois.procpool`, with ``multiprocessing``) is
+re-exported lazily (:mod:`repro._lazy`): an in-process run never loads
+it.
+"""
 
 import warnings
 
-from .activity import Operator, Phase
-from .procpool import ProcessExecutor, default_jobs
-from .simsched import SimulatedExecutor
-from .stats import ExecutionStats, StageStats
+from .._lazy import attach
+from ..config import EXECUTOR_KINDS
 
-EXECUTOR_KINDS = ("simulated", "process")
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "activity": ("Operator", "Phase"),
+    "procpool": ("ProcessExecutor", "default_jobs"),
+    "simsched": ("SimulatedExecutor",),
+    "stats": ("ExecutionStats", "StageStats"),
+})
+__all__ += ["EXECUTOR_KINDS", "warn_unused_jobs"]
 
-__all__ = [
-    "Operator",
-    "Phase",
-    "ProcessExecutor",
-    "SimulatedExecutor",
-    "ExecutionStats",
-    "StageStats",
-    "EXECUTOR_KINDS",
-    "default_jobs",
-    "warn_unused_jobs",
-]
+# Eager, after attach() so the binding rule sees it: every run makes one.
+from .simsched import SimulatedExecutor  # noqa: E402
 
 
 def make_executor(kind: str, workers: int, observer=None):
@@ -32,6 +32,8 @@ def make_executor(kind: str, workers: int, observer=None):
     if kind == "simulated":
         return SimulatedExecutor(workers, observer=observer)
     if kind == "process":
+        from .procpool import ProcessExecutor
+
         return ProcessExecutor(workers, observer=observer)
     raise ValueError(f"unknown executor kind {kind!r}")
 

@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulerError
 from ..obs.observer import NULL_OBSERVER, Observer
+from ..rewrite.columnar import run_enum_batched, run_eval_batched
 from .activity import Operator, Phase
 from .stats import ExecutionStats, StageStats
 
@@ -112,8 +113,6 @@ class SimulatedExecutor:
         byte-identical to such an operator's (``tests/reference.py``
         keeps one as the differential reference).
         """
-        from ..rewrite.columnar import run_eval_batched
-
         return run_eval_batched(self, name, items, ctx)
 
     def run_enum(self, name: str, items: Sequence[int], ctx) -> StageStats:
@@ -123,8 +122,6 @@ class SimulatedExecutor:
         charging the identical pair costs, so stats and the cut cache
         are byte-identical to running the Section 4.2 enum operator per
         root (:func:`~repro.rewrite.columnar.run_enum_batched`)."""
-        from ..rewrite.columnar import run_enum_batched
-
         return run_enum_batched(self, name, items, ctx)
 
     def run(self, name: str, items: Sequence, operator: Operator) -> StageStats:

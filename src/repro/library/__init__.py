@@ -1,33 +1,19 @@
 """Replacement-structure library (the NST and its generators).
 
-The generators (:mod:`repro.library.synthesis`) are not imported here:
-no run calls them, and ``python -m repro.library.synthesis`` rewrites
-the packaged table from them.
+Re-exported lazily (:mod:`repro._lazy`): a run reads the packaged
+table (:mod:`repro.library.nst`) and never calls the ISOP or the
+factoring the table was built with.  The generators
+(:mod:`repro.library.synthesis`) are not re-exported at all:
+``python -m repro.library.synthesis`` rewrites the packaged table from
+them.
 """
 
-from .isop import Cube, cover_tt, cube_tt, isop
-from .factor import factor_to_structure
-from .nst import DEFAULT_MAX_STRUCTS, StructureLibrary, get_library
-from .structures import (
-    FIRST_INTERNAL_VAR,
-    NUM_INPUTS,
-    Structure,
-    StructureBuilder,
-    input_lit,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Cube",
-    "cover_tt",
-    "cube_tt",
-    "isop",
-    "factor_to_structure",
-    "DEFAULT_MAX_STRUCTS",
-    "StructureLibrary",
-    "get_library",
-    "FIRST_INTERNAL_VAR",
-    "NUM_INPUTS",
-    "Structure",
-    "StructureBuilder",
-    "input_lit",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "isop": ("Cube", "cover_tt", "cube_tt", "isop"),
+    "factor": ("factor_to_structure",),
+    "nst": ("DEFAULT_MAX_STRUCTS", "StructureLibrary", "get_library"),
+    "structures": ("FIRST_INTERNAL_VAR", "NUM_INPUTS", "Structure",
+                   "StructureBuilder", "input_lit"),
+})

@@ -15,8 +15,9 @@ Two implementations coexist:
 * :func:`npn_canon` — a lazily-built, module-level 65 536-entry lookup
   table: one ``uint16`` canonical representative plus one packed
   witness (the transform's row index, 0..767) per function.  Building
-  the table enumerates each of the 222 classes once from its minimum
-  (~50 ms); afterwards canonicalization is two array reads.
+  the table enumerates each of the 222 classes once from its minimum,
+  one matrix-vector product per class (~7 ms); afterwards
+  canonicalization is two array reads.
   Both implementations break ties identically (first transform in row
   order achieving the minimum), so they agree bit-for-bit on canonical
   table *and* witness.
@@ -61,23 +62,23 @@ class NpnTransform:
 
 
 def _build_transforms() -> Tuple[List[NpnTransform], np.ndarray, np.ndarray]:
-    """All 768 transforms with their minterm source-index matrices."""
-    transforms: List[NpnTransform] = []
-    matrices = np.empty((768, 16), dtype=np.uint8)
-    out_flags = np.empty(768, dtype=np.uint16)
-    row = 0
-    for perm in itertools.permutations(range(4)):
-        for neg_mask in range(16):
-            for out_neg in (False, True):
-                transforms.append(NpnTransform(perm, neg_mask, out_neg))
-                for k in range(16):
-                    j = 0
-                    for i in range(4):
-                        bit = ((k >> i) & 1) ^ ((neg_mask >> i) & 1)
-                        j |= bit << perm[i]
-                    matrices[row, k] = j
-                out_flags[row] = MASK4 if out_neg else 0
-                row += 1
+    """All 768 transforms with their minterm source-index matrices.
+
+    Rows run over ``perm`` (``itertools.permutations`` order), then
+    ``neg_mask`` 0..15, then ``out_neg``; row ``r`` maps minterm ``k``
+    to source minterm ``sum_i (k_i ^ neg_i) << perm[i]``.
+    """
+    perms = list(itertools.permutations(range(4)))
+    transforms = [
+        NpnTransform(perm, neg_mask, out_neg)
+        for perm in perms for neg_mask in range(16)
+        for out_neg in (False, True)
+    ]
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1  # (k or mask, i)
+    flipped = bits[None, :, :] ^ bits[:, None, :]  # (neg_mask, k, i)
+    sources = (flipped[None] << np.array(perms)[:, None, None, :]).sum(axis=3)
+    matrices = np.repeat(sources.reshape(384, 16), 2, axis=0).astype(np.uint8)
+    out_flags = np.tile(np.array([0, MASK4], dtype=np.uint16), 384)
     return transforms, matrices, out_flags
 
 
@@ -126,6 +127,11 @@ def npn_canon_exhaustive(tt: int) -> Tuple[int, NpnTransform]:
     return result
 
 
+# Functions the canon LUT build tests per step of its forward scan for
+# the next unassigned function.
+_SCAN_WINDOW = 512
+
+
 def _build_canon_lut() -> Tuple[np.ndarray, np.ndarray]:
     """One orbit per NPN class, 222 in all, walking functions upward.
 
@@ -134,24 +140,32 @@ def _build_canon_lut() -> Tuple[np.ndarray, np.ndarray]:
     witness row of each.  The stored witness is the *first* row whose
     pre-image the function is — the first achieving the minimum, the
     same tie-break as ``argmin`` in the exhaustive search.
+
+    ``T_r(g)[k] = g[mat[r, k]] ^ out_r = f[k]`` scatters bit ``k`` of
+    ``f`` to bit ``mat[r, k]`` of ``g``; each row of ``mat`` is a
+    permutation, so all 768 pre-images are one matvec,
+    ``(2 ** mat) @ bits(f) ^ out_flags``, exact in float64 below 2**16.
+    The next minimum is found by scanning forward from ``f`` a window
+    at a time.
     """
     unassigned = np.uint32(65536)
     canon = np.full(65536, unassigned, dtype=np.uint32)
     rows = np.zeros(65536, dtype=np.uint16)
-    targets = _MATRICES.astype(np.intp)
-    out_bits = (_OUT_FLAGS & 1).astype(np.uint32)[:, None]
+    weights = np.ldexp(1.0, _MATRICES)
     shifts = np.arange(16, dtype=np.uint32)
-    pre_bits = np.empty((768, 16), dtype=np.uint32)
     f = 0
-    while canon[f] == unassigned:
-        # T_r(g)[k] = g[mat[r, k]] ^ out_r = f[k]: scatter f's bits.
-        bits = (np.uint32(f) >> shifts) & np.uint32(1)
-        np.put_along_axis(pre_bits, targets, bits ^ out_bits, axis=1)
-        members, first_row = np.unique(pre_bits @ _POW2, return_index=True)
+    while f < 65536:
+        bits = ((np.uint32(f) >> shifts) & np.uint32(1)).astype(np.float64)
+        pre = (weights @ bits).astype(np.uint16) ^ _OUT_FLAGS
+        members, first_row = np.unique(pre, return_index=True)
         canon[members] = f
         rows[members] = first_row
-        # First function still unassigned; 0 (assigned) once none is.
-        f = int(np.argmax(canon == unassigned))
+        while f < 65536:
+            window = canon[f:f + _SCAN_WINDOW] == unassigned
+            if window.any():
+                f += int(window.argmax())
+                break
+            f += _SCAN_WINDOW
     return canon, rows
 
 

@@ -10,49 +10,22 @@ seconds enter only as metric values (kernel and shard wall seconds),
 never as timestamps.  Exporters serialize the observation into Chrome
 trace-event JSON (Perfetto / ``chrome://tracing``) or a JSONL event
 stream.
+
+Re-exported lazily (:mod:`repro._lazy`): a run loads the observer, its
+metrics and tracer; the exporters and the profile tables load when a
+command asks for them.
 """
 
-from .metrics import (
-    Counter,
-    FAULT_TOLERANCE_COUNTERS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .observer import NULL_OBSERVER, Observer, ProgressLine, TracingObserver
-from .export import (
-    chrome_trace_json,
-    jsonl_lines,
-    to_chrome_trace,
-    write_jsonl,
-)
-from .profile import (
-    format_profile,
-    level_breakdown,
-    stage_breakdown,
-    stage_breakdown_from_tracer,
-)
-from .tracer import Event, Span, SpanTracer
+from .._lazy import attach
 
-__all__ = [
-    "Counter",
-    "FAULT_TOLERANCE_COUNTERS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_OBSERVER",
-    "Observer",
-    "ProgressLine",
-    "TracingObserver",
-    "chrome_trace_json",
-    "jsonl_lines",
-    "to_chrome_trace",
-    "write_jsonl",
-    "format_profile",
-    "level_breakdown",
-    "stage_breakdown",
-    "stage_breakdown_from_tracer",
-    "Event",
-    "Span",
-    "SpanTracer",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "metrics": ("Counter", "FAULT_TOLERANCE_COUNTERS", "Gauge", "Histogram",
+                "MetricsRegistry"),
+    "observer": ("NULL_OBSERVER", "Observer", "ProgressLine",
+                 "TracingObserver"),
+    "export": ("chrome_trace_json", "jsonl_lines", "to_chrome_trace",
+               "write_jsonl"),
+    "profile": ("format_profile", "level_breakdown", "stage_breakdown",
+                "stage_breakdown_from_tracer"),
+    "tracer": ("Event", "Span", "SpanTracer"),
+})

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Dict, Optional, TextIO
+from typing import TYPE_CHECKING, Any, Dict, Optional, TextIO
 
-from .metrics import MetricsRegistry
-from .tracer import Span, SpanTracer
+if TYPE_CHECKING:
+    from .tracer import Span
 
 
 class ProgressLine:
@@ -129,6 +129,11 @@ class TracingObserver(Observer):
     enabled = True
 
     def __init__(self) -> None:
+        # Loaded with the first tracing observer: an untraced run builds
+        # no span tree and no registry, so it never imports them.
+        from .metrics import MetricsRegistry
+        from .tracer import SpanTracer
+
         self.tracer = SpanTracer()
         self.metrics = MetricsRegistry()
         self.progress: Optional[ProgressLine] = None

@@ -1,33 +1,19 @@
-"""Rewriting engines: serial reference, ICCAD'18 model, GPU model."""
+"""Rewriting engines: serial reference, ICCAD'18 model, GPU model.
 
-from .base import (
-    Candidate,
-    Evaluation,
-    WorkMeter,
-    apply_candidate,
-    cut_tt4,
-    evaluate_candidate,
-    instantiate,
-    leaf_literals,
-)
-from .columnar import find_best_candidate
-from .result import RewriteResult
-from .serial import SerialRewriter
-from .lockfused import LockFusedRewriter
-from .static_gpu import StaticRewriter
+Re-exported lazily (:mod:`repro._lazy`): DACPara uses the candidate
+primitives, the columnar kernel and the result record, never the three
+baseline engines.
+"""
 
-__all__ = [
-    "Candidate",
-    "Evaluation",
-    "WorkMeter",
-    "apply_candidate",
-    "cut_tt4",
-    "evaluate_candidate",
-    "find_best_candidate",
-    "instantiate",
-    "leaf_literals",
-    "RewriteResult",
-    "SerialRewriter",
-    "LockFusedRewriter",
-    "StaticRewriter",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "base": ("Candidate", "Evaluation", "WorkMeter", "apply_candidate",
+             "cut_tt4", "evaluate_candidate", "instantiate",
+             "leaf_literals"),
+    "columnar": ("find_best_candidate",),
+    "result": ("RewriteResult",),
+    "serial": ("SerialRewriter",),
+    "lockfused": ("LockFusedRewriter",),
+    "static_gpu": ("StaticRewriter",),
+})

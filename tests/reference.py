@@ -33,6 +33,11 @@ calls it:
 * :func:`build_canon_lut_sweep` — the NPN canon LUT computed function
   by function over all 768 transforms, the reference of the
   class-by-class build in ``npn/canon.py``;
+* :func:`build_transforms_loop` and :func:`build_canon_lut_orbits` —
+  the transform table a minterm at a time and the LUT an orbit at a
+  time (a scatter per class, a full-width search for the next
+  minimum), the references of ``npn/canon.py``'s vector transform
+  build and its one-matvec-per-class LUT build;
 * :func:`npn_canon_batch_rows` — canonical tables and witness rows of
   a truth-table array, the batch form of ``npn_canon`` the columnar
   kernel's class counts are checked against;
@@ -56,6 +61,7 @@ against the classes directly.
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 import time
 from collections import deque
@@ -81,7 +87,7 @@ from repro.galois.simsched import SimulatedExecutor, _item_args, _publish_stage
 from repro.galois.stats import StageStats
 from repro.library import StructureLibrary
 from repro.npn import ensure_canon_lut, npn_canon
-from repro.npn.canon import _MATRICES, _OUT_FLAGS
+from repro.npn.canon import _MATRICES, _OUT_FLAGS, _POW2, NpnTransform
 from repro.npn.truth import expand, expand_map16, full_mask, lift_bytes
 from repro.rewrite.base import (
     Candidate,
@@ -580,6 +586,54 @@ def build_canon_lut_sweep() -> Tuple[np.ndarray, np.ndarray]:
         best[better] = acc[better]
         rows[better] = row
     return best, rows
+
+
+def build_transforms_loop() -> Tuple[List[NpnTransform], np.ndarray, np.ndarray]:
+    """All 768 transforms and their minterm source-index matrices, a
+    minterm and an input at a time — the reference of
+    ``npn.canon._build_transforms``."""
+    transforms: List[NpnTransform] = []
+    matrices = np.empty((768, 16), dtype=np.uint8)
+    out_flags = np.empty(768, dtype=np.uint16)
+    row = 0
+    for perm in itertools.permutations(range(4)):
+        for neg_mask in range(16):
+            for out_neg in (False, True):
+                transforms.append(NpnTransform(perm, neg_mask, out_neg))
+                for k in range(16):
+                    j = 0
+                    for i in range(4):
+                        bit = ((k >> i) & 1) ^ ((neg_mask >> i) & 1)
+                        j |= bit << perm[i]
+                    matrices[row, k] = j
+                out_flags[row] = 0xFFFF if out_neg else 0
+                row += 1
+    return transforms, matrices, out_flags
+
+
+def build_canon_lut_orbits() -> Tuple[np.ndarray, np.ndarray]:
+    """The canon LUT one orbit per class: scatter the class minimum's
+    bits into its 768 pre-images, then search all 65 536 entries for
+    the next unassigned function — the reference of
+    ``npn.canon._build_canon_lut``'s matvec and forward scan."""
+    unassigned = np.uint32(65536)
+    canon = np.full(65536, unassigned, dtype=np.uint32)
+    rows = np.zeros(65536, dtype=np.uint16)
+    targets = _MATRICES.astype(np.intp)
+    out_bits = (_OUT_FLAGS & 1).astype(np.uint32)[:, None]
+    shifts = np.arange(16, dtype=np.uint32)
+    pre_bits = np.empty((768, 16), dtype=np.uint32)
+    f = 0
+    while canon[f] == unassigned:
+        # T_r(g)[k] = g[mat[r, k]] ^ out_r = f[k]: scatter f's bits.
+        bits = (np.uint32(f) >> shifts) & np.uint32(1)
+        np.put_along_axis(pre_bits, targets, bits ^ out_bits, axis=1)
+        members, first_row = np.unique(pre_bits @ _POW2, return_index=True)
+        canon[members] = f
+        rows[members] = first_row
+        # First function still unassigned; 0 (assigned) once none is.
+        f = int(np.argmax(canon == unassigned))
+    return canon, rows
 
 
 def npn_canon_batch_rows(tts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

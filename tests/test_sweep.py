@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import random
 import time
 from functools import reduce
 
 import pytest
 
-from repro.aig import Aig, lit_not, simulate_pattern
+from repro.aig import LIT_FALSE, Aig, lit_not, simulate_pattern
+from repro.aig.simulate import simulate_nodes
 from repro.bench import make_epfl, make_mtm, mtm_like
 from repro.core import DACParaRewriter
 from repro.config import dacpara_config
 from repro.errors import SatError
 from repro.experiments import make_engine
-from repro.sat import check_equivalence_auto, sweep
+from repro.sat import Solver, check_equivalence_auto, sweep
+from repro.sat.cnf import encode_nodes, false_var
 from repro.sat.sweep import cec_sweep
 
 from conftest import random_aig
@@ -189,3 +192,55 @@ class TestProvedNotSampled:
         assert time.perf_counter() - start <= 120
         assert result.equivalent
         assert result.method == "sat-sweep"
+
+
+def _check_window_encoding(aig, nodes, leaves, rng, patterns=32):
+    """Encode the window with ``cnf.encode_nodes`` and, under
+    ``patterns`` random leaf assignments, require SAT and every encoded
+    node's model value to equal ``simulate_nodes`` of the window built
+    as its own circuit (one PI per free leaf)."""
+    solver = Solver()
+    node_var = {leaf: false_var(solver) if leaf == 0 else solver.new_var()
+                for leaf in leaves}
+    encode_nodes(aig, solver, nodes, node_var)
+    window = Aig()
+    free = [leaf for leaf in leaves if leaf != 0]
+    lit = {0: LIT_FALSE, **{leaf: window.add_pi() for leaf in free}}
+    for var in nodes:
+        f0, f1 = aig.fanins(var)
+        lit[var] = window.and_(lit[f0 >> 1] ^ (f0 & 1), lit[f1 >> 1] ^ (f1 & 1))
+    vectors = [rng.getrandbits(patterns) for _ in free]
+    values = simulate_nodes(window, vectors, patterns)
+    for j in range(patterns):
+        assumptions = [node_var[leaf] if (vec >> j) & 1 else -node_var[leaf]
+                       for leaf, vec in zip(free, vectors)]
+        assert solver.solve(assumptions)
+        for var in nodes:
+            expected = ((values[lit[var] >> 1] >> j) & 1) ^ (lit[var] & 1)
+            assert solver.model_value(node_var[var]) == expected, (var, j)
+
+
+class TestWindowEncoding:
+    """``cnf.encode_nodes`` checked against ``aig/simulate.py`` on every
+    window the sweep builds.  An 8-pattern signature makes classes that
+    random patterns cannot split, so the sweep also builds the frozen
+    and truncated windows whose SAT answers widen it."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_window_agrees_with_simulation(self, monkeypatch, seed):
+        original = random_aig(num_pis=12, num_nodes=400, num_pos=40, seed=seed)
+        rewritten = _dacpara_output(original)
+        rng = random.Random(seed)
+        built = []
+        real_window = sweep._window
+
+        def window(aig, a, b, limit, frozen):
+            nodes, leaves, full = real_window(aig, a, b, limit, frozen)
+            _check_window_encoding(aig, nodes, leaves, rng)
+            built.append(full)
+            return nodes, leaves, full
+
+        monkeypatch.setattr(sweep, "SIM_WIDTH", 8)
+        monkeypatch.setattr(sweep, "_window", window)
+        assert cec_sweep(original, rewritten).equivalent
+        assert True in built and False in built
